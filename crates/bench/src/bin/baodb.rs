@@ -229,16 +229,13 @@ fn main() {
             retrain_interval: 25,
             cache_features: true,
             enabled: false, // like the paper: off until SET enable_bao TO on
-            bootstrap: true,
-            parallel_planning: true,
-            planning_threads: 0,
-            shard_workers,
             seed,
             durability: if wal_dir.is_empty() {
                 None
             } else {
                 Some(bao_wal::DurabilityConfig::new(wal_dir.as_str()))
             },
+            ..BaoConfig::default()
         }),
         exec: ExecConfig { shard_workers, ..ExecConfig::default() },
         timing: true,
@@ -248,7 +245,11 @@ fn main() {
         simulated_ms: 0.0,
         db,
     };
-    match shell.bao.open_wal() {
+    let header = bao_wal::WalRecord::RunHeader {
+        seed: shell.bao.cfg.seed,
+        config_fp: shell.bao.config_fingerprint(),
+    };
+    match shell.bao.open_wal(header) {
         Ok(opened) => {
             if opened {
                 eprintln!("wal: logging to {wal_dir}");

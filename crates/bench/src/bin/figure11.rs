@@ -44,13 +44,8 @@ fn main() {
             window_size: settings.window,
             retrain_interval: settings.retrain,
             cache_features: true,
-            enabled: true,
-            bootstrap: true,
-            parallel_planning: true,
-            planning_threads: 0,
-            shard_workers: 1,
             seed,
-            durability: None,
+            ..BaoConfig::default()
         },
         settings.model.build(bao_core::Featurizer::new(true).input_dim()),
     );

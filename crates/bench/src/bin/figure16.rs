@@ -53,13 +53,8 @@ fn main() {
                 window_size: settings.window,
                 retrain_interval: per_iter,
                 cache_features: false, // cold cache: no cache signal
-                enabled: true,
-                bootstrap: true,
-                parallel_planning: true,
-                planning_threads: 0,
-                shard_workers: 1,
                 seed,
-                durability: None,
+                ..BaoConfig::default()
             },
             settings.model.build(bao_core::Featurizer::new(false).input_dim()),
         );

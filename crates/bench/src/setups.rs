@@ -72,10 +72,7 @@ pub fn bao_settings(n_arms: usize, n_queries: usize) -> BaoSettings {
         window: n_queries.clamp(200, 2_000),
         retrain: (n_queries / 10).clamp(25, 100),
         cache_features: true,
-        bootstrap: true,
-        planning_threads: 0,
-        shard_workers: 1,
-        durability: None,
+        ..BaoSettings::default()
     }
 }
 

@@ -14,11 +14,6 @@ use bao_common::sync::{mpsc, scope, Arc, Mutex};
 use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
 use std::time::Duration;
 
-/// Shared handle to an open write-ahead log. Uses the workspace sync
-/// shim (like every other lock in the query path) so the race suites
-/// can instrument it.
-pub type WalHandle = Arc<Mutex<Wal>>;
-
 /// Bao configuration (paper §6.1 defaults: 48/49 arms, window k = 2000,
 /// retrain every n = 100 queries, cache features on).
 #[derive(Debug, Clone)]
@@ -46,11 +41,6 @@ pub struct BaoConfig {
     /// bao-race suites, which need a fixed multi-worker pool regardless
     /// of the machine they run on.
     pub planning_threads: usize,
-    /// Shard count and morsel-pool width for sharded query execution
-    /// (DESIGN.md §13); `1` is the serial single-shard path, `0` sizes
-    /// the pool to the host. Execution output is bit-identical at any
-    /// width; only wall-clock changes.
-    pub shard_workers: usize,
     pub seed: u64,
     /// Write-ahead logging of experience appends, retrain boundaries,
     /// and model checkpoints (DESIGN.md §14). `None` (the default) keeps
@@ -69,7 +59,6 @@ impl Default for BaoConfig {
             bootstrap: true,
             parallel_planning: true,
             planning_threads: 0,
-            shard_workers: 1,
             seed: 0,
             durability: None,
         }
@@ -131,8 +120,10 @@ pub struct Bao {
     /// Cumulative wall-clock time spent training (Figure 15c).
     pub total_train_wall: Duration,
     /// Attached write-ahead log; appends are buffered here and flushed
-    /// by the harness's per-query / per-wave [`Bao::wal_commit`].
-    wal: Option<WalHandle>,
+    /// by the harness's per-wave [`Bao::wal_commit`]. Behind the workspace
+    /// sync shim (like every other lock in the query path) so the race
+    /// suites can instrument it.
+    wal: Option<Arc<Mutex<Wal>>>,
     /// Lifetime observation counter — the `step` field of logged
     /// experience appends (survives recovery replay).
     observed: usize,
@@ -173,14 +164,19 @@ impl Bao {
     /// Attach an open WAL. Subsequent [`Bao::observe`] calls buffer
     /// `ExperienceAppend` frames into it and retrains buffer checkpoint
     /// + boundary frames; nothing reaches disk until a commit.
-    pub fn attach_wal(&mut self, wal: WalHandle) {
-        self.wal = Some(wal);
+    pub fn attach_wal(&mut self, wal: Wal) {
+        self.wal = Some(Arc::new(Mutex::new(wal)));
     }
 
-    /// The attached WAL handle, if any (the harness shares it to log
-    /// its own `QueryOutcome` commit records).
-    pub fn wal(&self) -> Option<&WalHandle> {
-        self.wal.as_ref()
+    /// Buffer one frame into the attached WAL; without one `record` is
+    /// never built. Append cannot fail (it only buffers): I/O errors and
+    /// a poisoned lock both surface at the next [`Bao::wal_commit`].
+    pub fn wal_append(&self, record: impl FnOnce() -> WalRecord) {
+        if let Some(wal) = &self.wal {
+            if let Ok(mut w) = wal.lock() {
+                w.append(&record());
+            }
+        }
     }
 
     /// Flush buffered WAL frames to disk (one group commit). No-op
@@ -197,9 +193,8 @@ impl Bao {
 
     /// Fingerprint of the behaviour-determining configuration: the
     /// fields that change *what* Bao decides, not how fast. Thread
-    /// counts, shard width, and the durability knob itself are excluded
-    /// (execution output is identical across them), so a log written on
-    /// one machine replays on another.
+    /// counts and the durability knob itself are excluded, so a log
+    /// written on one machine replays on another.
     pub fn config_fingerprint(&self) -> u64 {
         let c = &self.cfg;
         let desc = format!(
@@ -210,14 +205,14 @@ impl Bao {
         fnv64(desc.as_bytes())
     }
 
-    /// Open the WAL named by `cfg.durability` (fresh log — recovery goes
-    /// through `bao_harness::recover` instead), write the `RunHeader`,
-    /// and attach it. Returns `false` when no durability is configured
-    /// or a WAL is already attached. This is the entry point for
-    /// standalone embedders like the `baodb` shell; the experiment
-    /// harness opens its own log so the header can fingerprint the full
-    /// run configuration.
-    pub fn open_wal(&mut self) -> Result<bool> {
+    /// Open a fresh log under `cfg.durability` (recovery goes through
+    /// `bao_harness::recover` instead), commit `header` as its first
+    /// frame, and attach it. Returns `false` when no durability is
+    /// configured or a WAL is already attached. The caller supplies the
+    /// header because only it knows what the log must match on replay:
+    /// the `baodb` shell fingerprints Bao's own configuration, the
+    /// experiment harness the full run configuration.
+    pub fn open_wal(&mut self, header: WalRecord) -> Result<bool> {
         let Some(dur) = self.cfg.durability.clone() else {
             return Ok(false);
         };
@@ -225,12 +220,9 @@ impl Bao {
             return Ok(false);
         }
         let mut wal = Wal::open(dur)?;
-        wal.append(&WalRecord::RunHeader {
-            seed: self.cfg.seed,
-            config_fp: self.config_fingerprint(),
-        });
+        wal.append(&header);
         wal.commit()?;
-        self.attach_wal(Arc::new(Mutex::new(wal)));
+        self.attach_wal(wal);
         Ok(true)
     }
 
@@ -435,22 +427,16 @@ impl Bao {
         }
 
         // Score every query's arms in ONE batch — a single forward pass
-        // over queries.len() * n_arms concatenated plan trees. Multi-query
-        // waves go through the model's coalesced engine (for the TCNN:
-        // tape-free fused kernels plus duplicate-plan elimination, bitwise
-        // identical to `predict_batch` per tree); the single-query case —
-        // the serial `select_plan` path — stays on the stateless reference
-        // scorer it has always used. The coalesced predictions are
-        // segmented back per query; on model error fall back to per-query
-        // batches so a single-query caller sees exactly the error
-        // semantics it would see alone.
+        // over queries.len() * n_arms concatenated plan trees through the
+        // model's coalesced engine (for the TCNN: tape-free fused kernels
+        // plus duplicate-plan elimination, bitwise identical to
+        // `predict_batch` per tree). The predictions are segmented back
+        // per query; on model error fall back to per-query batches so a
+        // single-query caller sees exactly the error semantics it would
+        // see alone.
         let all_trees: Vec<&FeatTree> =
             per_query.iter().flat_map(|pairs| pairs.iter().map(|(_, t)| t)).collect();
-        let coalesced: Option<Vec<f64>> = if queries.len() > 1 {
-            self.model.predict_batch_coalesced(&all_trees).ok()
-        } else {
-            self.model.predict_batch(&all_trees).ok()
-        };
+        let coalesced: Option<Vec<f64>> = self.model.predict_batch_coalesced(&all_trees).ok();
 
         let mut results = Vec::with_capacity(queries.len());
         for (qi, pairs) in per_query.into_iter().enumerate() {
@@ -571,18 +557,11 @@ impl Bao {
     /// period elapses. Off-policy observations (plans Bao did not select,
     /// paper §4) go through the same path.
     pub fn observe(&mut self, tree: FeatTree, perf: f64) -> Option<RetrainReport> {
-        if let Some(wal) = &self.wal {
-            // Append is infallible (it only buffers); I/O errors surface
-            // at the harness's `wal_commit`. A poisoned lock is ignored
-            // here for the same reason — commit will report it.
-            if let Ok(mut w) = wal.lock() {
-                w.append(&WalRecord::ExperienceAppend {
-                    step: self.observed as u64,
-                    tree: tree.clone(),
-                    perf,
-                });
-            }
-        }
+        self.wal_append(|| WalRecord::ExperienceAppend {
+            step: self.observed as u64,
+            tree: tree.clone(),
+            perf,
+        });
         self.observed += 1;
         self.experience.add(tree, perf);
         self.since_retrain += 1;
@@ -645,23 +624,17 @@ impl Bao {
         self.since_retrain = 0;
         self.retrains += 1;
         let critical_rounds = self.fit_from_experience();
-        if let Some(wal) = &self.wal {
-            if let Ok(mut w) = wal.lock() {
-                // Checkpoint first, boundary last: the boundary record is
-                // the marker recovery keys on, and a checkpoint without
-                // its boundary is simply superseded by the refit path.
-                if let Some(snapshot) = self.model.snapshot_json() {
-                    w.append(&WalRecord::ModelCheckpoint {
-                        version: self.retrains as u64,
-                        model: snapshot,
-                    });
-                }
-                w.append(&WalRecord::RetrainBoundary {
-                    version: self.retrains as u64,
-                    experience_size: self.experience.len() as u64,
-                });
-            }
+        // Checkpoint first, boundary last: the boundary record is the
+        // marker recovery keys on, and a checkpoint without its boundary
+        // is simply superseded by the refit path.
+        let version = self.retrains as u64;
+        if let Some(model) = self.wal.as_ref().and_then(|_| self.model.snapshot_json()) {
+            self.wal_append(|| WalRecord::ModelCheckpoint { version, model });
         }
+        self.wal_append(|| WalRecord::RetrainBoundary {
+            version,
+            experience_size: self.experience.len() as u64,
+        });
         let wall = started.elapsed();
         self.total_train_wall += wall;
         RetrainReport {

@@ -55,13 +55,8 @@ fn small_bao(arms: Vec<HintSet>, n: usize, k: usize) -> Bao {
         window_size: k,
         retrain_interval: n,
         cache_features: true,
-        enabled: true,
-        bootstrap: true,
-        parallel_planning: true,
-        planning_threads: 0,
-        shard_workers: 1,
         seed: 7,
-        durability: None,
+        ..BaoConfig::default()
     };
     let featurizer_dim = bao_core::Featurizer::new(true).input_dim();
     let model = bao_models::TcnnModel::new(

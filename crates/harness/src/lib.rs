@@ -15,7 +15,7 @@ pub use armstats::{plan_change_stats, PlanChanges};
 pub use oracle::{exhaustive_arm_perfs, regret_of};
 pub use recover::{recover, recover_or_fresh, Recovered};
 pub use runner::{
-    config_fingerprint, run_once, BaoSettings, ModelKind, QueryRecord, ResumeState, RunConfig,
+    config_fingerprint, run_once, BaoSettings, ModelKind, QueryRecord, RunConfig,
     RunResult, Runner, Strategy,
 };
 pub use serving::{

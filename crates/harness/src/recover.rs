@@ -18,24 +18,27 @@
 //!    (for models without snapshots) from a deterministic refit over the
 //!    replayed window with the same derived seeds.
 //! 3. **Divergence detection.** Replay re-executes each committed
-//!    query's logged plan and cross-checks the recomputed metrics
-//!    against the logged record; any mismatch aborts recovery rather
-//!    than silently continuing from corrupt state.
+//!    query's logged plan and re-derives its record; any difference
+//!    from the logged record aborts recovery rather than silently
+//!    continuing from corrupt state.
+//!
+//! Replay and the resumed run are both the query pipeline
+//! (`Runner::drive`): replay feeds it the logged plans in place of the
+//! choose step, resume continues it from the replayed prefix.
 
 use bao_common::json::FromJson;
-use bao_common::sync::{Arc, Mutex};
 use bao_common::{BaoError, Result};
-use bao_exec::execute_with;
 use bao_storage::Database;
 use bao_wal::{DurabilityConfig, RecoveryReport, Wal, WalRecord};
 use bao_workloads::Workload;
 
-use crate::runner::{config_fingerprint, QueryRecord, ResumeState, RunConfig, RunResult, Runner, Strategy};
+use crate::runner::{config_fingerprint, QueryRecord, RunConfig, RunResult, Runner, Strategy};
 
 /// A runner reconstructed from a WAL, ready to finish its workload.
 pub struct Recovered {
     runner: Runner,
-    resume: ResumeState,
+    /// The committed prefix of the run, as replayed.
+    done: RunResult,
     /// What the scan + replay found (frame census, torn/corrupt tail,
     /// rollback count, resume point).
     pub report: RecoveryReport,
@@ -44,15 +47,15 @@ pub struct Recovered {
 impl Recovered {
     /// The workload step execution will continue from.
     pub fn resumed_at_step(&self) -> usize {
-        self.resume.start_step
+        self.done.records.len()
     }
 
     /// Finish the workload from the recovered state. The returned
     /// `RunResult` matches the uninterrupted run's byte-for-byte, except
-    /// `wall_train` (real wall-clock, unrecoverable by definition — the
-    /// equivalence tests zero it, as everywhere else in the workspace).
-    pub fn resume(self, workload: &Workload) -> Result<RunResult> {
-        self.runner.run_from(workload, self.resume)
+    /// `wall_train` (real wall-clock, unrecoverable by definition —
+    /// `RunResult::canonical_json` zeroes it).
+    pub fn resume(mut self, workload: &Workload) -> Result<RunResult> {
+        Ok(self.runner.drive(workload, None, self.done, None)?.serving.result)
     }
 }
 
@@ -95,7 +98,10 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
     }
 
     let mut runner = Runner::new(cfg, db);
-    let mut resume = ResumeState::default();
+    let bao = runner
+        .bao_mut()
+        .ok_or_else(|| BaoError::Config("recovery runner has no Bao instance".into()))?;
+    let mut committed: Vec<QueryRecord> = Vec::new();
     let mut stashed_checkpoint: Option<(u64, String)> = None;
     for record in frames {
         match record {
@@ -103,7 +109,6 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
                 return Err(BaoError::Parse("duplicate run header in wal".into()));
             }
             WalRecord::ExperienceAppend { tree, perf, .. } => {
-                let bao = bao_mut(&mut runner)?;
                 bao.restore_experience(tree.clone(), *perf);
             }
             WalRecord::ModelCheckpoint { version, model } => {
@@ -114,7 +119,6 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
                     Some((v, snap)) if v == version => Some(snap.as_str()),
                     _ => None,
                 };
-                let bao = bao_mut(&mut runner)?;
                 bao.restore_retrain(*version, checkpoint)?;
                 stashed_checkpoint = None;
             }
@@ -126,27 +130,48 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
             }
             WalRecord::QueryOutcome { record } => {
                 let rec = QueryRecord::from_json(record)?;
-                replay_outcome(&mut runner, workload, &rec)?;
-                resume.clock += rec.opt_time + rec.latency;
-                resume.total_exec += rec.latency;
-                resume.total_opt += rec.opt_time;
-                resume.total_gpu += rec.gpu_time;
-                resume.start_step = rec.idx + 1;
-                resume.records.push(rec);
+                // The resumed run continues at step `committed.len()`,
+                // which is the next one only for a log written in step
+                // order (closed-loop arrivals) over this workload.
+                if rec.idx != committed.len() || rec.idx >= workload.len() {
+                    return Err(BaoError::Config(format!(
+                        "wal outcome {} is for step {}: not a step-order log of this \
+                         {}-step workload",
+                        committed.len(),
+                        rec.idx,
+                        workload.len()
+                    )));
+                }
+                committed.push(rec);
             }
         }
     }
-    scan.report.resumed_at_step = resume.start_step as u64;
+    // Re-execute the committed queries' logged plans through the
+    // pipeline. Nothing above touched what execution reads (database,
+    // statistics, buffer pool) and replay touches nothing Bao holds, so
+    // restoring Bao first lands on the same state as interleaving them.
+    let done = runner.drive(workload, None, RunResult::default(), Some(&committed))?.serving.result;
+    if let Some((got, want)) = done.records.iter().zip(&committed).find(|(got, want)| got != want) {
+        let key = |r: &QueryRecord| (r.perf, r.latency, r.physical_io, r.clock);
+        return Err(BaoError::Parse(format!(
+            "wal replay diverged at step {}: (perf, latency, io, clock) replayed {:?}, logged {:?}",
+            want.idx,
+            key(got),
+            key(want)
+        )));
+    }
+    scan.report.resumed_at_step = done.records.len() as u64;
 
     // Truncate the on-disk log to the committed prefix and attach the
     // reopened handle, so the resumed run keeps logging where the
     // crashed one stopped. Replay above ran with no WAL attached —
     // restores must never re-log.
     let wal = Wal::resume(dur, &scan)?;
-    let bao = bao_mut(&mut runner)?;
-    bao.attach_wal(Arc::new(Mutex::new(wal)));
+    if let Some(bao) = runner.bao_mut() {
+        bao.attach_wal(wal);
+    }
 
-    Ok(Recovered { runner, resume, report: scan.report })
+    Ok(Recovered { runner, done, report: scan.report })
 }
 
 /// Recover if the WAL holds a committed prefix; otherwise wipe the log
@@ -170,51 +195,4 @@ pub fn recover_or_fresh(cfg: RunConfig, db: Database, workload: &Workload) -> Re
         }
         Err(e) => Err(e),
     }
-}
-
-fn bao_mut(runner: &mut Runner) -> Result<&mut bao_core::Bao> {
-    runner
-        .bao
-        .as_mut()
-        .ok_or_else(|| BaoError::Config("recovery runner has no Bao instance".into()))
-}
-
-/// Re-execute one committed query's logged plan to rebuild physical
-/// state (buffer-pool contents, workload-event side effects), verifying
-/// the recomputed metrics against the logged record. Planning, arm
-/// scoring, and featurization are skipped — their products are already
-/// in the log.
-fn replay_outcome(runner: &mut Runner, workload: &Workload, rec: &QueryRecord) -> Result<()> {
-    let step = workload.steps.get(rec.idx).ok_or_else(|| {
-        BaoError::Config(format!(
-            "wal outcome references step {} but the workload has {}",
-            rec.idx,
-            workload.len()
-        ))
-    })?;
-    runner.apply_step_event(rec.idx, step)?;
-    if runner.cfg.cold_cache {
-        runner.pool.clear();
-    }
-    let metrics = execute_with(
-        &rec.plan,
-        &step.query,
-        &runner.db,
-        &mut runner.pool,
-        &runner.opt.params,
-        &runner.cfg.vm.charge_rates(),
-        &runner.exec,
-    )?;
-    let perf = metrics.perf(runner.cfg.metric);
-    if perf.to_bits() != rec.perf.to_bits()
-        || metrics.latency != rec.latency
-        || metrics.page_misses != rec.physical_io
-    {
-        return Err(BaoError::Parse(format!(
-            "wal replay diverged at step {}: recomputed (perf {perf}, latency {:?}, io {}) \
-             vs logged (perf {}, latency {:?}, io {})",
-            rec.idx, metrics.latency, metrics.page_misses, rec.perf, rec.latency, rec.physical_io
-        )));
-    }
-    Ok(())
 }

@@ -1,19 +1,21 @@
 //! The workload runner.
 
-use bao_cloud::{gpu_train_time, CostReport, VmType};
+use crate::serving::ServingConfig;
+use bao_cache::PlanCache;
+use bao_cloud::{CostReport, VmType};
 use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::sync::{Arc, Mutex};
 use bao_common::{split_seed, BaoError, Result, SimDuration};
 use bao_core::{Bao, BaoConfig};
-use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
 use bao_exec::{execute_with, ExecConfig, PerfMetric};
 use bao_models::{LinearModel, RandomForestModel, TcnnModel, ValueModel};
-use bao_nn::{TcnnConfig, TrainConfig};
+use bao_nn::{FeatTree, TcnnConfig, TrainConfig};
 use bao_opt::{HintSet, Optimizer, OptimizerProfile};
-use bao_plan::PlanNode;
+use bao_plan::{fingerprint, PlanNode, Query, QueryFingerprint};
+use bao_sched::{Dispatch, SchedConfig};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
-use bao_workloads::{apply_event, Workload};
+use bao_wal::{fnv64, DurabilityConfig};
+use bao_workloads::{Workload, WorkloadStep};
 
 /// Which value model Bao runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +168,7 @@ impl RunConfig {
 }
 
 /// Per-query observation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
     pub idx: usize,
     pub label: String,
@@ -190,8 +192,10 @@ pub struct QueryRecord {
     pub plan: PlanNode,
 }
 
-/// Everything observed during one run.
-#[derive(Debug, Clone)]
+/// Everything observed during one run. `Default` is the run that has not
+/// started: the pipeline grows it one committed query at a time, and a
+/// recovered run continues from the prefix replayed out of the WAL.
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     pub records: Vec<QueryRecord>,
     pub total_exec: SimDuration,
@@ -222,13 +226,7 @@ impl ToJson for QueryRecord {
 
 impl ToJson for RunResult {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("records", self.records.to_json()),
-            ("total_exec", self.total_exec.to_json()),
-            ("total_opt", self.total_opt.to_json()),
-            ("total_gpu", self.total_gpu.to_json()),
-            ("wall_train_secs", self.wall_train.as_secs_f64().to_json()),
-        ])
+        self.json_with_wall_train(self.wall_train)
     }
 }
 
@@ -268,6 +266,24 @@ impl FromJson for RunResult {
 }
 
 impl RunResult {
+    fn json_with_wall_train(&self, wall_train: std::time::Duration) -> Json {
+        Json::obj([
+            ("records", self.records.to_json()),
+            ("total_exec", self.total_exec.to_json()),
+            ("total_opt", self.total_opt.to_json()),
+            ("total_gpu", self.total_gpu.to_json()),
+            ("wall_train_secs", wall_train.as_secs_f64().to_json()),
+        ])
+    }
+
+    /// The run as JSON text for bitwise comparison. `wall_train` is real
+    /// wall-clock spent in `fit` — the one legitimately non-deterministic
+    /// field — and is written as zero, so two canonical strings are equal
+    /// iff every simulated quantity agrees bit-for-bit.
+    pub fn canonical_json(&self) -> String {
+        self.json_with_wall_train(std::time::Duration::ZERO).to_string()
+    }
+
     /// End-to-end workload time (training overlaps execution per §3.2 —
     /// GPU time is billed but does not extend the clock).
     pub fn workload_time(&self) -> SimDuration {
@@ -325,39 +341,49 @@ pub fn config_fingerprint(cfg: &RunConfig) -> u64 {
     fnv64(desc.as_bytes())
 }
 
-/// Mid-workload runner state, as reconstructed by `crate::recover` from
-/// a WAL: everything [`Runner::run_from`] needs to continue exactly
-/// where an interrupted run stopped. `Default` is "start from scratch".
-#[derive(Debug, Clone, Default)]
-pub struct ResumeState {
-    /// Records of the already-committed queries, in step order.
-    pub records: Vec<QueryRecord>,
-    /// Workload step to resume at (= `records.len()` committed steps).
-    pub start_step: usize,
-    /// Accumulators as of the last committed query, rebuilt in the exact
-    /// per-query f64 addition order of the original run.
-    pub clock: SimDuration,
-    pub total_exec: SimDuration,
-    pub total_opt: SimDuration,
-    pub total_gpu: SimDuration,
-    pub wall_train: std::time::Duration,
+/// How the configured strategy picks each query's plan. Built once from
+/// [`Strategy`], so a Bao strategy always carries its `Bao`.
+pub(crate) enum Chooser {
+    /// One hint set for every query (`Traditional` is the unhinted one).
+    Fixed(HintSet),
+    Bao(Box<Bao>),
+    /// Execute every arm on a cache snapshot, run the true best.
+    Optimal(Vec<HintSet>),
+}
+
+/// One query as chosen, ready for the pipeline's shared tail.
+pub(crate) struct Chosen {
+    /// The query's record with the plan side (`arm`, `opt_time`,
+    /// `arm_perfs`, `plan`) final and the execution side still zero — the
+    /// tail fills that in. A replayed query's is its logged record: the
+    /// tail re-derives the execution side, recovery checks it comes out
+    /// the same.
+    pub(crate) record: QueryRecord,
+    /// Featurized plan Bao learns from once the reward is known.
+    pub(crate) tree: Option<FeatTree>,
+    /// Plan-cache key whose drift window this execution feeds.
+    pub(crate) fp: Option<QueryFingerprint>,
 }
 
 /// Drives one workload under one configuration.
 ///
-/// Fields are crate-visible so the concurrent serving layer
-/// (`crate::serving`) can reuse this exact construction and drive the
-/// same state machine wave-by-wave.
+/// Fields are crate-visible so the pipeline (`crate::serving`) and
+/// recovery (`crate::recover`) drive this exact state.
 pub struct Runner {
     pub(crate) cfg: RunConfig,
     pub(crate) db: Database,
     pub(crate) cat: StatsCatalog,
     pub(crate) pool: BufferPool,
     pub(crate) opt: Optimizer,
-    pub(crate) bao: Option<Bao>,
+    pub(crate) chooser: Chooser,
     /// Sharded-execution knobs, derived from the strategy's
     /// `shard_workers` (serial for non-Bao strategies).
     pub(crate) exec: ExecConfig,
+    /// How the query pipeline runs. A plain `Runner` is the pipeline
+    /// configured down to one query in flight, no plan cache, a single
+    /// tenant; `ServingRunner` is the builder that sets these.
+    pub(crate) serving: ServingConfig,
+    pub(crate) sched: SchedConfig,
 }
 
 impl Runner {
@@ -368,33 +394,30 @@ impl Runner {
             OptimizerProfile::ComSysLike => Optimizer::comsys(),
         };
         let pool = BufferPool::new(cfg.vm.buffer_pool_pages());
-        let exec = match &cfg.strategy {
+        let mut exec = ExecConfig::default();
+        let chooser = match &cfg.strategy {
+            Strategy::Traditional => Chooser::Fixed(HintSet::all_enabled()),
+            Strategy::FixedHint(h) => Chooser::Fixed(*h),
+            Strategy::Optimal { arms } => Chooser::Optimal(arms.clone()),
             Strategy::Bao(settings) => {
-                ExecConfig { shard_workers: settings.shard_workers, ..ExecConfig::default() }
-            }
-            _ => ExecConfig::default(),
-        };
-        let bao = match &cfg.strategy {
-            Strategy::Bao(settings) => {
+                exec.shard_workers = settings.shard_workers;
                 let bao_cfg = BaoConfig {
                     arms: settings.arms.clone(),
                     window_size: settings.window,
                     retrain_interval: settings.retrain,
                     cache_features: settings.cache_features,
-                    enabled: true,
                     bootstrap: settings.bootstrap,
-                    parallel_planning: true,
                     planning_threads: settings.planning_threads,
-                    shard_workers: settings.shard_workers,
                     seed: split_seed(cfg.seed, 2),
                     durability: settings.durability.clone(),
+                    ..BaoConfig::default()
                 };
                 let dim = bao_core::Featurizer::new(settings.cache_features).input_dim();
-                Some(Bao::with_model(bao_cfg, settings.model.build(dim)))
+                Chooser::Bao(Box::new(Bao::with_model(bao_cfg, settings.model.build(dim))))
             }
-            _ => None,
         };
-        Runner { cfg, db, cat, pool, opt, bao, exec }
+        let (serving, sched) = (ServingConfig::new(1, 1), SchedConfig::single_tenant());
+        Runner { cfg, db, cat, pool, opt, chooser, exec, serving, sched }
     }
 
     /// Override the buffer pool size (Figure 13's in-memory regime).
@@ -405,194 +428,162 @@ impl Runner {
 
     /// Access the Bao instance (e.g. to register critical queries).
     pub fn bao_mut(&mut self) -> Option<&mut Bao> {
-        self.bao.as_mut()
+        match &mut self.chooser {
+            Chooser::Bao(bao) => Some(bao),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn bao(&self) -> Option<&Bao> {
+        match &self.chooser {
+            Chooser::Bao(bao) => Some(bao),
+            _ => None,
+        }
     }
 
     pub fn database(&self) -> &Database {
         &self.db
     }
 
-    /// Apply step `idx`'s workload event, if any: mutate the database,
-    /// re-analyze statistics with the step-indexed seed, and invalidate
-    /// the buffer pool. Shared verbatim by the serial loop below and the
-    /// wave loop in `crate::serving` so the two paths cannot drift.
-    pub(crate) fn apply_step_event(
-        &mut self,
-        idx: usize,
-        step: &bao_workloads::WorkloadStep,
-    ) -> Result<()> {
-        if let Some(ev) = &step.event {
-            apply_event(&mut self.db, ev, split_seed(self.cfg.seed, 77))?;
-            self.cat = StatsCatalog::analyze(
-                &self.db,
-                self.cfg.stats_sample,
-                split_seed(self.cfg.seed, 78 + idx as u64),
-            );
-            // New/rebuilt objects invalidate prior cache contents.
-            self.pool.clear();
-        }
-        Ok(())
-    }
-
-    /// Open the WAL named by the strategy's `DurabilityConfig` (if any),
-    /// write the `RunHeader` frame, and attach the handle to Bao. Called
-    /// once before the first query by both the serial and serving paths;
-    /// idempotent, and a no-op for non-durable or non-Bao runs. Recovery
-    /// attaches its own resumed handle instead, which this respects.
-    pub(crate) fn init_wal(&mut self) -> Result<()> {
-        let header = WalRecord::RunHeader {
-            seed: self.cfg.seed,
-            config_fp: config_fingerprint(&self.cfg),
-        };
-        let Some(bao) = self.bao.as_mut() else { return Ok(()) };
-        if bao.wal().is_some() {
-            return Ok(());
-        }
-        let Some(dur) = bao.cfg.durability.clone() else { return Ok(()) };
-        let mut wal = Wal::open(dur)?;
-        wal.append(&header);
-        wal.commit()?;
-        bao.attach_wal(Arc::new(Mutex::new(wal)));
-        Ok(())
-    }
-
-    /// Log the per-query commit record and flush the query's buffered
-    /// frames (experience append + any retrain checkpoint) in one group
-    /// commit. The outcome frame is deliberately last: recovery treats
-    /// it as the commit marker and rolls back anything after it.
-    fn commit_outcome(&self, record: &QueryRecord) -> Result<()> {
-        let Some(bao) = self.bao.as_ref() else { return Ok(()) };
-        if let Some(wal) = bao.wal() {
-            if let Ok(mut w) = wal.lock() {
-                w.append(&WalRecord::QueryOutcome { record: record.to_json() });
-            }
-        }
-        bao.wal_commit()
-    }
-
-    /// Execute the full workload.
+    /// Execute the full workload, closed-loop.
     pub fn run(mut self, workload: &Workload) -> Result<RunResult> {
-        self.init_wal()?;
-        self.run_from(workload, ResumeState::default())
+        Ok(self.drive(workload, None, RunResult::default(), None)?.serving.result)
     }
 
-    /// Execute the workload from `resume.start_step` onward, seeded with
-    /// the already-committed records and accumulator state. The from-
-    /// scratch case is `ResumeState::default()`; recovery passes the
-    /// state replayed out of the WAL. Steps before `start_step` are
-    /// skipped entirely — their side effects (workload events, buffer
-    /// pool contents, Bao experience) must already be in place.
-    pub(crate) fn run_from(
-        mut self,
-        workload: &Workload,
-        resume: ResumeState,
-    ) -> Result<RunResult> {
-        let mut records = resume.records;
-        let mut clock = resume.clock;
-        let mut total_exec = resume.total_exec;
-        let mut total_opt = resume.total_opt;
-        let mut total_gpu = resume.total_gpu;
-        let mut wall_train = resume.wall_train;
-        records.reserve(workload.len().saturating_sub(records.len()));
-
-        for (idx, step) in workload.steps.iter().enumerate() {
-            if idx < resume.start_step {
-                continue;
-            }
-            self.apply_step_event(idx, step)?;
-            if self.cfg.cold_cache {
-                self.pool.clear();
-            }
-
-            let q = &step.query;
-            let (arm, plan, tree, per_arm_work, arm_perfs) = match &self.cfg.strategy {
-                Strategy::Traditional => {
-                    let out = self.opt.plan(q, &self.db, &self.cat, HintSet::all_enabled())?;
-                    (0, out.root, None, vec![out.work], None)
-                }
-                Strategy::FixedHint(h) => {
-                    let out = self.opt.plan(q, &self.db, &self.cat, *h)?;
-                    (0, out.root, None, vec![out.work], None)
-                }
-                Strategy::Bao(_) => {
-                    let bao = self.bao.as_ref().expect("bao strategy has instance");
-                    let sel =
-                        bao.select_plan(&self.opt, q, &self.db, &self.cat, Some(&self.pool))?;
-                    (sel.arm, sel.plan, Some(sel.tree), sel.per_arm_work, None)
-                }
-                Strategy::Optimal { arms } => {
-                    let mut works = Vec::with_capacity(arms.len());
-                    let mut plans = Vec::with_capacity(arms.len());
-                    for &h in arms {
-                        let out = self.opt.plan(q, &self.db, &self.cat, h)?;
-                        works.push(out.work);
-                        plans.push(out.root);
-                    }
+    /// The strategy's "choose a plan" step for one admission wave. Only
+    /// Bao has an arm family to coalesce, so only its waves may hold more
+    /// than one dispatch (the pipeline caps the others at 1).
+    pub(crate) fn choose(
+        &self,
+        wave: &[Dispatch],
+        steps: &[WorkloadStep],
+        mut cache: Option<&mut PlanCache>,
+        coalesced_trees: &mut usize,
+    ) -> Result<Vec<Chosen>> {
+        let vm = self.cfg.vm;
+        let planned = |d: &Dispatch, arm, plan, work: &[u64], arm_perfs| QueryRecord {
+            idx: d.idx,
+            label: steps[d.idx].label.clone(),
+            arm,
+            opt_time: vm.optimization_time(work, self.cfg.sequential_arms),
+            latency: SimDuration::ZERO,
+            cpu_time: SimDuration::ZERO,
+            physical_io: 0,
+            perf: 0.0,
+            clock: SimDuration::ZERO,
+            gpu_time: SimDuration::ZERO,
+            arm_perfs,
+            plan,
+        };
+        let query = |d: &Dispatch| &steps[d.idx].query;
+        match &self.chooser {
+            Chooser::Fixed(hints) => wave
+                .iter()
+                .map(|d| {
+                    let out = self.opt.plan(query(d), &self.db, &self.cat, *hints)?;
+                    let record = planned(d, 0, out.root, &[out.work], None);
+                    Ok(Chosen { record, tree: None, fp: None })
+                })
+                .collect(),
+            Chooser::Optimal(arms) => wave
+                .iter()
+                .map(|d| {
+                    let q = query(d);
+                    let mut outs = arms
+                        .iter()
+                        .map(|&h| self.opt.plan(q, &self.db, &self.cat, h))
+                        .collect::<Result<Vec<_>>>()?;
+                    let works: Vec<u64> = outs.iter().map(|out| out.work).collect();
                     // Evaluate each arm against a snapshot of the cache.
-                    let mut perfs = Vec::with_capacity(plans.len());
-                    for plan in &plans {
+                    let mut perfs = Vec::with_capacity(outs.len());
+                    for out in &outs {
                         let mut snapshot = self.pool.clone();
                         let m = execute_with(
-                            plan,
+                            &out.root,
                             q,
                             &self.db,
                             &mut snapshot,
                             &self.opt.params,
-                            &self.cfg.vm.charge_rates(),
+                            &vm.charge_rates(),
                             &self.exec,
                         )?;
                         perfs.push(m.perf(self.cfg.metric));
                     }
                     let best = argmin(&perfs);
-                    (best, plans.swap_remove(best), None, works, Some(perfs))
+                    let plan = outs.swap_remove(best).root;
+                    let record = planned(d, best, plan, &works, Some(perfs));
+                    Ok(Chosen { record, tree: None, fp: None })
+                })
+                .collect(),
+            Chooser::Bao(bao) => {
+                // Fallback mode (disabled or unfitted model) has no
+                // scoring stage; the fitted flag can only flip at a
+                // retrain boundary, which a wave never crosses, so the
+                // whole wave is uniformly one mode.
+                let scored_mode = bao.cfg.enabled && bao.is_model_fitted();
+                // The model version is read once per wave — it cannot
+                // change mid-wave either.
+                let version = bao.model_version();
+                // Per dispatch: its plan-cache key (if consulted) and the
+                // one arm to plan without scoring, if any. Fallback and
+                // shed dispatches pin arm 0 — no model involvement, the
+                // graceful-degradation contract (DESIGN.md §10). Only
+                // dispatches that would otherwise pay the full scoring
+                // pass consult the cache; a hit pins the cached arm.
+                let pins: Vec<(Option<QueryFingerprint>, Option<usize>)> = wave
+                    .iter()
+                    .map(|d| match cache.as_deref_mut() {
+                        _ if !scored_mode || d.shed => (None, Some(0)),
+                        None => (None, None),
+                        Some(cache) => {
+                            let fp = fingerprint(query(d));
+                            (Some(fp), cache.lookup(fp, version).map(|hit| hit.arm))
+                        }
+                    })
+                    .collect();
+                // Coalesced selection: plan every unpinned (query, arm)
+                // job on the worker pool and score all arm families in
+                // one pass.
+                let queries: Vec<&Query> = wave
+                    .iter()
+                    .zip(&pins)
+                    .filter(|(_, (_, pin))| pin.is_none())
+                    .map(|(d, _)| query(d))
+                    .collect();
+                *coalesced_trees += queries.len() * bao.cfg.arms.len();
+                let pool = Some(&self.pool);
+                let mut scored = bao
+                    .evaluate_arms_multi(&self.opt, &queries, &self.db, &self.cat, pool)?
+                    .into_iter();
+                let mut chosen = Vec::with_capacity(wave.len());
+                for (d, (fp, pin)) in wave.iter().zip(pins) {
+                    let sel = match pin {
+                        Some(arm) => {
+                            bao.plan_arm(arm, &self.opt, query(d), &self.db, &self.cat, pool)?
+                        }
+                        None => {
+                            let (sel, _) = scored.next().ok_or_else(|| {
+                                BaoError::Planning("scorer returned too few selections".into())
+                            })?;
+                            // Populate on miss: the drift window needs the
+                            // model's prediction for the chosen arm as its
+                            // reference point; without one there is nothing
+                            // to compare against, so skip the insert.
+                            let predicted = sel.predictions.get(sel.arm).copied().flatten();
+                            if let (Some(cache), Some(fp), Some(p)) =
+                                (cache.as_deref_mut(), fp, predicted)
+                            {
+                                cache.insert(fp, sel.arm, p, version);
+                            }
+                            sel
+                        }
+                    };
+                    let record = planned(d, sel.arm, sel.plan, &sel.per_arm_work, None);
+                    chosen.push(Chosen { record, tree: Some(sel.tree), fp });
                 }
-            };
-
-            let opt_time = self.cfg.vm.optimization_time(&per_arm_work, self.cfg.sequential_arms);
-            let metrics = execute_with(
-                &plan,
-                q,
-                &self.db,
-                &mut self.pool,
-                &self.opt.params,
-                &self.cfg.vm.charge_rates(),
-                &self.exec,
-            )?;
-            let perf = metrics.perf(self.cfg.metric);
-
-            // Feed Bao's experience and retrain on schedule.
-            let mut gpu_time = SimDuration::ZERO;
-            if let (Some(bao), Some(tree)) = (self.bao.as_mut(), tree) {
-                if let Some(report) = bao.observe(tree, perf) {
-                    gpu_time = gpu_train_time(report.experience_size, report.epochs.max(1));
-                    wall_train += report.wall;
-                }
+                Ok(chosen)
             }
-
-            clock += opt_time + metrics.latency;
-            total_exec += metrics.latency;
-            total_opt += opt_time;
-            total_gpu += gpu_time;
-            let record = QueryRecord {
-                idx,
-                label: step.label.clone(),
-                arm,
-                opt_time,
-                latency: metrics.latency,
-                cpu_time: metrics.cpu_time,
-                physical_io: metrics.page_misses,
-                perf,
-                clock,
-                gpu_time,
-                arm_perfs,
-                plan,
-            };
-            self.commit_outcome(&record)?;
-            records.push(record);
-            drop(metrics);
         }
-
-        Ok(RunResult { records, total_exec, total_opt, total_gpu, wall_train })
     }
 }
 

@@ -26,7 +26,7 @@ use bao_common::json::ToJson;
 use bao_common::SimDuration;
 use bao_core::{Bao, BaoConfig};
 use bao_harness::{
-    BaoSettings, ModelKind, RunConfig, RunResult, ServingConfig, ServingRunner, Strategy,
+    BaoSettings, ModelKind, RunConfig, ServingConfig, ServingRunner, Strategy,
 };
 use bao_nn::{train, FeatTree, TcnnConfig, TrainConfig, TreeCnn};
 use bao_opt::{HintSet, Optimizer};
@@ -188,14 +188,6 @@ fn planning_fanout_suite() {
     record_suite("planning_fanout", n);
 }
 
-/// Serialize a scheduled run for byte comparison; `wall_train` is the one
-/// legitimately wall-clock field, so zero it (same rule as the
-/// sched-equivalence tests).
-fn canonical(mut r: RunResult) -> Vec<u8> {
-    r.wall_train = std::time::Duration::ZERO;
-    r.to_json().to_string().into_bytes()
-}
-
 /// Suite 3: the sched → serving wave handoff. Two tenants, six queries,
 /// retrain interval 3 ⇒ the model retrains mid-run and the post-retrain
 /// waves score their arm fan-out against the new weights. Everything
@@ -233,7 +225,7 @@ fn sched_serving_handoff_suite() {
                 .with_sched(sched.clone())
                 .run_scheduled(&wl, &arrivals)
                 .unwrap();
-            let mut bytes = canonical(report.serving.result);
+            let mut bytes = report.serving.result.canonical_json().into_bytes();
             for d in &report.dispatches {
                 bytes.push(d.idx as u8);
                 bytes.push(d.tenant as u8);

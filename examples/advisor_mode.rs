@@ -28,12 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         retrain_interval: 50,
         cache_features: true,
         enabled: false,
-        bootstrap: true,
-        parallel_planning: true,
-        planning_threads: 0,
-        shard_workers: 1,
         seed: 9,
-        durability: None,
+        ..BaoConfig::default()
     });
     let mut pool = BufferPool::new(N1_16.buffer_pool_pages());
     for step in &workload.steps {

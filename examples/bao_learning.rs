@@ -29,13 +29,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         window_size: n_queries,
         retrain_interval: 50,
         cache_features: true,
-        enabled: true,
-        bootstrap: true,
-        parallel_planning: true,
-        planning_threads: 0,
-        shard_workers: 1,
         seed: 7,
-        durability: None,
+        ..BaoConfig::default()
     });
     let mut pool = BufferPool::new(N1_16.buffer_pool_pages());
 

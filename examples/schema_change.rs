@@ -25,13 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         window_size: 200,
         retrain_interval: 40,
         cache_features: true,
-        enabled: true,
-        bootstrap: true,
-        parallel_planning: true,
-        planning_threads: 0,
-        shard_workers: 1,
         seed: 4,
-        durability: None,
+        ..BaoConfig::default()
     });
     let mut pool = BufferPool::new(N1_16.buffer_pool_pages());
 

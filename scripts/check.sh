@@ -29,6 +29,8 @@
 #                        every 4th boundary; the full matrix (3 seeds,
 #                        every boundary) runs when BAO_CRASH_EXHAUSTIVE=1
 #                        is already exported (DESIGN.md §14)
+#   8. code lines      — scripts/loc.sh: product code lines per crate, a
+#                        tracked metric (ROADMAP aim 2); printed, not gated
 #
 # Run from anywhere; operates on the repo containing this script.
 set -euo pipefail
@@ -113,6 +115,10 @@ if [ "$crash_smoke" = 1 ]; then
     echo "== crash smoke (kill-at-boundary recovery matrix) =="
     cargo test -q -p bao-bench --test crash_recovery
 fi
+
+echo
+echo "== product code lines per crate (scripts/loc.sh) =="
+"$repo/scripts/loc.sh"
 
 echo
 echo "all checks passed"

@@ -20,10 +20,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bao_common::json::ToJson;
 use bao_harness::{
-    recover, recover_or_fresh, BaoSettings, ModelKind, RunConfig, RunResult, Runner,
-    ServingConfig, ServingRunner, Strategy,
+    recover, recover_or_fresh, BaoSettings, ModelKind, RunConfig, Runner, ServingConfig,
+    ServingRunner, Strategy,
 };
 use bao_opt::HintSet;
 use bao_wal::frame::{decode_frame, FrameDecode, SEGMENT_HEADER_LEN};
@@ -73,11 +72,6 @@ fn workload(seed: u64) -> (Database, Workload) {
         .expect("build workload")
 }
 
-fn canonical(mut r: RunResult) -> Vec<u8> {
-    r.wall_train = std::time::Duration::ZERO;
-    r.to_json().to_string().into_bytes()
-}
-
 fn segment0(dir: &Path) -> PathBuf {
     dir.join("wal-000000.seg")
 }
@@ -118,7 +112,7 @@ fn assert_recovers(
         panic!("recovery failed for {what}: {e}");
     });
     assert_eq!(
-        canonical(result),
+        result.canonical_json().into_bytes(),
         golden_result,
         "final RunResult diverged after {what}"
     );
@@ -134,7 +128,7 @@ fn crash_matrix(seed: u64, stride: usize, root: &Path) {
         .run(&wl)
         .expect("golden run");
     assert_eq!(golden.records.len(), N_QUERIES);
-    let golden_result = canonical(golden);
+    let golden_result = golden.canonical_json().into_bytes();
     let golden_wal = fs::read(segment0(&golden_dir)).unwrap();
     assert!(
         !golden_dir.join("wal-000001.seg").exists(),
@@ -306,7 +300,7 @@ fn recovery_crosses_segment_rotation() {
         );
     }
     let golden = Runner::new(cfg.clone(), db.clone()).run(&wl).unwrap();
-    let golden_result = canonical(golden);
+    let golden_result = golden.canonical_json().into_bytes();
     let mut segs: Vec<PathBuf> = fs::read_dir(&golden_dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -337,14 +331,14 @@ fn recovery_crosses_segment_rotation() {
         );
     }
     let result = recover_or_fresh(case_cfg, db.clone(), &wl).unwrap();
-    assert_eq!(canonical(result), golden_result);
+    assert_eq!(result.canonical_json().into_bytes(), golden_result);
     let _ = fs::remove_dir_all(&root);
 }
 
-/// A serving-path run logs through the same WAL (group commit per wave)
-/// and — because the default closed-loop serving result is bit-identical
-/// to the serial path — recovers through the serial resume into the same
-/// final result.
+/// A run at another concurrency logs through the same WAL (group commit
+/// per wave) and — because the closed-loop result does not depend on the
+/// serving configuration — recovers through the (1, 1) resume into the
+/// same final result.
 #[test]
 fn serving_run_recovers_to_identical_result() {
     let root = temp_root("serving");
@@ -358,7 +352,7 @@ fn serving_run_recovers_to_identical_result() {
     )
     .run(&wl)
     .unwrap();
-    let golden_result = canonical(report.result);
+    let golden_result = report.result.canonical_json().into_bytes();
     let golden_wal = fs::read(segment0(&golden_dir)).unwrap();
 
     // Cache features clamp serving waves to 1, so the serving log is
@@ -372,7 +366,11 @@ fn serving_run_recovers_to_identical_result() {
         fs::write(segment0(&case_dir), &golden_wal[..cut]).unwrap();
         let result =
             recover_or_fresh(run_config(seed, Some(&case_dir)), db2.clone(), &wl).unwrap();
-        assert_eq!(canonical(result), golden_result, "serving recovery at cut {cut}");
+        assert_eq!(
+            result.canonical_json().into_bytes(),
+            golden_result,
+            "serving recovery at cut {cut}"
+        );
     }
     let _ = fs::remove_dir_all(&root);
 }

@@ -12,8 +12,7 @@
 //! re-pin from the assertion message and say why in CHANGES.md.
 
 use bao_bench::{build_workload, WorkloadName};
-use bao_common::json::ToJson;
-use bao_harness::{BaoSettings, ModelKind, RunConfig, RunResult, Runner, Strategy};
+use bao_harness::{BaoSettings, ModelKind, RunConfig, Runner, Strategy};
 use bao_opt::HintSet;
 use bao_storage::Database;
 use bao_wal::{fnv64, DurabilityConfig, FsyncPolicy};
@@ -45,16 +44,11 @@ fn workload_for(seed: u64) -> (Database, Workload) {
     build_workload(WorkloadName::Imdb, SCALE, N_QUERIES, seed).unwrap()
 }
 
-fn canonical(mut r: RunResult) -> String {
-    r.wall_train = std::time::Duration::ZERO;
-    r.to_json().to_string()
-}
-
 fn digest_of(cfg: RunConfig) -> u64 {
     let (db, wl) = workload_for(cfg.seed);
     let result = Runner::new(cfg, db).run(&wl).unwrap();
     assert_eq!(result.records.len(), N_QUERIES);
-    fnv64(canonical(result).as_bytes())
+    fnv64(result.canonical_json().as_bytes())
 }
 
 fn assert_pin(what: &str, got: u64, want: u64) {
@@ -109,7 +103,8 @@ fn durable_run_wal_bytes_match_pinned_digest() {
     };
     let (db, wl) = workload_for(seed);
     let result = Runner::new(config(seed, Strategy::Bao(durable)), db).run(&wl).unwrap();
-    assert_pin("durable result", fnv64(canonical(result).as_bytes()), BAO_SEED_19_CACHE_FEATURES);
+    let digest = fnv64(result.canonical_json().as_bytes());
+    assert_pin("durable result", digest, BAO_SEED_19_CACHE_FEATURES);
 
     let mut segments: Vec<_> =
         std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();

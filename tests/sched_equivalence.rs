@@ -1,9 +1,10 @@
 //! Contracts of the `bao-sched` admission layer (DESIGN.md §10):
 //!
-//! 1. The single-tenant, unlimited-bucket scheduler config is
-//!    *bit-identical* (via ToJson) to the pre-sched FIFO `ServingRunner`
-//!    — which is itself pinned bit-identical to the serial `Runner::run`
-//!    — at concurrency 1, 4, and 8.
+//! 1. The single-tenant, unlimited-bucket scheduler config dispatches
+//!    in arrival order under either wave policy: at concurrency 1, 4,
+//!    and 8 the `RunResult` is *bit-identical*
+//!    (`RunResult::canonical_json`) to `Runner::run` — the same pipeline
+//!    at concurrency 1 with the default closed-loop arrivals.
 //! 2. Shed queries always execute arm 0 (the graceful-degradation
 //!    contract) and are never dropped: every workload step still runs.
 //! 3. Scheduled runs are exactly replayable: same seed, same arrivals,
@@ -13,7 +14,7 @@ use bao_bench::{build_workload, WorkloadName};
 use bao_common::json::ToJson;
 use bao_common::SimDuration;
 use bao_harness::{
-    BaoSettings, ModelKind, RunConfig, RunResult, Runner, ServingConfig, ServingRunner, Strategy,
+    BaoSettings, ModelKind, RunConfig, Runner, ServingConfig, ServingRunner, Strategy,
 };
 use bao_sched::{QueryArrival, SchedConfig, TenantSpec, WavePolicy};
 use bao_storage::Database;
@@ -40,13 +41,6 @@ fn config(seed: u64) -> RunConfig {
     }
 }
 
-/// Serialize a run for bitwise comparison; `wall_train` is the one
-/// legitimately non-deterministic (real wall-clock) field, so zero it.
-fn canonical(mut r: RunResult) -> String {
-    r.wall_train = std::time::Duration::ZERO;
-    r.to_json().to_string()
-}
-
 fn workload_for(seed: u64) -> (Database, Workload) {
     build_workload(WorkloadName::Imdb, SCALE, N_QUERIES, seed).unwrap()
 }
@@ -62,9 +56,8 @@ fn closed_loop(n: usize, tenant_of: impl Fn(usize) -> usize) -> Vec<QueryArrival
 fn single_tenant_sched_is_bit_identical_to_fifo_serving() {
     let seed = 42;
     let (db, wl) = workload_for(seed);
-    // The serial runner is the historical FIFO contract (PR 4 pinned the
-    // FIFO ServingRunner byte-identical to it).
-    let serial = canonical(Runner::new(config(seed), db.clone()).run(&wl).unwrap());
+    // The FIFO contract: the pipeline at (1, 1), default arrivals.
+    let serial = Runner::new(config(seed), db.clone()).run(&wl).unwrap().canonical_json();
     for concurrency in [1usize, 4, 8] {
         let serving_cfg = ServingConfig::new(concurrency, concurrency.max(1));
         // Default closed-loop path (tenant 0 threaded through
@@ -73,7 +66,7 @@ fn single_tenant_sched_is_bit_identical_to_fifo_serving() {
             ServingRunner::new(config(seed), db.clone(), serving_cfg).run(&wl).unwrap();
         assert_eq!(
             serial,
-            canonical(default_run.result),
+            default_run.result.canonical_json(),
             "c={concurrency}: default sched diverged from the FIFO contract"
         );
         // Explicit single-tenant configs, both policies, via the
@@ -87,7 +80,7 @@ fn single_tenant_sched_is_bit_identical_to_fifo_serving() {
             assert_eq!(report.sched.total_served(), N_QUERIES);
             assert_eq!(
                 serial,
-                canonical(report.serving.result),
+                report.serving.result.canonical_json(),
                 "c={concurrency} policy={policy:?}: single-tenant sched diverged"
             );
         }
@@ -173,7 +166,7 @@ fn scheduled_runs_replay_byte_identically() {
     };
     let a = run(db.clone());
     let b = run(db);
-    assert_eq!(canonical(a.serving.result), canonical(b.serving.result));
+    assert_eq!(a.serving.result.canonical_json(), b.serving.result.canonical_json());
     assert_eq!(a.sched.to_json().to_string(), b.sched.to_json().to_string());
     assert_eq!(a.serving.makespan, b.serving.makespan);
     // The report reflects real scheduling: both tenants served work.

@@ -9,7 +9,7 @@
 use bao_bench::{build_workload, WorkloadName};
 use bao_common::json::ToJson;
 use bao_exec::{execute_with, ExecConfig};
-use bao_harness::{BaoSettings, ModelKind, RunConfig, RunResult, Runner, Strategy};
+use bao_harness::{BaoSettings, ModelKind, RunConfig, Runner, Strategy};
 use bao_opt::{HintSet, Optimizer};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, PoolStats};
@@ -96,23 +96,15 @@ fn run_config(seed: u64, shard_workers: usize) -> RunConfig {
     }
 }
 
-/// `wall_train` is real wall-clock telemetry and the one legitimately
-/// non-deterministic field; zero it so the comparison covers every
-/// simulated quantity bit-for-bit.
-fn canonical(mut r: RunResult) -> String {
-    r.wall_train = std::time::Duration::ZERO;
-    r.to_json().to_string()
-}
-
 #[test]
 fn full_bao_runs_are_invariant_in_shard_workers() {
     for seed in SEEDS {
         let (db, wl) = build_workload(WorkloadName::Imdb, 0.02, N_QUERIES, seed).unwrap();
         let serial =
-            canonical(Runner::new(run_config(seed, 1), db.clone()).run(&wl).unwrap());
+            Runner::new(run_config(seed, 1), db.clone()).run(&wl).unwrap().canonical_json();
         for shards in [2usize, 4, 8] {
             let sharded =
-                canonical(Runner::new(run_config(seed, shards), db.clone()).run(&wl).unwrap());
+                Runner::new(run_config(seed, shards), db.clone()).run(&wl).unwrap().canonical_json();
             assert_eq!(
                 serial, sharded,
                 "seed {seed} shard_workers {shards}: Bao run diverged from serial"
@@ -127,7 +119,7 @@ fn host_sized_width_is_also_invariant() {
     // that is, the run must match the pinned serial result.
     let seed = 7;
     let (db, wl) = build_workload(WorkloadName::Imdb, 0.02, N_QUERIES, seed).unwrap();
-    let serial = canonical(Runner::new(run_config(seed, 1), db.clone()).run(&wl).unwrap());
-    let host = canonical(Runner::new(run_config(seed, 0), db.clone()).run(&wl).unwrap());
+    let serial = Runner::new(run_config(seed, 1), db.clone()).run(&wl).unwrap().canonical_json();
+    let host = Runner::new(run_config(seed, 0), db.clone()).run(&wl).unwrap().canonical_json();
     assert_eq!(serial, host, "host-sized shard pool diverged from serial");
 }
