@@ -10,8 +10,7 @@
 //! clone of the same warmed buffer pool, so page traffic is identical
 //! across widths and runs.
 //!
-//! **Gating is core-count aware** (the same dynamic pattern as
-//! `train_thread_speedup` in `inference_bench`): the `shard_speedup`
+//! **Gating is core-count aware**: the `shard_speedup`
 //! floor (>= 1.8x at 4 workers) is enforced only on hosts with >= 4
 //! cores — on narrower hosts a 4-worker pool cannot physically beat
 //! serial and the honest value (recorded, warn-only) sits near or below

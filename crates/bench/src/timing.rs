@@ -113,7 +113,31 @@ impl Group {
             }
             per_iter.push(start.elapsed().as_secs_f64() / batch as f64);
         }
-        let stats = Stats::from_samples(&per_iter);
+        self.report(label, &per_iter, batch)
+    }
+
+    /// Time several closures in turn — one call of each per round, after
+    /// one untimed warm-up round — and return their statistics in order.
+    /// For closures whose single call is already milliseconds long and
+    /// whose *ratio* matters: a noise spell on a shared host then lands
+    /// on all of them alike, where back-to-back [`Group::bench_stats`]
+    /// blocks would hand it to one.
+    pub fn bench_interleaved(&self, benches: &mut [(&str, &mut dyn FnMut())]) -> Vec<Stats> {
+        let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(self.samples); benches.len()];
+        for round in 0..=self.samples {
+            for ((_, f), s) in benches.iter_mut().zip(samples.iter_mut()) {
+                let start = Instant::now();
+                f();
+                if round > 0 {
+                    s.push(start.elapsed().as_secs_f64());
+                }
+            }
+        }
+        benches.iter().zip(&samples).map(|((label, _), s)| self.report(label, s, 1)).collect()
+    }
+
+    fn report(&self, label: &str, per_iter: &[f64], batch: u64) -> Stats {
+        let stats = Stats::from_samples(per_iter);
         println!(
             "{:<40} min {:>12} | median {:>12} | trimmed {:>12}  ({} samples x {} iters, {} outliers)",
             format!("{}/{label}", self.name),
@@ -311,6 +335,18 @@ mod tests {
         let mut n = 0u64;
         Group::new("t", 2).bench("count", || n += 1);
         assert!(n > 0);
+    }
+
+    #[test]
+    fn interleaved_bench_alternates_and_drops_the_warmup_round() {
+        let calls = std::cell::RefCell::new(Vec::new());
+        let stats = Group::new("t", 3).bench_interleaved(&mut [
+            ("a", &mut || calls.borrow_mut().push('a')),
+            ("b", &mut || calls.borrow_mut().push('b')),
+        ]);
+        assert_eq!(calls.into_inner().iter().collect::<String>(), "abababab");
+        assert_eq!(stats.len(), 2);
+        assert!(stats.iter().all(|s| s.n_samples == 3));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * `*_batch` kernels — the hot path. They run over a packed multi-tree
 //!   buffer ([`crate::tree::TreeBatch`]) and route every dense product
 //!   through the blocked GEMMs in [`Param`] (`matmul_add` and friends),
-//!   with child features gathered once per layer instead of per node.
+//!   which read child rows through the child index, so no gathered copy
+//!   of a layer's input is ever made.
 //!
 //! Batched results match the reference within float-reassociation noise
 //! (~1e-6 relative), not bit-for-bit: the GEMM's 4-row accumulator blocks
@@ -267,20 +268,6 @@ pub fn linear_backward(w: &mut Param, b: &mut Param, x: &[f32], dy: &[f32]) -> V
 // benefit from GEMM (convolution, FC) need batch variants.
 // ---------------------------------------------------------------------------
 
-/// Gather `idx`-selected rows of node-major `x` into a dense `n × c`
-/// buffer; `-1` indices yield zero rows. Turns the tree convolution's
-/// scattered child reads into one contiguous GEMM operand.
-fn gather_rows(x: &[f32], idx: &[i32], c: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; idx.len() * c];
-    for (i, &j) in idx.iter().enumerate() {
-        if j >= 0 {
-            let j = j as usize;
-            out[i * c..(i + 1) * c].copy_from_slice(&x[j * c..(j + 1) * c]);
-        }
-    }
-    out
-}
-
 /// Batched [`tree_conv_forward`]: child indices may span a packed
 /// multi-tree batch (rebased, so trees never alias). Three vectorized
 /// GEMMs over (self, left-indexed, right-indexed) replace the per-node
@@ -306,42 +293,52 @@ pub fn tree_conv_forward_batch(
     y
 }
 
-/// Backward of [`tree_conv_forward_batch`]; accumulates parameter
-/// gradients and returns `dx`. Weight gradients go through the batched
-/// outer-product GEMM; the child input-gradients are scatter-adds (row
-/// targets are data-dependent), done per node with vectorizable axpy rows.
-pub fn tree_conv_backward_batch(
+/// Parameter half of the backward of [`tree_conv_forward_batch`]:
+/// accumulates the bias and the three weight gradients through the
+/// batched outer-product GEMM. The child terms read their input rows
+/// through the child index ([`Param::grad_outer_gather_add`]), so no
+/// gathered copy of `x` is materialized and missing children cost
+/// nothing.
+pub fn tree_conv_backward_batch_params(
     p: &mut TreeConvParams,
     left: &[i32],
     right: &[i32],
     x: &[f32],
     dy: &[f32],
-) -> Vec<f32> {
-    let (in_c, out_c) = (p.in_c(), p.out_c());
+) {
+    let out_c = p.out_c();
     let n = left.len();
-    let mut dx = vec![0.0f32; n * in_c];
     for dyi in dy.chunks_exact(out_c) {
         for (bg, &d) in p.bias.g.iter_mut().zip(dyi.iter()) {
             *bg += d;
         }
     }
     p.top.grad_outer_batch_add(dy, x, n);
+    p.left.grad_outer_gather_add(dy, x, left);
+    p.right.grad_outer_gather_add(dy, x, right);
+}
+
+/// Input half of the backward of [`tree_conv_forward_batch`]: returns
+/// `dx`. The first layer of a network has no use for it — its input is
+/// the raw plan features — and skips this call. The child
+/// input-gradients are scatter-adds (row targets are data-dependent),
+/// done per node with vectorizable axpy rows.
+pub fn tree_conv_backward_batch_input(
+    p: &TreeConvParams,
+    left: &[i32],
+    right: &[i32],
+    dy: &[f32],
+) -> Vec<f32> {
+    let (in_c, out_c) = (p.in_c(), p.out_c());
+    let n = left.len();
+    let mut dx = vec![0.0f32; n * in_c];
     p.top.matmul_t_add(dy, &mut dx, n);
-    let xl = gather_rows(x, left, in_c);
-    p.left.grad_outer_batch_add(dy, &xl, n);
-    for i in 0..n {
-        if left[i] >= 0 {
-            let l = left[i] as usize;
-            p.left.matvec_t_add(&dy[i * out_c..(i + 1) * out_c], &mut dx[l * in_c..(l + 1) * in_c]);
-        }
-    }
-    let xr = gather_rows(x, right, in_c);
-    p.right.grad_outer_batch_add(dy, &xr, n);
-    for i in 0..n {
-        if right[i] >= 0 {
-            let r = right[i] as usize;
-            p.right
-                .matvec_t_add(&dy[i * out_c..(i + 1) * out_c], &mut dx[r * in_c..(r + 1) * in_c]);
+    for (w, child) in [(&p.left, left), (&p.right, right)] {
+        for (i, &c) in child.iter().enumerate() {
+            if c >= 0 {
+                let c = c as usize;
+                w.matvec_t_add(&dy[i * out_c..(i + 1) * out_c], &mut dx[c * in_c..(c + 1) * in_c]);
+            }
         }
     }
     dx
@@ -517,7 +514,8 @@ mod tests {
         let dy: Vec<f32> = (0..8 * 6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut pa = TreeConvParams::new(4, 6, 3);
         let mut pb = pa.clone();
-        let dxa = tree_conv_backward_batch(&mut pa, &left, &right, &x, &dy);
+        tree_conv_backward_batch_params(&mut pa, &left, &right, &x, &dy);
+        let dxa = tree_conv_backward_batch_input(&pa, &left, &right, &dy);
         let dxb = tree_conv_backward(&mut pb, &left, &right, &x, &dy);
         assert_close(&dxa, &dxb, 1e-5);
         assert_close(&pa.top.g, &pb.top.g, 1e-5);

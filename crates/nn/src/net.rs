@@ -4,7 +4,8 @@ use crate::layers::{
     dyn_pool_backward, dyn_pool_backward_batch, dyn_pool_forward, dyn_pool_forward_batch,
     layer_norm_backward, layer_norm_forward, linear_backward, linear_backward_batch,
     linear_forward, linear_forward_batch, relu_backward, relu_forward, tree_conv_backward,
-    tree_conv_backward_batch, tree_conv_forward, tree_conv_forward_batch, TreeConvParams,
+    tree_conv_backward_batch_input, tree_conv_backward_batch_params, tree_conv_forward,
+    tree_conv_forward_batch, TreeConvParams,
 };
 use crate::param::Param;
 use crate::tree::{FeatTree, TreeBatch};
@@ -427,13 +428,13 @@ impl TreeCnn {
                 &d_relu,
                 self.conv[k].out_c(),
             );
-            d = tree_conv_backward_batch(
-                &mut self.conv[k],
-                &batch.left,
-                &batch.right,
-                &tape.xs[k],
-                &d_ln,
-            );
+            let conv = &mut self.conv[k];
+            tree_conv_backward_batch_params(conv, &batch.left, &batch.right, &tape.xs[k], &d_ln);
+            // Layer 0's input is the raw plan features: nothing reads a
+            // gradient for them, so none is computed.
+            if k > 0 {
+                d = tree_conv_backward_batch_input(conv, &batch.left, &batch.right, &d_ln);
+            }
         }
     }
 

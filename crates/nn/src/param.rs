@@ -362,6 +362,24 @@ impl Param {
             }
         }
     }
+
+    /// Gathered [`Param::grad_outer_batch_add`]: `dW += dy[i] ⊗ x[idx[i]]`
+    /// for every `i` with `idx[i] >= 0`. Bit-identical to running the
+    /// dense kernel over a gathered copy of `x` whose missing-child rows
+    /// are zero: those rows only ever added `d * 0.0` to an accumulator
+    /// that is never `-0.0`.
+    pub fn grad_outer_gather_add(&mut self, dy: &[f32], x: &[f32], idx: &[i32]) {
+        let c = self.cols;
+        let rows = self.rows;
+        debug_assert_eq!(dy.len(), idx.len() * rows);
+        for (i, &j) in idx.iter().enumerate() {
+            if j < 0 {
+                continue;
+            }
+            let j = j as usize;
+            self.grad_outer_add(&dy[i * rows..(i + 1) * rows], &x[j * c..(j + 1) * c]);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -455,6 +473,31 @@ mod tests {
             pb.grad_outer_add(&dy[i * 3..(i + 1) * 3], &x[i * 4..(i + 1) * 4]);
         }
         assert_eq!(pa.g, pb.g); // node-ascending order matches bit-for-bit
+    }
+
+    #[test]
+    fn grad_outer_gather_matches_dense_over_gathered_rows() {
+        let (n, rows, c) = (6, 3, 4);
+        let mut rng = rng_from_seed(6);
+        let dy: Vec<f32> = (0..n * rows).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let x: Vec<f32> = (0..n * c).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let idx = [3, -1, 5, 0, -1, 3];
+        let mut gathered = vec![0.0f32; n * c];
+        for (i, &j) in idx.iter().enumerate() {
+            if j >= 0 {
+                let j = j as usize;
+                gathered[i * c..(i + 1) * c].copy_from_slice(&x[j * c..(j + 1) * c]);
+            }
+        }
+        let mut pa = Param::zeros(rows, c);
+        let mut pb = Param::zeros(rows, c);
+        pa.grad_outer_gather_add(&dy, &x, &idx);
+        pb.grad_outer_batch_add(&dy, &gathered, n);
+        // Skipped rows only ever contributed `d * 0.0`: bit-for-bit equal.
+        assert_eq!(
+            pa.g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            pb.g.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

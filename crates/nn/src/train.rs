@@ -9,17 +9,32 @@
 //! into a [`TreeBatch`] and pushed through
 //! [`TreeCnn::forward_train_batch`] / [`TreeCnn::backward_batch`], and
 //! shard gradients are reduced into the master net **in shard-index
-//! order**. Sharding is a function of `shard_size` alone — never of
-//! `threads` — and each shard's dropout RNG is seeded from its global
-//! shard counter, so the loss trajectory is bit-identical whether shards
-//! run on one thread or many (bao-lint's determinism rules hold under
-//! parallel training). The old one-tree-at-a-time loop survives as
-//! [`train_reference`] for equivalence tests and benchmarks.
+//! order**.
+//!
+//! What defines the numerics: `shard_size` (shard boundaries are GEMM
+//! boundaries), `batch_size`, `seed` (the shuffle stream, and through
+//! each shard's global counter its dropout stream) and the reduction
+//! order. What does not: `threads`, the host's core count, and which
+//! thread computes which shard — the loss history and every weight bit
+//! are the same at any width (`tests/train_golden.rs` pins them).
+//!
+//! What runs where: every shard slot of a minibatch owns one gradient
+//! workspace for the whole run (a weight copy refreshed per minibatch
+//! plus gradient buffers; nothing inside the epoch loop clones a net).
+//! The calling thread is the coordinator and one of the `width` compute
+//! threads: it takes shard 0 and every `width`-th after it, and
+//! `width - 1` persistent helpers take the rest, each slot moving to its
+//! helper and back over a pair of channels. At width 1 — one core, or
+//! one shard per minibatch — no thread, channel or lock exists.
+//!
+//! The old one-tree-at-a-time loop survives as [`train_reference`] for
+//! equivalence tests and benchmarks.
 
 use crate::adam::{Adam, AdamConfig};
 use crate::net::TreeCnn;
 use crate::tree::{FeatTree, TreeBatch};
 use bao_common::json::{self, FromJson, Json, ToJson};
+use bao_common::sync::mpsc;
 use bao_common::{rng_from_seed, split_seed, Result, Rng};
 
 /// Training-loop configuration.
@@ -32,8 +47,13 @@ pub struct TrainConfig {
     pub patience: usize,
     pub min_improvement: f64,
     pub seed: u64,
-    /// Worker threads for minibatch gradient shards (`1` runs shards
-    /// in-line). Thread count never affects numerics.
+    /// Threads computing minibatch gradient shards, the coordinator
+    /// included: `0` (the default) is auto — one per available core —
+    /// and `1` runs every shard inline. Whatever is asked for is capped at
+    /// the shards a minibatch has, and resolved inside [`train`] on every
+    /// call, so a serialized config never records the host. Width never
+    /// affects numerics; explicit values exist for the race suite and the
+    /// invariance tests.
     pub threads: usize,
     /// Trees per gradient shard. Smaller shards expose more parallelism;
     /// larger shards amortize packing. Numerics depend on this value
@@ -82,7 +102,7 @@ impl Default for TrainConfig {
             patience: 10,
             min_improvement: 0.01,
             seed: 0,
-            threads: 1,
+            threads: 0,
             shard_size: 8,
         }
     }
@@ -96,84 +116,149 @@ pub struct TrainReport {
     pub loss_history: Vec<f64>,
 }
 
-/// One unit of minibatch-gradient work: a shard of example indices plus
-/// its dropout seed and loss scale.
-struct ShardJob {
+/// One shard slot of a minibatch: the shard's description plus the
+/// reusable workspace its gradient is computed into. `net` carries a
+/// private copy of the weights (refreshed from the master every
+/// minibatch) and, in its `.g` buffers, the shard gradient. Slots are
+/// built once per [`train`] call and then only moved — to a helper and
+/// back — never cloned.
+struct ShardSlot {
+    net: TreeCnn,
     idxs: Vec<usize>,
     drop_seed: u64,
     scale: f32,
+    /// The shard's summed squared error, set by [`ShardSlot::run`].
+    loss: f64,
 }
 
-/// Gradient of one shard: pack, batched forward, MSE error, batched
-/// backward into a zero-initialized clone of the net. Returns the clone
-/// (its `.g` buffers hold the shard gradient) and the shard's summed
-/// squared error.
-fn shard_grad(
-    net: &TreeCnn,
-    trees: &[FeatTree],
-    targets: &[f32],
-    job: &ShardJob,
-) -> (TreeCnn, f64) {
-    let batch = TreeBatch::pack(job.idxs.iter().map(|&i| &trees[i]));
-    let mut rng = rng_from_seed(job.drop_seed);
-    let (preds, tape) = net.forward_train_batch(&batch, &mut rng);
-    let mut loss = 0.0f64;
-    let mut d_outs = Vec::with_capacity(job.idxs.len());
-    for (k, &i) in job.idxs.iter().enumerate() {
-        let err = preds[k] - targets[i];
-        loss += (err * err) as f64;
-        d_outs.push(2.0 * err * job.scale);
+impl ShardSlot {
+    fn new(master: &TreeCnn) -> ShardSlot {
+        let mut net = master.clone();
+        // A workspace never takes an optimizer step.
+        net.for_each_param(|p| {
+            p.m = Vec::new();
+            p.v = Vec::new();
+        });
+        ShardSlot { net, idxs: Vec::new(), drop_seed: 0, scale: 0.0, loss: 0.0 }
     }
-    let mut gnet = net.clone();
-    gnet.zero_grad();
-    gnet.backward_batch(&batch, &tape, &d_outs);
-    (gnet, loss)
+
+    /// Point the slot at one shard of the current minibatch: the master's
+    /// weights by copy, and the shard's examples, dropout seed and loss
+    /// scale.
+    fn load(&mut self, master: &TreeCnn, idxs: &[usize], drop_seed: u64, scale: f32) {
+        self.net.for_each_param_pair(master, |p, q| p.w.copy_from_slice(&q.w));
+        self.idxs.clear();
+        self.idxs.extend_from_slice(idxs);
+        self.drop_seed = drop_seed;
+        self.scale = scale;
+    }
+
+    /// Gradient of the loaded shard: pack, batched forward, MSE error,
+    /// batched backward into the workspace's gradient buffers (zeroed
+    /// here, by the thread that fills them).
+    fn run(&mut self, trees: &[FeatTree], targets: &[f32]) {
+        self.net.zero_grad();
+        let batch = TreeBatch::pack(self.idxs.iter().map(|&i| &trees[i]));
+        let mut rng = rng_from_seed(self.drop_seed);
+        let (preds, tape) = self.net.forward_train_batch(&batch, &mut rng);
+        self.loss = 0.0;
+        let mut d_outs = Vec::with_capacity(self.idxs.len());
+        for (k, &i) in self.idxs.iter().enumerate() {
+            let err = preds[k] - targets[i];
+            self.loss += (err * err) as f64;
+            d_outs.push(2.0 * err * self.scale);
+        }
+        self.net.backward_batch(&batch, &tape, &d_outs);
+    }
 }
 
-/// The epoch/minibatch loop, generic over how a wave of shard jobs is
-/// evaluated (inline, or fanned out to a worker pool). `eval_wave` must
-/// return one `(gradient net, loss)` per job **in job order** — the
-/// reduction below consumes them in that order, which is what makes the
-/// result independent of worker scheduling.
-fn train_loop<F>(
+/// The coordinator's two channel ends to one helper thread. A helper
+/// returns slots in the order it received them.
+struct Helper {
+    jobs: mpsc::Sender<ShardSlot>,
+    results: mpsc::Receiver<ShardSlot>,
+}
+
+/// The epoch/minibatch loop, run by the coordinator at width
+/// `helpers.len() + 1`. Shard `s` of a minibatch belongs to thread
+/// `s % width`, thread 0 being the coordinator itself, so with no helpers
+/// every shard runs inline and no channel is touched. Whoever computes a
+/// shard, its gradient lands in slot `s`, and the slots reduce into the
+/// master **in shard-index order** — which is what makes the result
+/// independent of width and scheduling.
+fn train_loop(
     net: &mut TreeCnn,
     trees: &[FeatTree],
+    targets: &[f32],
     cfg: &TrainConfig,
-    mut eval_wave: F,
-) -> TrainReport
-where
-    F: FnMut(&TreeCnn, Vec<ShardJob>) -> Vec<(TreeCnn, f64)>,
-{
+    helpers: &[Helper],
+) -> TrainReport {
     let mut adam = Adam::new(cfg.adam);
     let mut rng = rng_from_seed(cfg.seed);
     let mut order: Vec<usize> = (0..trees.len()).collect();
     let mut history: Vec<f64> = Vec::with_capacity(cfg.max_epochs);
+    let batch_size = cfg.batch_size.max(1);
     let shard_size = cfg.shard_size.max(1);
     // Dropout streams are decoupled from the shuffle stream so that the
     // shard decomposition cannot perturb example ordering.
     let drop_stream = split_seed(cfg.seed, 0x9d70);
     let mut step: u64 = 0;
 
+    let width = helpers.len() + 1;
+    let helper_of = |s: usize| (s % width).checked_sub(1).map(|h| &helpers[h]);
+    // `None` only while a helper holds the slot: never between waves.
+    let mut slots: Vec<Option<ShardSlot>> =
+        (0..max_shards(trees.len(), cfg)).map(|_| Some(ShardSlot::new(net))).collect();
+
     for epoch in 0..cfg.max_epochs {
         rng.shuffle(&mut order);
         let mut epoch_loss = 0.0f64;
-        for batch in order.chunks(cfg.batch_size.max(1)) {
-            net.zero_grad();
+        for batch in order.chunks(batch_size) {
             let scale = 1.0 / batch.len() as f32;
-            let jobs: Vec<ShardJob> = batch
-                .chunks(shard_size)
-                .enumerate()
-                .map(|(s, idxs)| ShardJob {
-                    idxs: idxs.to_vec(),
-                    drop_seed: split_seed(drop_stream, step + s as u64),
-                    scale,
-                })
-                .collect();
-            step += jobs.len() as u64;
+            let n_shards = batch.len().div_ceil(shard_size);
+            let wave = &mut slots[..n_shards];
+            let load = |slot: &mut ShardSlot, master: &TreeCnn, s: usize| {
+                let idxs = &batch[s * shard_size..batch.len().min((s + 1) * shard_size)];
+                slot.load(master, idxs, split_seed(drop_stream, step + s as u64), scale);
+            };
+            // Helpers get their shards before the coordinator starts on
+            // its own. A helper that is gone hands the slot straight back,
+            // and the coordinator computes it with the rest of its share.
+            for (s, slot) in wave.iter_mut().enumerate() {
+                let Some(mut job) = slot.take() else { continue };
+                load(&mut job, net, s);
+                *slot = match helper_of(s) {
+                    Some(helper) => helper.jobs.send(job).err().map(|mpsc::SendError(job)| job),
+                    None => Some(job),
+                };
+            }
+            for slot in wave.iter_mut().flatten() {
+                slot.run(trees, targets);
+            }
+            for (s, slot) in wave.iter_mut().enumerate() {
+                let Some(helper) = helper_of(s) else { continue };
+                if slot.is_none() {
+                    *slot = Some(match helper.results.recv() {
+                        Ok(done) => done,
+                        // The helper died holding the slot (its panic
+                        // surfaces when the scope joins): compute the
+                        // shard here on a fresh workspace — same inputs,
+                        // same kernels, same bits.
+                        Err(_) => {
+                            let mut fresh = ShardSlot::new(net);
+                            load(&mut fresh, net, s);
+                            fresh.run(trees, targets);
+                            fresh
+                        }
+                    });
+                }
+            }
+            step += n_shards as u64;
 
-            for (gnet, loss) in eval_wave(net, jobs) {
-                epoch_loss += loss;
-                net.for_each_param_pair(&gnet, |p, q| {
+            net.zero_grad();
+            for slot in wave.iter().flatten() {
+                epoch_loss += slot.loss;
+                net.for_each_param_pair(&slot.net, |p, q| {
                     for (gv, &qv) in p.g.iter_mut().zip(q.g.iter()) {
                         *gv += qv;
                     }
@@ -201,18 +286,24 @@ where
     }
 }
 
+/// Shards in the largest minibatch of a run over `n_trees` examples.
+fn max_shards(n_trees: usize, cfg: &TrainConfig) -> usize {
+    cfg.batch_size.max(1).min(n_trees).div_ceil(cfg.shard_size.max(1))
+}
+
 /// Train `net` on `(trees, targets)` with MSE loss. Targets should be
 /// pre-normalized by the caller (Bao's model layer normalizes log-scale
 /// latencies).
 ///
 /// Each minibatch gradient is computed through the batched kernels in
-/// `shard_size`-tree shards. With `cfg.threads > 1` the shards are
-/// evaluated by a pool of workers that lives for the whole training run
-/// (spawned once, fed over channels), so per-minibatch synchronization
-/// costs a channel round-trip rather than a thread spawn. Shard
-/// boundaries and per-shard dropout seeds depend only on the config, and
-/// shard gradients reduce in shard-index order, so results are identical
-/// for any thread count.
+/// `shard_size`-tree shards, at a width of `cfg.threads` (`0`: one per
+/// available core) capped at the shards a minibatch has. The coordinator
+/// is one of those threads: it computes shard 0 (and every `width`-th
+/// after it) itself, and `width - 1` helpers — spawned once, alive for
+/// the whole run, fed over channels — compute the rest. At width 1
+/// nothing is spawned and no channel exists. Shard boundaries and
+/// per-shard dropout seeds depend only on the config, and shard gradients
+/// reduce in shard-index order, so results are identical at any width.
 pub fn train(
     net: &mut TreeCnn,
     trees: &[FeatTree],
@@ -223,56 +314,35 @@ pub fn train(
     if trees.is_empty() {
         return TrainReport { epochs_run: 0, final_loss: 0.0, loss_history: vec![] };
     }
-    let threads = cfg.threads.max(1);
-    if threads == 1 {
-        return train_loop(net, trees, cfg, |snapshot, jobs| {
-            jobs.iter().map(|j| shard_grad(snapshot, trees, targets, j)).collect()
-        });
+    let width = match cfg.threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
     }
-
-    use bao_common::sync::{mpsc, Arc, Mutex};
-    // Persistent pool: jobs flow through one shared channel, results come
-    // back tagged with their slot and are reassembled into job order.
-    type Tagged = (usize, Arc<TreeCnn>, ShardJob);
-    let (job_tx, job_rx) = mpsc::channel::<Tagged>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (res_tx, res_rx) = mpsc::channel::<(usize, (TreeCnn, f64))>();
-
+    .min(max_shards(trees.len(), cfg));
+    if width <= 1 {
+        return train_loop(net, trees, targets, cfg, &[]);
+    }
     bao_common::sync::scope(|scope| {
-        for _ in 0..threads {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            scope.spawn(move || loop {
-                // Holding the lock only while dequeuing keeps workers
-                // independent; a closed channel means training finished.
-                let job = { job_rx.lock().unwrap().recv() };
-                match job {
-                    Ok((slot, snapshot, job)) => {
-                        let r = shard_grad(&snapshot, trees, targets, &job);
-                        if res_tx.send((slot, r)).is_err() {
+        let helpers: Vec<Helper> = (1..width)
+            .map(|_| {
+                let (jobs, job_rx) = mpsc::channel::<ShardSlot>();
+                let (res_tx, results) = mpsc::channel();
+                scope.spawn(move || {
+                    // A closed job channel means training finished; a
+                    // closed result channel means the coordinator is gone.
+                    for mut slot in job_rx {
+                        slot.run(trees, targets);
+                        if res_tx.send(slot).is_err() {
                             break;
                         }
                     }
-                    Err(_) => break,
-                }
-            });
-        }
-
-        let report = train_loop(net, trees, cfg, |snapshot, jobs| {
-            let n = jobs.len();
-            let snap = Arc::new(snapshot.clone());
-            for (slot, job) in jobs.into_iter().enumerate() {
-                job_tx.send((slot, Arc::clone(&snap), job)).expect("workers alive");
-            }
-            let mut slots: Vec<Option<(TreeCnn, f64)>> = (0..n).map(|_| None).collect();
-            for _ in 0..n {
-                let (slot, r) = res_rx.recv().expect("workers alive");
-                slots[slot] = Some(r);
-            }
-            slots.into_iter().map(|r| r.expect("every slot filled")).collect()
-        });
-        drop(job_tx); // close the queue: workers drain and exit
-        report
+                });
+                Helper { jobs, results }
+            })
+            .collect();
+        // `helpers` drops when this closure returns, which closes the job
+        // channels; the helpers drain and exit, and the scope joins them.
+        train_loop(net, trees, targets, cfg, &helpers)
     })
 }
 
@@ -470,5 +540,20 @@ mod tests {
         let decoded = TrainConfig::from_json(&legacy).unwrap();
         assert_eq!(decoded.threads, 1);
         assert_eq!(decoded.shard_size, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent feature dimension")]
+    fn a_panicking_shard_unwinds_instead_of_hanging() {
+        // One tree of the wrong width: whichever thread packs its shard
+        // panics. When that is the helper, the coordinator finds the
+        // result channel closed, recomputes the shard inline and meets the
+        // same panic. Either way `train` must unwind, not wait for a slot
+        // that will never come back.
+        let (mut trees, ys) = dataset(32, 5);
+        trees[7] = FeatTree::leaf(vec![1.0, 2.0]);
+        let cfg = TrainConfig { max_epochs: 1, shard_size: 4, threads: 2, ..TrainConfig::default() };
+        let mut net = TreeCnn::new(TcnnConfig::tiny(3), 1);
+        train(&mut net, &trees, &ys, &cfg);
     }
 }

@@ -2,8 +2,9 @@
 //! path in the workspace, explored exhaustively (bounded preemption) under
 //! the instrumented `bao_common::sync` shim.
 //!
-//! 1. `training_pool` — the `bao_nn::train` persistent worker pool
-//!    (2 workers × 3 minibatches of 2 shard-jobs each).
+//! 1. `training_pool` — the `bao_nn::train` shard hand-off (the
+//!    coordinator plus 2 persistent helpers × 2 minibatches of 3 shards
+//!    each, one shard per thread).
 //! 2. `planning_fanout` — `Bao::evaluate_arms_multi`'s slot-tagged
 //!    planner pool (2 workers over 4 (query, arm) jobs).
 //! 3. `sched_serving_handoff` — the full sched → serving wave loop,
@@ -62,8 +63,8 @@ fn cap(smoke_default: usize) -> usize {
 }
 
 /// Deterministic little synthetic training set: 3-node trees whose target
-/// is a function of the features. 12 trees / batch 4 / shard 2 ⇒ exactly
-/// 3 minibatches of 2 shard-jobs per epoch.
+/// is a function of the features. 12 trees / batch 6 / shard 2 ⇒ exactly
+/// 2 minibatches of 3 shards per epoch.
 fn training_data(n: usize) -> (Vec<FeatTree>, Vec<f32>) {
     let mut trees = Vec::with_capacity(n);
     let mut ys = Vec::with_capacity(n);
@@ -77,17 +78,19 @@ fn training_data(n: usize) -> (Vec<FeatTree>, Vec<f32>) {
     (trees, ys)
 }
 
-/// Suite 1: the training pool. All sync-bearing state (the net, the
-/// channels, the workers) is created inside the body; the dataset is
-/// immutable shared input.
+/// Suite 1: the training pool. The coordinator computes shard 0 of every
+/// minibatch itself, so width 3 over 3 shards is two helpers each taking
+/// one slot per minibatch and handing it back. All sync-bearing state
+/// (the net, the channels, the helpers) is created inside the body; the
+/// dataset is immutable shared input.
 #[test]
 fn training_pool_suite() {
     let (trees, ys) = training_data(12);
     let cfg = TrainConfig {
         max_epochs: 1,
-        batch_size: 4,
+        batch_size: 6,
         shard_size: 2,
-        threads: 2,
+        threads: 3,
         seed: 11,
         ..TrainConfig::default()
     };
