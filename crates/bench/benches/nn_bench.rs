@@ -4,7 +4,7 @@
 
 use bao_bench::timing::{bench_function, Group};
 use bao_common::{rng_from_seed, Rng};
-use bao_nn::{train, FeatTree, TcnnConfig, TrainConfig, TreeCnn};
+use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeCnn};
 
 fn plan_like_tree(rng: &mut impl Rng, dim: usize, nodes: usize) -> FeatTree {
     // A left-deep strict binary tree, like a binarized join plan.
@@ -44,8 +44,9 @@ fn bench_inference() {
         ("paper_256_128_64", TcnnConfig::paper(dim)),
     ] {
         let net = TreeCnn::new(cfg, 1);
+        let mut scratch = ScoreScratch::new();
         g.bench(name, || {
-            net.predict(&tree);
+            std::hint::black_box(net.score(&[&tree], &mut scratch));
         });
     }
 }

@@ -15,7 +15,7 @@ use bao_common::{rng_from_seed, split_seed};
 use bao_core::Featurizer;
 use bao_exec::execute;
 use bao_models::{bootstrap_sample, TargetNorm};
-use bao_nn::{train, FeatTree, TcnnConfig, TrainConfig, TreeCnn};
+use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeCnn};
 use bao_opt::{HintSet, Optimizer};
 use bao_stats::StatsCatalog;
 use bao_storage::BufferPool;
@@ -84,10 +84,11 @@ fn main() {
         boot_nets.push(net);
     }
     let boot_spread = |set: &[FeatTree]| -> f64 {
-        // Each ensemble member scores the whole set in one packed batch.
+        // Each ensemble member scores the whole set in one call.
         let refs: Vec<&FeatTree> = set.iter().collect();
+        let mut scratch = ScoreScratch::new();
         let member_preds: Vec<Vec<f32>> =
-            boot_nets.iter().map(|n| n.predict_batch(&refs)).collect();
+            boot_nets.iter().map(|n| n.score(&refs, &mut scratch)).collect();
         let per_tree: Vec<f64> = (0..set.len())
             .map(|i| {
                 let preds: Vec<f64> = member_preds.iter().map(|p| p[i] as f64).collect();

@@ -3,15 +3,16 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Coalesced scoring speedup (gated).** Eight queries' 49-arm
-//!    families are scored (a) the way the serial runner does — one
-//!    stateless `predict_batch` per query — and (b) the way a serving
-//!    wave does — one `predict_trees_scratch` pass over all 392 trees
-//!    through the tape-free engine, which also dedups the heavily
-//!    aliased arm plans. The ratio is machine-independent: the engine
-//!    wins on *work elimination* (distinct plans vs arms, no tape, no
-//!    pack), not on clock speed or core count, so it is gated like the
-//!    per-tree-vs-batched ratio in `inference_bench`.
+//! 1. **What wave coalescing buys (gated).** Eight queries' 49-arm
+//!    families are scored (a) one `TreeCnn::score` call per family, the
+//!    way a concurrency-1 run does, and (b) in one `score` call over all
+//!    392 trees, the way a serving wave does. Both sides run the same
+//!    engine and dedup the heavily aliased arm plans, so the ratio is
+//!    only what `bao-core` saves by concatenating families: seven sets of
+//!    weight transposes and per-call set-up, plus whatever plans repeat
+//!    *across* queries. It is small and it must not be below 1.0 — a
+//!    coalesced call that loses to per-family calls means the engine's
+//!    working set stopped being per-tree.
 //!
 //! 2. **Serving throughput (warn-only).** A full `ServingRunner` pass at
 //!    concurrency 1/4/8 records simulated queries/sec. The makespan is
@@ -33,9 +34,11 @@ use bao_stats::StatsCatalog;
 
 /// Regression tolerance on gated ratio metrics.
 const TOLERANCE: f64 = 0.20;
-/// Acceptance floor: a concurrency-8 wave's coalesced scoring pass must
-/// beat eight serial per-query passes by at least this factor.
-const MIN_COALESCED_SPEEDUP: f64 = 1.5;
+/// Acceptance floor: a concurrency-8 wave's one coalesced `score` call
+/// must not lose to eight per-family calls.
+const MIN_COALESCED_SPEEDUP: f64 = 1.0;
+/// Waves scored per timed sample, so a sample is milliseconds long.
+const REPS: usize = 10;
 /// Queries per coalesced wave in the scoring microbenchmark.
 const WAVE: usize = 8;
 
@@ -103,8 +106,8 @@ fn main() {
         &format!("(IMDb scale {scale}, {samples} samples{})", if quick { ", quick" } else { "" }),
     );
 
-    // --- Coalesced scoring: a wave of 8 arm families, serial per-query
-    // scorer vs the serving engine's single coalesced pass.
+    // --- Coalesced scoring: a wave of 8 arm families, one `score` call
+    // per family vs one call over the whole wave.
     let per_query = arm_trees(seed, scale, WAVE);
     assert!(per_query.iter().all(|q| q.len() == 49), "expected 49-arm families");
     let input_dim = per_query[0][0].feat_dim;
@@ -113,17 +116,26 @@ fn main() {
         per_query.iter().map(|q| q.iter().collect()).collect();
     let all_refs: Vec<&FeatTree> = per_query.iter().flatten().collect();
 
+    // Sampled in turn, and compared by medians: the ratio is close to 1,
+    // so a noise spell must land on both sides alike.
     let group = Group::new("serving_score", samples);
-    let serial = group.bench_stats(&format!("per_query_x{WAVE}"), || {
-        for q in &per_refs {
-            std::hint::black_box(net.predict_batch(q));
-        }
-    });
-    let mut scratch = ScoreScratch::new();
-    let coalesced = group.bench_stats(&format!("coalesced_{}", all_refs.len()), || {
-        std::hint::black_box(net.predict_trees_scratch(&all_refs, &mut scratch));
-    });
-    let speedup = serial.trimmed_mean / coalesced.trimmed_mean;
+    let (mut family_scratch, mut scratch) = (ScoreScratch::new(), ScoreScratch::new());
+    let stats = group.bench_interleaved(&mut [
+        (&format!("per_family_x{WAVE}_x{REPS}"), &mut || {
+            for _ in 0..REPS {
+                for q in &per_refs {
+                    std::hint::black_box(net.score(q, &mut family_scratch));
+                }
+            }
+        }),
+        (&format!("coalesced_{}_x{REPS}", all_refs.len()), &mut || {
+            for _ in 0..REPS {
+                std::hint::black_box(net.score(&all_refs, &mut scratch));
+            }
+        }),
+    ]);
+    let (serial, coalesced) = (stats[0].median / REPS as f64, stats[1].median / REPS as f64);
+    let speedup = serial / coalesced;
     // Telemetry from the engine: how much of the wave was duplicate arms.
     let (scored, requested) = (scratch.last_scored, scratch.last_requested);
     let distinct_frac = scored as f64 / requested.max(1) as f64;
@@ -135,9 +147,9 @@ fn main() {
         distinct_frac * 100.0
     );
     println!(
-        "  serial per-query scoring {:.3} ms, coalesced wave {:.3} ms -> {:.2}x",
-        serial.trimmed_mean * 1e3,
-        coalesced.trimmed_mean * 1e3,
+        "  per-family scoring {:.3} ms, coalesced wave {:.3} ms -> {:.2}x",
+        serial * 1e3,
+        coalesced * 1e3,
         speedup
     );
 
@@ -150,12 +162,12 @@ fn main() {
         qps.push((c, v));
     }
 
-    // --- Baseline comparison. Gated: the machine-independent coalesced
+    // --- Baseline comparison. Gated: the coalesced-vs-per-family
     // scoring ratio. Warn-only: simulated throughputs (workload-shaped)
     // and the dedup rate (workload-shaped).
     let path = baseline_path();
     let mut store = BaselineStore::load(&path).expect("load baselines");
-    let gated = [("serving_coalesced_speedup_c8", speedup)];
+    let gated = [("serving_wave_vs_family_score_c8", speedup)];
     let warned = [
         ("serving_qps_c1", qps[0].1),
         ("serving_qps_c4", qps[1].1),
@@ -163,7 +175,7 @@ fn main() {
         ("serving_distinct_plan_frac", distinct_frac),
         (
             "serving_coalesced_plans_per_sec",
-            requested as f64 / coalesced.trimmed_mean,
+            requested as f64 / coalesced,
         ),
     ];
     println!();
@@ -201,7 +213,7 @@ fn main() {
     println!();
     let target_ok = speedup >= MIN_COALESCED_SPEEDUP;
     println!(
-        "coalesced wave scoring {:.2}x serial per-query (target >= {:.1}x): {}",
+        "coalesced wave scoring {:.2}x per-family calls (target >= {:.1}x): {}",
         speedup,
         MIN_COALESCED_SPEEDUP,
         if target_ok { "PASS" } else { "FAIL" }

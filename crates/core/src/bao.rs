@@ -234,13 +234,6 @@ impl Bao {
         self.model.is_fitted()
     }
 
-    /// `(trees scored, trees requested)` by the model's most recent
-    /// coalesced scoring pass — surfaces the duplicate-plan elimination
-    /// rate to serving telemetry. `None` for models without an engine.
-    pub fn coalesce_stats(&self) -> Option<(usize, usize)> {
-        self.model.coalesce_stats()
-    }
-
     pub fn experience_len(&self) -> usize {
         self.experience.len()
     }
@@ -265,12 +258,6 @@ impl Bao {
     /// changes underneath them.
     pub fn queries_until_retrain(&self) -> usize {
         self.cfg.retrain_interval.saturating_sub(self.since_retrain).max(1)
-    }
-
-    /// Predict performance of an arbitrary featurized plan (advisor mode
-    /// uses this; `None` before the first training).
-    pub fn predict(&self, tree: &FeatTree) -> Option<f64> {
-        self.model.predict(tree).ok()
     }
 
     /// Plan the query under every arm and select the plan with the best
@@ -371,9 +358,9 @@ impl Bao {
     /// are returned in query order and are bit-identical to calling
     /// [`Bao::evaluate_arms`] once per query: planning is read-only over
     /// `(query, db, cat)`, job results are re-slotted into (query, arm)
-    /// order before any reduction, and the packed forward pass is
-    /// batch-composition invariant (every kernel is per-node or per-tree,
-    /// so a tree's prediction does not depend on its batch neighbours).
+    /// order before any reduction, and a value model's prediction for a
+    /// tree does not depend on its batch neighbours (for the TCNN, every
+    /// kernel of the scorer is per-node or per-tree — `bao_nn::infer`).
     ///
     /// The `pool` snapshot is shared by every query in the batch; callers
     /// that enable cache features must therefore coalesce only queries
@@ -426,32 +413,25 @@ impl Bao {
             work.push(per_arm_work);
         }
 
-        // Score every query's arms in ONE batch — a single forward pass
-        // over queries.len() * n_arms concatenated plan trees through the
-        // model's coalesced engine (for the TCNN: tape-free fused kernels
-        // plus duplicate-plan elimination, bitwise identical to
-        // `predict_batch` per tree). The predictions are segmented back
-        // per query; on model error fall back to per-query batches so a
-        // single-query caller sees exactly the error semantics it would
-        // see alone.
+        // Score every query's arms in ONE batch: queries.len() * n_arms
+        // concatenated plan trees through a single `predict_batch` (for the
+        // TCNN, the tape-free scorer with duplicate-plan elimination). A
+        // tree's score does not depend on its batch neighbours, so the
+        // predictions are simply segmented back per query. The only error
+        // a model returns is "not fitted", and then no arm has a
+        // prediction.
         let all_trees: Vec<&FeatTree> =
             per_query.iter().flat_map(|pairs| pairs.iter().map(|(_, t)| t)).collect();
-        let coalesced: Option<Vec<f64>> = self.model.predict_batch_coalesced(&all_trees).ok();
+        let scored: Option<Vec<f64>> = self.model.predict_batch(&all_trees).ok();
 
         let mut results = Vec::with_capacity(queries.len());
         for (qi, pairs) in per_query.into_iter().enumerate() {
-            let predictions: Vec<Option<f64>> = match &coalesced {
+            let predictions: Vec<Option<f64>> = match &scored {
                 Some(preds) => preds[qi * n_arms..(qi + 1) * n_arms]
                     .iter()
                     .map(|&v| Some(v))
                     .collect(),
-                None => {
-                    let arm_trees: Vec<&FeatTree> = pairs.iter().map(|(_, t)| t).collect();
-                    match self.model.predict_batch(&arm_trees) {
-                        Ok(preds) => preds.into_iter().map(Some).collect(),
-                        Err(_) => vec![None; pairs.len()],
-                    }
-                }
+                None => vec![None; pairs.len()],
             };
             let best = predictions
                 .iter()
@@ -597,11 +577,6 @@ impl Bao {
                 Ok(())
             }
         }
-    }
-
-    /// Full weight snapshot of the current model, if it supports one.
-    pub fn model_snapshot(&self) -> Option<String> {
-        self.model.snapshot_json()
     }
 
     /// Register a performance-critical query whose arms were exhaustively

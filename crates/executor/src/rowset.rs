@@ -25,13 +25,6 @@ impl RowSet {
         RowSet { tables: vec![table], rows: ids }
     }
 
-    /// A row set from an already-flattened row-id buffer (morsel workers
-    /// build raw buffers; the coordinator stitches them in shard order).
-    pub fn from_parts(tables: Vec<usize>, rows: Vec<u32>) -> RowSet {
-        debug_assert!(tables.is_empty() || rows.len() % tables.len() == 0);
-        RowSet { tables, rows }
-    }
-
     /// Append another morsel's flattened rows (must share this schema).
     pub fn extend_raw(&mut self, rows: &[u32]) {
         debug_assert!(self.width() == 0 || rows.len() % self.width() == 0);

@@ -41,28 +41,27 @@ pub trait ValueModel: Send {
     /// Errors if the model has never been fitted.
     fn predict(&self, tree: &FeatTree) -> Result<f64>;
 
-    /// Predict performance for many plan trees at once. The default
-    /// delegates to [`ValueModel::predict`] per tree; batched models
-    /// (TCNN) override this with a single packed forward pass — this is
-    /// the hot path for arm selection, which scores all 49 candidate
-    /// plans per query.
+    /// Predict performance for many plan trees at once — the hot path:
+    /// arm selection scores all 49 candidate plans of a query, and the
+    /// serving layer concatenates many queries' arm families into one
+    /// call, so a tree's prediction must not depend on what it is batched
+    /// with. The default delegates to [`ValueModel::predict`] per tree;
+    /// the TCNN overrides it with its scoring engine.
     fn predict_batch(&self, trees: &[&FeatTree]) -> Result<Vec<f64>> {
         trees.iter().map(|t| self.predict(t)).collect()
     }
 
-    /// Predict performance for a *coalesced* forest — many queries' arm
-    /// families concatenated into one batch by the serving layer. Must
-    /// return exactly what [`ValueModel::predict_batch`] would (the
-    /// serving layer's bit-identity contract rests on it); models with a
-    /// dedicated inference engine (TCNN) override this to score through
-    /// it. The default simply delegates.
+    /// Alias of [`ValueModel::predict_batch`], which is what every
+    /// caller in the workspace uses; kept, and not to be overridden,
+    /// because the frozen `benchmark/` crate still calls it by this name.
     fn predict_batch_coalesced(&self, trees: &[&FeatTree]) -> Result<Vec<f64>> {
         self.predict_batch(trees)
     }
 
-    /// `(trees scored, trees requested)` by the most recent coalesced
-    /// call — serving telemetry exposing the duplicate-elimination rate.
-    /// `None` for models without an engine (or before any coalesced call).
+    /// `(trees scored, trees requested)` by the most recent
+    /// [`ValueModel::predict_batch`] call — telemetry exposing the
+    /// duplicate-elimination rate. `None` for models without a scoring
+    /// engine (or before any call).
     fn coalesce_stats(&self) -> Option<(usize, usize)> {
         None
     }

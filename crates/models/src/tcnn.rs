@@ -22,10 +22,10 @@ pub struct TcnnModel {
     /// Epochs run by the most recent fit (surfaced for the Figure 15c
     /// training-time accounting).
     pub last_epochs: usize,
-    /// Inference arena for the coalesced scoring path. Interior
-    /// mutability keeps [`ValueModel::predict_batch_coalesced`] `&self`
-    /// like every other predict; a poisoned lock (a panic mid-score)
-    /// falls back to the stateless tape path rather than erroring.
+    /// Inference arena every prediction runs in. Interior mutability
+    /// keeps the predict methods `&self`; the arena is pure cache, so a
+    /// poisoned lock (a panic mid-score) scores in a fresh one rather
+    /// than erroring.
     scratch: Mutex<ScoreScratch>,
 }
 
@@ -113,35 +113,23 @@ impl ValueModel for TcnnModel {
         self.norm = Some(norm);
     }
 
+    /// A batch of one: same engine, same bits as inside any batch.
     fn predict(&self, tree: &FeatTree) -> Result<f64> {
-        let (net, norm) = match (&self.net, &self.norm) {
-            (Some(n), Some(m)) => (n, m),
-            _ => return Err(BaoError::ModelNotFitted),
-        };
-        Ok(norm.inverse(net.predict(tree) as f64))
+        Ok(self.predict_batch(&[tree])?[0])
     }
 
+    /// Every TCNN prediction: the tape-free scorer (`bao_nn::infer`),
+    /// fused kernels, persistent scratch, duplicate plans scored once. A
+    /// tree's score does not depend on what it is batched with, which is
+    /// what lets the serving layer coalesce queries into one call.
     fn predict_batch(&self, trees: &[&FeatTree]) -> Result<Vec<f64>> {
         let (net, norm) = match (&self.net, &self.norm) {
             (Some(n), Some(m)) => (n, m),
             _ => return Err(BaoError::ModelNotFitted),
         };
-        Ok(net.predict_batch(trees).into_iter().map(|p| norm.inverse(p as f64)).collect())
-    }
-
-    /// Coalesced scoring through the tape-free inference engine
-    /// (`bao_nn::infer`): fused kernels, persistent scratch, duplicate
-    /// plans scored once. Bitwise identical to [`TcnnModel::predict_batch`]
-    /// per tree (the engine's contract), so callers may mix the two paths
-    /// freely without breaking serving determinism.
-    fn predict_batch_coalesced(&self, trees: &[&FeatTree]) -> Result<Vec<f64>> {
-        let (net, norm) = match (&self.net, &self.norm) {
-            (Some(n), Some(m)) => (n, m),
-            _ => return Err(BaoError::ModelNotFitted),
-        };
         let preds = match self.scratch.lock() {
-            Ok(mut s) => net.predict_trees_scratch(trees, &mut s),
-            Err(_) => net.predict_batch(trees),
+            Ok(mut s) => net.score(trees, &mut s),
+            Err(_) => net.score(trees, &mut ScoreScratch::new()),
         };
         Ok(preds.into_iter().map(|p| norm.inverse(p as f64)).collect())
     }
@@ -241,8 +229,7 @@ mod tests {
         assert_eq!(batch.len(), trees.len());
         for (t, &pb) in trees.iter().zip(batch.iter()) {
             let p = m.predict(t).unwrap();
-            let denom = p.abs().max(1.0);
-            assert!((p - pb).abs() / denom < 1e-5, "batch {pb} vs scalar {p}");
+            assert_eq!(p.to_bits(), pb.to_bits(), "batch {pb} vs batch of one {p}");
         }
     }
 

@@ -1,71 +1,64 @@
-//! Tape-free inference over forests of feature trees — the scoring
-//! engine behind the serving layer's cross-query coalesced waves.
+//! The scorer: the one way to get a prediction out of a [`TreeCnn`].
 //!
-//! [`TreeCnn::predict_batch`] shares its forward pass with training:
-//! the trees are first *packed* (every feature row copied into one
-//! node-major buffer, child indices rebased), then every layer
-//! materializes a full-batch activation plus the layer-norm caches
-//! (`xhat`, `inv_std`) into a `BatchTape`, and ReLU allocates a fresh
-//! buffer so the output can double as the backward mask. For one query's
-//! 49-arm batch that working set is cache-resident and the overhead is
-//! noise. A serving wave coalesces many queries (8 × 49 arms ≈ 400
-//! trees, ~10k nodes): the same forward pass then copies megabytes in
-//! the pack and streams ~4 full-size buffers per layer through memory —
-//! measurably *slower* per tree than scoring the queries one by one.
+//! The crate has three forward passes, one per role:
 //!
-//! [`ScoreScratch`] + [`TreeCnn::predict_trees_scratch`] fix this
-//! structurally:
+//! * [`TreeCnn::score`] (this module) — every prediction any product
+//!   crate makes: arm selection, coalesced serving waves, the
+//!   critical-group check, the learned baselines, a single-tree
+//!   `predict` (a forest of one);
+//! * the batched forward in `net.rs` — training and MC-dropout sampling,
+//!   which need the activations (or live dropout masks) the scorer
+//!   throws away;
+//! * the scalar forward in `net.rs` — the per-node reference
+//!   implementation the tests compare the other two against.
+//!
+//! **Numerics contract.** A score is a function of the weights and the
+//! tree alone: every dense product, convolutions and fully connected
+//! head alike, runs [`axpy_row`] on one row at a time — ascending-`k`
+//! accumulation, zero inputs skipped — and layer norm and pooling are
+//! per node and per tree. Nothing depends on how many trees or node
+//! rows a call carries, so a tree scores to the same bits alone, after
+//! dedup, or inside a coalesced wave of hundreds: that is what makes
+//! cross-query coalescing and duplicate scattering legal. The batched
+//! training forward takes the same `axpy_row` order whenever a GEMM
+//! clears its small-batch threshold (see `Param::matmul_add`), so for a
+//! forest of four or more trees `score` also equals that pass bit for
+//! bit; below it the training forward switches to `matvec_add` (its
+//! rounding is pinned by `tests/train_golden.rs`) and the two agree to
+//! ~1e-6 relative, as both do with the scalar reference.
+//!
+//! **Why it is fast.** Scoring keeps nothing for backward, so it does
+//! not pay for a tape:
 //!
 //! * **no pack** — trees are scored straight out of their own feature
 //!   buffers; child indices are tree-local already, so nothing is copied
 //!   or rebased;
-//! * **no tape** — inference keeps nothing for backward: each
-//!   convolution layer is fully fused per node (bias, the three conv
-//!   axpy groups, layer norm, ReLU — the row never leaves registers
-//!   between them), so a layer writes one buffer once instead of four;
-//! * **per-tree execution** — conv layers and pooling run tree by tree
-//!   in a ping-pong scratch arena sized to the largest tree: the working
-//!   set is cache-resident at any wave size, which is what makes
-//!   coalescing *scale* instead of thrashing;
-//! * **amortized weights** — the GEMM weight transposes are built once
-//!   per call and reused across every tree (and the arena persists
-//!   across calls: the serving layer scores all its waves through one
-//!   scratch).
-//!
-//! On top of the fused kernels the engine exploits a structural property
-//! of Bao's workload: **arm families alias heavily**. Many hint sets do
-//! not change the optimizer's chosen plan (the paper leans on this when
-//! it dedups hinted plans before execution), so a 49-arm family typically
-//! contains only a handful of *distinct* plan trees — and a coalesced
-//! wave concentrates even more duplicates. [`TreeCnn::predict_trees_scratch`]
-//! therefore dedups the forest by exact bitwise equality (features, child
-//! indices), scores each distinct tree once, and scatters the score to
-//! every duplicate. This is where the coalesced path's speedup is
-//! *algorithmic* rather than micro-architectural: work scales with
-//! distinct plans, not arms.
-//!
-//! Results are **bitwise identical** to [`TreeCnn::predict_batch`]: the
-//! per-node accumulation order of the batched GEMM kernels is replicated
-//! exactly (transposed-axpy in ascending-`k` order, zero inputs skipped,
-//! self/left/right group order preserved), layer norm and pooling are
-//! per-node/per-tree in the same order, and the fully connected head
-//! runs as one un-chunked GEMM over the whole forest exactly like the
-//! tape path. Together with the batch-composition invariance of those
-//! kernels (each tree's prediction depends only on its own nodes), this
-//! is what makes both cross-query coalescing and duplicate scattering
-//! legal: a tree's score does not depend on its batch neighbours, so a
-//! wave scores every plan to the same bits the serial per-query path
-//! would have produced. Dedup preserves the bits because identical
-//! inputs through a deterministic per-tree pipeline give identical
-//! outputs, and it is only applied while the fully connected head stays
-//! on the same (GEMM vs small-batch) branch it would take undeduped.
+//! * **fused layers** — each convolution layer runs per node as bias,
+//!   the three conv axpy groups, layer norm, ReLU, with the row staying
+//!   in registers between them: one buffer write per layer where a taped
+//!   pass writes four;
+//! * **per-tree execution** — a tree runs start to finish (three conv
+//!   layers, pooling, the FC head) in a ping-pong arena sized to the
+//!   largest tree, so the working set is cache-resident at any forest
+//!   size and coalescing scales instead of thrashing;
+//! * **amortized weights** — the weight transposes are built once per
+//!   call and reused across every tree, and the arena persists across
+//!   calls (a model scores everything through one [`ScoreScratch`]);
+//! * **dedup** — arm families alias heavily: many hint sets do not
+//!   change the optimizer's chosen plan (the paper leans on this when it
+//!   dedups hinted plans before execution), so a 49-arm family typically
+//!   holds a handful of *distinct* plan trees and a coalesced wave
+//!   concentrates even more duplicates. The forest is deduplicated by
+//!   exact bitwise equality (features, child indices), each distinct
+//!   tree is scored once, and the score is scattered to every duplicate:
+//!   work scales with distinct plans, not arms.
 
 use crate::layers::LN_EPS;
 use crate::net::TreeCnn;
-use crate::param::Param;
+use crate::param::{axpy_row, Param};
 use crate::tree::FeatTree;
 
-/// Reusable inference arena for [`TreeCnn::predict_trees_scratch`].
+/// Reusable inference arena for [`TreeCnn::score`].
 ///
 /// Holds the per-call weight transposes and every intermediate buffer;
 /// all storage is grown on demand and retained across calls, so a
@@ -80,9 +73,9 @@ pub struct ScoreScratch {
     /// Ping-pong node-major activation buffers for the current tree.
     act_a: Vec<f32>,
     act_b: Vec<f32>,
-    /// Pooled per-tree activations (`n_trees × c3`), written per tree.
+    /// The current tree's pooled activations (`c3`) and FC hidden
+    /// activations (`hidden`).
     pooled: Vec<f32>,
-    /// FC hidden activations (`n_trees × hidden`).
     fc1: Vec<f32>,
     /// Trees the last call actually pushed through the network after
     /// duplicate elimination (telemetry for benches and serving reports).
@@ -161,24 +154,6 @@ fn dedup_forest(trees: &[&FeatTree]) -> (Vec<usize>, Vec<usize>) {
     (distinct, remap)
 }
 
-/// `y += wtᵀ-weighted x` for one node row: the inner axpy of
-/// [`Param::matmul_add`]'s GEMM branch — ascending-`k`, zero inputs
-/// skipped — so accumulation order (and therefore every bit) matches the
-/// batched kernels.
-#[inline]
-fn axpy_row(yi: &mut [f32], xi: &[f32], wt: &[f32]) {
-    let rows = yi.len();
-    for (k, &xv) in xi.iter().enumerate() {
-        if xv == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero sparsity skip
-            continue;
-        }
-        let wk = &wt[k * rows..(k + 1) * rows];
-        for (yv, &wv) in yi.iter_mut().zip(wk.iter()) {
-            *yv += xv * wv;
-        }
-    }
-}
-
 /// Layer norm + ReLU on one node row, in place. Bitwise identical to
 /// `layer_norm_forward` followed by `relu_forward`: same mean/variance
 /// reductions, same `gamma * xhat + beta` then `max(_, 0.0)` per element.
@@ -195,46 +170,23 @@ fn ln_relu_row(gamma: &Param, beta: &Param, yi: &mut [f32]) {
 }
 
 impl TreeCnn {
-    /// Score a forest through the pack-free, tape-free inference path,
-    /// with duplicate plan trees scored once and their result scattered.
-    /// Returns per-tree predictions bitwise identical to
-    /// [`TreeCnn::predict_batch`] — see the module docs for why.
-    pub fn predict_trees_scratch(&self, trees: &[&FeatTree], s: &mut ScoreScratch) -> Vec<f32> {
+    /// Predict every tree of a forest: duplicates are scored once and
+    /// their result scattered, each distinct tree runs the fused
+    /// per-tree forward pass. A tree's score depends only on the weights
+    /// and the tree — see the module docs for the contract.
+    pub fn score(&self, trees: &[&FeatTree], s: &mut ScoreScratch) -> Vec<f32> {
+        let (distinct, remap) = dedup_forest(trees);
         s.last_requested = trees.len();
-        s.last_scored = trees.len();
-        if trees.len() >= 2 {
-            let (distinct, remap) = dedup_forest(trees);
-            // Dedup only while the FC head keeps its GEMM branch: below
-            // MATMUL_MIN_BATCH rows the reference kernels switch to the
-            // matvec fallback, whose rounding the undeduped batch would
-            // not see. (A real arm family always clears the threshold.)
-            if distinct.len() < trees.len() && distinct.len() >= Param::MATMUL_MIN_BATCH {
-                let uniq: Vec<&FeatTree> = distinct.iter().map(|&i| trees[i]).collect();
-                let scores = self.score_forest(&uniq, s);
-                s.last_requested = trees.len();
-                s.last_scored = uniq.len();
-                return remap.into_iter().map(|d| scores[d]).collect();
-            }
-        }
-        self.score_forest(trees, s)
+        s.last_scored = distinct.len();
+        let uniq: Vec<&FeatTree> = distinct.iter().map(|&i| trees[i]).collect();
+        let scores = self.score_forest(&uniq, s);
+        remap.into_iter().map(|d| scores[d]).collect()
     }
 
-    /// The fused forward pass over a forest, every tree scored
-    /// individually (no dedup). Callers guarantee nothing about
-    /// duplicates; bit-identity to the tape path holds per tree.
+    /// The fused forward pass, one tree at a time (no dedup).
     fn score_forest(&self, trees: &[&FeatTree], s: &mut ScoreScratch) -> Vec<f32> {
-        let n_trees = trees.len();
-        if n_trees == 0 {
-            return Vec::new();
-        }
-        let total: usize = trees.iter().map(|t| t.n_nodes()).sum();
-        if total < Param::MATMUL_MIN_BATCH {
-            // The tape path's GEMMs fall back to per-node matvec below
-            // this; delegate so the fallback rounding stays the reference.
-            return self.predict_batch(trees);
-        }
         let in_c = self.cfg.input_dim;
-        let channels = [self.cfg.channels[0], self.cfg.channels[1], self.cfg.channels[2]];
+        let channels = self.cfg.channels;
         let c3 = channels[2];
 
         // Weight transposes: once per call, shared by every tree.
@@ -246,12 +198,12 @@ impl TreeCnn {
         }
         self.fc1_w.transpose_into(&mut s.wt_fc1);
         self.fc2_w.transpose_into(&mut s.wt_fc2);
+        s.pooled.resize(c3, 0.0);
+        s.fc1.resize(self.fc1_w.rows, 0.0);
 
-        s.pooled.clear();
-        s.pooled.resize(n_trees * c3, f32::NEG_INFINITY);
-
-        let max_c = channels[0].max(channels[1]).max(channels[2]);
-        for (t, tree) in trees.iter().enumerate() {
+        let max_c = channels[0].max(channels[1]).max(c3);
+        let mut out = Vec::with_capacity(trees.len());
+        for tree in trees {
             debug_assert_eq!(tree.feat_dim, in_c, "feature dim mismatch");
             let n = tree.n_nodes();
             if s.act_a.len() < n * max_c {
@@ -268,11 +220,9 @@ impl TreeCnn {
                 let (gamma, beta) = (&self.ln[k].gamma, &self.ln[k].beta);
                 let bias = &self.conv[k].bias.w;
                 // Whole layer fused per node: bias, the three conv axpy
-                // groups (self, left child, right child — in the batched
-                // kernels' call order, so accumulation per output element
-                // is bit-identical), then layer norm + ReLU on the row
-                // while it is still register-hot. One write per buffer
-                // per layer instead of four.
+                // groups in the fixed order self, left child, right
+                // child, then layer norm + ReLU on the row while it is
+                // still register-hot.
                 for i in 0..n {
                     let yi = &mut dst[i * out_c..(i + 1) * out_c];
                     yi.copy_from_slice(bias);
@@ -291,37 +241,26 @@ impl TreeCnn {
                 }
                 std::mem::swap(&mut src, &mut dst);
             }
-            // `src` holds the tree's final conv activations; pool in
-            // ascending node order (same comparisons as
-            // `dyn_pool_forward_batch`).
-            let yt = &mut s.pooled[t * c3..(t + 1) * c3];
-            for i in 0..n {
-                let row = &src[i * c3..(i + 1) * c3];
-                for (yv, &v) in yt.iter_mut().zip(row.iter()) {
+            // `src` holds the tree's final conv activations: dynamic
+            // pooling is the per-channel max over its nodes.
+            s.pooled.fill(f32::NEG_INFINITY);
+            for row in src[..n * c3].chunks_exact(c3) {
+                for (yv, &v) in s.pooled.iter_mut().zip(row.iter()) {
                     if v > *yv {
                         *yv = v;
                     }
                 }
             }
+            // FC head, per tree like everything above it.
+            s.fc1.copy_from_slice(&self.fc1_b.w);
+            axpy_row(&mut s.fc1, &s.pooled, &s.wt_fc1);
+            for v in s.fc1.iter_mut() {
+                *v = v.max(0.0);
+            }
+            let mut y = [self.fc2_b.w[0]];
+            axpy_row(&mut y, &s.fc1, &s.wt_fc2);
+            out.push(y[0]);
         }
-
-        // FC head over the full forest in one GEMM, exactly like the tape
-        // path (never per-tree: a short batch must not flip the GEMM's
-        // small-batch fallback).
-        let hidden = self.fc1_w.rows;
-        if s.fc1.len() < n_trees * hidden {
-            s.fc1.resize(n_trees * hidden, 0.0);
-        }
-        let fc1 = &mut s.fc1[..n_trees * hidden];
-        for yi in fc1.chunks_exact_mut(hidden) {
-            yi.copy_from_slice(&self.fc1_b.w);
-        }
-        self.fc1_w.matmul_add_pre(&s.wt_fc1, &s.pooled, fc1, n_trees);
-        for v in fc1.iter_mut() {
-            *v = v.max(0.0);
-        }
-        let mut out = vec![self.fc2_b.w[0]; n_trees];
-        self.fc2_w.matmul_add_pre(&s.wt_fc2, fc1, &mut out, n_trees);
         out
     }
 }
@@ -330,10 +269,12 @@ impl TreeCnn {
 mod tests {
     use super::*;
     use crate::net::TcnnConfig;
+    use crate::train::{train, TrainConfig};
+    use crate::tree::TreeBatch;
     use bao_common::{rng_from_seed, Rng};
 
-    /// Random plan-like tree: a left-leaning binary spine with random
-    /// features, `depth` internal nodes.
+    /// Random plan-like tree: a complete-ish binary tree of `2 * depth + 1`
+    /// nodes with random features (`depth` 0 is a single leaf).
     fn random_tree(dim: usize, depth: usize, rng: &mut impl Rng) -> FeatTree {
         let n = 2 * depth + 1;
         let mut nodes = Vec::new();
@@ -356,132 +297,115 @@ mod tests {
         FeatTree::new(dim, nodes, left, right)
     }
 
+    /// Trees of 1, 3, 5, .. 19 nodes in rotation.
     fn random_forest(dim: usize, count: usize, seed: u64) -> Vec<FeatTree> {
         let mut rng = rng_from_seed(seed);
-        (0..count).map(|i| random_tree(dim, 1 + (i % 9), &mut rng)).collect()
+        (0..count).map(|i| random_tree(dim, i % 10, &mut rng)).collect()
     }
 
-    /// The whole contract: the scratch path returns the same bits as the
-    /// tape path, for forest sizes spanning one tree to many queries'
+    /// A net a few Adam steps from initialization. A fresh net's biases
+    /// are all 0.0, where accumulation orders that differ in general
+    /// happen to coincide — bit-level tests on it prove nothing.
+    fn trained_net(dim: usize, seed: u64) -> TreeCnn {
+        let trees = random_forest(dim, 40, seed ^ 0x7EA);
+        let ys: Vec<f32> = (0..trees.len()).map(|i| (i % 7) as f32 * 0.4 - 1.0).collect();
+        let mut net = TreeCnn::new(TcnnConfig::tiny(dim), seed);
+        train(&mut net, &trees, &ys, &TrainConfig { max_epochs: 3, ..TrainConfig::default() });
+        assert!(net.fc1_b.w.iter().any(|&b| b != 0.0) && net.conv[0].bias.w.iter().any(|&b| b != 0.0));
+        net
+    }
+
+    /// The batched training forward, dropout off: the pass `score` must
+    /// equal bit for bit on forests of four or more trees.
+    fn tape(net: &TreeCnn, trees: &[&FeatTree]) -> Vec<f32> {
+        net.forward_batch(&TreeBatch::pack(trees.iter().copied())).0
+    }
+
+    fn assert_same_bits(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}, tree {i}: {x} vs {y}");
+        }
+    }
+
+    /// The scorer returns the same bits as the batched training forward,
+    /// from the smallest forest that pass runs as GEMMs to many queries'
     /// worth.
     #[test]
     fn scratch_path_is_bitwise_identical_to_tape_path() {
         let dim = 11;
-        let net = TreeCnn::new(TcnnConfig::tiny(dim), 42);
+        let net = trained_net(dim, 42);
         let mut s = ScoreScratch::new();
-        for count in [1usize, 3, 7, 49, 130] {
+        for count in [4usize, 7, 49, 130] {
             let trees = random_forest(dim, count, 0xBA0 + count as u64);
             let refs: Vec<&FeatTree> = trees.iter().collect();
-            let tape = net.predict_batch(&refs);
-            let fast = net.predict_trees_scratch(&refs, &mut s);
-            assert_eq!(tape.len(), fast.len());
-            for (i, (a, b)) in tape.iter().zip(fast.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "tree {i}/{count}: tape {a} vs scratch {b}"
-                );
-            }
+            assert_same_bits(&tape(&net, &refs), &net.score(&refs, &mut s), &format!("{count} trees"));
         }
     }
 
-    /// Batch composition must not leak between trees: a tree scored alone
-    /// and scored inside a coalesced forest yields identical bits (the
-    /// invariant cross-query coalescing rests on). Trees below
-    /// `MATMUL_MIN_BATCH` nodes are excluded when scored *alone*: there
-    /// the reference kernels themselves switch to the small-batch matvec
-    /// fallback (a different, equally deterministic rounding order) — a
-    /// regime serving never sees, since every wave scores a full arm
-    /// family.
+    /// The contract cross-query coalescing rests on: a tree — a 1-node
+    /// leaf as much as a 19-node plan — scores to the same bits alone, in
+    /// a forest of two, and inside a 60-tree forest.
     #[test]
     fn forest_composition_never_changes_a_tree() {
         let dim = 9;
-        let net = TreeCnn::new(TcnnConfig::tiny(dim), 7);
+        let net = trained_net(dim, 7);
         let trees = random_forest(dim, 60, 99);
         let refs: Vec<&FeatTree> = trees.iter().collect();
         let mut s = ScoreScratch::new();
-        let together = net.predict_trees_scratch(&refs, &mut s);
-        let mut checked = 0;
+        let together = net.score(&refs, &mut s);
         for (i, t) in trees.iter().enumerate() {
-            if t.n_nodes() < Param::MATMUL_MIN_BATCH {
-                continue;
-            }
-            let alone = net.predict_trees_scratch(&[t], &mut s);
-            assert_eq!(together[i].to_bits(), alone[0].to_bits(), "tree {i}");
-            checked += 1;
+            let alone = net.score(&[t], &mut s);
+            let paired = net.score(&[t, &trees[(i + 1) % trees.len()]], &mut s);
+            assert_eq!(together[i].to_bits(), alone[0].to_bits(), "tree {i} alone");
+            assert_eq!(together[i].to_bits(), paired[0].to_bits(), "tree {i} in a pair");
         }
-        assert!(checked > 40, "fixture should exercise mostly GEMM-branch trees");
     }
 
     /// Scratch reuse across calls (the serving pattern) stays identical
-    /// to fresh-scratch calls and to the tape path.
+    /// to the batched training forward, which keeps no state.
     #[test]
     fn scratch_reuse_across_calls_is_clean() {
         let dim = 8;
-        let net = TreeCnn::new(TcnnConfig::tiny(dim), 3);
+        let net = trained_net(dim, 3);
         let mut s = ScoreScratch::new();
         for round in 0..4u64 {
             let trees = random_forest(dim, 25 + round as usize * 10, round);
             let refs: Vec<&FeatTree> = trees.iter().collect();
-            let tape = net.predict_batch(&refs);
-            let fast = net.predict_trees_scratch(&refs, &mut s);
-            for (a, b) in tape.iter().zip(fast.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "round {round}");
-            }
+            assert_same_bits(&tape(&net, &refs), &net.score(&refs, &mut s), &format!("round {round}"));
         }
     }
 
     /// Arm families alias to few distinct plans; the engine must score
     /// the duplicates once, scatter exactly, and stay bit-identical to
-    /// the tape path scoring every copy.
+    /// the batched training forward scoring every copy.
     #[test]
     fn duplicate_heavy_forest_dedups_and_matches_tape_path() {
         let dim = 10;
-        let net = TreeCnn::new(TcnnConfig::tiny(dim), 21);
+        let net = trained_net(dim, 21);
         let base = random_forest(dim, 9, 1234);
         // 63 trees referencing only 9 distinct plans, interleaved the way
         // a coalesced wave of aliasing arm families would be.
         let refs: Vec<&FeatTree> = (0..63).map(|i| &base[(i * 4) % 9]).collect();
         let mut s = ScoreScratch::new();
-        let tape = net.predict_batch(&refs);
-        let fast = net.predict_trees_scratch(&refs, &mut s);
+        let fast = net.score(&refs, &mut s);
         assert_eq!(s.last_requested, 63);
         assert_eq!(s.last_scored, 9, "nine distinct plans must be scored once each");
-        for (i, (a, b)) in tape.iter().zip(fast.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "tree {i}: tape {a} vs dedup {b}");
-        }
+        assert_same_bits(&tape(&net, &refs), &fast, "dedup");
     }
 
-    /// When deduplication would drop the fully connected head below the
-    /// GEMM's small-batch threshold, the engine scores the full forest
-    /// instead — the branch the undeduped reference takes must never
-    /// silently change.
+    /// Dedup has no threshold: a forest that collapses to two distinct
+    /// trees is scored as two, each to the bits it gets alone.
     #[test]
-    fn dedup_below_gemm_threshold_scores_full_forest() {
+    fn two_distinct_trees_are_scored_as_two() {
         let dim = 7;
-        let net = TreeCnn::new(TcnnConfig::tiny(dim), 13);
+        let net = trained_net(dim, 13);
         let base = random_forest(dim, 2, 77);
         let refs: Vec<&FeatTree> = (0..12).map(|i| &base[i % 2]).collect();
         let mut s = ScoreScratch::new();
-        let tape = net.predict_batch(&refs);
-        let fast = net.predict_trees_scratch(&refs, &mut s);
-        assert_eq!(s.last_scored, 12, "2 distinct < MATMUL_MIN_BATCH: no dedup");
-        for (a, b) in tape.iter().zip(fast.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// A forest below the GEMM's small-batch threshold delegates to the
-    /// tape path (identical by construction) instead of diverging.
-    #[test]
-    fn tiny_batch_matches_tape_fallback() {
-        let dim = 6;
-        let net = TreeCnn::new(TcnnConfig::tiny(dim), 11);
-        let mut rng = rng_from_seed(5);
-        let t = random_tree(dim, 1, &mut rng); // 3 nodes < MATMUL_MIN_BATCH
-        let mut s = ScoreScratch::new();
-        let tape = net.predict_batch(&[&t]);
-        let fast = net.predict_trees_scratch(&[&t], &mut s);
-        assert_eq!(tape[0].to_bits(), fast[0].to_bits());
+        let fast = net.score(&refs, &mut s);
+        assert_eq!((s.last_scored, s.last_requested), (2, 12));
+        let alone: Vec<f32> = refs.iter().map(|&t| net.score(&[t], &mut s)[0]).collect();
+        assert_same_bits(&alone, &fast, "scatter");
     }
 }

@@ -5,21 +5,20 @@
 //! owns every cached activation explicitly — no hidden state, which makes
 //! the finite-difference gradient check in `net.rs` meaningful.
 //!
-//! Two generations coexist:
+//! Two sets coexist (scoring has its own fused kernels in `infer.rs`):
 //!
-//! * the original per-node kernels (`tree_conv_forward`, `linear_forward`,
-//!   ...) — the scalar reference path, kept for single-tree prediction,
-//!   the finite-difference gradient checks, and as the baseline the
-//!   batched path is benchmarked and equivalence-tested against;
-//! * `*_batch` kernels — the hot path. They run over a packed multi-tree
-//!   buffer ([`crate::tree::TreeBatch`]) and route every dense product
-//!   through the blocked GEMMs in [`Param`] (`matmul_add` and friends),
+//! * the per-node kernels (`tree_conv_forward`, `linear_forward`, ...) —
+//!   the scalar reference, kept for the finite-difference gradient
+//!   checks and as what the tests compare the other passes against;
+//! * `*_batch` kernels — the training path. They run over a packed
+//!   multi-tree buffer ([`crate::tree::TreeBatch`]) and route every dense
+//!   product through the GEMMs in [`Param`] (`matmul_add` and friends),
 //!   which read child rows through the child index, so no gathered copy
 //!   of a layer's input is ever made.
 //!
 //! Batched results match the reference within float-reassociation noise
-//! (~1e-6 relative), not bit-for-bit: the GEMM's 4-row accumulator blocks
-//! reorder additions.
+//! (~1e-6 relative), not bit-for-bit: the GEMM's transposed axpy order
+//! accumulates differently from a per-row dot product.
 
 use crate::param::Param;
 use bao_common::json::{self, FromJson, Json, ToJson};

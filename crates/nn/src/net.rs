@@ -23,7 +23,7 @@ pub struct TcnnConfig {
     /// Dropout probability applied after each tree-conv block's ReLU
     /// during training. 0.0 (the default and the paper's choice) disables
     /// it; a positive value enables MC-dropout posterior sampling via
-    /// [`TreeCnn::predict_sample`] — the alternative Thompson-sampling
+    /// [`TreeCnn::predict_sample_batch`] — the alternative Thompson-sampling
     /// mechanism the paper cites (Gal & Ghahramani [24], Riquelme et al.
     /// [68]) but passes over in favour of bootstrapping.
     pub dropout: f32,
@@ -218,26 +218,14 @@ impl TreeCnn {
         }
     }
 
-    /// Prediction without gradient bookkeeping (deterministic: dropout is
-    /// disabled at inference, as in standard inverted dropout).
-    pub fn predict(&self, tree: &FeatTree) -> f32 {
-        self.forward_inner(tree, None).0
-    }
-
-    /// One stochastic posterior draw via MC-dropout: dropout masks stay
-    /// active at inference (Gal & Ghahramani). Only meaningful when the
-    /// network was configured (and trained) with `dropout > 0`.
-    pub fn predict_sample(&self, tree: &FeatTree, rng: &mut impl Rng) -> f32 {
-        self.forward_inner(tree, Some(rng as &mut dyn RngCore)).0
-    }
-
     /// Training forward pass (dropout active when configured).
     pub fn forward_train(&self, tree: &FeatTree, rng: &mut impl Rng) -> (f32, Tape) {
         self.forward_inner(tree, Some(rng as &mut dyn RngCore))
     }
 
     /// Forward pass returning the prediction and the tape for `backward`.
-    /// Deterministic (no dropout) — training with dropout goes through
+    /// Deterministic (dropout is disabled at inference, as in standard
+    /// inverted dropout) — training with dropout goes through
     /// [`TreeCnn::forward_train`].
     pub fn forward(&self, tree: &FeatTree) -> (f32, Tape) {
         self.forward_inner(tree, None)
@@ -286,27 +274,17 @@ impl TreeCnn {
     }
 
     // -----------------------------------------------------------------
-    // Batched path: every hot consumer (arm scoring, MC-dropout sampling,
-    // minibatch training) goes through these; the single-tree methods
-    // above remain as the scalar reference implementation.
+    // Batched tape: minibatch training and MC-dropout sampling go through
+    // these because they need activations or live dropout masks. Plain
+    // prediction does not — that is [`TreeCnn::score`] (`infer.rs`) — and
+    // the single-tree methods above are the scalar reference the tests
+    // compare both against.
     // -----------------------------------------------------------------
 
-    /// Score many trees in one packed batch. Equivalent to mapping
-    /// [`TreeCnn::predict`] over `trees` (within ~1e-6 relative float
-    /// noise), but runs every layer as a blocked GEMM over the whole
-    /// batch: one pass per layer, no per-tree allocation or dispatch.
-    pub fn predict_batch(&self, trees: &[&FeatTree]) -> Vec<f32> {
-        self.predict_packed(&TreeBatch::pack(trees.iter().copied()))
-    }
-
-    /// [`TreeCnn::predict_batch`] over an already-packed batch (callers
-    /// that score the same plans repeatedly can amortize the packing).
-    pub fn predict_packed(&self, batch: &TreeBatch) -> Vec<f32> {
-        self.forward_batch_inner(batch, None).0
-    }
-
     /// One stochastic MC-dropout posterior draw for every tree in the
-    /// batch (masks stay active, as in [`TreeCnn::predict_sample`]).
+    /// batch: dropout masks stay active at inference (Gal & Ghahramani).
+    /// Only meaningful when the network was configured (and trained) with
+    /// `dropout > 0`.
     pub fn predict_sample_batch(&self, trees: &[&FeatTree], rng: &mut impl Rng) -> Vec<f32> {
         self.forward_batch_inner(
             &TreeBatch::pack(trees.iter().copied()),
@@ -532,6 +510,7 @@ impl TreeCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::ScoreScratch;
     use bao_common::rng_from_seed;
 
     fn random_tree(rng: &mut impl Rng, dim: usize) -> FeatTree {
@@ -546,9 +525,9 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let tree = random_tree(&mut rng, 3);
         let net = TreeCnn::new(TcnnConfig::tiny(3), 7);
-        assert_eq!(net.predict(&tree), net.predict(&tree));
+        assert_eq!(net.forward(&tree).0, net.forward(&tree).0);
         let other = TreeCnn::new(TcnnConfig::tiny(3), 8);
-        assert_ne!(net.predict(&tree), other.predict(&tree));
+        assert_ne!(net.forward(&tree).0, other.forward(&tree).0);
     }
 
     #[test]
@@ -642,7 +621,7 @@ mod tests {
         restored.reset_scratch();
         let mut rng = rng_from_seed(1);
         let tree = random_tree(&mut rng, 3);
-        assert_eq!(net.predict(&tree), restored.predict(&tree));
+        assert_eq!(net.forward(&tree).0, restored.forward(&tree).0);
     }
 
     #[test]
@@ -650,21 +629,21 @@ mod tests {
         let mut rng = rng_from_seed(6);
         let tree = random_tree(&mut rng, 3);
         let net = TreeCnn::new(TcnnConfig::tiny(3).with_dropout(0.3), 9);
-        // standard predict never applies dropout
-        assert_eq!(net.predict(&tree), net.predict(&tree));
+        // the deterministic forward never applies dropout
+        assert_eq!(net.forward(&tree).0, net.forward(&tree).0);
         // MC samples differ across draws (posterior sampling)...
         let mut r1 = rng_from_seed(1);
         let mut r2 = rng_from_seed(2);
-        let s1 = net.predict_sample(&tree, &mut r1);
-        let s2 = net.predict_sample(&tree, &mut r2);
+        let s1 = net.forward_train(&tree, &mut r1).0;
+        let s2 = net.forward_train(&tree, &mut r2).0;
         assert_ne!(s1, s2);
         // ...but are reproducible per seed
         let mut r1b = rng_from_seed(1);
-        assert_eq!(s1, net.predict_sample(&tree, &mut r1b));
+        assert_eq!(s1, net.forward_train(&tree, &mut r1b).0);
         // zero dropout: sampling equals deterministic prediction
         let plain = TreeCnn::new(TcnnConfig::tiny(3), 9);
         let mut r = rng_from_seed(3);
-        assert_eq!(plain.predict(&tree), plain.predict_sample(&tree, &mut r));
+        assert_eq!(plain.forward(&tree).0, plain.forward_train(&tree, &mut r).0);
     }
 
     #[test]
@@ -726,8 +705,8 @@ mod tests {
     fn handles_single_node_tree() {
         let net = TreeCnn::new(TcnnConfig::tiny(2), 3);
         let tree = FeatTree::leaf(vec![0.5, -0.5]);
-        let v = net.predict(&tree);
-        assert!(v.is_finite());
+        assert!(net.forward(&tree).0.is_finite());
+        assert!(net.score(&[&tree], &mut ScoreScratch::new())[0].is_finite());
     }
 
     /// A varied set of trees (different shapes and sizes) for batch tests.
@@ -748,13 +727,14 @@ mod tests {
         let trees = tree_zoo(&mut rng, 3);
         let net = TreeCnn::new(TcnnConfig::tiny(3), 7);
         let refs: Vec<&FeatTree> = trees.iter().collect();
-        let batch_preds = net.predict_batch(&refs);
+        let mut scratch = ScoreScratch::new();
+        let batch_preds = net.score(&refs, &mut scratch);
         assert_eq!(batch_preds.len(), trees.len());
         for (t, &bp) in trees.iter().zip(batch_preds.iter()) {
-            let sp = net.predict(t);
+            let sp = net.forward(t).0;
             assert!((bp - sp).abs() <= 1e-5 * sp.abs().max(1.0), "{bp} vs {sp}");
         }
-        assert!(net.predict_batch(&[]).is_empty());
+        assert!(net.score(&[], &mut scratch).is_empty());
     }
 
     #[test]
@@ -804,7 +784,7 @@ mod tests {
         // no dropout: sampling equals the deterministic batch prediction
         let plain = TreeCnn::new(TcnnConfig::tiny(3), 9);
         assert_eq!(
-            plain.predict_batch(&refs),
+            plain.forward_batch(&TreeBatch::pack(refs.iter().copied())).0,
             plain.predict_sample_batch(&refs, &mut rng_from_seed(3))
         );
     }

@@ -133,49 +133,30 @@ impl Param {
     /// Batched `Y += X Wᵀ`: `x` is a node-major `n × cols` buffer, `y` a
     /// node-major `n × rows` buffer.
     ///
-    /// This is the forward GEMM of every batched layer. [`Param::matvec_add`]
-    /// is bound by a serial FMA reduction (strict f32 semantics forbid the
-    /// compiler from reassociating one accumulator into SIMD lanes), so the
-    /// batched kernel flips the loop: the weights are transposed once per
-    /// call, and each input element then contributes an *axpy* over the
-    /// output row — independent lanes, which LLVM auto-vectorizes. The
+    /// This is the forward GEMM of the batched training pass.
+    /// [`Param::matvec_add`] is bound by a serial FMA reduction (strict f32
+    /// semantics forbid the compiler from reassociating one accumulator
+    /// into SIMD lanes), so the batched kernel flips the loop: the weights
+    /// are transposed once per call, and each input row then runs
+    /// [`axpy_row`] — independent lanes, which LLVM auto-vectorizes. The
     /// transpose cost amortizes over the whole batch; below
     /// [`Self::MATMUL_MIN_BATCH`] rows the kernel falls back to per-node
-    /// `matvec_add`, where the transpose would dominate. Zero inputs (the
-    /// gathered zero rows of missing children) skip their axpy entirely.
-    /// Accumulation per output element stays in ascending-`k` order, so
-    /// results are deterministic (but not bitwise equal to `matvec_add`,
-    /// whose rounding order differs — equivalence is to ~1e-6 relative).
+    /// `matvec_add`, where the transpose would dominate. The two branches
+    /// round differently (~1e-6 relative), and which one a shard takes is
+    /// part of the trainer's pinned numerics (`tests/train_golden.rs`).
     pub fn matmul_add(&self, x: &[f32], y: &mut [f32], n: usize) {
         let c = self.cols;
         let rows = self.rows;
         debug_assert_eq!(x.len(), n * c);
         debug_assert_eq!(y.len(), n * rows);
+        let rows_in_out = x.chunks_exact(c).zip(y.chunks_exact_mut(rows));
         if n < Self::MATMUL_MIN_BATCH {
-            for i in 0..n {
-                self.matvec_add(&x[i * c..(i + 1) * c], &mut y[i * rows..(i + 1) * rows]);
-            }
+            rows_in_out.for_each(|(xi, yi)| self.matvec_add(xi, yi));
             return;
         }
-        let mut wt = vec![0.0f32; c * rows];
-        for r in 0..rows {
-            for k in 0..c {
-                wt[k * rows + r] = self.w[r * c + k];
-            }
-        }
-        for i in 0..n {
-            let xi = &x[i * c..(i + 1) * c];
-            let yi = &mut y[i * rows..(i + 1) * rows];
-            for (k, &xv) in xi.iter().enumerate() {
-                if xv == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero sparsity skip
-                    continue;
-                }
-                let wk = &wt[k * rows..(k + 1) * rows];
-                for (yv, &wv) in yi.iter_mut().zip(wk.iter()) {
-                    *yv += xv * wv;
-                }
-            }
-        }
+        let mut wt = Vec::new();
+        self.transpose_into(&mut wt);
+        rows_in_out.for_each(|(xi, yi)| axpy_row(yi, xi, &wt));
     }
 
     /// Below this many batch rows, [`Param::matmul_add`]'s weight
@@ -185,55 +166,28 @@ impl Param {
     /// Gathered batched forward: `y[i] += W x[idx[i]]` for every `i` with
     /// `idx[i] >= 0`. The tree convolution's child terms use this instead
     /// of materializing a gathered copy of `x` — missing children (`-1`)
-    /// are skipped without touching memory at all. Same transposed-axpy
-    /// scheme (and the same summation order guarantees) as
+    /// are skipped without touching memory at all. Same two branches as
     /// [`Param::matmul_add`].
     pub fn matmul_gather_add(&self, x: &[f32], idx: &[i32], y: &mut [f32]) {
         let c = self.cols;
         let rows = self.rows;
         let n = idx.len();
         debug_assert_eq!(y.len(), n * rows);
+        let rows_in_out = idx.iter().zip(y.chunks_exact_mut(rows)).filter_map(|(&j, yi)| {
+            (j >= 0).then(|| (&x[j as usize * c..(j as usize + 1) * c], yi))
+        });
         if n < Self::MATMUL_MIN_BATCH {
-            for (i, &j) in idx.iter().enumerate() {
-                if j >= 0 {
-                    let j = j as usize;
-                    self.matvec_add(
-                        &x[j * c..(j + 1) * c],
-                        &mut y[i * rows..(i + 1) * rows],
-                    );
-                }
-            }
+            rows_in_out.for_each(|(xj, yi)| self.matvec_add(xj, yi));
             return;
         }
-        let mut wt = vec![0.0f32; c * rows];
-        for r in 0..rows {
-            for k in 0..c {
-                wt[k * rows + r] = self.w[r * c + k];
-            }
-        }
-        for (i, &j) in idx.iter().enumerate() {
-            if j < 0 {
-                continue;
-            }
-            let j = j as usize;
-            let xj = &x[j * c..(j + 1) * c];
-            let yi = &mut y[i * rows..(i + 1) * rows];
-            for (k, &xv) in xj.iter().enumerate() {
-                if xv == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero sparsity skip
-                    continue;
-                }
-                let wk = &wt[k * rows..(k + 1) * rows];
-                for (yv, &wv) in yi.iter_mut().zip(wk.iter()) {
-                    *yv += xv * wv;
-                }
-            }
-        }
+        let mut wt = Vec::new();
+        self.transpose_into(&mut wt);
+        rows_in_out.for_each(|(xj, yi)| axpy_row(yi, xj, &wt));
     }
 
-    /// Write this parameter's column-major transpose into `wt` (resized
-    /// to `cols × rows`). Callers that run [`Param::matmul_add_pre`] /
-    /// [`Param::matmul_gather_add_pre`] over many chunks of one batch
-    /// transpose once here instead of once per GEMM call.
+    /// Write this parameter's transpose into `wt` (resized to
+    /// `cols × rows`), the layout [`axpy_row`] reads. The scoring engine
+    /// transposes once per call here and reuses it across every tree.
     pub fn transpose_into(&self, wt: &mut Vec<f32>) {
         let (c, rows) = (self.cols, self.rows);
         wt.clear();
@@ -241,77 +195,6 @@ impl Param {
         for r in 0..rows {
             for k in 0..c {
                 wt[k * rows + r] = self.w[r * c + k];
-            }
-        }
-    }
-
-    /// [`Param::matmul_add`] with a caller-provided transpose (from
-    /// [`Param::transpose_into`]). Bitwise identical to `matmul_add` for
-    /// every `n`, including the small-batch `matvec_add` fallback — the
-    /// transpose only changes *who* pays for it, never the accumulation
-    /// order.
-    pub fn matmul_add_pre(&self, wt: &[f32], x: &[f32], y: &mut [f32], n: usize) {
-        let c = self.cols;
-        let rows = self.rows;
-        debug_assert_eq!(wt.len(), c * rows);
-        debug_assert_eq!(x.len(), n * c);
-        debug_assert_eq!(y.len(), n * rows);
-        if n < Self::MATMUL_MIN_BATCH {
-            for i in 0..n {
-                self.matvec_add(&x[i * c..(i + 1) * c], &mut y[i * rows..(i + 1) * rows]);
-            }
-            return;
-        }
-        for i in 0..n {
-            let xi = &x[i * c..(i + 1) * c];
-            let yi = &mut y[i * rows..(i + 1) * rows];
-            for (k, &xv) in xi.iter().enumerate() {
-                if xv == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero sparsity skip
-                    continue;
-                }
-                let wk = &wt[k * rows..(k + 1) * rows];
-                for (yv, &wv) in yi.iter_mut().zip(wk.iter()) {
-                    *yv += xv * wv;
-                }
-            }
-        }
-    }
-
-    /// [`Param::matmul_gather_add`] with a caller-provided transpose;
-    /// same bitwise-identity guarantee as [`Param::matmul_add_pre`].
-    pub fn matmul_gather_add_pre(&self, wt: &[f32], x: &[f32], idx: &[i32], y: &mut [f32]) {
-        let c = self.cols;
-        let rows = self.rows;
-        let n = idx.len();
-        debug_assert_eq!(wt.len(), c * rows);
-        debug_assert_eq!(y.len(), n * rows);
-        if n < Self::MATMUL_MIN_BATCH {
-            for (i, &j) in idx.iter().enumerate() {
-                if j >= 0 {
-                    let j = j as usize;
-                    self.matvec_add(
-                        &x[j * c..(j + 1) * c],
-                        &mut y[i * rows..(i + 1) * rows],
-                    );
-                }
-            }
-            return;
-        }
-        for (i, &j) in idx.iter().enumerate() {
-            if j < 0 {
-                continue;
-            }
-            let j = j as usize;
-            let xj = &x[j * c..(j + 1) * c];
-            let yi = &mut y[i * rows..(i + 1) * rows];
-            for (k, &xv) in xj.iter().enumerate() {
-                if xv == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero sparsity skip
-                    continue;
-                }
-                let wk = &wt[k * rows..(k + 1) * rows];
-                for (yv, &wv) in yi.iter_mut().zip(wk.iter()) {
-                    *yv += xv * wv;
-                }
             }
         }
     }
@@ -378,6 +261,26 @@ impl Param {
             }
             let j = j as usize;
             self.grad_outer_add(&dy[i * rows..(i + 1) * rows], &x[j * c..(j + 1) * c]);
+        }
+    }
+}
+
+/// `yi += Wᵀ-weighted xi` for one row, against a transpose from
+/// [`Param::transpose_into`]: each input element contributes an axpy
+/// over the output row, in ascending-`k` order, zero inputs (one-hot
+/// features, ReLU-clamped activations) skipped. The one forward kernel
+/// of the scoring engine and of the batched training pass's GEMM branch,
+/// so the two agree to the bit wherever the latter takes that branch.
+#[inline]
+pub(crate) fn axpy_row(yi: &mut [f32], xi: &[f32], wt: &[f32]) {
+    let rows = yi.len();
+    for (k, &xv) in xi.iter().enumerate() {
+        if xv == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero sparsity skip
+            continue;
+        }
+        let wk = &wt[k * rows..(k + 1) * rows];
+        for (yv, &wv) in yi.iter_mut().zip(wk.iter()) {
+            *yv += xv * wv;
         }
     }
 }

@@ -28,7 +28,7 @@
 //! one shard per minibatch — no thread, channel or lock exists.
 //!
 //! The old one-tree-at-a-time loop survives as [`train_reference`] for
-//! equivalence tests and benchmarks.
+//! equivalence tests.
 
 use crate::adam::{Adam, AdamConfig};
 use crate::net::TreeCnn;
@@ -347,8 +347,8 @@ pub fn train(
 }
 
 /// One-tree-at-a-time trainer: the pre-batching implementation, kept as
-/// the numerical reference for equivalence tests and as the per-tree
-/// baseline in `inference_bench`. Ignores `threads`/`shard_size`.
+/// the numerical reference for equivalence tests (nothing but tests
+/// calls it). Ignores `threads`/`shard_size`.
 pub fn train_reference(
     net: &mut TreeCnn,
     trees: &[FeatTree],
@@ -477,7 +477,7 @@ mod tests {
         let ra = train(&mut a, &trees, &ys, &cfg);
         let rb = train(&mut b, &trees, &ys, &cfg);
         assert_eq!(ra.loss_history, rb.loss_history);
-        assert_eq!(a.predict(&trees[0]), b.predict(&trees[0]));
+        assert_eq!(a.forward(&trees[0]).0, b.forward(&trees[0]).0);
     }
 
     #[test]
@@ -494,7 +494,7 @@ mod tests {
         let ra = train(&mut a, &trees, &ys, &TrainConfig { threads: 1, ..base });
         let rb = train(&mut b, &trees, &ys, &TrainConfig { threads: 4, ..base });
         assert_eq!(ra.loss_history, rb.loss_history, "loss must be thread-count invariant");
-        assert_eq!(a.predict(&trees[0]), b.predict(&trees[0]));
+        assert_eq!(a.forward(&trees[0]).0, b.forward(&trees[0]).0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use bao_core::{Bao, BaoConfig};
 use bao_harness::{
     BaoSettings, ModelKind, RunConfig, ServingConfig, ServingRunner, Strategy,
 };
-use bao_nn::{train, FeatTree, TcnnConfig, TrainConfig, TreeCnn};
+use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeCnn};
 use bao_opt::{HintSet, Optimizer};
 use bao_race::explorer::Explorer;
 use bao_race::report::record_suite;
@@ -102,7 +102,8 @@ fn training_pool_suite() {
             for l in &report.loss_history {
                 bytes.extend_from_slice(&l.to_le_bytes());
             }
-            bytes.extend_from_slice(&net.predict(&trees[0]).to_le_bytes());
+            let score = net.score(&[&trees[0]], &mut ScoreScratch::new())[0];
+            bytes.extend_from_slice(&score.to_le_bytes());
             bytes
         })
         .expect_clean();

@@ -269,11 +269,6 @@ impl Scheduler {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    /// Queries submitted but not yet released.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     fn tenant_ready(&self, t: TenantId, now: SimDuration) -> bool {
         !self.queues[t].is_empty()
             && self.buckets[t].as_ref().map_or(true, |b| b.ready(now))

@@ -194,7 +194,6 @@ pub struct Wal {
     /// Encoded frames awaiting the next [`Wal::commit`].
     pending: Vec<u8>,
     commits_since_sync: u32,
-    total_frames: u64,
 }
 
 impl Wal {
@@ -230,7 +229,6 @@ impl Wal {
             seg_bytes: SEGMENT_HEADER_LEN as u64,
             pending: Vec::new(),
             commits_since_sync: 0,
-            total_frames: 0,
         })
     }
 
@@ -239,7 +237,6 @@ impl Wal {
     /// so all I/O is deferred to [`Wal::commit`].
     pub fn append(&mut self, record: &WalRecord) {
         encode_frame(&record.encode(), &mut self.pending);
-        self.total_frames += 1;
     }
 
     /// Write all pending frames to the current segment (rotating first
@@ -298,16 +295,6 @@ impl Wal {
     /// Index of the segment currently being appended to.
     pub fn segment_index(&self) -> u32 {
         self.seg_index
-    }
-
-    /// Bytes buffered but not yet committed.
-    pub fn bytes_pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Total frames appended over this handle's lifetime.
-    pub fn frames_appended(&self) -> u64 {
-        self.total_frames
     }
 
     /// Scan `dir` for the longest valid frame prefix. Torn and corrupt
@@ -418,7 +405,6 @@ impl Wal {
             seg_bytes: last.end,
             pending: Vec::new(),
             commits_since_sync: 0,
-            total_frames: 0,
         })
     }
 }

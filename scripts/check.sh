@@ -30,7 +30,9 @@
 #                        every boundary) runs when BAO_CRASH_EXHAUSTIVE=1
 #                        is already exported (DESIGN.md §14)
 #   8. code lines      — scripts/loc.sh: product code lines per crate, a
-#                        tracked metric (ROADMAP aim 2); printed, not gated
+#                        tracked metric (ROADMAP aim 2); printed and
+#                        written to results/loc.txt (tracked, so a PR's
+#                        diff shows what it did to the count), not gated
 #
 # Run from anywhere; operates on the repo containing this script.
 set -euo pipefail
@@ -118,7 +120,7 @@ fi
 
 echo
 echo "== product code lines per crate (scripts/loc.sh) =="
-"$repo/scripts/loc.sh"
+"$repo/scripts/loc.sh" | tee "$repo/results/loc.txt"
 
 echo
 echo "all checks passed"

@@ -1,12 +1,13 @@
-//! Equivalence tests for the batched TCNN compute path: the packed
-//! multi-tree kernels must reproduce the per-tree reference path on real
-//! workload plans — scoring within float tolerance, training along the
-//! same loss trajectory, and bit-identically across worker-thread counts.
+//! Equivalence tests for the TCNN's production paths against the scalar
+//! per-tree reference, on real workload plans: the scoring engine within
+//! float tolerance (and to the bit against itself, whatever the batch),
+//! the batched trainer along the same loss trajectory, and bit-identically
+//! across worker-thread counts.
 
 use bao_bench::{build_workload, WorkloadName};
 use bao_core::Featurizer;
 use bao_models::{TcnnModel, ValueModel};
-use bao_nn::{train, train_reference, FeatTree, TcnnConfig, TrainConfig, TreeCnn};
+use bao_nn::{train, train_reference, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeCnn};
 use bao_opt::{HintSet, Optimizer};
 use bao_stats::StatsCatalog;
 
@@ -45,13 +46,13 @@ fn predict_batch_matches_per_tree_on_workload_arms() {
     assert_eq!(trees.len(), 3 * 49);
     let net = TreeCnn::new(TcnnConfig::small(trees[0].feat_dim), 11);
     let refs: Vec<&FeatTree> = trees.iter().collect();
-    let batched = net.predict_batch(&refs);
+    let batched = net.score(&refs, &mut ScoreScratch::new());
     assert_eq!(batched.len(), trees.len());
     for (i, t) in trees.iter().enumerate() {
-        let scalar = net.predict(t) as f64;
+        let scalar = net.forward(t).0 as f64;
         assert!(
             close(batched[i] as f64, scalar, 1e-5),
-            "tree {i}: batched {} vs scalar {scalar}",
+            "tree {i}: engine {} vs scalar reference {scalar}",
             batched[i]
         );
     }
@@ -68,12 +69,9 @@ fn model_predict_batch_matches_per_tree_after_fit() {
     let refs: Vec<&FeatTree> = trees.iter().collect();
     let batched = model.predict_batch(&refs).unwrap();
     for (i, t) in trees.iter().enumerate() {
-        let scalar = model.predict(t).unwrap();
-        assert!(
-            close(batched[i], scalar, 1e-5),
-            "tree {i}: batched {} vs scalar {scalar}",
-            batched[i]
-        );
+        // `predict` is a batch of one: same engine, same bits.
+        let alone = model.predict(t).unwrap();
+        assert_eq!(batched[i].to_bits(), alone.to_bits(), "tree {i}: {} vs {alone}", batched[i]);
     }
 }
 
@@ -123,8 +121,8 @@ fn training_is_thread_count_invariant() {
     assert_eq!(rep1.loss_history, rep4.loss_history, "loss must not depend on thread count");
     for t in &trees {
         assert_eq!(
-            one.predict(t),
-            four.predict(t),
+            one.forward(t).0,
+            four.forward(t).0,
             "weights must be bit-identical across thread counts"
         );
     }

@@ -205,8 +205,8 @@ fn percentile_properties() {
 /// the arrival order of the queries inside a coalescing window never
 /// changes any query's selection. `Bao::evaluate_arms_multi` plans on a
 /// worker pool that re-slots results into (query, arm) order and scores
-/// through a packed forward pass whose kernels are all per-node or
-/// per-tree, so each query's arm choice, predictions, and planning work
+/// through an engine whose kernels are all per-node or per-tree
+/// (`bao_nn::infer`), so each query's arm choice, predictions, and planning work
 /// must be bitwise independent of its batch neighbours.
 #[test]
 fn coalesced_scoring_is_arrival_order_independent() {
