@@ -26,6 +26,7 @@
 use bao_bench::timing::note_headlines;
 use bao_bench::Args;
 use bao_cloud::N1_16;
+use bao_common::pool::resolve_width;
 use bao_core::{Bao, BaoConfig};
 use bao_exec::{execute_with, ExecConfig};
 use bao_opt::{HintSet, Optimizer};
@@ -96,7 +97,7 @@ impl Shell {
                         self.bao.cfg.arms.len(),
                         self.bao.experience_len(),
                         self.bao.retrains(),
-                        self.exec.resolved_workers(),
+                        resolve_width(self.exec.shard_workers),
                     );
                 }
                 _ => println!("meta commands: \\help \\tables \\bao \\timing \\q"),

@@ -23,7 +23,7 @@
 //! (`scripts/check.sh --bench-smoke`), `--quick` shrinks the workload,
 //! `--update-baseline` overwrites recorded values.
 
-use bao_bench::timing::{BaselineStore, Comparison};
+use bao_bench::timing::BaselineStore;
 use bao_bench::{build_workload, print_header, Args, WorkloadName};
 use bao_cache::{CacheStats, PlanCacheConfig};
 use bao_exec::execute;
@@ -44,10 +44,6 @@ const TEMPLATES: usize = 6;
 /// Generated candidates the templates are picked from.
 const CANDIDATES: usize = 24;
 const CONCURRENCY: usize = 8;
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_baselines.json")
-}
 
 /// Tile `TEMPLATES` IMDb queries to `n` steps: the serving traffic shape
 /// the cache is built for — few hot templates, many repeats. Templates
@@ -171,44 +167,13 @@ fn main() {
     // --- Baseline comparison. Both headline metrics are simulated and
     // machine-independent, so both gate; the raw throughputs are
     // workload-shaped and warn-only.
-    let path = baseline_path();
-    let mut store = BaselineStore::load(&path).expect("load baselines");
     let gated = [("cache_hit_rate", hit_rate), ("cache_qps_speedup_c8", speedup)];
     let warned = [
         ("cache_qps_uncached_c8", qps_base),
         ("cache_qps_cached_c8", qps_cached),
     ];
-    println!();
-    let mut regression = false;
-    for (name, value) in gated.iter().chain(warned.iter()) {
-        let is_gated = gated.iter().any(|(g, _)| g == name);
-        match store.compare(name, *value, TOLERANCE) {
-            Comparison::New => {
-                println!("baseline {name}: recorded {value:.3} (new)");
-                store.record(name, *value);
-            }
-            Comparison::Ok { ratio } => {
-                println!("baseline {name}: {value:.3} ({:.0}% of baseline) ok", ratio * 100.0);
-                if update {
-                    store.record(name, *value);
-                }
-            }
-            Comparison::Regressed { ratio } => {
-                println!(
-                    "WARNING: {name} regressed to {value:.3} ({:.0}% of baseline{})",
-                    ratio * 100.0,
-                    if is_gated { ", gated" } else { "" }
-                );
-                if is_gated {
-                    regression = true;
-                }
-                if update {
-                    store.record(name, *value);
-                }
-            }
-        }
-    }
-    store.save().expect("save baselines");
+    let regression =
+        BaselineStore::gate(&BaselineStore::repo_path(), &gated, &warned, TOLERANCE, update);
 
     println!();
     let hit_ok = hit_rate >= MIN_HIT_RATE;

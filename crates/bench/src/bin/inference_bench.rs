@@ -18,6 +18,7 @@
 
 use bao_bench::timing::{note_headlines, Group};
 use bao_bench::{build_workload, print_header, Args, WorkloadName};
+use bao_common::pool::resolve_width;
 use bao_core::Featurizer;
 use bao_nn::{train, FeatTree, TcnnConfig, TrainConfig, TreeCnn};
 use bao_opt::{HintSet, Optimizer};
@@ -59,7 +60,7 @@ fn main() {
     let update = args.has("update-baseline");
     let seed = args.seed();
     let scale = args.scale(if quick { 0.03 } else { 0.06 });
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = resolve_width(0);
 
     // A run is ~10 ms and varies by +-15 % on a shared host: the gate
     // needs a median over more than a handful.

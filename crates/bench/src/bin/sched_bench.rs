@@ -33,7 +33,7 @@
 //! (`scripts/check.sh --bench-smoke`), `--update-baseline` overwrites
 //! recorded values; the run is already short, so `--quick` is a no-op.
 
-use bao_bench::timing::{BaselineStore, Comparison};
+use bao_bench::timing::BaselineStore;
 use bao_bench::{build_workload, print_header, Args, WorkloadName};
 use bao_common::stats::percentile_sorted;
 use bao_common::SimDuration;
@@ -57,10 +57,6 @@ const MAX_OVERHEAD_SKEW: f64 = 1.25;
 /// Index of the heavy bulk tenant in the registry below.
 const HEAVY: usize = 3;
 const SCALE: f64 = 0.02;
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_baselines.json")
-}
 
 /// Three light interactive tenants and one 8x-weighted bulk tenant whose
 /// queue is bounded (the flood below overflows it, exercising shedding).
@@ -221,8 +217,6 @@ fn main() {
     // --- Baseline comparison. Gated: the machine-independent fairness
     // speedup. Warn-only: shed rate, Jain index, absolute waits and
     // throughput (workload-shaped).
-    let path = baseline_path();
-    let mut store = BaselineStore::load(&path).expect("load baselines");
     let gated = [("sched_drr_light_p99_speedup", speedup)];
     let warned = [
         ("sched_fifo_light_p99_wait_ms", fifo_p99),
@@ -231,37 +225,8 @@ fn main() {
         ("sched_drr_jain", drr.sched.jain_fairness),
         ("sched_drr_qps", drr.serving.queries_per_sec()),
     ];
-    println!();
-    let mut regression = false;
-    for (name, value) in gated.iter().chain(warned.iter()) {
-        let is_gated = gated.iter().any(|(g, _)| g == name);
-        match store.compare(name, *value, TOLERANCE) {
-            Comparison::New => {
-                println!("baseline {name}: recorded {value:.3} (new)");
-                store.record(name, *value);
-            }
-            Comparison::Ok { ratio } => {
-                println!("baseline {name}: {value:.3} ({:.0}% of baseline) ok", ratio * 100.0);
-                if update {
-                    store.record(name, *value);
-                }
-            }
-            Comparison::Regressed { ratio } => {
-                println!(
-                    "WARNING: {name} regressed to {value:.3} ({:.0}% of baseline{})",
-                    ratio * 100.0,
-                    if is_gated { ", gated" } else { "" }
-                );
-                if is_gated {
-                    regression = true;
-                }
-                if update {
-                    store.record(name, *value);
-                }
-            }
-        }
-    }
-    store.save().expect("save baselines");
+    let regression =
+        BaselineStore::gate(&BaselineStore::repo_path(), &gated, &warned, TOLERANCE, update);
 
     println!();
     let target_ok = speedup >= MIN_LIGHT_P99_SPEEDUP;

@@ -24,7 +24,7 @@
 //! (`scripts/check.sh --bench-smoke`), `--quick` shrinks sample counts,
 //! `--update-baseline` overwrites recorded values.
 
-use bao_bench::timing::{BaselineStore, Comparison, Group};
+use bao_bench::timing::{BaselineStore, Group};
 use bao_bench::{build_workload, print_header, Args, WorkloadName};
 use bao_core::Featurizer;
 use bao_harness::{BaoSettings, ModelKind, RunConfig, ServingConfig, ServingRunner, Strategy};
@@ -41,10 +41,6 @@ const MIN_COALESCED_SPEEDUP: f64 = 1.0;
 const REPS: usize = 10;
 /// Queries per coalesced wave in the scoring microbenchmark.
 const WAVE: usize = 8;
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_baselines.json")
-}
 
 /// The exact tree sets a serving wave coalesces: every arm of the
 /// 49-family planned and featurized for each of `n_queries` queries.
@@ -165,8 +161,6 @@ fn main() {
     // --- Baseline comparison. Gated: the coalesced-vs-per-family
     // scoring ratio. Warn-only: simulated throughputs (workload-shaped)
     // and the dedup rate (workload-shaped).
-    let path = baseline_path();
-    let mut store = BaselineStore::load(&path).expect("load baselines");
     let gated = [("serving_wave_vs_family_score_c8", speedup)];
     let warned = [
         ("serving_qps_c1", qps[0].1),
@@ -178,37 +172,8 @@ fn main() {
             requested as f64 / coalesced,
         ),
     ];
-    println!();
-    let mut regression = false;
-    for (name, value) in gated.iter().chain(warned.iter()) {
-        let is_gated = gated.iter().any(|(g, _)| g == name);
-        match store.compare(name, *value, TOLERANCE) {
-            Comparison::New => {
-                println!("baseline {name}: recorded {value:.3} (new)");
-                store.record(name, *value);
-            }
-            Comparison::Ok { ratio } => {
-                println!("baseline {name}: {value:.3} ({:.0}% of baseline) ok", ratio * 100.0);
-                if update {
-                    store.record(name, *value);
-                }
-            }
-            Comparison::Regressed { ratio } => {
-                println!(
-                    "WARNING: {name} regressed to {value:.3} ({:.0}% of baseline{})",
-                    ratio * 100.0,
-                    if is_gated { ", gated" } else { "" }
-                );
-                if is_gated {
-                    regression = true;
-                }
-                if update {
-                    store.record(name, *value);
-                }
-            }
-        }
-    }
-    store.save().expect("save baselines");
+    let regression =
+        BaselineStore::gate(&BaselineStore::repo_path(), &gated, &warned, TOLERANCE, update);
 
     println!();
     let target_ok = speedup >= MIN_COALESCED_SPEEDUP;

@@ -21,8 +21,9 @@
 //! (`scripts/check.sh --bench-smoke`), `--quick` shrinks sample counts,
 //! `--update-baseline` overwrites recorded values.
 
-use bao_bench::timing::{BaselineStore, Comparison, Group};
+use bao_bench::timing::{BaselineStore, Group};
 use bao_bench::{build_workload, print_header, Args, WorkloadName};
+use bao_common::pool::resolve_width;
 use bao_exec::{execute_with, ExecConfig};
 use bao_opt::{HintSet, Optimizer, PlanOutput};
 use bao_plan::Query;
@@ -39,10 +40,6 @@ const MIN_SHARD_SPEEDUP: f64 = 1.8;
 const GATE_CORES: usize = 4;
 /// Pool width the gated ratio is measured at.
 const BENCH_WORKERS: usize = 4;
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_baselines.json")
-}
 
 struct BenchSet {
     db: Database,
@@ -105,7 +102,7 @@ fn main() {
     let scale = args.scale(if quick { 0.05 } else { 0.1 });
     let n_queries = if quick { 24 } else { 48 };
     let samples = if quick { 6 } else { 20 };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = resolve_width(0);
     let enforce = cores >= GATE_CORES;
 
     print_header(
@@ -144,8 +141,6 @@ fn main() {
 
     // --- Baseline comparison. The 4-worker speedup is gated only when
     // the host can physically exhibit it; everything else is warn-only.
-    let path = baseline_path();
-    let mut store = BaselineStore::load(&path).expect("load baselines");
     let mut gated: Vec<(&str, f64)> = Vec::new();
     let mut warned: Vec<(&str, f64)> = vec![
         ("shard_speedup_w2", speedup2),
@@ -160,37 +155,8 @@ fn main() {
              (floor {MIN_SHARD_SPEEDUP:.1}x enforced on >= {GATE_CORES}-core hosts)"
         );
     }
-    println!();
-    let mut regression = false;
-    for (name, value) in gated.iter().chain(warned.iter()) {
-        let is_gated = gated.iter().any(|(g, _)| g == name);
-        match store.compare(name, *value, TOLERANCE) {
-            Comparison::New => {
-                println!("baseline {name}: recorded {value:.3} (new)");
-                store.record(name, *value);
-            }
-            Comparison::Ok { ratio } => {
-                println!("baseline {name}: {value:.3} ({:.0}% of baseline) ok", ratio * 100.0);
-                if update {
-                    store.record(name, *value);
-                }
-            }
-            Comparison::Regressed { ratio } => {
-                println!(
-                    "WARNING: {name} regressed to {value:.3} ({:.0}% of baseline{})",
-                    ratio * 100.0,
-                    if is_gated { ", gated" } else { "" }
-                );
-                if is_gated {
-                    regression = true;
-                }
-                if update {
-                    store.record(name, *value);
-                }
-            }
-        }
-    }
-    store.save().expect("save baselines");
+    let regression =
+        BaselineStore::gate(&BaselineStore::repo_path(), &gated, &warned, TOLERANCE, update);
 
     println!();
     let target_ok = !enforce || speedup >= MIN_SHARD_SPEEDUP;

@@ -21,7 +21,7 @@
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use bao_bench::timing::{BaselineStore, Comparison, Group};
+use bao_bench::timing::{BaselineStore, Group};
 use bao_bench::{build_workload, print_header, Args, WorkloadName};
 use bao_harness::{BaoSettings, ModelKind, RunConfig, ServingConfig, ServingRunner, Strategy};
 use bao_storage::Database;
@@ -36,10 +36,6 @@ const MIN_QPS_RATIO: f64 = 0.9;
 const SCALE: f64 = 0.02;
 const N_QUERIES: usize = 36;
 const CONCURRENCY: usize = 8;
-
-fn baseline_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_baselines.json")
-}
 
 fn settings(dir: Option<PathBuf>) -> BaoSettings {
     BaoSettings {
@@ -139,44 +135,13 @@ fn main() {
     // --- Baseline comparison. Gated: the throughput-retention ratio
     // (machine-independent-ish: both sides run on the same box back to
     // back). Warn-only: the machine-dependent recovery scan rate.
-    let path = baseline_path();
-    let mut store = BaselineStore::load(&path).expect("load baselines");
     let gated = [("wal_qps_ratio_c8", qps_ratio)];
     let warned = [
         ("wal_recovery_records_per_sec", records_per_sec),
         ("wal_log_bytes_per_query", bytes as f64 / N_QUERIES as f64),
     ];
-    println!();
-    let mut regression = false;
-    for (name, value) in gated.iter().chain(warned.iter()) {
-        let is_gated = gated.iter().any(|(g, _)| g == name);
-        match store.compare(name, *value, TOLERANCE) {
-            Comparison::New => {
-                println!("baseline {name}: recorded {value:.3} (new)");
-                store.record(name, *value);
-            }
-            Comparison::Ok { ratio } => {
-                println!("baseline {name}: {value:.3} ({:.0}% of baseline) ok", ratio * 100.0);
-                if update {
-                    store.record(name, *value);
-                }
-            }
-            Comparison::Regressed { ratio } => {
-                println!(
-                    "WARNING: {name} regressed to {value:.3} ({:.0}% of baseline{})",
-                    ratio * 100.0,
-                    if is_gated { ", gated" } else { "" }
-                );
-                if is_gated {
-                    regression = true;
-                }
-                if update {
-                    store.record(name, *value);
-                }
-            }
-        }
-    }
-    store.save().expect("save baselines");
+    let regression =
+        BaselineStore::gate(&BaselineStore::repo_path(), &gated, &warned, TOLERANCE, update);
     let _ = std::fs::remove_dir_all(&root);
 
     println!();

@@ -181,8 +181,10 @@ pub struct BaselineStore {
 }
 
 impl BaselineStore {
-    /// Canonical checked-in location, relative to the repo root.
-    pub const DEFAULT_PATH: &'static str = "results/bench_baselines.json";
+    /// The checked-in store, `results/bench_baselines.json`.
+    pub fn repo_path() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_baselines.json")
+    }
 
     /// Load from `path`; a missing file yields an empty store (every
     /// comparison reports [`Comparison::New`]).
@@ -235,6 +237,47 @@ impl BaselineStore {
         }
     }
 
+    /// The gate loop of the `*_bench` binaries: load the store at `path`,
+    /// compare every `gated` and `warned` metric against its baseline at
+    /// `tolerance` (recording metrics seen for the first time, and every
+    /// metric under `update`), print one line per metric, and save.
+    /// Returns whether a gated metric regressed; panics when the store
+    /// cannot be read or written, which fails the bench run.
+    pub fn gate(
+        path: &std::path::Path,
+        gated: &[(&str, f64)],
+        warned: &[(&str, f64)],
+        tolerance: f64,
+        update: bool,
+    ) -> bool {
+        let mut store = BaselineStore::load(path).expect("load baselines");
+        println!();
+        let mut regression = false;
+        for (i, &(name, value)) in gated.iter().chain(warned).enumerate() {
+            let is_gated = i < gated.len();
+            let outcome = store.compare(name, value, tolerance);
+            match outcome {
+                Comparison::New => println!("baseline {name}: recorded {value:.3} (new)"),
+                Comparison::Ok { ratio } => {
+                    println!("baseline {name}: {value:.3} ({:.0}% of baseline) ok", ratio * 100.0);
+                }
+                Comparison::Regressed { ratio } => {
+                    println!(
+                        "WARNING: {name} regressed to {value:.3} ({:.0}% of baseline{})",
+                        ratio * 100.0,
+                        if is_gated { ", gated" } else { "" }
+                    );
+                    regression |= is_gated;
+                }
+            }
+            if update || outcome == Comparison::New {
+                store.record(name, value);
+            }
+        }
+        store.save().expect("save baselines");
+        regression
+    }
+
     /// Write the store back to its path (creating parent directories).
     pub fn save(&self) -> Result<()> {
         if let Some(dir) = self.path.parent() {
@@ -267,9 +310,7 @@ pub const HEADLINE_TOLERANCE: f64 = 0.20;
 /// Metric values follow the store's larger-is-better convention, so
 /// callers record speedups, ratios, and fractions — never raw times.
 pub fn note_headlines<S: AsRef<str>>(metrics: &[(S, f64)], update: bool) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/bench_baselines.json");
-    let mut store = match BaselineStore::load(&path) {
+    let mut store = match BaselineStore::load(BaselineStore::repo_path()) {
         Ok(s) => s,
         Err(e) => {
             println!("WARNING: skipping headline baselines ({e})");

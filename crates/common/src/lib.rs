@@ -4,6 +4,7 @@
 
 pub mod error;
 pub mod json;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod sync;

@@ -1,9 +1,9 @@
 //! Synchronization shim: the only sanctioned gateway to `std::sync`.
 //!
-//! Every concurrent path in the workspace (training pool, arm fan-out,
-//! serving waves) builds on `Mutex`, `mpsc::channel`, and scoped spawns from
-//! this module instead of `std::sync` directly (enforced by the `no-raw-sync`
-//! bao-lint rule). In a normal build these are `#[inline]` newtype wrappers
+//! Every concurrent path in the workspace (the worker pool in
+//! [`crate::pool`], the training pool's helpers, the WAL lock) builds on
+//! `Mutex`, `mpsc::channel`, and scoped spawns from this module instead of
+//! `std::sync` directly (enforced by the `no-raw-sync` bao-lint rule). In a normal build these are `#[inline]` newtype wrappers
 //! that compile down to the std primitives. Under `--cfg bao_race` every
 //! object additionally captures the thread-local [`hooks::RaceHooks`]
 //! registry at creation time, and every acquire/release/send/recv/spawn/join

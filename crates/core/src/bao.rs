@@ -3,6 +3,8 @@
 
 use crate::experience::Experience;
 use crate::featurize::Featurizer;
+use bao_common::pool::{resolve_width, run_jobs};
+use bao_common::sync::{Arc, Mutex};
 use bao_common::{split_seed, BaoError, Result};
 use bao_models::{bootstrap_sample, TcnnModel, ValueModel};
 use bao_nn::FeatTree;
@@ -10,7 +12,6 @@ use bao_opt::{HintSet, Optimizer, PlanOutput};
 use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
-use bao_common::sync::{mpsc, scope, Arc, Mutex};
 use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
 use std::time::Duration;
 
@@ -32,15 +33,6 @@ pub struct BaoConfig {
     /// maximum-likelihood training on the full window (the no-exploration
     /// ablation).
     pub bootstrap: bool,
-    /// Plan the arms concurrently across OS threads (paper §6.2: "Bao
-    /// makes heavy use of parallelism, concurrently planning each arm").
-    /// Results are identical either way; only wall-clock changes.
-    pub parallel_planning: bool,
-    /// Worker threads for parallel planning; `0` sizes the pool to the
-    /// host (`available_parallelism`). Explicit counts exist for the
-    /// bao-race suites, which need a fixed multi-worker pool regardless
-    /// of the machine they run on.
-    pub planning_threads: usize,
     pub seed: u64,
     /// Write-ahead logging of experience appends, retrain boundaries,
     /// and model checkpoints (DESIGN.md §14). `None` (the default) keeps
@@ -57,8 +49,6 @@ impl Default for BaoConfig {
             cache_features: true,
             enabled: true,
             bootstrap: true,
-            parallel_planning: true,
-            planning_threads: 0,
             seed: 0,
             durability: None,
         }
@@ -192,9 +182,9 @@ impl Bao {
     }
 
     /// Fingerprint of the behaviour-determining configuration: the
-    /// fields that change *what* Bao decides, not how fast. Thread
-    /// counts and the durability knob itself are excluded, so a log
-    /// written on one machine replays on another.
+    /// fields that change *what* Bao decides, not how fast. The
+    /// durability knob itself is excluded, so a log written on one
+    /// machine replays on another.
     pub fn config_fingerprint(&self) -> u64 {
         let c = &self.cfg;
         let desc = format!(
@@ -352,13 +342,13 @@ impl Bao {
             .ok_or_else(|| BaoError::Planning("evaluate_arms_multi returned no result".into()))
     }
 
-    /// Plan every (query, arm) pair on a deterministic worker pool and
+    /// Plan every (query, arm) pair on the workspace pool and
     /// score *all* queries' arm families in one coalesced `predict_batch`
     /// pass (cross-query batching, the serving-layer hot path). Results
     /// are returned in query order and are bit-identical to calling
     /// [`Bao::evaluate_arms`] once per query: planning is read-only over
-    /// `(query, db, cat)`, job results are re-slotted into (query, arm)
-    /// order before any reduction, and a value model's prediction for a
+    /// `(query, db, cat)`, the pool returns plans in (query, arm) slot
+    /// order at any width, and a value model's prediction for a
     /// tree does not depend on its batch neighbours (for the TCNN, every
     /// kernel of the scorer is per-node or per-tree — `bao_nn::infer`).
     ///
@@ -458,14 +448,10 @@ impl Bao {
         Ok(results)
     }
 
-    /// Plan all `queries.len() * arms.len()` jobs, returned flat in
-    /// (query-major, arm-minor) slot order. With `parallel_planning` the
-    /// jobs run on a pool of workers sized to the host (paper §6.2: "Bao
-    /// makes heavy use of parallelism, concurrently planning each arm");
-    /// each result is tagged with its slot and re-slotted before return,
-    /// so worker count and scheduling never affect output order — the
-    /// same determinism-by-construction pattern as `bao_nn::train`'s
-    /// sharded gradient reduction.
+    /// Plan all `queries.len() * arms.len()` jobs on the workspace pool at
+    /// host width (paper §6.2: "Bao makes heavy use of parallelism,
+    /// concurrently planning each arm"), returned flat in (query-major,
+    /// arm-minor) slot order.
     fn plan_jobs(
         &self,
         opt: &Optimizer,
@@ -474,63 +460,9 @@ impl Bao {
         cat: &StatsCatalog,
     ) -> Result<Vec<PlanOutput>> {
         let arms = &self.cfg.arms;
-        let n_jobs = queries.len() * arms.len();
-        if !self.cfg.parallel_planning || n_jobs <= 1 {
-            let mut outputs = Vec::with_capacity(n_jobs);
-            for &query in queries {
-                for &arm in arms {
-                    outputs.push(opt.plan(query, db, cat, arm)?);
-                }
-            }
-            return Ok(outputs);
-        }
-        let workers = match self.cfg.planning_threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
-        .min(n_jobs);
-        let mut slots: Vec<Option<Result<PlanOutput>>> = Vec::with_capacity(n_jobs);
-        slots.resize_with(n_jobs, || None);
-        let (job_tx, job_rx) = mpsc::channel::<usize>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<PlanOutput>)>();
-        for slot in 0..n_jobs {
-            // Receiver outlives this loop; send cannot fail here.
-            let _ = job_tx.send(slot);
-        }
-        drop(job_tx);
-        scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // A poisoned lock means a sibling worker panicked
-                    // (a real planner bug); stop pulling work and let
-                    // the scope re-raise the original panic.
-                    let slot = match job_rx.lock() {
-                        Ok(rx) => match rx.recv() {
-                            Ok(s) => s,
-                            Err(_) => break,
-                        },
-                        Err(_) => break,
-                    };
-                    let out = opt.plan(queries[slot / arms.len()], db, cat, arms[slot % arms.len()]);
-                    if res_tx.send((slot, out)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx);
-            for (slot, out) in res_rx {
-                slots[slot] = Some(out);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.ok_or_else(|| BaoError::Planning("planner worker dropped a job".into()))?
-            })
-            .collect()
+        run_jobs(resolve_width(0), queries.len() * arms.len(), |slot| {
+            opt.plan(queries[slot / arms.len()], db, cat, arms[slot % arms.len()])
+        })
     }
 
     /// Record an observed (plan, performance) pair and retrain when the

@@ -247,41 +247,28 @@ fn triggered_exploration_pins_critical_queries() {
 
 #[test]
 fn parallel_planning_returns_arms_in_order() {
-    // The std::thread::scope fan-out must hand results back in arm order:
-    // each returned plan equals what planning that arm directly produces.
+    // The pool fan-out must hand results back in (query, arm) slot order:
+    // every returned plan and its planning work equal what planning that
+    // arm directly — serially, on this thread — produces.
     let (db, cat) = setup(3_000);
     let opt = Optimizer::postgres();
     let pool = BufferPool::new(512);
     let arms = HintSet::top_arms(8);
     let bao = small_bao(arms.clone(), 1_000, 100);
-    let q = &queries()[0];
-    let (_, pairs) = bao.evaluate_arms(&opt, q, &db, &cat, Some(&pool)).unwrap();
-    assert_eq!(pairs.len(), arms.len());
-    for (i, &arm) in arms.iter().enumerate() {
-        let direct = opt.plan(q, &db, &cat, arm).unwrap();
-        let shape = |p: &bao_plan::PlanNode| {
-            (p.join_order_signature(), p.join_algos(), p.access_paths())
-        };
-        assert_eq!(shape(&pairs[i].0), shape(&direct.root), "arm {i} came back out of order");
-    }
-}
-
-#[test]
-fn parallel_and_sequential_planning_agree() {
-    let (db, cat) = setup(3_000);
-    let opt = Optimizer::postgres();
-    let pool = BufferPool::new(512);
-    let mk = |parallel| {
-        let mut bao = small_bao(HintSet::top_arms(8), 1_000, 100);
-        bao.cfg.parallel_planning = parallel;
-        bao
-    };
-    for q in queries().iter().take(6) {
-        let (a, _) = mk(true).evaluate_arms(&opt, q, &db, &cat, Some(&pool)).unwrap();
-        let (b, _) = mk(false).evaluate_arms(&opt, q, &db, &cat, Some(&pool)).unwrap();
-        assert_eq!(a.arm, b.arm);
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.per_arm_work, b.per_arm_work);
-        assert_eq!(a.tree, b.tree);
+    let all = queries();
+    let qs: Vec<&_> = all.iter().take(6).collect();
+    let results = bao.evaluate_arms_multi(&opt, &qs, &db, &cat, Some(&pool)).unwrap();
+    assert_eq!(results.len(), qs.len());
+    for (qi, (&q, (sel, pairs))) in qs.iter().zip(&results).enumerate() {
+        assert_eq!(pairs.len(), arms.len());
+        for (i, &arm) in arms.iter().enumerate() {
+            let direct = opt.plan(q, &db, &cat, arm).unwrap();
+            let mut root = direct.root;
+            bao_opt::annotate_estimates(&mut root, q, &db, &cat, opt.estimator(), &opt.params)
+                .unwrap();
+            assert_eq!(pairs[i].0, root, "query {qi} arm {i} came back out of order");
+            assert_eq!(sel.per_arm_work[i], direct.work, "query {qi} arm {i}");
+        }
+        assert_eq!((&sel.plan, &sel.tree), (&pairs[sel.arm].0, &pairs[sel.arm].1));
     }
 }

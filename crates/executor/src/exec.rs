@@ -2,19 +2,21 @@
 //! charging.
 //!
 //! Scans, hash joins, and aggregations run as fixed-size morsels over
-//! range/hash shards, dispatched to the deterministic work-stealing pool
-//! in [`crate::par`] (DESIGN.md §13). Workers only ever run pure compute
-//! (predicate evaluation, key extraction, probe matching); every
-//! order-sensitive effect — buffer-pool touches, f64 meter charges, the
-//! aggregate fold — happens on the coordinator in pinned row order, so
-//! output bytes and `ExecutionMetrics` are bit-identical at any shard
-//! count.
+//! range/hash shards, dispatched to the workspace pool
+//! (`bao_common::pool::run_jobs`, DESIGN.md §13): morsel `j` of an operator
+//! runs on thread `j mod width` and results come back in morsel order.
+//! Pool threads only ever run pure compute (predicate evaluation, key
+//! extraction, probe matching); every order-sensitive effect —
+//! buffer-pool touches, f64 meter charges, the aggregate fold — happens
+//! on the coordinator in pinned row order, so output bytes and
+//! `ExecutionMetrics` are bit-identical at any shard count.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{cell_join_key, cell_key, column_of, compile_preds};
 use crate::metrics::ExecutionMetrics;
-use crate::par::{run_jobs, ExecConfig};
+use crate::par::ExecConfig;
 use crate::rowset::RowSet;
+use bao_common::pool::{resolve_width, run_jobs};
 use bao_common::{BaoError, Result};
 use bao_opt::CostParams;
 use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode, Query, SelectItem};
@@ -73,7 +75,7 @@ pub fn execute_with(
         .map(|t| db.by_name(&t.table))
         .collect::<Result<Vec<_>>>()?;
     let tables: Vec<&Table> = stored.iter().map(|s| &s.table).collect();
-    let workers = exec.resolved_workers().max(1);
+    let workers = resolve_width(exec.shard_workers);
     let mut ctx = Ctx {
         query,
         stored,

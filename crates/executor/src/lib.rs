@@ -14,12 +14,12 @@
 //! that convert to simulated milliseconds via [`ChargeRates`]; physical
 //! I/O counts (buffer-pool misses) are reported separately for the
 //! Figure 16b experiment.
-
 //!
 //! Plans execute sharded: scans, hash joins, and aggregations run as
-//! fixed-size morsels on the deterministic work-stealing pool in [`par`],
-//! with per-shard results merged in pinned shard order so output and
-//! metrics are bit-identical to the single-shard path (DESIGN.md §13).
+//! fixed-size morsels on the workspace pool (`bao_common::pool`) at the
+//! width [`ExecConfig`] names, with per-shard results merged in pinned
+//! shard order so output and metrics are bit-identical to the
+//! single-shard path (DESIGN.md §13).
 
 pub mod charge;
 pub mod eval;
@@ -31,5 +31,5 @@ pub mod rowset;
 pub use charge::{ChargeRates, Meters};
 pub use exec::{execute, execute_with, ExecError};
 pub use metrics::{ExecutionMetrics, PerfMetric};
-pub use par::{run_jobs, ExecConfig};
+pub use par::ExecConfig;
 pub use rowset::RowSet;

@@ -1,28 +1,13 @@
-//! The morsel worker pool: deterministic work-stealing execution of
-//! fixed-size morsels (DESIGN.md §13).
-//!
-//! Sharded execution splits an operator's row space into morsels and runs
-//! them on a pool of workers built on `bao_common::sync` — the same
-//! slot-tagged determinism-by-construction pattern as `Bao::plan_jobs` and
-//! `bao_nn::train`'s sharded gradient reduction. Workers steal morsel
-//! indices from a shared queue (so a slow morsel never stalls the others),
-//! every result is tagged with its slot, and the coordinator re-slots
-//! before returning: worker count and scheduling can never affect output
-//! order. All *stateful* accounting (buffer-pool touches, f64 meter
-//! charges) stays on the coordinator in pinned order — workers only ever
-//! run pure compute — which is what makes sharded output bit-identical to
-//! the single-shard path.
+//! Sharded-execution knobs (DESIGN.md §13). The morsels themselves run on
+//! the workspace pool, `bao_common::pool::run_jobs`.
 
-use bao_common::sync::{mpsc, scope, Mutex};
-use bao_common::{BaoError, Result};
-use std::sync::Arc;
-
-/// Sharded-execution knobs threaded from `BaoConfig`/`BaoSettings` down to
-/// [`crate::execute_with`].
+/// Sharded-execution knobs passed to [`crate::execute_with`]; the harness
+/// sets `shard_workers` from `BaoSettings`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker-pool width and shard count. `1` (the default) is the serial
-    /// single-shard path; `0` sizes to the host like `planning_threads`.
+    /// Pool width and shard count. `1` (the default) is the serial
+    /// single-shard path; `0` sizes to the host
+    /// (`bao_common::pool::resolve_width`).
     pub shard_workers: usize,
     /// Rows per morsel. Operators below one morsel of input run inline on
     /// the coordinator — spawning would cost more than it buys.
@@ -35,112 +20,16 @@ impl Default for ExecConfig {
     }
 }
 
-impl ExecConfig {
-    /// A config with host-defaulted width resolved to a concrete worker
-    /// count (`0` → one worker per available core).
-    pub fn resolved_workers(&self) -> usize {
-        match self.shard_workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
-    }
-}
-
-/// Run `n_jobs` pure jobs on `workers` work-stealing workers and return
-/// the results in slot order. Jobs must not touch shared mutable state:
-/// everything order-sensitive belongs on the coordinator.
-///
-/// With one worker (or at most one job) the jobs run inline — the serial
-/// path is the parallel path with the pool optimized out, not a separate
-/// code path that could drift.
-pub fn run_jobs<T, F>(workers: usize, n_jobs: usize, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    if workers <= 1 || n_jobs <= 1 {
-        return (0..n_jobs).map(f).collect();
-    }
-    let workers = workers.min(n_jobs);
-    let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(n_jobs);
-    slots.resize_with(n_jobs, || None);
-    let (job_tx, job_rx) = mpsc::channel::<usize>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (res_tx, res_rx) = mpsc::channel::<(usize, Result<T>)>();
-    for slot in 0..n_jobs {
-        // Receiver outlives this loop; send cannot fail here.
-        let _ = job_tx.send(slot);
-    }
-    drop(job_tx);
-    scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let f = &f;
-            scope.spawn(move || loop {
-                // A poisoned lock means a sibling worker panicked (a real
-                // executor bug); stop pulling work and let the scope
-                // re-raise the original panic.
-                let slot = match job_rx.lock() {
-                    Ok(rx) => match rx.recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    },
-                    Err(_) => break,
-                };
-                if res_tx.send((slot, f(slot))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(res_tx);
-        for (slot, out) in res_rx {
-            slots[slot] = Some(out);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.ok_or_else(|| BaoError::Planning("morsel worker dropped a job".into()))?)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn results_in_slot_order_regardless_of_width() {
-        let serial = run_jobs(1, 9, |i| Ok(i * i)).unwrap();
-        for workers in [2usize, 4, 8] {
-            let par = run_jobs(workers, 9, |i| Ok(i * i)).unwrap();
-            assert_eq!(par, serial, "workers={workers}");
-        }
-        assert_eq!(serial, (0..9).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn job_error_propagates() {
-        let out: Result<Vec<usize>> =
-            run_jobs(4, 6, |i| {
-                if i == 3 {
-                    Err(BaoError::Planning("boom".into()))
-                } else {
-                    Ok(i)
-                }
-            });
-        assert!(out.is_err());
-    }
-
-    #[test]
-    fn zero_jobs_is_empty() {
-        let out: Vec<u32> = run_jobs(4, 0, |_| Ok(0)).unwrap();
-        assert!(out.is_empty());
-    }
+    use bao_common::pool::resolve_width;
 
     #[test]
     fn host_defaulted_width_resolves_positive() {
-        let cfg = ExecConfig { shard_workers: 0, ..ExecConfig::default() };
-        assert!(cfg.resolved_workers() >= 1);
-        assert_eq!(ExecConfig::default().resolved_workers(), 1);
+        let auto = ExecConfig { shard_workers: 0, ..ExecConfig::default() };
+        assert!(resolve_width(auto.shard_workers) >= 1);
+        // The default is the serial single-shard path on every host.
+        assert_eq!(resolve_width(ExecConfig::default().shard_workers), 1);
     }
 }

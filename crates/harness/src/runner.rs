@@ -77,9 +77,6 @@ pub struct BaoSettings {
     pub retrain: usize,
     pub cache_features: bool,
     pub bootstrap: bool,
-    /// Planner pool size (`0` = size to the host). The bao-race suites
-    /// pin this so the fan-out pool is multi-worker on any machine.
-    pub planning_threads: usize,
     /// Shard count / morsel-pool width for query execution (`1` = serial
     /// single-shard path, `0` = size to the host). Output is
     /// bit-identical at any width (DESIGN.md §13).
@@ -102,7 +99,6 @@ impl Default for BaoSettings {
             retrain: 100,
             cache_features: true,
             bootstrap: true,
-            planning_threads: 0,
             shard_workers: 1,
             durability: None,
         }
@@ -407,7 +403,6 @@ impl Runner {
                     retrain_interval: settings.retrain,
                     cache_features: settings.cache_features,
                     bootstrap: settings.bootstrap,
-                    planning_threads: settings.planning_threads,
                     seed: split_seed(cfg.seed, 2),
                     durability: settings.durability.clone(),
                     ..BaoConfig::default()

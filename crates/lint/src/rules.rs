@@ -41,12 +41,13 @@
 //!   shim so the deterministic interleaving explorer (DESIGN.md §12) can
 //!   see it. A raw primitive is invisible to the race checker — exactly
 //!   the kind of hole that lets an unexplored interleaving ship.
-//! * `no-unpinned-pool-width` — a worker-pool spawn (`.spawn(`) inside a
-//!   `for` loop with an integer-literal range bound hard-codes the pool's
-//!   width; every pool in the workspace (`bao_core::plan_jobs`,
-//!   `bao_nn::train`, `bao_exec::run_jobs`) must take its width from
-//!   config (`planning_threads` / `TrainConfig::threads` /
-//!   `shard_workers`) so deployments and the race explorer control it.
+//! * `no-unpinned-pool-width` — threads are spawned (`.spawn(`) only by
+//!   the workspace pool (`bao_common::pool::run_jobs`, under arm planning
+//!   and morsel execution), `bao_nn::train`'s persistent helpers, the
+//!   sync shim that wraps the raw spawn, and the race checker. Both pools
+//!   take their width from `bao_common::pool::resolve_width`, so a spawn
+//!   anywhere else is a pool whose width nothing controls and whose
+//!   interleavings no race suite explores.
 //! * `no-unlogged-persistence` — durable state must flow through the WAL
 //!   (DESIGN.md §14): direct `std::fs` writes (`fs::write`,
 //!   `fs::create_dir`, `File::create`, `OpenOptions`) are denied outside
@@ -146,7 +147,7 @@ impl RuleId {
                 "std::sync Mutex/mpsc/Condvar/RwLock outside bao_common::sync"
             }
             RuleId::NoUnpinnedPoolWidth => {
-                ".spawn( inside a literal-bound for loop (width must come from config)"
+                ".spawn( outside bao_common::{sync,pool}, bao_nn::train and bao-race"
             }
             RuleId::NoUnloggedPersistence => {
                 "direct std::fs writes outside bao-wal/bench/binaries (use the WAL)"
@@ -180,6 +181,11 @@ const UNSAFE_ALLOWED: &str = "crates/common/src/json.rs";
 const RAW_SYNC_ALLOWED_FILE: &str = "crates/common/src/sync.rs";
 const RAW_SYNC_ALLOWED_CRATE: &str = "crates/race/";
 
+/// The files that may spawn threads: the shim, the workspace pool, and
+/// the trainer's persistent helpers.
+const SPAWN_ALLOWED_FILES: [&str; 3] =
+    [RAW_SYNC_ALLOWED_FILE, "crates/common/src/pool.rs", "crates/nn/src/train.rs"];
+
 fn in_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
 }
@@ -212,11 +218,10 @@ pub fn applies_to(rule: RuleId, path: &str) -> bool {
         RuleId::NoRawSync => {
             path != RAW_SYNC_ALLOWED_FILE && !path.starts_with(RAW_SYNC_ALLOWED_CRATE)
         }
-        // Pool widths come from config everywhere except the shim (which
-        // wraps the raw spawn) and the race checker (which pins its own
-        // two exploration threads by design).
+        // Threads come from the two pools, the shim they spawn through,
+        // and the race checker (which pins its own exploration threads).
         RuleId::NoUnpinnedPoolWidth => {
-            path != RAW_SYNC_ALLOWED_FILE && !path.starts_with(RAW_SYNC_ALLOWED_CRATE)
+            !SPAWN_ALLOWED_FILES.contains(&path) && !path.starts_with(RAW_SYNC_ALLOWED_CRATE)
         }
         // Durable writes belong to the WAL. The log implementation, the
         // bench crate's results writers, and binaries (shells, figure
@@ -248,11 +253,6 @@ fn skips_test_code(rule: RuleId) -> bool {
 /// Does `rule` only fire on lines inside a `for` loop body?
 fn only_in_loops(rule: RuleId) -> bool {
     matches!(rule, RuleId::NoPerNodeAlloc)
-}
-
-/// Does `rule` only fire inside `for` loops with a literal range bound?
-fn only_in_literal_loops(rule: RuleId) -> bool {
-    matches!(rule, RuleId::NoUnpinnedPoolWidth)
 }
 
 /// Is the whole file test code (an integration-test target or a bench
@@ -512,16 +512,12 @@ pub fn check_masked(
             continue;
         }
         let loops_only = only_in_loops(rule);
-        let literal_loops_only = only_in_literal_loops(rule);
         for (idx, line) in masked.lines.iter().enumerate() {
             let line_no = idx + 1;
             if skip_tests && masked.is_test_line(line_no) {
                 continue;
             }
             if loops_only && !masked.is_loop_line(line_no) {
-                continue;
-            }
-            if literal_loops_only && !masked.is_literal_loop_line(line_no) {
                 continue;
             }
             if rule == RuleId::NoFloatEq {
@@ -668,42 +664,41 @@ mod tests {
 
     #[test]
     fn unpinned_pool_width_flags_literal_loop_spawns() {
-        // A pool hard-coded to 4 workers: the exact bug the rule hunts.
-        let bad = "fn pool() {\n\
-                   for _ in 0..4 {\n\
-                       scope.spawn(move || work());\n\
-                   }\n\
-                   }\n";
-        let d = check_source("crates/executor/src/par.rs", bad, &[RuleId::NoUnpinnedPoolWidth]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 3);
-
-        // Width from config: clean.
-        let good = "fn pool(workers: usize) {\n\
-                    for _ in 0..workers {\n\
+        // A private pool in the executor, hard-coded to 4 workers: the
+        // exact thing the rule hunts.
+        let pool = "fn pool() {\n\
+                    for _ in 0..4 {\n\
                         scope.spawn(move || work());\n\
                     }\n\
                     }\n";
-        let d = check_source("crates/executor/src/par.rs", good, &[RuleId::NoUnpinnedPoolWidth]);
-        assert!(d.is_empty(), "{d:?}");
+        let d = check_source("crates/executor/src/par.rs", pool, &[RuleId::NoUnpinnedPoolWidth]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 3);
 
-        // A spawn outside any loop (single helper thread): clean.
+        // So does any other spawn there, loop or not.
         let single = "fn one() { let h = scope.spawn(f); h.join(); }\n";
-        let d =
-            check_source("crates/nn/src/train.rs", single, &[RuleId::NoUnpinnedPoolWidth]);
-        assert!(d.is_empty(), "{d:?}");
+        let d = check_source("crates/core/src/bao.rs", single, &[RuleId::NoUnpinnedPoolWidth]);
+        assert_eq!(d.len(), 1, "{d:?}");
 
-        // Test code and the race checker are exempt.
+        // The same text where threads are allowed to come from: clean.
+        for allowed in [
+            "crates/common/src/pool.rs",
+            "crates/common/src/sync.rs",
+            "crates/nn/src/train.rs",
+            "crates/race/src/explorer.rs",
+        ] {
+            let d = check_source(allowed, pool, &[RuleId::NoUnpinnedPoolWidth]);
+            assert!(d.is_empty(), "{allowed}: {d:?}");
+        }
+
+        // Test code is exempt.
         let in_test = "#[cfg(test)]\n\
                        mod tests {\n\
-                       fn t() { for _ in 0..2 { s.spawn(f); } }\n\
+                       fn t() { s.spawn(f); }\n\
                        }\n";
         let d =
             check_source("crates/core/src/bao.rs", in_test, &[RuleId::NoUnpinnedPoolWidth]);
         assert!(d.is_empty(), "{d:?}");
-        assert!(!applies_to(RuleId::NoUnpinnedPoolWidth, "crates/race/tests/fixtures.rs"));
-        assert!(!applies_to(RuleId::NoUnpinnedPoolWidth, "crates/common/src/sync.rs"));
-        assert!(applies_to(RuleId::NoUnpinnedPoolWidth, "crates/executor/src/par.rs"));
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub struct MaskedSource {
     test_lines: Vec<bool>,
     /// `true` for every (1-based) line inside a `for` loop body.
     loop_lines: Vec<bool>,
-    /// `true` for every (1-based) line inside a `for` loop whose header
-    /// range has an integer-literal bound (`0..4`, `1..=8`).
-    literal_loop_lines: Vec<bool>,
 }
 
 impl MaskedSource {
@@ -41,14 +38,6 @@ impl MaskedSource {
     /// Is 1-based `line` inside the braces of a `for` loop?
     pub fn is_loop_line(&self, line: usize) -> bool {
         self.loop_lines.get(line - 1).copied().unwrap_or(false)
-    }
-
-    /// Is 1-based `line` inside a `for` loop iterating a range with an
-    /// integer-literal bound (`for _ in 0..4`)? Loops over variables
-    /// (`0..workers`) and collections are excluded — the distinction the
-    /// `no-unpinned-pool-width` rule is built on.
-    pub fn is_literal_loop_line(&self, line: usize) -> bool {
-        self.literal_loop_lines.get(line - 1).copied().unwrap_or(false)
     }
 
     /// Is a diagnostic for `rule` at 1-based `line` suppressed by a
@@ -257,9 +246,8 @@ pub fn mask(src: &str) -> MaskedSource {
     let masked_str: String = masked.into_iter().collect();
     let lines: Vec<String> = masked_str.split('\n').map(|l| l.to_string()).collect();
     let test_lines = find_test_lines(&lines);
-    let loop_lines = find_for_regions(&lines, false);
-    let literal_loop_lines = find_for_regions(&lines, true);
-    MaskedSource { lines, allows, file_allows, test_lines, loop_lines, literal_loop_lines }
+    let loop_lines = find_for_regions(&lines);
+    MaskedSource { lines, allows, file_allows, test_lines, loop_lines }
 }
 
 fn is_raw_string_start(chars: &[char], i: usize) -> bool {
@@ -386,43 +374,10 @@ fn word_at(chars: &[char], i: usize, w: &str) -> bool {
     before_ok && after_ok
 }
 
-/// Does the `for` header text starting at `from` (up to the opening `{`
-/// or end of line) range up to an integer-literal upper bound? The upper
-/// bound is the width-determining end: `0..4` and `i..=8` are literal,
-/// `0..workers` is not. Suffixed literals (`0..8u32`) count. A header
-/// that wraps before its range lands on the next line is treated as
-/// variable-bound — headers in this codebase keep the range on the `for`
-/// line.
-fn has_literal_range_bound(chars: &[char], from: usize) -> bool {
-    let mut i = from;
-    while i < chars.len() && chars[i] != '{' {
-        if chars[i] == '.' && chars.get(i + 1) == Some(&'.') {
-            // The token starting just after `..` / `..=`.
-            let mut k = i + 2;
-            if chars.get(k) == Some(&'=') {
-                k += 1;
-            }
-            while chars.get(k) == Some(&' ') {
-                k += 1;
-            }
-            if chars.get(k).is_some_and(|c| c.is_ascii_digit()) {
-                return true;
-            }
-            i = k.max(i + 2);
-            continue;
-        }
-        i += 1;
-    }
-    false
-}
-
 /// Mark every line inside a `for` loop's braces. The `for ... {` header
 /// line counts as inside once its `{` opens. `impl Trait for Type` and
-/// higher-ranked `for<'a>` bounds are not loops and open no region. With
-/// `literal_bound_only`, only loops whose header ranges over integer
-/// literals on both ends (`for _ in 0..4`) open a region — loops sized by
-/// a variable (`0..workers`) do not.
-fn find_for_regions(masked_lines: &[String], literal_bound_only: bool) -> Vec<bool> {
+/// higher-ranked `for<'a>` bounds are not loops and open no region.
+fn find_for_regions(masked_lines: &[String]) -> Vec<bool> {
     let mut in_loop = vec![false; masked_lines.len()];
     let mut depth: i64 = 0;
     // Depth at which each active loop body started; loops nest.
@@ -454,9 +409,7 @@ fn find_for_regions(masked_lines: &[String], literal_bound_only: bool) -> Vec<bo
                     }
                 }
                 'f' if !impl_line && word_at(&chars, i, "for") => {
-                    if chars.get(i + 3) != Some(&'<')
-                        && (!literal_bound_only || has_literal_range_bound(&chars, i + 3))
-                    {
+                    if chars.get(i + 3) != Some(&'<') {
                         pending = true;
                     }
                     i += 3;
@@ -560,33 +513,6 @@ mod tests {
         assert!(m.is_loop_line(4));
         assert!(m.is_loop_line(5)); // closing `}` still part of the loop
         assert!(!m.is_loop_line(6));
-    }
-
-    #[test]
-    fn literal_loop_regions_distinguish_bounds() {
-        let src = "fn f(workers: usize) {\n\
-                   for _ in 0..workers {\n\
-                       a();\n\
-                   }\n\
-                   for _ in 0..4 {\n\
-                       b();\n\
-                   }\n\
-                   for i in 1..=8 {\n\
-                       c(i);\n\
-                   }\n\
-                   for x in items {\n\
-                       d(x);\n\
-                   }\n\
-                   }\n";
-        let m = mask(src);
-        // Variable bound: a loop line, but not a literal-loop line.
-        assert!(m.is_loop_line(3));
-        assert!(!m.is_literal_loop_line(3));
-        // Literal bounds, both `..` and `..=`.
-        assert!(m.is_literal_loop_line(6));
-        assert!(m.is_literal_loop_line(9));
-        // Iterator loops carry no range at all.
-        assert!(!m.is_literal_loop_line(12));
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::adam::{Adam, AdamConfig};
 use crate::net::TreeCnn;
 use crate::tree::{FeatTree, TreeBatch};
 use bao_common::json::{self, FromJson, Json, ToJson};
+use bao_common::pool::resolve_width;
 use bao_common::sync::mpsc;
 use bao_common::{rng_from_seed, split_seed, Result, Rng};
 
@@ -314,11 +315,7 @@ pub fn train(
     if trees.is_empty() {
         return TrainReport { epochs_run: 0, final_loss: 0.0, loss_history: vec![] };
     }
-    let width = match cfg.threads {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    }
-    .min(max_shards(trees.len(), cfg));
+    let width = resolve_width(cfg.threads).min(max_shards(trees.len(), cfg));
     if width <= 1 {
         return train_loop(net, trees, targets, cfg, &[]);
     }

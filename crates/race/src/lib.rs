@@ -14,7 +14,7 @@
 //!   side of `bao_common::sync` (see DESIGN.md §12 and
 //!   `scripts/check.sh --race-smoke`).
 //! * [`report`] — persists `race_interleavings_explored` per suite into
-//!   `results/race_report.json` and the warn-only headline baselines.
+//!   `results/race_report.json`.
 
 pub mod model;
 pub mod report;

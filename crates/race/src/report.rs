@@ -1,7 +1,6 @@
 //! Coverage reporting: how many interleavings each suite actually
 //! explored. Counts land in `results/race_report.json` (committed, so
-//! coverage regressions show up in diffs) and as warn-only
-//! `race_interleavings_<suite>` headlines in the bench baseline store.
+//! coverage regressions show up in diffs).
 
 use bao_common::json::{self, Json};
 use std::collections::BTreeMap;
@@ -49,9 +48,4 @@ pub fn record_suite(suite: &str, interleavings: usize) {
         // bao-lint: allow(no-println)
         println!("WARNING: could not write race report: {e}");
     }
-
-    bao_bench::timing::note_headlines(
-        &[(format!("race_interleavings_{suite}"), interleavings as f64)],
-        false,
-    );
 }

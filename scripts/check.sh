@@ -11,7 +11,7 @@
 #                        results/bench_baselines.json
 #                        (DESIGN.md §8, §9, §10, §11, §13)
 #   5. race smoke      — opt-in via --race-smoke: the bao-race suites
-#                        (detection fixtures + the four production
+#                        (detection fixtures + the two production
 #                        suites) under --cfg bao_race, bounded so the
 #                        whole pass stays within ~60s (DESIGN.md §12).
 #                        Interleaving counts land in
@@ -19,10 +19,7 @@
 #   6. race nightly    — opt-in via --race-nightly: the production suites
 #                        with BAO_RACE_UNBOUNDED=1, exploring the
 #                        bounded-preemption interleaving space to
-#                        completion (minutes, not seconds), then the
-#                        sched_serving_handoff suite under an explicit
-#                        BAO_RACE_BUDGET (default 2000 — its full space
-#                        is impractically large); final counts land in
+#                        completion; final counts land in
 #                        results/race_report.json
 #   7. crash smoke     — opt-in via --crash-smoke: the kill-at-boundary
 #                        crash matrix (tests/crash_recovery.rs), 1 seed /
@@ -103,13 +100,7 @@ if [ "$race_nightly" = 1 ]; then
     echo
     echo "== race nightly (unbounded exploration of the production suites) =="
     BAO_RACE_UNBOUNDED=1 RUSTFLAGS="--cfg bao_race" CARGO_TARGET_DIR=target/race \
-        cargo test -q -p bao-race --test race_suites -- --skip sched_serving_handoff
-    echo
-    echo "== race nightly (sched_serving_handoff, BAO_RACE_BUDGET=${BAO_RACE_BUDGET:-2000}) =="
-    # This suite's full bounded-preemption space does not terminate in
-    # nightly time; an explicit budget records a reproducible first count.
-    BAO_RACE_BUDGET="${BAO_RACE_BUDGET:-2000}" RUSTFLAGS="--cfg bao_race" CARGO_TARGET_DIR=target/race \
-        cargo test -q -p bao-race --test race_suites sched_serving_handoff
+        cargo test -q -p bao-race --test race_suites
 fi
 
 if [ "$crash_smoke" = 1 ]; then
