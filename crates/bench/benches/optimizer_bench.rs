@@ -1,6 +1,6 @@
 //! Microbenchmarks of the cost-based optimizer: single-arm planning
-//! (PostgreSQL's job per query) and all-arm planning (Bao's per-query
-//! overhead), backing the §6.2 optimization-time discussion.
+//! (PostgreSQL's job per query) and whole-family planning (Bao's
+//! per-query overhead), backing the §6.2 optimization-time discussion.
 
 use bao_bench::timing::{bench_function, Group};
 use bao_common::rng_from_seed;
@@ -23,15 +23,22 @@ fn bench_planning() {
         });
     }
 
+    // The family shares one planning context: set a row against
+    // `plan_single_arm` times the arm count to read the amortisation.
     let g = Group::new("plan_all_arms", 20);
     for arms in [5usize, 49] {
         let family = HintSet::top_arms(arms);
         g.bench(&arms.to_string(), || {
-            for &h in &family {
-                opt.plan(&four_way, &db, &cat, h).unwrap();
-            }
+            opt.plan_arms(&four_way, &db, &cat, &family).unwrap();
         });
     }
+
+    // What `Bao::select_plan` pays per scored statement on a narrow query
+    // (`plan_all_arms/49` is the same family on the 4-way one).
+    let family = HintSet::family_49();
+    Group::new("plan_family_49", 20).bench("2way", || {
+        opt.plan_arms(&two_way, &db, &cat, &family).unwrap();
+    });
 }
 
 fn bench_estimators() {

@@ -342,15 +342,16 @@ impl Bao {
             .ok_or_else(|| BaoError::Planning("evaluate_arms_multi returned no result".into()))
     }
 
-    /// Plan every (query, arm) pair on the workspace pool and
+    /// Plan every query's arm family on the workspace pool and
     /// score *all* queries' arm families in one coalesced `predict_batch`
     /// pass (cross-query batching, the serving-layer hot path). Results
     /// are returned in query order and are bit-identical to calling
     /// [`Bao::evaluate_arms`] once per query: planning is read-only over
-    /// `(query, db, cat)`, the pool returns plans in (query, arm) slot
-    /// order at any width, and a value model's prediction for a
-    /// tree does not depend on its batch neighbours (for the TCNN, every
-    /// kernel of the scorer is per-node or per-tree — `bao_nn::infer`).
+    /// `(query, db, cat)`, the pool returns families in query slot order
+    /// at any width, each in arm order, and a value model's prediction
+    /// for a tree does not depend on its batch neighbours (for the TCNN,
+    /// every kernel of the scorer is per-node or per-tree —
+    /// `bao_nn::infer`).
     ///
     /// The `pool` snapshot is shared by every query in the batch; callers
     /// that enable cache features must therefore coalesce only queries
@@ -368,7 +369,7 @@ impl Bao {
             return Ok(Vec::new());
         }
         let n_arms = self.cfg.arms.len();
-        let outputs = self.plan_jobs(opt, queries, db, cat)?;
+        let families = self.plan_jobs(opt, queries, db, cat)?;
 
         // Annotate, verify, and featurize in strict (query, arm) slot
         // order. Hinted plans carry `disable_cost` penalties in their
@@ -377,11 +378,10 @@ impl Bao {
         // reflect expected runtime rather than planner bookkeeping.
         let mut per_query: Vec<Vec<(PlanNode, FeatTree)>> = Vec::with_capacity(queries.len());
         let mut work: Vec<Vec<u64>> = Vec::with_capacity(queries.len());
-        let mut outputs = outputs.into_iter();
-        for &query in queries {
+        for (&query, family) in queries.iter().zip(families) {
             let mut pairs: Vec<(PlanNode, FeatTree)> = Vec::with_capacity(n_arms);
             let mut per_arm_work: Vec<u64> = Vec::with_capacity(n_arms);
-            for o in outputs.by_ref().take(n_arms) {
+            for o in family {
                 per_arm_work.push(o.work);
                 let mut root = o.root;
                 bao_opt::annotate_estimates(
@@ -415,7 +415,7 @@ impl Bao {
         let scored: Option<Vec<f64>> = self.model.predict_batch(&all_trees).ok();
 
         let mut results = Vec::with_capacity(queries.len());
-        for (qi, pairs) in per_query.into_iter().enumerate() {
+        for (qi, (pairs, per_arm_work)) in per_query.into_iter().zip(work).enumerate() {
             let predictions: Vec<Option<f64>> = match &scored {
                 Some(preds) => preds[qi * n_arms..(qi + 1) * n_arms]
                     .iter()
@@ -430,6 +430,8 @@ impl Bao {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
+            // The family is returned whole beside the selection, so the
+            // chosen arm is the one pair that exists twice.
             let (plan, tree) = pairs[best].clone();
             results.push((
                 Selection {
@@ -438,8 +440,8 @@ impl Bao {
                     plan,
                     tree,
                     predictions,
-                    planning_work: work[qi].iter().sum(),
-                    per_arm_work: work[qi].clone(),
+                    planning_work: per_arm_work.iter().sum(),
+                    per_arm_work,
                     arms_planned: pairs.len(),
                 },
                 pairs,
@@ -448,21 +450,21 @@ impl Bao {
         Ok(results)
     }
 
-    /// Plan all `queries.len() * arms.len()` jobs on the workspace pool at
-    /// host width (paper §6.2: "Bao makes heavy use of parallelism,
-    /// concurrently planning each arm"), returned flat in (query-major,
-    /// arm-minor) slot order.
+    /// Plan every query's arm family, one job per query on the workspace
+    /// pool at host width; a family shares one planning context
+    /// (`Optimizer::plan_arms`), so a single query runs inline on the
+    /// caller. The paper (§6.2) plans each arm concurrently; here the
+    /// arms of a query cost too little apart to be worth a thread
+    /// (DESIGN.md §9). Returned per query in arm order.
     fn plan_jobs(
         &self,
         opt: &Optimizer,
         queries: &[&Query],
         db: &Database,
         cat: &StatsCatalog,
-    ) -> Result<Vec<PlanOutput>> {
+    ) -> Result<Vec<Vec<PlanOutput>>> {
         let arms = &self.cfg.arms;
-        run_jobs(resolve_width(0), queries.len() * arms.len(), |slot| {
-            opt.plan(queries[slot / arms.len()], db, cat, arms[slot % arms.len()])
-        })
+        run_jobs(resolve_width(0), queries.len(), |qi| opt.plan_arms(queries[qi], db, cat, arms))
     }
 
     /// Record an observed (plan, performance) pair and retrain when the

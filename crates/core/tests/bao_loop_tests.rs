@@ -247,16 +247,29 @@ fn triggered_exploration_pins_critical_queries() {
 
 #[test]
 fn parallel_planning_returns_arms_in_order() {
-    // The pool fan-out must hand results back in (query, arm) slot order:
-    // every returned plan and its planning work equal what planning that
-    // arm directly — serially, on this thread — produces.
+    // The pool fans out one job per query and each job plans its whole
+    // arm family over one shared context; results must come back in
+    // (query, arm) order: every returned plan and its planning work equal
+    // what planning that arm directly — alone, on this thread — produces.
+    // The wave mixes one- to four-relation queries, so neighbouring jobs
+    // differ in lattice size and finish out of step.
     let (db, cat) = setup(3_000);
     let opt = Optimizer::postgres();
     let pool = BufferPool::new(512);
     let arms = HintSet::top_arms(8);
     let bao = small_bao(arms.clone(), 1_000, 100);
-    let all = queries();
-    let qs: Vec<&_> = all.iter().take(6).collect();
+    let mut all = queries();
+    all.truncate(4);
+    for sql in [
+        "SELECT COUNT(*) FROM title a, cast_info ci, title b \
+         WHERE a.id = ci.movie_id AND ci.movie_id = b.id AND a.year = 2010",
+        "SELECT COUNT(*) FROM title a, cast_info c1, title b, cast_info c2 \
+         WHERE a.id = c1.movie_id AND c1.movie_id = b.id AND b.id = c2.movie_id AND a.kind = 2",
+    ] {
+        all.insert(1, parse_query(sql).unwrap());
+    }
+    let qs: Vec<&_> = all.iter().collect();
+    assert_eq!(qs.iter().map(|q| q.tables.len()).collect::<Vec<_>>(), [2, 4, 3, 1, 2, 1]);
     let results = bao.evaluate_arms_multi(&opt, &qs, &db, &cat, Some(&pool)).unwrap();
     assert_eq!(results.len(), qs.len());
     for (qi, (&q, (sel, pairs))) in qs.iter().zip(&results).enumerate() {

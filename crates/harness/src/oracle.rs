@@ -27,8 +27,7 @@ pub fn exhaustive_arm_perfs(
 ) -> Result<Vec<f64>> {
     let rates = bao_exec::ChargeRates::default();
     let mut perfs = Vec::with_capacity(arms.len());
-    for &h in arms {
-        let plan = opt.plan(q, db, cat, h)?;
+    for plan in opt.plan_arms(q, db, cat, arms)? {
         let mut snapshot = if cold { BufferPool::new(pool.capacity()) } else { pool.clone() };
         let m = execute(&plan.root, q, db, &mut snapshot, &opt.params, &rates)?;
         perfs.push(m.perf(metric));

@@ -484,10 +484,7 @@ impl Runner {
                 .iter()
                 .map(|d| {
                     let q = query(d);
-                    let mut outs = arms
-                        .iter()
-                        .map(|&h| self.opt.plan(q, &self.db, &self.cat, h))
-                        .collect::<Result<Vec<_>>>()?;
+                    let mut outs = self.opt.plan_arms(q, &self.db, &self.cat, arms)?;
                     let works: Vec<u64> = outs.iter().map(|out| out.work).collect();
                     // Evaluate each arm against a snapshot of the cache.
                     let mut perfs = Vec::with_capacity(outs.len());

@@ -1,59 +1,124 @@
-//! Access-path selection: scan candidates for one base relation.
+//! Access-path selection: the scan alternatives of one base relation.
+//!
+//! Everything here is priced once per query. A hint set never changes a
+//! scan's rows or cost formula, only whether `disable_cost` is added on
+//! top ([`Penalties`]), so an arm picks among ready-made [`ScanTemplate`]s.
 
 use crate::cost::CostParams;
 use crate::hints::HintSet;
 use bao_common::{BaoError, Result};
-use bao_plan::{CmpOp, Operator, PlanNode, Query, ScanKind};
+use bao_plan::{CmpOp, ColRef, JoinAlgo, Operator, Predicate, Query, ScanKind};
 use bao_stats::{resolve_predicate, Estimator, ResolvedPred, StatsCatalog};
-use bao_storage::Database;
-use std::cell::Cell;
+use bao_storage::{Database, StoredTable};
 
-/// Shared, read-only planning context for one optimizer invocation.
+/// What one planning call reads; shared by every arm of the family.
 pub struct PlannerCtx<'a> {
     pub query: &'a Query,
     pub db: &'a Database,
     pub cat: &'a StatsCatalog,
     pub est: &'a dyn Estimator,
     pub params: &'a CostParams,
-    pub hints: HintSet,
-    /// Abstract planning-effort counter (candidates priced); the cloud
-    /// model converts this into simulated optimization time.
-    pub work: Cell<u64>,
 }
 
-impl PlannerCtx<'_> {
-    pub fn bump_work(&self, n: u64) {
-        self.work.set(self.work.get() + n);
+/// One arm's `disable_cost` surcharges — all a hint set contributes to
+/// planning.
+#[derive(Debug, Clone, Copy)]
+pub struct Penalties {
+    pub hints: HintSet,
+    pub disable_cost: f64,
+}
+
+impl Penalties {
+    pub fn join(&self, algo: JoinAlgo) -> f64 {
+        if self.hints.join_enabled(algo) {
+            0.0
+        } else {
+            self.disable_cost
+        }
     }
 
-    /// Disable-cost penalty for a join/scan choice.
-    pub fn scan_penalty(&self, kind: ScanKind) -> f64 {
+    pub fn scan(&self, kind: ScanKind) -> f64 {
         if self.hints.scan_enabled(kind) {
             0.0
         } else {
-            self.params.disable_cost
+            self.disable_cost
         }
     }
 }
 
+/// The index condition of a range scan: the key range the relation's
+/// predicates on `column` imply, if any of them can serve as one.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyRange<'a> {
+    pub column: &'a str,
+    pub lo: Option<i64>,
+    pub hi: Option<i64>,
+    usable: bool,
+}
+
+impl<'a> KeyRange<'a> {
+    /// The whole index: every predicate stays residual. What a
+    /// parameterized lookup uses, whose key comes from the outer row.
+    pub fn unbounded(column: &'a str) -> Self {
+        KeyRange { column, lo: None, hi: None, usable: false }
+    }
+
+    /// Does a predicate on `column` with `op` stay a residual filter
+    /// above the index condition?
+    fn is_residual(&self, column: &str, op: CmpOp) -> bool {
+        !self.usable || column != self.column || op == CmpOp::Ne
+    }
+}
+
+/// One scan alternative of a relation, before any `disable_cost`.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanTemplate<'a> {
+    pub kind: ScanKind,
+    /// `None` for the sequential scan.
+    pub range: Option<KeyRange<'a>>,
+    pub cost: f64,
+    /// Cost of producing the rows again on a nested-loop rescan (pages
+    /// assumed warm, CPU re-paid).
+    pub rescan: f64,
+}
+
+/// The parameterized index lookup a relation offers as the inner side of
+/// a nested loop keyed on one of its indexed columns.
+#[derive(Debug, Clone, Copy)]
+pub struct ParamInner {
+    /// `IndexOnly` when the query needs nothing but the key from it.
+    pub kind: ScanKind,
+    /// Rows per outer key, at least one.
+    pub rows: f64,
+    /// Cost per outer row.
+    pub lookup: f64,
+}
+
 /// Pre-resolved information about one FROM-list entry.
-#[derive(Debug, Clone)]
-pub struct BaseRel {
+#[derive(Debug)]
+pub struct BaseRel<'a> {
     /// FROM-list position.
     pub idx: usize,
     /// Underlying table name.
-    pub name: String,
+    pub name: &'a str,
+    pub stored: &'a StoredTable,
     /// Unfiltered row count (per statistics).
     pub rows: f64,
-    /// Estimated conjunctive selectivity of this relation's predicates.
-    pub sel: f64,
-    /// `rows * sel`, clamped to at least one row.
+    /// `rows` times the estimated conjunctive selectivity of `preds`,
+    /// clamped to at least one row.
     pub out_rows: f64,
+    pub preds: Vec<&'a Predicate>,
     pub resolved: Vec<ResolvedPred>,
+    /// Columns the query needs from this entry (index-only eligibility).
+    needed: Vec<String>,
+    /// Scan alternatives in enumeration order: the sequential scan (always
+    /// first, always present), then per index an index scan and, when
+    /// legal, an index-only scan.
+    pub scans: Vec<ScanTemplate<'a>>,
 }
 
-/// Resolve every FROM-list entry of the query.
-pub fn base_relations(ctx: &PlannerCtx<'_>) -> Result<Vec<BaseRel>> {
+/// Resolve every FROM-list entry of the query and price its scans.
+pub fn base_relations<'a>(ctx: &PlannerCtx<'a>) -> Result<Vec<BaseRel<'a>>> {
     let mut rels = Vec::with_capacity(ctx.query.tables.len());
     for (idx, tref) in ctx.query.tables.iter().enumerate() {
         let stored = ctx.db.by_name(&tref.table)?;
@@ -62,34 +127,21 @@ pub fn base_relations(ctx: &PlannerCtx<'_>) -> Result<Vec<BaseRel>> {
             preds.iter().map(|p| resolve_predicate(&stored.table, p)).collect();
         let rows = ctx.cat.row_count(&tref.table);
         let sel = ctx.est.scan_selectivity(ctx.cat, &tref.table, &resolved);
-        rels.push(BaseRel {
+        let mut rel = BaseRel {
             idx,
-            name: tref.table.clone(),
+            name: &tref.table,
+            stored,
             rows,
-            sel,
             out_rows: (rows * sel).max(1.0),
+            preds,
             resolved,
-        });
+            needed: ctx.query.columns_needed(idx),
+            scans: Vec::with_capacity(1 + 2 * stored.indexes.len()),
+        };
+        rel.price_scans(ctx);
+        rels.push(rel);
     }
     Ok(rels)
-}
-
-/// A partially built plan with planner-internal bookkeeping.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    pub node: PlanNode,
-    pub cost: f64,
-    /// Cost of producing this subtree's rows again on a nested-loop
-    /// rescan (pages assumed warm, CPU re-paid).
-    pub rescan_cost: f64,
-    pub rows: f64,
-}
-
-impl Candidate {
-    pub fn new(op: Operator, children: Vec<PlanNode>, rows: f64, cost: f64, rescan: f64) -> Self {
-        let node = PlanNode::new(op, children).with_estimates(rows.max(1.0), cost);
-        Candidate { node, cost, rescan_cost: rescan, rows: rows.max(1.0) }
-    }
 }
 
 /// Derive the index key range `[lo, hi]` implied by the predicates on one
@@ -134,140 +186,147 @@ fn key_range(preds: &[&ResolvedPred]) -> (Option<i64>, Option<i64>, bool) {
     (lo, hi, usable)
 }
 
-/// Enumerate scan candidates for one base relation: a sequential scan
-/// (always), an index (or index-only) scan per usable index, and a full
-/// index scan per index (relevant when sequential scans are hinted off).
-pub fn scan_candidates(ctx: &PlannerCtx<'_>, rel: &BaseRel) -> Result<Vec<Candidate>> {
-    let stored = ctx.db.by_name(&rel.name)?;
-    let table = &stored.table;
-    let preds_logical = ctx.query.predicates_on(rel.idx);
-    let mut out = Vec::new();
+impl<'a> BaseRel<'a> {
+    /// Enumerate the scan alternatives: a sequential scan (always), an
+    /// index (and, when legal, index-only) scan per index — a full index
+    /// scan when no predicate bounds the key, relevant when sequential
+    /// scans are hinted off.
+    fn price_scans(&mut self, ctx: &PlannerCtx<'a>) {
+        let p = ctx.params;
+        let n_preds = self.resolved.len();
+        self.scans.push(ScanTemplate {
+            kind: ScanKind::Seq,
+            range: None,
+            cost: p.seq_scan(self.stored.table.n_pages() as f64, self.rows, n_preds),
+            rescan: self.rows * (p.cpu_tuple_cost + n_preds as f64 * p.cpu_operator_cost),
+        });
 
-    // --- Sequential scan: always available.
-    let pages = table.n_pages() as f64;
-    let seq_cost = ctx.params.seq_scan(pages, rel.rows, rel.resolved.len())
-        + ctx.scan_penalty(ScanKind::Seq);
-    let seq_rescan = rel.rows
-        * (ctx.params.cpu_tuple_cost
-            + rel.resolved.len() as f64 * ctx.params.cpu_operator_cost);
-    out.push(Candidate::new(
-        Operator::SeqScan {
-            table: rel.idx,
-            preds: preds_logical.iter().map(|p| (*p).clone()).collect(),
-        },
-        vec![],
-        rel.out_rows,
-        seq_cost,
-        seq_rescan,
-    ));
-    ctx.bump_work(1);
+        for stored_idx in &self.stored.indexes {
+            let col = &stored_idx.index.column;
+            let on_col: Vec<&ResolvedPred> =
+                self.resolved.iter().filter(|r| &r.column == col).collect();
+            let (lo, hi, usable) = key_range(&on_col);
+            let range = KeyRange { column: col, lo, hi, usable };
+            let n_residual =
+                self.resolved.iter().filter(|r| range.is_residual(&r.column, r.op)).count();
 
-    // --- Index scans.
-    let needed = ctx.query.columns_needed(rel.idx);
-    for stored_idx in &stored.indexes {
-        let col = &stored_idx.index.column;
-        let on_col: Vec<&ResolvedPred> =
-            rel.resolved.iter().filter(|p| &p.column == col).collect();
-        let (lo, hi, usable) = key_range(&on_col);
-        let residual_logical: Vec<bao_plan::Predicate> = preds_logical
-            .iter()
-            .filter(|p| !usable || &p.col.column != col || p.op == CmpOp::Ne)
-            .map(|p| (*p).clone())
-            .collect();
-        let residual_resolved: Vec<ResolvedPred> = rel
-            .resolved
-            .iter()
-            .filter(|p| !usable || &p.column != col || p.op == CmpOp::Ne)
-            .cloned()
-            .collect();
+            // Selectivity of the index condition alone.
+            let idx_sel = if usable {
+                let idx_preds: Vec<ResolvedPred> = on_col
+                    .iter()
+                    .filter(|r| r.op != CmpOp::Ne)
+                    .map(|r| (*r).clone())
+                    .collect();
+                ctx.est.scan_selectivity(ctx.cat, self.name, &idx_preds)
+            } else {
+                1.0
+            };
+            let matching = (self.rows * idx_sel).max(1.0);
+            let height = stored_idx.index.height() as f64;
+            let leaf_pages = stored_idx.index.n_pages() as f64;
+            let entries = stored_idx.index.len() as f64;
 
-        // Selectivity of the index condition alone.
-        let idx_sel = if usable {
-            let idx_preds: Vec<ResolvedPred> = on_col
-                .iter()
-                .filter(|p| p.op != CmpOp::Ne)
-                .map(|p| (*p).clone())
-                .collect();
-            ctx.est.scan_selectivity(ctx.cat, &rel.name, &idx_preds)
-        } else {
-            1.0
-        };
-        let matching = (rel.rows * idx_sel).max(1.0);
-        let height = stored_idx.index.height() as f64;
-        let leaf_pages = stored_idx.index.n_pages() as f64;
-        let entries = stored_idx.index.len() as f64;
+            // Plain index scan (heap fetches + residual filter); rescans
+            // of a range index scan mostly hit cache.
+            self.scans.push(ScanTemplate {
+                kind: ScanKind::Index,
+                range: Some(range),
+                cost: p.index_scan(height, leaf_pages, entries, idx_sel, matching, n_residual),
+                rescan: matching
+                    * (p.cpu_index_tuple_cost
+                        + p.cpu_tuple_cost
+                        + n_residual as f64 * p.cpu_operator_cost),
+            });
 
-        // Plain index scan (heap fetches + residual filter).
-        let cost = ctx.params.index_scan(
-            height,
-            leaf_pages,
-            entries,
-            idx_sel,
-            matching,
-            residual_resolved.len(),
-        ) + ctx.scan_penalty(ScanKind::Index);
-        // Rescans of a range index scan mostly hit cache.
-        let rescan = matching
-            * (ctx.params.cpu_index_tuple_cost
-                + ctx.params.cpu_tuple_cost
-                + residual_resolved.len() as f64 * ctx.params.cpu_operator_cost);
-        out.push(Candidate::new(
-            Operator::IndexScan {
-                table: rel.idx,
-                column: col.clone(),
-                lo,
-                hi,
-                residual: residual_logical.clone(),
-                param: None,
-            },
-            vec![],
-            rel.out_rows,
-            cost,
-            rescan,
-        ));
-        ctx.bump_work(1);
-
-        // Index-only scan: legal when the query touches nothing but the
-        // indexed column on this relation and no residual predicate
-        // remains.
-        let covering = needed.iter().all(|c| c == col);
-        if covering && residual_resolved.is_empty() {
-            let cost = ctx
-                .params
-                .index_only_scan(height, leaf_pages, entries, idx_sel)
-                + ctx.scan_penalty(ScanKind::IndexOnly);
-            let rescan = (entries * idx_sel).max(1.0) * ctx.params.cpu_index_tuple_cost;
-            out.push(Candidate::new(
-                Operator::IndexOnlyScan {
-                    table: rel.idx,
-                    column: col.clone(),
-                    lo,
-                    hi,
-                    param: None,
-                },
-                vec![],
-                rel.out_rows,
-                cost,
-                rescan,
-            ));
-            ctx.bump_work(1);
+            // Index-only scan: legal when the query touches nothing but
+            // the indexed column on this relation and no residual
+            // predicate remains.
+            if n_residual == 0 && self.needed.iter().all(|c| c == col) {
+                self.scans.push(ScanTemplate {
+                    kind: ScanKind::IndexOnly,
+                    range: Some(range),
+                    cost: p.index_only_scan(height, leaf_pages, entries, idx_sel),
+                    rescan: (entries * idx_sel).max(1.0) * p.cpu_index_tuple_cost,
+                });
+            }
         }
     }
 
-    if out.is_empty() {
-        return Err(BaoError::Planning(format!("no access path for {}", rel.name)));
+    /// The arm's cheapest scan: its position in `scans` and its cost with
+    /// the arm's penalty added. Of equally cheap scans the first wins;
+    /// `total_cmp` keeps the comparison total even if a cost model ever
+    /// emits NaN (such a scan sorts last).
+    pub fn cheapest_scan(&self, pens: &Penalties) -> Result<(usize, f64)> {
+        self.scans
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (i, t.cost + pens.scan(t.kind)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .ok_or_else(|| BaoError::Planning(format!("no access path for {}", self.name)))
     }
-    Ok(out)
-}
 
-/// The cheapest candidate in a list; errors on an empty list. `total_cmp`
-/// keeps the comparison total even if a cost model ever emits NaN (such a
-/// candidate sorts last instead of panicking mid-planning).
-pub fn cheapest(cands: Vec<Candidate>) -> Result<Candidate> {
-    cands
-        .into_iter()
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .ok_or_else(|| BaoError::Planning("empty candidate list".into()))
+    /// Materialise a scan of `kind` over `range` as a plan operator;
+    /// `param` makes it the inner side of a parameterized nested loop.
+    pub fn scan_operator(
+        &self,
+        kind: ScanKind,
+        range: Option<KeyRange<'_>>,
+        param: Option<ColRef>,
+    ) -> Operator {
+        // The predicates left above an index condition (all of them
+        // without one).
+        let residual = || -> Vec<Predicate> {
+            self.preds
+                .iter()
+                .filter(|p| range.is_none_or(|r| r.is_residual(&p.col.column, p.op)))
+                .map(|p| (*p).clone())
+                .collect()
+        };
+        let table = self.idx;
+        match (kind, range) {
+            (ScanKind::Index, Some(r)) => Operator::IndexScan {
+                table,
+                column: r.column.to_string(),
+                lo: r.lo,
+                hi: r.hi,
+                residual: residual(),
+                param,
+            },
+            (ScanKind::IndexOnly, Some(r)) => Operator::IndexOnlyScan {
+                table,
+                column: r.column.to_string(),
+                lo: r.lo,
+                hi: r.hi,
+                param,
+            },
+            _ => Operator::SeqScan { table, preds: residual() },
+        }
+    }
+
+    /// The parameterized lookup on `column`, if it is indexed. `jsel` is
+    /// the selectivity of the join predicate that supplies the key.
+    pub fn param_inner(
+        &self,
+        p: &CostParams,
+        column: &str,
+        jsel: impl FnOnce() -> f64,
+    ) -> Option<ParamInner> {
+        let height = self.stored.index_on(column)?.index.height() as f64;
+        let covering = self.preds.is_empty() && self.needed.iter().all(|c| c == column);
+        // Expected raw index matches per outer key, before residual
+        // filtering.
+        let per_key = (self.rows * jsel()).max(0.0);
+        let (kind, lookup) = if covering {
+            (ScanKind::IndexOnly, p.param_index_lookup(height, per_key, false))
+        } else {
+            (
+                ScanKind::Index,
+                p.param_index_lookup(height, per_key, true)
+                    + per_key * self.preds.len() as f64 * p.cpu_operator_cost,
+            )
+        };
+        Some(ParamInner { kind, rows: per_key.max(1.0), lookup })
+    }
 }
 
 #[cfg(test)]
@@ -296,107 +355,91 @@ mod tests {
         (db, cat)
     }
 
-    fn query(sql: &str) -> Query {
-        bao_sql::parse_query(sql).unwrap()
+    /// The single relation of `sql`, under the stock PostgreSQL profile.
+    fn with_rel<T>(
+        sql: &str,
+        db: &Database,
+        cat: &StatsCatalog,
+        f: impl FnOnce(&BaseRel<'_>) -> T,
+    ) -> T {
+        let query = bao_sql::parse_query(sql).unwrap();
+        let params = CostParams::default();
+        let ctx = PlannerCtx { query: &query, db, cat, est: &PostgresEstimator, params: &params };
+        f(&base_relations(&ctx).unwrap()[0])
     }
 
-    fn ctx<'a>(
-        q: &'a Query,
-        db: &'a Database,
-        cat: &'a StatsCatalog,
-        est: &'a dyn Estimator,
-        params: &'a CostParams,
-        hints: HintSet,
-    ) -> PlannerCtx<'a> {
-        PlannerCtx { query: q, db, cat, est, params, hints, work: Cell::new(0) }
+    /// The scan `hints` settles on, and its penalised cost.
+    fn best(rel: &BaseRel<'_>, hints: HintSet) -> (Operator, f64) {
+        let pens = Penalties { hints, disable_cost: CostParams::default().disable_cost };
+        let (i, cost) = rel.cheapest_scan(&pens).unwrap();
+        (rel.scan_operator(rel.scans[i].kind, rel.scans[i].range, None), cost)
+    }
+
+    fn operators(rel: &BaseRel<'_>) -> Vec<Operator> {
+        rel.scans.iter().map(|s| rel.scan_operator(s.kind, s.range, None)).collect()
     }
 
     #[test]
     fn selective_point_query_prefers_index() {
         let (db, cat) = setup(100_000, true);
-        let q = query("SELECT v FROM t WHERE id = 5");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        assert!(matches!(best.node.op, Operator::IndexScan { .. }), "{:?}", best.node.op);
-        assert!(c.work.get() >= 2);
+        with_rel("SELECT v FROM t WHERE id = 5", &db, &cat, |rel| {
+            let (op, _) = best(rel, HintSet::all_enabled());
+            assert!(matches!(op, Operator::IndexScan { .. }), "{op:?}");
+            assert!(rel.scans.len() >= 2);
+        });
     }
 
     #[test]
     fn unselective_query_prefers_seq() {
         let (db, cat) = setup(100_000, true);
-        let q = query("SELECT v FROM t WHERE id >= 0");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        assert!(matches!(best.node.op, Operator::SeqScan { .. }));
+        with_rel("SELECT v FROM t WHERE id >= 0", &db, &cat, |rel| {
+            assert!(matches!(best(rel, HintSet::all_enabled()).0, Operator::SeqScan { .. }));
+        });
     }
 
     #[test]
     fn hint_flips_choice() {
         let (db, cat) = setup(100_000, true);
-        let q = query("SELECT v FROM t WHERE id = 5");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        // disable index & index-only scans: seq must win despite selectivity
-        let hints = HintSet::from_masks(0b111, 0b001);
-        let c = ctx(&q, &db, &cat, &est, &params, hints);
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        assert!(matches!(best.node.op, Operator::SeqScan { .. }));
+        with_rel("SELECT v FROM t WHERE id = 5", &db, &cat, |rel| {
+            // disable index & index-only scans: seq must win despite selectivity
+            let hints = HintSet::from_masks(0b111, 0b001);
+            assert!(matches!(best(rel, hints).0, Operator::SeqScan { .. }));
+        });
     }
 
     #[test]
     fn index_only_when_covering() {
         let (db, cat) = setup(50_000, true);
-        let q = query("SELECT COUNT(id) FROM t WHERE id < 100");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let cands = scan_candidates(&c, &rels[0]).unwrap();
-        assert!(cands.iter().any(|x| matches!(x.node.op, Operator::IndexOnlyScan { .. })));
-        let best = cheapest(cands).unwrap();
-        assert!(matches!(best.node.op, Operator::IndexOnlyScan { .. }));
+        with_rel("SELECT COUNT(id) FROM t WHERE id < 100", &db, &cat, |rel| {
+            assert!(operators(rel).iter().any(|op| matches!(op, Operator::IndexOnlyScan { .. })));
+            let (op, _) = best(rel, HintSet::all_enabled());
+            assert!(matches!(op, Operator::IndexOnlyScan { .. }));
+        });
     }
 
     #[test]
     fn no_index_only_when_other_columns_needed() {
         let (db, cat) = setup(10_000, true);
-        let q = query("SELECT v FROM t WHERE id < 100");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let cands = scan_candidates(&c, &rels[0]).unwrap();
-        assert!(!cands.iter().any(|x| matches!(x.node.op, Operator::IndexOnlyScan { .. })));
+        with_rel("SELECT v FROM t WHERE id < 100", &db, &cat, |rel| {
+            assert!(!operators(rel).iter().any(|op| matches!(op, Operator::IndexOnlyScan { .. })));
+        });
     }
 
     #[test]
     fn residual_predicates_kept() {
         let (db, cat) = setup(10_000, true);
-        let q = query("SELECT v FROM t WHERE id < 100 AND v = 3");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let cands = scan_candidates(&c, &rels[0]).unwrap();
-        let idx = cands
-            .iter()
-            .find(|x| matches!(x.node.op, Operator::IndexScan { .. }))
-            .unwrap();
-        if let Operator::IndexScan { residual, lo, hi, .. } = &idx.node.op {
-            assert_eq!(residual.len(), 1);
-            assert_eq!(residual[0].col.column, "v");
-            assert_eq!(*lo, None);
-            assert_eq!(*hi, Some(99));
-        } else {
-            unreachable!()
-        }
+        with_rel("SELECT v FROM t WHERE id < 100 AND v = 3", &db, &cat, |rel| {
+            let ops = operators(rel);
+            let idx = ops.iter().find(|op| matches!(op, Operator::IndexScan { .. })).unwrap();
+            if let Operator::IndexScan { residual, lo, hi, .. } = idx {
+                assert_eq!(residual.len(), 1);
+                assert_eq!(residual[0].col.column, "v");
+                assert_eq!(*lo, None);
+                assert_eq!(*hi, Some(99));
+            } else {
+                unreachable!()
+            }
+        });
     }
 
     #[test]
@@ -422,15 +465,11 @@ mod tests {
     #[test]
     fn table_without_index_still_plannable_under_no_seq_hint() {
         let (db, cat) = setup(1_000, false);
-        let q = query("SELECT v FROM t WHERE id = 5");
-        let params = CostParams::default();
-        let est = PostgresEstimator;
-        let hints = HintSet::from_masks(0b111, 0b110); // seq disabled
-        let c = ctx(&q, &db, &cat, &est, &params, hints);
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        // only seq exists; it is chosen despite the penalty
-        assert!(matches!(best.node.op, Operator::SeqScan { .. }));
-        assert!(best.cost >= params.disable_cost);
+        with_rel("SELECT v FROM t WHERE id = 5", &db, &cat, |rel| {
+            let (op, cost) = best(rel, HintSet::from_masks(0b111, 0b110)); // seq disabled
+            // only seq exists; it is chosen despite the penalty
+            assert!(matches!(op, Operator::SeqScan { .. }));
+            assert!(cost >= CostParams::default().disable_cost);
+        });
     }
 }

@@ -1,15 +1,14 @@
 //! The top-level optimizer: profiles, plan assembly, planning-effort
 //! accounting.
 
-use crate::access::{base_relations, PlannerCtx};
+use crate::access::{base_relations, Penalties, PlannerCtx};
 use crate::cost::CostParams;
 use crate::hints::HintSet;
-use crate::join::plan_joins;
-use bao_common::Result;
-use bao_plan::{Operator, PlanNode, Query, SelectItem};
+use crate::join::Lattice;
+use bao_common::{BaoError, Result};
+use bao_plan::{AggFunc, Operator, PlanNode, Query, SelectItem};
 use bao_stats::{Estimator, PostgresEstimator, SampleEstimator, StatsCatalog};
 use bao_storage::Database;
-use std::cell::Cell;
 
 /// Which traditional optimizer this instance emulates (paper §6.1's two
 /// baselines).
@@ -68,7 +67,8 @@ impl Optimizer {
         self.estimator.as_ref()
     }
 
-    /// Plan `query` under `hints`. The returned plan is always executable:
+    /// Plan `query` under `hints`: the one-arm case of
+    /// [`Optimizer::plan_arms`]. The returned plan is always executable:
     /// hints discourage operators (via `disable_cost`) rather than
     /// removing them.
     pub fn plan(
@@ -78,23 +78,32 @@ impl Optimizer {
         cat: &StatsCatalog,
         hints: HintSet,
     ) -> Result<PlanOutput> {
-        let ctx = PlannerCtx {
-            query,
-            db,
-            cat,
-            est: self.estimator.as_ref(),
-            params: &self.params,
-            hints,
-            work: Cell::new(0),
-        };
-        let rels = base_relations(&ctx)?;
-        let joined = plan_joins(&ctx, &rels)?;
-        let mut root = joined.node;
-        let mut rows = joined.rows;
-        let mut cost = joined.cost;
+        self.plan_arms(query, db, cat, &[hints])?
+            .pop()
+            .ok_or_else(|| BaoError::Planning("one arm planned, none returned".into()))
+    }
 
-        // Aggregation above the join tree.
-        let aggs: Vec<bao_plan::AggFunc> = query
+    /// Plan `query` under every hint set of `arms`, in order. Everything
+    /// a hint set cannot change — relations, row estimates, scan and join
+    /// alternatives and the order they are priced in, the aggregate and
+    /// sort on top, `work` — is worked out once; each arm is then a
+    /// cost-only pass over that, and one tree. Every output is
+    /// bit-identical to planning that arm alone.
+    pub fn plan_arms(
+        &self,
+        query: &Query,
+        db: &Database,
+        cat: &StatsCatalog,
+        arms: &[HintSet],
+    ) -> Result<Vec<PlanOutput>> {
+        let p = &self.params;
+        let ctx = PlannerCtx { query, db, cat, est: self.estimator.as_ref(), params: p };
+        let rels = base_relations(&ctx)?;
+        let lattice = Lattice::build(&ctx, &rels)?;
+        let mut rows = lattice.rows();
+
+        // Aggregation above the join tree: its groups and cost.
+        let aggs: Vec<AggFunc> = query
             .select
             .iter()
             .filter_map(|s| match s {
@@ -102,7 +111,7 @@ impl Optimizer {
                 SelectItem::Column(_) => None,
             })
             .collect();
-        if !aggs.is_empty() || !query.group_by.is_empty() {
+        let aggregate = (!aggs.is_empty() || !query.group_by.is_empty()).then(|| {
             let groups = if query.group_by.is_empty() {
                 1.0
             } else {
@@ -117,35 +126,51 @@ impl Optimizer {
                     .product();
                 nd.min(rows).max(1.0)
             };
-            cost += self.params.aggregate(rows, groups);
-            root = PlanNode::new(
-                Operator::Aggregate { group_by: query.group_by.clone(), aggs },
-                vec![root],
-            )
-            .with_estimates(groups, cost);
+            let cost = p.aggregate(rows, groups);
             rows = groups;
-        }
-
+            (groups, cost)
+        });
         // Final ordering.
-        if !query.order_by.is_empty() {
-            cost += self.params.sort(rows);
-            root = PlanNode::new(Operator::Sort { keys: query.order_by.clone() }, vec![root])
-                .with_estimates(rows, cost);
-        }
+        let sort = (!query.order_by.is_empty()).then(|| p.sort(rows));
 
-        // Debug builds (and therefore every test run) verify each arm's
-        // raw plan, including hint consistency: the raw cost still carries
-        // any disable_cost penalty, which is what lets the verifier tell
-        // penalty-free plans from penalized ones.
-        #[cfg(debug_assertions)]
-        bao_plan::verify::verify_with_hints(
-            &root,
-            query,
-            db,
-            &ctx.hints.check(self.params.disable_cost),
-        )?;
+        let mut best = Vec::new();
+        arms.iter()
+            .map(|&hints| {
+                let pens = Penalties { hints, disable_cost: p.disable_cost };
+                lattice.price(&pens, &mut best)?;
+                let mut root = lattice.tree(&best, &pens);
+                let mut cost = root.est_cost;
+                if let Some((groups, agg_cost)) = aggregate {
+                    cost += agg_cost;
+                    let op = Operator::Aggregate {
+                        group_by: query.group_by.clone(),
+                        aggs: aggs.clone(),
+                    };
+                    root = PlanNode::new(op, vec![root]).with_estimates(groups, cost);
+                }
+                if let Some(sort_cost) = sort {
+                    cost += sort_cost;
+                    root =
+                        PlanNode::new(Operator::Sort { keys: query.order_by.clone() }, vec![root])
+                            .with_estimates(rows, cost);
+                }
 
-        Ok(PlanOutput { root, work: ctx.work.get() })
+                // Debug builds (and therefore every test run) verify each
+                // arm's raw plan, including hint consistency: the raw cost
+                // still carries any disable_cost penalty, which is what
+                // lets the verifier tell penalty-free plans from
+                // penalized ones.
+                #[cfg(debug_assertions)]
+                bao_plan::verify::verify_with_hints(
+                    &root,
+                    query,
+                    db,
+                    &hints.check(p.disable_cost),
+                )?;
+
+                Ok(PlanOutput { root, work: lattice.work })
+            })
+            .collect()
     }
 }
 
@@ -367,6 +392,77 @@ mod tests {
         let q = parse_query(&format!("SELECT COUNT(*) FROM {from} WHERE {conds}")).unwrap();
         let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
         assert_eq!(out.root.tables_covered().len(), 10);
+    }
+
+    /// Bitwise equality of two outputs: `work`, every operator, every
+    /// estimate.
+    fn assert_same(a: &PlanOutput, b: &PlanOutput, what: &str) {
+        assert_eq!(a.work, b.work, "{what}");
+        assert_eq!(a.root.iter().count(), b.root.iter().count(), "{what}");
+        for (x, y) in a.root.iter().zip(b.root.iter()) {
+            assert_eq!(x.op, y.op, "{what}");
+            assert_eq!(x.est_rows.to_bits(), y.est_rows.to_bits(), "{what}: {:?}", x.op);
+            assert_eq!(x.est_cost.to_bits(), y.est_cost.to_bits(), "{what}: {:?}", x.op);
+        }
+    }
+
+    #[test]
+    fn plan_arms_equals_planning_each_arm_alone() {
+        let (db, cat) = setup();
+        let chain = |n: usize| {
+            let from = (0..n).map(|i| format!("title t{i}")).collect::<Vec<_>>().join(", ");
+            let conds = (1..n)
+                .map(|i| format!("t{}.id = t{i}.id", i - 1))
+                .collect::<Vec<_>>()
+                .join(" AND ");
+            format!("SELECT COUNT(*) FROM {from} WHERE {conds} AND t0.year > 2000")
+        };
+        let mut cyclic = parse_query(&chain(3)).unwrap();
+        cyclic.joins.push(bao_plan::JoinPred::new(
+            bao_plan::ColRef::new(0, "id"),
+            bao_plan::ColRef::new(2, "id"),
+        ));
+        let queries = [
+            parse_query("SELECT t.kind, COUNT(*) FROM title t WHERE t.year = 2010 GROUP BY t.kind")
+                .unwrap(),
+            parse_query(
+                "SELECT t.id FROM title t, cast_info ci \
+                 WHERE t.id = ci.movie_id AND t.id < 40 ORDER BY t.id",
+            )
+            .unwrap(),
+            parse_query(&chain(4)).unwrap(),
+            cyclic,
+            parse_query(&chain(10)).unwrap(),
+        ];
+        let family = HintSet::family_49();
+        let mut rng = rng_from_seed(7);
+        for opt in [Optimizer::postgres(), Optimizer::comsys()] {
+            for (qi, q) in queries.iter().enumerate() {
+                let alone: Vec<PlanOutput> =
+                    family.iter().map(|&h| opt.plan(q, &db, &cat, h).unwrap()).collect();
+                // `work` counts candidates priced, which no hint changes.
+                assert!(alone.iter().all(|o| o.work == alone[0].work), "query {qi}");
+
+                // The family in order, shuffled, with duplicates, and one
+                // arm at a time: an arm's output never depends on which
+                // arms were planned beside it.
+                let mut order: Vec<usize> = (0..family.len()).collect();
+                let mut slices = vec![order.clone()];
+                rng.shuffle(&mut order);
+                slices.push(order.clone());
+                slices.push((0..60).map(|_| rng.gen_index(family.len())).collect());
+                slices.push(vec![rng.gen_index(family.len())]);
+                slices.push(Vec::new());
+                for slice in slices {
+                    let arms: Vec<HintSet> = slice.iter().map(|&i| family[i]).collect();
+                    let outs = opt.plan_arms(q, &db, &cat, &arms).unwrap();
+                    assert_eq!(outs.len(), slice.len());
+                    for (out, &i) in outs.iter().zip(&slice) {
+                        assert_same(out, &alone[i], &format!("query {qi} arm {i}"));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
