@@ -16,14 +16,11 @@
 //! Meta commands: `\help`, `\tables`, `\bao`, `\timing`, `\q`.
 //!
 //! Non-interactive mode: `--script <file>` runs the statements from a
-//! file through the same shell loop (no prompts) and records headline
-//! baselines (`baodb_script_qps`, `baodb_script_statements`) in
-//! `results/bench_baselines.json` like every other experiment binary;
-//! `--update-baseline` re-records after an intentional move.
+//! file through the same shell loop (no prompts) and ends with a
+//! `script done: …` summary line.
 //! `--shard-workers N` executes queries over N shards on the morsel pool
 //! (DESIGN.md §13); output is bit-identical at any width.
 
-use bao_bench::timing::note_headlines;
 use bao_bench::Args;
 use bao_cloud::N1_16;
 use bao_common::pool::resolve_width;
@@ -36,7 +33,7 @@ use bao_storage::{BufferPool, Database};
 use bao_workloads::imdb::build_imdb_database;
 use std::io::{BufRead, Write};
 
-/// One session's state plus cumulative counters for headline reporting.
+/// One session's state plus the counters of `--script`'s summary line.
 struct Shell {
     db: Database,
     cat: StatsCatalog,
@@ -263,8 +260,7 @@ fn main() {
     }
 
     if !script.is_empty() {
-        // Non-interactive: run the script through the same loop, then
-        // record headline baselines like every other figure binary.
+        // Non-interactive: run the script through the same loop.
         let text = match std::fs::read_to_string(&script) {
             Ok(t) => t,
             Err(e) => {
@@ -280,18 +276,6 @@ fn main() {
         println!(
             "\nscript done: {} statements, {} selects, {:.3} ms simulated",
             shell.statements, shell.selects, shell.simulated_ms
-        );
-        let qps = if shell.simulated_ms > 0.0 {
-            shell.selects as f64 / (shell.simulated_ms / 1_000.0)
-        } else {
-            0.0
-        };
-        note_headlines(
-            &[
-                ("baodb_script_qps".to_string(), qps),
-                ("baodb_script_statements".to_string(), shell.statements as f64),
-            ],
-            args.has("update-baseline"),
         );
         return;
     }

@@ -1,0 +1,279 @@
+//! Bao against the traditional optimizer it sits on, through the
+//! harness: Figures 7–10 and 13, and §6.2's overhead analysis.
+
+use super::{imdb, pair, run, SYSTEMS};
+use bao_bench::{bao_settings, build_workload, percentile_row, print_header, Args, Table, WorkloadName};
+use bao_cloud::{VmType, ALL_VMS, N1_16, N1_4};
+use bao_harness::{RunConfig, RunResult, Runner, Strategy};
+use bao_opt::OptimizerProfile;
+use bao_workloads::Workload;
+
+/// The two rows Figures 7 and 8 print per pair: cost, workload minutes
+/// and workload time relative to the traditional optimizer's.
+fn cost_rows(t: &mut Table, first: &str, sys: &str, vm: VmType, [trad, bao]: &[RunResult; 2]) {
+    let trad_time = trad.workload_time().as_secs();
+    for (label, res) in [(sys, trad), ("Bao", bao)] {
+        t.row(vec![
+            first.to_string(),
+            label.to_string(),
+            format!("{:.4}", res.cost(vm).total_usd()),
+            format!("{:.2}", res.workload_time().as_secs() / 60.0),
+            format!("{:.2}", res.workload_time().as_secs() / trad_time),
+        ]);
+    }
+}
+
+/// Figure 7: cost (left) and workload latency (right) for Bao and the two
+/// traditional optimizers across the three workloads, on an N1-16 VM.
+///
+/// (a) Bao on the PostgreSQL-like engine vs the PostgreSQL-like optimizer;
+/// (b) Bao on the ComSys-like engine vs the ComSys-like optimizer.
+pub fn figure7(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(400);
+    let seed = args.seed();
+    let arms = args.usize("arms", 6);
+
+    print_header(
+        "Figure 7: cost and workload latency, Bao vs traditional optimizers (N1-16)",
+        &format!("(scale {scale}, {n} queries, {arms} arms; paper: ~50% vs PostgreSQL, ~20% vs ComSys)"),
+    );
+
+    for (profile, sys) in SYSTEMS {
+        println!("\n--- (vs {sys} optimizer, on the {sys}-like engine)");
+        let mut t = Table::new(&["Workload", "System", "Cost (USD)", "Time (min)", "Bao/Trad"]);
+        for name in WorkloadName::ALL {
+            let (db, wl) = build_workload(name, scale, n, seed).expect("workload");
+            let runs = pair(&db, &wl, N1_16, profile, bao_settings(arms, n), seed);
+            cost_rows(&mut t, name.label(), sys, N1_16, &runs);
+        }
+        t.print();
+    }
+    println!();
+    println!("Bao's rows include GPU training cost; the ratio column is Bao's");
+    println!("workload time relative to the traditional optimizer (lower is better).");
+}
+
+/// Figure 8: cost and workload latency across four VM classes for the
+/// IMDb workload — (a) vs the PostgreSQL-like optimizer, (b) vs ComSys.
+pub fn figure8(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(400);
+    let seed = args.seed();
+    let arms = args.usize("arms", 6);
+
+    print_header(
+        "Figure 8: cost and latency across VM types (IMDb)",
+        &format!("(scale {scale}, {n} queries; paper: Bao's edge over PostgreSQL grows with VM size)"),
+    );
+
+    let (db, wl) = imdb(scale, n, seed);
+    for (profile, sys) in SYSTEMS {
+        println!("\n--- (vs {sys})");
+        let mut t = Table::new(&["VM", "System", "Cost (USD)", "Time (min)", "Bao/Trad"]);
+        for vm in ALL_VMS {
+            let runs = pair(&db, &wl, vm, profile, bao_settings(arms, n), seed);
+            cost_rows(&mut t, vm.name, sys, vm, &runs);
+        }
+        t.print();
+    }
+}
+
+/// Figure 9: per-query latency percentiles (median / 95% / 99% / 99.5%)
+/// for each VM class, Bao vs the PostgreSQL-like optimizer (top row) and
+/// Bao vs the ComSys-like optimizer (bottom row), IMDb workload.
+pub fn figure9(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(400);
+    let seed = args.seed();
+    let arms = args.usize("arms", 6);
+
+    print_header(
+        "Figure 9: tail latency percentiles per VM type (IMDb)",
+        &format!(
+            "(scale {scale}, {n} queries; paper: Bao drastically reduces p99/p99.5 vs PostgreSQL)"
+        ),
+    );
+
+    let (db, wl) = imdb(scale, n, seed);
+    for (profile, sys) in SYSTEMS {
+        println!("\n--- engine/optimizer: {sys}");
+        for vm in ALL_VMS {
+            let [trad, bao] = pair(&db, &wl, vm, profile, bao_settings(arms, n), seed);
+            let mut t = Table::new(&["System", "p50", "p95", "p99", "p99.5"]);
+            t.row(percentile_row(sys, &trad.latencies_ms()));
+            t.row(percentile_row("Bao", &bao.latencies_ms()));
+            println!("[{}]", vm.name);
+            t.print();
+        }
+    }
+}
+
+fn curve_points(res: &RunResult, n_points: usize) -> Vec<(f64, usize)> {
+    let curve = res.convergence_curve();
+    (1..=n_points)
+        .map(|i| {
+            let idx = (i * curve.len() / n_points).saturating_sub(1);
+            curve[idx]
+        })
+        .collect()
+}
+
+/// Figure 10: queries completed over time for Bao and the PostgreSQL-like
+/// optimizer on the (dynamic) IMDb workload, one panel per VM class.
+pub fn figure10(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(400);
+    let seed = args.seed();
+    let arms = args.usize("arms", 6);
+
+    print_header(
+        "Figure 10: queries completed over time (IMDb, dynamic workload)",
+        &format!(
+            "(scale {scale}, {n} queries; paper: Bao's curve overtakes PostgreSQL's after training)"
+        ),
+    );
+
+    let (db, wl) = imdb(scale, n, seed);
+    for vm in ALL_VMS {
+        let [pg, bao] =
+            pair(&db, &wl, vm, OptimizerProfile::PostgresLike, bao_settings(arms, n), seed);
+
+        println!("\n[{}]  (rows are checkpoints: elapsed seconds -> queries done)", vm.name);
+        let mut t = Table::new(&["Checkpoint", "PostgreSQL", "Bao"]);
+        for (i, (p, b)) in curve_points(&pg, 8).iter().zip(curve_points(&bao, 8)).enumerate() {
+            t.row(vec![
+                format!("{}/8", i + 1),
+                format!("{:>7.1}s -> {:>4}", p.0, p.1),
+                format!("{:>7.1}s -> {:>4}", b.0, b.1),
+            ]);
+        }
+        t.row(vec![
+            "total".into(),
+            format!("{:.1}s", pg.workload_time().as_secs()),
+            format!("{:.1}s", bao.workload_time().as_secs()),
+        ]);
+        t.print();
+    }
+}
+
+/// Completion time of one of `t` concurrent streams.
+fn stream_time_secs(res: &RunResult, t: usize, vcpus: f64) -> f64 {
+    let cpu: f64 = res.records.iter().map(|r| r.cpu_time.as_secs()).sum::<f64>()
+        + res.total_opt.as_secs();
+    let io: f64 =
+        res.records.iter().map(|r| (r.latency - r.cpu_time).as_secs()).sum::<f64>();
+    let wall = cpu + io + res.total_opt.as_secs();
+    let util = (cpu / wall.max(1e-9)).min(1.0);
+    let contention = (t as f64 * util * 2.0 / vcpus).max(1.0);
+    cpu * contention + io
+}
+
+/// Figure 13: queries completed vs time at concurrency level t ∈ {1,2,4},
+/// with the data on disk (left) versus fully in memory (right).
+///
+/// The paper's finding: the disk-bound workload leaves plenty of idle CPU
+/// for Bao's extra optimization work, so Bao at t=1 beats PostgreSQL at
+/// t=4; once the database fits in memory, the workload is CPU-bound and
+/// at t=4 Bao's optimization overhead outweighs its gains.
+///
+/// Concurrency model: t identical streams share the VM. I/O overlaps
+/// across streams; CPU contends once aggregate demand exceeds the vCPUs
+/// (each query's CPU time inflates by `max(1, t·u/c)` where `u` is the
+/// workload's measured CPU utilisation and `c` the core count; Bao's
+/// planning work adds to `u`).
+pub fn figure13(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(300);
+    let seed = args.seed();
+    let arms = args.usize("arms", 6);
+
+    print_header(
+        "Figure 13: concurrent query streams, disk-resident vs in-memory (IMDb, N1-4)",
+        &format!("(scale {scale}, {n} queries/stream; paper: Bao wins when I/O-bound, caution when CPU-bound)"),
+    );
+
+    let (db, wl) = imdb(scale, n, seed);
+    // "Disk": the pool holds a quarter of the data; "memory": everything
+    // (heaps + indexes) fits with room to spare.
+    let data_pages = (db.total_heap_pages() * 2) as usize;
+    let disk_pool = (data_pages / 4).max(64);
+    let mem_pool = data_pages * 4 + 1_024;
+
+    for (regime, pool_pages) in [("data on disk", disk_pool), ("data in memory", mem_pool)] {
+        println!("\n--- {regime} (buffer pool {pool_pages} pages)");
+        let mut t = Table::new(&["Streams t", "PostgreSQL (s)", "Bao (s)"]);
+        let [pg, bao] =
+            [Strategy::Traditional, Strategy::Bao(bao_settings(arms, n))].map(|strategy| {
+                let cfg = RunConfig { seed, ..RunConfig::new(N1_4, strategy) };
+                Runner::new(cfg, db.clone()).with_pool_pages(pool_pages).run(&wl).expect("run")
+            });
+        for streams in [1usize, 2, 4] {
+            t.row(vec![
+                format!("{streams}"),
+                format!("{:.1}", stream_time_secs(&pg, streams, 4.0)),
+                format!("{:.1}", stream_time_secs(&bao, streams, 4.0)),
+            ]);
+        }
+        t.print();
+    }
+}
+
+/// §6.2 text experiments: (1) the worst case — re-running only the
+/// fastest 20% of IMDb queries, where the optimizer is already
+/// near-optimal and Bao's overhead shows (paper: 4.5m vs 4.2m); and
+/// (2) maximum per-query optimization times (paper: PostgreSQL 140ms,
+/// ComSys 165ms, Bao 230ms with parallel arm planning).
+pub fn sec62_overhead(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(300);
+    let seed = args.seed();
+    let arms = args.usize("arms", 6);
+
+    print_header(
+        "Section 6.2: Bao overhead on the fastest 20% of queries + optimization times",
+        &format!("(scale {scale}, {n} queries)"),
+    );
+
+    let (db, wl) = imdb(scale, n, seed);
+
+    // Find the fastest 20% under PostgreSQL.
+    let base = run(&db, &wl, N1_16, OptimizerProfile::PostgresLike, Strategy::Traditional, seed);
+    let mut order: Vec<usize> = (0..base.records.len()).collect();
+    order.sort_by(|&a, &b| {
+        base.records[a].latency.partial_cmp(&base.records[b].latency).unwrap()
+    });
+    let keep: std::collections::HashSet<usize> = order[..n / 5].iter().copied().collect();
+    let restricted = Workload {
+        name: "imdb-fastest-20pct".into(),
+        steps: wl
+            .steps
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| keep.contains(i))
+            .map(|(_, s)| s.clone())
+            .collect(),
+    };
+
+    let mut t =
+        Table::new(&["System", "Restricted workload (s)", "Mean opt (ms)", "Max opt (ms)"]);
+    for (label, strategy, profile) in [
+        ("PostgreSQL", Strategy::Traditional, OptimizerProfile::PostgresLike),
+        ("ComSys", Strategy::Traditional, OptimizerProfile::ComSysLike),
+        ("Bao", Strategy::Bao(bao_settings(arms, n)), OptimizerProfile::PostgresLike),
+    ] {
+        let res = run(&db, &restricted, N1_16, profile, strategy, seed);
+        let max_opt = res.records.iter().map(|r| r.opt_time.as_ms()).fold(0.0f64, f64::max);
+        let mean_opt = res.total_opt.as_ms() / res.records.len().max(1) as f64;
+        t.row(vec![
+            label.to_string(),
+            format!("{:.2}", res.workload_time().as_secs()),
+            format!("{mean_opt:.2}"),
+            format!("{max_opt:.1}"),
+        ]);
+    }
+    t.print();
+    println!();
+    println!("On a workload of already-optimal queries Bao can only add overhead");
+    println!("(its optimization-time increase), mirroring the paper's 4.2m -> 4.5m.");
+}

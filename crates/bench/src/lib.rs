@@ -1,12 +1,15 @@
-//! Shared infrastructure for the experiment binaries (`src/bin/*`): a tiny
-//! CLI argument parser, text-table/percentile reporting, standard workload
-//! setups, and strategy bundles.
+//! Shared infrastructure for the three binaries (`src/bin/*`), the
+//! `benches/` and the workspace tests: a tiny CLI argument parser,
+//! text-table/percentile reporting, standard workload setups, and a
+//! wall-clock sampling harness.
 //!
-//! Every table and figure in the paper's evaluation has a binary here; see
-//! DESIGN.md §3 for the index and EXPERIMENTS.md for recorded results.
-//! All binaries accept `--queries N --scale F --seed S` (and
-//! experiment-specific flags) so results can be regenerated at larger
-//! scales.
+//! Every table and figure in the paper's evaluation is one function of
+//! the `figures` binary; see DESIGN.md §3 for the index and
+//! EXPERIMENTS.md for recorded results. All figures accept
+//! `--queries N --scale F --seed S` (and experiment-specific flags) so
+//! results can be regenerated at larger scales. `baodb` is the SQL shell
+//! and `inference_bench` the one wall-clock gate the repo benchmark
+//! (`benchmark/`) does not cover.
 
 pub mod cli;
 pub mod report;
@@ -14,5 +17,5 @@ pub mod setups;
 pub mod timing;
 
 pub use cli::Args;
-pub use report::{percentile_row, print_header, print_table, Table};
+pub use report::{percentile_row, print_header, Table};
 pub use setups::{bao_settings, build_workload, WorkloadName};

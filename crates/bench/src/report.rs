@@ -70,15 +70,6 @@ pub fn percentile_row(label: &str, latencies_ms: &[f64]) -> Vec<String> {
     vec![label.to_string(), p(50.0), p(95.0), p(99.0), p(99.5)]
 }
 
-/// Convenience: build and print a table in one call.
-pub fn print_table(header: &[&str], rows: Vec<Vec<String>>) {
-    let mut t = Table::new(header);
-    for r in rows {
-        t.row(r);
-    }
-    t.print();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,7 +2,7 @@
 //! Bao settings tuned so the full suite runs in minutes while preserving
 //! the paper's relative results.
 
-use bao_common::{BaoError, Result};
+use bao_common::Result;
 use bao_harness::{BaoSettings, ModelKind};
 use bao_opt::HintSet;
 use bao_storage::Database;
@@ -19,15 +19,6 @@ pub enum WorkloadName {
 }
 
 impl WorkloadName {
-    pub fn parse(s: &str) -> Result<WorkloadName> {
-        match s.to_ascii_lowercase().as_str() {
-            "imdb" => Ok(WorkloadName::Imdb),
-            "stack" => Ok(WorkloadName::Stack),
-            "corp" => Ok(WorkloadName::Corp),
-            other => Err(BaoError::Config(format!("unknown workload {other}"))),
-        }
-    }
-
     pub fn label(self) -> &'static str {
         match self {
             WorkloadName::Imdb => "IMDb",
@@ -79,13 +70,6 @@ pub fn bao_settings(n_arms: usize, n_queries: usize) -> BaoSettings {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_names() {
-        assert_eq!(WorkloadName::parse("IMDB").unwrap(), WorkloadName::Imdb);
-        assert_eq!(WorkloadName::parse("stack").unwrap(), WorkloadName::Stack);
-        assert!(WorkloadName::parse("tpch").is_err());
-    }
 
     #[test]
     fn builds_all_workloads_small() {

@@ -116,6 +116,24 @@ impl BaoSettings {
             ..BaoSettings::default()
         }
     }
+
+    /// The `Bao` these settings describe, sampling from `seed`: the one
+    /// place harness knobs are spelled as `BaoConfig` fields and the
+    /// model is sized to the featurization.
+    pub fn build(&self, seed: u64) -> Bao {
+        let cfg = BaoConfig {
+            arms: self.arms.clone(),
+            window_size: self.window,
+            retrain_interval: self.retrain,
+            cache_features: self.cache_features,
+            bootstrap: self.bootstrap,
+            seed,
+            durability: self.durability.clone(),
+            ..BaoConfig::default()
+        };
+        let dim = bao_core::Featurizer::new(self.cache_features).input_dim();
+        Bao::with_model(cfg, self.model.build(dim))
+    }
 }
 
 /// What selects plans during the run.
@@ -294,10 +312,6 @@ impl RunResult {
         self.records.iter().map(|r| r.latency.as_ms()).collect()
     }
 
-    pub fn perfs(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.perf).collect()
-    }
-
     /// (elapsed seconds, queries completed) pairs — Figure 10's curve.
     pub fn convergence_curve(&self) -> Vec<(f64, usize)> {
         self.records.iter().enumerate().map(|(i, r)| (r.clock.as_secs(), i + 1)).collect()
@@ -397,18 +411,7 @@ impl Runner {
             Strategy::Optimal { arms } => Chooser::Optimal(arms.clone()),
             Strategy::Bao(settings) => {
                 exec.shard_workers = settings.shard_workers;
-                let bao_cfg = BaoConfig {
-                    arms: settings.arms.clone(),
-                    window_size: settings.window,
-                    retrain_interval: settings.retrain,
-                    cache_features: settings.cache_features,
-                    bootstrap: settings.bootstrap,
-                    seed: split_seed(cfg.seed, 2),
-                    durability: settings.durability.clone(),
-                    ..BaoConfig::default()
-                };
-                let dim = bao_core::Featurizer::new(settings.cache_features).input_dim();
-                Chooser::Bao(Box::new(Bao::with_model(bao_cfg, settings.model.build(dim))))
+                Chooser::Bao(Box::new(settings.build(split_seed(cfg.seed, 2))))
             }
         };
         let (serving, sched) = (ServingConfig::new(1, 1), SchedConfig::single_tenant());
@@ -434,10 +437,6 @@ impl Runner {
             Chooser::Bao(bao) => Some(bao),
             _ => None,
         }
-    }
-
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 
     /// Execute the full workload, closed-loop.

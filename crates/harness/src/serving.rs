@@ -462,7 +462,8 @@ impl Runner {
 
                 // Group commit: one flush (and at most one fsync, per the
                 // fsync policy) covers the whole wave's frames — this is the
-                // batching that keeps WAL overhead inside the wal_bench gate.
+                // batching that keeps WAL overhead (the repo benchmark's
+                // `wal.run_overhead_frac`) small.
                 if let Some(bao) = self.bao() {
                     bao.wal_commit()?;
                 }

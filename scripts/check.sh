@@ -4,12 +4,10 @@
 #                        report to results/lint_report.json
 #   2. check_hermetic  — static manifest scan (via bao-lint)
 #   3. build + test    — tier-1: cargo build --release && cargo test -q
-#   4. bench smoke     — opt-in via --bench-smoke: inference_bench,
-#                        serving_bench, sched_bench, cache_bench, and
-#                        shard_bench, each --quick --gate, failing on a
-#                        gated regression against
-#                        results/bench_baselines.json
-#                        (DESIGN.md §8, §9, §10, §11, §13)
+#   4. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
+#                        the one wall-clock gate the repo benchmark
+#                        (benchmark/) does not cover; exits non-zero when
+#                        auto-width training loses to inline (DESIGN.md §8)
 #   5. race smoke      — opt-in via --race-smoke: the bao-race suites
 #                        (detection fixtures + the two production
 #                        suites) under --cfg bao_race, bounded so the
@@ -26,7 +24,13 @@
 #                        every 4th boundary; the full matrix (3 seeds,
 #                        every boundary) runs when BAO_CRASH_EXHAUSTIVE=1
 #                        is already exported (DESIGN.md §14)
-#   8. code lines      — scripts/loc.sh: product code lines per crate, a
+#   8. figures         — opt-in via --figures (~6 min): regenerate every
+#                        results/<name>.txt (`figures --list`) into a temp
+#                        dir and diff it against the tracked file. Every
+#                        number there is simulated, so any byte that
+#                        differs is a behaviour change: commit the new
+#                        text and the diff is the review
+#   9. code lines      — scripts/loc.sh: product code lines per crate, a
 #                        tracked metric (ROADMAP aim 2); printed and
 #                        written to results/loc.txt (tracked, so a PR's
 #                        diff shows what it did to the count), not gated
@@ -41,12 +45,14 @@ bench_smoke=0
 race_smoke=0
 race_nightly=0
 crash_smoke=0
+figures=0
 for arg in "$@"; do
     case "$arg" in
         --bench-smoke) bench_smoke=1 ;;
         --race-smoke) race_smoke=1 ;;
         --race-nightly) race_nightly=1 ;;
         --crash-smoke) crash_smoke=1 ;;
+        --figures) figures=1 ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
 done
@@ -68,23 +74,8 @@ cargo test -q
 
 if [ "$bench_smoke" = 1 ]; then
     echo
-    echo "== bench smoke (inference_bench --quick --gate) =="
-    cargo run -q --release -p bao-bench --bin inference_bench -- --quick --gate
-    echo
-    echo "== bench smoke (serving_bench --quick --gate) =="
-    cargo run -q --release -p bao-bench --bin serving_bench -- --quick --gate
-    echo
-    echo "== bench smoke (sched_bench --quick --gate) =="
-    cargo run -q --release -p bao-bench --bin sched_bench -- --quick --gate
-    echo
-    echo "== bench smoke (cache_bench --quick --gate) =="
-    cargo run -q --release -p bao-bench --bin cache_bench -- --quick --gate
-    echo
-    echo "== bench smoke (shard_bench --quick --gate) =="
-    cargo run -q --release -p bao-bench --bin shard_bench -- --quick --gate
-    echo
-    echo "== bench smoke (wal_bench --quick --gate) =="
-    cargo run -q --release -p bao-bench --bin wal_bench -- --quick --gate
+    echo "== bench smoke (inference_bench --quick) =="
+    cargo run -q --release -p bao-bench --bin inference_bench -- --quick
 fi
 
 if [ "$race_smoke" = 1 ]; then
@@ -107,6 +98,23 @@ if [ "$crash_smoke" = 1 ]; then
     echo
     echo "== crash smoke (kill-at-boundary recovery matrix) =="
     cargo test -q -p bao-bench --test crash_recovery
+fi
+
+if [ "$figures" = 1 ]; then
+    echo
+    echo "== figures (regenerate results/*.txt, exact diff) =="
+    regen="$(mktemp -d)"
+    trap 'rm -rf "$regen"' EXIT
+    moved=""
+    for name in $(cargo run -q --release -p bao-bench --bin figures -- --list); do
+        cargo run -q --release -p bao-bench --bin figures -- "$name" > "$regen/$name.txt"
+        diff -u "results/$name.txt" "$regen/$name.txt" || moved="$moved $name"
+    done
+    if [ -n "$moved" ]; then
+        echo "figures moved:$moved — if intended, commit the new output" >&2
+        echo "  (cargo run --release -p bao-bench --bin figures -- <name> > results/<name>.txt)" >&2
+        exit 1
+    fi
 fi
 
 echo
