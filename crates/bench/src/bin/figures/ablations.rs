@@ -3,6 +3,7 @@
 use super::{imdb, run};
 use bao_bench::{bao_settings, print_header, Args, Table};
 use bao_cloud::N1_16;
+use bao_common::stats::{mean, percentile};
 use bao_common::{rng_from_seed, split_seed};
 use bao_core::Featurizer;
 use bao_exec::execute;
@@ -40,7 +41,7 @@ pub fn cache(args: &Args) {
         [("with cache features", true), ("without cache features", false)]
     {
         let res = bao_run(&db, &wl, BaoSettings { cache_features, ..bao_settings(6, n) }, seed);
-        let p99 = bao_common::stats::percentile(&res.latencies_ms(), 99.0);
+        let p99 = percentile(&res.latencies_ms(), 99.0);
         t.row(vec![
             label.to_string(),
             format!("{:.2}", res.total_exec.as_secs()),
@@ -78,7 +79,7 @@ pub fn exploration(args: &Args) {
                 bao_run(&db, &wl, settings, seed + s_off).total_exec.as_secs()
             })
             .collect();
-        let mean = totals.iter().sum::<f64>() / totals.len() as f64;
+        let mean = mean(&totals);
         let worst = totals.iter().cloned().fold(0.0f64, f64::max);
         t.row(vec![label.to_string(), format!("{mean:.2}"), format!("{worst:.2}")]);
     }
@@ -214,7 +215,7 @@ pub fn critical(args: &Args) {
 }
 
 fn std_dev(xs: &[f64]) -> f64 {
-    let m = xs.iter().sum::<f64>() / xs.len() as f64;
+    let m = mean(xs);
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
@@ -223,7 +224,7 @@ fn mean_spread(draws: &[Vec<f32>], n_trees: usize) -> f64 {
     let per_tree: Vec<f64> = (0..n_trees)
         .map(|i| std_dev(&draws.iter().map(|d| d[i] as f64).collect::<Vec<f64>>()))
         .collect();
-    per_tree.iter().sum::<f64>() / per_tree.len() as f64
+    mean(&per_tree)
 }
 
 /// Extension ablation: posterior sampling mechanisms for Thompson

@@ -29,7 +29,7 @@ use bao_workloads::Workload;
 type Figure = fn(&Args);
 
 /// Name (= `results/<name>.txt`) and body of every figure.
-const FIGURES: [(&str, Figure); 22] = [
+const FIGURES: &[(&str, Figure)] = &[
     ("table1", hints::table1),
     ("figure1", hints::figure1),
     ("figure7", versus::figure7),
@@ -62,6 +62,12 @@ const SYSTEMS: [(OptimizerProfile, &str); 2] =
 /// The (dynamic) IMDb workload nearly every figure runs.
 fn imdb(scale: f64, n: usize, seed: u64) -> (Database, Workload) {
     build_workload(WorkloadName::Imdb, scale, n, seed).expect("workload")
+}
+
+/// Indices of `k` evenly spaced checkpoints through `len` completed
+/// queries (Figures 10 and 14), the last one being the final query.
+fn checkpoints(len: usize, k: usize) -> impl Iterator<Item = usize> {
+    (1..=k).map(move |i| (i * len / k).saturating_sub(1))
 }
 
 fn run_cfg(db: &Database, wl: &Workload, cfg: RunConfig) -> RunResult {

@@ -1,7 +1,7 @@
 //! What Bao's value model learns and what it costs: Figures 11 and
 //! 14–16, and the §7 cost-model probe.
 
-use super::{imdb, pair, run_cfg};
+use super::{checkpoints, imdb, pair, run_cfg};
 use bao_baselines::LearnedOptimizer;
 use bao_bench::{bao_settings, print_header, Args, Table};
 use bao_cloud::{gpu_train_time, N1_16};
@@ -178,10 +178,9 @@ pub fn figure14(args: &Args) {
         let mut t = Table::new(&["System", "25%", "50%", "75%", "100% of queries", "Total (s)"]);
         for (label, clocks) in &results {
             let mut row = vec![label.to_string()];
-            row.extend((1..=4).map(|i| {
-                let idx = (i * clocks.len() / 4).saturating_sub(1);
-                format!("{:.0}s", clocks[idx] / 1_000.0)
-            }));
+            row.extend(
+                checkpoints(clocks.len(), 4).map(|i| format!("{:.0}s", clocks[i] / 1_000.0)),
+            );
             row.push(format!("{:.1}", clocks.last().unwrap() / 1_000.0));
             t.row(row);
         }

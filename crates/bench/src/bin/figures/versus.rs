@@ -1,7 +1,7 @@
 //! Bao against the traditional optimizer it sits on, through the
 //! harness: Figures 7–10 and 13, and §6.2's overhead analysis.
 
-use super::{imdb, pair, run, SYSTEMS};
+use super::{checkpoints, imdb, pair, run, SYSTEMS};
 use bao_bench::{bao_settings, build_workload, percentile_row, print_header, Args, Table, WorkloadName};
 use bao_cloud::{VmType, ALL_VMS, N1_16, N1_4};
 use bao_harness::{RunConfig, RunResult, Runner, Strategy};
@@ -109,16 +109,6 @@ pub fn figure9(args: &Args) {
     }
 }
 
-fn curve_points(res: &RunResult, n_points: usize) -> Vec<(f64, usize)> {
-    let curve = res.convergence_curve();
-    (1..=n_points)
-        .map(|i| {
-            let idx = (i * curve.len() / n_points).saturating_sub(1);
-            curve[idx]
-        })
-        .collect()
-}
-
 /// Figure 10: queries completed over time for Bao and the PostgreSQL-like
 /// optimizer on the (dynamic) IMDb workload, one panel per VM class.
 pub fn figure10(args: &Args) {
@@ -141,9 +131,11 @@ pub fn figure10(args: &Args) {
 
         println!("\n[{}]  (rows are checkpoints: elapsed seconds -> queries done)", vm.name);
         let mut t = Table::new(&["Checkpoint", "PostgreSQL", "Bao"]);
-        for (i, (p, b)) in curve_points(&pg, 8).iter().zip(curve_points(&bao, 8)).enumerate() {
+        let (pg_curve, bao_curve) = (pg.convergence_curve(), bao.convergence_curve());
+        for (row, i) in checkpoints(wl.len(), 8).enumerate() {
+            let (p, b) = (pg_curve[i], bao_curve[i]);
             t.row(vec![
-                format!("{}/8", i + 1),
+                format!("{}/8", row + 1),
                 format!("{:>7.1}s -> {:>4}", p.0, p.1),
                 format!("{:>7.1}s -> {:>4}", b.0, b.1),
             ]);

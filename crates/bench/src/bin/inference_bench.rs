@@ -25,12 +25,11 @@ use bao_opt::{HintSet, Optimizer};
 use bao_stats::StatsCatalog;
 
 /// The floor: auto-width training (`threads: 0`) must never lose to
-/// inline (`threads: 1`). 0.90, not 1.0, because the stacked-vCPU spells
-/// above read 0.94-0.97 with nothing wrong; a trainer that really
+/// inline (`threads: 1`). 0.85, not 1.0, because in the stacked-vCPU
+/// spells above 90 consecutive `--quick` runs on unchanged code read
+/// 0.87-1.04 (median 0.96, two of them under 0.90); a trainer that really
 /// serialises behind its helpers reads well under that.
-const MIN_AUTO_VS_INLINE: f64 = 0.90;
-/// What auto width is expected to reach with >= 2 cores (printed only).
-const EXPECTED_AUTO_VS_INLINE_MULTICORE: f64 = 1.3;
+const MIN_AUTO_VS_INLINE: f64 = 0.85;
 
 /// Plan each query under every arm in the 49-family and featurize each
 /// plan — the tree sets `Bao::evaluate_arms` scores, and so the trees
@@ -118,10 +117,9 @@ fn main() {
     println!();
     let auto_ok = train_auto_vs_inline >= MIN_AUTO_VS_INLINE;
     println!(
-        "auto-width training {:.2}x inline (floor >= {:.2}x on every host; expected >= {:.1}x with >= 2 cores, not gated; {} here): {}",
+        "auto-width training {:.2}x inline (floor >= {:.2}x on every host; >= 1.3x expected with >= 2 cores, not gated; {} here): {}",
         train_auto_vs_inline,
         MIN_AUTO_VS_INLINE,
-        EXPECTED_AUTO_VS_INLINE_MULTICORE,
         cores,
         if auto_ok { "PASS" } else { "FAIL" }
     );
