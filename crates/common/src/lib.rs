@@ -3,6 +3,7 @@
 //! across every crate in the workspace.
 
 pub mod error;
+pub mod hash;
 pub mod json;
 pub mod pool;
 pub mod rng;

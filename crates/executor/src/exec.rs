@@ -318,23 +318,25 @@ impl<'a> Ctx<'a> {
         // Interior descent: hot pages, charged as CPU.
         self.meters
             .charge_cpu(probe.height as f64 * 0.25 * self.params.random_page_cost);
-        for leaf in &probe.leaf_pages {
+        for leaf in probe.leaf_pages {
             self.meters.touch_page(
                 self.pool,
                 self.params,
-                PageKey::new(sidx.object, *leaf),
+                PageKey::new(sidx.object, leaf),
                 PageAccess::Sequential,
             );
         }
         self.meters
             .charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
         if index_only {
-            return Ok(RowSet::from_single(from_idx, probe.rows));
+            return Ok(RowSet::from_single(from_idx, probe.rows.to_vec()));
         }
         let compiled = compile_preds(&st.table, residual)?;
         let heap_pages = st.table.n_pages();
+        let row_cpu =
+            self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
         let mut ids = Vec::with_capacity(probe.rows.len());
-        for r in probe.rows {
+        for &r in probe.rows {
             let page = st.table.page_of_row(r);
             self.meters.touch_page(
                 self.pool,
@@ -343,10 +345,7 @@ impl<'a> Ctx<'a> {
                     .with_shard(self.spec.shard_of(page, heap_pages)),
                 PageAccess::Random,
             );
-            self.meters.charge_cpu(
-                self.params.cpu_tuple_cost
-                    + compiled.len() as f64 * self.params.cpu_operator_cost,
-            );
+            self.meters.charge_cpu(row_cpu);
             if compiled.iter().all(|p| p.matches_row(r)) {
                 ids.push(r);
             }
@@ -408,7 +407,16 @@ impl<'a> Ctx<'a> {
             .slot_of(param.table)
             .ok_or_else(|| BaoError::Planning("param column not in outer".into()))?;
         let key_col = column_of(&self.tables, param)?;
-        let height = sidx.index.height() as f64;
+        // Sanity: the lookup key must be the join key the planner chose.
+        if pred.right.column != column {
+            return Err(BaoError::Planning(
+                "parameterized lookup column does not match the join key".into(),
+            ));
+        }
+        let descent = (sidx.index.height() as f64 + 1.0) * 0.25 * self.params.random_page_cost;
+        let heap_pages = st.table.n_pages();
+        let row_cpu =
+            self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
 
         let mut out = RowSet::new(
             outer.tables.iter().copied().chain(std::iter::once(inner_from)).collect(),
@@ -417,47 +425,37 @@ impl<'a> Ctx<'a> {
         for orow in outer.iter() {
             let key = cell_join_key(key_col, orow[outer_slot])?;
             let probe = sidx.index.lookup(key);
-            self.meters
-                .charge_cpu((height + 1.0) * 0.25 * self.params.random_page_cost);
-            for leaf in &probe.leaf_pages {
+            self.meters.charge_cpu(descent);
+            for leaf in probe.leaf_pages {
                 self.meters.touch_page(
                     self.pool,
                     self.params,
-                    PageKey::new(sidx.object, *leaf),
+                    PageKey::new(sidx.object, leaf),
                     PageAccess::Random,
                 );
             }
             self.meters
                 .charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
-            for r in probe.rows {
+            for &r in probe.rows {
                 if !index_only {
                     let page = st.table.page_of_row(r);
                     self.meters.touch_page(
                         self.pool,
                         self.params,
                         PageKey::new(st.heap_object, page)
-                            .with_shard(self.spec.shard_of(page, st.table.n_pages())),
+                            .with_shard(self.spec.shard_of(page, heap_pages)),
                         PageAccess::Random,
                     );
-                    self.meters.charge_cpu(
-                        self.params.cpu_tuple_cost
-                            + compiled.len() as f64 * self.params.cpu_operator_cost,
-                    );
+                    self.meters.charge_cpu(row_cpu);
                 }
                 if compiled.iter().all(|p| p.matches_row(r)) {
                     inner_rows_total += 1;
                     out.push_joined(orow, &[r]);
-                    if out.len() > ROW_CAP {
+                    if out.exceeds(ROW_CAP) {
                         return Err(BaoError::Planning("intermediate result too large".into()));
                     }
                 }
             }
-        }
-        // Sanity: the lookup key must be the join key the planner chose.
-        if pred.right.column != column {
-            return Err(BaoError::Planning(
-                "parameterized lookup column does not match the join key".into(),
-            ));
         }
         self.node_rows[inner_slot] = inner_rows_total;
         self.meters.charge_cpu(out.len() as f64 * self.params.cpu_tuple_cost);

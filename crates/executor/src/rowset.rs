@@ -47,6 +47,11 @@ impl RowSet {
         self.rows.is_empty()
     }
 
+    /// `len() > cap`, without `len()`'s division: for a test per pushed row.
+    pub fn exceeds(&self, cap: usize) -> bool {
+        self.rows.len() > cap * self.tables.len()
+    }
+
     /// Position of a FROM-list entry within each row tuple.
     pub fn slot_of(&self, table: usize) -> Option<usize> {
         self.tables.iter().position(|&t| t == table)
@@ -123,6 +128,18 @@ mod tests {
         assert_eq!(p.row(0), &[3]);
         assert_eq!(p.row(1), &[1]);
         assert_eq!(p.row(2), &[2]);
+    }
+
+    #[test]
+    fn exceeds_is_len_greater_than() {
+        let mut rs = RowSet::new(vec![0, 2, 1]);
+        for n in 0..5 {
+            for cap in 0..6 {
+                assert_eq!(rs.exceeds(cap), rs.len() > cap, "{n} rows, cap {cap}");
+            }
+            rs.push(&[n, n, n]);
+        }
+        assert!(!RowSet::new(vec![]).exceeds(0));
     }
 
     #[test]

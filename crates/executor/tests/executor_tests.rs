@@ -347,3 +347,44 @@ fn selecting_column_not_in_group_by_errors() {
         execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default()).is_err()
     );
 }
+
+/// A parameterized inner that probes a column other than the join key is
+/// refused before the first probe, not after the last. `plan::verify`
+/// stops this shape at the execution boundary in debug builds, so the
+/// executor's own check is reachable in release builds only:
+/// `cargo test --release -p bao-exec`.
+#[cfg(not(debug_assertions))]
+#[test]
+fn mismatched_param_lookup_is_refused_before_any_probe() {
+    use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode};
+    let (db, _) = setup();
+    let q = parse_query("SELECT COUNT(*) FROM cast_info ci, title t WHERE ci.movie_id = t.id")
+        .unwrap();
+    let outer = PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![]);
+    // The join key is t.id; the inner probes t.year (also indexed).
+    let inner = PlanNode::new(
+        Operator::IndexScan {
+            table: 1,
+            column: "year".into(),
+            lo: None,
+            hi: None,
+            residual: vec![],
+            param: Some(ColRef::new(0, "movie_id")),
+        },
+        vec![],
+    );
+    let pred = JoinPred::new(ColRef::new(0, "movie_id"), ColRef::new(1, "id"));
+    let join = PlanNode::new(Operator::NestedLoopJoin { pred }, vec![outer, inner]);
+    let root = PlanNode::new(
+        Operator::Aggregate { group_by: vec![], aggs: vec![AggFunc::CountStar] },
+        vec![join],
+    );
+    let mut pool = BufferPool::new(512);
+    let params = Optimizer::postgres().params;
+    let err = execute(&root, &q, &db, &mut pool, &params, &ChargeRates::default()).unwrap_err();
+    assert!(err.to_string().contains("lookup column does not match the join key"), "{err}");
+    // The outer's sequential scan ran; the inner index and heap are untouched.
+    let outer_pages = db.by_name("cast_info").unwrap().table.n_pages();
+    assert_eq!(pool.stats().accesses(), outer_pages as u64);
+    assert_eq!(pool.cached_fraction(db.by_name("title").unwrap().heap_object, 1), 0.0);
+}

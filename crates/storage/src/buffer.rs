@@ -6,7 +6,8 @@
 //! the paper: "we augment each scan node with the percentage of the
 //! targeted file that is cached").
 
-use std::collections::{BTreeMap, HashMap};
+use bao_common::hash::FastMap;
+use std::collections::BTreeMap;
 
 /// Identifies a page: the owning object (table heap or index) and the page
 /// number within it.
@@ -93,24 +94,49 @@ impl PoolStats {
             self.hits as f64 / self.accesses() as f64
         }
     }
+
+    fn record(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
 }
 
-/// A strict-LRU page cache with per-object residency accounting.
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One resident page, linked into the recency list by slot number.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    key: PageKey,
+    /// The next more recent frame (`NIL` at the head).
+    prev: u32,
+    /// The next less recent frame (`NIL` at the tail).
+    next: u32,
+}
+
+/// A strict-LRU page cache with per-object residency accounting. A touch
+/// is O(1): one page-table probe and a relink in the recency list.
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
-    /// page -> LRU stamp of its most recent access.
-    resident: HashMap<PageKey, u64>,
-    /// stamp -> page, for O(log n) eviction of the least recent stamp.
-    order: BTreeMap<u64, PageKey>,
+    /// page -> slot of its frame in `frames`.
+    table: FastMap<PageKey, u32>,
+    /// Resident pages only: a frame is vacated only by eviction, and then
+    /// its slot goes straight to the page that displaced it.
+    frames: Vec<Frame>,
+    /// Most recently touched frame.
+    head: u32,
+    /// Least recently touched frame: the next victim.
+    tail: u32,
     /// object -> number of its pages currently resident.
-    per_object: HashMap<u32, u32>,
-    clock: u64,
+    per_object: FastMap<u32, u32>,
     stats: PoolStats,
-    /// shard annotation -> hit/miss counters for touches tagged with it.
-    /// Unsharded touches land on shard 0. BTreeMap so reporting iterates
-    /// in shard order.
-    shard_stats: BTreeMap<u32, PoolStats>,
+    /// Hit/miss counters of touches tagged with shard `i` (small dense
+    /// indices). Unsharded touches land on shard 0.
+    shard_stats: Vec<PoolStats>,
 }
 
 impl BufferPool {
@@ -119,12 +145,13 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         BufferPool {
             capacity,
-            resident: HashMap::new(),
-            order: BTreeMap::new(),
-            per_object: HashMap::new(),
-            clock: 0,
+            table: FastMap::default(),
+            frames: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            per_object: FastMap::default(),
             stats: PoolStats::default(),
-            shard_stats: BTreeMap::new(),
+            shard_stats: Vec::new(),
         }
     }
 
@@ -133,11 +160,11 @@ impl BufferPool {
     }
 
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.frames.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.frames.is_empty()
     }
 
     pub fn stats(&self) -> PoolStats {
@@ -145,10 +172,15 @@ impl BufferPool {
     }
 
     /// Per-shard hit/miss counters, keyed by the shard annotation on the
-    /// touching `PageKey`. Summing every entry reproduces `stats()`
-    /// exactly; an unsharded workload accumulates everything on shard 0.
-    pub fn shard_stats(&self) -> &BTreeMap<u32, PoolStats> {
-        &self.shard_stats
+    /// touching `PageKey`, for the shards that issued a touch. Summing
+    /// every entry reproduces `stats()` exactly; an unsharded workload
+    /// accumulates everything on shard 0. A view built on demand.
+    pub fn shard_stats(&self) -> BTreeMap<u32, PoolStats> {
+        (0u32..)
+            .zip(&self.shard_stats)
+            .filter(|(_, s)| s.accesses() > 0)
+            .map(|(shard, s)| (shard, *s))
+            .collect()
     }
 
     pub fn reset_stats(&mut self) {
@@ -158,34 +190,20 @@ impl BufferPool {
 
     /// Touch a page; returns `true` on a cache hit.
     pub fn access(&mut self, key: PageKey, kind: AccessKind) -> bool {
-        self.clock += 1;
-        let hit = if let Some(stamp) = self.resident.get_mut(&key) {
-            // Refresh recency.
-            self.order.remove(&*stamp);
-            *stamp = self.clock;
-            self.order.insert(self.clock, key);
-            true
-        } else {
-            false
-        };
-        let per_shard = self.shard_stats.entry(key.shard).or_default();
-        if hit {
-            self.stats.hits += 1;
-            per_shard.hits += 1;
-            return true;
+        let hit = self.touch(key, kind == AccessKind::Cached);
+        let shard = key.shard as usize;
+        if shard >= self.shard_stats.len() {
+            self.shard_stats.resize(shard + 1, PoolStats::default());
         }
-        self.stats.misses += 1;
-        per_shard.misses += 1;
-        if kind == AccessKind::Cached && self.capacity > 0 {
-            self.insert(key);
-        }
-        false
+        self.stats.record(hit);
+        self.shard_stats[shard].record(hit);
+        hit
     }
 
     /// Is the page resident, without touching recency or stats? Used by the
     /// optimizer's cache-aware cost adjustments.
     pub fn contains(&self, key: PageKey) -> bool {
-        self.resident.contains_key(&key)
+        self.table.contains_key(&key)
     }
 
     /// Fraction of an object's `n_pages` pages currently resident.
@@ -199,8 +217,10 @@ impl BufferPool {
 
     /// Drop every page (a cold restart).
     pub fn clear(&mut self) {
-        self.resident.clear();
-        self.order.clear();
+        self.table.clear();
+        self.frames.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.per_object.clear();
     }
 
@@ -208,32 +228,61 @@ impl BufferPool {
     /// (warming a cache before an experiment).
     pub fn prewarm(&mut self, object: u32, pages: u32) {
         for p in 0..pages {
-            self.clock += 1;
-            let key = PageKey::new(object, p);
-            if let Some(stamp) = self.resident.get_mut(&key) {
-                self.order.remove(&*stamp);
-                *stamp = self.clock;
-                self.order.insert(self.clock, key);
-            } else if self.capacity > 0 {
-                self.insert(key);
-            }
+            self.touch(PageKey::new(object, p), true);
         }
     }
 
-    fn insert(&mut self, key: PageKey) {
-        while self.resident.len() >= self.capacity {
-            let (&oldest, &victim) = self.order.iter().next().expect("pool non-empty");
-            self.order.remove(&oldest);
-            self.resident.remove(&victim);
-            let cnt = self.per_object.get_mut(&victim.object).expect("object tracked");
-            *cnt -= 1;
-            if *cnt == 0 {
-                self.per_object.remove(&victim.object);
+    /// Make a resident page the most recent, or, when `admit`, bring an
+    /// absent one in over the least recent. Returns whether it was resident.
+    fn touch(&mut self, key: PageKey, admit: bool) -> bool {
+        if let Some(&slot) = self.table.get(&key) {
+            if slot != self.head {
+                self.unlink(slot);
+                self.push_front(slot);
             }
+            return true;
         }
-        self.resident.insert(key, self.clock);
-        self.order.insert(self.clock, key);
-        *self.per_object.entry(key.object).or_insert(0) += 1;
+        if admit && self.capacity > 0 {
+            let slot = if self.frames.len() < self.capacity {
+                self.frames.push(Frame { key, prev: NIL, next: NIL });
+                (self.frames.len() - 1) as u32
+            } else {
+                let slot = self.tail;
+                let victim = std::mem::replace(&mut self.frames[slot as usize].key, key);
+                self.unlink(slot);
+                self.table.remove(&victim);
+                if let Some(resident) = self.per_object.get_mut(&victim.object) {
+                    *resident -= 1;
+                }
+                slot
+            };
+            self.push_front(slot);
+            self.table.insert(key, slot);
+            *self.per_object.entry(key.object).or_insert(0) += 1;
+        }
+        false
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Frame { prev, next, .. } = self.frames[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.frames[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.frames[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old = std::mem::replace(&mut self.head, slot);
+        self.frames[slot as usize].prev = NIL;
+        self.frames[slot as usize].next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.frames[h as usize].prev = slot,
+        }
     }
 }
 
@@ -464,6 +513,100 @@ mod tests {
         p.reset_stats();
         assert!(p.shard_stats().is_empty());
         assert_eq!(p.stats(), PoolStats::default());
+    }
+
+    /// The obvious strict LRU, as the reference: a `Vec` in recency order
+    /// (least recent first), scanned linearly.
+    #[derive(Clone, Default)]
+    struct RefLru {
+        capacity: usize,
+        pages: Vec<PageKey>,
+        stats: PoolStats,
+        shard_stats: BTreeMap<u32, PoolStats>,
+    }
+
+    impl RefLru {
+        fn touch(&mut self, key: PageKey, admit: bool) -> bool {
+            if let Some(i) = self.pages.iter().position(|&k| k == key) {
+                let k = self.pages.remove(i);
+                self.pages.push(k);
+                return true;
+            }
+            if admit && self.capacity > 0 {
+                if self.pages.len() == self.capacity {
+                    self.pages.remove(0);
+                }
+                self.pages.push(key);
+            }
+            false
+        }
+
+        fn access(&mut self, key: PageKey, kind: AccessKind) -> bool {
+            let hit = self.touch(key, kind == AccessKind::Cached);
+            self.stats.record(hit);
+            self.shard_stats.entry(key.shard).or_default().record(hit);
+            hit
+        }
+    }
+
+    #[test]
+    fn random_traces_match_the_reference_lru() {
+        use bao_common::{rng_from_seed, Rng};
+        const OBJECTS: u32 = 3;
+        for (seed, capacity) in [(1, 0usize), (2, 1), (3, 3), (4, 40)] {
+            // Twice the pool per object: hits, misses and evictions all occur.
+            let pages = 2 * capacity as u32 + 3;
+            let mut rng = rng_from_seed(seed);
+            let mut pool = BufferPool::new(capacity);
+            let mut lru = RefLru { capacity, ..RefLru::default() };
+            for step in 0..4_000 {
+                match rng.gen_range(0..100) {
+                    0..=1 => {
+                        let (object, n) = (rng.gen_range(1..=OBJECTS), rng.gen_range(0..=pages));
+                        pool.prewarm(object, n);
+                        for p in 0..n {
+                            lru.touch(PageKey::new(object, p), true);
+                        }
+                    }
+                    2 => {
+                        pool.clear();
+                        lru.pages.clear();
+                    }
+                    3..=4 => {
+                        pool.reset_stats();
+                        lru.stats = PoolStats::default();
+                        lru.shard_stats.clear();
+                    }
+                    // Carry on with the copy: it must have the original's order.
+                    5..=6 => pool = pool.clone(),
+                    _ => {
+                        let key = PageKey::new(rng.gen_range(1..=OBJECTS), rng.gen_range(0..pages))
+                            .with_shard(rng.gen_range(0..4));
+                        let bulk = rng.gen_bool(0.25);
+                        let kind = if bulk { AccessKind::BulkRead } else { AccessKind::Cached };
+                        assert_eq!(pool.access(key, kind), lru.access(key, kind), "step {step}");
+                    }
+                }
+                assert_eq!(pool.len(), lru.pages.len(), "capacity {capacity} step {step}");
+                assert_eq!(pool.is_empty(), lru.pages.is_empty());
+                assert_eq!(pool.stats(), lru.stats, "capacity {capacity} step {step}");
+                assert_eq!(pool.shard_stats(), lru.shard_stats, "capacity {capacity} step {step}");
+                for object in 1..=OBJECTS {
+                    let resident = (0..pages)
+                        .filter(|&p| {
+                            let key = PageKey::new(object, p);
+                            assert_eq!(pool.contains(key), lru.pages.contains(&key), "step {step}");
+                            pool.contains(key)
+                        })
+                        .count();
+                    assert_eq!(
+                        pool.cached_fraction(object, pages),
+                        resident as f64 / pages as f64,
+                        "capacity {capacity} step {step}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

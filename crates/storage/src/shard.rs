@@ -47,6 +47,10 @@ impl ShardSpec {
     /// Which shard owns item `idx` out of `n`. Inverse of `range`.
     pub fn shard_of(&self, idx: u32, n: u32) -> u32 {
         let k = self.n_shards;
+        // The serial path asks once per page touch.
+        if k == 1 {
+            return 0;
+        }
         let base = n / k;
         let rem = n % k;
         let fat = rem * (base + 1);

@@ -58,12 +58,16 @@ pub struct Table {
     pub schema: Schema,
     pub columns: Vec<ColumnData>,
     rows: usize,
+    /// `schema.rows_per_page()`, fixed at construction: `page_of_row` runs
+    /// once per fetched row.
+    rows_per_page: u32,
 }
 
 impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         let columns = schema.columns.iter().map(|c| ColumnData::new(c.ty)).collect();
-        Table { name: name.into(), schema, columns, rows: 0 }
+        let rows_per_page = schema.rows_per_page() as u32;
+        Table { name: name.into(), schema, columns, rows: 0, rows_per_page }
     }
 
     pub fn row_count(&self) -> usize {
@@ -71,7 +75,7 @@ impl Table {
     }
 
     pub fn rows_per_page(&self) -> usize {
-        self.schema.rows_per_page()
+        self.rows_per_page as usize
     }
 
     /// Number of heap pages currently occupied.
@@ -85,7 +89,7 @@ impl Table {
 
     /// The heap page holding row `row_id`.
     pub fn page_of_row(&self, row_id: u32) -> u32 {
-        (row_id as usize / self.rows_per_page()) as u32
+        row_id / self.rows_per_page
     }
 
     /// Append one row. The row must match the schema's arity and types.
@@ -201,6 +205,24 @@ mod tests {
         assert_eq!(t.n_pages(), 2);
         assert_eq!(t.page_of_row(0), 0);
         assert_eq!(t.page_of_row(rpp as u32), 1);
+    }
+
+    #[test]
+    fn paging_matches_the_uncached_formula() {
+        let mut t = two_col_table();
+        let rpp = t.schema.rows_per_page();
+        assert_eq!((rpp, t.rows_per_page()), (PAGE_BYTES / 40, rpp));
+        let mut filled = 0;
+        for rows in [0, rpp - 1, rpp, rpp + 1] {
+            for i in filled..rows {
+                t.insert(vec![Value::Int(i as i64), Value::Str("x".into())]).unwrap();
+            }
+            filled = rows;
+            assert_eq!(t.n_pages() as usize, rows.div_ceil(rpp), "{rows} rows");
+            for r in [0, rows.saturating_sub(1), rows] {
+                assert_eq!(t.page_of_row(r as u32) as usize, r / rpp, "row {r}");
+            }
+        }
     }
 
     #[test]

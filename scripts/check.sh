@@ -7,7 +7,13 @@
 #   4. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
 #                        the one wall-clock gate the repo benchmark
 #                        (benchmark/) does not cover; exits non-zero when
-#                        auto-width training loses to inline (DESIGN.md §8)
+#                        auto-width training loses to inline (DESIGN.md §8);
+#                        then benchmark/smoke.sh (< 1 min): every benchmark
+#                        workload at a tenth of its length, the only
+#                        end-to-end check that every hint set returns the
+#                        same rows and that the pinned input digests hold —
+#                        tier-1 alone would not catch a wrong fetch in a
+#                        learned arm
 #   5. race smoke      — opt-in via --race-smoke: the bao-race suites
 #                        (detection fixtures + the two production
 #                        suites) under --cfg bao_race, bounded so the
@@ -76,6 +82,9 @@ if [ "$bench_smoke" = 1 ]; then
     echo
     echo "== bench smoke (inference_bench --quick) =="
     cargo run -q --release -p bao-bench --bin inference_bench -- --quick
+    echo
+    echo "== bench smoke (benchmark/smoke.sh) =="
+    "$repo/benchmark/smoke.sh"
 fi
 
 if [ "$race_smoke" = 1 ]; then
