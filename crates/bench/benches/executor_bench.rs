@@ -1,13 +1,16 @@
 //! Microbenchmarks of the cost-accurate executor: scans, joins, the
-//! cache-warm/cold difference, and the buffer pool's page touch on its own.
+//! cache-warm/cold difference, the buffer pool's page touch on its own, and
+//! the join's one evaluation function on three key distributions.
 
 use bao_bench::timing::bench_function;
 use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
 use bao_sql::parse_query;
 use bao_stats::StatsCatalog;
-use bao_plan::Operator;
-use bao_storage::{AccessKind, BufferPool, PageKey};
+use bao_plan::{ColRef, JoinPred, Operator, PlanNode, Query, SelectItem, TableRef};
+use bao_storage::{
+    AccessKind, BufferPool, ColumnDef, DataType, Database, PageKey, Schema, Table, Value,
+};
 use bao_workloads::imdb::build_imdb_database;
 use std::hint::black_box;
 
@@ -35,10 +38,50 @@ fn pool_benches(pool_pages: usize) {
     });
 }
 
+/// A hash join of two hand-made single-column tables with nothing above
+/// it (no aggregate fold; the root materializes at most 10,000 rows), so
+/// the time is key extraction, build, probe and fill. `l_key` / `r_key`
+/// give row `i`'s key on each side; the right side is the build side.
+fn hash_join_bench(
+    name: &str,
+    rows: (i64, i64),
+    l_key: impl Fn(i64) -> i64,
+    r_key: impl Fn(i64) -> i64,
+) {
+    let mut db = Database::new();
+    for (table, n, key) in [("l", rows.0, &l_key as &dyn Fn(i64) -> i64), ("r", rows.1, &r_key)] {
+        let mut t = Table::new(table, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
+        t.insert_many((0..n).map(|i| vec![Value::Int(key(i))])).unwrap();
+        db.create_table(t).unwrap();
+    }
+    let pred = JoinPred::new(ColRef::new(0, "k"), ColRef::new(1, "k"));
+    let q = Query {
+        tables: vec![TableRef::new("l"), TableRef::new("r")],
+        select: vec![SelectItem::Column(ColRef::new(0, "k"))],
+        joins: vec![pred.clone()],
+        ..Query::default()
+    };
+    let scan = |table| PlanNode::new(Operator::SeqScan { table, preds: vec![] }, vec![]);
+    let plan = PlanNode::new(Operator::HashJoin { pred }, vec![scan(0), scan(1)]);
+    let opt = Optimizer::postgres();
+    let rates = ChargeRates::default();
+    let mut pool = BufferPool::new(1_024);
+    let joined = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[0];
+    bench_function(&format!("{name} ({} x {} -> {joined} rows)", rows.0, rows.1), 20, || {
+        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+    });
+}
+
 fn main() {
     // The pool every benchmark workload runs on.
     let pool_pages = bao_cloud::N1_4.buffer_pool_pages();
     pool_benches(pool_pages);
+
+    // One match per probe; 16 keys with 64 build rows each; one probe in
+    // 64 finds its key.
+    hash_join_bench("hash_join_unique_keys", (200_000, 200_000), |i| i, |i| i * 7 % 200_000);
+    hash_join_bench("hash_join_fanout", (20_000, 1_024), |i| i % 16, |i| i % 16);
+    hash_join_bench("hash_join_selective", (200_000, 50_000), |i| i, |i| i * 64);
 
     let db = build_imdb_database(0.1, 42).unwrap();
     let cat = StatsCatalog::analyze(&db, 1_000, 42);

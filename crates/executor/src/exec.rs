@@ -2,20 +2,22 @@
 //! charging.
 //!
 //! Scans, hash joins, and aggregations run as fixed-size morsels over
-//! range/hash shards, dispatched to the workspace pool
+//! range shards, dispatched to the workspace pool
 //! (`bao_common::pool::run_jobs`, DESIGN.md §13): morsel `j` of an operator
 //! runs on thread `j mod width` and results come back in morsel order.
 //! Pool threads only ever run pure compute (predicate evaluation, key
 //! extraction, probe matching); every order-sensitive effect —
-//! buffer-pool touches, f64 meter charges, the aggregate fold — happens
-//! on the coordinator in pinned row order, so output bytes and
-//! `ExecutionMetrics` are bit-identical at any shard count.
+//! buffer-pool touches, f64 meter charges, the join's table and output,
+//! the aggregate fold — happens on the coordinator in pinned row order,
+//! so output bytes and `ExecutionMetrics` are bit-identical at any shard
+//! count.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{cell_join_key, cell_key, column_of, compile_preds};
 use crate::metrics::ExecutionMetrics;
 use crate::par::ExecConfig;
 use crate::rowset::RowSet;
+use bao_common::hash::FastMap;
 use bao_common::pool::{resolve_width, run_jobs};
 use bao_common::{BaoError, Result};
 use bao_opt::CostParams;
@@ -34,6 +36,47 @@ const ROW_CAP: usize = 20_000_000;
 
 /// Cap on materialized output rows for non-aggregate queries.
 const OUTPUT_CAP: usize = 10_000;
+
+/// What every operator returns in place of more than `ROW_CAP` rows.
+fn too_large() -> BaoError {
+    BaoError::Planning("intermediate result too large".into())
+}
+
+/// "No right row": the end of a key's chain in the join table, and the
+/// chain head of a left row without a match. Row ids stay far below it.
+const NO_ROW: u32 = u32::MAX;
+
+/// What the join's count pass found: enough to write the output without
+/// looking at a key again, and its size before a row of it exists.
+struct JoinMatches {
+    /// Per left morsel, each left row's first matching right row.
+    heads: Vec<Vec<u32>>,
+    /// Each right row's successor among the rows of its key, ascending.
+    next: Vec<u32>,
+    /// Output rows, already held against the cap.
+    total: usize,
+}
+
+impl JoinMatches {
+    /// The joined rows, left rows in order and each one's right rows in
+    /// build order, in one allocation of exactly `total` rows. Morsels
+    /// concatenate to `0..left.len()`, so the heads line up with `left`.
+    fn fill(&self, left: &RowSet, right: &RowSet) -> RowSet {
+        let tables = left.tables.iter().chain(&right.tables).copied().collect();
+        let mut out = RowSet::with_capacity(tables, self.total);
+        let mut lrows = left.iter();
+        for heads in &self.heads {
+            for (&head, lrow) in heads.iter().zip(&mut lrows) {
+                let mut ri = head;
+                while ri != NO_ROW {
+                    out.push_joined(lrow, right.row(ri as usize));
+                    ri = self.next[ri as usize];
+                }
+            }
+        }
+        out
+    }
+}
 
 /// Execute `plan` for `query` against `db`, charging `pool` traffic and
 /// returning full metrics. The buffer pool carries state across calls, so
@@ -122,7 +165,7 @@ struct Ctx<'a> {
     workers: usize,
     /// Rows per morsel dispatched to the pool.
     morsel_rows: u32,
-    /// Range/hash shard assignment, pinned for the whole execution.
+    /// Range shard assignment, pinned for the whole execution.
     spec: ShardSpec,
 }
 
@@ -452,7 +495,7 @@ impl<'a> Ctx<'a> {
                     inner_rows_total += 1;
                     out.push_joined(orow, &[r]);
                     if out.exceeds(ROW_CAP) {
-                        return Err(BaoError::Planning("intermediate result too large".into()));
+                        return Err(too_large());
                     }
                 }
             }
@@ -494,15 +537,28 @@ impl<'a> Ctx<'a> {
 
     /// True equi-join of two row sets (always evaluated as a hash join;
     /// the *charges* for the requested algorithm are applied by callers).
+    fn hash_join_rows(&self, left: &RowSet, right: &RowSet, pred: &JoinPred) -> Result<RowSet> {
+        Ok(self.join_matches(left, right, pred, ROW_CAP)?.fill(left, right))
+    }
+
+    /// The join up to the size of its output, refused here — before any
+    /// of it is allocated — when that exceeds `cap`.
     ///
-    /// Sharded in three morsel phases, all pure on the workers: build-side
-    /// key extraction over range morsels, a hash-sharded build (shard `s`
-    /// owns keys with `hash_shard(key) == s`, inserted in global right-row
-    /// order so per-key match lists are identical to the serial build),
-    /// and a probe over left range morsels whose raw row buffers are
-    /// stitched in morsel order — reproducing the serial left-in-order,
-    /// right-insertion-order output exactly.
-    fn hash_join_rows(&mut self, left: &RowSet, right: &RowSet, pred: &JoinPred) -> Result<RowSet> {
+    /// Two morsel phases, both pure on the workers: build-side key
+    /// extraction over right range morsels, and a probe over left range
+    /// morsels that records each left row's chain head and counts the
+    /// matches. Between them the coordinator builds one chained table in
+    /// a single reverse pass over the keys: a key maps to (its first
+    /// right row, how many rows it has) and `next` links those rows in
+    /// ascending order, so [`JoinMatches::fill`] walks the serial
+    /// left-in-order, right-insertion-order output at any width.
+    fn join_matches(
+        &self,
+        left: &RowSet,
+        right: &RowSet,
+        pred: &JoinPred,
+        cap: usize,
+    ) -> Result<JoinMatches> {
         // Orient the predicate to the operand sides.
         let (lc, rc) = if left.slot_of(pred.left.table).is_some() {
             (&pred.left, &pred.right)
@@ -517,55 +573,44 @@ impl<'a> Ctx<'a> {
             .ok_or_else(|| BaoError::Planning("join key not in right input".into()))?;
         let l_col = column_of(&self.tables, lc)?;
         let r_col = column_of(&self.tables, rc)?;
-        let spec = self.spec;
 
-        let r_morsels = shard_morsels(spec, right.len() as u32, self.morsel_rows);
+        let r_morsels = shard_morsels(self.spec, right.len() as u32, self.morsel_rows);
         let key_parts = run_jobs(self.workers, r_morsels.len(), |j| {
             r_morsels[j]
                 .clone()
                 .map(|i| cell_join_key(r_col, right.row(i as usize)[r_slot]))
                 .collect::<Result<Vec<i64>>>()
         })?;
-        let mut r_keys: Vec<i64> = Vec::with_capacity(right.len());
-        for part in &key_parts {
-            r_keys.extend_from_slice(part);
+
+        let mut table: FastMap<i64, (u32, u32)> = FastMap::default();
+        let mut next = vec![NO_ROW; right.len()];
+        let mut ri = right.len();
+        for &key in key_parts.iter().flatten().rev() {
+            ri -= 1;
+            let (first, count) = table.entry(key).or_insert((NO_ROW, 0));
+            next[ri] = *first;
+            *first = ri as u32;
+            *count += 1;
         }
 
-        let builds = run_jobs(self.workers, spec.n_shards() as usize, |s| {
-            let mut table: HashMap<i64, Vec<usize>> = HashMap::new();
-            for (i, &key) in r_keys.iter().enumerate() {
-                if spec.hash_shard(key) == s as u32 {
-                    table.entry(key).or_default().push(i);
-                }
-            }
-            Ok(table)
-        })?;
-
-        let l_morsels = shard_morsels(spec, left.len() as u32, self.morsel_rows);
-        let bufs = run_jobs(self.workers, l_morsels.len(), |j| {
-            let mut buf: Vec<u32> = Vec::new();
+        let l_morsels = shard_morsels(self.spec, left.len() as u32, self.morsel_rows);
+        let probes = run_jobs(self.workers, l_morsels.len(), |j| {
+            let mut heads = Vec::with_capacity(l_morsels[j].len());
+            let mut matched = 0usize;
             for li in l_morsels[j].clone() {
-                let lrow = left.row(li as usize);
-                let key = cell_join_key(l_col, lrow[l_slot])?;
-                if let Some(matches) = builds[spec.hash_shard(key) as usize].get(&key) {
-                    for &ri in matches {
-                        buf.extend_from_slice(lrow);
-                        buf.extend_from_slice(right.row(ri));
-                    }
-                }
+                let key = cell_join_key(l_col, left.row(li as usize)[l_slot])?;
+                let (first, count) = table.get(&key).copied().unwrap_or((NO_ROW, 0));
+                heads.push(first);
+                matched += count as usize;
             }
-            Ok(buf)
+            Ok((heads, matched))
         })?;
-        let mut out = RowSet::new(
-            left.tables.iter().chain(right.tables.iter()).copied().collect(),
-        );
-        for buf in &bufs {
-            out.extend_raw(buf);
-            if out.len() > ROW_CAP {
-                return Err(BaoError::Planning("intermediate result too large".into()));
-            }
+        let (heads, matched): (Vec<Vec<u32>>, Vec<usize>) = probes.into_iter().unzip();
+        let total = matched.iter().sum();
+        if total > cap {
+            return Err(too_large());
         }
-        Ok(out)
+        Ok(JoinMatches { heads, next, total })
     }
 
     fn sort_rows(&mut self, rs: RowSet, keys: &[ColRef]) -> Result<RowSet> {
@@ -803,7 +848,198 @@ fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bao_common::{rng_from_seed, Rng};
+    use bao_plan::TableRef;
+    use bao_storage::{ColumnDef, DataType, Schema};
     use std::cmp::Ordering;
+
+    /// Tables `a`, `b`, `c` (FROM positions 0, 1, 2) of `n` rows each:
+    /// `k` an int in -3..=8 (duplicates, negatives, values the other side
+    /// may lack), `s` a text from five words, `f` a float.
+    fn join_db(n: usize, seed: u64) -> (Database, Query) {
+        let mut rng = rng_from_seed(seed);
+        let mut db = Database::new();
+        for name in ["a", "b", "c"] {
+            let mut t = Table::new(
+                name,
+                Schema::new(vec![
+                    ColumnDef::new("k", DataType::Int),
+                    ColumnDef::new("s", DataType::Text),
+                    ColumnDef::new("f", DataType::Float),
+                ]),
+            );
+            for _ in 0..n {
+                let word = ["ash", "elm", "fir", "oak", "yew"][rng.gen_index(5)];
+                t.insert(vec![
+                    Value::Int(rng.gen_range(-3i64..=8)),
+                    Value::Str(word.into()),
+                    Value::Float(rng.gen_f64()),
+                ])
+                .unwrap();
+            }
+            db.create_table(t).unwrap();
+        }
+        let tables = ["a", "b", "c"].map(TableRef::new).to_vec();
+        (db, Query { tables, ..Query::default() })
+    }
+
+    /// A `Ctx` as `execute_with` builds it, for driving one operator.
+    fn ctx_for<'a>(
+        db: &'a Database,
+        query: &'a Query,
+        pool: &'a mut BufferPool,
+        params: &'a CostParams,
+        exec: ExecConfig,
+    ) -> Ctx<'a> {
+        let stored: Vec<&StoredTable> =
+            query.tables.iter().map(|t| db.by_name(&t.table).unwrap()).collect();
+        let tables = stored.iter().map(|s| &s.table).collect();
+        let workers = resolve_width(exec.shard_workers);
+        Ctx {
+            query,
+            stored,
+            tables,
+            pool,
+            params,
+            meters: Meters::default(),
+            node_rows: Vec::new(),
+            workers,
+            morsel_rows: exec.morsel_rows.max(1),
+            spec: ShardSpec::new(workers),
+        }
+    }
+
+    /// `n` random row-id tuples over `tables`, ids below `table_rows`:
+    /// unordered, with repeats.
+    fn random_rows(rng: &mut impl Rng, tables: &[usize], n: usize, table_rows: usize) -> RowSet {
+        let mut rs = RowSet::new(tables.to_vec());
+        for _ in 0..n {
+            let row: Vec<u32> = tables.iter().map(|_| rng.gen_index(table_rows) as u32).collect();
+            rs.push(&row);
+        }
+        rs
+    }
+
+    /// The join by definition: every left row against every right row.
+    fn nested_loop_oracle(
+        ctx: &Ctx<'_>,
+        left: &RowSet,
+        right: &RowSet,
+        lc: &ColRef,
+        rc: &ColRef,
+    ) -> Vec<Vec<u32>> {
+        let key = |rs: &RowSet, row: &[u32], c: &ColRef| {
+            cell_join_key(column_of(&ctx.tables, c).unwrap(), row[rs.slot_of(c.table).unwrap()])
+        };
+        let mut out = Vec::new();
+        for l in left.iter() {
+            for r in right.iter() {
+                if key(left, l, lc).unwrap() == key(right, r, rc).unwrap() {
+                    out.push([l, r].concat());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn join_matches_a_nested_loop_in_rows_and_order() {
+        const TABLE_ROWS: usize = 40;
+        let (db, query) = join_db(TABLE_ROWS, 11);
+        let params = CostParams::default();
+        let mut rng = rng_from_seed(23);
+        let mut joined = 0;
+        for shard_workers in [1, 2, 3] {
+            for morsel_rows in [1, 7, 4096] {
+                let mut pool = BufferPool::new(16);
+                let exec = ExecConfig { shard_workers, morsel_rows };
+                let ctx = ctx_for(&db, &query, &mut pool, &params, exec);
+                // (left tables, left rows, right rows): a one- and a
+                // two-table left side, and each side empty.
+                let shapes: [(&[usize], usize, usize); 6] = [
+                    (&[0], 60, 50),
+                    (&[2, 0], 35, 45),
+                    (&[0], 0, 20),
+                    (&[0], 20, 0),
+                    (&[2, 0], 0, 0),
+                    (&[0], 9, 200),
+                ];
+                for (l_tables, l_n, r_n) in shapes {
+                    for column in ["k", "s"] {
+                        let left = random_rows(&mut rng, l_tables, l_n, TABLE_ROWS);
+                        let right = random_rows(&mut rng, &[1], r_n, TABLE_ROWS);
+                        let (lc, rc) = (ColRef::new(0, column), ColRef::new(1, column));
+                        let want = nested_loop_oracle(&ctx, &left, &right, &lc, &rc);
+                        // The predicate names the sides in either order.
+                        for pred in [
+                            JoinPred::new(lc.clone(), rc.clone()),
+                            JoinPred::new(rc.clone(), lc.clone()),
+                        ] {
+                            let got = ctx.hash_join_rows(&left, &right, &pred).unwrap();
+                            let what = format!(
+                                "{l_tables:?} x {l_n} join [1] x {r_n} on {column}, \
+                                 workers {shard_workers}, morsel {morsel_rows}"
+                            );
+                            assert_eq!(got.tables, [l_tables, &[1]].concat(), "{what}");
+                            assert_eq!(got.iter().collect::<Vec<_>>(), want, "{what}");
+                        }
+                        joined += want.len();
+                    }
+                }
+            }
+        }
+        assert!(joined > 10_000, "the cases must not all be empty: {joined} rows");
+    }
+
+    #[test]
+    fn float_join_key_is_a_type_mismatch() {
+        let (db, query) = join_db(8, 5);
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let ids = RowSet::from_single(0, vec![0, 1, 2]);
+        let other = RowSet::from_single(1, vec![0, 1, 2]);
+        // On the probe side, then on the build side.
+        for (l, r) in [("f", "k"), ("k", "f")] {
+            let pred = JoinPred::new(ColRef::new(0, l), ColRef::new(1, r));
+            let err = ctx.hash_join_rows(&ids, &other, &pred).unwrap_err();
+            assert!(matches!(err, BaoError::TypeMismatch(_)), "{l} = {r}: {err}");
+        }
+    }
+
+    /// 4 x 4 rows on one key: 16 pairs. `join_matches` is the count pass;
+    /// what it returns holds no `RowSet`, so an `Err` from it is a refusal
+    /// before any output exists.
+    #[test]
+    fn row_cap_is_refused_by_the_count_pass() {
+        let mut db = Database::new();
+        for name in ["l", "r"] {
+            let mut t = Table::new(name, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
+            t.insert_many((0..4).map(|_| vec![Value::Int(7)])).unwrap();
+            db.create_table(t).unwrap();
+        }
+        let query =
+            Query { tables: vec![TableRef::new("l"), TableRef::new("r")], ..Query::default() };
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let left = RowSet::from_single(0, vec![3, 1, 0, 2]);
+        let right = RowSet::from_single(1, vec![2, 0, 3, 1]);
+        let pred = JoinPred::new(ColRef::new(0, "k"), ColRef::new(1, "k"));
+
+        let matches = ctx.join_matches(&left, &right, &pred, 16).unwrap();
+        assert_eq!(matches.total, 16);
+        let out = matches.fill(&left, &right);
+        let left_major: Vec<[u32; 2]> =
+            [3, 1, 0, 2].iter().flat_map(|&l| [2, 0, 3, 1].map(|r| [l, r])).collect();
+        assert_eq!(out.iter().collect::<Vec<_>>(), left_major);
+
+        let refused: Result<JoinMatches> = ctx.join_matches(&left, &right, &pred, 15);
+        assert_eq!(
+            refused.err().map(|e| e.to_string()).as_deref(),
+            Some("planning error: intermediate result too large")
+        );
+    }
 
     #[test]
     fn cmp_values_numeric_and_text() {

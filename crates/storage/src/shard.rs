@@ -1,11 +1,11 @@
 //! Table sharding for morsel-driven parallel execution (DESIGN.md §13).
 //!
 //! A `ShardSpec` partitions a table's row (or page) space into `n_shards`
-//! contiguous range shards, and hashes join keys into hash shards. Shards
-//! are a *logical* partitioning: the underlying columnar storage is
-//! untouched, and the shard id only flows into `PageKey` annotations and
-//! the executor's per-shard work lists. Every function here is pure so
-//! shard assignment is identical no matter which worker asks.
+//! contiguous range shards. Shards are a *logical* partitioning: the
+//! underlying columnar storage is untouched, and the shard id only flows
+//! into `PageKey` annotations and the executor's per-shard work lists.
+//! Every function here is pure so shard assignment is identical no matter
+//! which worker asks.
 
 use std::ops::Range;
 
@@ -62,17 +62,6 @@ impl ShardSpec {
             // n < k: every item lands in its own (fat) shard.
             k.saturating_sub(1)
         }
-    }
-
-    /// Hash-shard a join key. A splitmix64-style finalizer spreads
-    /// low-entropy integer keys before the modulo; the assignment is a
-    /// pure function of (key, n_shards) so build and probe sides agree.
-    pub fn hash_shard(&self, key: i64) -> u32 {
-        let mut x = key as u64;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        (x % self.n_shards as u64) as u32
     }
 }
 
@@ -133,22 +122,6 @@ mod tests {
         let spec = ShardSpec::new(0);
         assert_eq!(spec.n_shards(), 1);
         assert_eq!(spec.range(0, 10), 0..10);
-    }
-
-    #[test]
-    fn hash_shard_in_range_and_stable() {
-        let spec = ShardSpec::new(4);
-        for key in [-5i64, 0, 1, 42, i64::MAX, i64::MIN] {
-            let s = spec.hash_shard(key);
-            assert!(s < 4);
-            assert_eq!(s, spec.hash_shard(key), "pure function of the key");
-        }
-        // Sequential keys should not all collapse onto one shard.
-        let mut seen = [false; 4];
-        for key in 0..64 {
-            seen[spec.hash_shard(key) as usize] = true;
-        }
-        assert!(seen.iter().all(|&b| b), "finalizer spreads sequential keys");
     }
 
     #[test]

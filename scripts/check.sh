@@ -3,7 +3,13 @@
 #   1. bao-lint        — workspace invariant lints (DESIGN.md §7), JSON
 #                        report to results/lint_report.json
 #   2. check_hermetic  — static manifest scan (via bao-lint)
-#   3. build + test    — tier-1: cargo build --release && cargo test -q
+#   3. build + test    — tier-1: cargo build --release && cargo test -q;
+#                        then cargo test -q --release -p bao-exec (the
+#                        release build exists by then): the debug run
+#                        re-verifies every plan at the execution boundary
+#                        (plan::verify), which pre-empts the executor's
+#                        own refusals, so a test of one of those is
+#                        #[cfg(not(debug_assertions))] and runs only here
 #   4. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
 #                        the one wall-clock gate the repo benchmark
 #                        (benchmark/) does not cover; exits non-zero when
@@ -77,6 +83,10 @@ cargo build --release
 echo
 echo "== test =="
 cargo test -q
+
+echo
+echo "== test (release-only executor checks) =="
+cargo test -q --release -p bao-exec
 
 if [ "$bench_smoke" = 1 ]; then
     echo
