@@ -45,11 +45,11 @@ fn pool_benches(pool_pages: usize) {
 fn hash_join_bench(
     name: &str,
     rows: (i64, i64),
-    l_key: impl Fn(i64) -> i64,
-    r_key: impl Fn(i64) -> i64,
+    l_key: &dyn Fn(i64) -> i64,
+    r_key: &dyn Fn(i64) -> i64,
 ) {
     let mut db = Database::new();
-    for (table, n, key) in [("l", rows.0, &l_key as &dyn Fn(i64) -> i64), ("r", rows.1, &r_key)] {
+    for (table, n, key) in [("l", rows.0, l_key), ("r", rows.1, r_key)] {
         let mut t = Table::new(table, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
         t.insert_many((0..n).map(|i| vec![Value::Int(key(i))])).unwrap();
         db.create_table(t).unwrap();
@@ -79,9 +79,9 @@ fn main() {
 
     // One match per probe; 16 keys with 64 build rows each; one probe in
     // 64 finds its key.
-    hash_join_bench("hash_join_unique_keys", (200_000, 200_000), |i| i, |i| i * 7 % 200_000);
-    hash_join_bench("hash_join_fanout", (20_000, 1_024), |i| i % 16, |i| i % 16);
-    hash_join_bench("hash_join_selective", (200_000, 50_000), |i| i, |i| i * 64);
+    hash_join_bench("hash_join_unique_keys", (200_000, 200_000), &|i| i, &|i| i * 7 % 200_000);
+    hash_join_bench("hash_join_fanout", (20_000, 1_024), &|i| i % 16, &|i| i % 16);
+    hash_join_bench("hash_join_selective", (200_000, 50_000), &|i| i, &|i| i * 64);
 
     let db = build_imdb_database(0.1, 42).unwrap();
     let cat = StatsCatalog::analyze(&db, 1_000, 42);

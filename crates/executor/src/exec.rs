@@ -1011,7 +1011,7 @@ mod tests {
     /// what it returns holds no `RowSet`, so an `Err` from it is a refusal
     /// before any output exists.
     #[test]
-    fn row_cap_is_refused_by_the_count_pass() {
+    fn join_row_cap_is_refused_by_the_count_pass() {
         let mut db = Database::new();
         for name in ["l", "r"] {
             let mut t = Table::new(name, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
