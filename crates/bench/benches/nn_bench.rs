@@ -1,10 +1,15 @@
 //! Microbenchmarks of the TCNN substrate: inference (Bao predicts 49
 //! plans per query) and training (one Thompson resample), at both the
-//! experiment widths and the paper's full widths.
+//! experiment widths and the paper's full widths, plus each tree
+//! convolution kernel alone at the `small` net's layer shapes.
 
 use bao_bench::timing::{bench_function, Group};
 use bao_common::{rng_from_seed, Rng};
-use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeCnn};
+use bao_nn::layers::{
+    tree_conv_backward_batch_input, tree_conv_backward_batch_params, tree_conv_forward_batch,
+    TreeConvParams,
+};
+use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeBatch, TreeCnn};
 
 fn plan_like_tree(rng: &mut impl Rng, dim: usize, nodes: usize) -> FeatTree {
     // A left-deep strict binary tree, like a binarized join plan.
@@ -62,7 +67,52 @@ fn bench_training() {
     });
 }
 
+/// The three batched tree-convolution kernels of the `small` net, one
+/// layer at a time, over one training shard's worth of node rows (8
+/// plan-like trees of 9 nodes). `sparse` rows are what each layer sees
+/// in training — one-hot plan features at layer 0, ReLU outputs with
+/// about half their entries zero after it; `dense` rows have no zeros.
+/// Times are per call; divide by the 72 node rows for a per-node figure.
+fn bench_conv_kernels() {
+    let mut rng = rng_from_seed(5);
+    let dim = 13;
+    let trees: Vec<FeatTree> = (0..8).map(|_| plan_like_tree(&mut rng, dim, 9)).collect();
+    let batch = TreeBatch::pack(trees.iter());
+    let n = batch.total_nodes();
+    let g = Group::new("tcnn_conv_kernels_72_nodes", 10);
+    for (layer, (in_c, out_c)) in [(dim, 64), (64, 32), (32, 16)].into_iter().enumerate() {
+        let mut p = TreeConvParams::new(in_c, out_c, 7 + layer as u64);
+        let dense_rows = |rng: &mut _, c: usize| -> Vec<f32> {
+            (0..n * c).map(|_| Rng::gen_range(rng, 0.1f32..1.0)).collect()
+        };
+        let half_zero = |rng: &mut _, v: &[f32]| -> Vec<f32> {
+            let mut keep = || Rng::gen_range(rng, 0.0f32..1.0) >= 0.5;
+            v.iter().map(|&v| if keep() { v } else { 0.0 }).collect()
+        };
+        let (x_dense, dy_dense) = (dense_rows(&mut rng, in_c), dense_rows(&mut rng, out_c));
+        let x_sparse = if layer == 0 { batch.feats.clone() } else { half_zero(&mut rng, &x_dense) };
+        let dy_sparse = half_zero(&mut rng, &dy_dense);
+        for (rows, x, dy) in [("sparse", &x_sparse, &dy_sparse), ("dense", &x_dense, &dy_dense)] {
+            let case = format!("layer{layer}_{in_c}x{out_c}_{rows}");
+            g.bench(&format!("{case}/forward"), || {
+                std::hint::black_box(tree_conv_forward_batch(&p, &batch.left, &batch.right, x));
+            });
+            // The weight gradient compacts `x`; its `dy` is the dense
+            // layer-norm gradient in training.
+            g.bench(&format!("{case}/weight_grad"), || {
+                tree_conv_backward_batch_params(&mut p, &batch.left, &batch.right, x, &dy_dense);
+                std::hint::black_box(&p.top.g);
+            });
+            g.bench(&format!("{case}/input_grad"), || {
+                let dx = tree_conv_backward_batch_input(&p, &batch.left, &batch.right, dy);
+                std::hint::black_box(dx);
+            });
+        }
+    }
+}
+
 fn main() {
     bench_inference();
     bench_training();
+    bench_conv_kernels();
 }

@@ -8,6 +8,7 @@
 //! $ cargo run --release -p bao-bench --bin baodb
 //! baodb=# SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id;
 //! baodb=# EXPLAIN SELECT ...;
+//! baodb=# EXPLAIN ANALYZE SELECT ...;  -- run it, then estimated vs true rows
 //! baodb=# SET enable_bao TO on;
 //! baodb=# \bao        -- bandit state
 //! baodb=# \help
@@ -24,9 +25,10 @@
 use bao_bench::Args;
 use bao_cloud::N1_16;
 use bao_common::pool::resolve_width;
-use bao_core::{Bao, BaoConfig};
-use bao_exec::{execute_with, ExecConfig};
+use bao_core::{Bao, BaoConfig, Selection};
+use bao_exec::{execute_with, ExecConfig, ExecutionMetrics};
 use bao_opt::{HintSet, Optimizer};
+use bao_plan::Query;
 use bao_sql::{parse_statement, Statement};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
@@ -57,6 +59,38 @@ enum Flow {
 }
 
 impl Shell {
+    /// A session over `db` with the shell's Bao configuration: six arms,
+    /// retraining every 25 queries, inactive until `SET enable_bao`.
+    fn new(db: Database, seed: u64, exec: ExecConfig, wal_dir: &str) -> Shell {
+        Shell {
+            cat: StatsCatalog::analyze(&db, 1_000, seed),
+            opt: Optimizer::postgres(),
+            rates: N1_16.charge_rates(),
+            pool: BufferPool::new(N1_16.buffer_pool_pages()),
+            bao: Bao::new(BaoConfig {
+                arms: HintSet::top_arms(6),
+                window_size: 2_000,
+                retrain_interval: 25,
+                cache_features: true,
+                enabled: false, // like the paper: off until SET enable_bao TO on
+                seed,
+                durability: if wal_dir.is_empty() {
+                    None
+                } else {
+                    Some(bao_wal::DurabilityConfig::new(wal_dir))
+                },
+                ..BaoConfig::default()
+            }),
+            exec,
+            timing: true,
+            buffer: String::new(),
+            statements: 0,
+            selects: 0,
+            simulated_ms: 0.0,
+            db,
+        }
+    }
+
     fn handle_line(&mut self, line: &str) -> Flow {
         let line = line.trim();
         if line.is_empty() || (self.buffer.is_empty() && line.starts_with("--")) {
@@ -138,67 +172,84 @@ impl Shell {
                 }
             }
             Ok(Statement::Select(q)) => {
-                let sel = match self.bao.select_plan(
-                    &self.opt,
-                    &q,
-                    &self.db,
-                    &self.cat,
-                    Some(&self.pool),
-                ) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        println!("ERROR: {e}");
-                        return Flow::Continue;
+                let timing = self.timing;
+                self.run(&q, |sel, m| {
+                    for row in m.output.iter().take(25) {
+                        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                        println!(" {}", cells.join(" | "));
                     }
-                };
-                match execute_with(
-                    &sel.plan,
-                    &q,
-                    &self.db,
-                    &mut self.pool,
-                    &self.opt.params,
-                    &self.rates,
-                    &self.exec,
-                ) {
-                    Ok(m) => {
-                        for row in m.output.iter().take(25) {
-                            let cells: Vec<String> =
-                                row.iter().map(|v| v.to_string()).collect();
-                            println!(" {}", cells.join(" | "));
-                        }
-                        if m.output.len() > 25 {
-                            println!(" ... ({} rows)", m.rows_out);
-                        } else {
-                            println!(
-                                "({} row{})",
-                                m.rows_out,
-                                if m.rows_out == 1 { "" } else { "s" }
-                            );
-                        }
-                        if self.timing {
-                            println!(
-                                "Time: {:.3} ms simulated ({} physical reads, arm {}: {})",
-                                m.latency.as_ms(),
-                                m.page_misses,
-                                sel.arm,
-                                sel.hints
-                            );
-                        }
-                        self.selects += 1;
-                        self.simulated_ms += m.latency.as_ms();
-                        self.bao.observe(sel.tree, m.latency.as_ms());
-                        // One commit per statement: the interactive shell
-                        // has no wave to batch across.
-                        if let Err(e) = self.bao.wal_commit() {
-                            println!("WARNING: wal commit failed: {e}");
-                        }
+                    if m.output.len() > 25 {
+                        println!(" ... ({} rows)", m.rows_out);
+                    } else {
+                        println!("({} row{})", m.rows_out, if m.rows_out == 1 { "" } else { "s" });
                     }
-                    Err(e) => println!("ERROR: {e}"),
-                }
+                    if timing {
+                        println!(
+                            "Time: {:.3} ms simulated ({} physical reads, arm {}: {})",
+                            m.latency.as_ms(),
+                            m.page_misses,
+                            sel.arm,
+                            sel.hints
+                        );
+                    }
+                })
+            }
+            Ok(Statement::ExplainAnalyze(q)) => {
+                self.run(&q, |sel, m| print!("{}", explain_analyze(sel, m)))
             }
         }
         Flow::Continue
     }
+
+    /// What `SELECT` and `EXPLAIN ANALYZE` share: choose the arm, execute
+    /// its plan, `show` the outcome, then feed it back to Bao.
+    fn run(&mut self, q: &Query, show: impl FnOnce(&Selection, &ExecutionMetrics)) {
+        let sel = match self.bao.select_plan(&self.opt, q, &self.db, &self.cat, Some(&self.pool))
+        {
+            Ok(s) => s,
+            Err(e) => {
+                println!("ERROR: {e}");
+                return;
+            }
+        };
+        let m = match execute_with(
+            &sel.plan,
+            q,
+            &self.db,
+            &mut self.pool,
+            &self.opt.params,
+            &self.rates,
+            &self.exec,
+        ) {
+            Ok(m) => m,
+            Err(e) => {
+                println!("ERROR: {e}");
+                return;
+            }
+        };
+        show(&sel, &m);
+        self.selects += 1;
+        self.simulated_ms += m.latency.as_ms();
+        self.bao.observe(sel.tree, m.latency.as_ms());
+        // One commit per statement: the interactive shell has no wave to
+        // batch across.
+        if let Err(e) = self.bao.wal_commit() {
+            println!("WARNING: wal commit failed: {e}");
+        }
+    }
+}
+
+/// `EXPLAIN ANALYZE` output: the executed plan in pre-order, each node's
+/// estimated rows beside its true rows and their q-error, then the arm
+/// that chose it and the simulated latency.
+fn explain_analyze(sel: &Selection, m: &ExecutionMetrics) -> String {
+    format!(
+        "{}arm {}: {} | {:.3} ms simulated\n",
+        sel.plan.explain_analyze(&m.node_true_rows),
+        sel.arm,
+        sel.hints,
+        m.latency.as_ms()
+    )
 }
 
 fn main() {
@@ -214,35 +265,9 @@ fn main() {
 
     eprintln!("loading IMDb-like database (scale {scale})...");
     let db = build_imdb_database(scale, seed).expect("build database");
-    let cat = StatsCatalog::analyze(&db, 1_000, seed);
     let table_names = db.table_names().join(", ");
-    let mut shell = Shell {
-        cat,
-        opt: Optimizer::postgres(),
-        rates: N1_16.charge_rates(),
-        pool: BufferPool::new(N1_16.buffer_pool_pages()),
-        bao: Bao::new(BaoConfig {
-            arms: HintSet::top_arms(6),
-            window_size: 2_000,
-            retrain_interval: 25,
-            cache_features: true,
-            enabled: false, // like the paper: off until SET enable_bao TO on
-            seed,
-            durability: if wal_dir.is_empty() {
-                None
-            } else {
-                Some(bao_wal::DurabilityConfig::new(wal_dir.as_str()))
-            },
-            ..BaoConfig::default()
-        }),
-        exec: ExecConfig { shard_workers, ..ExecConfig::default() },
-        timing: true,
-        buffer: String::new(),
-        statements: 0,
-        selects: 0,
-        simulated_ms: 0.0,
-        db,
-    };
+    let exec = ExecConfig { shard_workers, ..ExecConfig::default() };
+    let mut shell = Shell::new(db, seed, exec, &wal_dir);
     let header = bao_wal::WalRecord::RunHeader {
         seed: shell.bao.cfg.seed,
         config_fp: shell.bao.config_fingerprint(),
@@ -300,4 +325,64 @@ fn main() {
         }
     }
     eprintln!("bye");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_explain_analyze(sql: &str) -> String {
+        let db = build_imdb_database(0.02, 3).expect("build database");
+        let mut shell = Shell::new(db, 3, ExecConfig::default(), "");
+        let Ok(Statement::ExplainAnalyze(q)) = parse_statement(sql) else {
+            panic!("not an EXPLAIN ANALYZE: {sql}");
+        };
+        let mut text = String::new();
+        shell.run(&q, |sel, m| {
+            assert_eq!(m.node_true_rows.len(), sel.plan.node_count());
+            text = explain_analyze(sel, m);
+        });
+        assert_eq!(shell.selects, 1, "EXPLAIN ANALYZE runs the query like SELECT");
+        text
+    }
+
+    /// The value after `key=` on a rendered plan line.
+    fn field<'a>(line: &'a str, key: &str) -> &'a str {
+        let rest = &line[line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len()..];
+        rest.split([' ', ')']).next().unwrap_or("")
+    }
+
+    #[test]
+    fn explain_analyze_shows_estimates_truth_and_q_error_per_node() {
+        let text = run_explain_analyze(
+            "EXPLAIN ANALYZE SELECT COUNT(*) FROM title t, cast_info ci, person p \
+             WHERE t.id = ci.movie_id AND ci.person_id = p.id AND t.production_year >= 2010;",
+        );
+        let lines: Vec<&str> = text.lines().collect();
+        let (last, plan) = lines.split_last().expect("output");
+        assert!(plan.len() >= 5, "three scans, two joins, an aggregate:\n{text}");
+        assert!(plan[0].starts_with("Aggregate") && field(plan[0], "true rows=") == "1", "{text}");
+        assert_eq!(plan.iter().filter(|l| l.contains("Scan on")).count(), 3, "{text}");
+        for line in plan {
+            let est: f64 = field(line, "est rows=").parse().expect("est rows");
+            let truth: f64 = field(line, "true rows=").parse().expect("true rows");
+            let q: f64 = field(line, "q-error=").parse().expect("q-error");
+            // `est rows` is printed rounded: allow its half-row.
+            let want = bao_common::stats::qerror(est, truth);
+            assert!(q >= 1.0 && (q - want).abs() <= want * (0.5 / est.max(1.0) + 0.005), "{line}");
+        }
+        assert!(last.starts_with("arm 0: ") && last.ends_with(" ms simulated"), "{last}");
+    }
+
+    #[test]
+    fn explain_analyze_counts_an_empty_result_as_one_row() {
+        let text = run_explain_analyze(
+            "EXPLAIN ANALYZE SELECT t.id FROM title t WHERE t.production_year > 2100;",
+        );
+        let root = text.lines().next().expect("plan");
+        assert_eq!(field(root, "true rows="), "0", "{text}");
+        let est: f64 = field(root, "est rows=").parse().expect("est rows");
+        let q: f64 = field(root, "q-error=").parse().expect("q-error");
+        assert!((q - est.max(1.0)).abs() <= 0.5 + 0.005 * est.max(1.0), "{text}");
+    }
 }

@@ -14,18 +14,19 @@
 //!
 //! **Numerics contract.** A score is a function of the weights and the
 //! tree alone: every dense product, convolutions and fully connected
-//! head alike, runs [`axpy_row`] on one row at a time — ascending-`k`
-//! accumulation, zero inputs skipped — and layer norm and pooling are
-//! per node and per tree. Nothing depends on how many trees or node
-//! rows a call carries, so a tree scores to the same bits alone, after
-//! dedup, or inside a coalesced wave of hundreds: that is what makes
-//! cross-query coalescing and duplicate scattering legal. The batched
-//! training forward takes the same `axpy_row` order whenever a GEMM
-//! clears its small-batch threshold (see `Param::matmul_add`), so for a
-//! forest of four or more trees `score` also equals that pass bit for
-//! bit; below it the training forward switches to `matvec_add` (its
-//! rounding is pinned by `tests/train_golden.rs`) and the two agree to
-//! ~1e-6 relative, as both do with the scalar reference.
+//! head alike, runs [`axpy_nz`] on one row at a time — per output
+//! element, the terms in a fixed order and each term's nonzero inputs
+//! in ascending `k` — and layer norm and pooling are per node and per
+//! tree. Nothing depends on how many trees or node rows a call carries,
+//! so a tree scores to the same bits alone, after dedup, or inside a
+//! coalesced wave of hundreds: that is what makes cross-query coalescing
+//! and duplicate scattering legal. The batched training forward runs the
+//! same kernel in the same order whenever a GEMM clears its small-batch
+//! threshold (see `Param::matmul_add`), so for a forest of four or more
+//! trees `score` also equals that pass bit for bit; below it the
+//! training forward switches to `matvec_add` (its rounding is pinned by
+//! `tests/train_golden.rs`) and the two agree to ~1e-6 relative, as both
+//! do with the scalar reference.
 //!
 //! **Why it is fast.** Scoring keeps nothing for backward, so it does
 //! not pay for a tape:
@@ -33,17 +34,25 @@
 //! * **no pack** — trees are scored straight out of their own feature
 //!   buffers; child indices are tree-local already, so nothing is copied
 //!   or rebased;
-//! * **fused layers** — each convolution layer runs per node as bias,
-//!   the three conv axpy groups, layer norm, ReLU, with the row staying
-//!   in registers between them: one buffer write per layer where a taped
-//!   pass writes four;
+//! * **zeros looked at once** — each layer's input rows are compacted to
+//!   their nonzeros once ([`RowNz`], branch-free), and a row's compaction
+//!   serves both its own self term and its parent's child term; a plan
+//!   node's feature row has at most four nonzeros (operator one-hot, log
+//!   rows, log cost, cache fraction) and a null node's one;
+//! * **fused layers in register tiles** — each convolution layer runs
+//!   per node as the bias, then one [`axpy_nz`] over the three conv
+//!   terms with the output row held in 32/16/8-wide register
+//!   accumulators while every term streams through, then layer norm and
+//!   ReLU on the row: one buffer write per layer where a taped pass
+//!   writes four;
 //! * **per-tree execution** — a tree runs start to finish (three conv
 //!   layers, pooling, the FC head) in a ping-pong arena sized to the
 //!   largest tree, so the working set is cache-resident at any forest
 //!   size and coalescing scales instead of thrashing;
 //! * **amortized weights** — the weight transposes are built once per
-//!   call and reused across every tree, and the arena persists across
-//!   calls (a model scores everything through one [`ScoreScratch`]);
+//!   call and reused across every tree, and the arena, compaction
+//!   included, persists across calls (a model scores everything through
+//!   one [`ScoreScratch`]), so a warm scorer allocates nothing per tree;
 //! * **dedup** — arm families alias heavily: many hint sets do not
 //!   change the optimizer's chosen plan (the paper leans on this when it
 //!   dedups hinted plans before execution), so a 49-arm family typically
@@ -55,7 +64,7 @@
 
 use crate::layers::LN_EPS;
 use crate::net::TreeCnn;
-use crate::param::{axpy_row, Param};
+use crate::param::{axpy_nz, Param, RowNz};
 use crate::tree::FeatTree;
 
 /// Reusable inference arena for [`TreeCnn::score`].
@@ -77,6 +86,8 @@ pub struct ScoreScratch {
     /// activations (`hidden`).
     pooled: Vec<f32>,
     fc1: Vec<f32>,
+    /// The nonzeros of whichever buffer is the current product's input.
+    nz: RowNz,
     /// Trees the last call actually pushed through the network after
     /// duplicate elimination (telemetry for benches and serving reports).
     pub last_scored: usize,
@@ -219,24 +230,24 @@ impl TreeCnn {
                     (&s.wt_conv[k * 3], &s.wt_conv[k * 3 + 1], &s.wt_conv[k * 3 + 2]);
                 let (gamma, beta) = (&self.ln[k].gamma, &self.ln[k].beta);
                 let bias = &self.conv[k].bias.w;
-                // Whole layer fused per node: bias, the three conv axpy
-                // groups in the fixed order self, left child, right
-                // child, then layer norm + ReLU on the row while it is
-                // still register-hot.
+                // Whole layer fused per node: the input rows compacted
+                // once, then bias and the three conv terms in the fixed
+                // order self, left child, right child in one register
+                // pass, then layer norm + ReLU on the row while it is
+                // still cache-hot.
+                s.nz.compact(&x[..n * xc], xc);
                 for i in 0..n {
                     let yi = &mut dst[i * out_c..(i + 1) * out_c];
                     yi.copy_from_slice(bias);
-                    axpy_row(yi, &x[i * xc..(i + 1) * xc], wt_top);
-                    let l = tree.left[i];
-                    if l >= 0 {
-                        let l = l as usize;
-                        axpy_row(yi, &x[l * xc..(l + 1) * xc], wt_left);
-                    }
-                    let r = tree.right[i];
-                    if r >= 0 {
-                        let r = r as usize;
-                        axpy_row(yi, &x[r * xc..(r + 1) * xc], wt_right);
-                    }
+                    let nz = &s.nz;
+                    axpy_nz(
+                        yi,
+                        &[
+                            (nz.row(i), wt_top),
+                            (nz.child(tree.left[i]), wt_left),
+                            (nz.child(tree.right[i]), wt_right),
+                        ],
+                    );
                     ln_relu_row(gamma, beta, yi);
                 }
                 std::mem::swap(&mut src, &mut dst);
@@ -253,12 +264,14 @@ impl TreeCnn {
             }
             // FC head, per tree like everything above it.
             s.fc1.copy_from_slice(&self.fc1_b.w);
-            axpy_row(&mut s.fc1, &s.pooled, &s.wt_fc1);
+            s.nz.compact(&s.pooled, c3);
+            axpy_nz(&mut s.fc1, &[(s.nz.row(0), &s.wt_fc1)]);
             for v in s.fc1.iter_mut() {
                 *v = v.max(0.0);
             }
+            s.nz.compact(&s.fc1, s.fc1.len());
             let mut y = [self.fc2_b.w[0]];
-            axpy_row(&mut y, &s.fc1, &s.wt_fc2);
+            axpy_nz(&mut y, &[(s.nz.row(0), &s.wt_fc2)]);
             out.push(y[0]);
         }
         out
@@ -330,16 +343,18 @@ mod tests {
 
     /// The scorer returns the same bits as the batched training forward,
     /// from the smallest forest that pass runs as GEMMs to many queries'
-    /// worth.
+    /// worth, at a plan-sized input and at one wider than 64 features.
     #[test]
     fn scratch_path_is_bitwise_identical_to_tape_path() {
-        let dim = 11;
-        let net = trained_net(dim, 42);
-        let mut s = ScoreScratch::new();
-        for count in [4usize, 7, 49, 130] {
-            let trees = random_forest(dim, count, 0xBA0 + count as u64);
-            let refs: Vec<&FeatTree> = trees.iter().collect();
-            assert_same_bits(&tape(&net, &refs), &net.score(&refs, &mut s), &format!("{count} trees"));
+        for dim in [11, 70] {
+            let net = trained_net(dim, 42);
+            let mut s = ScoreScratch::new();
+            for count in [4usize, 7, 49, 130] {
+                let trees = random_forest(dim, count, 0xBA0 + count as u64);
+                let refs: Vec<&FeatTree> = trees.iter().collect();
+                let what = format!("dim {dim}, {count} trees");
+                assert_same_bits(&tape(&net, &refs), &net.score(&refs, &mut s), &what);
+            }
         }
     }
 

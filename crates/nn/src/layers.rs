@@ -12,15 +12,16 @@
 //!   checks and as what the tests compare the other passes against;
 //! * `*_batch` kernels — the training path. They run over a packed
 //!   multi-tree buffer ([`crate::tree::TreeBatch`]) and route every dense
-//!   product through the GEMMs in [`Param`] (`matmul_add` and friends),
-//!   which read child rows through the child index, so no gathered copy
-//!   of a layer's input is ever made.
+//!   product through the kernels in `param.rs` (`axpy_nz` over rows
+//!   compacted once per layer, `Param::matmul_add` and friends), which
+//!   read child rows through the child index, so no gathered copy of a
+//!   layer's input is ever made.
 //!
 //! Batched results match the reference within float-reassociation noise
 //! (~1e-6 relative), not bit-for-bit: the GEMM's transposed axpy order
 //! accumulates differently from a per-row dot product.
 
-use crate::param::Param;
+use crate::param::{axpy_nz, Param, RowNz};
 use bao_common::json::{self, FromJson, Json, ToJson};
 use bao_common::Result;
 
@@ -268,11 +269,13 @@ pub fn linear_backward(w: &mut Param, b: &mut Param, x: &[f32], dy: &[f32]) -> V
 // ---------------------------------------------------------------------------
 
 /// Batched [`tree_conv_forward`]: child indices may span a packed
-/// multi-tree batch (rebased, so trees never alias). Three vectorized
-/// GEMMs over (self, left-indexed, right-indexed) replace the per-node
-/// matvec dispatch; the child terms gather rows inside the GEMM
-/// ([`Param::matmul_gather_add`]), so no gathered copy of `x` is ever
-/// materialized.
+/// multi-tree batch (rebased, so trees never alias). The layer input is
+/// compacted once ([`RowNz`]) and each node row then runs one
+/// [`axpy_nz`] over its three terms (self, left child, right child, read
+/// through the child index, so no gathered copy of `x` is materialized)
+/// against weights transposed once per call. Below
+/// [`Param::MATMUL_MIN_BATCH`] node rows it takes the per-node
+/// `matvec_add` branch of [`Param::matmul_add`] instead.
 pub fn tree_conv_forward_batch(
     p: &TreeConvParams,
     left: &[i32],
@@ -286,9 +289,34 @@ pub fn tree_conv_forward_batch(
     for yi in y.chunks_exact_mut(out_c) {
         yi.copy_from_slice(&p.bias.w);
     }
-    p.top.matmul_add(x, &mut y, n);
-    p.left.matmul_gather_add(x, left, &mut y);
-    p.right.matmul_gather_add(x, right, &mut y);
+    if n < Param::MATMUL_MIN_BATCH {
+        let row = |j: usize| &x[j * in_c..(j + 1) * in_c];
+        for (i, yi) in y.chunks_exact_mut(out_c).enumerate() {
+            p.top.matvec_add(row(i), yi);
+            for (w, child) in [(&p.left, left[i]), (&p.right, right[i])] {
+                if child >= 0 {
+                    w.matvec_add(row(child as usize), yi);
+                }
+            }
+        }
+        return y;
+    }
+    let [wt_top, wt_left, wt_right] = [&p.top, &p.left, &p.right].map(|w| {
+        let mut wt = Vec::new();
+        w.transpose_into(&mut wt);
+        wt
+    });
+    let xnz = RowNz::of(x, in_c);
+    for (i, yi) in y.chunks_exact_mut(out_c).enumerate() {
+        axpy_nz(
+            yi,
+            &[
+                (xnz.row(i), &wt_top),
+                (xnz.child(left[i]), &wt_left),
+                (xnz.child(right[i]), &wt_right),
+            ],
+        );
+    }
     y
 }
 
@@ -319,9 +347,10 @@ pub fn tree_conv_backward_batch_params(
 
 /// Input half of the backward of [`tree_conv_forward_batch`]: returns
 /// `dx`. The first layer of a network has no use for it — its input is
-/// the raw plan features — and skips this call. The child
-/// input-gradients are scatter-adds (row targets are data-dependent),
-/// done per node with vectorizable axpy rows.
+/// the raw plan features — and skips this call. `dy` is compacted once;
+/// the self term runs per node and the child terms scatter-add into
+/// their (data-dependent) child rows, self then left then right, each
+/// row through [`axpy_nz`] against `W` itself.
 pub fn tree_conv_backward_batch_input(
     p: &TreeConvParams,
     left: &[i32],
@@ -331,12 +360,15 @@ pub fn tree_conv_backward_batch_input(
     let (in_c, out_c) = (p.in_c(), p.out_c());
     let n = left.len();
     let mut dx = vec![0.0f32; n * in_c];
-    p.top.matmul_t_add(dy, &mut dx, n);
+    let dynz = RowNz::of(dy, out_c);
+    for (i, dxi) in dx.chunks_exact_mut(in_c).enumerate() {
+        axpy_nz(dxi, &[(dynz.row(i), &p.top.w)]);
+    }
     for (w, child) in [(&p.left, left), (&p.right, right)] {
         for (i, &c) in child.iter().enumerate() {
             if c >= 0 {
                 let c = c as usize;
-                w.matvec_t_add(&dy[i * out_c..(i + 1) * out_c], &mut dx[c * in_c..(c + 1) * in_c]);
+                axpy_nz(&mut dx[c * in_c..(c + 1) * in_c], &[(dynz.row(i), &w.w)]);
             }
         }
     }

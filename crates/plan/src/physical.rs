@@ -6,6 +6,7 @@
 
 use crate::logical::{AggFunc, ColRef, JoinPred, Predicate};
 use bao_common::json::{self, FromJson, Json, ToJson};
+use bao_common::stats::qerror;
 use bao_common::{BaoError, Result};
 use std::fmt;
 
@@ -367,11 +368,26 @@ impl PlanNode {
     /// EXPLAIN-style rendering.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        self.explain_into(&mut out, 0);
+        self.explain_into(&mut out, 0, &mut None);
         out
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
+    /// EXPLAIN ANALYZE rendering: every node's estimate beside its true
+    /// output cardinality, `true_rows` in pre-order (as the executor's
+    /// `node_true_rows`), and the q-error `max(e/t, t/e)` of the two with
+    /// zero rows counted as one.
+    pub fn explain_analyze(&self, true_rows: &[u64]) -> String {
+        let mut out = String::new();
+        self.explain_into(&mut out, 0, &mut Some(true_rows.iter()));
+        out
+    }
+
+    fn explain_into(
+        &self,
+        out: &mut String,
+        depth: usize,
+        true_rows: &mut Option<std::slice::Iter<'_, u64>>,
+    ) {
         use std::fmt::Write;
         for _ in 0..depth {
             out.push_str("  ");
@@ -393,13 +409,16 @@ impl PlanNode {
             }
             other => other.kind().name().to_string(),
         };
-        let _ = writeln!(
-            out,
-            "{label}  (rows={:.0} cost={:.1})",
-            self.est_rows, self.est_cost
-        );
+        let est = self.est_rows;
+        let rows = match true_rows.as_mut().and_then(Iterator::next) {
+            Some(&t) => {
+                format!("est rows={est:.0} true rows={t} q-error={:.2}", qerror(est, t as f64))
+            }
+            None => format!("rows={est:.0}"),
+        };
+        let _ = writeln!(out, "{label}  ({rows} cost={:.1})", self.est_cost);
         for c in &self.children {
-            c.explain_into(out, depth + 1);
+            c.explain_into(out, depth + 1, true_rows);
         }
     }
 }

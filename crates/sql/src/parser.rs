@@ -14,16 +14,20 @@ pub enum Statement {
     /// `EXPLAIN SELECT ...` — callers render the plan (and, with Bao in
     /// advisor mode, the Figure 6 augmentation) instead of executing.
     Explain(Query),
+    /// `EXPLAIN ANALYZE SELECT ...` — callers run the query as a `SELECT`
+    /// and render the executed plan with true row counts.
+    ExplainAnalyze(Query),
 }
 
 /// Parse one SQL SELECT statement.
 pub fn parse_query(sql: &str) -> Result<Query> {
     match parse_statement(sql)? {
-        Statement::Select(q) | Statement::Explain(q) => Ok(q),
+        Statement::Select(q) | Statement::Explain(q) | Statement::ExplainAnalyze(q) => Ok(q),
     }
 }
 
-/// Parse a statement, distinguishing `EXPLAIN` from plain `SELECT`.
+/// Parse a statement, distinguishing `EXPLAIN` and `EXPLAIN ANALYZE`
+/// from plain `SELECT`.
 pub fn parse_statement(sql: &str) -> Result<Statement> {
     let tokens = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0 };
@@ -31,12 +35,22 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
     if explain {
         p.next();
     }
+    // `ANALYZE` is not a keyword: it stays usable as a name elsewhere.
+    let analyze =
+        explain && matches!(p.peek(), Some(Token::Ident(w)) if w.eq_ignore_ascii_case("ANALYZE"));
+    if analyze {
+        p.next();
+    }
     let q = p.query()?;
     p.eat_if(&Token::Semicolon);
     if !p.at_end() {
         return Err(BaoError::Parse(format!("trailing tokens after query: {:?}", p.peek())));
     }
-    Ok(if explain { Statement::Explain(q) } else { Statement::Select(q) })
+    Ok(match (explain, analyze) {
+        (true, true) => Statement::ExplainAnalyze(q),
+        (true, false) => Statement::Explain(q),
+        _ => Statement::Select(q),
+    })
 }
 
 struct Parser {
@@ -495,5 +509,10 @@ mod tests {
         // parse_query accepts both forms
         assert!(parse_query("EXPLAIN SELECT COUNT(*) FROM t").is_ok());
         assert!(parse_statement("EXPLAIN EXPLAIN SELECT COUNT(*) FROM t").is_err());
+        let s = parse_statement("explain analyze SELECT COUNT(*) FROM t;").unwrap();
+        assert!(matches!(s, Statement::ExplainAnalyze(_)));
+        assert!(parse_query("EXPLAIN ANALYZE SELECT COUNT(*) FROM t").is_ok());
+        assert!(parse_statement("ANALYZE SELECT COUNT(*) FROM t").is_err());
+        assert!(parse_statement("EXPLAIN ANALYZE ANALYZE SELECT COUNT(*) FROM t").is_err());
     }
 }
