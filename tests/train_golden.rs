@@ -7,6 +7,12 @@
 //! bit after training on a fixed dataset, at every thread setting, so a
 //! change to the minibatch-gradient step that moves any bit fails here.
 //!
+//! At shards of 8 a minibatch has at most two shards, and the reduce
+//! `0 + a + b` gives the same bits in either order, so only the loss sum
+//! could see the shards reduced out of order. The shards-of-4 case gives
+//! a minibatch four shards and up to three helpers, so a reduce that
+//! follows completion order instead of shard order moves weight bits.
+//!
 //! A digest moves only when the numerics move. When that is intended,
 //! re-pin from the assertion message and say why in CHANGES.md.
 
@@ -86,11 +92,11 @@ fn dataset() -> (Vec<FeatTree>, Vec<f32>) {
     (trees, ys)
 }
 
-fn train_cfg(max_epochs: usize, threads: usize) -> TrainConfig {
+fn train_cfg(max_epochs: usize, shard_size: usize, threads: usize) -> TrainConfig {
     TrainConfig {
         max_epochs,
         batch_size: BATCH_SIZE,
-        shard_size: SHARD_SIZE,
+        shard_size,
         seed: TRAIN_SEED,
         threads,
         ..TrainConfig::default()
@@ -99,10 +105,15 @@ fn train_cfg(max_epochs: usize, threads: usize) -> TrainConfig {
 
 /// FNV-1a over the loss history's bits, then every parameter's weight
 /// bits in `for_each_param` order.
-fn digest_after_train(net_cfg: TcnnConfig, max_epochs: usize, threads: usize) -> u64 {
+fn digest_after_train(
+    net_cfg: TcnnConfig,
+    max_epochs: usize,
+    shard_size: usize,
+    threads: usize,
+) -> u64 {
     let (trees, ys) = dataset();
     let mut net = TreeCnn::new(net_cfg, 41);
-    let report = train(&mut net, &trees, &ys, &train_cfg(max_epochs, threads));
+    let report = train(&mut net, &trees, &ys, &train_cfg(max_epochs, shard_size, threads));
     assert_eq!(report.epochs_run, max_epochs, "fixed work: no early stop expected");
     let mut bytes = Vec::new();
     for l in &report.loss_history {
@@ -116,9 +127,15 @@ fn digest_after_train(net_cfg: TcnnConfig, max_epochs: usize, threads: usize) ->
     fnv64(&bytes)
 }
 
-fn assert_pinned_at_every_width(what: &str, net_cfg: TcnnConfig, max_epochs: usize, want: u64) {
-    for threads in [0, 1, 2, 3] {
-        let got = digest_after_train(net_cfg, max_epochs, threads);
+fn assert_pinned_at_every_width(
+    what: &str,
+    net_cfg: TcnnConfig,
+    max_epochs: usize,
+    shard_size: usize,
+    want: u64,
+) {
+    for threads in [0, 1, 2, 3, 4] {
+        let got = digest_after_train(net_cfg, max_epochs, shard_size, threads);
         assert_eq!(
             got, want,
             "{what}, threads {threads}: digest {got:#018x}, pinned {want:#018x}"
@@ -155,6 +172,7 @@ fn small_net_without_dropout_matches_pinned_digest() {
         "small, no dropout",
         TcnnConfig::small(FEAT_DIM),
         6,
+        SHARD_SIZE,
         0x0a66fcbea77ee911,
     );
 }
@@ -165,6 +183,18 @@ fn tiny_net_with_dropout_matches_pinned_digest() {
         "tiny, dropout 0.2",
         TcnnConfig::tiny(FEAT_DIM).with_dropout(0.2),
         12,
+        SHARD_SIZE,
         0xba54934bb54afd7e,
+    );
+}
+
+#[test]
+fn small_net_at_four_shards_per_minibatch_matches_pinned_digest() {
+    assert_pinned_at_every_width(
+        "small, no dropout, shards of 4",
+        TcnnConfig::small(FEAT_DIM),
+        6,
+        4,
+        0x151da305a43fb157,
     );
 }
