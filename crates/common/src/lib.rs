@@ -8,7 +8,6 @@ pub mod json;
 pub mod pool;
 pub mod rng;
 pub mod stats;
-pub mod sync;
 pub mod time;
 
 pub use error::{BaoError, Result};

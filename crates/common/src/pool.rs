@@ -7,9 +7,9 @@
 //! its join handle, so there is no channel, no lock, and no interleaving
 //! that could reorder anything.
 
-use crate::sync::scope;
 use crate::Result;
 use std::sync::OnceLock;
+use std::thread::scope;
 
 /// A configured pool width, with `0` meaning one thread per host core.
 /// The host is asked once per process: `available_parallelism` reads the

@@ -4,7 +4,6 @@
 use crate::experience::Experience;
 use crate::featurize::Featurizer;
 use bao_common::pool::{resolve_width, run_jobs};
-use bao_common::sync::{Arc, Mutex};
 use bao_common::{split_seed, BaoError, Result};
 use bao_models::{bootstrap_sample, TcnnModel, ValueModel};
 use bao_nn::FeatTree;
@@ -13,6 +12,7 @@ use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
 use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Bao configuration (paper §6.1 defaults: 48/49 arms, window k = 2000,
@@ -110,10 +110,8 @@ pub struct Bao {
     /// Cumulative wall-clock time spent training (Figure 15c).
     pub total_train_wall: Duration,
     /// Attached write-ahead log; appends are buffered here and flushed
-    /// by the harness's per-wave [`Bao::wal_commit`]. Behind the workspace
-    /// sync shim (like every other lock in the query path) so the race
-    /// suites can instrument it.
-    wal: Option<Arc<Mutex<Wal>>>,
+    /// by the harness's per-wave [`Bao::wal_commit`].
+    wal: Option<Mutex<Wal>>,
     /// Lifetime observation counter — the `step` field of logged
     /// experience appends (survives recovery replay).
     observed: usize,
@@ -155,7 +153,7 @@ impl Bao {
     /// `ExperienceAppend` frames into it and retrains buffer checkpoint
     /// + boundary frames; nothing reaches disk until a commit.
     pub fn attach_wal(&mut self, wal: Wal) {
-        self.wal = Some(Arc::new(Mutex::new(wal)));
+        self.wal = Some(Mutex::new(wal));
     }
 
     /// Buffer one frame into the attached WAL; without one `record` is

@@ -35,19 +35,12 @@
 //!   must surface information through return values, reports, or errors
 //!   — a stray print in the query path garbles experiment output and is
 //!   invisible to callers.
-//! * `no-raw-sync` — direct `std::sync::{Mutex, mpsc, Condvar, RwLock}`
-//!   is denied outside `bao_common::sync` and the `bao-race` checker
-//!   itself: every lock, channel, and scoped spawn must go through the
-//!   shim so the deterministic interleaving explorer (DESIGN.md §12) can
-//!   see it. A raw primitive is invisible to the race checker — exactly
-//!   the kind of hole that lets an unexplored interleaving ship.
 //! * `no-unpinned-pool-width` — threads are spawned (`.spawn(`) only by
 //!   the workspace pool (`bao_common::pool::run_jobs`, under arm planning
-//!   and morsel execution), `bao_nn::train`'s persistent helpers, the
-//!   sync shim that wraps the raw spawn, and the race checker. Both pools
+//!   and morsel execution) and `bao_nn::train`'s persistent helpers. Both
 //!   take their width from `bao_common::pool::resolve_width`, so a spawn
-//!   anywhere else is a pool whose width nothing controls and whose
-//!   interleavings no race suite explores.
+//!   anywhere else is a pool whose width nothing controls: it would
+//!   oversubscribe the host beside the two that size themselves to it.
 //! * `no-unlogged-persistence` — durable state must flow through the WAL
 //!   (DESIGN.md §14): direct `std::fs` writes (`fs::write`,
 //!   `fs::create_dir`, `File::create`, `OpenOptions`) are denied outside
@@ -75,14 +68,13 @@ pub enum RuleId {
     NoUnseededRng,
     NoFloatEq,
     NoPrintln,
-    NoRawSync,
     NoUnpinnedPoolWidth,
     NoUnloggedPersistence,
     HermeticManifest,
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::NoWallClock,
         RuleId::NoHashIterOrder,
         RuleId::NoUnsafe,
@@ -91,7 +83,6 @@ impl RuleId {
         RuleId::NoUnseededRng,
         RuleId::NoFloatEq,
         RuleId::NoPrintln,
-        RuleId::NoRawSync,
         RuleId::NoUnpinnedPoolWidth,
         RuleId::NoUnloggedPersistence,
         RuleId::HermeticManifest,
@@ -107,7 +98,6 @@ impl RuleId {
             RuleId::NoUnseededRng => "no-unseeded-rng",
             RuleId::NoFloatEq => "no-float-eq",
             RuleId::NoPrintln => "no-println",
-            RuleId::NoRawSync => "no-raw-sync",
             RuleId::NoUnpinnedPoolWidth => "no-unpinned-pool-width",
             RuleId::NoUnloggedPersistence => "no-unlogged-persistence",
             RuleId::HermeticManifest => "hermetic-manifest",
@@ -143,11 +133,8 @@ impl RuleId {
             RuleId::NoPrintln => {
                 "println!/eprintln! outside binaries and the bench crate"
             }
-            RuleId::NoRawSync => {
-                "std::sync Mutex/mpsc/Condvar/RwLock outside bao_common::sync"
-            }
             RuleId::NoUnpinnedPoolWidth => {
-                ".spawn( outside bao_common::{sync,pool}, bao_nn::train and bao-race"
+                ".spawn( outside bao_common::pool and bao_nn::train (pool width)"
             }
             RuleId::NoUnloggedPersistence => {
                 "direct std::fs writes outside bao-wal and binaries (use the WAL)"
@@ -176,15 +163,9 @@ const WALL_CLOCK_ALLOWED: &str = "crates/bench/src/timing.rs";
 /// The one audited `unsafe` site.
 const UNSAFE_ALLOWED: &str = "crates/common/src/json.rs";
 
-/// The shim itself wraps the raw primitives; the race checker serializes
-/// real threads with an (uninstrumented, by necessity) mutex + condvar.
-const RAW_SYNC_ALLOWED_FILE: &str = "crates/common/src/sync.rs";
-const RAW_SYNC_ALLOWED_CRATE: &str = "crates/race/";
-
-/// The files that may spawn threads: the shim, the workspace pool, and
-/// the trainer's persistent helpers.
-const SPAWN_ALLOWED_FILES: [&str; 3] =
-    [RAW_SYNC_ALLOWED_FILE, "crates/common/src/pool.rs", "crates/nn/src/train.rs"];
+/// The files that may spawn threads: the workspace pool and the
+/// trainer's persistent helpers.
+const SPAWN_ALLOWED_FILES: [&str; 2] = ["crates/common/src/pool.rs", "crates/nn/src/train.rs"];
 
 fn in_any(path: &str, prefixes: &[&str]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p))
@@ -212,17 +193,8 @@ pub fn applies_to(rule: RuleId, path: &str) -> bool {
                 || path.contains("/bin/")
                 || path.ends_with("/main.rs"))
         }
-        // Raw sync primitives are invisible to the race checker; only
-        // the shim and the checker itself may touch them. Applies to
-        // tests too — race suites must drive the instrumented types.
-        RuleId::NoRawSync => {
-            path != RAW_SYNC_ALLOWED_FILE && !path.starts_with(RAW_SYNC_ALLOWED_CRATE)
-        }
-        // Threads come from the two pools, the shim they spawn through,
-        // and the race checker (which pins its own exploration threads).
-        RuleId::NoUnpinnedPoolWidth => {
-            !SPAWN_ALLOWED_FILES.contains(&path) && !path.starts_with(RAW_SYNC_ALLOWED_CRATE)
-        }
+        // Threads come from the two pools that size themselves to the host.
+        RuleId::NoUnpinnedPoolWidth => !SPAWN_ALLOWED_FILES.contains(&path),
         // Durable writes belong to the WAL. The log implementation and
         // binaries (shells, report writers) are the legitimate
         // persistence sites.
@@ -290,9 +262,6 @@ fn patterns(rule: RuleId) -> &'static [Pattern] {
         // no-float-eq needs operand analysis, not a literal needle; see
         // `has_float_eq`.
         RuleId::NoFloatEq => &[],
-        // no-raw-sync inspects the path segment after `std::sync::`; see
-        // `has_raw_sync`.
-        RuleId::NoRawSync => &[],
         RuleId::NoPrintln => &[
             Pattern { needle: "println!", word: true },
             Pattern { needle: "eprintln!", word: true },
@@ -422,40 +391,6 @@ fn has_float_eq(line: &str) -> bool {
     false
 }
 
-/// The `std::sync` items the shim wraps; everything else there (`Arc`,
-/// `atomic`, `Once`, `LockResult`, …) is either stateless or carries no
-/// schedule point, so raw use cannot hide an interleaving.
-const RAW_SYNC_FORBIDDEN: [&str; 4] = ["Mutex", "mpsc", "Condvar", "RwLock"];
-
-/// Does this (masked) line name a forbidden `std::sync` primitive? Both
-/// direct paths (`std::sync::Mutex::new`, `use std::sync::mpsc`) and
-/// brace imports (`use std::sync::{Arc, Mutex}`) are recognized.
-fn has_raw_sync(line: &str) -> bool {
-    const NEEDLE: &str = "std::sync::";
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(NEEDLE) {
-        let at = from + pos;
-        from = at + NEEDLE.len();
-        // `bao_std::sync::` and friends are not the std module.
-        if line[..at].chars().next_back().is_some_and(is_ident) {
-            continue;
-        }
-        let rest = &line[from..];
-        let hit = if let Some(group) = rest.strip_prefix('{') {
-            let body = group.split('}').next().unwrap_or(group);
-            body.split(|c: char| !is_ident(c))
-                .any(|w| RAW_SYNC_FORBIDDEN.contains(&w))
-        } else {
-            let first = leading_token(rest).split("::").next().unwrap_or("").to_string();
-            RAW_SYNC_FORBIDDEN.contains(&first.as_str())
-        };
-        if hit {
-            return true;
-        }
-    }
-    false
-}
-
 /// A literal token to search for in masked code.
 struct Pattern {
     needle: &'static str,
@@ -527,19 +462,6 @@ pub fn check_masked(
                         line: line_no,
                         message: "float `==`/`!=` comparison (use an epsilon, \
                                   total_cmp, or to_bits)"
-                            .to_string(),
-                    });
-                }
-                continue;
-            }
-            if rule == RuleId::NoRawSync {
-                if has_raw_sync(line) && !masked.is_allowed(rule.name(), line_no) {
-                    out.push(Diagnostic {
-                        rule,
-                        path: path.to_string(),
-                        line: line_no,
-                        message: "raw `std::sync` primitive (use `bao_common::sync` so \
-                                  bao-race can instrument it)"
                             .to_string(),
                     });
                 }
@@ -680,12 +602,7 @@ mod tests {
         assert_eq!(d.len(), 1, "{d:?}");
 
         // The same text where threads are allowed to come from: clean.
-        for allowed in [
-            "crates/common/src/pool.rs",
-            "crates/common/src/sync.rs",
-            "crates/nn/src/train.rs",
-            "crates/race/src/explorer.rs",
-        ] {
+        for allowed in ["crates/common/src/pool.rs", "crates/nn/src/train.rs"] {
             let d = check_source(allowed, pool, &[RuleId::NoUnpinnedPoolWidth]);
             assert!(d.is_empty(), "{allowed}: {d:?}");
         }
@@ -736,7 +653,7 @@ mod tests {
         // Reads are not writes; string/comment occurrences are masked;
         // test modules are exempt; a pragma waives a deliberate site.
         let src = "fn load(p: &std::path::Path) -> Vec<u8> {\n\
-                   // telemetry via std::fs::write lives in bao-race\n\
+                   // telemetry via std::fs::write lives in a binary\n\
                    let s = \"fs::write\";\n\
                    let _ = s;\n\
                    std::fs::read(p).unwrap()\n\

@@ -55,6 +55,6 @@ fn stacked_pragmas_on_one_line() {
     }
     // A rule the stack does not name is untouched.
     let src2 = "// bao-lint: allow(no-panic-path) bao-lint: allow(no-wall-clock)\n\
-                let m = std::sync::Mutex::new(());\n";
-    assert_eq!(lines_for(RuleId::NoRawSync, "crates/core/src/x.rs", src2), vec![2]);
+                unsafe { now(std::time::Instant::now()).unwrap() }\n";
+    assert_eq!(lines_for(RuleId::NoUnsafe, "crates/core/src/x.rs", src2), vec![2]);
 }

@@ -154,30 +154,6 @@ fn no_println_fires_at_exact_lines() {
 }
 
 #[test]
-fn no_raw_sync_fires_at_exact_lines() {
-    let src = include_str!("fixtures/no_raw_sync.rs");
-    // Lines 4-6: direct and brace imports of Mutex/Condvar/mpsc. Lines
-    // 9-11: inline paths. Line 28: test code is NOT exempt — race
-    // suites must drive the instrumented types too. Comment/string
-    // decoys (15-16), Arc/OnceLock (17-18, not wrapped by the shim),
-    // the non-std path (19), and the pragma'd site (21) stay silent.
-    assert_eq!(
-        lines_for(RuleId::NoRawSync, "crates/core/src/fixture.rs", src),
-        vec![4, 5, 6, 9, 10, 11, 28]
-    );
-    // Integration-test targets are in scope as well.
-    assert_eq!(
-        lines_for(RuleId::NoRawSync, "crates/plan/tests/fixture.rs", src),
-        vec![4, 5, 6, 9, 10, 11, 28]
-    );
-    // Only the shim itself and the race checker may touch the raw
-    // primitives.
-    assert_eq!(lines_for(RuleId::NoRawSync, "crates/common/src/sync.rs", src), vec![]);
-    assert_eq!(lines_for(RuleId::NoRawSync, "crates/race/src/explorer.rs", src), vec![]);
-    assert_eq!(lines_for(RuleId::NoRawSync, "crates/race/tests/fixture.rs", src), vec![]);
-}
-
-#[test]
 fn allow_file_pragma_waives_whole_file() {
     let src = format!(
         "// bao-lint: allow-file(no-panic-path)\n{}",

@@ -4,8 +4,8 @@ use crate::norm::TargetNorm;
 use crate::ValueModel;
 use bao_common::json::{self, Json, ToJson};
 use bao_common::{BaoError, Result};
-use bao_common::sync::Mutex;
 use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeCnn};
+use std::sync::Mutex;
 
 /// Tree-CNN predictor: trains from scratch on each `fit` (each Thompson
 /// resample draws fresh weights), on standardized log targets.

@@ -5,8 +5,8 @@ use bao_common::split_seed;
 use bao_plan::{CmpOp, Predicate};
 use bao_common::Rng;
 use bao_storage::{ColumnData, Database, Table};
-use bao_common::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A filter predicate with its literal resolved to the numeric domain the
 /// statistics are built over (dictionary codes for text columns). Literals

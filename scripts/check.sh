@@ -20,29 +20,18 @@
 #                        same rows and that the pinned input digests hold —
 #                        tier-1 alone would not catch a wrong fetch in a
 #                        learned arm
-#   5. race smoke      — opt-in via --race-smoke: the bao-race suites
-#                        (detection fixtures + the two production
-#                        suites) under --cfg bao_race, bounded so the
-#                        whole pass stays within ~60s (DESIGN.md §12).
-#                        Interleaving counts land in
-#                        results/race_report.json
-#   6. race nightly    — opt-in via --race-nightly: the production suites
-#                        with BAO_RACE_UNBOUNDED=1, exploring the
-#                        bounded-preemption interleaving space to
-#                        completion; final counts land in
-#                        results/race_report.json
-#   7. crash smoke     — opt-in via --crash-smoke: the kill-at-boundary
+#   5. crash smoke     — opt-in via --crash-smoke: the kill-at-boundary
 #                        crash matrix (tests/crash_recovery.rs), 1 seed /
 #                        every 4th boundary; the full matrix (3 seeds,
 #                        every boundary) runs when BAO_CRASH_EXHAUSTIVE=1
 #                        is already exported (DESIGN.md §14)
-#   8. figures         — opt-in via --figures (~6 min): regenerate every
+#   6. figures         — opt-in via --figures (~6 min): regenerate every
 #                        results/<name>.txt (`figures --list`) into a temp
 #                        dir and diff it against the tracked file. Every
 #                        number there is simulated, so any byte that
 #                        differs is a behaviour change: commit the new
 #                        text and the diff is the review
-#   9. code lines      — scripts/loc.sh: product code lines per crate, a
+#   7. code lines      — scripts/loc.sh: product code lines per crate, a
 #                        tracked metric (ROADMAP aim 2); printed and
 #                        written to results/loc.txt (tracked, so a PR's
 #                        diff shows what it did to the count), not gated
@@ -54,15 +43,11 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
 bench_smoke=0
-race_smoke=0
-race_nightly=0
 crash_smoke=0
 figures=0
 for arg in "$@"; do
     case "$arg" in
         --bench-smoke) bench_smoke=1 ;;
-        --race-smoke) race_smoke=1 ;;
-        --race-nightly) race_nightly=1 ;;
         --crash-smoke) crash_smoke=1 ;;
         --figures) figures=1 ;;
         *) echo "unknown flag: $arg" >&2; exit 2 ;;
@@ -95,22 +80,6 @@ if [ "$bench_smoke" = 1 ]; then
     echo
     echo "== bench smoke (benchmark/smoke.sh) =="
     "$repo/benchmark/smoke.sh"
-fi
-
-if [ "$race_smoke" = 1 ]; then
-    echo
-    echo "== race smoke (bao-race under --cfg bao_race) =="
-    # A separate target dir keeps the instrumented build from evicting
-    # the normal incremental caches (the cfg changes every crate).
-    RUSTFLAGS="--cfg bao_race" CARGO_TARGET_DIR=target/race \
-        cargo test -q -p bao-race
-fi
-
-if [ "$race_nightly" = 1 ]; then
-    echo
-    echo "== race nightly (unbounded exploration of the production suites) =="
-    BAO_RACE_UNBOUNDED=1 RUSTFLAGS="--cfg bao_race" CARGO_TARGET_DIR=target/race \
-        cargo test -q -p bao-race --test race_suites
 fi
 
 if [ "$crash_smoke" = 1 ]; then
