@@ -1,6 +1,7 @@
 //! Microbenchmarks of the cost-accurate executor: scans, joins, the
-//! cache-warm/cold difference, the buffer pool's page touch on its own, and
-//! the join's one evaluation function on three key distributions.
+//! cache-warm/cold difference, the buffer pool's page touch on its own,
+//! the join's one evaluation function on three key distributions, and the
+//! sort on three key orders.
 
 use bao_bench::timing::bench_function;
 use bao_exec::{execute, ChargeRates};
@@ -72,10 +73,42 @@ fn hash_join_bench(
     });
 }
 
+/// A sort of a hand-made single-column table on its key, over a
+/// sequential scan, with nothing above it (the root materializes at most
+/// 10,000 rows): `key` gives row `i`'s key.
+fn sort_bench(name: &str, rows: i64, key: &dyn Fn(i64) -> i64) {
+    let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
+    t.insert_many((0..rows).map(|i| vec![Value::Int(key(i))])).unwrap();
+    let mut db = Database::new();
+    db.create_table(t).unwrap();
+    let k = ColRef::new(0, "k");
+    let q = Query {
+        tables: vec![TableRef::new("t")],
+        select: vec![SelectItem::Column(k.clone())],
+        order_by: vec![k.clone()],
+        ..Query::default()
+    };
+    let scan = PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![]);
+    let plan = PlanNode::new(Operator::Sort { keys: vec![k] }, vec![scan]);
+    let opt = Optimizer::postgres();
+    let rates = ChargeRates::default();
+    let mut pool = BufferPool::new(1_024);
+    bench_function(&format!("{name} ({rows} rows)"), 20, || {
+        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+    });
+}
+
 fn main() {
     // The pool every benchmark workload runs on.
     let pool_pages = bao_cloud::N1_4.buffer_pool_pages();
     pool_benches(pool_pages);
+
+    // Distinct keys in a scattered order, in order, and 16 keys scattered.
+    for rows in [1_000, 100_000] {
+        sort_bench("sort_rows_shuffled", rows, &|i| i * 7_919 % rows);
+        sort_bench("sort_rows_presorted", rows, &|i| i);
+        sort_bench("sort_rows_duplicates", rows, &|i| i * 7_919 % rows % 16);
+    }
 
     // One match per probe; 16 keys with 64 build rows each; one probe in
     // 64 finds its key.

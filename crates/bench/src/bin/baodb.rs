@@ -241,12 +241,24 @@ impl Shell {
 
 /// `EXPLAIN ANALYZE` output: the executed plan in pre-order, each node's
 /// estimated rows beside its true rows and their q-error, then the arm
-/// that chose it and the simulated latency.
+/// that chose it, the other arms that planned the same tree, how many
+/// distinct plans the planned arms had, and the simulated latency.
 fn explain_analyze(sel: &Selection, m: &ExecutionMetrics) -> String {
+    let others: Vec<String> =
+        sel.same_plan_arms.iter().filter(|&&a| a != sel.arm).map(|a| a.to_string()).collect();
+    let shared = match others.is_empty() {
+        true => String::new(),
+        false => format!("shared with {}; ", others.join(", ")),
+    };
+    let s = |n: usize| if n == 1 { "" } else { "s" };
     format!(
-        "{}arm {}: {} | {:.3} ms simulated\n",
+        "{}arm {} ({shared}{} distinct plan{} among {} arm{}): {} | {:.3} ms simulated\n",
         sel.plan.explain_analyze(&m.node_true_rows),
         sel.arm,
+        sel.distinct_plans,
+        s(sel.distinct_plans),
+        sel.arms_planned,
+        s(sel.arms_planned),
         sel.hints,
         m.latency.as_ms()
     )
@@ -331,19 +343,31 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn run_explain_analyze(sql: &str) -> String {
+    /// Run the `EXPLAIN ANALYZE` in `sql` in a fresh shell; with `fitted`,
+    /// after three runs of its query under an active Bao and a retrain,
+    /// so the statement goes through the six-arm family.
+    fn run_explain_analyze(sql: &str, fitted: bool) -> (String, Shell, Query, Selection) {
         let db = build_imdb_database(0.02, 3).expect("build database");
         let mut shell = Shell::new(db, 3, ExecConfig::default(), "");
         let Ok(Statement::ExplainAnalyze(q)) = parse_statement(sql) else {
             panic!("not an EXPLAIN ANALYZE: {sql}");
         };
-        let mut text = String::new();
+        if fitted {
+            shell.bao.cfg.enabled = true;
+            for _ in 0..3 {
+                shell.run(&q, |_, _| {});
+            }
+            shell.bao.retrain_now();
+        }
+        let before = shell.selects;
+        let mut out = None;
         shell.run(&q, |sel, m| {
             assert_eq!(m.node_true_rows.len(), sel.plan.node_count());
-            text = explain_analyze(sel, m);
+            out = Some((explain_analyze(sel, m), sel.clone()));
         });
-        assert_eq!(shell.selects, 1, "EXPLAIN ANALYZE runs the query like SELECT");
-        text
+        assert_eq!(shell.selects, before + 1, "EXPLAIN ANALYZE runs the query like SELECT");
+        let (text, sel) = out.expect("the statement ran");
+        (text, shell, q, sel)
     }
 
     /// The value after `key=` on a rendered plan line.
@@ -354,9 +378,10 @@ mod tests {
 
     #[test]
     fn explain_analyze_shows_estimates_truth_and_q_error_per_node() {
-        let text = run_explain_analyze(
+        let (text, shell, q, sel) = run_explain_analyze(
             "EXPLAIN ANALYZE SELECT COUNT(*) FROM title t, cast_info ci, person p \
              WHERE t.id = ci.movie_id AND ci.person_id = p.id AND t.production_year >= 2010;",
+            true,
         );
         let lines: Vec<&str> = text.lines().collect();
         let (last, plan) = lines.split_last().expect("output");
@@ -371,14 +396,41 @@ mod tests {
             let want = bao_common::stats::qerror(est, truth);
             assert!(q >= 1.0 && (q - want).abs() <= want * (0.5 / est.max(1.0) + 0.005), "{line}");
         }
-        assert!(last.starts_with("arm 0: ") && last.ends_with(" ms simulated"), "{last}");
+        // The footer's arm sharing, against planning every arm directly.
+        let Shell { opt, db, cat, .. } = &shell;
+        let plans: Vec<_> = (shell.bao.cfg.arms.iter())
+            .map(|&hints| {
+                let mut root = opt.plan(&q, db, cat, hints).expect("plan").root;
+                bao_opt::annotate_estimates(&mut root, &q, db, cat, opt.estimator(), &opt.params)
+                    .expect("annotate");
+                root
+            })
+            .collect();
+        assert_eq!(plans.len(), 6);
+        let shared: Vec<String> = (0..6)
+            .filter(|&a| a != sel.arm && plans[a] == plans[sel.arm])
+            .map(|a| a.to_string())
+            .collect();
+        let shared = match shared.is_empty() {
+            true => String::new(),
+            false => format!("shared with {}; ", shared.join(", ")),
+        };
+        let distinct = (0..6).filter(|&a| !plans[..a].contains(&plans[a])).count();
+        let plural = if distinct == 1 { "" } else { "s" };
+        let arm = sel.arm;
+        let want = format!("arm {arm} ({shared}{distinct} distinct plan{plural} among 6 arms): ");
+        assert!(last.starts_with(&want) && last.ends_with(" ms simulated"), "{last}\nwant {want}");
     }
 
     #[test]
     fn explain_analyze_counts_an_empty_result_as_one_row() {
-        let text = run_explain_analyze(
+        let (text, ..) = run_explain_analyze(
             "EXPLAIN ANALYZE SELECT t.id FROM title t WHERE t.production_year > 2100;",
+            false,
         );
+        // An unfitted model plans arm 0 alone.
+        let last = text.lines().last().expect("footer");
+        assert!(last.starts_with("arm 0 (1 distinct plan among 1 arm): "), "{text}");
         let root = text.lines().next().expect("plan");
         assert_eq!(field(root, "true rows="), "0", "{text}");
         let est: f64 = field(root, "est rows=").parse().expect("est rows");

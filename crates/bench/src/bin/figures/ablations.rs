@@ -156,15 +156,23 @@ pub fn critical(args: &Args) {
         let mut pool = BufferPool::new(N1_16.buffer_pool_pages());
         if mark {
             for step in &marked {
-                let (_, pairs) =
+                let (_, family) =
                     bao.evaluate_arms(&opt, &step.query, &db, &cat, Some(&pool)).unwrap();
-                let mut entries = Vec::new();
-                for (plan, tree) in pairs {
-                    pool.clear();
-                    let m = execute(&plan, &step.query, &db, &mut pool, &opt.params, &rates)
-                        .unwrap();
-                    entries.push((tree, m.latency.as_ms()));
+                // Each distinct plan runs once, cold, at its last arm's
+                // turn: the pool ends as running every arm in order left it.
+                let arms = &family.arm_plan;
+                let mut latency = vec![0.0; family.plans.len()];
+                for (arm, &p) in arms.iter().enumerate() {
+                    if !arms[arm + 1..].contains(&p) {
+                        pool.clear();
+                        let plan = &family.plans[p].0;
+                        let m = execute(plan, &step.query, &db, &mut pool, &opt.params, &rates)
+                            .unwrap();
+                        latency[p] = m.latency.as_ms();
+                    }
                 }
+                let entries =
+                    arms.iter().map(|&p| (family.plans[p].1.clone(), latency[p])).collect();
                 bao.add_critical(step.label.clone(), entries);
             }
         }

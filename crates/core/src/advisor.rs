@@ -67,13 +67,14 @@ impl Bao {
         if !self.is_model_fitted() {
             return Err(BaoError::ModelNotFitted);
         }
-        let (selection, pairs) = self.evaluate_arms(opt, query, db, cat, pool)?;
+        let (selection, mut family) = self.evaluate_arms(opt, query, db, cat, pool)?;
         let predicted_default_ms = selection.predictions[0].unwrap_or(f64::NAN);
         let predicted_recommended_ms =
             selection.predictions[selection.arm].unwrap_or(f64::NAN);
-        let (default_plan, _) = pairs
-            .into_iter()
-            .next()
+        let (default_plan, _) = family
+            .arm_plan
+            .first()
+            .map(|&p| family.plans.swap_remove(p))
             .ok_or_else(|| BaoError::Planning("no arms were planned".into()))?;
         Ok(Advice {
             predicted_default_ms,

@@ -3,6 +3,7 @@
 
 use crate::experience::Experience;
 use crate::featurize::Featurizer;
+use bao_common::hash::{FastHasher, FastMap};
 use bao_common::pool::{resolve_width, run_jobs};
 use bao_common::{split_seed, BaoError, Result};
 use bao_models::{bootstrap_sample, TcnnModel, ValueModel};
@@ -12,6 +13,7 @@ use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
 use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
+use std::hash::Hasher;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -76,6 +78,22 @@ pub struct Selection {
     pub per_arm_work: Vec<u64>,
     /// Number of arms actually planned (1 when Bao is disabled).
     pub arms_planned: usize,
+    /// Distinct plans among the planned arms.
+    pub distinct_plans: usize,
+    /// Every planned arm whose plan is the chosen one, ascending; `arm`
+    /// is among them.
+    pub same_plan_arms: Vec<usize>,
+}
+
+/// One query's arms with aliasing arms folded together: each distinct
+/// plan once, annotated and featurized, and which of them each arm
+/// planned (DESIGN.md §9).
+#[derive(Debug, Clone)]
+pub struct ArmFamily {
+    /// Distinct plans in the order of their first arm.
+    pub plans: Vec<(PlanNode, FeatTree)>,
+    /// Per arm, in arm order, its plan's index into `plans`.
+    pub arm_plan: Vec<usize>,
 }
 
 /// Result of one model retrain.
@@ -319,13 +337,14 @@ impl Bao {
             planning_work: out.work,
             per_arm_work: vec![out.work],
             arms_planned: 1,
+            distinct_plans: 1,
+            same_plan_arms: vec![arm],
         })
     }
 
     /// Plan and predict every arm; returns the winning selection plus the
-    /// full per-arm (plan, tree) list (advisor mode and the experiment
-    /// harness's oracle both need it). Single-query case of
-    /// [`Bao::evaluate_arms_multi`].
+    /// arm family (advisor mode and critical-query marking both need
+    /// it). Single-query case of [`Bao::evaluate_arms_multi`].
     pub fn evaluate_arms(
         &self,
         opt: &Optimizer,
@@ -333,7 +352,7 @@ impl Bao {
         db: &Database,
         cat: &StatsCatalog,
         pool: Option<&BufferPool>,
-    ) -> Result<(Selection, Vec<(PlanNode, FeatTree)>)> {
+    ) -> Result<(Selection, ArmFamily)> {
         let mut multi = self.evaluate_arms_multi(opt, &[query], db, cat, pool)?;
         multi
             .pop()
@@ -341,15 +360,20 @@ impl Bao {
     }
 
     /// Plan every query's arm family on the workspace pool and
-    /// score *all* queries' arm families in one coalesced `predict_batch`
-    /// pass (cross-query batching, the serving-layer hot path). Results
-    /// are returned in query order and are bit-identical to calling
-    /// [`Bao::evaluate_arms`] once per query: planning is read-only over
-    /// `(query, db, cat)`, the pool returns families in query slot order
-    /// at any width, each in arm order, and a value model's prediction
-    /// for a tree does not depend on its batch neighbours (for the TCNN,
-    /// every kernel of the scorer is per-node or per-tree —
-    /// `bao_nn::infer`).
+    /// score *all* queries' distinct plans in one coalesced
+    /// `predict_batch` pass (cross-query batching, the serving-layer hot
+    /// path). Results are returned in query order and are bit-identical
+    /// to calling [`Bao::evaluate_arms`] once per query: planning is
+    /// read-only over `(query, db, cat)`, the pool returns families in
+    /// query slot order at any width, each in arm order, and a value
+    /// model's prediction for a tree does not depend on its batch
+    /// neighbours (for the TCNN, every kernel of the scorer is per-node or
+    /// per-tree — `bao_nn::infer`).
+    ///
+    /// Arms that plan the same tree share one annotation, featurization
+    /// and score: re-annotation overwrites every estimate from the
+    /// operators alone, so equal shapes give equal trees and equal
+    /// predictions, and each arm's prediction is its plan's.
     ///
     /// The `pool` snapshot is shared by every query in the batch; callers
     /// that enable cache features must therefore coalesce only queries
@@ -362,25 +386,33 @@ impl Bao {
         db: &Database,
         cat: &StatsCatalog,
         pool: Option<&BufferPool>,
-    ) -> Result<Vec<(Selection, Vec<(PlanNode, FeatTree)>)>> {
+    ) -> Result<Vec<(Selection, ArmFamily)>> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
         let n_arms = self.cfg.arms.len();
-        let families = self.plan_jobs(opt, queries, db, cat)?;
+        let outputs = self.plan_jobs(opt, queries, db, cat)?;
 
-        // Annotate, verify, and featurize in strict (query, arm) slot
-        // order. Hinted plans carry `disable_cost` penalties in their
-        // estimates when a hint cannot be fully honoured; re-annotate with
+        // Fold each query's arms by plan shape, then annotate, verify and
+        // featurize the first plan of each shape, in (query, arm) order.
+        // Hinted plans carry `disable_cost` penalties in their estimates
+        // when a hint cannot be fully honoured; re-annotate with
         // penalty-free estimates so the model's cost/cardinality features
         // reflect expected runtime rather than planner bookkeeping.
-        let mut per_query: Vec<Vec<(PlanNode, FeatTree)>> = Vec::with_capacity(queries.len());
+        let mut families: Vec<ArmFamily> = Vec::with_capacity(queries.len());
         let mut work: Vec<Vec<u64>> = Vec::with_capacity(queries.len());
-        for (&query, family) in queries.iter().zip(families) {
-            let mut pairs: Vec<(PlanNode, FeatTree)> = Vec::with_capacity(n_arms);
-            let mut per_arm_work: Vec<u64> = Vec::with_capacity(n_arms);
-            for o in family {
-                per_arm_work.push(o.work);
+        for (&query, arms) in queries.iter().zip(outputs) {
+            let mut family = ArmFamily { plans: Vec::new(), arm_plan: Vec::with_capacity(n_arms) };
+            let mut by_shape: FastMap<u64, usize> = FastMap::default();
+            work.push(arms.iter().map(|o| o.work).collect());
+            for o in arms {
+                let key = match find_shape(&by_shape, &family.plans, &o.root) {
+                    Ok(p) => {
+                        family.arm_plan.push(p);
+                        continue;
+                    }
+                    Err(key) => key,
+                };
                 let mut root = o.root;
                 bao_opt::annotate_estimates(
                     &mut root,
@@ -395,32 +427,29 @@ impl Bao {
                 #[cfg(debug_assertions)]
                 bao_plan::verify::verify(&root, query, db)?;
                 let tree = self.featurizer.featurize(&root, query, db, pool);
-                pairs.push((root, tree));
+                by_shape.insert(key, family.plans.len());
+                family.arm_plan.push(family.plans.len());
+                family.plans.push((root, tree));
             }
-            per_query.push(pairs);
-            work.push(per_arm_work);
+            families.push(family);
         }
 
-        // Score every query's arms in ONE batch: queries.len() * n_arms
-        // concatenated plan trees through a single `predict_batch` (for the
-        // TCNN, the tape-free scorer with duplicate-plan elimination). A
-        // tree's score does not depend on its batch neighbours, so the
-        // predictions are simply segmented back per query. The only error
-        // a model returns is "not fitted", and then no arm has a
-        // prediction.
+        // Score every query's distinct plans in ONE batch. A tree's score
+        // does not depend on its batch neighbours, so each query reads
+        // its plans' scores back by offset. The only error a model
+        // returns is "not fitted", and then no arm has a prediction.
         let all_trees: Vec<&FeatTree> =
-            per_query.iter().flat_map(|pairs| pairs.iter().map(|(_, t)| t)).collect();
+            families.iter().flat_map(|f| f.plans.iter().map(|(_, t)| t)).collect();
         let scored: Option<Vec<f64>> = self.model.predict_batch(&all_trees).ok();
 
         let mut results = Vec::with_capacity(queries.len());
-        for (qi, (pairs, per_arm_work)) in per_query.into_iter().zip(work).enumerate() {
+        let mut offset = 0;
+        for (family, per_arm_work) in families.into_iter().zip(work) {
             let predictions: Vec<Option<f64>> = match &scored {
-                Some(preds) => preds[qi * n_arms..(qi + 1) * n_arms]
-                    .iter()
-                    .map(|&v| Some(v))
-                    .collect(),
-                None => vec![None; pairs.len()],
+                Some(preds) => family.arm_plan.iter().map(|&p| Some(preds[offset + p])).collect(),
+                None => vec![None; n_arms],
             };
+            offset += family.plans.len();
             let best = predictions
                 .iter()
                 .enumerate()
@@ -428,9 +457,8 @@ impl Bao {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
-            // The family is returned whole beside the selection, so the
-            // chosen arm is the one pair that exists twice.
-            let (plan, tree) = pairs[best].clone();
+            let chosen = family.arm_plan[best];
+            let (plan, tree) = family.plans[chosen].clone();
             results.push((
                 Selection {
                     arm: best,
@@ -440,9 +468,11 @@ impl Bao {
                     predictions,
                     planning_work: per_arm_work.iter().sum(),
                     per_arm_work,
-                    arms_planned: pairs.len(),
+                    arms_planned: n_arms,
+                    distinct_plans: family.plans.len(),
+                    same_plan_arms: (0..n_arms).filter(|&a| family.arm_plan[a] == chosen).collect(),
                 },
-                pairs,
+                family,
             ));
         }
         Ok(results)
@@ -622,6 +652,44 @@ impl Bao {
     }
 }
 
+/// `Ok` with the index of the plan in `plans` whose shape `plan` has, or
+/// `Err` with the free key to file `plan` under in `by_shape`. Shapes
+/// whose hashes collide take the next free key, so a collision costs a
+/// compare and never merges two plans.
+fn find_shape(
+    by_shape: &FastMap<u64, usize>,
+    plans: &[(PlanNode, FeatTree)],
+    plan: &PlanNode,
+) -> std::result::Result<usize, u64> {
+    let mut key = shape_hash(plan);
+    loop {
+        match by_shape.get(&key) {
+            Some(&p) if same_shape(&plans[p].0, plan) => return Ok(p),
+            Some(_) => key = key.wrapping_add(1),
+            None => return Err(key),
+        }
+    }
+}
+
+/// Hash of a plan's operator kinds, scanned tables and tree shape; the
+/// estimates are left out. [`same_shape`] settles what it cannot.
+fn shape_hash(plan: &PlanNode) -> u64 {
+    let mut h = FastHasher::default();
+    for node in plan.iter() {
+        h.write_usize(node.op.kind().index());
+        h.write_usize(node.op.scan_kind().map_or(usize::MAX, |(table, _)| table));
+        h.write_usize(node.children.len());
+    }
+    h.finish()
+}
+
+/// Equal operators in equal trees, estimates aside.
+fn same_shape(a: &PlanNode, b: &PlanNode) -> bool {
+    a.op == b.op
+        && a.children.len() == b.children.len()
+        && a.children.iter().zip(&b.children).all(|(x, y)| same_shape(x, y))
+}
+
 fn argmin(vals: impl Iterator<Item = f64>) -> usize {
     let mut best = 0;
     let mut best_v = f64::INFINITY;
@@ -632,4 +700,43 @@ fn argmin(vals: impl Iterator<Item = f64>) -> usize {
         }
     }
     best
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bao_plan::Operator;
+
+    fn index_scan(column: &str, est_rows: f64) -> PlanNode {
+        let op = Operator::IndexScan {
+            table: 0,
+            column: column.into(),
+            lo: None,
+            hi: None,
+            residual: vec![],
+            param: None,
+        };
+        PlanNode::new(op, vec![]).with_estimates(est_rows, 2.0 * est_rows)
+    }
+
+    /// Two scans of one table through different indexes share a hash:
+    /// the second is filed under the next key, never merged with the
+    /// first, and a plan that differs only in its estimates is found.
+    #[test]
+    fn colliding_shapes_take_the_next_key() {
+        let tree = FeatTree { feat_dim: 1, feats: vec![0.0], left: vec![-1], right: vec![-1] };
+        let (a, b) = (index_scan("a", 10.0), index_scan("b", 10.0));
+        let key = shape_hash(&a);
+        assert_eq!(shape_hash(&b), key);
+        let mut by_shape = FastMap::default();
+        let mut plans = Vec::new();
+        assert_eq!(find_shape(&by_shape, &plans, &a), Err(key));
+        by_shape.insert(key, 0);
+        plans.push((a, tree.clone()));
+        assert_eq!(find_shape(&by_shape, &plans, &index_scan("a", 99.0)), Ok(0));
+        assert_eq!(find_shape(&by_shape, &plans, &b), Err(key.wrapping_add(1)));
+        by_shape.insert(key.wrapping_add(1), 1);
+        plans.push((b, tree));
+        assert_eq!(find_shape(&by_shape, &plans, &index_scan("b", 3.0)), Ok(1));
+    }
 }

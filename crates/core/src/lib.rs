@@ -55,6 +55,6 @@ pub mod experience;
 pub mod featurize;
 
 pub use advisor::Advice;
-pub use bao::{Bao, BaoConfig, RetrainReport, Selection};
+pub use bao::{ArmFamily, Bao, BaoConfig, RetrainReport, Selection};
 pub use experience::Experience;
 pub use featurize::Featurizer;

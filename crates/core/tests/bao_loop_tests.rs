@@ -209,16 +209,19 @@ fn triggered_exploration_pins_critical_queries() {
 
     // Execute every arm for the critical query (what "marking" a query
     // triggers in §4), then register it.
-    let (_, pairs) = bao.evaluate_arms(&opt, q, &db, &cat, Some(&pool)).unwrap();
-    assert_ne!(pairs[0].1, pairs[1].1, "arms must produce distinct plans for this test");
-    let mut entries = Vec::new();
-    let mut perfs = Vec::new();
-    for (plan, tree) in pairs {
+    let (_, family) = bao.evaluate_arms(&opt, q, &db, &cat, Some(&pool)).unwrap();
+    assert_eq!(family.arm_plan, [0, 1], "arms must produce distinct plans for this test");
+    assert_ne!(family.plans[0].1, family.plans[1].1);
+    // Each distinct plan runs once; each arm gets its plan's entry.
+    let mut plan_perfs = Vec::new();
+    for (plan, _) in &family.plans {
         pool.clear(); // fair cold-cache comparison between arms
-        let m = execute(&plan, q, &db, &mut pool, &opt.params, &rates).unwrap();
-        perfs.push(m.latency.as_ms());
-        entries.push((tree, m.latency.as_ms()));
+        let m = execute(plan, q, &db, &mut pool, &opt.params, &rates).unwrap();
+        plan_perfs.push(m.latency.as_ms());
     }
+    let perfs: Vec<f64> = family.arm_plan.iter().map(|&p| plan_perfs[p]).collect();
+    let entries =
+        family.arm_plan.iter().map(|&p| (family.plans[p].1.clone(), plan_perfs[p])).collect();
     let best_arm = perfs
         .iter()
         .enumerate()
@@ -272,16 +275,112 @@ fn parallel_planning_returns_arms_in_order() {
     assert_eq!(qs.iter().map(|q| q.tables.len()).collect::<Vec<_>>(), [2, 4, 3, 1, 2, 1]);
     let results = bao.evaluate_arms_multi(&opt, &qs, &db, &cat, Some(&pool)).unwrap();
     assert_eq!(results.len(), qs.len());
-    for (qi, (&q, (sel, pairs))) in qs.iter().zip(&results).enumerate() {
-        assert_eq!(pairs.len(), arms.len());
+    for (qi, (&q, (sel, family))) in qs.iter().zip(&results).enumerate() {
+        assert_eq!(family.arm_plan.len(), arms.len());
         for (i, &arm) in arms.iter().enumerate() {
             let direct = opt.plan(q, &db, &cat, arm).unwrap();
-            let mut root = direct.root;
-            bao_opt::annotate_estimates(&mut root, q, &db, &cat, opt.estimator(), &opt.params)
-                .unwrap();
-            assert_eq!(pairs[i].0, root, "query {qi} arm {i} came back out of order");
+            assert_eq!(
+                family.plans[family.arm_plan[i]].0,
+                annotated(&opt, q, &db, &cat, direct.root),
+                "query {qi} arm {i} came back out of order"
+            );
             assert_eq!(sel.per_arm_work[i], direct.work, "query {qi} arm {i}");
         }
-        assert_eq!((&sel.plan, &sel.tree), (&pairs[sel.arm].0, &pairs[sel.arm].1));
+        let chosen = &family.plans[family.arm_plan[sel.arm]];
+        assert_eq!((&sel.plan, &sel.tree), (&chosen.0, &chosen.1));
     }
+}
+
+fn annotated(
+    opt: &Optimizer,
+    q: &Query,
+    db: &Database,
+    cat: &StatsCatalog,
+    mut root: bao_plan::PlanNode,
+) -> bao_plan::PlanNode {
+    bao_opt::annotate_estimates(&mut root, q, db, cat, opt.estimator(), &opt.params).unwrap();
+    root
+}
+
+/// The arm family folds aliasing arms without changing a decision: on
+/// IMDb, Stack and Corp queries under all 49 arms, every arm maps to its
+/// own annotated plan, the family's plans are pairwise different, and
+/// the per-arm predictions are bit-equal to scoring all 49 trees one by
+/// one with an identical model, so the chosen arm is the same.
+#[test]
+fn arm_family_scores_each_distinct_plan_once_at_equal_bits() {
+    use bao_models::{TcnnModel, ValueModel};
+    use bao_workloads::{build_corp, build_imdb, build_stack, CorpConfig, ImdbConfig, StackConfig};
+
+    let imdb = ImdbConfig { scale: 0.03, n_queries: 40, dynamic: false, seed: 5 };
+    let stack =
+        StackConfig { scale: 0.05, n_queries: 40, initial_months: 2, total_months: 4, seed: 5 };
+    let workloads = [
+        ("imdb", build_imdb(&imdb).unwrap()),
+        ("stack", build_stack(&stack).unwrap()),
+        ("corp", build_corp(&CorpConfig { scale: 0.05, n_queries: 40, seed: 5 }).unwrap()),
+    ];
+    let opt = Optimizer::postgres();
+    let arms = HintSet::family_49();
+    let featurizer = bao_core::Featurizer::new(false);
+    let mut shared = 0;
+    for (name, (db, wl)) in &workloads {
+        let cat = StatsCatalog::analyze(db, 500, 5);
+        // Before the first data event, every query runs on `db` as built.
+        let qs: Vec<&Query> =
+            wl.steps.iter().take_while(|s| s.event.is_none()).take(12).map(|s| &s.query).collect();
+        assert!(qs.len() >= 8, "{name}: {} queries", qs.len());
+
+        // Two bit-identical fitted models: one inside Bao, one to score
+        // every arm's tree directly.
+        let trees: Vec<_> = qs
+            .iter()
+            .map(|q| {
+                let plan = opt.plan(q, db, &cat, HintSet::all_enabled()).unwrap().root;
+                featurizer.featurize(&annotated(&opt, q, db, &cat, plan), q, db, None)
+            })
+            .collect();
+        let perfs: Vec<f64> = (0..trees.len()).map(|i| 10.0 + (i * 37 % 11) as f64).collect();
+        let mut model = TcnnModel::new(
+            TcnnConfig::tiny(featurizer.input_dim()),
+            TrainConfig { max_epochs: 5, ..TrainConfig::default() },
+        );
+        model.fit(&trees, &perfs, 9);
+        let mut reference = TcnnModel::new(
+            TcnnConfig::tiny(featurizer.input_dim()),
+            TrainConfig::default(),
+        );
+        reference.restore_json(&model.snapshot_json().unwrap()).unwrap();
+        let cfg = BaoConfig { arms: arms.clone(), cache_features: false, ..BaoConfig::default() };
+        let bao = Bao::with_model(cfg, Box::new(model));
+        assert!(bao.is_model_fitted());
+
+        let results = bao.evaluate_arms_multi(&opt, &qs, db, &cat, None).unwrap();
+        for (qi, (&q, (sel, family))) in qs.iter().zip(&results).enumerate() {
+            let what = format!("{name} query {qi}");
+            let plans: Vec<_> = arms
+                .iter()
+                .map(|&arm| annotated(&opt, q, db, &cat, opt.plan(q, db, &cat, arm).unwrap().root))
+                .collect();
+            for (arm, plan) in plans.iter().enumerate() {
+                assert_eq!(&family.plans[family.arm_plan[arm]].0, plan, "{what} arm {arm}");
+            }
+            for (i, (a, _)) in family.plans.iter().enumerate() {
+                assert!(family.plans[..i].iter().all(|(b, _)| a != b), "{what}: plan {i} twice");
+            }
+            let all_trees: Vec<_> =
+                plans.iter().map(|p| featurizer.featurize(p, q, db, None)).collect();
+            let refs: Vec<_> = all_trees.iter().collect();
+            let want = reference.predict_batch(&refs).unwrap();
+            let got: Vec<u64> = sel.predictions.iter().map(|p| p.unwrap().to_bits()).collect();
+            assert_eq!(got, want.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), "{what}");
+            let best = (0..arms.len()).min_by(|&a, &b| want[a].total_cmp(&want[b])).unwrap();
+            assert_eq!(sel.arm, best, "{what}");
+            assert_eq!(sel.distinct_plans, family.plans.len(), "{what}");
+            let same: Vec<usize> = (0..arms.len()).filter(|&a| plans[a] == plans[best]).collect();
+            assert_eq!(sel.same_plan_arms, same, "{what}");
+            shared += arms.len() - family.plans.len();
+        }
+    }
+    assert!(shared > 0, "no arm aliased another: the fold was never exercised");
 }

@@ -621,18 +621,16 @@ impl<'a> Ctx<'a> {
                 .ok_or_else(|| BaoError::Planning("sort key not in input".into()))?;
             cols.push((slot, column_of(&self.tables, k)?));
         }
+        // One stable pass per key, last key first, so rows end up ordered
+        // by the first key, ties by the next, and full ties in input order.
+        // A pass reads its key once per row; no comparison looks a row up.
         let mut order: Vec<usize> = (0..rs.len()).collect();
-        order.sort_by(|&a, &b| {
-            for (slot, col) in &cols {
-                let va = cell_key(col, rs.row(a)[*slot]);
-                let vb = cell_key(col, rs.row(b)[*slot]);
-                match va.partial_cmp(&vb) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(o) => return o,
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        for (slot, col) in cols.iter().rev() {
+            let mut pairs: Vec<(u64, usize)> =
+                order.iter().map(|&i| (sort_key(cell_key(col, rs.row(i)[*slot])), i)).collect();
+            pairs.sort_by_key(|&(key, _)| key);
+            order = pairs.into_iter().map(|(_, i)| i).collect();
+        }
         Ok(rs.permuted(&order))
     }
 
@@ -832,16 +830,35 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Three-way comparison of scalar values for ORDER BY (ints and floats
-/// compare numerically, strings lexicographically; mixed kinds compare
-/// equal rather than panicking).
+/// A sort key as a `u64` whose integer order is the total order every
+/// sort uses: numbers as `partial_cmp` orders them (so `-0.0 == 0.0`),
+/// then every NaN, all equal. A sort must see a total order: since Rust
+/// 1.81 `sort_by` may panic on one that is not.
+fn sort_key(x: f64) -> u64 {
+    if x.is_nan() {
+        return u64::MAX;
+    }
+    // `+ 0.0` turns -0.0 into 0.0 and leaves every other number as it is.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Three-way comparison of scalar values for ORDER BY: ints and floats
+/// numerically under [`sort_key`], strings lexicographically, and every
+/// number before every string.
 fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
     match (a, b) {
         (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        _ => match (a.as_float(), b.as_float()) {
-            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-            _ => std::cmp::Ordering::Equal,
-        },
+        (Value::Str(_), _) => std::cmp::Ordering::Greater,
+        (_, Value::Str(_)) => std::cmp::Ordering::Less,
+        _ => {
+            let key = |v: &Value| v.as_float().map_or(u64::MAX, sort_key);
+            key(a).cmp(&key(b))
+        }
     }
 }
 
@@ -850,7 +867,7 @@ mod tests {
     use super::*;
     use bao_common::{rng_from_seed, Rng};
     use bao_plan::TableRef;
-    use bao_storage::{ColumnDef, DataType, Schema};
+    use bao_storage::{ColumnData, ColumnDef, DataType, Schema};
     use std::cmp::Ordering;
 
     /// Tables `a`, `b`, `c` (FROM positions 0, 1, 2) of `n` rows each:
@@ -1050,7 +1067,140 @@ mod tests {
             cmp_values(&Value::Str("abc".into()), &Value::Str("abd".into())),
             Ordering::Less
         );
-        // mixed text/number: defined as equal (stable, non-panicking)
-        assert_eq!(cmp_values(&Value::Str("x".into()), &Value::Int(1)), Ordering::Equal);
+        // Mixed kinds: every number before every string.
+        assert_eq!(cmp_values(&Value::Str("x".into()), &Value::Int(1)), Ordering::Greater);
+        assert_eq!(cmp_values(&Value::Float(9e9), &Value::Str("".into())), Ordering::Less);
+        assert_eq!(cmp_values(&Value::Float(-0.0), &Value::Int(0)), Ordering::Equal);
+    }
+
+    /// `sort_rows` as it was before keys were extracted: both keys looked
+    /// up on every comparison, a NaN comparison counted as a tie.
+    fn sort_rows_oracle(ctx: &Ctx<'_>, rs: &RowSet, keys: &[ColRef]) -> RowSet {
+        let cols: Vec<(usize, &ColumnData)> = keys
+            .iter()
+            .map(|k| (rs.slot_of(k.table).unwrap(), column_of(&ctx.tables, k).unwrap()))
+            .collect();
+        let mut order: Vec<usize> = (0..rs.len()).collect();
+        order.sort_by(|&a, &b| {
+            for (slot, col) in &cols {
+                let va = cell_key(col, rs.row(a)[*slot]);
+                let vb = cell_key(col, rs.row(b)[*slot]);
+                match va.partial_cmp(&vb) {
+                    Some(Ordering::Equal) | None => continue,
+                    Some(o) => return o,
+                }
+            }
+            Ordering::Equal
+        });
+        rs.permuted(&order)
+    }
+
+    /// Tables `a`, `b`, `c` of `n` rows each for sorting: `k` an int in
+    /// -3..=8 (heavy duplicates), `u` an int almost unique, `s` a text
+    /// from five words, `f` a float that is ±0.0 in half the rows.
+    fn sort_db(n: usize, seed: u64) -> (Database, Query) {
+        let mut rng = rng_from_seed(seed);
+        let mut db = Database::new();
+        for name in ["a", "b", "c"] {
+            let mut t = Table::new(
+                name,
+                Schema::new(vec![
+                    ColumnDef::new("k", DataType::Int),
+                    ColumnDef::new("u", DataType::Int),
+                    ColumnDef::new("s", DataType::Text),
+                    ColumnDef::new("f", DataType::Float),
+                ]),
+            );
+            for _ in 0..n {
+                let word = ["ash", "elm", "fir", "oak", "yew"][rng.gen_index(5)];
+                let f = [0.0, -0.0, rng.gen_f64() - 0.5, 0.25][rng.gen_index(4)];
+                t.insert(vec![
+                    Value::Int(rng.gen_range(-3i64..=8)),
+                    Value::Int(rng.gen_range(-1_000_000i64..1_000_000)),
+                    Value::Str(word.into()),
+                    Value::Float(f),
+                ])
+                .unwrap();
+            }
+            db.create_table(t).unwrap();
+        }
+        let tables = ["a", "b", "c"].map(TableRef::new).to_vec();
+        (db, Query { tables, ..Query::default() })
+    }
+
+    #[test]
+    fn sort_rows_matches_the_comparator_it_replaced() {
+        const TABLE_ROWS: usize = 3_000;
+        let (db, query) = sort_db(TABLE_ROWS, 31);
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let mut ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let mut rng = rng_from_seed(37);
+        let mut sorted = 0;
+        for n in [0, 1, 2, 17, 4096, 20_000] {
+            for width in 1..=3 {
+                let mut tables = vec![0, 1, 2];
+                tables.swap(0, rng.gen_index(3));
+                tables.truncate(width);
+                let keys: Vec<ColRef> = (0..1 + rng.gen_index(3))
+                    .map(|_| {
+                        let table = tables[rng.gen_index(width)];
+                        ColRef::new(table, ["k", "u", "s", "f"][rng.gen_index(4)])
+                    })
+                    .collect();
+                let shuffled = random_rows(&mut rng, &tables, n, TABLE_ROWS);
+                let presorted = sort_rows_oracle(&ctx, &shuffled, &keys);
+                let reversed = presorted.permuted(&(0..n).rev().collect::<Vec<_>>());
+                for (input, rs) in
+                    [("shuffled", shuffled), ("presorted", presorted), ("reversed", reversed)]
+                {
+                    let want: Vec<Vec<u32>> =
+                        sort_rows_oracle(&ctx, &rs, &keys).iter().map(<[u32]>::to_vec).collect();
+                    let got = ctx.sort_rows(rs, &keys).unwrap();
+                    let what = format!("{input} {n} rows over {tables:?} by {keys:?}");
+                    assert_eq!(got.tables, tables, "{what}");
+                    assert_eq!(got.iter().map(<[u32]>::to_vec).collect::<Vec<_>>(), want, "{what}");
+                    sorted += n;
+                }
+            }
+        }
+        assert!(sorted > 200_000, "{sorted} rows");
+    }
+
+    /// NaN, ±0.0 and ±inf: a total order (no panic), ties in input order,
+    /// every NaN after every number; mixed-kind value rows likewise.
+    #[test]
+    fn sorts_are_total_orders_over_nan_zeros_and_mixed_kinds() {
+        let keys = [f64::NAN, 0.0, -0.0, 2.0, f64::NEG_INFINITY, -f64::NAN, -0.0, f64::INFINITY];
+        let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("f", DataType::Float)]));
+        t.insert_many(keys.iter().map(|&f| vec![Value::Float(f)])).unwrap();
+        let mut db = Database::new();
+        db.create_table(t).unwrap();
+        let query = Query { tables: vec![TableRef::new("t")], ..Query::default() };
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let mut ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let key = [ColRef::new(0, "f")];
+        for _ in 0..2 {
+            let rs = RowSet::from_single(0, (0..keys.len() as u32).collect());
+            let got = ctx.sort_rows(rs, &key).unwrap();
+            assert_eq!(got.iter().map(|r| r[0]).collect::<Vec<_>>(), [4, 1, 2, 6, 3, 7, 0, 5]);
+        }
+
+        let mut rows: Vec<Vec<Value>> = [
+            Value::Str("b".into()),
+            Value::Float(f64::NAN),
+            Value::Int(3),
+            Value::Str("a".into()),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(-1.5),
+        ]
+        .into_iter()
+        .map(|v| vec![v])
+        .collect();
+        rows.sort_by(|a, b| cmp_values(&a[0], &b[0]));
+        let shown: Vec<String> = rows.iter().map(|r| r[0].to_string()).collect();
+        assert_eq!(shown, ["-1.5", "-0", "0", "3", "NaN", "'a'", "'b'"]);
     }
 }

@@ -3,7 +3,8 @@
 //! Two layers of checks keep the learned-optimizer loop trustworthy:
 //!
 //! 1. **Source lints** ([`rules`]) — a lightweight scanner over
-//!    `crates/**/*.rs` enforcing determinism and robustness invariants
+//!    `crates/**/*.rs` and the root `tests/` enforcing determinism and
+//!    robustness invariants
 //!    (no wall clock on the decision path, no order-nondeterministic maps
 //!    where order leaks into features, no `unsafe`, no panics on the
 //!    query path), waivable per-site with `// bao-lint: allow(<rule>)`.
@@ -127,19 +128,21 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Directories under `crates/` never scanned: build output and the lint
-/// fixtures (which contain violations on purpose).
+/// Directories never scanned: build output and the lint fixtures (which
+/// contain violations on purpose).
 fn skip_dir(rel: &str) -> bool {
     rel.split('/').any(|seg| seg == "target")
         || rel.starts_with("crates/lint/tests/fixtures")
 }
 
 /// Collect workspace-relative paths of every `.rs` file under `crates/`
-/// plus every manifest, in sorted (deterministic) order.
+/// and the root `tests/` (integration tests, so test code) plus every
+/// manifest, in sorted (deterministic) order.
 pub fn collect_files(root: &Path) -> std::io::Result<(Vec<String>, Vec<String>)> {
     let mut sources = Vec::new();
     let mut manifests = vec!["Cargo.toml".to_string()];
-    let mut stack = vec![root.join("crates")];
+    let mut stack: Vec<PathBuf> =
+        ["crates", "tests"].iter().map(|d| root.join(d)).filter(|d| d.is_dir()).collect();
     while let Some(dir) = stack.pop() {
         for entry in fs::read_dir(&dir)? {
             let entry = entry?;

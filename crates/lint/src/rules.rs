@@ -226,10 +226,10 @@ fn only_in_loops(rule: RuleId) -> bool {
     matches!(rule, RuleId::NoPerNodeAlloc)
 }
 
-/// Is the whole file test code (an integration-test target or a bench
-/// example), outside any crate's shipped library?
+/// Is the whole file test code (an integration-test target, in a crate
+/// or the root `tests/`), outside any crate's shipped library?
 fn is_test_file(path: &str) -> bool {
-    path.contains("/tests/")
+    path.starts_with("tests/") || path.contains("/tests/")
 }
 
 /// The token patterns one rule hunts for.

@@ -201,6 +201,34 @@ version = \"0.2\"
     assert_eq!(lines, vec![2, 3, 6], "{d:?}");
 }
 
+/// The root `tests/` is walked, as test code: an unseeded `RandomState`
+/// there is reported, while rules that spare tests stay silent.
+#[test]
+fn root_tests_are_walked_as_test_code() {
+    let src = include_str!("fixtures/no_unseeded_rng.rs");
+    assert_eq!(lines_for(RuleId::NoUnseededRng, "tests/fixture.rs", src), vec![5, 6, 7, 8, 25]);
+    let src = include_str!("fixtures/no_float_eq.rs");
+    assert_eq!(lines_for(RuleId::NoFloatEq, "tests/fixture.rs", src), vec![]);
+    let src = include_str!("fixtures/no_println.rs");
+    assert_eq!(lines_for(RuleId::NoPrintln, "tests/fixture.rs", src), vec![]);
+
+    // A workspace whose only source is a root test holding a RandomState.
+    let root = std::env::temp_dir().join(format!("bao-lint-root-tests-{}", std::process::id()));
+    std::fs::create_dir_all(root.join("tests")).expect("temp workspace");
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("manifest");
+    std::fs::write(
+        root.join("tests/seeded.rs"),
+        "#[test]\nfn t() {\n    let s = std::collections::hash_map::RandomState::new();\n}\n",
+    )
+    .expect("test file");
+    let report = bao_lint::run(&root, &RuleId::ALL);
+    std::fs::remove_dir_all(&root).ok();
+    let found: Vec<String> =
+        report.expect("lint run").diagnostics.iter().map(|d| d.to_string()).collect();
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].starts_with("tests/seeded.rs:3: [no-unseeded-rng]"), "{found:?}");
+}
+
 #[test]
 fn workspace_is_lint_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
