@@ -19,14 +19,11 @@
 //! Non-interactive mode: `--script <file>` runs the statements from a
 //! file through the same shell loop (no prompts) and ends with a
 //! `script done: …` summary line.
-//! `--shard-workers N` executes queries over N shards on the morsel pool
-//! (DESIGN.md §13); output is bit-identical at any width.
 
 use bao_bench::Args;
 use bao_cloud::N1_16;
-use bao_common::pool::resolve_width;
 use bao_core::{Bao, BaoConfig, Selection};
-use bao_exec::{execute_with, ExecConfig, ExecutionMetrics};
+use bao_exec::{execute, ExecutionMetrics};
 use bao_opt::{HintSet, Optimizer};
 use bao_plan::Query;
 use bao_sql::{parse_statement, Statement};
@@ -43,7 +40,6 @@ struct Shell {
     rates: bao_exec::ChargeRates,
     pool: BufferPool,
     bao: Bao,
-    exec: ExecConfig,
     timing: bool,
     /// Partial statement accumulated until a terminating `;`.
     buffer: String,
@@ -61,7 +57,7 @@ enum Flow {
 impl Shell {
     /// A session over `db` with the shell's Bao configuration: six arms,
     /// retraining every 25 queries, inactive until `SET enable_bao`.
-    fn new(db: Database, seed: u64, exec: ExecConfig, wal_dir: &str) -> Shell {
+    fn new(db: Database, seed: u64, wal_dir: &str) -> Shell {
         Shell {
             cat: StatsCatalog::analyze(&db, 1_000, seed),
             opt: Optimizer::postgres(),
@@ -81,7 +77,6 @@ impl Shell {
                 },
                 ..BaoConfig::default()
             }),
-            exec,
             timing: true,
             buffer: String::new(),
             statements: 0,
@@ -121,14 +116,13 @@ impl Shell {
                 }
                 "\\bao" => {
                     println!(
-                        "enabled: {} | model: {} (fitted: {}) | arms: {} | experience: {} | retrains: {} | shard workers: {}",
+                        "enabled: {} | model: {} (fitted: {}) | arms: {} | experience: {} | retrains: {}",
                         self.bao.cfg.enabled,
                         self.bao.model_name(),
                         self.bao.is_model_fitted(),
                         self.bao.cfg.arms.len(),
                         self.bao.experience_len(),
                         self.bao.retrains(),
-                        resolve_width(self.exec.shard_workers),
                     );
                 }
                 _ => println!("meta commands: \\help \\tables \\bao \\timing \\q"),
@@ -212,15 +206,8 @@ impl Shell {
                 return;
             }
         };
-        let m = match execute_with(
-            &sel.plan,
-            q,
-            &self.db,
-            &mut self.pool,
-            &self.opt.params,
-            &self.rates,
-            &self.exec,
-        ) {
+        let m = match execute(&sel.plan, q, &self.db, &mut self.pool, &self.opt.params, &self.rates)
+        {
             Ok(m) => m,
             Err(e) => {
                 println!("ERROR: {e}");
@@ -269,7 +256,6 @@ fn main() {
     let scale = args.scale(0.1);
     let seed = args.seed();
     let script = args.string("script", "");
-    let shard_workers = args.usize("shard-workers", 1);
     // --wal-dir <path>: log experience appends, retrain checkpoints, and
     // model versions to a write-ahead log in <path> (DESIGN.md §14). The
     // directory must not already hold a log.
@@ -278,8 +264,7 @@ fn main() {
     eprintln!("loading IMDb-like database (scale {scale})...");
     let db = build_imdb_database(scale, seed).expect("build database");
     let table_names = db.table_names().join(", ");
-    let exec = ExecConfig { shard_workers, ..ExecConfig::default() };
-    let mut shell = Shell::new(db, seed, exec, &wal_dir);
+    let mut shell = Shell::new(db, seed, &wal_dir);
     let header = bao_wal::WalRecord::RunHeader {
         seed: shell.bao.cfg.seed,
         config_fp: shell.bao.config_fingerprint(),
@@ -348,7 +333,7 @@ mod tests {
     /// so the statement goes through the six-arm family.
     fn run_explain_analyze(sql: &str, fitted: bool) -> (String, Shell, Query, Selection) {
         let db = build_imdb_database(0.02, 3).expect("build database");
-        let mut shell = Shell::new(db, 3, ExecConfig::default(), "");
+        let mut shell = Shell::new(db, 3, "");
         let Ok(Statement::ExplainAnalyze(q)) = parse_statement(sql) else {
             panic!("not an EXPLAIN ANALYZE: {sql}");
         };

@@ -1,6 +1,6 @@
 //! The workspace's one worker pool (DESIGN.md §9, §13): arm planning and
-//! morsel execution both fan out through [`run_jobs`], and every width
-//! that says "size to the host" resolves through [`resolve_width`].
+//! the executor's operators both fan out through [`run_jobs`], and every
+//! width that says "size to the host" resolves through [`resolve_width`].
 //!
 //! Nothing is shared between threads but the job closure: thread `t`
 //! computes slots `t, t + width, …` and hands its stripe back through

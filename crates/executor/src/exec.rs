@@ -1,16 +1,16 @@
 //! Plan execution: true-cardinality evaluation with per-algorithm cost
 //! charging.
 //!
-//! Scans, hash joins, and aggregations run as fixed-size morsels over
-//! range shards, dispatched to the workspace pool
-//! (`bao_common::pool::run_jobs`, DESIGN.md §13): morsel `j` of an operator
-//! runs on thread `j mod width` and results come back in morsel order.
-//! Pool threads only ever run pure compute (predicate evaluation, key
-//! extraction, probe matching); every order-sensitive effect —
-//! buffer-pool touches, f64 meter charges, the join's table and output,
-//! the aggregate fold — happens on the coordinator in pinned row order,
-//! so output bytes and `ExecutionMetrics` are bit-identical at any shard
-//! count.
+//! The seq-scan filter, the join's build keys and probe, and the
+//! aggregate's extraction each cut their input into one contiguous range
+//! per worker and run them on the workspace pool
+//! (`bao_common::pool::run_jobs`, DESIGN.md §13); results come back in
+//! range order. Pool threads only ever run pure compute (predicate
+//! evaluation, key extraction, probe matching); every order-sensitive
+//! effect — buffer-pool touches, f64 meter charges, the join's table and
+//! output, the aggregate fold — happens on the coordinator in pinned row
+//! order, so output bytes and `ExecutionMetrics` are bit-identical at any
+//! width.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{cell_join_key, cell_key, column_of, compile_preds};
@@ -22,7 +22,7 @@ use bao_common::pool::{resolve_width, run_jobs};
 use bao_common::{BaoError, Result};
 use bao_opt::CostParams;
 use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode, Query, SelectItem};
-use bao_storage::{morsels, BufferPool, Database, PageKey, ShardSpec, StoredTable, Table, Value};
+use bao_storage::{BufferPool, Database, PageKey, StoredTable, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -49,7 +49,7 @@ const NO_ROW: u32 = u32::MAX;
 /// What the join's count pass found: enough to write the output without
 /// looking at a key again, and its size before a row of it exists.
 struct JoinMatches {
-    /// Per left morsel, each left row's first matching right row.
+    /// Per left range, each left row's first matching right row.
     heads: Vec<Vec<u32>>,
     /// Each right row's successor among the rows of its key, ascending.
     next: Vec<u32>,
@@ -59,7 +59,7 @@ struct JoinMatches {
 
 impl JoinMatches {
     /// The joined rows, left rows in order and each one's right rows in
-    /// build order, in one allocation of exactly `total` rows. Morsels
+    /// build order, in one allocation of exactly `total` rows. The ranges
     /// concatenate to `0..left.len()`, so the heads line up with `left`.
     fn fill(&self, left: &RowSet, right: &RowSet) -> RowSet {
         let tables = left.tables.iter().chain(&right.tables).copied().collect();
@@ -80,8 +80,8 @@ impl JoinMatches {
 
 /// Execute `plan` for `query` against `db`, charging `pool` traffic and
 /// returning full metrics. The buffer pool carries state across calls, so
-/// consecutive executions see realistic cache warmth. Runs on the serial
-/// single-shard path; [`execute_with`] takes a width.
+/// consecutive executions see realistic cache warmth. Runs at width 1;
+/// [`execute_with`] takes a width.
 pub fn execute(
     plan: &PlanNode,
     query: &Query,
@@ -93,9 +93,8 @@ pub fn execute(
     execute_with(plan, query, db, pool, params, rates, &ExecConfig::default())
 }
 
-/// [`execute`] with explicit sharding knobs: `exec.shard_workers` range
-/// shards executed by that many pool workers. The single-shard path is
-/// the same code with the pool optimized out, and sharded output is
+/// [`execute`] on `exec.shard_workers` pool workers. Width 1 is the same
+/// code with one inline job per fan-out, and every width's output is
 /// bit-identical to it by construction.
 pub fn execute_with(
     plan: &PlanNode,
@@ -118,7 +117,6 @@ pub fn execute_with(
         .map(|t| db.by_name(&t.table))
         .collect::<Result<Vec<_>>>()?;
     let tables: Vec<&Table> = stored.iter().map(|s| &s.table).collect();
-    let workers = resolve_width(exec.shard_workers);
     let mut ctx = Ctx {
         query,
         stored,
@@ -127,9 +125,7 @@ pub fn execute_with(
         params,
         meters: Meters::default(),
         node_rows: Vec::with_capacity(plan.node_count()),
-        workers,
-        morsel_rows: exec.morsel_rows.max(1),
-        spec: ShardSpec::new(workers),
+        workers: resolve_width(exec.shard_workers),
     };
     let out = ctx.exec_node(plan)?;
     let (rows_out, output) = ctx.materialize_output(out)?;
@@ -161,24 +157,24 @@ struct Ctx<'a> {
     params: &'a CostParams,
     meters: Meters,
     node_rows: Vec<u64>,
-    /// Morsel-pool width; also the shard count of `spec`.
+    /// Pool width: the number of ranges each fan-out splits into.
     workers: usize,
-    /// Rows per morsel dispatched to the pool.
-    morsel_rows: u32,
-    /// Range shard assignment, pinned for the whole execution.
-    spec: ShardSpec,
 }
 
-/// Fixed-size morsels over `n` items, nested shard-major: each range
-/// shard's span is cut into `morsel_rows` chunks, in shard order. The
-/// concatenation always reproduces `0..n` in order, which is the merge
-/// invariant every sharded operator relies on.
-fn shard_morsels(spec: ShardSpec, n: u32, morsel_rows: u32) -> Vec<Range<u32>> {
-    let mut out = Vec::new();
-    for range in spec.ranges(n) {
-        out.extend(morsels(range, morsel_rows));
-    }
-    out
+/// `n` items cut into `workers` balanced contiguous ranges, the first
+/// `n % workers` one item longer (some empty when `workers > n`). They
+/// concatenate to `0..n` in order, the merge invariant every fan-out
+/// relies on.
+fn split(n: usize, workers: usize) -> Vec<Range<usize>> {
+    let (base, rem) = (n / workers, n % workers);
+    let mut end = 0;
+    (0..workers)
+        .map(|w| {
+            let start = end;
+            end += base + usize::from(w < rem);
+            start..end
+        })
+        .collect()
 }
 
 impl<'a> Ctx<'a> {
@@ -308,16 +304,9 @@ impl<'a> Ctx<'a> {
         let bulk = n_pages as usize > self.pool.capacity() / 4;
         let access = if bulk { PageAccess::BulkSequential } else { PageAccess::Sequential };
         // Page touches stay on the coordinator in ascending page order
-        // (pool recency and meter charges are order-sensitive); each touch
-        // is tagged with the range shard owning the page so the pool's
-        // per-shard split lines up with the morsel partition below.
+        // (pool recency and meter charges are order-sensitive).
         for p in 0..n_pages {
-            self.meters.touch_page(
-                self.pool,
-                self.params,
-                PageKey::new(st.heap_object, p).with_shard(self.spec.shard_of(p, n_pages)),
-                access,
-            );
+            self.meters.touch_page(self.pool, self.params, PageKey::new(st.heap_object, p), access);
         }
         let compiled = compile_preds(t, preds)?;
         let n = t.row_count();
@@ -326,13 +315,14 @@ impl<'a> Ctx<'a> {
                 * (self.params.cpu_tuple_cost
                     + compiled.len() as f64 * self.params.cpu_operator_cost),
         );
-        // Predicate evaluation is pure: fan it out as shard-major morsels.
-        // Shard ranges are contiguous and ascending, so stitching morsel
+        // Predicate evaluation is pure: fan it out, one range per worker.
+        // The ranges are contiguous and ascending, so stitching their
         // outputs in slot order reproduces the serial ascending scan.
-        let jobs = shard_morsels(self.spec, n as u32, self.morsel_rows);
+        let jobs = split(n, self.workers);
         let parts = run_jobs(self.workers, jobs.len(), |j| {
             Ok(jobs[j]
                 .clone()
+                .map(|r| r as u32)
                 .filter(|&r| compiled.iter().all(|p| p.matches_row(r)))
                 .collect::<Vec<u32>>())
         })?;
@@ -375,17 +365,14 @@ impl<'a> Ctx<'a> {
             return Ok(RowSet::from_single(from_idx, probe.rows.to_vec()));
         }
         let compiled = compile_preds(&st.table, residual)?;
-        let heap_pages = st.table.n_pages();
         let row_cpu =
             self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
         let mut ids = Vec::with_capacity(probe.rows.len());
         for &r in probe.rows {
-            let page = st.table.page_of_row(r);
             self.meters.touch_page(
                 self.pool,
                 self.params,
-                PageKey::new(st.heap_object, page)
-                    .with_shard(self.spec.shard_of(page, heap_pages)),
+                PageKey::new(st.heap_object, st.table.page_of_row(r)),
                 PageAccess::Random,
             );
             self.meters.charge_cpu(row_cpu);
@@ -457,7 +444,6 @@ impl<'a> Ctx<'a> {
             ));
         }
         let descent = (sidx.index.height() as f64 + 1.0) * 0.25 * self.params.random_page_cost;
-        let heap_pages = st.table.n_pages();
         let row_cpu =
             self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
 
@@ -481,12 +467,10 @@ impl<'a> Ctx<'a> {
                 .charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
             for &r in probe.rows {
                 if !index_only {
-                    let page = st.table.page_of_row(r);
                     self.meters.touch_page(
                         self.pool,
                         self.params,
-                        PageKey::new(st.heap_object, page)
-                            .with_shard(self.spec.shard_of(page, heap_pages)),
+                        PageKey::new(st.heap_object, st.table.page_of_row(r)),
                         PageAccess::Random,
                     );
                     self.meters.charge_cpu(row_cpu);
@@ -544,9 +528,9 @@ impl<'a> Ctx<'a> {
     /// The join up to the size of its output, refused here — before any
     /// of it is allocated — when that exceeds `cap`.
     ///
-    /// Two morsel phases, both pure on the workers: build-side key
-    /// extraction over right range morsels, and a probe over left range
-    /// morsels that records each left row's chain head and counts the
+    /// Two fan-outs, both pure on the workers: build-side key extraction
+    /// over one right range per worker, and a probe over one left range
+    /// per worker that records each left row's chain head and counts the
     /// matches. Between them the coordinator builds one chained table in
     /// a single reverse pass over the keys: a key maps to (its first
     /// right row, how many rows it has) and `next` links those rows in
@@ -574,11 +558,11 @@ impl<'a> Ctx<'a> {
         let l_col = column_of(&self.tables, lc)?;
         let r_col = column_of(&self.tables, rc)?;
 
-        let r_morsels = shard_morsels(self.spec, right.len() as u32, self.morsel_rows);
-        let key_parts = run_jobs(self.workers, r_morsels.len(), |j| {
-            r_morsels[j]
+        let r_ranges = split(right.len(), self.workers);
+        let key_parts = run_jobs(self.workers, r_ranges.len(), |j| {
+            r_ranges[j]
                 .clone()
-                .map(|i| cell_join_key(r_col, right.row(i as usize)[r_slot]))
+                .map(|i| cell_join_key(r_col, right.row(i)[r_slot]))
                 .collect::<Result<Vec<i64>>>()
         })?;
 
@@ -593,12 +577,12 @@ impl<'a> Ctx<'a> {
             *count += 1;
         }
 
-        let l_morsels = shard_morsels(self.spec, left.len() as u32, self.morsel_rows);
-        let probes = run_jobs(self.workers, l_morsels.len(), |j| {
-            let mut heads = Vec::with_capacity(l_morsels[j].len());
+        let l_ranges = split(left.len(), self.workers);
+        let probes = run_jobs(self.workers, l_ranges.len(), |j| {
+            let mut heads = Vec::with_capacity(l_ranges[j].len());
             let mut matched = 0usize;
-            for li in l_morsels[j].clone() {
-                let key = cell_join_key(l_col, left.row(li as usize)[l_slot])?;
+            for li in l_ranges[j].clone() {
+                let key = cell_join_key(l_col, left.row(li)[l_slot])?;
                 let (first, count) = table.get(&key).copied().unwrap_or((NO_ROW, 0));
                 heads.push(first);
                 matched += count as usize;
@@ -680,17 +664,17 @@ impl<'a> Ctx<'a> {
             agg_cols.push(col);
         }
 
-        // Phase 1 (morsel-parallel, pure): per-row group-key bits and agg
-        // input values, flattened with fixed strides.
+        // Phase 1 (one range per worker, pure): per-row group-key bits and
+        // agg input values, flattened with fixed strides.
         let gk = group_cols.len();
         let na = aggs.len();
-        let jobs = shard_morsels(self.spec, input.len() as u32, self.morsel_rows);
+        let jobs = split(input.len(), self.workers);
         let parts = run_jobs(self.workers, jobs.len(), |j| {
-            let rows_in = (jobs[j].end - jobs[j].start) as usize;
+            let rows_in = jobs[j].len();
             let mut keys: Vec<u64> = Vec::with_capacity(rows_in * gk);
             let mut vals: Vec<f64> = Vec::with_capacity(rows_in * na);
             for ri in jobs[j].clone() {
-                let row = input.row(ri as usize);
+                let row = input.row(ri);
                 for (slot, col, _) in &group_cols {
                     keys.push(cell_key(col, row[*slot]).to_bits());
                 }
@@ -706,7 +690,7 @@ impl<'a> Ctx<'a> {
 
         // Phase 2 (coordinator, pinned order): fold the extracted rows in
         // global row order — the f64 accumulation sequence is exactly the
-        // serial one, so sums are bit-identical at any shard count.
+        // serial one, so sums are bit-identical at any width.
         // Groups are kept in first-seen order, which also makes emission
         // order deterministic (the former HashMap-iteration emission was
         // per-process random).
@@ -715,7 +699,7 @@ impl<'a> Ctx<'a> {
         let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
         let mut base = 0usize;
         for (j, (keys, vals)) in parts.iter().enumerate() {
-            let rows_in = (jobs[j].end - jobs[j].start) as usize;
+            let rows_in = jobs[j].len();
             for i in 0..rows_in {
                 let key = keys[i * gk..(i + 1) * gk].to_vec();
                 let gi = match index.get(&key) {
@@ -911,7 +895,6 @@ mod tests {
         let stored: Vec<&StoredTable> =
             query.tables.iter().map(|t| db.by_name(&t.table).unwrap()).collect();
         let tables = stored.iter().map(|s| &s.table).collect();
-        let workers = resolve_width(exec.shard_workers);
         Ctx {
             query,
             stored,
@@ -920,9 +903,26 @@ mod tests {
             params,
             meters: Meters::default(),
             node_rows: Vec::new(),
-            workers,
-            morsel_rows: exec.morsel_rows.max(1),
-            spec: ShardSpec::new(workers),
+            workers: resolve_width(exec.shard_workers),
+        }
+    }
+
+    #[test]
+    fn ranges_concatenate_to_full_span() {
+        for workers in [1, 2, 3, 4, 8, 64] {
+            for n in [0, 1, 5, 7, 64, 1000] {
+                let ranges = split(n, workers);
+                assert_eq!(ranges.len(), workers);
+                let mut next = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, next, "workers={workers} n={n}");
+                    next = r.end;
+                }
+                assert_eq!(next, n);
+                // Balanced: sizes differ by at most one.
+                let sizes = ranges.iter().map(Range::len);
+                assert!(sizes.clone().max().unwrap() - sizes.min().unwrap() <= 1);
+            }
         }
     }
 
@@ -966,42 +966,40 @@ mod tests {
         let params = CostParams::default();
         let mut rng = rng_from_seed(23);
         let mut joined = 0;
-        for shard_workers in [1, 2, 3] {
-            for morsel_rows in [1, 7, 4096] {
-                let mut pool = BufferPool::new(16);
-                let exec = ExecConfig { shard_workers, morsel_rows };
-                let ctx = ctx_for(&db, &query, &mut pool, &params, exec);
-                // (left tables, left rows, right rows): a one- and a
-                // two-table left side, and each side empty.
-                let shapes: [(&[usize], usize, usize); 6] = [
-                    (&[0], 60, 50),
-                    (&[2, 0], 35, 45),
-                    (&[0], 0, 20),
-                    (&[0], 20, 0),
-                    (&[2, 0], 0, 0),
-                    (&[0], 9, 200),
-                ];
-                for (l_tables, l_n, r_n) in shapes {
-                    for column in ["k", "s"] {
-                        let left = random_rows(&mut rng, l_tables, l_n, TABLE_ROWS);
-                        let right = random_rows(&mut rng, &[1], r_n, TABLE_ROWS);
-                        let (lc, rc) = (ColRef::new(0, column), ColRef::new(1, column));
-                        let want = nested_loop_oracle(&ctx, &left, &right, &lc, &rc);
-                        // The predicate names the sides in either order.
-                        for pred in [
-                            JoinPred::new(lc.clone(), rc.clone()),
-                            JoinPred::new(rc.clone(), lc.clone()),
-                        ] {
-                            let got = ctx.hash_join_rows(&left, &right, &pred).unwrap();
-                            let what = format!(
-                                "{l_tables:?} x {l_n} join [1] x {r_n} on {column}, \
-                                 workers {shard_workers}, morsel {morsel_rows}"
-                            );
-                            assert_eq!(got.tables, [l_tables, &[1]].concat(), "{what}");
-                            assert_eq!(got.iter().collect::<Vec<_>>(), want, "{what}");
-                        }
-                        joined += want.len();
+        // Up to 64 workers: empty ranges, and more workers than rows.
+        for shard_workers in [1, 2, 3, 4, 7, 8, 16, 64] {
+            let mut pool = BufferPool::new(16);
+            let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
+            // (left tables, left rows, right rows): a one- and a
+            // two-table left side, and each side empty.
+            let shapes: [(&[usize], usize, usize); 6] = [
+                (&[0], 60, 50),
+                (&[2, 0], 35, 45),
+                (&[0], 0, 20),
+                (&[0], 20, 0),
+                (&[2, 0], 0, 0),
+                (&[0], 9, 200),
+            ];
+            for (l_tables, l_n, r_n) in shapes {
+                for column in ["k", "s"] {
+                    let left = random_rows(&mut rng, l_tables, l_n, TABLE_ROWS);
+                    let right = random_rows(&mut rng, &[1], r_n, TABLE_ROWS);
+                    let (lc, rc) = (ColRef::new(0, column), ColRef::new(1, column));
+                    let want = nested_loop_oracle(&ctx, &left, &right, &lc, &rc);
+                    // The predicate names the sides in either order.
+                    for pred in [
+                        JoinPred::new(lc.clone(), rc.clone()),
+                        JoinPred::new(rc.clone(), lc.clone()),
+                    ] {
+                        let got = ctx.hash_join_rows(&left, &right, &pred).unwrap();
+                        let what = format!(
+                            "{l_tables:?} x {l_n} join [1] x {r_n} on {column}, \
+                             workers {shard_workers}"
+                        );
+                        assert_eq!(got.tables, [l_tables, &[1]].concat(), "{what}");
+                        assert_eq!(got.iter().collect::<Vec<_>>(), want, "{what}");
                     }
+                    joined += want.len();
                 }
             }
         }

@@ -15,11 +15,10 @@
 //! I/O counts (buffer-pool misses) are reported separately for the
 //! Figure 16b experiment.
 //!
-//! Plans execute sharded: scans, hash joins, and aggregations run as
-//! fixed-size morsels on the workspace pool (`bao_common::pool`) at the
-//! width [`ExecConfig`] names, with per-shard results merged in pinned
-//! shard order so output and metrics are bit-identical to the
-//! single-shard path (DESIGN.md §13).
+//! Scans, hash joins, and aggregations split their input into one range
+//! per worker of the workspace pool (`bao_common::pool`), at the width
+//! [`ExecConfig`] names, and merge the results in range order, so output
+//! and metrics are bit-identical at every width (DESIGN.md §13).
 
 pub mod charge;
 pub mod eval;

@@ -1,22 +1,19 @@
-//! Sharded-execution knobs (DESIGN.md §13). The morsels themselves run on
-//! the workspace pool, `bao_common::pool::run_jobs`.
+//! Execution width (DESIGN.md §13). Each fan-out runs its one range per
+//! worker on the workspace pool, `bao_common::pool::run_jobs`.
 
-/// Sharded-execution knobs passed to [`crate::execute_with`]; the harness
-/// sets `shard_workers` from `BaoSettings`.
+/// How wide [`crate::execute_with`] runs; [`crate::execute`] runs at the
+/// default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Pool width and shard count. `1` (the default) is the serial
-    /// single-shard path; `0` sizes to the host
-    /// (`bao_common::pool::resolve_width`).
+    /// Pool width: each fan-out splits its input into this many ranges.
+    /// `1` (the default) runs every fan-out as one inline job; `0` sizes
+    /// to the host (`bao_common::pool::resolve_width`).
     pub shard_workers: usize,
-    /// Rows per morsel. Operators below one morsel of input run inline on
-    /// the coordinator — spawning would cost more than it buys.
-    pub morsel_rows: u32,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig { shard_workers: 1, morsel_rows: 4096 }
+        ExecConfig { shard_workers: 1 }
     }
 }
 
@@ -27,9 +24,9 @@ mod tests {
 
     #[test]
     fn host_defaulted_width_resolves_positive() {
-        let auto = ExecConfig { shard_workers: 0, ..ExecConfig::default() };
+        let auto = ExecConfig { shard_workers: 0 };
         assert!(resolve_width(auto.shard_workers) >= 1);
-        // The default is the serial single-shard path on every host.
+        // The default runs inline on every host.
         assert_eq!(resolve_width(ExecConfig::default().shard_workers), 1);
     }
 }

@@ -6,7 +6,7 @@ use bao_cloud::{CostReport, VmType};
 use bao_common::json::{self, FromJson, Json, ToJson};
 use bao_common::{split_seed, BaoError, Result, SimDuration};
 use bao_core::{Bao, BaoConfig};
-use bao_exec::{execute_with, ExecConfig, PerfMetric};
+use bao_exec::{execute, PerfMetric};
 use bao_models::{LinearModel, RandomForestModel, TcnnModel, ValueModel};
 use bao_nn::{FeatTree, TcnnConfig, TrainConfig};
 use bao_opt::{HintSet, Optimizer, OptimizerProfile};
@@ -77,10 +77,6 @@ pub struct BaoSettings {
     pub retrain: usize,
     pub cache_features: bool,
     pub bootstrap: bool,
-    /// Shard count / morsel-pool width for query execution (`1` = serial
-    /// single-shard path, `0` = size to the host). Output is
-    /// bit-identical at any width (DESIGN.md §13).
-    pub shard_workers: usize,
     /// Write-ahead logging (DESIGN.md §14): `Some` makes the runner open
     /// a WAL before the first query, log every experience append /
     /// retrain checkpoint / query outcome, and group-commit them. `None`
@@ -99,7 +95,6 @@ impl Default for BaoSettings {
             retrain: 100,
             cache_features: true,
             bootstrap: true,
-            shard_workers: 1,
             durability: None,
         }
     }
@@ -386,9 +381,6 @@ pub struct Runner {
     pub(crate) pool: BufferPool,
     pub(crate) opt: Optimizer,
     pub(crate) chooser: Chooser,
-    /// Sharded-execution knobs, derived from the strategy's
-    /// `shard_workers` (serial for non-Bao strategies).
-    pub(crate) exec: ExecConfig,
     /// How the query pipeline runs. A plain `Runner` is the pipeline
     /// configured down to one query in flight, no plan cache, a single
     /// tenant; `ServingRunner` is the builder that sets these.
@@ -404,18 +396,14 @@ impl Runner {
             OptimizerProfile::ComSysLike => Optimizer::comsys(),
         };
         let pool = BufferPool::new(cfg.vm.buffer_pool_pages());
-        let mut exec = ExecConfig::default();
         let chooser = match &cfg.strategy {
             Strategy::Traditional => Chooser::Fixed(HintSet::all_enabled()),
             Strategy::FixedHint(h) => Chooser::Fixed(*h),
             Strategy::Optimal { arms } => Chooser::Optimal(arms.clone()),
-            Strategy::Bao(settings) => {
-                exec.shard_workers = settings.shard_workers;
-                Chooser::Bao(Box::new(settings.build(split_seed(cfg.seed, 2))))
-            }
+            Strategy::Bao(s) => Chooser::Bao(Box::new(s.build(split_seed(cfg.seed, 2)))),
         };
         let (serving, sched) = (ServingConfig::new(1, 1), SchedConfig::single_tenant());
-        Runner { cfg, db, cat, pool, opt, chooser, exec, serving, sched }
+        Runner { cfg, db, cat, pool, opt, chooser, serving, sched }
     }
 
     /// Override the buffer pool size (Figure 13's in-memory regime).
@@ -489,14 +477,13 @@ impl Runner {
                     let mut perfs = Vec::with_capacity(outs.len());
                     for out in &outs {
                         let mut snapshot = self.pool.clone();
-                        let m = execute_with(
+                        let m = execute(
                             &out.root,
                             q,
                             &self.db,
                             &mut snapshot,
                             &self.opt.params,
                             &vm.charge_rates(),
-                            &self.exec,
                         )?;
                         perfs.push(m.perf(self.cfg.metric));
                     }

@@ -23,7 +23,7 @@ use bao_cache::{CacheStats, DriftOutcome, PlanCache, PlanCacheConfig};
 use bao_cloud::gpu_train_time;
 use bao_common::json::ToJson;
 use bao_common::{split_seed, BaoError, Result, SimDuration};
-use bao_exec::execute_with;
+use bao_exec::execute;
 use bao_sched::{QueryArrival, SchedConfig, SchedReport, Scheduler};
 use bao_stats::StatsCatalog;
 use bao_storage::Database;
@@ -374,14 +374,13 @@ impl Runner {
                 // and its reward is real training data — and still count
                 // toward the retrain distance, like any fallback query.
                 for (d, Chosen { record: mut rec, tree, fp }) in wave.iter().zip(chosen) {
-                    let mut metrics = execute_with(
+                    let mut metrics = execute(
                         &rec.plan,
                         &steps[d.idx].query,
                         &self.db,
                         &mut self.pool,
                         &self.opt.params,
                         &self.cfg.vm.charge_rates(),
-                        &self.exec,
                     )?;
                     // Cold cache: every query starts on an empty pool. The
                     // run's first does because the pool is created empty.

@@ -37,10 +37,11 @@
 //!   invisible to callers.
 //! * `no-unpinned-pool-width` — threads are spawned (`.spawn(`) only by
 //!   the workspace pool (`bao_common::pool::run_jobs`, under arm planning
-//!   and morsel execution) and `bao_nn::train`'s persistent helpers. Both
-//!   take their width from `bao_common::pool::resolve_width`, so a spawn
-//!   anywhere else is a pool whose width nothing controls: it would
-//!   oversubscribe the host beside the two that size themselves to it.
+//!   and the executor's fan-outs) and `bao_nn::train`'s persistent
+//!   helpers. Both take their width from `bao_common::pool::resolve_width`,
+//!   so a spawn anywhere else is a pool whose width nothing controls: it
+//!   would oversubscribe the host beside the two that size themselves to
+//!   it.
 //! * `no-unlogged-persistence` — durable state must flow through the WAL
 //!   (DESIGN.md §14): direct `std::fs` writes (`fs::write`,
 //!   `fs::create_dir`, `File::create`, `OpenOptions`) are denied outside

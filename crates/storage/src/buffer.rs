@@ -7,59 +7,18 @@
 //! targeted file that is cached").
 
 use bao_common::hash::FastMap;
-use std::collections::BTreeMap;
 
 /// Identifies a page: the owning object (table heap or index) and the page
 /// number within it.
-///
-/// The `shard` field is an accounting annotation, not part of the page's
-/// identity: sharded execution tags each touch with the shard that issued
-/// it so the pool can report per-shard hit/miss splits, but a page cached
-/// by one shard must hit when any other shard (or an unsharded caller)
-/// touches it. Equality, hashing, and ordering therefore cover only
-/// `(object, page)`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageKey {
     pub object: u32,
     pub page: u32,
-    pub shard: u32,
-}
-
-impl PartialEq for PageKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.object == other.object && self.page == other.page
-    }
-}
-
-impl Eq for PageKey {}
-
-impl std::hash::Hash for PageKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.object.hash(state);
-        self.page.hash(state);
-    }
-}
-
-impl PartialOrd for PageKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PageKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.object, self.page).cmp(&(other.object, other.page))
-    }
 }
 
 impl PageKey {
     pub fn new(object: u32, page: u32) -> Self {
-        PageKey { object, page, shard: 0 }
-    }
-
-    /// The same page, annotated with the shard that is touching it.
-    pub fn with_shard(self, shard: u32) -> Self {
-        PageKey { shard, ..self }
+        PageKey { object, page }
     }
 }
 
@@ -134,9 +93,6 @@ pub struct BufferPool {
     /// object -> number of its pages currently resident.
     per_object: FastMap<u32, u32>,
     stats: PoolStats,
-    /// Hit/miss counters of touches tagged with shard `i` (small dense
-    /// indices). Unsharded touches land on shard 0.
-    shard_stats: Vec<PoolStats>,
 }
 
 impl BufferPool {
@@ -151,7 +107,6 @@ impl BufferPool {
             tail: NIL,
             per_object: FastMap::default(),
             stats: PoolStats::default(),
-            shard_stats: Vec::new(),
         }
     }
 
@@ -171,32 +126,14 @@ impl BufferPool {
         self.stats
     }
 
-    /// Per-shard hit/miss counters, keyed by the shard annotation on the
-    /// touching `PageKey`, for the shards that issued a touch. Summing
-    /// every entry reproduces `stats()` exactly; an unsharded workload
-    /// accumulates everything on shard 0. A view built on demand.
-    pub fn shard_stats(&self) -> BTreeMap<u32, PoolStats> {
-        (0u32..)
-            .zip(&self.shard_stats)
-            .filter(|(_, s)| s.accesses() > 0)
-            .map(|(shard, s)| (shard, *s))
-            .collect()
-    }
-
     pub fn reset_stats(&mut self) {
         self.stats = PoolStats::default();
-        self.shard_stats.clear();
     }
 
     /// Touch a page; returns `true` on a cache hit.
     pub fn access(&mut self, key: PageKey, kind: AccessKind) -> bool {
         let hit = self.touch(key, kind == AccessKind::Cached);
-        let shard = key.shard as usize;
-        if shard >= self.shard_stats.len() {
-            self.shard_stats.resize(shard + 1, PoolStats::default());
-        }
         self.stats.record(hit);
-        self.shard_stats[shard].record(hit);
         hit
     }
 
@@ -362,159 +299,6 @@ mod tests {
         assert_eq!(p.cached_fraction(3, 4), 0.0);
     }
 
-    #[test]
-    fn shard_annotation_is_not_identity() {
-        let mut p = BufferPool::new(4);
-        let k = PageKey::new(1, 0);
-        assert!(!p.access(k.with_shard(2), AccessKind::Cached));
-        // The same page touched from another shard (or unsharded) hits.
-        assert!(p.access(k.with_shard(5), AccessKind::Cached));
-        assert!(p.access(k, AccessKind::Cached));
-        assert!(p.contains(k.with_shard(9)));
-        assert_eq!(k, k.with_shard(3));
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let digest = |key: PageKey| {
-            let mut h = DefaultHasher::new();
-            key.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(digest(k), digest(k.with_shard(3)));
-        assert_eq!(k.cmp(&k.with_shard(3)), std::cmp::Ordering::Equal);
-    }
-
-    /// Replay a fixed access trace annotated with `n_shards` round-robin
-    /// shard tags; returns (per-shard stats, resident set in key order).
-    fn sharded_trace(n_shards: u32) -> (Vec<PoolStats>, Vec<PageKey>, PoolStats) {
-        let mut p = BufferPool::new(3);
-        let trace: Vec<PageKey> = (0..40u32).map(|i| PageKey::new(1 + i % 2, i % 5)).collect();
-        for (i, k) in trace.iter().enumerate() {
-            p.access(k.with_shard(i as u32 % n_shards), AccessKind::Cached);
-        }
-        let per_shard: Vec<PoolStats> =
-            (0..n_shards).map(|s| p.shard_stats().get(&s).copied().unwrap_or_default()).collect();
-        let mut resident: Vec<PageKey> =
-            trace.iter().copied().filter(|&k| p.contains(k)).collect();
-        resident.sort();
-        resident.dedup();
-        (per_shard, resident, p.stats())
-    }
-
-    #[test]
-    fn per_shard_stats_sum_to_unsharded_totals() {
-        let (_, _, unsharded) = sharded_trace(1);
-        for shards in [2, 4, 8] {
-            let (per_shard, _, total) = sharded_trace(shards);
-            let summed = per_shard.iter().fold(PoolStats::default(), |acc, s| PoolStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-            });
-            assert_eq!(summed, total, "shard split must partition the totals");
-            assert_eq!(total, unsharded, "shard count must not change totals");
-        }
-    }
-
-    #[test]
-    fn shard_stats_empty_pool_and_empty_table() {
-        // No accesses at all: the split is empty and sums to the (zero)
-        // totals rather than inventing zero-valued shard entries.
-        let p = BufferPool::new(4);
-        assert!(p.shard_stats().is_empty());
-        assert_eq!(p.stats(), PoolStats::default());
-
-        // An "empty table" scanned over 4 shards: the morsel planner
-        // produces no accesses for any shard, so the map stays empty even
-        // though the pool has seen unrelated (unsharded) traffic.
-        let mut p = BufferPool::new(4);
-        p.access(PageKey::new(7, 0), AccessKind::Cached);
-        assert!(p.shard_stats().len() == 1 && p.shard_stats().contains_key(&0));
-        let summed = p
-            .shard_stats()
-            .values()
-            .fold(PoolStats::default(), |acc, s| PoolStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-            });
-        assert_eq!(summed, p.stats());
-    }
-
-    #[test]
-    fn shard_stats_single_row_shards() {
-        // One page per shard (single-row shards): every shard gets exactly
-        // one entry with one miss, and the split partitions the totals.
-        let mut p = BufferPool::new(8);
-        let n = 5u32;
-        for s in 0..n {
-            p.access(PageKey::new(1, s).with_shard(s), AccessKind::Cached);
-        }
-        assert_eq!(p.shard_stats().len(), n as usize);
-        for s in 0..n {
-            let st = p.shard_stats()[&s];
-            assert_eq!((st.hits, st.misses), (0, 1), "shard {s}");
-            assert_eq!(st.accesses(), 1);
-        }
-        let summed = p
-            .shard_stats()
-            .values()
-            .fold(PoolStats::default(), |acc, s| PoolStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-            });
-        assert_eq!(summed, p.stats());
-        assert_eq!(p.stats().accesses(), n as u64);
-    }
-
-    #[test]
-    fn shard_stats_more_shards_than_rows() {
-        // 16-way sharding of a 3-page table: only the shards that actually
-        // received a morsel appear, idle shards contribute nothing, and
-        // the sum still equals the totals exactly.
-        let mut p = BufferPool::new(8);
-        let rows = 3u32;
-        let shards = 16u32;
-        for r in 0..rows {
-            // Round-robin assignment leaves shards 3..16 idle.
-            p.access(PageKey::new(1, r).with_shard(r % shards), AccessKind::Cached);
-            // A re-touch from the same shard: hit, same entry.
-            p.access(PageKey::new(1, r).with_shard(r % shards), AccessKind::Cached);
-        }
-        assert_eq!(p.shard_stats().len(), rows as usize);
-        for s in rows..shards {
-            assert!(!p.shard_stats().contains_key(&s), "idle shard {s} must not appear");
-        }
-        let summed = p
-            .shard_stats()
-            .values()
-            .fold(PoolStats::default(), |acc, s| PoolStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-            });
-        assert_eq!(summed, p.stats());
-        assert_eq!(p.stats(), PoolStats { hits: rows as u64, misses: rows as u64 });
-    }
-
-    #[test]
-    fn eviction_deterministic_across_shard_counts() {
-        let (_, resident1, _) = sharded_trace(1);
-        for shards in [2, 4, 8] {
-            let (_, resident, _) = sharded_trace(shards);
-            assert_eq!(
-                resident, resident1,
-                "resident set (hence eviction order) must not depend on shard count"
-            );
-        }
-    }
-
-    #[test]
-    fn reset_stats_clears_shard_split() {
-        let mut p = BufferPool::new(4);
-        p.access(PageKey::new(1, 0).with_shard(3), AccessKind::Cached);
-        assert_eq!(p.shard_stats().len(), 1);
-        p.reset_stats();
-        assert!(p.shard_stats().is_empty());
-        assert_eq!(p.stats(), PoolStats::default());
-    }
-
     /// The obvious strict LRU, as the reference: a `Vec` in recency order
     /// (least recent first), scanned linearly.
     #[derive(Clone, Default)]
@@ -522,7 +306,6 @@ mod tests {
         capacity: usize,
         pages: Vec<PageKey>,
         stats: PoolStats,
-        shard_stats: BTreeMap<u32, PoolStats>,
     }
 
     impl RefLru {
@@ -544,7 +327,6 @@ mod tests {
         fn access(&mut self, key: PageKey, kind: AccessKind) -> bool {
             let hit = self.touch(key, kind == AccessKind::Cached);
             self.stats.record(hit);
-            self.shard_stats.entry(key.shard).or_default().record(hit);
             hit
         }
     }
@@ -575,13 +357,11 @@ mod tests {
                     3..=4 => {
                         pool.reset_stats();
                         lru.stats = PoolStats::default();
-                        lru.shard_stats.clear();
                     }
                     // Carry on with the copy: it must have the original's order.
                     5..=6 => pool = pool.clone(),
                     _ => {
-                        let key = PageKey::new(rng.gen_range(1..=OBJECTS), rng.gen_range(0..pages))
-                            .with_shard(rng.gen_range(0..4));
+                        let key = PageKey::new(rng.gen_range(1..=OBJECTS), rng.gen_range(0..pages));
                         let bulk = rng.gen_bool(0.25);
                         let kind = if bulk { AccessKind::BulkRead } else { AccessKind::Cached };
                         assert_eq!(pool.access(key, kind), lru.access(key, kind), "step {step}");
@@ -590,7 +370,6 @@ mod tests {
                 assert_eq!(pool.len(), lru.pages.len(), "capacity {capacity} step {step}");
                 assert_eq!(pool.is_empty(), lru.pages.is_empty());
                 assert_eq!(pool.stats(), lru.stats, "capacity {capacity} step {step}");
-                assert_eq!(pool.shard_stats(), lru.shard_stats, "capacity {capacity} step {step}");
                 for object in 1..=OBJECTS {
                     let resident = (0..pages)
                         .filter(|&p| {

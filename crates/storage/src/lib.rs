@@ -10,12 +10,10 @@ pub mod buffer;
 pub mod catalog;
 pub mod column;
 pub mod index;
-pub mod shard;
 pub mod table;
 pub mod value;
 
 pub use buffer::{AccessKind, BufferPool, PageKey, PoolStats};
-pub use shard::{morsels, ShardSpec};
 pub use catalog::{Database, ObjectId, StoredIndex, StoredTable, TableId};
 pub use column::ColumnData;
 pub use index::Index;

@@ -9,7 +9,11 @@
 #                        re-verifies every plan at the execution boundary
 #                        (plan::verify), which pre-empts the executor's
 #                        own refusals, so a test of one of those is
-#                        #[cfg(not(debug_assertions))] and runs only here
+#                        #[cfg(not(debug_assertions))] and runs only here;
+#                        then an offline release build of benchmark/, a
+#                        package outside the workspace that spells product
+#                        types, fields and functions by name, so a change
+#                        that removes one it uses fails here
 #   4. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
 #                        the one wall-clock gate the repo benchmark
 #                        (benchmark/) does not cover; exits non-zero when
@@ -72,6 +76,10 @@ cargo test -q
 echo
 echo "== test (release-only executor checks) =="
 cargo test -q --release -p bao-exec
+
+echo
+echo "== build (benchmark/ against this tree) =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 if [ "$bench_smoke" = 1 ]; then
     echo

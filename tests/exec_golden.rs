@@ -11,8 +11,8 @@
 //! its error text, then the pool's final `stats()`, `len()` and the
 //! `cached_fraction` of every heap and index. A change to the order of a
 //! page touch, to LRU eviction order, to the sequence of an `f64` charge or
-//! to a row an operator emits fails here. Both shard widths must produce
-//! the same digest.
+//! to a row an operator emits fails here. Every width must produce the
+//! same digest.
 //!
 //! A digest moves only when behaviour moves. When that is intended,
 //! re-pin from the assertion message and say why in CHANGES.md.
@@ -35,6 +35,8 @@ use std::fmt::Write;
 
 const SCALE: f64 = 0.05;
 const SEED: u64 = 23;
+/// The executor widths every digest is taken at; 3 splits unevenly.
+const WIDTHS: [usize; 3] = [1, 2, 3];
 
 fn n1_4_pages() -> usize {
     bao_cloud::N1_4.buffer_pool_pages()
@@ -50,12 +52,11 @@ struct Pinned {
 }
 
 impl Pinned {
-    /// Small morsels, so that at width 2 every operator splits.
     fn new(pool_pages: usize, shard_workers: usize) -> Pinned {
         Pinned {
             opt: Optimizer::postgres(),
             pool: BufferPool::new(pool_pages),
-            cfg: ExecConfig { shard_workers, morsel_rows: 256 },
+            cfg: ExecConfig { shard_workers },
             buf: String::new(),
             plans: 0,
         }
@@ -101,16 +102,16 @@ fn shape(root: &PlanNode) -> String {
     root.iter().map(|n| format!("{:?}/{};", n.op, n.children.len())).collect()
 }
 
-/// Digests of `queries` on a pool of `pool_pages` at shard widths 1 and 2,
-/// and how many plans each executed.
+/// Digests of `queries` on a pool of `pool_pages` at widths 1, 2 and 3
+/// (an uneven split), and how many plans each executed.
 fn digests(
     pool_pages: usize,
     queries: &[&Query],
     db: &Database,
     cat: &StatsCatalog,
-) -> ([u64; 2], usize) {
+) -> ([u64; 3], usize) {
     let mut plans = 0;
-    let got = [1, 2].map(|shard_workers| {
+    let got = WIDTHS.map(|shard_workers| {
         let mut p = Pinned::new(pool_pages, shard_workers);
         for q in queries {
             p.run(q, db, cat);
@@ -136,13 +137,14 @@ fn stream_digest(shard_workers: usize, mut db: Database, wl: &Workload, steps: u
     p.finish(&db)
 }
 
-fn assert_pin(what: &str, got: [u64; 2], want: u64) {
+fn assert_pin(what: &str, got: [u64; 3], want: u64) {
     assert_eq!(
         got,
-        [want; 2],
-        "{what}: digests at widths 1 and 2 [{:#018x}, {:#018x}], pinned {want:#018x}",
+        [want; 3],
+        "{what}: digests at widths {WIDTHS:?} [{:#018x}, {:#018x}, {:#018x}], pinned {want:#018x}",
         got[0],
-        got[1]
+        got[1],
+        got[2]
     );
 }
 
@@ -169,7 +171,7 @@ fn stack_stream_matches_pinned_digest() {
     // Far enough to load a month (indexes rebuilt under fresh object ids).
     let steps = 26;
     assert_eq!(wl.steps[..steps].iter().filter(|s| s.event.is_some()).count(), 1);
-    let got = [1, 2].map(|w| stream_digest(w, db.clone(), &wl, steps));
+    let got = WIDTHS.map(|w| stream_digest(w, db.clone(), &wl, steps));
     assert_pin("stack", got, 0x44fd4639367b4c64);
 }
 
@@ -179,7 +181,7 @@ fn corp_stream_matches_pinned_digest() {
     // Across the normalization: wide-schema templates, then the joins.
     let steps = 30;
     assert_eq!(wl.steps[..steps].iter().filter(|s| s.event.is_some()).count(), 1);
-    let got = [1, 2].map(|w| stream_digest(w, db.clone(), &wl, steps));
+    let got = WIDTHS.map(|w| stream_digest(w, db.clone(), &wl, steps));
     assert_pin("corp", got, 0xaabc1f057d94751c);
 }
 
