@@ -1,7 +1,8 @@
 //! Microbenchmarks of the TCNN substrate: inference (Bao predicts 49
 //! plans per query) and training (one Thompson resample), at both the
 //! experiment widths and the paper's full widths, plus each tree
-//! convolution kernel alone at the `small` net's layer shapes.
+//! convolution kernel alone at the `small` net's layer shapes and one
+//! trainer slot's whole shard pass.
 
 use bao_bench::timing::{bench_function, Group};
 use bao_common::{rng_from_seed, Rng};
@@ -9,7 +10,10 @@ use bao_nn::layers::{
     tree_conv_backward_batch_input, tree_conv_backward_batch_params, tree_conv_forward_batch,
     TreeConvParams,
 };
-use bao_nn::{train, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeBatch, TreeCnn};
+use bao_nn::param::KernelScratch;
+use bao_nn::{
+    train, BatchTape, FeatTree, ScoreScratch, TcnnConfig, TrainConfig, TreeBatch, TreeCnn,
+};
 
 fn plan_like_tree(rng: &mut impl Rng, dim: usize, nodes: usize) -> FeatTree {
     // A left-deep strict binary tree, like a binarized join plan.
@@ -74,10 +78,12 @@ fn bench_training() {
 /// about half their entries zero after it; `dense` rows have no zeros.
 /// Times are per call; divide by the 72 node rows for a per-node figure.
 fn bench_conv_kernels() {
-    let mut rng = rng_from_seed(5);
     let dim = 13;
-    let trees: Vec<FeatTree> = (0..8).map(|_| plan_like_tree(&mut rng, dim, 9)).collect();
+    let trees = training_shard(dim);
     let batch = TreeBatch::pack(trees.iter());
+    let mut ks = KernelScratch::default();
+    let (mut y, mut dx) = (Vec::new(), Vec::new());
+    let mut rng = rng_from_seed(6);
     let n = batch.total_nodes();
     let g = Group::new("tcnn_conv_kernels_72_nodes", 10);
     for (layer, (in_c, out_c)) in [(dim, 64), (64, 32), (32, 16)].into_iter().enumerate() {
@@ -94,20 +100,69 @@ fn bench_conv_kernels() {
         let dy_sparse = half_zero(&mut rng, &dy_dense);
         for (rows, x, dy) in [("sparse", &x_sparse, &dy_sparse), ("dense", &x_dense, &dy_dense)] {
             let case = format!("layer{layer}_{in_c}x{out_c}_{rows}");
+            let (left, right) = (&batch.left, &batch.right);
             g.bench(&format!("{case}/forward"), || {
-                std::hint::black_box(tree_conv_forward_batch(&p, &batch.left, &batch.right, x));
+                tree_conv_forward_batch(&p, left, right, x, &mut y, &mut ks);
+                std::hint::black_box(&y);
             });
             // The weight gradient compacts `x`; its `dy` is the dense
             // layer-norm gradient in training.
             g.bench(&format!("{case}/weight_grad"), || {
-                tree_conv_backward_batch_params(&mut p, &batch.left, &batch.right, x, &dy_dense);
+                tree_conv_backward_batch_params(&mut p, left, right, x, &dy_dense, &mut ks);
                 std::hint::black_box(&p.top.g);
             });
             g.bench(&format!("{case}/input_grad"), || {
-                let dx = tree_conv_backward_batch_input(&p, &batch.left, &batch.right, dy);
-                std::hint::black_box(dx);
+                tree_conv_backward_batch_input(&p, left, right, dy, &mut dx, &mut ks);
+                std::hint::black_box(&dx);
             });
         }
+    }
+}
+
+/// One training shard: 8 plan-like trees of 9 nodes (72 node rows) of
+/// 13 features, the shape of an IMDb shard (real plans average 7.8
+/// nodes).
+fn training_shard(dim: usize) -> Vec<FeatTree> {
+    let mut rng = rng_from_seed(5);
+    (0..8).map(|_| plan_like_tree(&mut rng, dim, 9)).collect()
+}
+
+/// One trainer slot's shard pass at the `small` net — zero the gradient,
+/// pack, batched forward with tape, batched backward — the way `train`
+/// runs it: `first_call` builds the packed batch and the workspace afresh
+/// (`TreeBatch::pack`, `forward_train_batch`), `warm` reuses one of each
+/// (`repack`, `forward_batch_into`). Prints ns per node row, the unit of
+/// DESIGN.md §8's per-kernel table.
+fn bench_shard_pass() {
+    let dim = 13;
+    let trees = training_shard(dim);
+    let d_outs: Vec<f32> = (0..trees.len()).map(|i| 0.1 * i as f32 - 0.3).collect();
+    let mut net = TreeCnn::new(TcnnConfig::small(dim), 8);
+    let mut warm_net = net.clone();
+    let mut batch = TreeBatch::pack(trees.iter());
+    let rows = batch.total_nodes() as f64;
+    let mut tape = BatchTape::default();
+    let mut first_call = || {
+        net.zero_grad();
+        let batch = TreeBatch::pack(trees.iter());
+        let (_, mut tape) = net.forward_train_batch(&batch, &mut rng_from_seed(1));
+        net.backward_batch(&batch, &mut tape, &d_outs);
+        std::hint::black_box(&net);
+    };
+    let mut warm = || {
+        warm_net.zero_grad();
+        batch.repack(trees.iter());
+        warm_net.forward_batch_into(&batch, Some(&mut rng_from_seed(1)), &mut tape);
+        warm_net.backward_batch(&batch, &mut tape, &d_outs);
+        std::hint::black_box(&warm_net);
+    };
+    let g = Group::new("train_shard_pass_small_8_trees", 2000);
+    let stats = g.bench_interleaved(&mut [
+        ("train_shard_pass_first_call", &mut first_call),
+        ("train_shard_pass_warm", &mut warm),
+    ]);
+    for (label, s) in ["first_call", "warm"].iter().zip(&stats) {
+        println!("train_shard_pass_{label}: {:.1} ns per node row (median)", s.median * 1e9 / rows);
     }
 }
 
@@ -115,4 +170,5 @@ fn main() {
     bench_inference();
     bench_training();
     bench_conv_kernels();
+    bench_shard_pass();
 }

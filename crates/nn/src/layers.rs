@@ -21,7 +21,7 @@
 //! (~1e-6 relative), not bit-for-bit: the GEMM's transposed axpy order
 //! accumulates differently from a per-row dot product.
 
-use crate::param::{axpy_nz, Param, RowNz};
+use crate::param::{axpy_nz, KernelScratch, Param};
 use bao_common::json::{self, FromJson, Json, ToJson};
 use bao_common::Result;
 
@@ -140,77 +140,151 @@ pub fn tree_conv_backward(
     dx
 }
 
-/// ReLU, out of place (the output doubles as the backward mask).
-pub fn relu_forward(x: &[f32]) -> Vec<f32> {
-    x.iter().map(|&v| v.max(0.0)).collect()
+/// ReLU, in place (the output doubles as the backward mask).
+pub fn relu_forward(x: &mut [f32]) {
+    x.iter_mut().for_each(|v| *v = v.max(0.0));
 }
 
-/// ReLU backward: zero the gradient where the output was clamped.
-pub fn relu_backward(y: &[f32], dy: &[f32]) -> Vec<f32> {
-    y.iter().zip(dy.iter()).map(|(&yv, &d)| if yv > 0.0 { d } else { 0.0 }).collect()
+/// ReLU backward, in place: zero the gradient where the output was
+/// clamped.
+pub fn relu_backward(y: &[f32], dy: &mut [f32]) {
+    for (d, &yv) in dy.iter_mut().zip(y) {
+        *d = if yv > 0.0 { *d } else { 0.0 };
+    }
 }
 
 pub(crate) const LN_EPS: f32 = 1e-5;
 
-/// Per-node layer normalization over channels. Returns `(y, xhat,
-/// inv_std)`; the latter two are backward caches.
+/// Per-node layer normalization over the `gamma.len()` channels into
+/// `y`, with the backward caches `xhat` and `inv_std` (all three resized;
+/// every element is overwritten). A row's mean and variance are each one
+/// strictly ordered f32 sum — a chain of dependent adds — so rows are
+/// normalized four at a time, their sums running as independent chains,
+/// each in its own row's order: the bits of one row at a time.
 pub fn layer_norm_forward(
     gamma: &Param,
     beta: &Param,
     x: &[f32],
-    c: usize,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-    let n = x.len() / c;
-    let mut y = vec![0.0f32; x.len()];
-    let mut xhat = vec![0.0f32; x.len()];
-    let mut inv_std = vec![0.0f32; n];
-    for i in 0..n {
-        let xi = &x[i * c..(i + 1) * c];
-        let mean = xi.iter().sum::<f32>() / c as f32;
-        let var = xi.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
-        let istd = 1.0 / (var + LN_EPS).sqrt();
-        inv_std[i] = istd;
-        for j in 0..c {
-            let h = (xi[j] - mean) * istd;
-            xhat[i * c + j] = h;
-            y[i * c + j] = gamma.w[j] * h + beta.w[j];
-        }
+    [y, xhat, inv_std]: [&mut Vec<f32>; 3],
+) {
+    let (c, quad) = (gamma.len(), 4 * gamma.len());
+    y.resize(x.len(), 0.0);
+    xhat.resize(x.len(), 0.0);
+    inv_std.resize(x.len() / c, 0.0);
+    let quads = x.len() / quad * 4;
+    let rows = x.chunks_exact(quad).zip(y.chunks_exact_mut(quad)).zip(xhat.chunks_exact_mut(quad));
+    for (((x, y), h), s) in rows.zip(inv_std.chunks_exact_mut(4)) {
+        ln_rows::<4>(gamma, beta, x, y, h, s);
     }
-    (y, xhat, inv_std)
+    let rows = x.chunks_exact(c).zip(y.chunks_exact_mut(c)).zip(xhat.chunks_exact_mut(c));
+    for (((x, y), h), s) in rows.zip(inv_std.chunks_exact_mut(1)).skip(quads) {
+        ln_rows::<1>(gamma, beta, x, y, h, s);
+    }
 }
 
-/// Layer-norm backward; accumulates `gamma`/`beta` gradients and returns
-/// `dx`.
+/// [`layer_norm_forward`] on `R` consecutive rows. The sums start from
+/// `-0.0`, the value `f32: Sum` folds from, so each equals the row's
+/// `iter().sum()` — what the scorer's `ln_relu_row` computes.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // column `j` of all `R` rows in lockstep
+fn ln_rows<const R: usize>(
+    gamma: &Param,
+    beta: &Param,
+    x: &[f32],
+    y: &mut [f32],
+    xhat: &mut [f32],
+    inv_std: &mut [f32],
+) {
+    let c = gamma.w.len();
+    let cf = c as f32;
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * c..][..c]);
+    let mut mean = [-0.0f32; R];
+    let mut var = [-0.0f32; R];
+    for j in 0..c {
+        for r in 0..R {
+            mean[r] += rows[r][j];
+        }
+    }
+    let mean = mean.map(|s| s / cf);
+    for j in 0..c {
+        for r in 0..R {
+            var[r] += (rows[r][j] - mean[r]) * (rows[r][j] - mean[r]);
+        }
+    }
+    for r in 0..R {
+        let istd = 1.0 / (var[r] / cf + LN_EPS).sqrt();
+        inv_std[r] = istd;
+        let (yr, hr) = (&mut y[r * c..(r + 1) * c], &mut xhat[r * c..(r + 1) * c]);
+        let params = gamma.w.iter().zip(&beta.w);
+        for (((&xv, yv), hv), (&g, &b)) in x[r * c..].iter().zip(yr).zip(hr).zip(params) {
+            let h = (xv - mean[r]) * istd;
+            *hv = h;
+            *yv = g * h + b;
+        }
+    }
+}
+
+/// Layer-norm backward; accumulates `gamma`/`beta` gradients and writes
+/// `dx` (resized; every element is overwritten). Four rows at a time, as
+/// the forward: each row's two sums are dependent chains in its own
+/// order, and each `gamma` / `beta` gradient element still takes its rows
+/// in ascending order.
 pub fn layer_norm_backward(
     gamma: &mut Param,
     beta: &mut Param,
     xhat: &[f32],
     inv_std: &[f32],
     dy: &[f32],
-    c: usize,
-) -> Vec<f32> {
-    let n = xhat.len() / c;
-    let mut dx = vec![0.0f32; xhat.len()];
-    for i in 0..n {
-        let h = &xhat[i * c..(i + 1) * c];
-        let d = &dy[i * c..(i + 1) * c];
-        let mut sum_dxhat = 0.0f32;
-        let mut sum_dxhat_h = 0.0f32;
-        for j in 0..c {
-            let dxh = d[j] * gamma.w[j];
-            sum_dxhat += dxh;
-            sum_dxhat_h += dxh * h[j];
-            gamma.g[j] += d[j] * h[j];
-            beta.g[j] += d[j];
-        }
-        let istd = inv_std[i];
-        let cf = c as f32;
-        for j in 0..c {
-            let dxh = d[j] * gamma.w[j];
-            dx[i * c + j] = istd * (dxh - sum_dxhat / cf - h[j] * sum_dxhat_h / cf);
+    dx: &mut Vec<f32>,
+) {
+    let c = gamma.len();
+    dx.resize(xhat.len(), 0.0);
+    let quads = inv_std.len() / 4 * 4;
+    let rows = xhat.chunks_exact(4 * c).zip(dy.chunks_exact(4 * c)).zip(dx.chunks_exact_mut(4 * c));
+    for (((h, d), dx), s) in rows.zip(inv_std.chunks_exact(4)) {
+        ln_back_rows::<4>(gamma, beta, h, s, d, dx);
+    }
+    let rows = xhat.chunks_exact(c).zip(dy.chunks_exact(c)).zip(dx.chunks_exact_mut(c));
+    for (((h, d), dx), s) in rows.zip(inv_std.chunks_exact(1)).skip(quads) {
+        ln_back_rows::<1>(gamma, beta, h, s, d, dx);
+    }
+}
+
+/// [`layer_norm_backward`] on `R` consecutive rows.
+#[inline(always)]
+fn ln_back_rows<const R: usize>(
+    gamma: &mut Param,
+    beta: &mut Param,
+    h: &[f32],
+    inv_std: &[f32],
+    d: &[f32],
+    dx: &mut [f32],
+) {
+    let c = gamma.w.len();
+    let cf = c as f32;
+    let (d_rows, h_rows): ([&[f32]; R], [&[f32]; R]) =
+        (std::array::from_fn(|r| &d[r * c..][..c]), std::array::from_fn(|r| &h[r * c..][..c]));
+    let mut sum_dxhat = [0.0f32; R];
+    let mut sum_dxhat_h = [0.0f32; R];
+    let grads = gamma.g[..c].iter_mut().zip(&mut beta.g[..c]);
+    for (j, ((gg, bg), &gw)) in grads.zip(&gamma.w).enumerate() {
+        for r in 0..R {
+            let (dj, hj) = (d_rows[r][j], h_rows[r][j]);
+            let dxh = dj * gw;
+            sum_dxhat[r] += dxh;
+            sum_dxhat_h[r] += dxh * hj;
+            *gg += dj * hj;
+            *bg += dj;
         }
     }
-    dx
+    for r in 0..R {
+        let (istd, s, sh) = (inv_std[r], sum_dxhat[r], sum_dxhat_h[r]);
+        let row = d[r * c..].iter().zip(&h[r * c..]).zip(&gamma.w);
+        for (dv, ((&dj, &hj), &gw)) in dx[r * c..(r + 1) * c].iter_mut().zip(row) {
+            let dxh = dj * gw;
+            *dv = istd * (dxh - s / cf - hj * sh / cf);
+        }
+    }
 }
 
 /// Dynamic max pooling: per-channel max over all nodes. Returns the
@@ -265,12 +339,15 @@ pub fn linear_backward(w: &mut Param, b: &mut Param, x: &[f32], dy: &[f32]) -> V
 // ReLU and layer norm are per-node, so `relu_forward` and
 // `layer_norm_forward` above already run unchanged on a packed batch; only
 // the kernels that touch tree structure (convolution gathers, pooling) or
-// benefit from GEMM (convolution, FC) need batch variants.
+// benefit from GEMM (convolution, FC) need batch variants. Each writes its
+// result into a caller-owned buffer (resized) and keeps compactions and
+// transposes in a caller-owned `KernelScratch`, so a reused workspace
+// allocates nothing.
 // ---------------------------------------------------------------------------
 
-/// Batched [`tree_conv_forward`]: child indices may span a packed
+/// Batched [`tree_conv_forward`] into `y`: child indices may span a packed
 /// multi-tree batch (rebased, so trees never alias). The layer input is
-/// compacted once ([`RowNz`]) and each node row then runs one
+/// compacted once (`RowNz`) and each node row then runs one
 /// [`axpy_nz`] over its three terms (self, left child, right child, read
 /// through the child index, so no gathered copy of `x` is materialized)
 /// against weights transposed once per call. Below
@@ -281,11 +358,13 @@ pub fn tree_conv_forward_batch(
     left: &[i32],
     right: &[i32],
     x: &[f32],
-) -> Vec<f32> {
+    y: &mut Vec<f32>,
+    ks: &mut KernelScratch,
+) {
     let (in_c, out_c) = (p.in_c(), p.out_c());
     let n = left.len();
     debug_assert_eq!(x.len(), n * in_c);
-    let mut y = vec![0.0f32; n * out_c];
+    y.resize(n * out_c, 0.0);
     for yi in y.chunks_exact_mut(out_c) {
         yi.copy_from_slice(&p.bias.w);
     }
@@ -299,25 +378,19 @@ pub fn tree_conv_forward_batch(
                 }
             }
         }
-        return y;
+        return;
     }
-    let [wt_top, wt_left, wt_right] = [&p.top, &p.left, &p.right].map(|w| {
-        let mut wt = Vec::new();
-        w.transpose_into(&mut wt);
-        wt
-    });
-    let xnz = RowNz::of(x, in_c);
+    let KernelScratch { nz, wt } = ks;
+    for (w, wt) in [&p.top, &p.left, &p.right].into_iter().zip(wt.iter_mut()) {
+        w.transpose_into(wt);
+    }
+    nz.compact(x, in_c);
     for (i, yi) in y.chunks_exact_mut(out_c).enumerate() {
         axpy_nz(
             yi,
-            &[
-                (xnz.row(i), &wt_top),
-                (xnz.child(left[i]), &wt_left),
-                (xnz.child(right[i]), &wt_right),
-            ],
+            &[(nz.row(i), &wt[0]), (nz.child(left[i]), &wt[1]), (nz.child(right[i]), &wt[2])],
         );
     }
-    y
 }
 
 /// Parameter half of the backward of [`tree_conv_forward_batch`]:
@@ -332,6 +405,7 @@ pub fn tree_conv_backward_batch_params(
     right: &[i32],
     x: &[f32],
     dy: &[f32],
+    ks: &mut KernelScratch,
 ) {
     let out_c = p.out_c();
     let n = left.len();
@@ -340,52 +414,61 @@ pub fn tree_conv_backward_batch_params(
             *bg += d;
         }
     }
-    p.top.grad_outer_batch_add(dy, x, n);
-    p.left.grad_outer_gather_add(dy, x, left);
-    p.right.grad_outer_gather_add(dy, x, right);
+    p.top.grad_outer_batch_add(dy, x, n, ks);
+    p.left.grad_outer_gather_add(dy, x, left, ks);
+    p.right.grad_outer_gather_add(dy, x, right, ks);
 }
 
-/// Input half of the backward of [`tree_conv_forward_batch`]: returns
-/// `dx`. The first layer of a network has no use for it — its input is
-/// the raw plan features — and skips this call. `dy` is compacted once;
-/// the self term runs per node and the child terms scatter-add into
-/// their (data-dependent) child rows, self then left then right, each
-/// row through [`axpy_nz`] against `W` itself.
+/// Input half of the backward of [`tree_conv_forward_batch`]: writes `dx`
+/// (resized and zeroed: the terms accumulate). The first layer of a
+/// network has no use for it — its input is the raw plan features — and
+/// skips this call. `dy` is compacted once; the self term runs per node
+/// and the child terms scatter-add into their (data-dependent) child
+/// rows, self then left then right, each row through [`axpy_nz`] against
+/// `W` itself.
 pub fn tree_conv_backward_batch_input(
     p: &TreeConvParams,
     left: &[i32],
     right: &[i32],
     dy: &[f32],
-) -> Vec<f32> {
+    dx: &mut Vec<f32>,
+    ks: &mut KernelScratch,
+) {
     let (in_c, out_c) = (p.in_c(), p.out_c());
     let n = left.len();
-    let mut dx = vec![0.0f32; n * in_c];
-    let dynz = RowNz::of(dy, out_c);
+    dx.clear();
+    dx.resize(n * in_c, 0.0);
+    let nz = &mut ks.nz;
+    nz.compact(dy, out_c);
     for (i, dxi) in dx.chunks_exact_mut(in_c).enumerate() {
-        axpy_nz(dxi, &[(dynz.row(i), &p.top.w)]);
+        axpy_nz(dxi, &[(nz.row(i), &p.top.w)]);
     }
     for (w, child) in [(&p.left, left), (&p.right, right)] {
         for (i, &c) in child.iter().enumerate() {
             if c >= 0 {
                 let c = c as usize;
-                axpy_nz(&mut dx[c * in_c..(c + 1) * in_c], &[(dynz.row(i), &w.w)]);
+                axpy_nz(&mut dx[c * in_c..(c + 1) * in_c], &[(nz.row(i), &w.w)]);
             }
         }
     }
-    dx
 }
 
 /// Per-tree dynamic max pooling over a packed batch: tree `t` pools its
-/// `offsets[t]..offsets[t+1]` node rows. Returns `n_trees × c` pooled
-/// activations and the winning *batch-global* node per (tree, channel).
+/// `offsets[t]..offsets[t+1]` node rows into `n_trees × c` pooled
+/// activations `y`, and `arg` gets the winning *batch-global* node per
+/// (tree, channel).
 pub fn dyn_pool_forward_batch(
     x: &[f32],
     c: usize,
     offsets: &[usize],
-) -> (Vec<f32>, Vec<usize>) {
+    y: &mut Vec<f32>,
+    arg: &mut Vec<usize>,
+) {
     let n_trees = offsets.len() - 1;
-    let mut y = vec![f32::NEG_INFINITY; n_trees * c];
-    let mut arg = vec![0usize; n_trees * c];
+    y.clear();
+    y.resize(n_trees * c, f32::NEG_INFINITY);
+    arg.clear();
+    arg.resize(n_trees * c, 0);
     for t in 0..n_trees {
         debug_assert!(offsets[t] < offsets[t + 1], "empty tree in batch");
         for i in offsets[t]..offsets[t + 1] {
@@ -398,50 +481,61 @@ pub fn dyn_pool_forward_batch(
             }
         }
     }
-    (y, arg)
 }
 
-/// Scatter pooled gradients back to the winning nodes of every tree.
+/// Scatter pooled gradients back to the winning nodes of every tree,
+/// into `dx` (resized and zeroed).
 pub fn dyn_pool_backward_batch(
     arg: &[usize],
     dy: &[f32],
     total_nodes: usize,
     c: usize,
-) -> Vec<f32> {
-    let mut dx = vec![0.0f32; total_nodes * c];
+    dx: &mut Vec<f32>,
+) {
+    dx.clear();
+    dx.resize(total_nodes * c, 0.0);
     for (slot, (&i, &d)) in arg.iter().zip(dy.iter()).enumerate() {
         dx[i * c + slot % c] += d;
     }
-    dx
 }
 
-/// Fully connected layer over a row batch (`n × in` → `n × out`).
-pub fn linear_forward_batch(w: &Param, b: &Param, x: &[f32], n: usize) -> Vec<f32> {
-    let mut y = vec![0.0f32; n * w.rows];
+/// Fully connected layer over a row batch (`n × in` → `n × out`), into
+/// `y`.
+pub fn linear_forward_batch(
+    w: &Param,
+    b: &Param,
+    x: &[f32],
+    n: usize,
+    y: &mut Vec<f32>,
+    ks: &mut KernelScratch,
+) {
+    y.resize(n * w.rows, 0.0);
     for yi in y.chunks_exact_mut(w.rows) {
         yi.copy_from_slice(&b.w);
     }
-    w.matmul_add(x, &mut y, n);
-    y
+    w.matmul_add(x, y, n, ks);
 }
 
-/// Backward of [`linear_forward_batch`].
+/// Backward of [`linear_forward_batch`]: accumulates the parameter
+/// gradients and writes `dx` (resized and zeroed).
 pub fn linear_backward_batch(
     w: &mut Param,
     b: &mut Param,
     x: &[f32],
     dy: &[f32],
     n: usize,
-) -> Vec<f32> {
+    dx: &mut Vec<f32>,
+    ks: &mut KernelScratch,
+) {
     for dyi in dy.chunks_exact(w.rows) {
         for (bg, &d) in b.g.iter_mut().zip(dyi.iter()) {
             *bg += d;
         }
     }
-    w.grad_outer_batch_add(dy, x, n);
-    let mut dx = vec![0.0f32; n * w.cols];
-    w.matmul_t_add(dy, &mut dx, n);
-    dx
+    w.grad_outer_batch_add(dy, x, n, ks);
+    dx.clear();
+    dx.resize(n * w.cols, 0.0);
+    w.matmul_t_add(dy, dx, n, ks);
 }
 
 #[cfg(test)]
@@ -450,10 +544,110 @@ mod tests {
 
     #[test]
     fn relu_masks() {
-        let y = relu_forward(&[-1.0, 0.0, 2.0]);
-        assert_eq!(y, vec![0.0, 0.0, 2.0]);
-        let dx = relu_backward(&y, &[5.0, 5.0, 5.0]);
-        assert_eq!(dx, vec![0.0, 0.0, 5.0]);
+        let mut y = [-1.0, 0.0, 2.0];
+        relu_forward(&mut y);
+        assert_eq!(y, [0.0, 0.0, 2.0]);
+        let mut dx = [5.0, 5.0, 5.0];
+        relu_backward(&y, &mut dx);
+        assert_eq!(dx, [0.0, 0.0, 5.0]);
+    }
+
+    /// Layer norm one row at a time, as it was before the four-row
+    /// kernels: the oracle they must match to the bit.
+    fn ln_forward_oracle(gamma: &Param, beta: &Param, x: &[f32], c: usize) -> [Vec<f32>; 3] {
+        let n = x.len() / c;
+        let (mut y, mut xhat, mut inv_std) = (vec![0.0; x.len()], vec![0.0; x.len()], vec![0.0; n]);
+        for i in 0..n {
+            let xi = &x[i * c..(i + 1) * c];
+            let mean = xi.iter().sum::<f32>() / c as f32;
+            let var = xi.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
+            let istd = 1.0 / (var + LN_EPS).sqrt();
+            inv_std[i] = istd;
+            for j in 0..c {
+                let h = (xi[j] - mean) * istd;
+                xhat[i * c + j] = h;
+                y[i * c + j] = gamma.w[j] * h + beta.w[j];
+            }
+        }
+        [y, xhat, inv_std]
+    }
+
+    fn ln_backward_oracle(
+        gamma: &mut Param,
+        beta: &mut Param,
+        xhat: &[f32],
+        inv_std: &[f32],
+        dy: &[f32],
+        c: usize,
+    ) -> Vec<f32> {
+        let mut dx = vec![0.0f32; xhat.len()];
+        for i in 0..xhat.len() / c {
+            let (h, d) = (&xhat[i * c..(i + 1) * c], &dy[i * c..(i + 1) * c]);
+            let (mut sum_dxhat, mut sum_dxhat_h) = (0.0f32, 0.0f32);
+            for j in 0..c {
+                let dxh = d[j] * gamma.w[j];
+                sum_dxhat += dxh;
+                sum_dxhat_h += dxh * h[j];
+                gamma.g[j] += d[j] * h[j];
+                beta.g[j] += d[j];
+            }
+            let cf = c as f32;
+            for j in 0..c {
+                let dxh = d[j] * gamma.w[j];
+                dx[i * c + j] = inv_std[i] * (dxh - sum_dxhat / cf - h[j] * sum_dxhat_h / cf);
+            }
+        }
+        dx
+    }
+
+    /// The four-row layer norm against the per-row loops, `to_bits` on
+    /// every output and gradient: row counts on both sides of four and
+    /// with every remainder, the `small` net's widths and odd ones, rows
+    /// all `-0.0`, all `+0.0`, constant, or mixed with signed zeros, and
+    /// gradients accumulating onto a nonzero `g`. One set of output
+    /// buffers serves every case, larger and smaller.
+    #[test]
+    fn four_row_layer_norm_matches_the_per_row_loops_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = rng_from_seed(29);
+        let (mut y, mut xhat, mut inv_std) = (Vec::new(), Vec::new(), Vec::new());
+        let mut dx = Vec::new();
+        for c in [64, 32, 16, 13, 4, 1] {
+            for n in [11, 8, 5, 4, 3, 1] {
+                let what = format!("c {c}, n {n}");
+                let mut x: Vec<f32> = (0..n * c).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                for (i, row) in x.chunks_exact_mut(c).enumerate() {
+                    match i % 5 {
+                        0 => row.fill(-0.0),
+                        1 => row.fill(0.0),
+                        2 => row.fill(0.75),
+                        3 => row.iter_mut().step_by(2).for_each(|v| *v = -0.0),
+                        _ => {}
+                    }
+                }
+                let mut gamma = Param::he(c, 1, n as u64);
+                let mut beta = Param::he(c, 1, c as u64);
+                for g in gamma.g.iter_mut().chain(beta.g.iter_mut()) {
+                    *g = rng.gen_range(-1.0f32..1.0);
+                }
+                let (mut gamma_old, mut beta_old) = (gamma.clone(), beta.clone());
+                let mut dy_at = |k| if k % 3 == 0 { 0.0 } else { rng.gen_range(-1.0f32..1.0) };
+                let dy: Vec<f32> = (0..n * c).map(&mut dy_at).collect();
+
+                layer_norm_forward(&gamma, &beta, &x, [&mut y, &mut xhat, &mut inv_std]);
+                let [y_old, xhat_old, inv_std_old] = ln_forward_oracle(&gamma, &beta, &x, c);
+                assert_eq!(bits(&y), bits(&y_old), "y, {what}");
+                assert_eq!(bits(&xhat), bits(&xhat_old), "xhat, {what}");
+                assert_eq!(bits(&inv_std), bits(&inv_std_old), "inv_std, {what}");
+
+                layer_norm_backward(&mut gamma, &mut beta, &xhat, &inv_std, &dy, &mut dx);
+                let dx_old =
+                    ln_backward_oracle(&mut gamma_old, &mut beta_old, &xhat, &inv_std, &dy, c);
+                assert_eq!(bits(&dx), bits(&dx_old), "dx, {what}");
+                assert_eq!(bits(&gamma.g), bits(&gamma_old.g), "gamma grad, {what}");
+                assert_eq!(bits(&beta.g), bits(&beta_old.g), "beta grad, {what}");
+            }
+        }
     }
 
     #[test]
@@ -471,7 +665,8 @@ mod tests {
     fn layer_norm_normalizes() {
         let gamma = Param::ones(3, 1);
         let beta = Param::zeros(3, 1);
-        let (y, _, _) = layer_norm_forward(&gamma, &beta, &[1.0, 2.0, 3.0], 3);
+        let (mut y, mut xhat, mut inv_std) = (Vec::new(), Vec::new(), Vec::new());
+        layer_norm_forward(&gamma, &beta, &[1.0, 2.0, 3.0], [&mut y, &mut xhat, &mut inv_std]);
         let mean: f32 = y.iter().sum::<f32>() / 3.0;
         assert!(mean.abs() < 1e-5);
         let var: f32 = y.iter().map(|v| v * v).sum::<f32>() / 3.0;
@@ -524,7 +719,8 @@ mod tests {
     fn batched_conv_matches_reference() {
         let (left, right, x, offsets) = packed_pair(5, 42);
         let p = TreeConvParams::new(5, 7, 9);
-        let batched = tree_conv_forward_batch(&p, &left, &right, &x);
+        let mut batched = Vec::new();
+        tree_conv_forward_batch(&p, &left, &right, &x, &mut batched, &mut KernelScratch::default());
         // Reference: run each tree separately through the per-node kernel.
         for (t, w) in offsets.windows(2).enumerate() {
             let (lo, hi) = (w[0], w[1]);
@@ -545,8 +741,9 @@ mod tests {
         let dy: Vec<f32> = (0..8 * 6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut pa = TreeConvParams::new(4, 6, 3);
         let mut pb = pa.clone();
-        tree_conv_backward_batch_params(&mut pa, &left, &right, &x, &dy);
-        let dxa = tree_conv_backward_batch_input(&pa, &left, &right, &dy);
+        let (mut dxa, mut ks) = (Vec::new(), KernelScratch::default());
+        tree_conv_backward_batch_params(&mut pa, &left, &right, &x, &dy, &mut ks);
+        tree_conv_backward_batch_input(&pa, &left, &right, &dy, &mut dxa, &mut ks);
         let dxb = tree_conv_backward(&mut pb, &left, &right, &x, &dy);
         assert_close(&dxa, &dxb, 1e-5);
         assert_close(&pa.top.g, &pb.top.g, 1e-5);
@@ -559,10 +756,11 @@ mod tests {
     fn batched_pool_segments_trees() {
         // 2 trees (2 + 1 nodes), 2 channels
         let x = vec![1.0, 9.0, 4.0, 2.0, 7.0, 3.0];
-        let (y, arg) = dyn_pool_forward_batch(&x, 2, &[0, 2, 3]);
+        let (mut y, mut arg, mut dx) = (Vec::new(), Vec::new(), Vec::new());
+        dyn_pool_forward_batch(&x, 2, &[0, 2, 3], &mut y, &mut arg);
         assert_eq!(y, vec![4.0, 9.0, 7.0, 3.0]);
         assert_eq!(arg, vec![1, 0, 2, 2]);
-        let dx = dyn_pool_backward_batch(&arg, &[0.1, 0.2, 0.3, 0.4], 3, 2);
+        dyn_pool_backward_batch(&arg, &[0.1, 0.2, 0.3, 0.4], 3, 2, &mut dx);
         assert_eq!(dx, vec![0.0, 0.2, 0.1, 0.0, 0.3, 0.4]);
     }
 
@@ -573,7 +771,8 @@ mod tests {
         let mut b = Param::he(3, 1, 2);
         let n = 5;
         let x: Vec<f32> = (0..n * 4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let y = linear_forward_batch(&w, &b, &x, n);
+        let (mut y, mut ks) = (Vec::new(), KernelScratch::default());
+        linear_forward_batch(&w, &b, &x, n, &mut y, &mut ks);
         for i in 0..n {
             let yi = linear_forward(&w, &b, &x[i * 4..(i + 1) * 4]);
             assert_close(&y[i * 3..(i + 1) * 3], &yi, 1e-5);
@@ -581,7 +780,8 @@ mod tests {
         let dy: Vec<f32> = (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut w2 = w.clone();
         let mut b2 = b.clone();
-        let dx = linear_backward_batch(&mut w, &mut b, &x, &dy, n);
+        let mut dx = Vec::new();
+        linear_backward_batch(&mut w, &mut b, &x, &dy, n, &mut dx, &mut ks);
         for i in 0..n {
             let dxi =
                 linear_backward(&mut w2, &mut b2, &x[i * 4..(i + 1) * 4], &dy[i * 3..(i + 1) * 3]);

@@ -7,7 +7,7 @@ use crate::layers::{
     tree_conv_backward_batch_input, tree_conv_backward_batch_params, tree_conv_forward,
     tree_conv_forward_batch, TreeConvParams,
 };
-use crate::param::Param;
+use crate::param::{KernelScratch, Param};
 use crate::tree::{FeatTree, TreeBatch};
 use bao_common::json::{self, FromJson, Json, ToJson};
 use bao_common::{split_seed, Result, Rng, RngCore};
@@ -138,30 +138,32 @@ impl FromJson for TreeCnn {
 }
 
 /// Inverted dropout in one pass: draws each unit's keep/drop decision and
-/// scales `act` in place, returning the mask for backward (`None` when
-/// dropout is inactive). Draw order and count match the historical
-/// build-mask-then-multiply implementation, so seeded dropout streams are
-/// unchanged.
+/// scales `act` in place, writing the mask for backward into `mask`;
+/// returns `false` (mask untouched) when dropout is inactive. Draw order
+/// and count match the historical build-mask-then-multiply
+/// implementation, so seeded dropout streams are unchanged.
 fn apply_dropout(
     act: &mut [f32],
     p: f32,
     rng: &mut Option<&mut dyn RngCore>,
-) -> Option<Vec<f32>> {
+    mask: &mut Vec<f32>,
+) -> bool {
     let rng = match (rng, p > 0.0) {
         (Some(r), true) => r,
-        _ => return None,
+        _ => return false,
     };
     let keep = 1.0 / (1.0 - p);
-    let mut mask = vec![0.0f32; act.len()];
+    mask.resize(act.len(), 0.0);
     for (a, m) in act.iter_mut().zip(mask.iter_mut()) {
         if rng.gen_f32() < p {
             *a = 0.0;
+            *m = 0.0;
         } else {
             *m = keep;
             *a *= keep;
         }
     }
-    Some(mask)
+    true
 }
 
 /// Cached activations from one forward pass, consumed by `backward`.
@@ -180,19 +182,37 @@ pub struct Tape {
     n_nodes: usize,
 }
 
-/// Cached activations of one batched forward pass over a
-/// [`TreeBatch`], consumed by [`TreeCnn::backward_batch`]. Same shape as
-/// [`Tape`] but every buffer spans the packed batch (`pooled`/`fc1_y` are
-/// `n_trees × c` row batches, `pool_arg` holds batch-global node indices).
+/// The workspace of one batched training pass over a [`TreeBatch`]: the
+/// activations [`TreeCnn::backward_batch`] reads (as [`Tape`], but every
+/// buffer spans the packed batch: `pooled`/`fc1_y` are `n_trees × c` row
+/// batches, `pool_arg` holds batch-global node indices) plus every buffer
+/// either direction writes. Storage only grows and is never read before
+/// the pass that uses it overwrites it, so one workspace serves shard
+/// after shard of any size (each trainer slot keeps one) and allocates
+/// nothing once it has seen the largest.
+#[derive(Debug, Default)]
 pub struct BatchTape {
-    xs: Vec<Vec<f32>>,
-    ln_xhat: Vec<Vec<f32>>,
-    ln_inv_std: Vec<Vec<f32>>,
-    drop_masks: Vec<Option<Vec<f32>>>,
+    /// `acts[k]`: the ReLU (and dropout) output of block `k`; block 0's
+    /// input is the batch's own features.
+    acts: [Vec<f32>; 3],
+    ln_xhat: [Vec<f32>; 3],
+    ln_inv_std: [Vec<f32>; 3],
+    /// Inverted-dropout masks per block, meaningful only when `dropped`.
+    drop_masks: [Vec<f32>; 3],
+    dropped: bool,
     pool_arg: Vec<usize>,
     pooled: Vec<f32>,
     fc1_y: Vec<f32>,
-    total_nodes: usize,
+    /// Per-tree predictions.
+    out: Vec<f32>,
+    /// Scratch of one direction. Forward: `conv` is a block's pre-norm
+    /// convolution output. Backward: `d_ln` and `conv` first carry the FC
+    /// head's gradients (`fc1_y`, `pooled`), then `d` and `d_ln` the rows
+    /// flowing back through each block.
+    conv: Vec<f32>,
+    d: Vec<f32>,
+    d_ln: Vec<f32>,
+    ks: KernelScratch,
 }
 
 impl TreeCnn {
@@ -244,21 +264,19 @@ impl TreeCnn {
         let mut drop_masks = Vec::with_capacity(3);
         for k in 0..3 {
             let conv_out = tree_conv_forward(&self.conv[k], &tree.left, &tree.right, &xs[k]);
-            let (ln_out, xhat, inv_std) = layer_norm_forward(
-                &self.ln[k].gamma,
-                &self.ln[k].beta,
-                &conv_out,
-                self.conv[k].out_c(),
-            );
+            let (mut act, mut xhat, mut inv_std, mut mask) = Default::default();
+            let (gamma, beta) = (&self.ln[k].gamma, &self.ln[k].beta);
+            layer_norm_forward(gamma, beta, &conv_out, [&mut act, &mut xhat, &mut inv_std]);
             ln_xhat.push(xhat);
             ln_inv_std.push(inv_std);
-            let mut act = relu_forward(&ln_out);
-            drop_masks.push(apply_dropout(&mut act, p, &mut rng));
+            relu_forward(&mut act);
+            drop_masks.push(apply_dropout(&mut act, p, &mut rng, &mut mask).then_some(mask));
             xs.push(act);
         }
         let c3 = self.cfg.channels[2];
         let (pooled, pool_arg) = dyn_pool_forward(&xs[3], c3);
-        let fc1_y = relu_forward(&linear_forward(&self.fc1_w, &self.fc1_b, &pooled));
+        let mut fc1_y = linear_forward(&self.fc1_w, &self.fc1_b, &pooled);
+        relu_forward(&mut fc1_y);
         let out = linear_forward(&self.fc2_w, &self.fc2_b, &fc1_y);
         let tape = Tape {
             xs,
@@ -286,132 +304,108 @@ impl TreeCnn {
     /// Only meaningful when the network was configured (and trained) with
     /// `dropout > 0`.
     pub fn predict_sample_batch(&self, trees: &[&FeatTree], rng: &mut impl Rng) -> Vec<f32> {
-        self.forward_batch_inner(
-            &TreeBatch::pack(trees.iter().copied()),
-            Some(rng as &mut dyn RngCore),
-        )
-        .0
+        self.forward_train_batch(&TreeBatch::pack(trees.iter().copied()), rng).0
     }
 
     /// Training forward pass over a packed batch (dropout active when
-    /// configured), returning per-tree predictions and the batch tape.
+    /// configured), returning per-tree predictions and a fresh workspace
+    /// holding the batch tape.
     pub fn forward_train_batch(
         &self,
         batch: &TreeBatch,
         rng: &mut impl Rng,
     ) -> (Vec<f32>, BatchTape) {
-        self.forward_batch_inner(batch, Some(rng as &mut dyn RngCore))
+        self.forward_fresh(batch, Some(rng as &mut dyn RngCore))
     }
 
     /// Deterministic (no-dropout) forward pass with tape, batched.
     pub fn forward_batch(&self, batch: &TreeBatch) -> (Vec<f32>, BatchTape) {
-        self.forward_batch_inner(batch, None)
+        self.forward_fresh(batch, None)
     }
 
-    fn forward_batch_inner(
+    fn forward_fresh(
+        &self,
+        batch: &TreeBatch,
+        rng: Option<&mut dyn RngCore>,
+    ) -> (Vec<f32>, BatchTape) {
+        let mut tape = BatchTape::default();
+        self.forward_batch_into(batch, rng, &mut tape);
+        (std::mem::take(&mut tape.out), tape)
+    }
+
+    /// The batched forward pass (dropout active when `rng` is given and
+    /// the net is configured with it), written into the workspace `t`;
+    /// returns the per-tree predictions. The one implementation behind
+    /// the allocating entry points above and the trainer's slots.
+    pub fn forward_batch_into<'t>(
         &self,
         batch: &TreeBatch,
         mut rng: Option<&mut dyn RngCore>,
-    ) -> (Vec<f32>, BatchTape) {
+        t: &'t mut BatchTape,
+    ) -> &'t [f32] {
         let n_trees = batch.n_trees();
+        t.out.clear();
         if n_trees == 0 {
-            return (
-                Vec::new(),
-                BatchTape {
-                    xs: vec![Vec::new(); 4],
-                    ln_xhat: vec![Vec::new(); 3],
-                    ln_inv_std: vec![Vec::new(); 3],
-                    drop_masks: vec![None; 3],
-                    pool_arg: Vec::new(),
-                    pooled: Vec::new(),
-                    fc1_y: Vec::new(),
-                    total_nodes: 0,
-                },
-            );
+            return &t.out;
         }
         debug_assert_eq!(batch.feat_dim, self.cfg.input_dim, "feature dim mismatch");
         let p = self.cfg.dropout;
-        let mut xs = vec![batch.feats.clone()];
-        let mut ln_xhat = Vec::with_capacity(3);
-        let mut ln_inv_std = Vec::with_capacity(3);
-        let mut drop_masks = Vec::with_capacity(3);
+        let (left, right) = (&batch.left, &batch.right);
         for k in 0..3 {
-            let conv_out =
-                tree_conv_forward_batch(&self.conv[k], &batch.left, &batch.right, &xs[k]);
-            let (ln_out, xhat, inv_std) = layer_norm_forward(
-                &self.ln[k].gamma,
-                &self.ln[k].beta,
-                &conv_out,
-                self.conv[k].out_c(),
-            );
-            ln_xhat.push(xhat);
-            ln_inv_std.push(inv_std);
-            let mut act = relu_forward(&ln_out);
-            drop_masks.push(apply_dropout(&mut act, p, &mut rng));
-            xs.push(act);
+            let x = if k == 0 { &batch.feats } else { &t.acts[k - 1] };
+            tree_conv_forward_batch(&self.conv[k], left, right, x, &mut t.conv, &mut t.ks);
+            let (gamma, beta) = (&self.ln[k].gamma, &self.ln[k].beta);
+            let outs = [&mut t.acts[k], &mut t.ln_xhat[k], &mut t.ln_inv_std[k]];
+            layer_norm_forward(gamma, beta, &t.conv, outs);
+            relu_forward(&mut t.acts[k]);
+            t.dropped = apply_dropout(&mut t.acts[k], p, &mut rng, &mut t.drop_masks[k]);
         }
         let c3 = self.cfg.channels[2];
-        let (pooled, pool_arg) = dyn_pool_forward_batch(&xs[3], c3, &batch.offsets);
-        let fc1_y =
-            relu_forward(&linear_forward_batch(&self.fc1_w, &self.fc1_b, &pooled, n_trees));
-        let out = linear_forward_batch(&self.fc2_w, &self.fc2_b, &fc1_y, n_trees);
-        let tape = BatchTape {
-            xs,
-            ln_xhat,
-            ln_inv_std,
-            drop_masks,
-            pool_arg,
-            pooled,
-            fc1_y,
-            total_nodes: batch.total_nodes(),
-        };
-        (out, tape)
+        dyn_pool_forward_batch(&t.acts[2], c3, &batch.offsets, &mut t.pooled, &mut t.pool_arg);
+        let ks = &mut t.ks;
+        linear_forward_batch(&self.fc1_w, &self.fc1_b, &t.pooled, n_trees, &mut t.fc1_y, ks);
+        relu_forward(&mut t.fc1_y);
+        linear_forward_batch(&self.fc2_w, &self.fc2_b, &t.fc1_y, n_trees, &mut t.out, ks);
+        &t.out
     }
 
     /// Backpropagate per-tree output gradients (`d_outs[t]` =
-    /// ∂loss/∂prediction of tree `t`) through one batched forward pass,
-    /// accumulating into every parameter. Gradients equal the sum of
+    /// ∂loss/∂prediction of tree `t`) through the batched forward pass
+    /// whose workspace is `t`, accumulating into every parameter (its
+    /// gradient scratch lives in `t` too). Gradients equal the sum of
     /// per-tree [`TreeCnn::backward`] calls (up to float reassociation).
-    pub fn backward_batch(&mut self, batch: &TreeBatch, tape: &BatchTape, d_outs: &[f32]) {
+    pub fn backward_batch(&mut self, batch: &TreeBatch, t: &mut BatchTape, d_outs: &[f32]) {
         let n_trees = batch.n_trees();
         debug_assert_eq!(d_outs.len(), n_trees);
         if n_trees == 0 {
             return;
         }
-        let d_fc1y =
-            linear_backward_batch(&mut self.fc2_w, &mut self.fc2_b, &tape.fc1_y, d_outs, n_trees);
-        let d_fc1y = relu_backward(&tape.fc1_y, &d_fc1y);
-        let d_pooled = linear_backward_batch(
-            &mut self.fc1_w,
-            &mut self.fc1_b,
-            &tape.pooled,
-            &d_fc1y,
-            n_trees,
-        );
+        let (ks, d_fc1y, d_pooled) = (&mut t.ks, &mut t.d_ln, &mut t.conv);
+        let (fc2_w, fc2_b) = (&mut self.fc2_w, &mut self.fc2_b);
+        linear_backward_batch(fc2_w, fc2_b, &t.fc1_y, d_outs, n_trees, d_fc1y, ks);
+        relu_backward(&t.fc1_y, d_fc1y);
+        let (fc1_w, fc1_b) = (&mut self.fc1_w, &mut self.fc1_b);
+        linear_backward_batch(fc1_w, fc1_b, &t.pooled, d_fc1y, n_trees, d_pooled, ks);
         let c3 = self.cfg.channels[2];
-        let mut d = dyn_pool_backward_batch(&tape.pool_arg, &d_pooled, tape.total_nodes, c3);
+        dyn_pool_backward_batch(&t.pool_arg, d_pooled, batch.total_nodes(), c3, &mut t.d);
+        let (left, right) = (&batch.left, &batch.right);
         for k in (0..3).rev() {
-            if let Some(mask) = &tape.drop_masks[k] {
-                for (dv, m) in d.iter_mut().zip(mask.iter()) {
+            if t.dropped {
+                for (dv, m) in t.d.iter_mut().zip(t.drop_masks[k].iter()) {
                     *dv *= m;
                 }
             }
-            let d_relu = relu_backward(&tape.xs[k + 1], &d);
+            relu_backward(&t.acts[k], &mut t.d);
             let ln = &mut self.ln[k];
-            let d_ln = layer_norm_backward(
-                &mut ln.gamma,
-                &mut ln.beta,
-                &tape.ln_xhat[k],
-                &tape.ln_inv_std[k],
-                &d_relu,
-                self.conv[k].out_c(),
-            );
+            let (xhat, inv_std) = (&t.ln_xhat[k], &t.ln_inv_std[k]);
+            layer_norm_backward(&mut ln.gamma, &mut ln.beta, xhat, inv_std, &t.d, &mut t.d_ln);
             let conv = &mut self.conv[k];
-            tree_conv_backward_batch_params(conv, &batch.left, &batch.right, &tape.xs[k], &d_ln);
+            let x = if k == 0 { &batch.feats } else { &t.acts[k - 1] };
+            tree_conv_backward_batch_params(conv, left, right, x, &t.d_ln, &mut t.ks);
             // Layer 0's input is the raw plan features: nothing reads a
             // gradient for them, so none is computed.
             if k > 0 {
-                d = tree_conv_backward_batch_input(conv, &batch.left, &batch.right, &d_ln);
+                tree_conv_backward_batch_input(conv, left, right, &t.d_ln, &mut t.d, &mut t.ks);
             }
         }
     }
@@ -419,8 +413,8 @@ impl TreeCnn {
     /// Backpropagate `d_out` (∂loss/∂prediction), accumulating gradients
     /// into every parameter.
     pub fn backward(&mut self, tree: &FeatTree, tape: &Tape, d_out: f32) {
-        let d_fc1y = linear_backward(&mut self.fc2_w, &mut self.fc2_b, &tape.fc1_y, &[d_out]);
-        let d_fc1y = relu_backward(&tape.fc1_y, &d_fc1y);
+        let mut d_fc1y = linear_backward(&mut self.fc2_w, &mut self.fc2_b, &tape.fc1_y, &[d_out]);
+        relu_backward(&tape.fc1_y, &mut d_fc1y);
         let d_pooled = linear_backward(&mut self.fc1_w, &mut self.fc1_b, &tape.pooled, &d_fc1y);
         let c3 = self.cfg.channels[2];
         let mut d = dyn_pool_backward(&tape.pool_arg, &d_pooled, tape.n_nodes, c3);
@@ -432,62 +426,43 @@ impl TreeCnn {
                     *dv *= m;
                 }
             }
-            let d_relu = relu_backward(&tape.xs[k + 1], &d);
+            relu_backward(&tape.xs[k + 1], &mut d);
             let ln = &mut self.ln[k];
-            let d_ln = layer_norm_backward(
-                &mut ln.gamma,
-                &mut ln.beta,
-                &tape.ln_xhat[k],
-                &tape.ln_inv_std[k],
-                &d_relu,
-                self.conv[k].out_c(),
-            );
+            let (xhat, inv_std) = (&tape.ln_xhat[k], &tape.ln_inv_std[k]);
+            let mut d_ln = Vec::new();
+            layer_norm_backward(&mut ln.gamma, &mut ln.beta, xhat, inv_std, &d, &mut d_ln);
             d = tree_conv_backward(&mut self.conv[k], &tree.left, &tree.right, &tape.xs[k], &d_ln);
         }
     }
 
+    /// Every parameter tensor, in the one fixed order all the visitors
+    /// below walk: per conv layer top, left, right, bias; per layer norm
+    /// gamma, beta; then the FC head.
+    pub(crate) fn params(&self) -> impl Iterator<Item = &Param> {
+        let conv = self.conv.iter().flat_map(|c| [&c.top, &c.left, &c.right, &c.bias]);
+        let ln = self.ln.iter().flat_map(|l| [&l.gamma, &l.beta]);
+        conv.chain(ln).chain([&self.fc1_w, &self.fc1_b, &self.fc2_w, &self.fc2_b])
+    }
+
+    /// [`TreeCnn::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> impl Iterator<Item = &mut Param> {
+        let conv =
+            self.conv.iter_mut().flat_map(|c| [&mut c.top, &mut c.left, &mut c.right, &mut c.bias]);
+        let ln = self.ln.iter_mut().flat_map(|l| [&mut l.gamma, &mut l.beta]);
+        conv.chain(ln).chain([&mut self.fc1_w, &mut self.fc1_b, &mut self.fc2_w, &mut self.fc2_b])
+    }
+
     /// Visit every parameter tensor of `self` paired with the matching
-    /// tensor of `other` (same config required). The deterministic
-    /// gradient-reduction hook of the sharded training loop: shard
-    /// gradients are folded into a master net in a fixed parameter order.
-    pub fn for_each_param_pair(
-        &mut self,
-        other: &TreeCnn,
-        mut f: impl FnMut(&mut Param, &Param),
-    ) {
+    /// tensor of `other` (same config required). Shard slots take the
+    /// master's weights through it.
+    pub fn for_each_param_pair(&mut self, other: &TreeCnn, mut f: impl FnMut(&mut Param, &Param)) {
         debug_assert_eq!(self.cfg, other.cfg, "config mismatch");
-        for (c, oc) in self.conv.iter_mut().zip(other.conv.iter()) {
-            f(&mut c.top, &oc.top);
-            f(&mut c.left, &oc.left);
-            f(&mut c.right, &oc.right);
-            f(&mut c.bias, &oc.bias);
-        }
-        for (l, ol) in self.ln.iter_mut().zip(other.ln.iter()) {
-            f(&mut l.gamma, &ol.gamma);
-            f(&mut l.beta, &ol.beta);
-        }
-        f(&mut self.fc1_w, &other.fc1_w);
-        f(&mut self.fc1_b, &other.fc1_b);
-        f(&mut self.fc2_w, &other.fc2_w);
-        f(&mut self.fc2_b, &other.fc2_b);
+        self.params_mut().zip(other.params()).for_each(|(p, q)| f(p, q));
     }
 
     /// Visit every parameter tensor (optimizer hook).
-    pub fn for_each_param(&mut self, mut f: impl FnMut(&mut Param)) {
-        for c in &mut self.conv {
-            f(&mut c.top);
-            f(&mut c.left);
-            f(&mut c.right);
-            f(&mut c.bias);
-        }
-        for l in &mut self.ln {
-            f(&mut l.gamma);
-            f(&mut l.beta);
-        }
-        f(&mut self.fc1_w);
-        f(&mut self.fc1_b);
-        f(&mut self.fc2_w);
-        f(&mut self.fc2_b);
+    pub fn for_each_param(&mut self, f: impl FnMut(&mut Param)) {
+        self.params_mut().for_each(f);
     }
 
     pub fn zero_grad(&mut self) {
@@ -508,10 +483,27 @@ impl TreeCnn {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::infer::ScoreScratch;
+    use crate::param::tests::buf;
     use bao_common::rng_from_seed;
+
+    impl BatchTape {
+        /// Capacity and data pointer of every buffer of the workspace
+        /// (the trainer's allocation guard).
+        pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
+            let per_block = [&self.acts, &self.ln_xhat, &self.ln_inv_std, &self.drop_masks];
+            let mut out: Vec<(usize, usize)> =
+                per_block.iter().flat_map(|b| b.iter().map(buf)).collect();
+            out.push(buf(&self.pool_arg));
+            for v in [&self.pooled, &self.fc1_y, &self.out, &self.conv, &self.d, &self.d_ln] {
+                out.push(buf(v));
+            }
+            out.extend(self.ks.buffers());
+            out
+        }
+    }
 
     fn random_tree(rng: &mut impl Rng, dim: usize) -> FeatTree {
         // A fixed 5-node binary shape with random features.
@@ -757,8 +749,8 @@ mod tests {
         let mut b = TreeCnn::new(TcnnConfig::tiny(3), 77);
         b.zero_grad();
         let batch = TreeBatch::pack(trees.iter());
-        let (_, tape) = b.forward_batch(&batch);
-        b.backward_batch(&batch, &tape, &d_outs);
+        let (_, mut tape) = b.forward_batch(&batch);
+        b.backward_batch(&batch, &mut tape, &d_outs);
         let mut batch_grads: Vec<f32> = Vec::new();
         b.for_each_param(|p| batch_grads.extend_from_slice(&p.g));
 
@@ -787,6 +779,102 @@ mod tests {
             plain.forward_batch(&TreeBatch::pack(refs.iter().copied())).0,
             plain.predict_sample_batch(&refs, &mut rng_from_seed(3))
         );
+    }
+
+    /// A tree of `2 * depth + 1` nodes with random features (a one-node
+    /// leaf at depth 0).
+    pub(crate) fn sized_tree(rng: &mut impl Rng, dim: usize, depth: usize) -> FeatTree {
+        let n = 2 * depth + 1;
+        let nodes = (0..n).map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+        let child = |off: usize| -> Vec<i32> {
+            (0..n).map(|i| if 2 * i + 2 < n { (2 * i + off) as i32 } else { -1 }).collect()
+        };
+        FeatTree::new(dim, nodes, child(1), child(2))
+    }
+
+    fn grad_bits(net: &mut TreeCnn) -> Vec<u32> {
+        let mut out = Vec::new();
+        net.for_each_param(|p| out.extend(p.g.iter().map(|g| g.to_bits())));
+        out
+    }
+
+    /// One workspace driven through shards of 1–16 trees in a random
+    /// size order — a 16-tree shard right before a one-leaf shard,
+    /// shards under `MATMUL_MIN_BATCH` node rows, one-node trees — must
+    /// give, pass after pass, the bits of a fresh `forward_train_batch`
+    /// and `backward_batch`: predictions, loss and every parameter
+    /// gradient. A smaller shard reading a stale row a larger one left
+    /// behind fails here. On trained nets, with and without dropout.
+    #[test]
+    fn one_workspace_matches_fresh_passes_bit_for_bit() {
+        let dim = 5;
+        let mut rng = rng_from_seed(44);
+        let pool: Vec<FeatTree> = (0..48).map(|i| sized_tree(&mut rng, dim, i % 6)).collect();
+        let leaves: Vec<&FeatTree> = pool.iter().filter(|t| t.n_nodes() == 1).collect();
+        let ys: Vec<f32> = (0..pool.len()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        for dropout in [0.0, 0.2] {
+            let mut net = TreeCnn::new(TcnnConfig::tiny(dim).with_dropout(dropout), 3);
+            let cfg = crate::train::TrainConfig { max_epochs: 3, ..Default::default() };
+            crate::train::train(&mut net, &pool, &ys, &cfg);
+            // Forced shapes first, then random sizes in random order.
+            let mut shards: Vec<Vec<usize>> = vec![
+                (0..16).collect(),
+                vec![0],
+                (16..28).collect(),
+                vec![6, 12, 18],
+                vec![1],
+            ];
+            for _ in 0..30 {
+                let k = rng.gen_range(1..=16usize);
+                shards.push((0..k).map(|_| rng.gen_range(0..pool.len())).collect());
+            }
+            assert!(leaves.len() >= 3 && [0, 6, 12, 18].iter().all(|&i| pool[i].n_nodes() == 1));
+            let (mut ws_net, mut ws_batch, mut ws_tape) =
+                (net.clone(), TreeBatch::pack([]), BatchTape::default());
+            for (pass, idxs) in shards.iter().enumerate() {
+                let what = format!("dropout {dropout}, pass {pass}, {} trees", idxs.len());
+                let seed = 900 + pass as u64;
+                let loss_and_grad = |preds: &[f32]| {
+                    let errs = idxs.iter().zip(preds).map(|(&i, &p)| p - ys[i]);
+                    let loss: f64 = errs.clone().map(|e| (e * e) as f64).sum();
+                    (loss, errs.map(|e| 2.0 * e / idxs.len() as f32).collect::<Vec<f32>>())
+                };
+
+                let mut fresh = net.clone();
+                fresh.zero_grad();
+                let batch = TreeBatch::pack(idxs.iter().map(|&i| &pool[i]));
+                let (preds, mut tape) = fresh.forward_train_batch(&batch, &mut rng_from_seed(seed));
+                let (loss, d_outs) = loss_and_grad(&preds);
+                fresh.backward_batch(&batch, &mut tape, &d_outs);
+
+                ws_net.zero_grad();
+                ws_batch.repack(idxs.iter().map(|&i| &pool[i]));
+                let mut ws_rng = rng_from_seed(seed);
+                let ws_preds =
+                    ws_net.forward_batch_into(&ws_batch, Some(&mut ws_rng), &mut ws_tape).to_vec();
+                let (ws_loss, ws_d_outs) = loss_and_grad(&ws_preds);
+                ws_net.backward_batch(&ws_batch, &mut ws_tape, &ws_d_outs);
+
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&preds), bits(&ws_preds), "predictions, {what}");
+                assert_eq!(loss.to_bits(), ws_loss.to_bits(), "loss, {what}");
+                assert_eq!(grad_bits(&mut fresh), grad_bits(&mut ws_net), "gradients, {what}");
+            }
+        }
+    }
+
+    /// `params` and `params_mut` spell the tensor order twice; they must
+    /// agree, since the trainer pairs them tensor by tensor.
+    #[test]
+    fn params_and_params_mut_walk_one_order() {
+        let mut net = TreeCnn::new(TcnnConfig::tiny(3), 1);
+        for (i, p) in net.params_mut().enumerate() {
+            p.w.fill(i as f32);
+        }
+        assert_eq!(net.params().count(), 3 * 4 + 3 * 2 + 4);
+        for (i, p) in net.params().enumerate() {
+            assert!(p.w.iter().all(|&w| w == i as f32), "tensor {i}");
+        }
     }
 
     #[test]

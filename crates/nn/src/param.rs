@@ -145,7 +145,7 @@ impl Param {
     /// two branches round differently (~1e-6 relative), and which one a
     /// shard takes is part of the trainer's pinned numerics
     /// (`tests/train_golden.rs`).
-    pub fn matmul_add(&self, x: &[f32], y: &mut [f32], n: usize) {
+    pub fn matmul_add(&self, x: &[f32], y: &mut [f32], n: usize, ks: &mut KernelScratch) {
         let c = self.cols;
         let rows = self.rows;
         debug_assert_eq!(x.len(), n * c);
@@ -155,11 +155,10 @@ impl Param {
             rows_in_out.for_each(|(xi, yi)| self.matvec_add(xi, yi));
             return;
         }
-        let mut wt = Vec::new();
-        self.transpose_into(&mut wt);
-        let xnz = RowNz::of(x, c);
+        self.transpose_into(&mut ks.wt[0]);
+        ks.nz.compact(x, c);
         for (i, yi) in y.chunks_exact_mut(rows).enumerate() {
-            axpy_nz(yi, &[(xnz.row(i), &wt)]);
+            axpy_nz(yi, &[(ks.nz.row(i), &ks.wt[0])]);
         }
     }
 
@@ -178,22 +177,28 @@ impl Param {
     /// The input-gradient GEMM of [`Param::matmul_add`]: `W`'s rows are
     /// already the layout [`axpy_nz`] reads, and zero upstream gradients
     /// (common after ReLU) drop out in the compaction.
-    pub fn matmul_t_add(&self, dy: &[f32], dx: &mut [f32], n: usize) {
+    pub fn matmul_t_add(&self, dy: &[f32], dx: &mut [f32], n: usize, ks: &mut KernelScratch) {
         debug_assert_eq!(dy.len(), n * self.rows);
         debug_assert_eq!(dx.len(), n * self.cols);
-        let dynz = RowNz::of(dy, self.rows);
+        ks.nz.compact(dy, self.rows);
         for (i, dxi) in dx.chunks_exact_mut(self.cols).enumerate() {
-            axpy_nz(dxi, &[(dynz.row(i), &self.w)]);
+            axpy_nz(dxi, &[(ks.nz.row(i), &self.w)]);
         }
     }
 
     /// Batched `dW += dYᵀ X`: `dy` is `n × rows`, `x` is `n × cols`.
     /// The weight-gradient GEMM of [`Param::matmul_add`]; see
     /// [`Param::grad_outer_rows_add`].
-    pub fn grad_outer_batch_add(&mut self, dy: &[f32], x: &[f32], n: usize) {
+    pub fn grad_outer_batch_add(
+        &mut self,
+        dy: &[f32],
+        x: &[f32],
+        n: usize,
+        ks: &mut KernelScratch,
+    ) {
         debug_assert_eq!(dy.len(), n * self.rows);
         debug_assert_eq!(x.len(), n * self.cols);
-        self.grad_outer_rows_add(dy, x, (0..n).map(|i| (i, i)));
+        self.grad_outer_rows_add(dy, x, (0..n).map(|i| (i, i)), ks);
     }
 
     /// Gathered [`Param::grad_outer_batch_add`]: `dW += dy[i] ⊗ x[idx[i]]`
@@ -201,10 +206,16 @@ impl Param {
     /// dense kernel over a gathered copy of `x` whose missing-child rows
     /// are zero: those rows only ever added `d * 0.0` to an accumulator
     /// that is never `-0.0`.
-    pub fn grad_outer_gather_add(&mut self, dy: &[f32], x: &[f32], idx: &[i32]) {
+    pub fn grad_outer_gather_add(
+        &mut self,
+        dy: &[f32],
+        x: &[f32],
+        idx: &[i32],
+        ks: &mut KernelScratch,
+    ) {
         debug_assert_eq!(dy.len(), idx.len() * self.rows);
         let pairs = idx.iter().enumerate().filter(|&(_, &j)| j >= 0);
-        self.grad_outer_rows_add(dy, x, pairs.map(|(i, &j)| (i, j as usize)));
+        self.grad_outer_rows_add(dy, x, pairs.map(|(i, &j)| (i, j as usize)), ks);
     }
 
     /// `dW += dy[i] ⊗ x[j]` for each `(i, j)` in ascending `i`: per
@@ -225,6 +236,7 @@ impl Param {
         dy: &[f32],
         x: &[f32],
         pairs: impl Iterator<Item = (usize, usize)>,
+        ks: &mut KernelScratch,
     ) {
         let (rows, c) = (self.rows, self.cols);
         let pairs = pairs.map(|(i, j)| (&dy[i * rows..(i + 1) * rows], &x[j * c..(j + 1) * c]));
@@ -232,9 +244,9 @@ impl Param {
             pairs.for_each(|(dyi, xj)| self.grad_outer_add(dyi, xj));
             return;
         }
-        let mut gt = Vec::new();
-        transpose(&self.g, rows, c, &mut gt);
-        let mut nz = RowNz::default();
+        let KernelScratch { nz, wt } = ks;
+        let gt = &mut wt[0];
+        transpose(&self.g, rows, c, gt);
         for (dyi, xj) in pairs {
             nz.compact(xj, c);
             for &(k, xv) in nz.row(0) {
@@ -244,19 +256,30 @@ impl Param {
                 }
             }
         }
-        transpose(&gt, c, rows, &mut self.g);
+        transpose(gt, c, rows, &mut self.g);
     }
 }
 
-/// `dst = srcᵀ` for a row-major `rows × cols` `src` (`dst` resized).
+/// `dst = srcᵀ` for a row-major `rows × cols` `src` (`dst` resized; every
+/// element is overwritten).
 fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
-    dst.clear();
     dst.resize(rows * cols, 0.0);
     for (k, column) in dst.chunks_exact_mut(rows).enumerate() {
         for (d, &s) in column.iter_mut().zip(src[k..].iter().step_by(cols)) {
             *d = s;
         }
     }
+}
+
+/// The reusable buffers of the batched training kernels: one layer
+/// input's compacted rows and up to three transposed weight (or weight
+/// gradient) matrices. Storage only grows, so a scratch reused across
+/// calls (each trainer slot's [`crate::BatchTape`] holds one) allocates
+/// nothing once warm.
+#[derive(Debug, Default)]
+pub struct KernelScratch {
+    pub(crate) nz: RowNz,
+    pub(crate) wt: [Vec<f32>; 3],
 }
 
 /// The nonzero entries of every row of a node-major `n × c` buffer, each
@@ -273,12 +296,6 @@ pub(crate) struct RowNz {
 }
 
 impl RowNz {
-    pub(crate) fn of(x: &[f32], c: usize) -> RowNz {
-        let mut nz = RowNz::default();
-        nz.compact(x, c);
-        nz
-    }
-
     /// Replace the contents with the nonzeros of `x`, branch-free: every
     /// entry is written, and the cursor advances past the nonzero ones.
     pub(crate) fn compact(&mut self, x: &[f32], c: usize) {
@@ -370,8 +387,23 @@ fn axpy_tile<const T: usize>(yt: &mut [f32], r0: usize, rows: usize, terms: &[Te
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Capacity and data pointer of a buffer: equal before and after a
+    /// call exactly when the call neither grew nor moved it.
+    pub(crate) fn buf<T>(v: &Vec<T>) -> (usize, usize) {
+        (v.capacity(), v.as_ptr() as usize)
+    }
+
+    impl KernelScratch {
+        /// [`buf`] of every buffer (the trainer's allocation guard).
+        pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
+            let mut out = vec![buf(&self.nz.nz), buf(&self.nz.start)];
+            out.extend(self.wt.iter().map(buf));
+            out
+        }
+    }
 
     #[test]
     fn init_shapes() {
@@ -420,7 +452,7 @@ mod tests {
         let mut rng = rng_from_seed(3);
         let x: Vec<f32> = (0..n * 5).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut y_batch = vec![0.5f32; n * 7];
-        p.matmul_add(&x, &mut y_batch, n);
+        p.matmul_add(&x, &mut y_batch, n, &mut KernelScratch::default());
         for i in 0..n {
             let mut y = vec![0.5f32; 7];
             p.matvec_add(&x[i * 5..(i + 1) * 5], &mut y);
@@ -437,7 +469,7 @@ mod tests {
         let mut rng = rng_from_seed(8);
         let dy: Vec<f32> = (0..n * 6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut dx_batch = vec![0.0f32; n * 4];
-        p.matmul_t_add(&dy, &mut dx_batch, n);
+        p.matmul_t_add(&dy, &mut dx_batch, n, &mut KernelScratch::default());
         for i in 0..n {
             let mut dx = vec![0.0f32; 4];
             p.matvec_t_add(&dy[i * 6..(i + 1) * 6], &mut dx);
@@ -455,7 +487,7 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let dy: Vec<f32> = (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let x: Vec<f32> = (0..n * 4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        pa.grad_outer_batch_add(&dy, &x, n);
+        pa.grad_outer_batch_add(&dy, &x, n, &mut KernelScratch::default());
         for i in 0..n {
             pb.grad_outer_add(&dy[i * 3..(i + 1) * 3], &x[i * 4..(i + 1) * 4]);
         }
@@ -478,8 +510,9 @@ mod tests {
         }
         let mut pa = Param::zeros(rows, c);
         let mut pb = Param::zeros(rows, c);
-        pa.grad_outer_gather_add(&dy, &x, &idx);
-        pb.grad_outer_batch_add(&dy, &gathered, n);
+        let mut ks = KernelScratch::default();
+        pa.grad_outer_gather_add(&dy, &x, &idx, &mut ks);
+        pb.grad_outer_batch_add(&dy, &gathered, n, &mut ks);
         // Skipped rows only ever contributed `d * 0.0`: bit-for-bit equal.
         assert_eq!(
             pa.g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -651,7 +684,9 @@ mod tests {
     /// ones (tile tails, a 257-wide row), batches on both sides of
     /// `MATMUL_MIN_BATCH`, rows that are zero, one-hot or hold `-0.0`,
     /// exact-zero upstream gradients, and missing children. Gradients
-    /// accumulate onto a nonzero `g`, as a second minibatch term would.
+    /// accumulate onto a nonzero `g`, as a second minibatch term would,
+    /// and one kernel scratch and one set of output buffers serve every
+    /// case, larger and smaller, as a trainer slot's workspace does.
     #[test]
     fn rewritten_kernels_match_their_oracles_bit_for_bit() {
         use crate::layers::{
@@ -660,6 +695,8 @@ mod tests {
         };
         let shapes = [(64, 13), (32, 64), (16, 32), (16, 16), (1, 16), (7, 5), (3, 257)];
         let mut rng = rng_from_seed(26);
+        let mut ks = KernelScratch::default();
+        let (mut y_conv, mut dx_conv) = (Vec::new(), Vec::new());
         for (case, &(rows, cols)) in shapes.iter().enumerate() {
             for n in [1usize, 3, 4, 9, 160] {
                 let what = format!("{rows}x{cols}, n = {n}");
@@ -676,31 +713,31 @@ mod tests {
 
                 let mut y = mixed_rows(&mut rng, n, rows);
                 let mut y_old = y.clone();
-                p.top.matmul_add(&x, &mut y, n);
+                p.top.matmul_add(&x, &mut y, n, &mut ks);
                 oracle::matmul_add(&p.top, &x, &mut y_old, n);
                 assert_eq!(bits(&y), bits(&y_old), "matmul_add y, {what}");
 
                 let mut dx = mixed_rows(&mut rng, n, cols);
                 let mut dx_old = dx.clone();
-                p.top.matmul_t_add(&dy, &mut dx, n);
+                p.top.matmul_t_add(&dy, &mut dx, n, &mut ks);
                 oracle::matmul_t_add(&p.top, &dy, &mut dx_old, n);
                 assert_eq!(bits(&dx), bits(&dx_old), "matmul_t_add dx, {what}");
 
                 let mut q = p.top.clone();
-                p.top.grad_outer_batch_add(&dy, &x, n);
+                p.top.grad_outer_batch_add(&dy, &x, n, &mut ks);
                 oracle::grad_outer_batch_add(&mut q, &dy, &x, n);
                 assert_eq!(bits(&p.top.g), bits(&q.g), "grad_outer_batch_add g, {what}");
 
-                let y = tree_conv_forward_batch(&p, &left, &right, &x);
+                tree_conv_forward_batch(&p, &left, &right, &x, &mut y_conv, &mut ks);
                 let y_old = oracle::tree_conv_forward_batch(&p, &left, &right, &x);
-                assert_eq!(bits(&y), bits(&y_old), "tree conv y, {what}");
+                assert_eq!(bits(&y_conv), bits(&y_old), "tree conv y, {what}");
 
-                let dx = tree_conv_backward_batch_input(&p, &left, &right, &dy);
+                tree_conv_backward_batch_input(&p, &left, &right, &dy, &mut dx_conv, &mut ks);
                 let dx_old = oracle::tree_conv_backward_batch_input(&p, &left, &right, &dy);
-                assert_eq!(bits(&dx), bits(&dx_old), "tree conv dx, {what}");
+                assert_eq!(bits(&dx_conv), bits(&dx_old), "tree conv dx, {what}");
 
                 let mut q = p.clone();
-                tree_conv_backward_batch_params(&mut p, &left, &right, &x, &dy);
+                tree_conv_backward_batch_params(&mut p, &left, &right, &x, &dy, &mut ks);
                 oracle::tree_conv_backward_batch_params(&mut q, &left, &right, &x, &dy);
                 let pairs =
                     [(&p.top, &q.top), (&p.left, &q.left), (&p.right, &q.right), (&p.bias, &q.bias)];

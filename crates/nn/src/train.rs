@@ -9,7 +9,8 @@
 //! into a [`TreeBatch`] and pushed through
 //! [`TreeCnn::forward_train_batch`] / [`TreeCnn::backward_batch`], and
 //! shard gradients are reduced into the master net **in shard-index
-//! order**.
+//! order**, by one step per parameter tensor that sums the slots from
+//! `+0.0` and applies Adam ([`Adam::step`]).
 //!
 //! What defines the numerics: `shard_size` (shard boundaries are GEMM
 //! boundaries), `batch_size`, `seed` (the shuffle stream, and through
@@ -18,24 +19,29 @@
 //! thread computes which shard — the loss history and every weight bit
 //! are the same at any width (`tests/train_golden.rs` pins them).
 //!
-//! What runs where: every shard slot of a minibatch owns one gradient
-//! workspace for the whole run (a weight copy refreshed per minibatch
-//! plus gradient buffers; nothing inside the epoch loop clones a net).
-//! The calling thread is the coordinator and one of the `width` compute
-//! threads: it takes shard 0 and every `width`-th after it, and
-//! `width - 1` persistent helpers take the rest, each slot moving to its
-//! helper and back over a pair of channels. At width 1 — one core, or
-//! one shard per minibatch — no thread, channel or lock exists.
+//! What runs where: every shard slot of a minibatch owns one workspace
+//! for the whole run — a weight copy refreshed per minibatch, gradient
+//! buffers, the packed shard and every buffer of the batched forward and
+//! backward — sized once when the slot is built, so nothing inside the
+//! epoch loop clones a net or grows a buffer. The calling thread is the
+//! coordinator and one of the `width` compute threads. A minibatch's
+//! shards are ranked by node rows (ties by index) and the coordinator
+//! takes ranks 0, `width`, `2·width`, …, so the largest shard runs on the
+//! thread that never waits to be woken; `width - 1` persistent helpers
+//! take the rest, each slot moving to its helper and back over a pair of
+//! channels. At width 1 — one core, or one shard per minibatch — no
+//! thread, channel or lock exists.
 //!
 //! The old one-tree-at-a-time loop survives as [`train_reference`] for
 //! equivalence tests.
 
 use crate::adam::{Adam, AdamConfig};
-use crate::net::TreeCnn;
+use crate::net::{BatchTape, TreeCnn};
 use crate::tree::{FeatTree, TreeBatch};
 use bao_common::json::{self, FromJson, Json, ToJson};
 use bao_common::pool::resolve_width;
 use bao_common::{rng_from_seed, split_seed, Result, Rng};
+use std::cmp::Reverse;
 use std::sync::mpsc;
 
 /// Training-loop configuration.
@@ -118,13 +124,18 @@ pub struct TrainReport {
 }
 
 /// One shard slot of a minibatch: the shard's description plus the
-/// reusable workspace its gradient is computed into. `net` carries a
+/// persistent workspace its gradient is computed in. `net` carries a
 /// private copy of the weights (refreshed from the master every
-/// minibatch) and, in its `.g` buffers, the shard gradient. Slots are
-/// built once per [`train`] call and then only moved — to a helper and
-/// back — never cloned.
+/// minibatch) and, in its `.g` buffers, the shard gradient; `batch`,
+/// `tape` and `d_outs` are the packed shard, the forward/backward
+/// workspace and the output gradients. Slots are built once per [`train`]
+/// call and then only moved — to a helper and back — never cloned, and
+/// after the first shard nothing in them reallocates.
 struct ShardSlot {
     net: TreeCnn,
+    batch: TreeBatch,
+    tape: BatchTape,
+    d_outs: Vec<f32>,
     idxs: Vec<usize>,
     drop_seed: u64,
     scale: f32,
@@ -133,14 +144,33 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    fn new(master: &TreeCnn) -> ShardSlot {
+    /// A slot whose workspace is sized up front by one pass over the
+    /// largest shard `trees` can form — its `shard_size` largest trees,
+    /// which hold the most node rows — so every buffer already has the
+    /// capacity any later shard needs. The pass's gradient is discarded:
+    /// [`ShardSlot::run`] zeroes it.
+    fn new(master: &TreeCnn, trees: &[FeatTree], targets: &[f32], shard_size: usize) -> ShardSlot {
         let mut net = master.clone();
         // A workspace never takes an optimizer step.
         net.for_each_param(|p| {
             p.m = Vec::new();
             p.v = Vec::new();
         });
-        ShardSlot { net, idxs: Vec::new(), drop_seed: 0, scale: 0.0, loss: 0.0 }
+        let mut largest: Vec<usize> = (0..trees.len()).collect();
+        largest.sort_by_key(|&i| Reverse(trees[i].n_nodes()));
+        largest.truncate(shard_size);
+        let mut slot = ShardSlot {
+            net,
+            batch: TreeBatch::pack([]),
+            tape: BatchTape::default(),
+            d_outs: Vec::new(),
+            idxs: largest,
+            drop_seed: 0,
+            scale: 0.0,
+            loss: 0.0,
+        };
+        slot.run(trees, targets);
+        slot
     }
 
     /// Point the slot at one shard of the current minibatch: the master's
@@ -159,17 +189,17 @@ impl ShardSlot {
     /// here, by the thread that fills them).
     fn run(&mut self, trees: &[FeatTree], targets: &[f32]) {
         self.net.zero_grad();
-        let batch = TreeBatch::pack(self.idxs.iter().map(|&i| &trees[i]));
+        self.batch.repack(self.idxs.iter().map(|&i| &trees[i]));
         let mut rng = rng_from_seed(self.drop_seed);
-        let (preds, tape) = self.net.forward_train_batch(&batch, &mut rng);
+        let preds = self.net.forward_batch_into(&self.batch, Some(&mut rng), &mut self.tape);
         self.loss = 0.0;
-        let mut d_outs = Vec::with_capacity(self.idxs.len());
-        for (k, &i) in self.idxs.iter().enumerate() {
-            let err = preds[k] - targets[i];
+        self.d_outs.clear();
+        for (&pred, &i) in preds.iter().zip(&self.idxs) {
+            let err = pred - targets[i];
             self.loss += (err * err) as f64;
-            d_outs.push(2.0 * err * self.scale);
+            self.d_outs.push(2.0 * err * self.scale);
         }
-        self.net.backward_batch(&batch, &tape, &d_outs);
+        self.net.backward_batch(&self.batch, &mut self.tape, &self.d_outs);
     }
 }
 
@@ -181,18 +211,21 @@ struct Helper {
 }
 
 /// The epoch/minibatch loop, run by the coordinator at width
-/// `helpers.len() + 1`. Shard `s` of a minibatch belongs to thread
-/// `s % width`, thread 0 being the coordinator itself, so with no helpers
-/// every shard runs inline and no channel is touched. Whoever computes a
-/// shard, its gradient lands in slot `s`, and the slots reduce into the
-/// master **in shard-index order** — which is what makes the result
-/// independent of width and scheduling.
+/// `helpers.len() + 1`. A minibatch's shards are ranked by node rows,
+/// largest first (ties by index), and rank `r` belongs to thread
+/// `r % width`, thread 0 being the coordinator itself: it never waits to
+/// be woken, so it takes the largest shard. With no helpers every shard
+/// runs inline and no channel is touched. Whoever computes shard `s`, its
+/// gradient lands in slot `s`, and the slots reduce into the master **in
+/// shard-index order** — which is what makes the result independent of
+/// width, ranking and scheduling.
 fn train_loop(
     net: &mut TreeCnn,
     trees: &[FeatTree],
     targets: &[f32],
     cfg: &TrainConfig,
     helpers: &[Helper],
+    mut after_minibatch: impl FnMut(&[Option<ShardSlot>]),
 ) -> TrainReport {
     let mut adam = Adam::new(cfg.adam);
     let mut rng = rng_from_seed(cfg.seed);
@@ -206,10 +239,12 @@ fn train_loop(
     let mut step: u64 = 0;
 
     let width = helpers.len() + 1;
-    let helper_of = |s: usize| (s % width).checked_sub(1).map(|h| &helpers[h]);
+    let helper_of = |rank: usize| (rank % width).checked_sub(1).map(|h| &helpers[h]);
     // `None` only while a helper holds the slot: never between waves.
-    let mut slots: Vec<Option<ShardSlot>> =
-        (0..max_shards(trees.len(), cfg)).map(|_| Some(ShardSlot::new(net))).collect();
+    let mut slots: Vec<Option<ShardSlot>> = (0..max_shards(trees.len(), cfg))
+        .map(|_| Some(ShardSlot::new(net, trees, targets, shard_size)))
+        .collect();
+    let mut ranked: Vec<usize> = Vec::with_capacity(slots.len());
 
     for epoch in 0..cfg.max_epochs {
         rng.shuffle(&mut order);
@@ -218,17 +253,21 @@ fn train_loop(
             let scale = 1.0 / batch.len() as f32;
             let n_shards = batch.len().div_ceil(shard_size);
             let wave = &mut slots[..n_shards];
+            let shard = |s: usize| &batch[s * shard_size..batch.len().min((s + 1) * shard_size)];
+            let rows = |s: usize| shard(s).iter().map(|&i| trees[i].n_nodes()).sum::<usize>();
+            ranked.clear();
+            ranked.extend(0..n_shards);
+            ranked.sort_unstable_by_key(|&s| (Reverse(rows(s)), s));
             let load = |slot: &mut ShardSlot, master: &TreeCnn, s: usize| {
-                let idxs = &batch[s * shard_size..batch.len().min((s + 1) * shard_size)];
-                slot.load(master, idxs, split_seed(drop_stream, step + s as u64), scale);
+                slot.load(master, shard(s), split_seed(drop_stream, step + s as u64), scale);
             };
             // Helpers get their shards before the coordinator starts on
             // its own. A helper that is gone hands the slot straight back,
             // and the coordinator computes it with the rest of its share.
-            for (s, slot) in wave.iter_mut().enumerate() {
-                let Some(mut job) = slot.take() else { continue };
+            for (r, &s) in ranked.iter().enumerate() {
+                let Some(mut job) = wave[s].take() else { continue };
                 load(&mut job, net, s);
-                *slot = match helper_of(s) {
+                wave[s] = match helper_of(r) {
                     Some(helper) => helper.jobs.send(job).err().map(|mpsc::SendError(job)| job),
                     None => Some(job),
                 };
@@ -236,17 +275,19 @@ fn train_loop(
             for slot in wave.iter_mut().flatten() {
                 slot.run(trees, targets);
             }
-            for (s, slot) in wave.iter_mut().enumerate() {
-                let Some(helper) = helper_of(s) else { continue };
-                if slot.is_none() {
-                    *slot = Some(match helper.results.recv() {
+            // Each helper's slots come back in the rank order they were
+            // sent in, so slot `s` receives the shard sent for `s`.
+            for (r, &s) in ranked.iter().enumerate() {
+                let Some(helper) = helper_of(r) else { continue };
+                if wave[s].is_none() {
+                    wave[s] = Some(match helper.results.recv() {
                         Ok(done) => done,
                         // The helper died holding the slot (its panic
                         // surfaces when the scope joins): compute the
                         // shard here on a fresh workspace — same inputs,
                         // same kernels, same bits.
                         Err(_) => {
-                            let mut fresh = ShardSlot::new(net);
+                            let mut fresh = ShardSlot::new(net, trees, targets, shard_size);
                             load(&mut fresh, net, s);
                             fresh.run(trees, targets);
                             fresh
@@ -256,17 +297,15 @@ fn train_loop(
             }
             step += n_shards as u64;
 
-            net.zero_grad();
             for slot in wave.iter().flatten() {
                 epoch_loss += slot.loss;
-                net.for_each_param_pair(&slot.net, |p, q| {
-                    for (gv, &qv) in p.g.iter_mut().zip(q.g.iter()) {
-                        *gv += qv;
-                    }
-                });
             }
             adam.begin_step();
-            net.for_each_param(|p| adam.update(p));
+            for (i, p) in net.params_mut().enumerate() {
+                let grads = wave.iter().flatten().map(|slot| slot.net.params().nth(i));
+                adam.step(p, grads.map(|q| q.expect("same config").g.as_slice()));
+            }
+            after_minibatch(&slots);
         }
         epoch_loss /= trees.len() as f64;
         history.push(epoch_loss);
@@ -299,17 +338,30 @@ fn max_shards(n_trees: usize, cfg: &TrainConfig) -> usize {
 /// Each minibatch gradient is computed through the batched kernels in
 /// `shard_size`-tree shards, at a width of `cfg.threads` (`0`: one per
 /// available core) capped at the shards a minibatch has. The coordinator
-/// is one of those threads: it computes shard 0 (and every `width`-th
-/// after it) itself, and `width - 1` helpers — spawned once, alive for
-/// the whole run, fed over channels — compute the rest. At width 1
-/// nothing is spawned and no channel exists. Shard boundaries and
-/// per-shard dropout seeds depend only on the config, and shard gradients
-/// reduce in shard-index order, so results are identical at any width.
+/// is one of those threads: it computes the largest shard (and every
+/// `width`-th after it in size order) itself, and `width - 1` helpers —
+/// spawned once, alive for the whole run, fed over channels — compute the
+/// rest. At width 1 nothing is spawned and no channel exists. Shard
+/// boundaries and per-shard dropout seeds depend only on the config, and
+/// shard gradients reduce in shard-index order, so results are identical
+/// at any width.
 pub fn train(
     net: &mut TreeCnn,
     trees: &[FeatTree],
     targets: &[f32],
     cfg: &TrainConfig,
+) -> TrainReport {
+    train_observed(net, trees, targets, cfg, |_| {})
+}
+
+/// [`train`], calling `after_minibatch` on the coordinator with every
+/// slot at home after each minibatch's step.
+fn train_observed(
+    net: &mut TreeCnn,
+    trees: &[FeatTree],
+    targets: &[f32],
+    cfg: &TrainConfig,
+    after_minibatch: impl FnMut(&[Option<ShardSlot>]),
 ) -> TrainReport {
     assert_eq!(trees.len(), targets.len());
     if trees.is_empty() {
@@ -317,7 +369,7 @@ pub fn train(
     }
     let width = resolve_width(cfg.threads).min(max_shards(trees.len(), cfg));
     if width <= 1 {
-        return train_loop(net, trees, targets, cfg, &[]);
+        return train_loop(net, trees, targets, cfg, &[], after_minibatch);
     }
     std::thread::scope(|scope| {
         let helpers: Vec<Helper> = (1..width)
@@ -339,7 +391,7 @@ pub fn train(
             .collect();
         // `helpers` drops when this closure returns, which closes the job
         // channels; the helpers drain and exit, and the scope joins them.
-        train_loop(net, trees, targets, cfg, &helpers)
+        train_loop(net, trees, targets, cfg, &helpers, after_minibatch)
     })
 }
 
@@ -539,21 +591,78 @@ mod tests {
         assert_eq!(decoded.shard_size, 8);
     }
 
+    impl ShardSlot {
+        /// Capacity and data pointer of every buffer of the slot's
+        /// workspace (the allocation guard below).
+        fn buffers(&self) -> Vec<(usize, usize)> {
+            use crate::param::tests::buf;
+            let b = &self.batch;
+            let mut out = vec![buf(&b.feats), buf(&b.left), buf(&b.right), buf(&b.offsets)];
+            out.extend([buf(&self.d_outs), buf(&self.idxs)]);
+            out.extend(self.tape.buffers());
+            out
+        }
+    }
+
+    /// After the first minibatch of a 3-epoch `train` call no workspace
+    /// buffer grows or moves, inline and with a helper, on trees of 1 to
+    /// 19 nodes (shards from a few node rows to over a hundred) under
+    /// dropout, whose masks are workspace buffers too.
+    #[test]
+    fn workspaces_never_reallocate_after_the_first_minibatch() {
+        let dim = 4;
+        let mut rng = rng_from_seed(12);
+        let trees: Vec<FeatTree> =
+            (0..40).map(|i| crate::net::tests::sized_tree(&mut rng, dim, i * 7 % 10)).collect();
+        let ys: Vec<f32> = (0..trees.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for threads in [1, 2] {
+            let cfg = TrainConfig { max_epochs: 3, patience: 100, threads, ..Default::default() };
+            let mut net = TreeCnn::new(TcnnConfig::tiny(dim).with_dropout(0.2), 4);
+            let mut first: Option<Vec<Vec<(usize, usize)>>> = None;
+            let mut minibatches = 0;
+            train_observed(&mut net, &trees, &ys, &cfg, |slots| {
+                let now: Vec<_> =
+                    slots.iter().map(|s| s.as_ref().expect("home").buffers()).collect();
+                minibatches += 1;
+                let what = format!("threads {threads}, minibatch {minibatches}");
+                match &first {
+                    None => first = Some(now),
+                    Some(first) => assert_eq!(first, &now, "{what}"),
+                }
+            });
+            assert_eq!(minibatches, 3 * 3, "threads {threads}");
+        }
+    }
+
     /// Train one epoch at width 2 (shards of 4, so four shards per
-    /// minibatch: the coordinator takes 0 and 2, the helper 1 and 3) on a
-    /// dataset whose tree `bad` has the wrong feature width, after
-    /// replaying the trainer's shuffle to check that `owner` (0: the
-    /// coordinator, 1: the helper) is the thread that packs it. Whoever
-    /// packs it panics; `train` must unwind with that panic, not wait for
-    /// a slot that will never come back.
+    /// minibatch) on a dataset whose tree `bad` has the wrong feature
+    /// width, after replaying the trainer's shuffle and its size ranking
+    /// to check that `owner` (0: the coordinator, 1: the helper) is the
+    /// thread that packs it. Every third tree is a one-node leaf, so the
+    /// shards differ in node rows and the ranking, not the shard index,
+    /// decides the owner: the coordinator takes ranks 0 and 2, the helper
+    /// 1 and 3. Whoever packs the bad tree panics; `train` must unwind
+    /// with that panic, not wait for a slot that will never come back.
     fn train_with_bad_tree(bad: usize, owner: usize) {
         let (mut trees, ys) = dataset(32, 5);
+        for i in (0..trees.len()).step_by(3) {
+            trees[i] = FeatTree::leaf(vec![0.5, -0.5, 0.25]);
+        }
         trees[bad] = FeatTree::leaf(vec![1.0, 2.0]);
         let cfg = TrainConfig { max_epochs: 1, shard_size: 4, threads: 2, ..TrainConfig::default() };
         let mut order: Vec<usize> = (0..trees.len()).collect();
         rng_from_seed(cfg.seed).shuffle(&mut order);
         let at = order.iter().position(|&i| i == bad).expect("every tree is in the order");
-        assert_eq!(at % cfg.batch_size / cfg.shard_size % 2, owner, "tree {bad} at position {at}");
+        let minibatch = order.chunks(cfg.batch_size).nth(at / cfg.batch_size).expect("in range");
+        let rows: Vec<usize> = minibatch
+            .chunks(cfg.shard_size)
+            .map(|shard| shard.iter().map(|&i| trees[i].n_nodes()).sum())
+            .collect();
+        let mut ranked: Vec<usize> = (0..rows.len()).collect();
+        ranked.sort_by(|&a, &b| rows[b].cmp(&rows[a]).then(a.cmp(&b)));
+        let shard = at % cfg.batch_size / cfg.shard_size;
+        let rank = ranked.iter().position(|&s| s == shard).expect("every shard is ranked");
+        assert_eq!(rank % 2, owner, "tree {bad}: shard {shard} of rows {rows:?}, rank {rank}");
         let mut net = TreeCnn::new(TcnnConfig::tiny(3), 1);
         train(&mut net, &trees, &ys, &cfg);
     }
@@ -563,13 +672,17 @@ mod tests {
     fn a_panicking_shard_unwinds_instead_of_hanging() {
         // The helper dies holding the slot: the coordinator finds its
         // result channel closed, recomputes the shard inline on a fresh
-        // workspace and meets the same panic on its own thread.
-        train_with_bad_tree(7, 1);
+        // workspace and meets the same panic on its own thread. Tree 2
+        // sits in shard 0, the smallest of its minibatch (rank 3), so
+        // shard-index routing would have kept it on the coordinator.
+        train_with_bad_tree(2, 1);
     }
 
     #[test]
     #[should_panic(expected = "inconsistent feature dimension")]
     fn a_panicking_coordinator_shard_unwinds() {
-        train_with_bad_tree(0, 0);
+        // Tree 9 sits in shard 1 at rank 2: the coordinator's by size,
+        // the helper's by shard index.
+        train_with_bad_tree(9, 0);
     }
 }

@@ -111,26 +111,34 @@ impl TreeBatch {
     /// Pack trees into one batch. All trees must share `feat_dim`; an
     /// empty iterator yields an empty batch (`feat_dim` 0).
     pub fn pack<'a>(trees: impl IntoIterator<Item = &'a FeatTree>) -> TreeBatch {
-        let mut batch = TreeBatch {
-            feat_dim: 0,
-            feats: Vec::new(),
-            left: Vec::new(),
-            right: Vec::new(),
-            offsets: vec![0],
-        };
-        for tree in trees {
-            if batch.n_trees() == 0 {
-                batch.feat_dim = tree.feat_dim;
-            } else {
-                assert_eq!(tree.feat_dim, batch.feat_dim, "inconsistent feature dimension");
-            }
-            let base = batch.total_nodes() as i32;
-            batch.feats.extend_from_slice(&tree.feats);
-            batch.left.extend(tree.left.iter().map(|&c| if c < 0 { -1 } else { c + base }));
-            batch.right.extend(tree.right.iter().map(|&c| if c < 0 { -1 } else { c + base }));
-            batch.offsets.push(batch.left.len());
-        }
+        let (feats, left, right, offsets) = Default::default();
+        let mut batch = TreeBatch { feat_dim: 0, feats, left, right, offsets };
+        batch.repack(trees);
         batch
+    }
+
+    /// Replace the contents with `trees`, packed as by
+    /// [`TreeBatch::pack`], in the buffers already held: a batch reused
+    /// across shards allocates nothing once it has held the largest.
+    pub fn repack<'a>(&mut self, trees: impl IntoIterator<Item = &'a FeatTree>) {
+        self.feat_dim = 0;
+        self.feats.clear();
+        self.left.clear();
+        self.right.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        for tree in trees {
+            if self.n_trees() == 0 {
+                self.feat_dim = tree.feat_dim;
+            } else {
+                assert_eq!(tree.feat_dim, self.feat_dim, "inconsistent feature dimension");
+            }
+            let base = self.total_nodes() as i32;
+            self.feats.extend_from_slice(&tree.feats);
+            self.left.extend(tree.left.iter().map(|&c| if c < 0 { -1 } else { c + base }));
+            self.right.extend(tree.right.iter().map(|&c| if c < 0 { -1 } else { c + base }));
+            self.offsets.push(self.left.len());
+        }
     }
 
     pub fn n_trees(&self) -> usize {
