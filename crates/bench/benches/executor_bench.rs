@@ -1,14 +1,15 @@
 //! Microbenchmarks of the cost-accurate executor: scans, joins, the
 //! cache-warm/cold difference, the buffer pool's page touch on its own,
-//! the join's one evaluation function on three key distributions, and the
-//! sort on three key orders.
+//! the join's one evaluation function on three key distributions, the
+//! sort on three key orders, the aggregate fold on three groupings, and
+//! `==` on empty slices.
 
 use bao_bench::timing::bench_function;
 use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
 use bao_sql::parse_query;
 use bao_stats::StatsCatalog;
-use bao_plan::{ColRef, JoinPred, Operator, PlanNode, Query, SelectItem, TableRef};
+use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode, Query, SelectItem, TableRef};
 use bao_storage::{
     AccessKind, BufferPool, ColumnDef, DataType, Database, PageKey, Schema, Table, Value,
 };
@@ -98,10 +99,72 @@ fn sort_bench(name: &str, rows: i64, key: &dyn Fn(i64) -> i64) {
     });
 }
 
+/// `COUNT(*)`, `SUM` and `AVG` over a sequential scan of a hand-made
+/// table, grouped by `group_by` (none, 16 keys, or a unique key): the
+/// aggregate fold with the scan under it, in ns per input row.
+fn aggregate_fold_bench(name: &str, rows: i64, group_by: &[&str]) {
+    let mut t = Table::new(
+        "t",
+        Schema::new(vec![
+            ColumnDef::new("g16", DataType::Int),
+            ColumnDef::new("u", DataType::Int),
+            ColumnDef::new("v", DataType::Float),
+        ]),
+    );
+    t.insert_many(
+        (0..rows).map(|i| vec![Value::Int(i * 7_919 % 16), Value::Int(i), Value::Float(i as f64)]),
+    )
+    .unwrap();
+    let mut db = Database::new();
+    db.create_table(t).unwrap();
+    let group_by: Vec<ColRef> = group_by.iter().map(|c| ColRef::new(0, *c)).collect();
+    let v = ColRef::new(0, "v");
+    let aggs = vec![AggFunc::CountStar, AggFunc::Sum(v.clone()), AggFunc::Avg(v)];
+    let q = Query {
+        tables: vec![TableRef::new("t")],
+        select: group_by
+            .iter()
+            .cloned()
+            .map(SelectItem::Column)
+            .chain(aggs.iter().cloned().map(SelectItem::Agg))
+            .collect(),
+        group_by: group_by.clone(),
+        ..Query::default()
+    };
+    let scan = PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![]);
+    let plan = PlanNode::new(Operator::Aggregate { group_by, aggs }, vec![scan]);
+    let opt = Optimizer::postgres();
+    let rates = ChargeRates::default();
+    let mut pool = BufferPool::new(1_024);
+    let stats = bench_function(&format!("{name} ({rows} rows)"), 20, || {
+        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+    });
+    println!("{name}: {:.1} ns per input row (median)", stats.median / rows as f64 * 1e9);
+}
+
+/// `==` on two empty `u64` slices, at `Vec::new()`'s dangling pointer
+/// (the empty group key the ungrouped fold used to probe with) and at
+/// heap pointers. The gap is measured, its cause a hypothesis (DESIGN.md
+/// §13).
+fn empty_slice_eq_benches() {
+    let dangling: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    let heap: [Vec<u64>; 2] = [Vec::with_capacity(1), Vec::with_capacity(1)];
+    for (name, [a, b]) in [("empty_slice_eq_dangling", &dangling), ("empty_slice_eq_heap", &heap)] {
+        bench_function(name, 20, || {
+            black_box(black_box(a.as_slice()) == black_box(b.as_slice()));
+        });
+    }
+}
+
 fn main() {
     // The pool every benchmark workload runs on.
     let pool_pages = bao_cloud::N1_4.buffer_pool_pages();
     pool_benches(pool_pages);
+
+    empty_slice_eq_benches();
+    aggregate_fold_bench("aggregate_fold_ungrouped", 200_000, &[]);
+    aggregate_fold_bench("aggregate_fold_grouped_16", 200_000, &["g16"]);
+    aggregate_fold_bench("aggregate_fold_grouped_unique", 200_000, &["u"]);
 
     // Distinct keys in a scattered order, in order, and 16 keys scattered.
     for rows in [1_000, 100_000] {

@@ -41,6 +41,7 @@ const FIGURES: &[(&str, Figure)] = &[
     ("figure13", versus::figure13),
     ("figure14", model::figure14),
     ("figure15a", model::figure15a),
+    ("figure15a_decomposition", model::figure15a_decomposition),
     ("figure15b", model::figure15b),
     ("figure15c", model::figure15c),
     ("figure16", model::figure16),

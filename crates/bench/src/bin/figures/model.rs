@@ -5,7 +5,7 @@ use super::{checkpoints, imdb, pair, run_cfg};
 use bao_baselines::LearnedOptimizer;
 use bao_bench::{bao_settings, print_header, Args, Table};
 use bao_cloud::{gpu_train_time, N1_16};
-use bao_common::split_seed;
+use bao_common::{split_seed, SimDuration};
 use bao_common::stats::{median, percentile, qerror_zero_based};
 use bao_core::Featurizer;
 use bao_exec::{execute, ChargeRates, PerfMetric};
@@ -208,18 +208,8 @@ pub fn figure15a(args: &Args) {
     let (db, wl) = imdb(scale, n, seed);
     let mut table = Table::new(&["System", "Exec time (s)", "vs PostgreSQL"]);
     let mut pg_total = 0.0;
-
-    let mk_bao = |model: ModelKind| Strategy::Bao(BaoSettings { model, ..bao_settings(arms, n) });
-    for (label, strategy) in [
-        ("PostgreSQL", Strategy::Traditional),
-        ("Bao (TCNN)", mk_bao(ModelKind::TcnnSmall)),
-        ("Bao (random forest)", mk_bao(ModelKind::RandomForest)),
-        ("Bao (linear)", mk_bao(ModelKind::Linear)),
-        // §6.3: the single best hint set (disable loop join) applied always.
-        ("Best single hint set", Strategy::FixedHint(HintSet::from_masks(0b011, 0b111))),
-    ] {
-        let cfg = RunConfig { cold_cache: true, seed, ..RunConfig::new(N1_16, strategy) };
-        let total = run_cfg(&db, &wl, cfg).total_exec.as_secs();
+    for (label, total) in figure15a_totals(&db, &wl, arms, seed) {
+        let total = total.as_secs();
         if label == "PostgreSQL" {
             pg_total = total;
         }
@@ -230,6 +220,261 @@ pub fn figure15a(args: &Args) {
         ]);
     }
     table.print();
+}
+
+/// §6.3's best single hint set: disable the loop join, applied always.
+fn best_single_hint() -> HintSet {
+    HintSet::from_masks(0b011, 0b111)
+}
+
+/// Bao as Figure 15a configures it, with `model` as its value model.
+fn figure15a_bao(model: ModelKind, arms: usize, n: usize) -> BaoSettings {
+    BaoSettings { model, ..bao_settings(arms, n) }
+}
+
+/// Figure 15a's rows: each system's total execution time over `wl`, cold
+/// cache, in the figure's order.
+fn figure15a_totals(
+    db: &Database,
+    wl: &Workload,
+    arms: usize,
+    seed: u64,
+) -> Vec<(&'static str, SimDuration)> {
+    let mk_bao = |model| Strategy::Bao(figure15a_bao(model, arms, wl.len()));
+    [
+        ("PostgreSQL", Strategy::Traditional),
+        ("Bao (TCNN)", mk_bao(ModelKind::TcnnSmall)),
+        ("Bao (random forest)", mk_bao(ModelKind::RandomForest)),
+        ("Bao (linear)", mk_bao(ModelKind::Linear)),
+        ("Best single hint set", Strategy::FixedHint(best_single_hint())),
+    ]
+    .into_iter()
+    .map(|(label, strategy)| {
+        let cfg = RunConfig { cold_cache: true, seed, ..RunConfig::new(N1_16, strategy) };
+        (label, run_cfg(db, wl, cfg).total_exec)
+    })
+    .collect()
+}
+
+/// One query as a system ran it: the arm it picked, the model's
+/// prediction for that arm (`None` before the first fit) and the latency
+/// it ran at (ms).
+struct Pick {
+    arm: usize,
+    predicted: Option<f64>,
+    ms: f64,
+}
+
+/// Bao over `wl` the way `Runner` drives Figure 15a's runs (closed loop,
+/// cold cache, the runner's catalog and model seeds), keeping the
+/// predictions the runner drops: select → execute → clear the pool →
+/// observe. Returns the picks and the total execution time.
+fn drive_cold(
+    db: &Database,
+    wl: &Workload,
+    settings: &BaoSettings,
+    seed: u64,
+) -> (Vec<Pick>, SimDuration) {
+    let cat = StatsCatalog::analyze(db, 1_000, split_seed(seed, 1));
+    let opt = Optimizer::postgres();
+    let rates = N1_16.charge_rates();
+    let mut bao = settings.build(split_seed(seed, 2));
+    let mut pool = BufferPool::new(N1_16.buffer_pool_pages());
+    let mut picks = Vec::with_capacity(wl.len());
+    let mut total = SimDuration::ZERO;
+    for step in &wl.steps {
+        assert!(step.event.is_none(), "the decomposition replays no workload events");
+        let sel = bao.select_plan(&opt, &step.query, db, &cat, Some(&pool)).expect("select");
+        let m = execute(&sel.plan, &step.query, db, &mut pool, &opt.params, &rates)
+            .expect("execute");
+        pool.clear();
+        total += m.latency;
+        let (arm, ms) = (sel.arm, m.latency.as_ms());
+        picks.push(Pick { arm, predicted: sel.predictions[arm], ms });
+        bao.observe(sel.tree, m.perf(PerfMetric::Latency));
+    }
+    (picks, total)
+}
+
+/// Figure 15a, decomposed: where each system's time against PostgreSQL
+/// (arm 0) goes. The oracle's cold per-arm latencies say how much any
+/// arm choice could win; each system's picks say what it won, what it
+/// lost, in which retrain window and on which arm, and how far its model
+/// under-predicted the picks that lost. The learned systems' picks come
+/// from a figures-side loop that must reproduce Figure 15a's totals to
+/// the bit (it panics otherwise), so the two figures cannot drift apart.
+pub fn figure15a_decomposition(args: &Args) {
+    let scale = args.scale(0.15);
+    let n = args.queries(300);
+    let seed = args.seed();
+    let arms_n = args.usize("arms", 12);
+    let settings = bao_settings(arms_n, n);
+    let retrain = settings.retrain;
+
+    print_header(
+        "Figure 15a, decomposed: each system's seconds won and lost against arm 0",
+        &format!(
+            "(scale {scale}, {n} queries, {arms_n} arms, cold cache, retrain every {retrain}; \
+             the rows of figure15a)"
+        ),
+    );
+
+    let (db, wl) = imdb(scale, n, seed);
+    let rows = figure15a_totals(&db, &wl, arms_n, seed);
+    let row = |label: &str| rows.iter().find(|(l, _)| *l == label).expect("figure15a row").1;
+
+    // Every arm's cold latency per query, from the oracle strategy.
+    let oracle = run_cfg(
+        &db,
+        &wl,
+        RunConfig {
+            cold_cache: true,
+            seed,
+            ..RunConfig::new(N1_16, Strategy::Optimal { arms: settings.arms.clone() })
+        },
+    );
+    let perfs: Vec<Vec<f64>> =
+        oracle.records.iter().map(|r| r.arm_perfs.clone().expect("oracle arm perfs")).collect();
+    let arm_total = |a: usize| perfs.iter().fold(0.0, |t, p| t + p[a]);
+    let pg = arm_total(0);
+    assert_eq!(pg.to_bits(), row("PostgreSQL").as_ms().to_bits(), "arm 0 is not PostgreSQL");
+    let best = perfs.iter().fold(0.0, |t, p| t + p.iter().cloned().fold(f64::INFINITY, f64::min));
+    let headroom = |total: f64| (pg - total) / (pg - best);
+
+    println!("\n--- (a) the per-query oracle and each arm alone (cold latencies)");
+    let mut t =
+        Table::new(&["Arm", "Exec time (s)", "vs PostgreSQL", "Oracle headroom", "Best on"]);
+    t.row(vec![
+        "per-query oracle".into(),
+        format!("{:.2}", best / 1_000.0),
+        format!("{:.2}x", best / pg),
+        "100 %".into(),
+        format!("{n} queries"),
+    ]);
+    for (a, hints) in settings.arms.iter().enumerate() {
+        let total = arm_total(a);
+        let best_on = perfs.iter().filter(|p| argmin_first(p) == a).count();
+        t.row(vec![
+            format!("{a}: {hints}"),
+            format!("{:.2}", total / 1_000.0),
+            format!("{:.2}x", total / pg),
+            format!("{:.0} %", 100.0 * headroom(total)),
+            format!("{best_on}"),
+        ]);
+    }
+    t.print();
+
+    // Each system's picks. The best single hint set's are the oracle's
+    // column for its arm; the learned systems' come from the loop.
+    let fixed = settings
+        .arms
+        .iter()
+        .position(|h| *h == best_single_hint())
+        .expect("the best single hint set is one of the arms (--arms 2 or more)");
+    assert_eq!(arm_total(fixed).to_bits(), row("Best single hint set").as_ms().to_bits());
+    let fixed_picks: Vec<Pick> =
+        perfs.iter().map(|p| Pick { arm: fixed, predicted: None, ms: p[fixed] }).collect();
+    let mut systems = Vec::new();
+    for (label, model) in [
+        ("Bao (TCNN)", ModelKind::TcnnSmall),
+        ("Bao (random forest)", ModelKind::RandomForest),
+        ("Bao (linear)", ModelKind::Linear),
+    ] {
+        let (picks, total) = drive_cold(&db, &wl, &figure15a_bao(model, arms_n, n), seed);
+        assert_eq!(total, row(label), "{label}: the loop drifted from figure15a's run");
+        systems.push((label, picks));
+    }
+    systems.push(("Best single hint set", fixed_picks));
+
+    // Per query, the pick's latency minus arm 0's: > 0 lost, < 0 won.
+    let delta = |i: usize, p: &Pick| p.ms - perfs[i][0];
+    // Milliseconds lost and losing picks over the queries `keep` selects.
+    let losses = |picks: &[Pick], keep: &dyn Fn(usize, &Pick) -> bool| -> (f64, usize) {
+        let losing = picks.iter().enumerate().filter(|(i, p)| keep(*i, p) && delta(*i, p) > 0.0);
+        losing.fold((0.0, 0), |(ms, k), (i, p)| (ms + delta(i, p), k + 1))
+    };
+    println!("\n--- (b) each system against arm 0, query by query");
+    let mut t = Table::new(&[
+        "System",
+        "Exec time (s)",
+        "vs PostgreSQL",
+        "Oracle headroom",
+        "Won (s)",
+        "Lost (s)",
+        "Losing picks",
+        "Pred/actual on losses: median",
+        "p10",
+    ]);
+    for (label, picks) in &systems {
+        let total = picks.iter().fold(0.0, |t, p| t + p.ms);
+        let won: f64 = picks.iter().enumerate().map(|(i, p)| (-delta(i, p)).max(0.0)).sum();
+        let (lost, losing) = losses(picks, &|_, _| true);
+        let ratios: Vec<f64> = picks
+            .iter()
+            .enumerate()
+            .filter(|(i, p)| delta(*i, p) > 0.0)
+            .filter_map(|(_, p)| p.predicted.map(|pred| pred / p.ms))
+            .collect();
+        let ratio = |q: f64| {
+            if ratios.is_empty() {
+                "-".to_string()
+            } else {
+                format!("{:.3}", percentile(&ratios, q))
+            }
+        };
+        t.row(vec![
+            label.to_string(),
+            format!("{:.2}", total / 1_000.0),
+            format!("{:.2}x", total / pg),
+            format!("{:.0} %", 100.0 * headroom(total)),
+            format!("{:.2}", won / 1_000.0),
+            format!("{:.2}", lost / 1_000.0),
+            format!("{losing}"),
+            ratio(50.0),
+            ratio(10.0),
+        ]);
+    }
+    t.print();
+
+    let header = |first: &'static str| -> Vec<&str> {
+        std::iter::once(first).chain(systems.iter().map(|(label, _)| *label)).collect()
+    };
+    // One cell per system: seconds lost (losing picks) where `keep` holds.
+    let lost_where = |keep: &dyn Fn(usize, &Pick) -> bool| -> Vec<String> {
+        let cell = |(ms, k): (f64, usize)| format!("{:.2} ({k})", ms / 1_000.0);
+        systems.iter().map(|(_, picks)| cell(losses(picks, keep))).collect()
+    };
+
+    println!("\n--- (c) seconds lost against arm 0 (losing picks), by retrain window");
+    let mut t = Table::new(&header("Retrain window"));
+    for w in 0..n.div_ceil(retrain) {
+        let span = w * retrain..((w + 1) * retrain).min(n);
+        let fitted = if w == 0 { "unfitted".to_string() } else { format!("fit {w}") };
+        let mut cells = vec![format!("queries {}-{} ({fitted})", span.start + 1, span.end)];
+        cells.extend(lost_where(&|i, _| span.contains(&i)));
+        t.row(cells);
+    }
+    t.print();
+
+    println!("\n--- (d) seconds lost against arm 0 (losing picks), by the arm picked");
+    let mut t = Table::new(&header("Arm picked"));
+    for (a, hints) in settings.arms.iter().enumerate() {
+        let mut cells = vec![format!("{a}: {hints}")];
+        cells.extend(lost_where(&|_, p| p.arm == a));
+        t.row(cells);
+    }
+    t.print();
+    println!();
+    println!("Won / lost: per query, the pick's cold latency against arm 0's. Oracle");
+    println!("headroom: the share of (PostgreSQL - oracle) a system keeps. Pred/actual:");
+    println!("the model's prediction for its pick over the latency it ran at, on the");
+    println!("picks that lost. Every learned total equals figure15a's row to the bit.");
+}
+
+/// The first index of the smallest value (ties to the lower arm, like the
+/// oracle strategy).
+fn argmin_first(xs: &[f64]) -> usize {
+    (0..xs.len()).fold(0, |best, i| if xs[i] < xs[best] { i } else { best })
 }
 
 /// Figure 15b: accuracy of Bao's predictive model over time — the median

@@ -70,8 +70,8 @@ impl Group {
         Group { name: name.to_string(), samples: samples.max(2) }
     }
 
-    /// Time `f`, printing per-iteration statistics.
-    pub fn bench<F: FnMut()>(&self, label: &str, mut f: F) {
+    /// Time `f`, printing and returning per-iteration statistics.
+    pub fn bench<F: FnMut()>(&self, label: &str, mut f: F) -> Stats {
         // Warmup + calibration: find a batch size whose wall time reaches
         // the target, so Instant overhead is negligible even for
         // microsecond-scale closures.
@@ -97,7 +97,7 @@ impl Group {
             }
             per_iter.push(start.elapsed().as_secs_f64() / batch as f64);
         }
-        self.report(label, &per_iter, batch);
+        self.report(label, &per_iter, batch)
     }
 
     /// Time several closures in turn — one call of each per round, after
@@ -137,8 +137,8 @@ impl Group {
 }
 
 /// One standalone benchmark (its own group of one).
-pub fn bench_function<F: FnMut()>(name: &str, samples: usize, f: F) {
-    Group { name: name.to_string(), samples: samples.max(2) }.bench("run", f);
+pub fn bench_function<F: FnMut()>(name: &str, samples: usize, f: F) -> Stats {
+    Group { name: name.to_string(), samples: samples.max(2) }.bench("run", f)
 }
 
 fn fmt_time(secs: f64) -> String {

@@ -693,7 +693,9 @@ impl<'a> Ctx<'a> {
         // serial one, so sums are bit-identical at any width.
         // Groups are kept in first-seen order, which also makes emission
         // order deterministic (the former HashMap-iteration emission was
-        // per-process random).
+        // per-process random). Without GROUP BY every row folds into group
+        // 0 and no key is built: probing the empty key cost more than the
+        // fold itself (DESIGN.md §13).
         let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
         // (representative row index, per-agg state), first-seen order.
         let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
@@ -701,13 +703,20 @@ impl<'a> Ctx<'a> {
         for (j, (keys, vals)) in parts.iter().enumerate() {
             let rows_in = jobs[j].len();
             for i in 0..rows_in {
-                let key = keys[i * gk..(i + 1) * gk].to_vec();
-                let gi = match index.get(&key) {
-                    Some(&gi) => gi,
-                    None => {
-                        index.insert(key, groups.len());
+                let gi = if gk == 0 {
+                    if groups.is_empty() {
                         groups.push((base + i, vec![AggState::new(); na]));
-                        groups.len() - 1
+                    }
+                    0
+                } else {
+                    let key = keys[i * gk..(i + 1) * gk].to_vec();
+                    match index.get(&key) {
+                        Some(&gi) => gi,
+                        None => {
+                            index.insert(key, groups.len());
+                            groups.push((base + i, vec![AggState::new(); na]));
+                            groups.len() - 1
+                        }
                     }
                 };
                 for (a, st) in groups[gi].1.iter_mut().enumerate() {
@@ -1200,5 +1209,183 @@ mod tests {
         rows.sort_by(|a, b| cmp_values(&a[0], &b[0]));
         let shown: Vec<String> = rows.iter().map(|r| r[0].to_string()).collect();
         assert_eq!(shown, ["-1.5", "-0", "0", "3", "NaN", "'a'", "'b'"]);
+    }
+
+    /// `aggregate` as it was before the ungrouped fold: every row, with or
+    /// without GROUP BY, looks its key up in a `HashMap<Vec<u64>, usize>`;
+    /// each group keeps (count, sum, min, max) per aggregate, updated in
+    /// row order, and rows are emitted in first-seen group order.
+    fn aggregate_keyed_oracle(
+        ctx: &Ctx<'_>,
+        input: &RowSet,
+        group_by: &[ColRef],
+        aggs: &[AggFunc],
+    ) -> Result<Vec<Vec<Value>>> {
+        let cell = |i: usize, c: &ColRef| {
+            let slot = input.slot_of(c.table).unwrap();
+            cell_key(column_of(&ctx.tables, c).unwrap(), input.row(i)[slot])
+        };
+        let fresh = vec![(0u64, 0.0, f64::INFINITY, f64::NEG_INFINITY); aggs.len()];
+        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut groups: Vec<(usize, Vec<(u64, f64, f64, f64)>)> = Vec::new();
+        for i in 0..input.len() {
+            let key: Vec<u64> = group_by.iter().map(|g| cell(i, g).to_bits()).collect();
+            let gi = *index.entry(key).or_insert_with(|| {
+                groups.push((i, fresh.clone()));
+                groups.len() - 1
+            });
+            for (a, st) in aggs.iter().zip(&mut groups[gi].1) {
+                let v = a.input().map_or(1.0, |c| cell(i, c));
+                *st = (st.0 + 1, st.1 + v, st.2.min(v), st.3.max(v));
+            }
+        }
+        if groups.is_empty() && group_by.is_empty() {
+            groups.push((usize::MAX, fresh));
+        }
+        let mut out = Vec::new();
+        for (rep, states) in groups {
+            let mut states = states.into_iter();
+            let mut row = Vec::new();
+            for item in &ctx.query.select {
+                row.push(match item {
+                    SelectItem::Column(_) if rep == usize::MAX => {
+                        return Err(BaoError::Planning("bare column in aggregate select".into()))
+                    }
+                    SelectItem::Column(c) if !group_by.contains(c) => {
+                        return Err(BaoError::InvalidQuery(format!(
+                            "selected column {}.{} is not in GROUP BY",
+                            c.table, c.column
+                        )))
+                    }
+                    SelectItem::Column(c) => ctx.tables[c.table]
+                        .column(&c.column)?
+                        .get(input.row(rep)[input.slot_of(c.table).unwrap()] as usize),
+                    SelectItem::Agg(a) => {
+                        let (count, sum, min, max) = states.next().unwrap();
+                        let float = |x| Value::Float(if count == 0 { 0.0 } else { x });
+                        match a {
+                            AggFunc::CountStar | AggFunc::Count(_) => Value::Int(count as i64),
+                            AggFunc::Sum(_) => float(sum),
+                            AggFunc::Min(_) => float(min),
+                            AggFunc::Max(_) => float(max),
+                            AggFunc::Avg(_) => float(sum / count as f64),
+                        }
+                    }
+                });
+            }
+            out.push(row);
+        }
+        Ok(out)
+    }
+
+    /// Tables `a` and `b` of `n` rows each: `g1` one value, `g16` sixteen,
+    /// `u` the row number, `f` a float drawn from -0.0, NaN, ±∞ and
+    /// magnitudes from 1e-300 to 1e300.
+    fn agg_db(n: usize, seed: u64) -> (Database, Vec<TableRef>) {
+        let mut rng = rng_from_seed(seed);
+        let mut db = Database::new();
+        for name in ["a", "b"] {
+            let mut t = Table::new(
+                name,
+                Schema::new(vec![
+                    ColumnDef::new("g1", DataType::Int),
+                    ColumnDef::new("g16", DataType::Int),
+                    ColumnDef::new("u", DataType::Int),
+                    ColumnDef::new("f", DataType::Float),
+                ]),
+            );
+            for i in 0..n {
+                let floats =
+                    [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e-300, 1e16];
+                let f = match rng.gen_index(3) {
+                    0 => floats[rng.gen_index(floats.len())],
+                    _ => (rng.gen_f64() - 0.5) * 10f64.powi(rng.gen_range(-8i64..=8) as i32),
+                };
+                t.insert(vec![
+                    Value::Int(7),
+                    Value::Int(rng.gen_range(0i64..16)),
+                    Value::Int(i as i64),
+                    Value::Float(f),
+                ])
+                .unwrap();
+            }
+            db.create_table(t).unwrap();
+        }
+        (db, ["a", "b"].map(TableRef::new).to_vec())
+    }
+
+    /// Every value by its bits, so `-0.0` and `0.0` differ, except that all
+    /// NaNs are one value: which NaN `a + b` returns when both are NaN is
+    /// up to code generation (LLVM leaves NaN sign and payload unspecified
+    /// and may swap the operands of an add), so it is no property of the
+    /// fold.
+    fn agg_bits(result: Result<Vec<Vec<Value>>>) -> std::result::Result<Vec<String>, String> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) if f.is_nan() => "NaN".to_string(),
+            Value::Float(f) => format!("f{:016x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let row = |r: &Vec<Value>| r.iter().map(cell).collect::<Vec<_>>().join(" ");
+        result.map(|rows| rows.iter().map(row).collect()).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn aggregate_fold_matches_the_keyed_fold_it_replaced() {
+        use AggFunc::{Avg, Count, CountStar, Max, Min, Sum};
+        const TABLE_ROWS: usize = 20_000;
+        let (db, tables) = agg_db(TABLE_ROWS, 41);
+        let params = CostParams::default();
+        let mut rng = rng_from_seed(43);
+        let (a, b) = (|c: &str| ColRef::new(0, c), |c: &str| ColRef::new(1, c));
+        let aggs = [Sum(a("f")), Min(a("f")), Max(b("f")), Avg(b("f")), Count(a("u")), Sum(a("u"))];
+        let groupings: [Vec<ColRef>; 5] =
+            [vec![], vec![a("g1")], vec![a("g16")], vec![a("u")], vec![a("g16"), b("g16")]];
+        let mut folded = 0;
+        for n in [0, 1, TABLE_ROWS] {
+            // Slot 0 holds `b` at random rows, slot 1 each row of `a` once:
+            // grouped by `a.u`, every input row is its own group.
+            let mut ids: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut ids);
+            let mut input = RowSet::new(vec![1, 0]);
+            for &id in &ids {
+                input.push(&[rng.gen_index(TABLE_ROWS) as u32, id]);
+            }
+            for group_by in &groupings {
+                // COUNT(*) first, the group columns, then the rest:
+                // columns and aggregates interleave in the SELECT list.
+                let select: Vec<SelectItem> = std::iter::once(SelectItem::Agg(CountStar))
+                    .chain(group_by.iter().cloned().map(SelectItem::Column))
+                    .chain(aggs.iter().cloned().map(SelectItem::Agg))
+                    .collect();
+                let mut bare = select.clone();
+                bare.push(SelectItem::Column(a("g1")));
+                for select in [select, bare] {
+                    let aggs: Vec<AggFunc> = select
+                        .iter()
+                        .filter_map(|s| match s {
+                            SelectItem::Agg(f) => Some(f.clone()),
+                            SelectItem::Column(_) => None,
+                        })
+                        .collect();
+                    let query = Query {
+                        tables: tables.clone(),
+                        select,
+                        group_by: group_by.clone(),
+                        ..Query::default()
+                    };
+                    for shard_workers in 1..=3 {
+                        let mut pool = BufferPool::new(16);
+                        let mut ctx =
+                            ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
+                        let want = agg_bits(aggregate_keyed_oracle(&ctx, &input, group_by, &aggs));
+                        let got = agg_bits(ctx.aggregate(&input, group_by, &aggs));
+                        let what = format!("{n} rows by {group_by:?}, width {shard_workers}");
+                        assert_eq!(got, want, "{what}");
+                        folded += n;
+                    }
+                }
+            }
+        }
+        assert!(folded > 500_000, "{folded} rows");
     }
 }
