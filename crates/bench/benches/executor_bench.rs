@@ -1,15 +1,18 @@
 //! Microbenchmarks of the cost-accurate executor: scans, joins, the
 //! cache-warm/cold difference, the buffer pool's page touch on its own,
-//! the join's one evaluation function on three key distributions, the
-//! sort on three key orders, the aggregate fold on three groupings, and
-//! `==` on empty slices.
+//! the scan filter on each column type, the join's one evaluation
+//! function on three int key distributions and on text keys, the sort on
+//! three key orders, the aggregate fold on three groupings and with
+//! `COUNT(*)` alone, and `==` on empty slices.
 
 use bao_bench::timing::bench_function;
 use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
 use bao_sql::parse_query;
 use bao_stats::StatsCatalog;
-use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode, Query, SelectItem, TableRef};
+use bao_plan::{
+    AggFunc, CmpOp, ColRef, JoinPred, Operator, PlanNode, Predicate, Query, SelectItem, TableRef,
+};
 use bao_storage::{
     AccessKind, BufferPool, ColumnDef, DataType, Database, PageKey, Schema, Table, Value,
 };
@@ -40,20 +43,71 @@ fn pool_benches(pool_pages: usize) {
     });
 }
 
-/// A hash join of two hand-made single-column tables with nothing above
-/// it (no aggregate fold; the root materializes at most 10,000 rows), so
-/// the time is key extraction, build, probe and fill. `l_key` / `r_key`
-/// give row `i`'s key on each side; the right side is the build side.
+/// A sequential scan of a hand-made 200,000-row single-column table of
+/// type `ty` under two predicates, `LIMIT 1` so that the root
+/// materializes one row: the time is page touches and the filter, in ns
+/// per scanned row. Row `i` holds `i * 7,919 % 200,000` (as `w<n % 64>`
+/// for text, over 200,000 for floats); the first predicate keeps about
+/// three quarters of the rows and the second retains most of those.
+fn seq_scan_filter_bench(name: &str, ty: DataType) {
+    const ROWS: i64 = 200_000;
+    let cell = |n: i64| match ty {
+        DataType::Int => Value::Int(n),
+        DataType::Text => Value::Str(format!("w{:02}", n % 64)),
+        DataType::Float => Value::Float(n as f64 / ROWS as f64),
+    };
+    let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("c", ty)]));
+    // Text codes follow first appearance: insert `w00`..`w63` in order
+    // first, so that code order is word order.
+    t.insert_many((0..64).chain((64..ROWS).map(|i| i * 7_919 % ROWS)).map(|n| vec![cell(n)]))
+        .unwrap();
+    let mut db = Database::new();
+    db.create_table(t).unwrap();
+    let c = ColRef::new(0, "c");
+    let (lo, not) = match ty {
+        DataType::Text => (cell(16), cell(40)),
+        _ => (cell(ROWS / 4), cell(ROWS / 2)),
+    };
+    let preds =
+        vec![Predicate::new(c.clone(), CmpOp::Ge, lo), Predicate::new(c.clone(), CmpOp::Ne, not)];
+    let q = Query {
+        tables: vec![TableRef::new("t")],
+        select: vec![SelectItem::Column(c)],
+        predicates: preds.clone(),
+        limit: Some(1),
+        ..Query::default()
+    };
+    let plan = PlanNode::new(Operator::SeqScan { table: 0, preds }, vec![]);
+    let opt = Optimizer::postgres();
+    let rates = ChargeRates::default();
+    let mut pool = BufferPool::new(1_024);
+    let kept = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[0];
+    let stats = bench_function(&format!("{name} ({ROWS} rows -> {kept})"), 20, || {
+        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+    });
+    println!("{name}: {:.1} ns per scanned row (median)", stats.median / ROWS as f64 * 1e9);
+}
+
+/// A hash join of two hand-made single-column tables of type `ty` with
+/// nothing above it (no aggregate fold; the root materializes at most
+/// 10,000 rows), so the time is key extraction, build, probe and fill, in
+/// ns per probe row. `l_key` / `r_key` give row `i`'s key on each side
+/// (as the word `w<key>` for text); the right side is the build side.
 fn hash_join_bench(
     name: &str,
+    ty: DataType,
     rows: (i64, i64),
     l_key: &dyn Fn(i64) -> i64,
     r_key: &dyn Fn(i64) -> i64,
 ) {
     let mut db = Database::new();
     for (table, n, key) in [("l", rows.0, l_key), ("r", rows.1, r_key)] {
-        let mut t = Table::new(table, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
-        t.insert_many((0..n).map(|i| vec![Value::Int(key(i))])).unwrap();
+        let mut t = Table::new(table, Schema::new(vec![ColumnDef::new("k", ty)]));
+        let cell = |k: i64| match ty {
+            DataType::Text => Value::Str(format!("w{k}")),
+            _ => Value::Int(k),
+        };
+        t.insert_many((0..n).map(|i| vec![cell(key(i))])).unwrap();
         db.create_table(t).unwrap();
     }
     let pred = JoinPred::new(ColRef::new(0, "k"), ColRef::new(1, "k"));
@@ -69,9 +123,11 @@ fn hash_join_bench(
     let rates = ChargeRates::default();
     let mut pool = BufferPool::new(1_024);
     let joined = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[0];
-    bench_function(&format!("{name} ({} x {} -> {joined} rows)", rows.0, rows.1), 20, || {
-        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
-    });
+    let stats =
+        bench_function(&format!("{name} ({} x {} -> {joined} rows)", rows.0, rows.1), 20, || {
+            black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+        });
+    println!("{name}: {:.1} ns per probe row (median)", stats.median / rows.0 as f64 * 1e9);
 }
 
 /// A sort of a hand-made single-column table on its key, over a
@@ -99,10 +155,10 @@ fn sort_bench(name: &str, rows: i64, key: &dyn Fn(i64) -> i64) {
     });
 }
 
-/// `COUNT(*)`, `SUM` and `AVG` over a sequential scan of a hand-made
-/// table, grouped by `group_by` (none, 16 keys, or a unique key): the
-/// aggregate fold with the scan under it, in ns per input row.
-fn aggregate_fold_bench(name: &str, rows: i64, group_by: &[&str]) {
+/// `aggs` (of the float column `v`) over a sequential scan of a
+/// hand-made table, grouped by `group_by` (none, 16 keys, or a unique
+/// key): the aggregate fold with the scan under it, in ns per input row.
+fn aggregate_fold_bench(name: &str, rows: i64, group_by: &[&str], aggs: &[AggFunc]) {
     let mut t = Table::new(
         "t",
         Schema::new(vec![
@@ -118,8 +174,7 @@ fn aggregate_fold_bench(name: &str, rows: i64, group_by: &[&str]) {
     let mut db = Database::new();
     db.create_table(t).unwrap();
     let group_by: Vec<ColRef> = group_by.iter().map(|c| ColRef::new(0, *c)).collect();
-    let v = ColRef::new(0, "v");
-    let aggs = vec![AggFunc::CountStar, AggFunc::Sum(v.clone()), AggFunc::Avg(v)];
+    let aggs = aggs.to_vec();
     let q = Query {
         tables: vec![TableRef::new("t")],
         select: group_by
@@ -162,9 +217,16 @@ fn main() {
     pool_benches(pool_pages);
 
     empty_slice_eq_benches();
-    aggregate_fold_bench("aggregate_fold_ungrouped", 200_000, &[]);
-    aggregate_fold_bench("aggregate_fold_grouped_16", 200_000, &["g16"]);
-    aggregate_fold_bench("aggregate_fold_grouped_unique", 200_000, &["u"]);
+    let v = ColRef::new(0, "v");
+    let fold = [AggFunc::CountStar, AggFunc::Sum(v.clone()), AggFunc::Avg(v)];
+    aggregate_fold_bench("aggregate_fold_ungrouped", 200_000, &[], &fold);
+    aggregate_fold_bench("aggregate_fold_grouped_16", 200_000, &["g16"], &fold);
+    aggregate_fold_bench("aggregate_fold_grouped_unique", 200_000, &["u"], &fold);
+    aggregate_fold_bench("aggregate_count_star_ungrouped", 200_000, &[], &[AggFunc::CountStar]);
+
+    seq_scan_filter_bench("seq_scan_filter_int", DataType::Int);
+    seq_scan_filter_bench("seq_scan_filter_text", DataType::Text);
+    seq_scan_filter_bench("seq_scan_filter_float", DataType::Float);
 
     // Distinct keys in a scattered order, in order, and 16 keys scattered.
     for rows in [1_000, 100_000] {
@@ -175,9 +237,14 @@ fn main() {
 
     // One match per probe; 16 keys with 64 build rows each; one probe in
     // 64 finds its key.
-    hash_join_bench("hash_join_unique_keys", (200_000, 200_000), &|i| i, &|i| i * 7 % 200_000);
-    hash_join_bench("hash_join_fanout", (20_000, 1_024), &|i| i % 16, &|i| i % 16);
-    hash_join_bench("hash_join_selective", (200_000, 50_000), &|i| i, &|i| i * 64);
+    // Text: one match per probe through the dictionary codes. Both sides
+    // meet the 1,000 words in the same order, so equal words share a code.
+    let int = DataType::Int;
+    hash_join_bench("hash_join_unique_keys", int, (200_000, 200_000), &|i| i, &|i| i * 7 % 200_000);
+    hash_join_bench("hash_join_fanout", int, (20_000, 1_024), &|i| i % 16, &|i| i % 16);
+    hash_join_bench("hash_join_selective", int, (200_000, 50_000), &|i| i, &|i| i * 64);
+    let text = DataType::Text;
+    hash_join_bench("hash_join_text_keys", text, (200_000, 1_000), &|i| i % 1_000, &|i| i);
 
     let db = build_imdb_database(0.1, 42).unwrap();
     let cat = StatsCatalog::analyze(&db, 1_000, 42);

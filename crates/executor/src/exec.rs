@@ -13,7 +13,7 @@
 //! width.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
-use crate::eval::{cell_join_key, cell_key, column_of, compile_preds};
+use crate::eval::{column_of, compile_preds, filter_rows, ColView};
 use crate::metrics::ExecutionMetrics;
 use crate::par::ExecConfig;
 use crate::rowset::RowSet;
@@ -320,11 +320,9 @@ impl<'a> Ctx<'a> {
         // outputs in slot order reproduces the serial ascending scan.
         let jobs = split(n, self.workers);
         let parts = run_jobs(self.workers, jobs.len(), |j| {
-            Ok(jobs[j]
-                .clone()
-                .map(|r| r as u32)
-                .filter(|&r| compiled.iter().all(|p| p.matches_row(r)))
-                .collect::<Vec<u32>>())
+            let mut ids = Vec::new();
+            filter_rows(&compiled, jobs[j].clone().map(|r| r as u32), &mut ids);
+            Ok(ids)
         })?;
         let mut ids = Vec::with_capacity(parts.iter().map(Vec::len).sum());
         for part in &parts {
@@ -367,7 +365,6 @@ impl<'a> Ctx<'a> {
         let compiled = compile_preds(&st.table, residual)?;
         let row_cpu =
             self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
-        let mut ids = Vec::with_capacity(probe.rows.len());
         for &r in probe.rows {
             self.meters.touch_page(
                 self.pool,
@@ -376,10 +373,9 @@ impl<'a> Ctx<'a> {
                 PageAccess::Random,
             );
             self.meters.charge_cpu(row_cpu);
-            if compiled.iter().all(|p| p.matches_row(r)) {
-                ids.push(r);
-            }
         }
+        let mut ids = Vec::with_capacity(probe.rows.len());
+        filter_rows(&compiled, probe.rows.iter().copied(), &mut ids);
         Ok(RowSet::from_single(from_idx, ids))
     }
 
@@ -436,7 +432,7 @@ impl<'a> Ctx<'a> {
         let outer_slot = outer
             .slot_of(param.table)
             .ok_or_else(|| BaoError::Planning("param column not in outer".into()))?;
-        let key_col = column_of(&self.tables, param)?;
+        let key_col = ColView::of(column_of(&self.tables, param)?);
         // Sanity: the lookup key must be the join key the planner chose.
         if pred.right.column != column {
             return Err(BaoError::Planning(
@@ -450,9 +446,12 @@ impl<'a> Ctx<'a> {
         let mut out = RowSet::new(
             outer.tables.iter().copied().chain(std::iter::once(inner_from)).collect(),
         );
+        // A float key fails here as it failed at the first outer row,
+        // before any lookup.
+        let keys = key_col.join_keys(outer.slot_ids(outer_slot, 0..outer.len()))?;
         let mut inner_rows_total = 0u64;
-        for orow in outer.iter() {
-            let key = cell_join_key(key_col, orow[outer_slot])?;
+        let mut passing = Vec::new();
+        for (orow, &key) in outer.iter().zip(&keys) {
             let probe = sidx.index.lookup(key);
             self.meters.charge_cpu(descent);
             for leaf in probe.leaf_pages {
@@ -465,6 +464,12 @@ impl<'a> Ctx<'a> {
             }
             self.meters
                 .charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
+            // `passing` is the subsequence of `probe.rows` that passes the
+            // residual, which depends on nothing but the id: the next
+            // passing row is this row exactly when their ids are equal.
+            // Touches, charges and the cap check keep their per-row order.
+            filter_rows(&compiled, probe.rows.iter().copied(), &mut passing);
+            let mut next_passing = passing.iter().peekable();
             for &r in probe.rows {
                 if !index_only {
                     self.meters.touch_page(
@@ -475,7 +480,7 @@ impl<'a> Ctx<'a> {
                     );
                     self.meters.charge_cpu(row_cpu);
                 }
-                if compiled.iter().all(|p| p.matches_row(r)) {
+                if next_passing.next_if_eq(&&r).is_some() {
                     inner_rows_total += 1;
                     out.push_joined(orow, &[r]);
                     if out.exceeds(ROW_CAP) {
@@ -502,21 +507,23 @@ impl<'a> Ctx<'a> {
                 .ok_or_else(|| BaoError::Planning("filter key not in input".into()))?;
             cols.push((
                 l_slot,
-                column_of(&self.tables, &p.left)?,
+                ColView::of(column_of(&self.tables, &p.left)?),
                 r_slot,
-                column_of(&self.tables, &p.right)?,
+                ColView::of(column_of(&self.tables, &p.right)?),
             ));
         }
-        let mut out = RowSet::new(rs.tables.clone());
-        'rows: for row in rs.iter() {
-            for (ls, lc, rs_slot, rc) in &cols {
-                if cell_join_key(lc, row[*ls])? != cell_join_key(rc, row[*rs_slot])? {
-                    continue 'rows;
-                }
-            }
-            out.push(row);
+        // Predicate at a time over the rows every earlier one kept, so a
+        // column is read only where the row-at-a-time check read it.
+        let mut keep: Vec<usize> = (0..rs.len()).collect();
+        for (l_slot, l_col, r_slot, r_col) in &cols {
+            let keys = |slot: usize, col: &ColView<'_>| {
+                col.join_keys(keep.iter().map(|&i| rs.row(i)[slot]))
+            };
+            let (l_keys, r_keys) = (keys(*l_slot, l_col)?, keys(*r_slot, r_col)?);
+            let mut equal = l_keys.iter().zip(&r_keys).map(|(l, r)| l == r);
+            keep.retain(|_| equal.next() == Some(true));
         }
-        Ok(out)
+        Ok(rs.permuted(&keep))
     }
 
     /// True equi-join of two row sets (always evaluated as a hash join;
@@ -555,15 +562,12 @@ impl<'a> Ctx<'a> {
         let r_slot = right
             .slot_of(rc.table)
             .ok_or_else(|| BaoError::Planning("join key not in right input".into()))?;
-        let l_col = column_of(&self.tables, lc)?;
-        let r_col = column_of(&self.tables, rc)?;
+        let l_col = ColView::of(column_of(&self.tables, lc)?);
+        let r_col = ColView::of(column_of(&self.tables, rc)?);
 
         let r_ranges = split(right.len(), self.workers);
         let key_parts = run_jobs(self.workers, r_ranges.len(), |j| {
-            r_ranges[j]
-                .clone()
-                .map(|i| cell_join_key(r_col, right.row(i)[r_slot]))
-                .collect::<Result<Vec<i64>>>()
+            r_col.join_keys(right.slot_ids(r_slot, r_ranges[j].clone()))
         })?;
 
         let mut table: FastMap<i64, (u32, u32)> = FastMap::default();
@@ -579,10 +583,10 @@ impl<'a> Ctx<'a> {
 
         let l_ranges = split(left.len(), self.workers);
         let probes = run_jobs(self.workers, l_ranges.len(), |j| {
-            let mut heads = Vec::with_capacity(l_ranges[j].len());
+            let keys = l_col.join_keys(left.slot_ids(l_slot, l_ranges[j].clone()))?;
+            let mut heads = Vec::with_capacity(keys.len());
             let mut matched = 0usize;
-            for li in l_ranges[j].clone() {
-                let key = cell_join_key(l_col, left.row(li)[l_slot])?;
+            for key in keys {
                 let (first, count) = table.get(&key).copied().unwrap_or((NO_ROW, 0));
                 heads.push(first);
                 matched += count as usize;
@@ -603,15 +607,16 @@ impl<'a> Ctx<'a> {
             let slot = rs
                 .slot_of(k.table)
                 .ok_or_else(|| BaoError::Planning("sort key not in input".into()))?;
-            cols.push((slot, column_of(&self.tables, k)?));
+            cols.push((slot, ColView::of(column_of(&self.tables, k)?)));
         }
         // One stable pass per key, last key first, so rows end up ordered
         // by the first key, ties by the next, and full ties in input order.
         // A pass reads its key once per row; no comparison looks a row up.
         let mut order: Vec<usize> = (0..rs.len()).collect();
         for (slot, col) in cols.iter().rev() {
+            let keys = col.values(order.iter().map(|&i| rs.row(i)[*slot]));
             let mut pairs: Vec<(u64, usize)> =
-                order.iter().map(|&i| (sort_key(cell_key(col, rs.row(i)[*slot])), i)).collect();
+                keys.into_iter().map(sort_key).zip(order.iter().copied()).collect();
             pairs.sort_by_key(|&(key, _)| key);
             order = pairs.into_iter().map(|(_, i)| i).collect();
         }
@@ -624,22 +629,24 @@ impl<'a> Ctx<'a> {
         group_by: &[ColRef],
         aggs: &[AggFunc],
     ) -> Result<Vec<Vec<Value>>> {
-        #[derive(Clone)]
-        struct AggState {
-            count: u64,
-            sum: f64,
-            min: f64,
-            max: f64,
-        }
-        impl AggState {
-            fn new() -> Self {
-                AggState { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-            }
-            fn update(&mut self, v: f64) {
-                self.count += 1;
-                self.sum += v;
-                self.min = self.min.min(v);
-                self.max = self.max.max(v);
+        /// Folds aggregate `a`'s input values, in global row order, into
+        /// accumulator `a` of each row's group (`row_group`; `None`
+        /// without GROUP BY, where every row is in group 0) by `step`.
+        fn fold_column(
+            accs: &mut [Vec<f64>],
+            a: usize,
+            vals: impl Iterator<Item = f64>,
+            row_group: Option<&[usize]>,
+            step: impl Fn(f64, f64) -> f64,
+        ) {
+            match (row_group, accs.first_mut()) {
+                (None, Some(group)) => group[a] = vals.fold(group[a], step),
+                (None, None) => {}
+                (Some(row_group), _) => {
+                    for (x, &g) in vals.zip(row_group) {
+                        accs[g][a] = step(accs[g][a], x);
+                    }
+                }
             }
         }
 
@@ -648,102 +655,109 @@ impl<'a> Ctx<'a> {
             let slot = input
                 .slot_of(g.table)
                 .ok_or_else(|| BaoError::Planning("group key not in input".into()))?;
-            group_cols.push((slot, column_of(&self.tables, g)?, g.clone()));
+            group_cols.push((slot, ColView::of(column_of(&self.tables, g)?), g.clone()));
         }
-        let mut agg_cols = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let col = match a.input() {
-                Some(c) => {
-                    let slot = input
-                        .slot_of(c.table)
-                        .ok_or_else(|| BaoError::Planning("agg input not in input".into()))?;
-                    Some((slot, column_of(&self.tables, c)?))
-                }
-                None => None,
-            };
-            agg_cols.push(col);
-        }
-
-        // Phase 1 (one range per worker, pure): per-row group-key bits and
-        // agg input values, flattened with fixed strides.
-        let gk = group_cols.len();
-        let na = aggs.len();
-        let jobs = split(input.len(), self.workers);
-        let parts = run_jobs(self.workers, jobs.len(), |j| {
-            let rows_in = jobs[j].len();
-            let mut keys: Vec<u64> = Vec::with_capacity(rows_in * gk);
-            let mut vals: Vec<f64> = Vec::with_capacity(rows_in * na);
-            for ri in jobs[j].clone() {
-                let row = input.row(ri);
-                for (slot, col, _) in &group_cols {
-                    keys.push(cell_key(col, row[*slot]).to_bits());
-                }
-                for col in &agg_cols {
-                    match col {
-                        Some((slot, c)) => vals.push(cell_key(c, row[*slot])),
-                        None => vals.push(1.0),
-                    }
+        // (aggregate position, slot, column) of every aggregate that folds
+        // a value; a `COUNT(col)` input is resolved but never read.
+        let mut value_cols = Vec::with_capacity(aggs.len());
+        for (a, agg) in aggs.iter().enumerate() {
+            if let Some(c) = agg.input() {
+                let slot = input
+                    .slot_of(c.table)
+                    .ok_or_else(|| BaoError::Planning("agg input not in input".into()))?;
+                let col = ColView::of(column_of(&self.tables, c)?);
+                if !matches!(agg, AggFunc::Count(_)) {
+                    value_cols.push((a, slot, col));
                 }
             }
+        }
+
+        // Phase 1 (one range per worker, pure): each group key column and
+        // each value input of the range, a column at a time.
+        let jobs = split(input.len(), self.workers);
+        let parts = run_jobs(self.workers, jobs.len(), |j| {
+            let ids = |slot| input.slot_ids(slot, jobs[j].clone());
+            let keys: Vec<Vec<u64>> = group_cols
+                .iter()
+                .map(|(slot, col, _)| {
+                    col.values(ids(*slot)).into_iter().map(f64::to_bits).collect()
+                })
+                .collect();
+            let vals: Vec<Vec<f64>> =
+                value_cols.iter().map(|(_, slot, col)| col.values(ids(*slot))).collect();
             Ok((keys, vals))
         })?;
 
-        // Phase 2 (coordinator, pinned order): fold the extracted rows in
-        // global row order — the f64 accumulation sequence is exactly the
-        // serial one, so sums are bit-identical at any width.
-        // Groups are kept in first-seen order, which also makes emission
-        // order deterministic (the former HashMap-iteration emission was
-        // per-process random). Without GROUP BY every row folds into group
-        // 0 and no key is built: probing the empty key cost more than the
-        // fold itself (DESIGN.md §13).
-        let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-        // (representative row index, per-agg state), first-seen order.
-        let mut groups: Vec<(usize, Vec<AggState>)> = Vec::new();
-        let mut base = 0usize;
-        for (j, (keys, vals)) in parts.iter().enumerate() {
-            let rows_in = jobs[j].len();
-            for i in 0..rows_in {
-                let gi = if gk == 0 {
-                    if groups.is_empty() {
-                        groups.push((base + i, vec![AggState::new(); na]));
-                    }
-                    0
-                } else {
-                    let key = keys[i * gk..(i + 1) * gk].to_vec();
-                    match index.get(&key) {
-                        Some(&gi) => gi,
-                        None => {
-                            index.insert(key, groups.len());
-                            groups.push((base + i, vec![AggState::new(); na]));
-                            groups.len() - 1
-                        }
-                    }
-                };
-                for (a, st) in groups[gi].1.iter_mut().enumerate() {
-                    st.update(vals[i * na + a]);
-                }
+        // Phase 2 (coordinator, pinned order): assign rows to groups, then
+        // fold each value input over the rows in global row order — the
+        // f64 accumulation sequence is exactly the serial one, so sums are
+        // bit-identical at any width. Groups are kept in first-seen order
+        // (representative row, row count), which also makes emission order
+        // deterministic. Without GROUP BY every row is in group 0 and no
+        // key is built: probing the empty key cost more than the fold
+        // itself (DESIGN.md §13).
+        let mut groups: Vec<(usize, u64)> = Vec::new();
+        // Each row's group, with GROUP BY only.
+        let mut row_group: Vec<usize> = Vec::new();
+        if group_cols.is_empty() {
+            if !input.is_empty() {
+                groups.push((0, input.len() as u64));
             }
-            base += rows_in;
+        } else {
+            row_group.reserve_exact(input.len());
+            let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
+            let mut base = 0usize;
+            for (job, (keys, _)) in jobs.iter().zip(&parts) {
+                for i in 0..job.len() {
+                    let key: Vec<u64> = keys.iter().map(|col| col[i]).collect();
+                    let gi = *index.entry(key).or_insert_with(|| {
+                        groups.push((base + i, 0));
+                        groups.len() - 1
+                    });
+                    groups[gi].1 += 1;
+                    row_group.push(gi);
+                }
+                base += job.len();
+            }
         }
         // Empty input with no GROUP BY still yields one all-empty row
         // (COUNT(*) = 0), like SQL.
         if groups.is_empty() && group_by.is_empty() {
-            groups.push((usize::MAX, vec![AggState::new(); na]));
+            groups.push((usize::MAX, 0));
+        }
+        // One accumulator per group and aggregate, each folded only by
+        // the operation its aggregate reports (counts' stay unused).
+        let start: Vec<f64> = aggs
+            .iter()
+            .map(|a| match a {
+                AggFunc::Min(_) => f64::INFINITY,
+                AggFunc::Max(_) => f64::NEG_INFINITY,
+                _ => 0.0,
+            })
+            .collect();
+        let mut accs = vec![start; groups.len()];
+        let row_group = (!group_cols.is_empty()).then_some(row_group.as_slice());
+        for (v, &(a, _, _)) in value_cols.iter().enumerate() {
+            let vals = parts.iter().flat_map(|(_, vals)| vals[v].iter().copied());
+            match aggs[a] {
+                AggFunc::Min(_) => fold_column(&mut accs, a, vals, row_group, f64::min),
+                AggFunc::Max(_) => fold_column(&mut accs, a, vals, row_group, f64::max),
+                _ => fold_column(&mut accs, a, vals, row_group, |sum, x| sum + x),
+            }
         }
 
         // Emit rows in SELECT-list order (columns and aggregates may
         // interleave arbitrarily there).
-        let agg_value = |a: &AggFunc, st: &AggState| match a {
-            AggFunc::CountStar | AggFunc::Count(_) => Value::Int(st.count as i64),
-            AggFunc::Sum(_) => Value::Float(if st.count == 0 { 0.0 } else { st.sum }),
-            AggFunc::Min(_) => Value::Float(if st.count == 0 { 0.0 } else { st.min }),
-            AggFunc::Max(_) => Value::Float(if st.count == 0 { 0.0 } else { st.max }),
-            AggFunc::Avg(_) => {
-                Value::Float(if st.count == 0 { 0.0 } else { st.sum / st.count as f64 })
+        let agg_value = |a: &AggFunc, count: u64, acc: f64| {
+            let float = |x: f64| Value::Float(if count == 0 { 0.0 } else { x });
+            match a {
+                AggFunc::CountStar | AggFunc::Count(_) => Value::Int(count as i64),
+                AggFunc::Sum(_) | AggFunc::Min(_) | AggFunc::Max(_) => float(acc),
+                AggFunc::Avg(_) => float(acc / count as f64),
             }
         };
         let mut out = Vec::with_capacity(groups.len());
-        for (rep, states) in groups {
+        for ((rep, count), accs) in groups.into_iter().zip(&accs) {
             let mut row = Vec::with_capacity(self.query.select.len());
             let mut next_agg = 0usize;
             for item in &self.query.select {
@@ -773,7 +787,7 @@ impl<'a> Ctx<'a> {
                         );
                     }
                     SelectItem::Agg(a) => {
-                        row.push(agg_value(a, &states[next_agg]));
+                        row.push(agg_value(a, count, accs[next_agg]));
                         next_agg += 1;
                     }
                 }
@@ -858,6 +872,7 @@ fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::tests::{cell_join_key, cell_key};
     use bao_common::{rng_from_seed, Rng};
     use bao_plan::TableRef;
     use bao_storage::{ColumnData, ColumnDef, DataType, Schema};
@@ -1015,19 +1030,32 @@ mod tests {
         assert!(joined > 10_000, "the cases must not all be empty: {joined} rows");
     }
 
+    /// A float key is a type mismatch once a row of its side is read, and
+    /// no error while its side is empty, since no cell is read there.
     #[test]
     fn float_join_key_is_a_type_mismatch() {
         let (db, query) = join_db(8, 5);
         let params = CostParams::default();
-        let mut pool = BufferPool::new(16);
-        let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
-        let ids = RowSet::from_single(0, vec![0, 1, 2]);
-        let other = RowSet::from_single(1, vec![0, 1, 2]);
-        // On the probe side, then on the build side.
-        for (l, r) in [("f", "k"), ("k", "f")] {
-            let pred = JoinPred::new(ColRef::new(0, l), ColRef::new(1, r));
-            let err = ctx.hash_join_rows(&ids, &other, &pred).unwrap_err();
-            assert!(matches!(err, BaoError::TypeMismatch(_)), "{l} = {r}: {err}");
+        let rows = |table, n: u32| RowSet::from_single(table, (0..n).collect());
+        for shard_workers in 1..=3 {
+            let mut pool = BufferPool::new(16);
+            let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
+            // On the probe side, then on the build side.
+            for (l, r) in [("f", "k"), ("k", "f")] {
+                let pred = JoinPred::new(ColRef::new(0, l), ColRef::new(1, r));
+                let what = format!("{l} = {r}, width {shard_workers}");
+                let err = ctx.hash_join_rows(&rows(0, 3), &rows(1, 3), &pred).unwrap_err();
+                assert!(matches!(err, BaoError::TypeMismatch(_)), "{what}: {err}");
+                // The float side empty, the other side not, then both.
+                let (float_side, other_side) = if l == "f" { (0, 1) } else { (1, 0) };
+                for other_n in [3, 0] {
+                    let mut sides = [rows(0, 0), rows(1, 0)];
+                    sides[other_side] = rows(other_side, other_n);
+                    let [left, right] = &sides;
+                    let out = ctx.hash_join_rows(left, right, &pred).unwrap();
+                    assert!(out.is_empty(), "{what}, side {float_side} empty");
+                }
+            }
         }
     }
 
@@ -1337,7 +1365,13 @@ mod tests {
         let params = CostParams::default();
         let mut rng = rng_from_seed(43);
         let (a, b) = (|c: &str| ColRef::new(0, c), |c: &str| ColRef::new(1, c));
-        let aggs = [Sum(a("f")), Min(a("f")), Max(b("f")), Avg(b("f")), Count(a("u")), Sum(a("u"))];
+        // Every kind over the NaN-bearing float column, and a SELECT of
+        // counts alone, which reads no value column.
+        let agg_lists = [
+            vec![Sum(a("f")), Min(a("f")), Max(b("f")), Avg(b("f")), Count(a("u")), Sum(a("u"))],
+            vec![Count(a("f")), Avg(a("f")), Count(b("f"))],
+            vec![Count(b("f")), Count(a("u"))],
+        ];
         let groupings: [Vec<ColRef>; 5] =
             [vec![], vec![a("g1")], vec![a("g16")], vec![a("u")], vec![a("g16"), b("g16")]];
         let mut folded = 0;
@@ -1350,7 +1384,8 @@ mod tests {
             for &id in &ids {
                 input.push(&[rng.gen_index(TABLE_ROWS) as u32, id]);
             }
-            for group_by in &groupings {
+            let cases = groupings.iter().flat_map(|g| agg_lists.iter().map(move |a| (g, a)));
+            for (group_by, aggs) in cases {
                 // COUNT(*) first, the group columns, then the rest:
                 // columns and aggregates interleave in the SELECT list.
                 let select: Vec<SelectItem> = std::iter::once(SelectItem::Agg(CountStar))
@@ -1386,6 +1421,6 @@ mod tests {
                 }
             }
         }
-        assert!(folded > 500_000, "{folded} rows");
+        assert!(folded > 1_500_000, "{folded} rows");
     }
 }

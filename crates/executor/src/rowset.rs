@@ -5,6 +5,8 @@
 //! the base tables. This keeps joins allocation-light and makes true
 //! cardinalities trivially observable.
 
+use std::ops::Range;
+
 /// A materialized intermediate result.
 #[derive(Debug, Clone, Default)]
 pub struct RowSet {
@@ -62,6 +64,17 @@ impl RowSet {
     pub fn row(&self, i: usize) -> &[u32] {
         let w = self.width();
         &self.rows[i * w..(i + 1) * w]
+    }
+
+    /// Slot `slot`'s ids of the rows in `range`, in order: one column of
+    /// the row-id tuples, read straight from the flat id slice.
+    pub fn slot_ids(
+        &self,
+        slot: usize,
+        range: Range<usize>,
+    ) -> impl ExactSizeIterator<Item = u32> + '_ {
+        let w = self.width();
+        self.rows[range.start * w..range.end * w].iter().skip(slot).step_by(w.max(1)).copied()
     }
 
     /// Append one composite row (must match `width()`).
@@ -122,6 +135,19 @@ mod tests {
         assert_eq!(rs.row(1), &[11, 21, 31]);
         let collected: Vec<&[u32]> = rs.iter().collect();
         assert_eq!(collected.len(), 2);
+    }
+
+    #[test]
+    fn slot_ids_read_one_column() {
+        let mut rs = RowSet::new(vec![0, 2, 1]);
+        for n in 0..5 {
+            rs.push(&[n, 10 + n, 20 + n]);
+        }
+        assert_eq!(rs.slot_ids(1, 1..4).collect::<Vec<_>>(), [11, 12, 13]);
+        assert_eq!(rs.slot_ids(2, 0..5).len(), 5);
+        assert_eq!(rs.slot_ids(0, 3..3).count(), 0);
+        let single = RowSet::from_single(0, vec![4, 5]);
+        assert_eq!(single.slot_ids(0, 0..2).collect::<Vec<_>>(), [4, 5]);
     }
 
     #[test]
