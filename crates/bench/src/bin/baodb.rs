@@ -57,7 +57,7 @@ enum Flow {
 impl Shell {
     /// A session over `db` with the shell's Bao configuration: six arms,
     /// retraining every 25 queries, inactive until `SET enable_bao`.
-    fn new(db: Database, seed: u64, wal_dir: &str) -> Shell {
+    fn new(db: Database, seed: u64) -> Shell {
         Shell {
             cat: StatsCatalog::analyze(&db, 1_000, seed),
             opt: Optimizer::postgres(),
@@ -70,11 +70,6 @@ impl Shell {
                 cache_features: true,
                 enabled: false, // like the paper: off until SET enable_bao TO on
                 seed,
-                durability: if wal_dir.is_empty() {
-                    None
-                } else {
-                    Some(bao_wal::DurabilityConfig::new(wal_dir))
-                },
                 ..BaoConfig::default()
             }),
             timing: true,
@@ -218,11 +213,6 @@ impl Shell {
         self.selects += 1;
         self.simulated_ms += m.latency.as_ms();
         self.bao.observe(sel.tree, m.latency.as_ms());
-        // One commit per statement: the interactive shell has no wave to
-        // batch across.
-        if let Err(e) = self.bao.wal_commit() {
-            println!("WARNING: wal commit failed: {e}");
-        }
     }
 }
 
@@ -256,30 +246,11 @@ fn main() {
     let scale = args.scale(0.1);
     let seed = args.seed();
     let script = args.string("script", "");
-    // --wal-dir <path>: log experience appends, retrain checkpoints, and
-    // model versions to a write-ahead log in <path> (DESIGN.md §14). The
-    // directory must not already hold a log.
-    let wal_dir = args.string("wal-dir", "");
 
     eprintln!("loading IMDb-like database (scale {scale})...");
     let db = build_imdb_database(scale, seed).expect("build database");
     let table_names = db.table_names().join(", ");
-    let mut shell = Shell::new(db, seed, &wal_dir);
-    let header = bao_wal::WalRecord::RunHeader {
-        seed: shell.bao.cfg.seed,
-        config_fp: shell.bao.config_fingerprint(),
-    };
-    match shell.bao.open_wal(header) {
-        Ok(opened) => {
-            if opened {
-                eprintln!("wal: logging to {wal_dir}");
-            }
-        }
-        Err(e) => {
-            eprintln!("cannot open wal in {wal_dir}: {e}");
-            std::process::exit(2);
-        }
-    }
+    let mut shell = Shell::new(db, seed);
 
     if !script.is_empty() {
         // Non-interactive: run the script through the same loop.
@@ -333,7 +304,7 @@ mod tests {
     /// so the statement goes through the six-arm family.
     fn run_explain_analyze(sql: &str, fitted: bool) -> (String, Shell, Query, Selection) {
         let db = build_imdb_database(0.02, 3).expect("build database");
-        let mut shell = Shell::new(db, 3, "");
+        let mut shell = Shell::new(db, 3);
         let Ok(Statement::ExplainAnalyze(q)) = parse_statement(sql) else {
             panic!("not an EXPLAIN ANALYZE: {sql}");
         };

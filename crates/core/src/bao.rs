@@ -12,9 +12,7 @@ use bao_opt::{HintSet, Optimizer, PlanOutput};
 use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
-use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
 use std::hash::Hasher;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Bao configuration (paper §6.1 defaults: 48/49 arms, window k = 2000,
@@ -36,10 +34,6 @@ pub struct BaoConfig {
     /// ablation).
     pub bootstrap: bool,
     pub seed: u64,
-    /// Write-ahead logging of experience appends, retrain boundaries,
-    /// and model checkpoints (DESIGN.md §14). `None` (the default) keeps
-    /// the historical in-memory behaviour.
-    pub durability: Option<DurabilityConfig>,
 }
 
 impl Default for BaoConfig {
@@ -52,7 +46,6 @@ impl Default for BaoConfig {
             enabled: true,
             bootstrap: true,
             seed: 0,
-            durability: None,
         }
     }
 }
@@ -127,12 +120,6 @@ pub struct Bao {
     critical: Vec<CriticalGroup>,
     /// Cumulative wall-clock time spent training (Figure 15c).
     pub total_train_wall: Duration,
-    /// Attached write-ahead log; appends are buffered here and flushed
-    /// by the harness's per-wave [`Bao::wal_commit`].
-    wal: Option<Mutex<Wal>>,
-    /// Lifetime observation counter — the `step` field of logged
-    /// experience appends (survives recovery replay).
-    observed: usize,
 }
 
 impl Bao {
@@ -158,78 +145,11 @@ impl Bao {
             retrains: 0,
             critical: Vec::new(),
             total_train_wall: Duration::ZERO,
-            wal: None,
-            observed: 0,
         }
     }
 
     pub fn featurizer(&self) -> &Featurizer {
         &self.featurizer
-    }
-
-    /// Attach an open WAL. Subsequent [`Bao::observe`] calls buffer
-    /// `ExperienceAppend` frames into it and retrains buffer checkpoint
-    /// + boundary frames; nothing reaches disk until a commit.
-    pub fn attach_wal(&mut self, wal: Wal) {
-        self.wal = Some(Mutex::new(wal));
-    }
-
-    /// Buffer one frame into the attached WAL; without one `record` is
-    /// never built. Append cannot fail (it only buffers): I/O errors and
-    /// a poisoned lock both surface at the next [`Bao::wal_commit`].
-    pub fn wal_append(&self, record: impl FnOnce() -> WalRecord) {
-        if let Some(wal) = &self.wal {
-            if let Ok(mut w) = wal.lock() {
-                w.append(&record());
-            }
-        }
-    }
-
-    /// Flush buffered WAL frames to disk (one group commit). No-op
-    /// without an attached WAL.
-    pub fn wal_commit(&self) -> Result<()> {
-        match &self.wal {
-            Some(wal) => match wal.lock() {
-                Ok(mut w) => w.commit(),
-                Err(_) => Err(BaoError::Io("wal lock poisoned".into())),
-            },
-            None => Ok(()),
-        }
-    }
-
-    /// Fingerprint of the behaviour-determining configuration: the
-    /// fields that change *what* Bao decides, not how fast. The
-    /// durability knob itself is excluded, so a log written on one
-    /// machine replays on another.
-    pub fn config_fingerprint(&self) -> u64 {
-        let c = &self.cfg;
-        let desc = format!(
-            "arms={};window={};retrain={};cache_features={};enabled={};bootstrap={};seed={}",
-            c.arms.len(), c.window_size, c.retrain_interval, c.cache_features, c.enabled,
-            c.bootstrap, c.seed,
-        );
-        fnv64(desc.as_bytes())
-    }
-
-    /// Open a fresh log under `cfg.durability` (recovery goes through
-    /// `bao_harness::recover` instead), commit `header` as its first
-    /// frame, and attach it. Returns `false` when no durability is
-    /// configured or a WAL is already attached. The caller supplies the
-    /// header because only it knows what the log must match on replay:
-    /// the `baodb` shell fingerprints Bao's own configuration, the
-    /// experiment harness the full run configuration.
-    pub fn open_wal(&mut self, header: WalRecord) -> Result<bool> {
-        let Some(dur) = self.cfg.durability.clone() else {
-            return Ok(false);
-        };
-        if self.wal.is_some() {
-            return Ok(false);
-        }
-        let mut wal = Wal::open(dur)?;
-        wal.append(&header);
-        wal.commit()?;
-        self.attach_wal(wal);
-        Ok(true)
     }
 
     pub fn model_name(&self) -> &'static str {
@@ -238,6 +158,12 @@ impl Bao {
 
     pub fn is_model_fitted(&self) -> bool {
         self.model.is_fitted()
+    }
+
+    /// The value model's weights as JSON, for a durable log's checkpoint
+    /// frame; `None` for models without snapshots.
+    pub fn model_snapshot(&self) -> Option<String> {
+        self.model.snapshot_json()
     }
 
     pub fn experience_len(&self) -> usize {
@@ -279,27 +205,10 @@ impl Bao {
         pool: Option<&BufferPool>,
     ) -> Result<Selection> {
         if !self.cfg.enabled || !self.model.is_fitted() {
-            return self.plan_default_arm(opt, query, db, cat, pool);
+            return self.plan_arm(0, opt, query, db, cat, pool);
         }
         let (selection, _) = self.evaluate_arms(opt, query, db, cat, pool)?;
         Ok(selection)
-    }
-
-    /// Plan only arm 0 (the unhinted traditional optimizer) — no arm
-    /// fan-out, no model scoring. This is both the fallback when Bao is
-    /// disabled or unfitted, and the degraded path an overloaded serving
-    /// layer sheds queries onto (the graceful-degradation contract,
-    /// DESIGN.md §10): the selection still carries a featurized tree so
-    /// its observed reward feeds the experience buffer like any other.
-    pub fn plan_default_arm(
-        &self,
-        opt: &Optimizer,
-        query: &Query,
-        db: &Database,
-        cat: &StatsCatalog,
-        pool: Option<&BufferPool>,
-    ) -> Result<Selection> {
-        self.plan_arm(0, opt, query, db, cat, pool)
     }
 
     /// Plan exactly one arm — no fan-out, no model scoring. The plan-
@@ -307,6 +216,13 @@ impl Bao {
     /// same annotate → verify → featurize pipeline as a scored arm, so
     /// its observed reward feeds the experience buffer identically; only
     /// the 49-way planning and the TCNN inference are skipped.
+    ///
+    /// Arm 0 (the unhinted traditional optimizer) is both the fallback
+    /// when Bao is disabled or unfitted and the degraded path an
+    /// overloaded serving layer sheds queries onto (the graceful-
+    /// degradation contract, DESIGN.md §10): the selection still carries
+    /// a featurized tree, so its observed reward feeds the experience
+    /// buffer like any other.
     pub fn plan_arm(
         &self,
         arm: usize,
@@ -499,12 +415,6 @@ impl Bao {
     /// period elapses. Off-policy observations (plans Bao did not select,
     /// paper §4) go through the same path.
     pub fn observe(&mut self, tree: FeatTree, perf: f64) -> Option<RetrainReport> {
-        self.wal_append(|| WalRecord::ExperienceAppend {
-            step: self.observed as u64,
-            tree: tree.clone(),
-            perf,
-        });
-        self.observed += 1;
         self.experience.add(tree, perf);
         self.since_retrain += 1;
         if self.since_retrain >= self.cfg.retrain_interval {
@@ -515,11 +425,10 @@ impl Bao {
     }
 
     /// Replay one logged experience append during recovery: identical
-    /// state transitions to [`Bao::observe`] except nothing is logged
-    /// and no retrain fires — retrains are driven by the logged
-    /// boundary records via [`Bao::restore_retrain`].
+    /// state transitions to [`Bao::observe`] except no retrain fires —
+    /// retrains are driven by the logged boundary records via
+    /// [`Bao::restore_retrain`].
     pub fn restore_experience(&mut self, tree: FeatTree, perf: f64) {
-        self.observed += 1;
         self.experience.add(tree, perf);
         self.since_retrain += 1;
     }
@@ -561,17 +470,6 @@ impl Bao {
         self.since_retrain = 0;
         self.retrains += 1;
         let critical_rounds = self.fit_from_experience();
-        // Checkpoint first, boundary last: the boundary record is the
-        // marker recovery keys on, and a checkpoint without its boundary
-        // is simply superseded by the refit path.
-        let version = self.retrains as u64;
-        if let Some(model) = self.wal.as_ref().and_then(|_| self.model.snapshot_json()) {
-            self.wal_append(|| WalRecord::ModelCheckpoint { version, model });
-        }
-        self.wal_append(|| WalRecord::RetrainBoundary {
-            version,
-            experience_size: self.experience.len() as u64,
-        });
         let wall = started.elapsed();
         self.total_train_wall += wall;
         RetrainReport {
@@ -643,12 +541,6 @@ impl Bao {
             }
         }
         critical_rounds
-    }
-
-    /// Change the experience window (the Figure 15c sweep).
-    pub fn set_window(&mut self, window: usize) {
-        self.cfg.window_size = window;
-        self.experience.set_window(window);
     }
 }
 

@@ -45,15 +45,6 @@ impl Experience {
         let ys = self.entries.iter().map(|&(_, y)| y).collect();
         (trees, ys)
     }
-
-    /// Change the window size at runtime (the Figure 15c sweep varies k);
-    /// shrinking evicts oldest entries immediately.
-    pub fn set_window(&mut self, window: usize) {
-        self.window = window.max(1);
-        while self.entries.len() > self.window {
-            self.entries.pop_front();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -83,19 +74,6 @@ mod tests {
         assert_eq!(e.len(), 3);
         let (_, ys) = e.training_data();
         assert_eq!(ys, vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn shrinking_window_evicts() {
-        let mut e = Experience::new(10);
-        for i in 0..8 {
-            e.add(tree(i as f32), i as f64);
-        }
-        e.set_window(2);
-        assert_eq!(e.len(), 2);
-        let (_, ys) = e.training_data();
-        assert_eq!(ys, vec![6.0, 7.0]);
-        assert_eq!(e.window(), 2);
     }
 
     #[test]

@@ -59,12 +59,12 @@ impl Recovered {
     }
 }
 
-fn durability_of(cfg: &RunConfig) -> Result<DurabilityConfig> {
+/// The run's one durability setting, `BaoSettings::durability`; `None`
+/// for an in-memory run or a strategy other than Bao.
+pub(crate) fn durability_of(cfg: &RunConfig) -> Option<&DurabilityConfig> {
     match &cfg.strategy {
-        Strategy::Bao(s) => s.durability.clone().ok_or_else(|| {
-            BaoError::Config("recovery requires BaoSettings.durability".into())
-        }),
-        _ => Err(BaoError::Config("recovery requires the Bao strategy".into())),
+        Strategy::Bao(s) => s.durability.as_ref(),
+        _ => None,
     }
 }
 
@@ -74,7 +74,9 @@ fn durability_of(cfg: &RunConfig) -> Result<DurabilityConfig> {
 /// `RunHeader`), when the header does not match `cfg`, or when replay
 /// diverges from the logged outcomes.
 pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Recovered> {
-    let dur = durability_of(&cfg)?;
+    let dur = durability_of(&cfg).cloned().ok_or_else(|| {
+        BaoError::Config("recovery requires the Bao strategy with BaoSettings.durability".into())
+    })?;
     let mut scan = Wal::scan(&dur.dir)?;
     scan.rollback_to_last_outcome();
 
@@ -163,13 +165,10 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
     scan.report.resumed_at_step = done.records.len() as u64;
 
     // Truncate the on-disk log to the committed prefix and attach the
-    // reopened handle, so the resumed run keeps logging where the
-    // crashed one stopped. Replay above ran with no WAL attached —
-    // restores must never re-log.
-    let wal = Wal::resume(dur, &scan)?;
-    if let Some(bao) = runner.bao_mut() {
-        bao.attach_wal(wal);
-    }
+    // reopened handle to the runner, so the resumed run keeps logging
+    // where the crashed one stopped. Replay above ran with no WAL
+    // attached — restores must never re-log.
+    runner.wal = Some(Wal::resume(dur, &scan)?);
 
     Ok(Recovered { runner, done, report: scan.report })
 }
@@ -181,14 +180,15 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
 /// `RunResult` equals the uninterrupted run's. Intended for the
 /// crash-matrix tests and unattended replay harnesses; interactive
 /// callers should use [`recover`] and decide about destructive
-/// fallbacks themselves.
+/// fallbacks themselves: a replay divergence is a `Parse` error too, so
+/// this wipes a log that replays wrongly as readily as a torn header.
 pub fn recover_or_fresh(cfg: RunConfig, db: Database, workload: &Workload) -> Result<RunResult> {
     match recover(cfg.clone(), db.clone(), workload) {
         Ok(recovered) => recovered.resume(workload),
         Err(BaoError::NotFound(_)) | Err(BaoError::Parse(_)) => {
-            let dur = durability_of(&cfg)?;
-            if dur.dir.exists() {
-                std::fs::remove_dir_all(&dur.dir)
+            // `recover` got past its durability check to fail this way.
+            if let Some(dir) = durability_of(&cfg).map(|d| &d.dir).filter(|d| d.exists()) {
+                std::fs::remove_dir_all(dir)
                     .map_err(|e| BaoError::Io(format!("wiping wal dir: {e}")))?;
             }
             Runner::new(cfg, db).run(workload)

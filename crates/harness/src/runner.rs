@@ -14,7 +14,7 @@ use bao_plan::{fingerprint, PlanNode, Query, QueryFingerprint};
 use bao_sched::{Dispatch, SchedConfig};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
-use bao_wal::{fnv64, DurabilityConfig};
+use bao_wal::{fnv64, DurabilityConfig, Wal};
 use bao_workloads::{Workload, WorkloadStep};
 
 /// Which value model Bao runs with.
@@ -22,8 +22,6 @@ use bao_workloads::{Workload, WorkloadStep};
 pub enum ModelKind {
     /// Reduced-width TCNN (default for experiment sweeps).
     TcnnSmall,
-    /// The paper's full 256/128/64+32 TCNN.
-    TcnnPaper,
     /// Tiny TCNN for fast smoke runs and unit tests.
     TcnnFast,
     RandomForest,
@@ -44,10 +42,6 @@ impl ModelKind {
                     ..TrainConfig::default()
                 },
             )),
-            ModelKind::TcnnPaper => Box::new(TcnnModel::new(
-                TcnnConfig::paper(input_dim),
-                TrainConfig::default(),
-            )),
             ModelKind::TcnnFast => Box::new(TcnnModel::new(
                 TcnnConfig::tiny(input_dim),
                 TrainConfig { max_epochs: 20, ..TrainConfig::default() },
@@ -60,7 +54,6 @@ impl ModelKind {
     pub fn name(self) -> &'static str {
         match self {
             ModelKind::TcnnSmall => "tcnn",
-            ModelKind::TcnnPaper => "tcnn-paper",
             ModelKind::TcnnFast => "tcnn-fast",
             ModelKind::RandomForest => "random-forest",
             ModelKind::Linear => "linear",
@@ -77,10 +70,12 @@ pub struct BaoSettings {
     pub retrain: usize,
     pub cache_features: bool,
     pub bootstrap: bool,
-    /// Write-ahead logging (DESIGN.md §14): `Some` makes the runner open
-    /// a WAL before the first query, log every experience append /
-    /// retrain checkpoint / query outcome, and group-commit them. `None`
-    /// (the default) is the historical in-memory behaviour. The knob
+    /// Write-ahead logging (DESIGN.md §14), the one durability setting:
+    /// `Some` makes the query pipeline (`Runner::drive`) open a log in
+    /// this directory before the first query, write every experience
+    /// append, retrain checkpoint and boundary, cache invalidation and
+    /// query outcome, and group-commit them once per wave; `Bao` itself
+    /// never logs. `None` (the default) is the in-memory run. The knob
     /// never changes what is computed — only whether it survives a
     /// crash — so it is excluded from the run-config fingerprint.
     pub durability: Option<DurabilityConfig>,
@@ -123,7 +118,6 @@ impl BaoSettings {
             cache_features: self.cache_features,
             bootstrap: self.bootstrap,
             seed,
-            durability: self.durability.clone(),
             ..BaoConfig::default()
         };
         let dim = bao_core::Featurizer::new(self.cache_features).input_dim();
@@ -386,6 +380,10 @@ pub struct Runner {
     /// tenant; `ServingRunner` is the builder that sets these.
     pub(crate) serving: ServingConfig,
     pub(crate) sched: SchedConfig,
+    /// The durable run's open log, written only by the pipeline. A fresh
+    /// run opens it at its first `drive`; recovery attaches the resumed
+    /// log, truncated to the committed prefix.
+    pub(crate) wal: Option<Wal>,
 }
 
 impl Runner {
@@ -403,7 +401,7 @@ impl Runner {
             Strategy::Bao(s) => Chooser::Bao(Box::new(s.build(split_seed(cfg.seed, 2)))),
         };
         let (serving, sched) = (ServingConfig::new(1, 1), SchedConfig::single_tenant());
-        Runner { cfg, db, cat, pool, opt, chooser, serving, sched }
+        Runner { cfg, db, cat, pool, opt, chooser, serving, sched, wal: None }
     }
 
     /// Override the buffer pool size (Figure 13's in-memory regime).

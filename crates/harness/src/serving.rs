@@ -18,7 +18,10 @@
 //! luck — see the invariants on [`ServingRunner::run`] and DESIGN.md
 //! §9–10.
 
-use crate::runner::{config_fingerprint, Chosen, QueryRecord, RunConfig, RunResult, Runner};
+use crate::recover::durability_of;
+use crate::runner::{
+    config_fingerprint, Chooser, Chosen, QueryRecord, RunConfig, RunResult, Runner,
+};
 use bao_cache::{CacheStats, DriftOutcome, PlanCache, PlanCacheConfig};
 use bao_cloud::gpu_train_time;
 use bao_common::json::ToJson;
@@ -27,7 +30,7 @@ use bao_exec::execute;
 use bao_sched::{QueryArrival, SchedConfig, SchedReport, Scheduler};
 use bao_stats::StatsCatalog;
 use bao_storage::Database;
-use bao_wal::WalRecord;
+use bao_wal::{Wal, WalRecord};
 use bao_workloads::{apply_event, Workload};
 
 /// Deterministic latency perturbation for drift testing: every query at
@@ -239,6 +242,12 @@ impl Runner {
     /// and re-derives the records and accumulators in the original f64
     /// addition order. Replay runs with no WAL attached, so nothing is
     /// re-logged.
+    ///
+    /// This loop is the only writer of the write-ahead log (DESIGN.md §14).
+    /// Per query it logs, in order: any cache invalidation; the experience
+    /// append, numbered by the queries committed before it; a retrain's
+    /// checkpoint and boundary; and the outcome, which is the commit marker.
+    /// Each wave ends in one group commit.
     pub(crate) fn drive(
         &mut self,
         workload: &Workload,
@@ -248,14 +257,16 @@ impl Runner {
     ) -> Result<SchedServingReport> {
         let serving = self.serving;
         // Open the log of a fresh durable run, its header fingerprinting the
-        // full run configuration (a no-op without durability, and for a
-        // resumed run, which arrives with its truncated log attached; a
-        // replay must not log at all). Logging is invisible to everything
-        // computed below: appends buffer in memory and the flush is one
-        // group commit per wave.
-        let (seed, config_fp) = (self.cfg.seed, config_fingerprint(&self.cfg));
-        if let (None, Some(bao)) = (replay, self.bao_mut()) {
-            bao.open_wal(WalRecord::RunHeader { seed, config_fp })?;
+        // full run configuration (not for a resumed run, which arrives with
+        // its truncated log attached; a replay must not log at all). Logging
+        // is invisible to everything computed below: appends buffer in
+        // memory and the flush is one group commit per wave.
+        if let (None, None, Some(dur)) = (replay, &self.wal, durability_of(&self.cfg)) {
+            let mut wal = Wal::open(dur.clone())?;
+            let config_fp = config_fingerprint(&self.cfg);
+            wal.append(&WalRecord::RunHeader { seed: self.cfg.seed, config_fp });
+            wal.commit()?;
+            self.wal = Some(wal);
         }
         // Invariant 3: only Bao without cache features coalesces.
         let cache_features = self.bao().map(|bao| bao.cfg.cache_features);
@@ -403,7 +414,11 @@ impl Runner {
                     // arm — are ignored by the cache). Under overload the
                     // drifted entry is re-pinned to arm 0 and the scheduler's
                     // per-tenant telemetry records the shed.
-                    if let (Some(cache), Some(fp), Some(bao)) = (cache.as_mut(), fp, self.bao()) {
+                    let bao = match &mut self.chooser {
+                        Chooser::Bao(bao) => Some(bao),
+                        _ => None,
+                    };
+                    if let (Some(cache), Some(fp), Some(bao)) = (cache.as_mut(), fp, &bao) {
                         let outcome = cache.observe(fp, rec.arm, rec.perf, scheduler.queued_len());
                         if outcome == DriftOutcome::Shed {
                             scheduler.note_drift_shed(d.tenant);
@@ -416,8 +431,8 @@ impl Runner {
                             DriftOutcome::Evicted => Some("drift_evicted"),
                             _ => None,
                         };
-                        if let Some(reason) = reason {
-                            bao.wal_append(|| WalRecord::CacheInvalidation {
+                        if let (Some(reason), Some(wal)) = (reason, &mut self.wal) {
+                            wal.append(&WalRecord::CacheInvalidation {
                                 version: bao.model_version() as u64,
                                 reason: reason.into(),
                             });
@@ -427,11 +442,34 @@ impl Runner {
                     // Feed Bao's experience and retrain on schedule. (A
                     // replayed query carries no tree: its experience is
                     // already restored, its GPU time already in the record.)
-                    if let (Some(bao), Some(tree)) = (self.bao_mut(), tree) {
+                    // Every committed query was observed exactly once, so the
+                    // committed count numbers the experience append.
+                    if let (Some(bao), Some(tree)) = (bao, tree) {
+                        if let Some(wal) = &mut self.wal {
+                            wal.append(&WalRecord::ExperienceAppend {
+                                step: done.records.len() as u64,
+                                tree: tree.clone(),
+                                perf: rec.perf,
+                            });
+                        }
                         if let Some(report) = bao.observe(tree, rec.perf) {
                             rec.gpu_time =
                                 gpu_train_time(report.experience_size, report.epochs.max(1));
                             done.wall_train += report.wall;
+                            // Checkpoint first, boundary last: the boundary is
+                            // the marker recovery keys on, and a checkpoint
+                            // without its boundary is superseded by the refit
+                            // path.
+                            if let Some(wal) = &mut self.wal {
+                                let version = bao.model_version() as u64;
+                                if let Some(model) = bao.model_snapshot() {
+                                    wal.append(&WalRecord::ModelCheckpoint { version, model });
+                                }
+                                wal.append(&WalRecord::RetrainBoundary {
+                                    version,
+                                    experience_size: report.experience_size as u64,
+                                });
+                            }
                         }
                     }
 
@@ -453,8 +491,8 @@ impl Runner {
                     // The outcome frame is deliberately the query's last:
                     // recovery treats it as the commit marker and rolls back
                     // anything after it.
-                    if let Some(bao) = self.bao() {
-                        bao.wal_append(|| WalRecord::QueryOutcome { record: rec.to_json() });
+                    if let Some(wal) = &mut self.wal {
+                        wal.append(&WalRecord::QueryOutcome { record: rec.to_json() });
                     }
                     done.records.push(rec);
                 }
@@ -463,8 +501,8 @@ impl Runner {
                 // fsync policy) covers the whole wave's frames — this is the
                 // batching that keeps WAL overhead (the repo benchmark's
                 // `wal.run_overhead_frac`) small.
-                if let Some(bao) = self.bao() {
-                    bao.wal_commit()?;
+                if let Some(wal) = &mut self.wal {
+                    wal.commit()?;
                 }
                 now += wave_opt_max + wave_exec;
                 waves += 1;

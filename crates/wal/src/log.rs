@@ -45,8 +45,8 @@ pub enum FsyncPolicy {
     Never,
 }
 
-/// Durability knob threaded through `BaoConfig` / `BaoSettings` /
-/// `baodb --wal-dir`.
+/// Durability knob: `bao_harness::BaoSettings::durability`, the one
+/// place a run asks for a log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
     /// Directory holding `wal-NNNNNN.seg` files. Created on open; open

@@ -21,7 +21,8 @@ pub enum WalRecord {
     /// replay a log against a different workload setup.
     RunHeader { seed: u64, config_fp: u64 },
     /// One (plan-tree, reward) pair entering the experience window.
-    /// `step` is the 0-based observation counter.
+    /// `step` is the 0-based observation counter: the number of queries
+    /// the run committed before this one, in dispatch order.
     ExperienceAppend { step: u64, tree: FeatTree, perf: f64 },
     /// A retrain completed; `version` is the post-increment model-version
     /// counter and `experience_size` the window size it trained on.

@@ -20,14 +20,16 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use bao_common::{json, BaoError, SimDuration};
 use bao_harness::{
     recover, recover_or_fresh, BaoSettings, ModelKind, RunConfig, Runner, ServingConfig,
     ServingRunner, Strategy,
 };
 use bao_opt::HintSet;
+use bao_sched::QueryArrival;
 use bao_wal::frame::{decode_frame, FrameDecode, SEGMENT_HEADER_LEN};
-use bao_wal::{DurabilityConfig, FsyncPolicy, Wal};
-use bao_workloads::Workload;
+use bao_wal::{DurabilityConfig, FsyncPolicy, Wal, WalRecord};
+use bao_workloads::{Workload, WorkloadStep};
 use bao_storage::Database;
 
 const SCALE: f64 = 0.01;
@@ -94,6 +96,12 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
 }
 
 /// One crash case: install `bytes` as the log, recover, finish, compare.
+///
+/// While the damage leaves frame 0 (the `RunHeader`) whole, recovery must
+/// succeed on its own: `recover_or_fresh` would wipe the log and rerun on
+/// any `Parse` error, a replay divergence included, and the fresh run's
+/// bytes would hide it. Only damage inside the segment header or frame 0
+/// may take the wipe-and-rerun path.
 fn assert_recovers(
     case_dir: &Path,
     bytes: &[u8],
@@ -108,9 +116,14 @@ fn assert_recovers(
     fs::create_dir_all(case_dir).unwrap();
     fs::write(segment0(case_dir), bytes).unwrap();
     let cfg = run_config(seed, Some(case_dir));
-    let result = recover_or_fresh(cfg, db.clone(), wl).unwrap_or_else(|e| {
-        panic!("recovery failed for {what}: {e}");
-    });
+    let header_end = frame_boundaries(golden_wal)[1];
+    let header_whole = bytes.len() >= header_end && bytes[..header_end] == golden_wal[..header_end];
+    let result = if header_whole {
+        recover(cfg, db.clone(), wl).and_then(|rec| rec.resume(wl))
+    } else {
+        recover_or_fresh(cfg, db.clone(), wl)
+    }
+    .unwrap_or_else(|e| panic!("recovery failed for {what}: {e}"));
     assert_eq!(
         result.canonical_json().into_bytes(),
         golden_result,
@@ -330,7 +343,8 @@ fn recovery_crosses_segment_rotation() {
                 .with_segment_bytes(4096),
         );
     }
-    let result = recover_or_fresh(case_cfg, db.clone(), &wl).unwrap();
+    // Frame 0 is whole in the first segment, so recovery must not wipe.
+    let result = recover(case_cfg, db.clone(), &wl).and_then(|rec| rec.resume(&wl)).unwrap();
     assert_eq!(result.canonical_json().into_bytes(), golden_result);
     let _ = fs::remove_dir_all(&root);
 }
@@ -364,13 +378,70 @@ fn serving_run_recovers_to_identical_result() {
         let _ = fs::remove_dir_all(&case_dir);
         fs::create_dir_all(&case_dir).unwrap();
         fs::write(segment0(&case_dir), &golden_wal[..cut]).unwrap();
-        let result =
-            recover_or_fresh(run_config(seed, Some(&case_dir)), db2.clone(), &wl).unwrap();
+        let result = recover(run_config(seed, Some(&case_dir)), db2.clone(), &wl)
+            .and_then(|rec| rec.resume(&wl))
+            .unwrap();
         assert_eq!(
             result.canonical_json().into_bytes(),
             golden_result,
             "serving recovery at cut {cut}"
         );
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// An open-loop run whose arrivals come in reverse step order dispatches
+/// out of step order. Its log numbers experience appends in dispatch
+/// order — `step` counts the queries observed before it — and recovery,
+/// which resumes at step `committed.len()`, refuses the log instead of
+/// resuming at the wrong step.
+#[test]
+fn scheduled_run_logs_in_dispatch_order_and_recovery_refuses_it() {
+    let root = temp_root("scheduled");
+    let seed = 61;
+    let (db, wl) = workload(seed);
+    // Events would cut the run into epochs dispatched one after another;
+    // without them every arrival competes in one epoch.
+    let steps: Vec<WorkloadStep> = wl
+        .steps
+        .iter()
+        .map(|s| WorkloadStep { label: s.label.clone(), query: s.query.clone(), event: None })
+        .collect();
+    let wl = Workload { name: "imdb-no-events".into(), steps };
+    let arrivals: Vec<QueryArrival> = (0..N_QUERIES)
+        .map(|idx| QueryArrival {
+            idx,
+            tenant: 0,
+            arrival: SimDuration::from_ms((N_QUERIES - idx) as f64),
+        })
+        .collect();
+    let dir = root.join("log");
+    let report =
+        ServingRunner::new(run_config(seed, Some(&dir)), db.clone(), ServingConfig::new(1, 1))
+            .run_scheduled(&wl, &arrivals)
+            .unwrap();
+    let dispatched: Vec<usize> = report.dispatches.iter().map(|d| d.idx).collect();
+    assert_eq!(dispatched, (0..N_QUERIES).rev().collect::<Vec<_>>(), "dispatch order");
+
+    let scan = Wal::scan(&dir).unwrap();
+    let mut appends = Vec::new();
+    let mut outcomes = Vec::new();
+    for f in &scan.frames {
+        match &f.record {
+            WalRecord::ExperienceAppend { step, .. } => appends.push(*step as usize),
+            WalRecord::QueryOutcome { record } => {
+                outcomes.push(json::field::<usize>(record, "idx").unwrap())
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(appends, (0..N_QUERIES).collect::<Vec<_>>(), "experience steps count dispatches");
+    assert_eq!(outcomes, dispatched, "outcomes are logged in dispatch order");
+
+    match recover(run_config(seed, Some(&dir)), db, &wl) {
+        Err(BaoError::Config(msg)) => assert!(msg.contains("not a step-order log"), "{msg}"),
+        Err(e) => panic!("expected the step-order refusal, got {e}"),
+        Ok(_) => panic!("recovery resumed a log written out of step order"),
     }
     let _ = fs::remove_dir_all(&root);
 }
