@@ -27,7 +27,6 @@
 //! is inert and the serving path is byte-identical to the uncached one
 //! (pinned by `tests/serving_equivalence.rs`).
 
-use bao_common::{Json, ToJson};
 use bao_plan::QueryFingerprint;
 use std::collections::BTreeMap;
 
@@ -109,21 +108,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-}
-
-impl ToJson for CacheStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("hits", self.hits.to_json()),
-            ("misses", self.misses.to_json()),
-            ("inserts", self.inserts.to_json()),
-            ("evictions", self.evictions.to_json()),
-            ("retrain_invalidations", self.retrain_invalidations.to_json()),
-            ("drift_evictions", self.drift_evictions.to_json()),
-            ("drift_sheds", self.drift_sheds.to_json()),
-            ("hit_rate", self.hit_rate().to_json()),
-        ])
     }
 }
 
@@ -406,16 +390,5 @@ mod tests {
         // that observation says nothing about the cached choice.
         assert_eq!(c.observe(fp(1), 0, 500.0, 0), DriftOutcome::NotTracked);
         assert!(c.lookup(fp(1), 0).is_some());
-    }
-
-    #[test]
-    fn stats_serialize() {
-        let mut c = PlanCache::new(cfg(4, 3));
-        c.insert(fp(1), 7, 10.0, 0);
-        let _ = c.lookup(fp(1), 0);
-        let j = c.stats().to_json().to_string();
-        assert!(j.contains("\"hits\":1"), "{j}");
-        assert!(j.contains("\"hit_rate\":"), "{j}");
-        assert!(j.contains("\"drift_sheds\":0"), "{j}");
     }
 }

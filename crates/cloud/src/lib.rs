@@ -12,8 +12,7 @@
 //! setup, where the largest class comfortably caches the hot set and the
 //! smallest thrashes.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{Result, SimDuration};
+use bao_common::SimDuration;
 use bao_exec::ChargeRates;
 
 /// A Google-Cloud-like VM class.
@@ -100,29 +99,6 @@ pub struct CostReport {
     pub gpu_usd: f64,
 }
 
-impl ToJson for VmType {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("vcpus", self.vcpus.to_json()),
-            ("ram_gb", self.ram_gb.to_json()),
-            ("usd_per_hour", self.usd_per_hour.to_json()),
-        ])
-    }
-}
-
-impl ToJson for CostReport {
-    fn to_json(&self) -> Json {
-        Json::obj([("vm_usd", self.vm_usd.to_json()), ("gpu_usd", self.gpu_usd.to_json())])
-    }
-}
-
-impl FromJson for CostReport {
-    fn from_json(j: &Json) -> Result<CostReport> {
-        Ok(CostReport { vm_usd: json::field(j, "vm_usd")?, gpu_usd: json::field(j, "gpu_usd")? })
-    }
-}
-
 impl CostReport {
     /// VM time covers execution + optimization; GPU time covers training
     /// (per-second billing, attach/detach included in the train time).
@@ -196,21 +172,6 @@ mod tests {
         // k=5000 trains in minutes, not hours (paper: "around three
         // minutes")
         assert!(big.as_secs() > 60.0 && big.as_secs() < 600.0, "{:?}", big.as_secs());
-    }
-
-    #[test]
-    fn cost_report_json_round_trip() {
-        let c = CostReport::compute(
-            N1_8,
-            SimDuration::from_secs(1_234.5),
-            SimDuration::from_secs(67.8),
-        );
-        let j = bao_common::json::parse(&c.to_json().to_string()).unwrap();
-        let back = CostReport::from_json(&j).unwrap();
-        // Exact f64 round trip: the json layer prints floats losslessly.
-        assert_eq!(c, back);
-        // Missing fields are an error, not a silent zero.
-        assert!(CostReport::from_json(&Json::obj([("vm_usd", 1.0.to_json())])).is_err());
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub enum BaoError {
     ModelNotFitted,
     /// Invalid configuration (window sizes, layer widths, VM names, ...).
     Config(String),
-    /// Arithmetic or shape error inside the neural-network substrate.
-    Shape(String),
     /// Filesystem I/O failure in the durability layer (WAL segments).
     Io(String),
 }
@@ -42,7 +40,6 @@ impl fmt::Display for BaoError {
             BaoError::Planning(s) => write!(f, "planning error: {s}"),
             BaoError::ModelNotFitted => write!(f, "value model has not been fitted"),
             BaoError::Config(s) => write!(f, "configuration error: {s}"),
-            BaoError::Shape(s) => write!(f, "shape error: {s}"),
             BaoError::Io(s) => write!(f, "io error: {s}"),
         }
     }

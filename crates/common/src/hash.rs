@@ -5,11 +5,10 @@
 //! per process, which is a determinism hazard wherever a map is iterated.
 //! Not for keys that arrive from outside the program.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// Multiply-xorshift: each word is added to the state and multiplied by an
 /// odd constant (2^64 / the golden ratio). A product's low bits depend only
@@ -67,6 +66,7 @@ impl Hasher for FastHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: T) -> u64 {
@@ -94,9 +94,9 @@ mod tests {
     /// bits the table takes its bucket from.
     #[test]
     fn high_bit_keys_spread_over_low_bits() {
-        let buckets: FastSet<u64> = (0..1024u32).map(|i| hash_of(i << 11) & 1023).collect();
+        let buckets: HashSet<u64> = (0..1024u32).map(|i| hash_of(i << 11) & 1023).collect();
         assert!(buckets.len() > 640, "{} of 1024 buckets", buckets.len());
-        let buckets: FastSet<u64> =
+        let buckets: HashSet<u64> =
             (0..1024i64).map(|i| hash_of((7u32, (i as u32) << 16)) & 1023).collect();
         assert!(buckets.len() > 640, "{} of 1024 buckets", buckets.len());
     }

@@ -1,6 +1,6 @@
 //! Small numeric utilities shared by the estimator, the harness, and the
-//! experiment binaries: percentiles, means, geometric means, and the
-//! q-error metric used throughout the paper's evaluation (Figure 15b).
+//! experiment binaries: percentiles, means, and the q-error metric used
+//! throughout the paper's evaluation (Figure 15b).
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -8,14 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Geometric mean of strictly positive values; 0.0 for an empty slice.
-pub fn geometric_mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.max(f64::MIN_POSITIVE).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
 /// Percentile via linear interpolation between closest ranks.
@@ -95,12 +87,6 @@ mod tests {
         let xs = [0.0, 100.0];
         assert!((percentile(&xs, 95.0) - 95.0).abs() < 1e-9);
         assert!((percentile(&xs, 99.5) - 99.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[]), 0.0);
     }
 
     #[test]

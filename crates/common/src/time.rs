@@ -38,10 +38,6 @@ impl SimDuration {
         SimDuration(s * 1_000.0)
     }
 
-    pub fn from_micros(us: f64) -> Self {
-        SimDuration(us / 1_000.0)
-    }
-
     pub fn as_ms(self) -> f64 {
         self.0
     }
@@ -117,8 +113,6 @@ mod tests {
         let d = SimDuration::from_secs(2.5);
         assert!((d.as_ms() - 2_500.0).abs() < 1e-9);
         assert!((d.as_secs() - 2.5).abs() < 1e-12);
-        let d = SimDuration::from_micros(1_500.0);
-        assert!((d.as_ms() - 1.5).abs() < 1e-12);
     }
 
     #[test]

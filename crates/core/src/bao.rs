@@ -63,9 +63,6 @@ pub struct Selection {
     /// Per-arm model predictions (`None` when the model is unfitted or
     /// the arm was not evaluated).
     pub predictions: Vec<Option<f64>>,
-    /// Total planning effort across all planned arms (simulated
-    /// optimization time derives from this).
-    pub planning_work: u64,
     /// Planning effort per planned arm (the cloud model turns this into
     /// parallel or sequential optimization time).
     pub per_arm_work: Vec<u64>,
@@ -250,7 +247,6 @@ impl Bao {
             plan: root,
             tree,
             predictions: vec![None; self.cfg.arms.len()],
-            planning_work: out.work,
             per_arm_work: vec![out.work],
             arms_planned: 1,
             distinct_plans: 1,
@@ -382,7 +378,6 @@ impl Bao {
                     plan,
                     tree,
                     predictions,
-                    planning_work: per_arm_work.iter().sum(),
                     per_arm_work,
                     arms_planned: n_arms,
                     distinct_plans: family.plans.len(),

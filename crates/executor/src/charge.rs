@@ -1,7 +1,6 @@
 //! Cost meters and simulated-time conversion.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{Result, SimDuration};
+use bao_common::SimDuration;
 use bao_opt::CostParams;
 use bao_storage::{AccessKind, BufferPool, PageKey};
 
@@ -18,35 +17,9 @@ pub struct ChargeRates {
     pub ms_per_io_unit: f64,
 }
 
-impl ToJson for ChargeRates {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("ms_per_cpu_unit", self.ms_per_cpu_unit.to_json()),
-            ("ms_per_io_unit", self.ms_per_io_unit.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ChargeRates {
-    fn from_json(j: &Json) -> Result<ChargeRates> {
-        Ok(ChargeRates {
-            ms_per_cpu_unit: json::field(j, "ms_per_cpu_unit")?,
-            ms_per_io_unit: json::field(j, "ms_per_io_unit")?,
-        })
-    }
-}
-
 impl Default for ChargeRates {
     fn default() -> Self {
         ChargeRates { ms_per_cpu_unit: 0.05, ms_per_io_unit: 0.1 }
-    }
-}
-
-impl ChargeRates {
-    /// Scale CPU speed (bigger VM classes are not faster per core in the
-    /// paper's N1 family, but the knob exists for experiments).
-    pub fn with_cpu_scale(self, scale: f64) -> Self {
-        ChargeRates { ms_per_cpu_unit: self.ms_per_cpu_unit / scale.max(1e-9), ..self }
     }
 }
 
@@ -150,7 +123,5 @@ mod tests {
         assert!((m.cpu_time(&r).as_ms() - 5.0).abs() < 1e-12);
         assert!((m.io_time(&r).as_ms() - 5.0).abs() < 1e-12);
         assert!((m.latency(&r).as_ms() - 10.0).abs() < 1e-12);
-        let fast = r.with_cpu_scale(2.0);
-        assert!((m.cpu_time(&fast).as_ms() - 2.5).abs() < 1e-12);
     }
 }

@@ -1,8 +1,8 @@
 //! Per-query execution metrics and the configurable performance metric
 //! Bao optimizes (paper §3: "a user-defined performance metric P").
 
-use bao_common::json::{FromJson, Json, ToJson};
-use bao_common::{BaoError, Result, SimDuration};
+use bao_common::json::{Json, ToJson};
+use bao_common::SimDuration;
 use bao_storage::Value;
 
 /// What Bao's reward measures (Figure 16 trains Bao against each).
@@ -14,30 +14,6 @@ pub enum PerfMetric {
     CpuTime,
     /// Physical I/O requests (buffer-pool misses).
     PhysicalIo,
-}
-
-impl ToJson for PerfMetric {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                PerfMetric::Latency => "Latency",
-                PerfMetric::CpuTime => "CpuTime",
-                PerfMetric::PhysicalIo => "PhysicalIo",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for PerfMetric {
-    fn from_json(j: &Json) -> Result<PerfMetric> {
-        match j.as_str() {
-            Some("Latency") => Ok(PerfMetric::Latency),
-            Some("CpuTime") => Ok(PerfMetric::CpuTime),
-            Some("PhysicalIo") => Ok(PerfMetric::PhysicalIo),
-            _ => Err(BaoError::Parse(format!("unknown PerfMetric {j:?}"))),
-        }
-    }
 }
 
 /// Everything observed while executing one plan.
@@ -74,22 +50,6 @@ impl ToJson for ExecutionMetrics {
     }
 }
 
-impl FromJson for ExecutionMetrics {
-    fn from_json(j: &Json) -> Result<ExecutionMetrics> {
-        use bao_common::json::field;
-        Ok(ExecutionMetrics {
-            latency: field(j, "latency")?,
-            cpu_time: field(j, "cpu_time")?,
-            io_time: field(j, "io_time")?,
-            page_hits: field(j, "page_hits")?,
-            page_misses: field(j, "page_misses")?,
-            rows_out: field(j, "rows_out")?,
-            node_true_rows: field(j, "node_true_rows")?,
-            output: field(j, "output")?,
-        })
-    }
-}
-
 impl ExecutionMetrics {
     /// The scalar reward value under a performance metric (lower is
     /// better, matching the paper's regret formulation).
@@ -121,32 +81,5 @@ mod tests {
         assert_eq!(m.perf(PerfMetric::Latency), 100.0);
         assert_eq!(m.perf(PerfMetric::CpuTime), 60.0);
         assert_eq!(m.perf(PerfMetric::PhysicalIo), 7.0);
-    }
-
-    #[test]
-    fn execution_metrics_round_trip_through_json() {
-        let m = ExecutionMetrics {
-            latency: SimDuration::from_ms(12.25),
-            cpu_time: SimDuration::from_ms(8.5),
-            io_time: SimDuration::from_ms(3.75),
-            page_hits: 42,
-            page_misses: 1 << 60, // u64 lane survives the parser
-            rows_out: 3,
-            node_true_rows: vec![3, 17, 0],
-            output: vec![
-                vec![Value::Int(7), Value::Str("abc".into())],
-                vec![Value::Float(2.5), Value::Int(-2)],
-            ],
-        };
-        let j = m.to_json();
-        let back = ExecutionMetrics::from_json(&j).expect("decode metrics");
-        assert_eq!(back.to_json().to_string(), j.to_string());
-        assert_eq!(back.latency, m.latency);
-        assert_eq!(back.page_misses, m.page_misses);
-        assert_eq!(back.node_true_rows, m.node_true_rows);
-        assert_eq!(back.output, m.output);
-        // A missing field is an error, not a default.
-        let truncated = Json::obj([("latency", m.latency.to_json())]);
-        assert!(ExecutionMetrics::from_json(&truncated).is_err());
     }
 }

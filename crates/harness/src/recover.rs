@@ -155,7 +155,7 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
     let done = runner.drive(workload, None, RunResult::default(), Some(&committed))?.serving.result;
     if let Some((got, want)) = done.records.iter().zip(&committed).find(|(got, want)| got != want) {
         let key = |r: &QueryRecord| (r.perf, r.latency, r.physical_io, r.clock);
-        return Err(BaoError::Parse(format!(
+        return Err(BaoError::Config(format!(
             "wal replay diverged at step {}: (perf, latency, io, clock) replayed {:?}, logged {:?}",
             want.idx,
             key(got),
@@ -177,11 +177,12 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
 /// directory and run the workload from scratch (with fresh logging).
 /// This makes crash handling *total*: for every possible crash point —
 /// including one torn inside the very first header frame — the final
-/// `RunResult` equals the uninterrupted run's. Intended for the
-/// crash-matrix tests and unattended replay harnesses; interactive
-/// callers should use [`recover`] and decide about destructive
-/// fallbacks themselves: a replay divergence is a `Parse` error too, so
-/// this wipes a log that replays wrongly as readily as a torn header.
+/// `RunResult` equals the uninterrupted run's. Only a log with nothing
+/// to recover (`NotFound`) or a damaged one (`Parse`) is wiped. A log
+/// that does not belong to this run — a header for another seed or
+/// configuration, or a replay that diverges from the logged outcomes
+/// because the database or build differs — is a `Config` error, returned
+/// with the log left as it is.
 pub fn recover_or_fresh(cfg: RunConfig, db: Database, workload: &Workload) -> Result<RunResult> {
     match recover(cfg.clone(), db.clone(), workload) {
         Ok(recovered) => recovered.resume(workload),

@@ -252,22 +252,6 @@ impl FromJson for QueryRecord {
     }
 }
 
-impl FromJson for RunResult {
-    fn from_json(j: &Json) -> Result<RunResult> {
-        let wall_secs: f64 = json::field(j, "wall_train_secs")?;
-        if !(wall_secs.is_finite() && wall_secs >= 0.0) {
-            return Err(BaoError::Parse("wall_train_secs must be a finite non-negative".into()));
-        }
-        Ok(RunResult {
-            records: json::field(j, "records")?,
-            total_exec: json::field(j, "total_exec")?,
-            total_opt: json::field(j, "total_opt")?,
-            total_gpu: json::field(j, "total_gpu")?,
-            wall_train: std::time::Duration::from_secs_f64(wall_secs),
-        })
-    }
-}
-
 impl RunResult {
     fn json_with_wall_train(&self, wall_train: std::time::Duration) -> Json {
         Json::obj([
@@ -662,25 +646,18 @@ mod tests {
     }
 
     #[test]
-    fn run_result_decodes_back_from_json() {
-        let result = sample_result();
-        let j = result.to_json();
+    fn query_record_decodes_back_from_json() {
+        let record = &sample_result().records[0];
+        let j = record.to_json();
         let parsed = json::parse(&j.to_string()).unwrap();
-        let back = RunResult::from_json(&parsed).expect("decode RunResult");
+        let back = QueryRecord::from_json(&parsed).expect("decode QueryRecord");
         // Decode → encode is the identity on the JSON text, which pins
         // every field (including the full plan tree) bit-for-bit.
         assert_eq!(back.to_json().to_string(), j.to_string());
-        assert_eq!(back.records.len(), result.records.len());
-        assert_eq!(back.records[0].arm, result.records[0].arm);
-        assert_eq!(back.records[0].plan, result.records[0].plan);
-        assert_eq!(back.total_exec, result.total_exec);
-        // wall_train goes through secs-as-f64; Duration nanos may round,
-        // so compare in f64 space.
-        assert!(
-            (back.wall_train.as_secs_f64() - result.wall_train.as_secs_f64()).abs() < 1e-9
-        );
+        assert_eq!(back.arm, record.arm);
+        assert_eq!(back.plan, record.plan);
         // Corrupt input surfaces as a parse error.
-        let bad = Json::obj([("records", Json::Arr(vec![]))]);
-        assert!(RunResult::from_json(&bad).is_err());
+        let bad = Json::obj([("idx", Json::Arr(vec![]))]);
+        assert!(QueryRecord::from_json(&bad).is_err());
     }
 }

@@ -119,7 +119,6 @@ impl Default for TrainConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     pub epochs_run: usize,
-    pub final_loss: f64,
     pub loss_history: Vec<f64>,
 }
 
@@ -321,7 +320,6 @@ fn train_loop(
     }
     TrainReport {
         epochs_run: history.len(),
-        final_loss: *history.last().unwrap_or(&0.0),
         loss_history: history,
     }
 }
@@ -365,7 +363,7 @@ fn train_observed(
 ) -> TrainReport {
     assert_eq!(trees.len(), targets.len());
     if trees.is_empty() {
-        return TrainReport { epochs_run: 0, final_loss: 0.0, loss_history: vec![] };
+        return TrainReport { epochs_run: 0, loss_history: vec![] };
     }
     let width = resolve_width(cfg.threads).min(max_shards(trees.len(), cfg));
     if width <= 1 {
@@ -406,7 +404,7 @@ pub fn train_reference(
 ) -> TrainReport {
     assert_eq!(trees.len(), targets.len());
     if trees.is_empty() {
-        return TrainReport { epochs_run: 0, final_loss: 0.0, loss_history: vec![] };
+        return TrainReport { epochs_run: 0, loss_history: vec![] };
     }
     let mut adam = Adam::new(cfg.adam);
     let mut rng = rng_from_seed(cfg.seed);
@@ -442,7 +440,6 @@ pub fn train_reference(
     }
     TrainReport {
         epochs_run: history.len(),
-        final_loss: *history.last().unwrap_or(&0.0),
         loss_history: history,
     }
 }
@@ -483,12 +480,8 @@ mod tests {
         let report = train(&mut net, &trees, &ys, &cfg);
         assert!(report.epochs_run >= 10);
         let first = report.loss_history[0];
-        assert!(
-            report.final_loss < first * 0.5,
-            "loss should halve: {} -> {}",
-            first,
-            report.final_loss
-        );
+        let last = report.loss_history[report.loss_history.len() - 1];
+        assert!(last < first * 0.5, "loss should halve: {first} -> {last}");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! optimizer's expectation only through cardinality estimation error —
 //! exactly the gap Bao's hint sets exploit.
 
-use bao_common::json::{Json, ToJson};
-
 /// Cost-model constants. Units are PostgreSQL cost units, where reading
 /// one page sequentially from disk costs 1.0.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,19 +31,6 @@ impl Default for CostParams {
             cpu_operator_cost: 0.0025,
             disable_cost: 1.0e10,
         }
-    }
-}
-
-impl ToJson for CostParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seq_page_cost", self.seq_page_cost.to_json()),
-            ("random_page_cost", self.random_page_cost.to_json()),
-            ("cpu_tuple_cost", self.cpu_tuple_cost.to_json()),
-            ("cpu_index_tuple_cost", self.cpu_index_tuple_cost.to_json()),
-            ("cpu_operator_cost", self.cpu_operator_cost.to_json()),
-            ("disable_cost", self.disable_cost.to_json()),
-        ])
     }
 }
 

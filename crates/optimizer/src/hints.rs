@@ -7,14 +7,8 @@
 //! scan operators {sequential, index, index only}".
 //!
 //! There are 7 × 7 = 49 such pairs, one of which (everything enabled) is
-//! the unhinted optimizer. [`HintSet::family_49`] is the full family;
-//! [`HintSet::family_48`] matches the paper's arm count by excluding the
-//! most restrictive pair (loop join + seq scan only), whose plans are
-//! always dominated in this engine. Experiment binaries use `family_49`
-//! unless `--arms 48` is requested.
+//! the unhinted optimizer. [`HintSet::family_49`] is the full family.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::Result;
 use bao_plan::{JoinAlgo, ScanKind};
 use std::fmt;
 
@@ -34,32 +28,6 @@ pub struct HintSet {
     pub seq_scan: bool,
     pub index_scan: bool,
     pub index_only_scan: bool,
-}
-
-impl ToJson for HintSet {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("hash_join", self.hash_join.to_json()),
-            ("merge_join", self.merge_join.to_json()),
-            ("nested_loop", self.nested_loop.to_json()),
-            ("seq_scan", self.seq_scan.to_json()),
-            ("index_scan", self.index_scan.to_json()),
-            ("index_only_scan", self.index_only_scan.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HintSet {
-    fn from_json(j: &Json) -> Result<HintSet> {
-        Ok(HintSet {
-            hash_join: json::field(j, "hash_join")?,
-            merge_join: json::field(j, "merge_join")?,
-            nested_loop: json::field(j, "nested_loop")?,
-            seq_scan: json::field(j, "seq_scan")?,
-            index_scan: json::field(j, "index_scan")?,
-            index_only_scan: json::field(j, "index_only_scan")?,
-        })
-    }
 }
 
 impl Default for HintSet {
@@ -140,13 +108,6 @@ impl HintSet {
         out
     }
 
-    /// The paper's 48-arm family: `family_49` minus {nested loop only,
-    /// seq scan only}, the arm whose plans this engine never prefers.
-    pub fn family_48() -> Vec<HintSet> {
-        let excluded = HintSet::from_masks(0b100, 0b001);
-        HintSet::family_49().into_iter().filter(|h| *h != excluded).collect()
-    }
-
     /// The first `n` arms of a "good subset" ordering used by the Figure 12
     /// experiment (arm subsets selected ahead of time by observed benefit,
     /// per paper §6.2). Arm 0 is always the unhinted optimizer.
@@ -198,21 +159,6 @@ impl HintSet {
             stmts.join(" ")
         }
     }
-
-    /// Number of disabled operators (0 for the unhinted optimizer).
-    pub fn n_disabled(&self) -> usize {
-        [
-            self.hash_join,
-            self.merge_join,
-            self.nested_loop,
-            self.seq_scan,
-            self.index_scan,
-            self.index_only_scan,
-        ]
-        .iter()
-        .filter(|&&b| !b)
-        .count()
-    }
 }
 
 impl fmt::Display for HintSet {
@@ -246,7 +192,6 @@ mod tests {
     #[test]
     fn family_sizes() {
         assert_eq!(HintSet::family_49().len(), 49);
-        assert_eq!(HintSet::family_48().len(), 48);
         // all unique
         let mut f = HintSet::family_49();
         f.sort_by_key(|h| format!("{h}"));
@@ -257,7 +202,6 @@ mod tests {
     #[test]
     fn arm_zero_is_default() {
         assert_eq!(HintSet::family_49()[0], HintSet::all_enabled());
-        assert_eq!(HintSet::family_48()[0], HintSet::all_enabled());
         assert_eq!(HintSet::top_arms(3)[0], HintSet::all_enabled());
     }
 
@@ -305,12 +249,6 @@ mod tests {
         let mut dedup = all.clone();
         dedup.dedup();
         assert_eq!(dedup.len(), 49);
-    }
-
-    #[test]
-    fn n_disabled() {
-        assert_eq!(HintSet::all_enabled().n_disabled(), 0);
-        assert_eq!(HintSet::from_masks(0b001, 0b001).n_disabled(), 4);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl JoinGraph {
         &self.adj[table]
     }
 
-    /// Is any table in `a` adjacent to any table in `b`?
-    pub fn sets_connected(&self, a: &[usize], b: &[usize]) -> bool {
-        a.iter().any(|&x| self.adj[x].iter().any(|y| b.contains(y)))
-    }
-
     /// Is the whole graph connected (no forced Cartesian products)?
     pub fn is_connected(&self) -> bool {
         if self.n == 0 {
@@ -102,14 +97,6 @@ mod tests {
         let g = JoinGraph::from_query(&q);
         assert!(!g.is_connected());
         assert!(g.neighbors(3).is_empty());
-    }
-
-    #[test]
-    fn sets_connected() {
-        let g = JoinGraph::from_query(&chain_query(4));
-        assert!(g.sets_connected(&[0, 1], &[2]));
-        assert!(!g.sets_connected(&[0], &[2, 3]));
-        assert!(g.sets_connected(&[1], &[0]));
     }
 
     #[test]

@@ -156,11 +156,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// Index of a FROM-list entry by alias.
-    pub fn table_by_alias(&self, alias: &str) -> Option<usize> {
-        self.tables.iter().position(|t| t.alias == alias)
-    }
-
     /// Filter predicates that apply to one FROM-list entry.
     pub fn predicates_on(&self, table: usize) -> Vec<&Predicate> {
         self.predicates.iter().filter(|p| p.col.table == table).collect()
@@ -201,19 +196,6 @@ impl Query {
     /// True when the SELECT list contains at least one aggregate.
     pub fn has_aggregates(&self) -> bool {
         self.select.iter().any(|s| matches!(s, SelectItem::Agg(_)))
-    }
-}
-
-
-impl ToJson for TableRef {
-    fn to_json(&self) -> Json {
-        Json::obj([("table", self.table.to_json()), ("alias", self.alias.to_json())])
-    }
-}
-
-impl FromJson for TableRef {
-    fn from_json(j: &Json) -> Result<TableRef> {
-        Ok(TableRef { table: json::field(j, "table")?, alias: json::field(j, "alias")? })
     }
 }
 
@@ -324,55 +306,6 @@ impl FromJson for AggFunc {
     }
 }
 
-impl ToJson for SelectItem {
-    fn to_json(&self) -> Json {
-        match self {
-            SelectItem::Column(c) => Json::obj([("Column", c.to_json())]),
-            SelectItem::Agg(a) => Json::obj([("Agg", a.to_json())]),
-        }
-    }
-}
-
-impl FromJson for SelectItem {
-    fn from_json(j: &Json) -> Result<SelectItem> {
-        if let Some(v) = j.get("Column") {
-            Ok(SelectItem::Column(ColRef::from_json(v)?))
-        } else if let Some(v) = j.get("Agg") {
-            Ok(SelectItem::Agg(AggFunc::from_json(v)?))
-        } else {
-            Err(BaoError::Parse(format!("unknown SelectItem {j:?}")))
-        }
-    }
-}
-
-impl ToJson for Query {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tables", self.tables.to_json()),
-            ("select", self.select.to_json()),
-            ("predicates", self.predicates.to_json()),
-            ("joins", self.joins.to_json()),
-            ("group_by", self.group_by.to_json()),
-            ("order_by", self.order_by.to_json()),
-            ("limit", self.limit.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Query {
-    fn from_json(j: &Json) -> Result<Query> {
-        Ok(Query {
-            tables: json::field(j, "tables")?,
-            select: json::field(j, "select")?,
-            predicates: json::field(j, "predicates")?,
-            joins: json::field(j, "joins")?,
-            group_by: json::field(j, "group_by")?,
-            order_by: json::field(j, "order_by")?,
-            limit: json::field(j, "limit")?,
-        })
-    }
-}
-
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let sel: Vec<String> = self
@@ -471,14 +404,6 @@ mod tests {
             order_by: vec![],
             limit: None,
         }
-    }
-
-    #[test]
-    fn alias_lookup() {
-        let q = sample();
-        assert_eq!(q.table_by_alias("title"), Some(0));
-        assert_eq!(q.table_by_alias("ci"), Some(1));
-        assert_eq!(q.table_by_alias("cast_info"), None);
     }
 
     #[test]

@@ -247,15 +247,6 @@ impl Operator {
             _ => None,
         }
     }
-
-    pub fn join_pred(&self) -> Option<&JoinPred> {
-        match self {
-            Operator::NestedLoopJoin { pred }
-            | Operator::HashJoin { pred }
-            | Operator::MergeJoin { pred } => Some(pred),
-            _ => None,
-        }
-    }
 }
 
 /// A node in a physical plan tree, annotated with optimizer estimates.
@@ -590,7 +581,6 @@ mod tests {
         );
         assert_eq!(s.op.scan_kind(), Some((0, ScanKind::Seq)));
         assert_eq!(s.op.join_algo(), None);
-        assert!(s.op.join_pred().is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! served work.
 
 use crate::sched::SchedConfig;
-use bao_common::{stats, Json, ToJson};
+use bao_common::stats;
 
 /// Summary statistics over a sample of simulated milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,19 +34,6 @@ impl DistSummary {
     }
 }
 
-impl ToJson for DistSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", self.n.to_json()),
-            ("mean", self.mean.to_json()),
-            ("p50", self.p50.to_json()),
-            ("p95", self.p95.to_json()),
-            ("p99", self.p99.to_json()),
-            ("max", self.max.to_json()),
-        ])
-    }
-}
-
 /// One tenant's slice of a run.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
@@ -69,25 +56,7 @@ pub struct TenantReport {
     pub served_work_ms: f64,
 }
 
-impl ToJson for TenantReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("weight", self.weight.to_json()),
-            ("priority", self.priority.to_json()),
-            ("admitted", self.admitted.to_json()),
-            ("served", self.served.to_json()),
-            ("shed", self.shed.to_json()),
-            ("drift_shed", self.drift_shed.to_json()),
-            ("peak_queue_depth", self.peak_queue_depth.to_json()),
-            ("wait_ms", self.wait_ms.to_json()),
-            ("served_work_ms", self.served_work_ms.to_json()),
-        ])
-    }
-}
-
-/// Whole-run scheduling report (ToJson for persistence alongside the
-/// serving report).
+/// Whole-run scheduling report.
 #[derive(Debug, Clone)]
 pub struct SchedReport {
     pub policy: &'static str,
@@ -127,22 +96,6 @@ impl SchedReport {
 
     pub fn tenant(&self, name: &str) -> Option<&TenantReport> {
         self.tenants.iter().find(|t| t.name == name)
-    }
-}
-
-impl ToJson for SchedReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("policy", self.policy.to_json()),
-            ("waves", self.waves.to_json()),
-            ("tenants", self.tenants.to_json()),
-            ("total_admitted", self.total_admitted().to_json()),
-            ("total_served", self.total_served().to_json()),
-            ("total_shed", self.total_shed().to_json()),
-            ("total_drift_shed", self.total_drift_shed().to_json()),
-            ("shed_rate", self.shed_rate().to_json()),
-            ("jain_fairness", self.jain_fairness.to_json()),
-        ])
     }
 }
 
@@ -227,13 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn sched_report_serializes_with_totals() {
+    fn sched_report_sums_tenant_totals() {
         let cfg = SchedConfig::single_tenant();
         let r = build_report(&cfg, 3, &[5], &[5], &[1], &[2], &[2], &[vec![1.0, 2.0]], &[10.0]);
-        let j = r.to_json().to_string();
-        assert!(j.contains("\"policy\":\"drr\""), "{j}");
-        assert!(j.contains("\"total_shed\":1"), "{j}");
-        assert!(j.contains("\"total_drift_shed\":2"), "{j}");
-        assert!(j.contains("\"jain_fairness\":"), "{j}");
+        assert_eq!(r.policy, "drr");
+        assert_eq!(r.total_shed(), 1);
+        assert_eq!(r.total_drift_shed(), 2);
     }
 }

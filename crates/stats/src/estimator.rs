@@ -114,9 +114,6 @@ impl std::fmt::Debug for StatsCatalog {
     }
 }
 
-/// Default sample size per table for the sample-based estimator.
-pub const DEFAULT_SAMPLE_SIZE: usize = 1_000;
-
 impl StatsCatalog {
     /// ANALYZE every live table in the database.
     pub fn analyze(db: &Database, sample_size: usize, seed: u64) -> StatsCatalog {

@@ -8,8 +8,8 @@
 //!
 //! * [`frame`] — the binary framing: length-prefixed, CRC32-checksummed
 //!   frames inside magic-headered segment files (in-tree, no deps).
-//! * [`record`] — the logical records ([`WalRecord`]) and the recovery
-//!   telemetry ([`RecoveryReport`]), both JSON round-trippable.
+//! * [`record`] — the logical records ([`WalRecord`], JSON
+//!   round-trippable) and the recovery telemetry ([`RecoveryReport`]).
 //! * [`log`] — the [`Wal`] itself: group-committed appends, segment
 //!   rotation, fsync ordering, and the recovery scan that detects torn
 //!   and corrupt tails and truncates them cleanly.

@@ -134,8 +134,7 @@ impl FromJson for WalRecord {
 }
 
 /// What a recovery scan found: how much of the log was valid, how the
-/// tail ended, and the per-kind record census. Serialized into test
-/// artifacts and the `baodb` shell's recovery banner.
+/// tail ended, and the per-kind record census.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Segment files visited, in order.
@@ -161,46 +160,6 @@ pub struct RecoveryReport {
     /// The workload step the recovered run resumes at (= committed
     /// query outcomes).
     pub resumed_at_step: u64,
-}
-
-impl ToJson for RecoveryReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("segments_scanned", self.segments_scanned.to_json()),
-            ("frames_valid", self.frames_valid.to_json()),
-            ("bytes_valid", self.bytes_valid.to_json()),
-            ("bytes_truncated", self.bytes_truncated.to_json()),
-            ("torn_tail", self.torn_tail.to_json()),
-            ("corrupt_tail", self.corrupt_tail.to_json()),
-            ("frames_rolled_back", self.frames_rolled_back.to_json()),
-            ("experience_appends", self.experience_appends.to_json()),
-            ("retrain_boundaries", self.retrain_boundaries.to_json()),
-            ("model_checkpoints", self.model_checkpoints.to_json()),
-            ("cache_invalidations", self.cache_invalidations.to_json()),
-            ("query_outcomes", self.query_outcomes.to_json()),
-            ("resumed_at_step", self.resumed_at_step.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RecoveryReport {
-    fn from_json(j: &Json) -> Result<RecoveryReport> {
-        Ok(RecoveryReport {
-            segments_scanned: json::field(j, "segments_scanned")?,
-            frames_valid: json::field(j, "frames_valid")?,
-            bytes_valid: json::field(j, "bytes_valid")?,
-            bytes_truncated: json::field(j, "bytes_truncated")?,
-            torn_tail: json::field(j, "torn_tail")?,
-            corrupt_tail: json::field(j, "corrupt_tail")?,
-            frames_rolled_back: json::field(j, "frames_rolled_back")?,
-            experience_appends: json::field(j, "experience_appends")?,
-            retrain_boundaries: json::field(j, "retrain_boundaries")?,
-            model_checkpoints: json::field(j, "model_checkpoints")?,
-            cache_invalidations: json::field(j, "cache_invalidations")?,
-            query_outcomes: json::field(j, "query_outcomes")?,
-            resumed_at_step: json::field(j, "resumed_at_step")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -251,27 +210,6 @@ mod tests {
         assert!(WalRecord::decode(b"{\"kind\":\"retrain\",\"version\":1,\"experience_size\":2} x").is_err());
         // Right kind, missing field.
         assert!(WalRecord::decode(b"{\"kind\":\"checkpoint\",\"version\":1}").is_err());
-    }
-
-    #[test]
-    fn recovery_report_round_trip() {
-        let r = RecoveryReport {
-            segments_scanned: 3,
-            frames_valid: 41,
-            bytes_valid: 9001,
-            bytes_truncated: 17,
-            torn_tail: true,
-            corrupt_tail: false,
-            frames_rolled_back: 2,
-            experience_appends: 12,
-            retrain_boundaries: 2,
-            model_checkpoints: 2,
-            cache_invalidations: 1,
-            query_outcomes: 12,
-            resumed_at_step: 12,
-        };
-        let back = RecoveryReport::from_json(&bao_common::json::parse(&r.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(r, back);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! normalized a large fact table ... queries after the 1000th expect the
 //! new normalized schema. The data remains static." (paper §6.1.)
 
-use crate::{Event, Workload, WorkloadStep};
+use crate::{join, pred, Event, Workload, WorkloadStep};
 use bao_common::{rng_from_seed, split_seed, Result};
-use bao_plan::{AggFunc, CmpOp, ColRef, JoinPred, Predicate, Query, SelectItem, TableRef};
+use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
 use bao_storage::{ColumnDef, Database, DataType, Schema, Table, Value};
 use bao_common::{Rng, Xoshiro256};
 
@@ -208,14 +208,6 @@ pub fn normalize_fact_table(db: &mut Database) -> Result<()> {
         db.create_index(t, c)?;
     }
     Ok(())
-}
-
-fn pred(table: usize, col: &str, op: CmpOp, v: i64) -> Predicate {
-    Predicate::new(ColRef::new(table, col), op, Value::Int(v))
-}
-
-fn join(l: (usize, &str), r: (usize, &str)) -> JoinPred {
-    JoinPred::new(ColRef::new(l.0, l.1), ColRef::new(r.0, r.1))
 }
 
 /// Number of dashboard templates per era (weighted sampling in

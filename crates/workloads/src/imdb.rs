@@ -7,9 +7,9 @@
 //! `production_year` range), Zipf-skewed foreign keys (a few titles own
 //! most `cast_info` rows), and popularity correlated with recency.
 
-use crate::{Workload, WorkloadStep};
+use crate::{join, pred, zipf, Workload, WorkloadStep};
 use bao_common::{rng_from_seed, split_seed, Result};
-use bao_plan::{AggFunc, CmpOp, ColRef, JoinPred, Predicate, Query, SelectItem, TableRef};
+use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
 use bao_storage::{ColumnDef, Database, DataType, Schema, Table, Value};
 use bao_common::{Rng, Xoshiro256};
 
@@ -35,14 +35,6 @@ impl Default for ImdbConfig {
 
 fn n_titles(scale: f64) -> i64 {
     (20_000.0 * scale).max(500.0) as i64
-}
-
-/// Zipf-ish rank sampler: concentrated on low ranks (quadratic inverse
-/// CDF — strong enough skew to break uniformity assumptions, bounded
-/// enough that multi-fact star joins stay tractable).
-fn zipf(rng: &mut Xoshiro256, n: i64) -> i64 {
-    let u: f64 = rng.gen_f64();
-    ((u * u) * n as f64) as i64
 }
 
 /// Build the IMDb-like database: six tables with engineered correlation
@@ -472,14 +464,6 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
         },
     };
     (label, q)
-}
-
-fn pred(table: usize, col: &str, op: CmpOp, v: i64) -> Predicate {
-    Predicate::new(ColRef::new(table, col), op, Value::Int(v))
-}
-
-fn join(l: (usize, &str), r: (usize, &str)) -> JoinPred {
-    JoinPred::new(ColRef::new(l.0, l.1), ColRef::new(r.0, r.1))
 }
 
 /// The 113 fixed "JOB" queries (paper Figure 11's held-out set):

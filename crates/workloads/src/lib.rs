@@ -11,10 +11,9 @@ pub mod corp;
 pub mod imdb;
 pub mod stack;
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{BaoError, Result};
-use bao_plan::Query;
-use bao_storage::Database;
+use bao_common::{Result, Rng, Xoshiro256};
+use bao_plan::{CmpOp, ColRef, JoinPred, Predicate, Query};
+use bao_storage::{Database, Value};
 
 pub use corp::{build_corp, CorpConfig};
 pub use imdb::{build_imdb, ImdbConfig};
@@ -29,30 +28,6 @@ pub enum Event {
     CorpNormalization,
 }
 
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        match self {
-            Event::LoadStackMonth { month } => Json::obj([(
-                "LoadStackMonth",
-                Json::obj([("month", month.to_json())]),
-            )]),
-            Event::CorpNormalization => Json::Str("CorpNormalization".to_string()),
-        }
-    }
-}
-
-impl FromJson for Event {
-    fn from_json(j: &Json) -> Result<Event> {
-        if j.as_str() == Some("CorpNormalization") {
-            return Ok(Event::CorpNormalization);
-        }
-        if let Some(v) = j.get("LoadStackMonth") {
-            return Ok(Event::LoadStackMonth { month: json::field(v, "month")? });
-        }
-        Err(BaoError::Parse(format!("unknown Event {j:?}")))
-    }
-}
-
 /// One step of a workload: an optional environment event, then a query.
 #[derive(Debug, Clone)]
 pub struct WorkloadStep {
@@ -61,26 +36,6 @@ pub struct WorkloadStep {
     pub query: Query,
     /// Applied (and statistics rebuilt) before the query runs.
     pub event: Option<Event>,
-}
-
-impl ToJson for WorkloadStep {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", self.label.to_json()),
-            ("query", self.query.to_json()),
-            ("event", self.event.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WorkloadStep {
-    fn from_json(j: &Json) -> Result<WorkloadStep> {
-        Ok(WorkloadStep {
-            label: json::field(j, "label")?,
-            query: json::field(j, "query")?,
-            event: json::field(j, "event")?,
-        })
-    }
 }
 
 /// An ordered query stream over a database.
@@ -103,61 +58,6 @@ impl Workload {
     pub fn n_events(&self) -> usize {
         self.steps.iter().filter(|s| s.event.is_some()).count()
     }
-
-    /// Serialize the query stream to JSON (the data itself is regenerated
-    /// from the seed; exporting the stream lets external tooling replay
-    /// exactly the queries an experiment ran).
-    pub fn to_json(&self) -> Result<String> {
-        let j = Json::obj([("name", self.name.to_json()), ("steps", self.steps.to_json())]);
-        Ok(j.to_string_pretty())
-    }
-
-    /// Restore a workload exported with [`Workload::to_json`].
-    pub fn from_json(text: &str) -> Result<Workload> {
-        let j = json::parse(text)
-            .map_err(|e| BaoError::Config(format!("parse workload: {e}")))?;
-        Ok(Workload { name: json::field(&j, "name")?, steps: json::field(&j, "steps")? })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workload_json_round_trip() {
-        let (_, wl) = build_imdb(&ImdbConfig {
-            scale: 0.05,
-            n_queries: 12,
-            dynamic: true,
-            seed: 3,
-        })
-        .unwrap();
-        let json = wl.to_json().unwrap();
-        let restored = Workload::from_json(&json).unwrap();
-        assert_eq!(restored.name, wl.name);
-        assert_eq!(restored.len(), wl.len());
-        for (a, b) in wl.steps.iter().zip(restored.steps.iter()) {
-            assert_eq!(a.query, b.query);
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.event, b.event);
-        }
-        assert!(Workload::from_json("{nope").is_err());
-    }
-
-    #[test]
-    fn stack_events_survive_round_trip() {
-        let (_, wl) = build_stack(&StackConfig {
-            scale: 0.05,
-            n_queries: 30,
-            initial_months: 2,
-            total_months: 4,
-            seed: 5,
-        })
-        .unwrap();
-        let restored = Workload::from_json(&wl.to_json().unwrap()).unwrap();
-        assert_eq!(restored.n_events(), wl.n_events());
-    }
 }
 
 /// Apply an environment event to the database. The caller must rebuild
@@ -168,4 +68,22 @@ pub fn apply_event(db: &mut Database, event: &Event, seed: u64) -> Result<()> {
         Event::LoadStackMonth { month } => stack::load_month(db, *month, seed),
         Event::CorpNormalization => corp::normalize_fact_table(db),
     }
+}
+
+/// Zipf-ish rank sampler: concentrated on low ranks (quadratic inverse
+/// CDF — strong enough skew to break uniformity assumptions, bounded
+/// enough that multi-fact star joins stay tractable).
+pub(crate) fn zipf(rng: &mut Xoshiro256, n: i64) -> i64 {
+    let u: f64 = rng.gen_f64();
+    ((u * u) * n as f64) as i64
+}
+
+/// Filter `col op v` on FROM entry `table`, against an integer constant.
+pub(crate) fn pred(table: usize, col: &str, op: CmpOp, v: i64) -> Predicate {
+    Predicate::new(ColRef::new(table, col), op, Value::Int(v))
+}
+
+/// Equi-join of FROM entries `l.0` and `r.0` on columns `l.1` and `r.1`.
+pub(crate) fn join(l: (usize, &str), r: (usize, &str)) -> JoinPred {
+    JoinPred::new(ColRef::new(l.0, l.1), ColRef::new(r.0, r.1))
 }

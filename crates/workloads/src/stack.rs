@@ -2,9 +2,9 @@
 //! drift** — the paper "emulate[s] data drift by loading a month of data
 //! at a time" (Table 1: WL dynamic, Data dynamic, Schema static).
 
-use crate::{Event, Workload, WorkloadStep};
+use crate::{join, pred, zipf, Event, Workload, WorkloadStep};
 use bao_common::{rng_from_seed, split_seed, BaoError, Result};
-use bao_plan::{AggFunc, CmpOp, ColRef, JoinPred, Predicate, Query, SelectItem, TableRef};
+use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
 use bao_storage::{ColumnDef, Database, DataType, Schema, Table, Value};
 use bao_common::{Rng, Xoshiro256};
 
@@ -33,11 +33,6 @@ fn n_users(scale: f64) -> i64 {
 
 fn questions_per_month(scale: f64) -> i64 {
     (2_500.0 * scale).max(100.0) as i64
-}
-
-fn zipf(rng: &mut Xoshiro256, n: i64) -> i64 {
-    let u: f64 = rng.gen_f64();
-    ((u * u) * n as f64) as i64
 }
 
 /// Append one month of questions/answers/votes. Question ids are globally
@@ -192,14 +187,6 @@ pub fn build_stack_database(cfg: &StackConfig) -> Result<Database> {
 }
 
 const N_TEMPLATES: usize = 9;
-
-fn pred(table: usize, col: &str, op: CmpOp, v: i64) -> Predicate {
-    Predicate::new(ColRef::new(table, col), op, Value::Int(v))
-}
-
-fn join(l: (usize, &str), r: (usize, &str)) -> JoinPred {
-    JoinPred::new(ColRef::new(l.0, l.1), ColRef::new(r.0, r.1))
-}
 
 fn instantiate(t: usize, cfg: &StackConfig, loaded_months: u32, rng: &mut Xoshiro256) -> (String, Query) {
     let users = n_users(cfg.scale);

@@ -3,7 +3,11 @@
 #   1. bao-lint        — workspace invariant lints (DESIGN.md §7), JSON
 #                        report to results/lint_report.json
 #   2. check_hermetic  — static manifest scan (via bao-lint)
-#   3. build + test    — tier-1: cargo build --release && cargo test -q;
+#   3. build + test    — tier-1: cargo build --release && cargo test -q,
+#                        failing when the release build or the test build
+#                        (cargo test --no-run) prints a compiler warning,
+#                        so a deletion cannot leave a dangling import or a
+#                        dead private helper behind;
 #                        then cargo test -q --release -p bao-exec (the
 #                        release build exists by then): the debug run
 #                        re-verifies every plan at the execution boundary
@@ -65,12 +69,27 @@ echo
 echo "== hermetic manifests =="
 "$repo/scripts/check_hermetic.sh"
 
-echo
-echo "== build (release) =="
-cargo build --release
+# Run a cargo command and fail if it printed a compiler warning. Cargo
+# replays the warnings of cached units, so a warm build is checked too.
+no_warnings() {
+    local log
+    log="$(mktemp)"
+    "$@" 2>&1 | tee "$log"
+    if grep -q '^warning' "$log"; then
+        rm -f "$log"
+        echo "compiler warnings from: $* — fix them, the gate allows none" >&2
+        exit 1
+    fi
+    rm -f "$log"
+}
 
 echo
-echo "== test =="
+echo "== build (release, no warnings) =="
+no_warnings cargo build --release
+
+echo
+echo "== test (no warnings in the test build) =="
+no_warnings cargo test -q --no-run
 cargo test -q
 
 echo

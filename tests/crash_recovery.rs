@@ -98,10 +98,9 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
 /// One crash case: install `bytes` as the log, recover, finish, compare.
 ///
 /// While the damage leaves frame 0 (the `RunHeader`) whole, recovery must
-/// succeed on its own: `recover_or_fresh` would wipe the log and rerun on
-/// any `Parse` error, a replay divergence included, and the fresh run's
-/// bytes would hide it. Only damage inside the segment header or frame 0
-/// may take the wipe-and-rerun path.
+/// succeed on its own, without the wipe-and-rerun fallback, whose fresh
+/// run's bytes would hide a wrong recovery. Only damage inside the segment
+/// header or frame 0 may take the `recover_or_fresh` path.
 fn assert_recovers(
     case_dir: &Path,
     bytes: &[u8],
@@ -443,5 +442,46 @@ fn scheduled_run_logs_in_dispatch_order_and_recovery_refuses_it() {
         Err(e) => panic!("expected the step-order refusal, got {e}"),
         Ok(_) => panic!("recovery resumed a log written out of step order"),
     }
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A log that replays differently from how it was written does not
+/// belong to this database, build or configuration: `recover` refuses it
+/// as `Config`, and `recover_or_fresh` passes that refusal on instead of
+/// wiping the log and rerunning. The header cannot catch this case:
+/// `config_fingerprint` covers the run configuration, not the data.
+#[test]
+fn diverged_replay_is_refused_and_the_log_kept() {
+    let root = temp_root("diverged");
+    let seed = 71;
+    let (db, wl) = workload(seed);
+    let dir = root.join("log");
+    Runner::new(run_config(seed, Some(&dir)), db).run(&wl).unwrap();
+    let segments = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+        let mut segs: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| {
+                let bytes = fs::read(&p).unwrap();
+                (p, bytes)
+            })
+            .collect();
+        segs.sort();
+        segs
+    };
+    let logged = segments(&dir);
+
+    let (other_db, _) = workload(seed + 1);
+    match recover(run_config(seed, Some(&dir)), other_db.clone(), &wl) {
+        Err(BaoError::Config(msg)) => assert!(msg.contains("replay diverged"), "{msg}"),
+        Err(e) => panic!("expected a replay divergence, got {e}"),
+        Ok(_) => panic!("a log written over another database replayed cleanly"),
+    }
+    match recover_or_fresh(run_config(seed, Some(&dir)), other_db, &wl) {
+        Err(BaoError::Config(msg)) => assert!(msg.contains("replay diverged"), "{msg}"),
+        Err(e) => panic!("expected a replay divergence, got {e}"),
+        Ok(_) => panic!("recover_or_fresh replaced a diverging log with a fresh run"),
+    }
+    assert!(segments(&dir) == logged, "the diverging log was modified");
     let _ = fs::remove_dir_all(&root);
 }

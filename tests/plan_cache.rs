@@ -8,7 +8,6 @@
 
 use bao_bench::{build_workload, WorkloadName};
 use bao_cache::PlanCacheConfig;
-use bao_common::json::ToJson;
 use bao_harness::{
     BaoSettings, ExecFault, ModelKind, RunConfig, ServingConfig, ServingRunner, Strategy,
 };
@@ -122,12 +121,8 @@ fn drift_under_overload_sheds_to_arm_zero_and_reports_counts() {
     assert!(stats.drift_sheds >= 1, "no overload shed: {stats:?}");
 
     // The shed is visible on both sides: cache counters and the
-    // scheduler's per-tenant telemetry agree, and both serialize.
+    // scheduler's per-tenant telemetry agree.
     assert_eq!(report.sched.total_drift_shed(), stats.drift_sheds, "{stats:?}");
-    let sched_json = report.sched.to_json().to_string();
-    assert!(sched_json.contains("\"total_drift_shed\":"), "{sched_json}");
-    let cache_json = stats.to_json().to_string();
-    assert!(cache_json.contains("\"drift_sheds\":"), "{cache_json}");
 
     // A shed entry keeps serving: it re-pins to arm 0 and later repeats
     // of the template hit the pinned entry instead of re-scoring.
