@@ -19,6 +19,8 @@
 //! pick among sampled candidate plans by predicted latency, with decaying
 //! ε-greedy exploration.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod learned;
 pub mod planspace;
 

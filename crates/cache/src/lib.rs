@@ -27,6 +27,8 @@
 //! is inert and the serving path is byte-identical to the uncached one
 //! (pinned by `tests/serving_equivalence.rs`).
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+
 use bao_plan::QueryFingerprint;
 use std::collections::BTreeMap;
 

@@ -12,6 +12,8 @@
 //! setup, where the largest class comfortably caches the hot set and the
 //! smallest thrashes.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 use bao_common::SimDuration;
 use bao_exec::ChargeRates;
 

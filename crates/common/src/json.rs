@@ -94,7 +94,10 @@ impl Json {
         }
     }
 
-    /// Compact rendering.
+    /// Compact rendering, straight into one `String`: the log encodes
+    /// every record through this, and a `Display` impl would render into
+    /// a `Formatter` and copy.
+    #[expect(clippy::inherent_to_string, reason = "renders without a Formatter")]
     pub fn to_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, None, 0);
@@ -169,7 +172,7 @@ fn write_seq<T>(
     for (i, item) in items.enumerate() {
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
         }
         write_item(out, item, depth + 1);
         if i + 1 < n {
@@ -179,7 +182,7 @@ fn write_seq<T>(
     if n > 0 {
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * depth));
+            out.extend(std::iter::repeat_n(' ', w * depth));
         }
     }
     out.push(close);
@@ -207,18 +210,18 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Parse a JSON document. Rejects trailing garbage.
 pub fn parse(text: &str) -> Result<Json> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -228,7 +231,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -247,7 +250,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -370,11 +373,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one character. `pos` only ever steps over
+                    // whole characters, so the checked slice always holds.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("not at a character boundary"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -384,11 +389,10 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
+        let s = self.text.get(self.pos..end).ok_or_else(|| self.err("non-ASCII in \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad hex in \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -420,8 +424,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ASCII");
+        // Everything consumed above is ASCII, so both ends are boundaries.
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(if v >= 0 { Json::U(v as u64) } else { Json::I(v) });
@@ -661,7 +665,7 @@ mod tests {
 
     #[test]
     fn strings_escape_and_unescape() {
-        let s = "line\n\ttab \"quoted\" back\\slash \u{1F980} nul\u{0001}".to_string();
+        let s = "line\n\ttab \"quoted\" back\\slash \u{E9} \u{20AC} \u{1F980} nul\u{0001}".to_string();
         let text = s.to_json().to_string();
         assert_eq!(String::from_json(&parse(&text).unwrap()).unwrap(), s);
         // surrogate-pair escapes parse too

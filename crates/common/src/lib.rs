@@ -2,6 +2,8 @@
 //! RNG construction, simulated-time units, and small numeric utilities used
 //! across every crate in the workspace.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod error;
 pub mod hash;
 pub mod json;

@@ -39,6 +39,7 @@ where
     }
     let stripe = |t: usize| (t..n_jobs).step_by(width).map(&f).collect::<Vec<_>>();
     let mut stripes: Vec<_> = scope(|scope| {
+        #[expect(clippy::disallowed_methods, reason = "the workspace pool, sized by its caller")]
         let helpers: Vec<_> = (1..width).map(|t| scope.spawn(move || stripe(t))).collect();
         let mut stripes = vec![stripe(0).into_iter()];
         for helper in helpers {

@@ -459,8 +459,7 @@ impl Bao {
 
     /// Immediately resample the model from the current experience.
     pub fn retrain_now(&mut self) -> RetrainReport {
-        // Training telemetry only: the duration is reported, never fed
-        // back into plan choice. bao-lint: allow(no-wall-clock)
+        #[expect(clippy::disallowed_methods, reason = "telemetry, never fed back into plan choice")]
         let started = std::time::Instant::now();
         self.since_retrain = 0;
         self.retrains += 1;

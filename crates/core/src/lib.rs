@@ -49,6 +49,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+
 pub mod advisor;
 pub mod bao;
 pub mod experience;

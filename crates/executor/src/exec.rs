@@ -331,7 +331,6 @@ impl<'a> Ctx<'a> {
         Ok(RowSet::from_single(from_idx, ids))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn index_scan(
         &mut self,
         from_idx: usize,
@@ -409,7 +408,7 @@ impl<'a> Ctx<'a> {
 
     /// Parameterized nested loop: one index lookup on the inner per outer
     /// row.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the fields of one parameterized nested-loop node")]
     fn param_nested_loop(
         &mut self,
         outer: &RowSet,
@@ -1255,7 +1254,8 @@ mod tests {
         };
         let fresh = vec![(0u64, 0.0, f64::INFINITY, f64::NEG_INFINITY); aggs.len()];
         let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut groups: Vec<(usize, Vec<(u64, f64, f64, f64)>)> = Vec::new();
+        type Group = (usize, Vec<(u64, f64, f64, f64)>);
+        let mut groups: Vec<Group> = Vec::new();
         for i in 0..input.len() {
             let key: Vec<u64> = group_by.iter().map(|g| cell(i, g).to_bits()).collect();
             let gi = *index.entry(key).or_insert_with(|| {

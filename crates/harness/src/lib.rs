@@ -5,6 +5,8 @@
 //!
 //! Each paper figure's binary in `bao-bench` composes these pieces.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+
 pub mod armstats;
 pub mod oracle;
 pub mod recover;

@@ -14,7 +14,7 @@ use bao_storage::{BufferPool, Database};
 ///
 /// This is the paper's "optimal hint set ... computed by exhaustively
 /// executing all query plans with a cold cache" (Figure 16 setup).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "each input is one its callers hold separately")]
 pub fn exhaustive_arm_perfs(
     opt: &Optimizer,
     q: &Query,

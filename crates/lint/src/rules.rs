@@ -1,59 +1,31 @@
-//! The lint rules: project invariants the Bao workspace must uphold.
+//! The lint rules the compiler's lint tables cannot express.
 //!
-//! Each rule enforces a property the bandit loop silently depends on:
+//! Seven of the workspace invariants (DESIGN.md §7) are checked by
+//! `cargo clippy` from the root `clippy.toml`, `[workspace.lints]` and
+//! crate-root attributes. The three here stay on this scanner:
 //!
-//! * `no-wall-clock` — plan choice and training data must never depend on
-//!   wall time; `Instant::now` / `SystemTime` are confined to
-//!   `bao_bench::timing` and explicitly annotated telemetry sites.
-//! * `no-hash-iter-order` — `HashMap`/`HashSet` iteration order is
-//!   nondeterministic across builds; in the crates whose data flows into
-//!   plan shape, arm ordering, or feature vectors (`plan`, `optimizer`,
-//!   `models`, `nn`) ordered containers (`BTreeMap`/`BTreeSet`) or an
-//!   annotation are required.
-//! * `no-unsafe` — `unsafe` is denied outside the one audited site in
-//!   `bao_common::json`.
-//! * `no-panic-path` — `unwrap()` / `expect(` / `panic!` are denied in the
-//!   non-test query path (`core`, `optimizer`, `executor`, `plan`).
 //! * `no-per-node-alloc` — the batched compute kernels (`bao_nn::param`,
 //!   `bao_nn::layers`) must hoist scratch buffers out of their hot loops;
 //!   `vec![` / `Vec::with_capacity` inside a `for` body there is a
-//!   per-node allocation the batching work exists to eliminate.
+//!   per-node allocation the batching work exists to eliminate. Clippy has
+//!   no lint for an allocation inside a loop.
 //! * `no-unseeded-rng` — every random draw must trace back to an explicit
 //!   seed (`bao_common::rng_from_seed` / `split_seed`); entropy-seeded
 //!   sources (`thread_rng`, `from_entropy`, `rand::random`, std's
 //!   `RandomState`) would silently break replay, the serving-equivalence
 //!   suite, and Thompson-sampling reproducibility. Applies everywhere,
-//!   tests included — the determinism suite is itself seeded.
+//!   tests included — the determinism suite is itself seeded. Clippy's
+//!   `disallowed-methods` cannot name `<RandomState as Default>::default`.
 //! * `no-float-eq` — `==` / `!=` against a float expression (a float
 //!   literal, an `as f64`/`as f32` cast, or an `f64::`/`f32::` constant)
 //!   is almost always a rounding bug waiting to happen; compare with an
 //!   epsilon, `total_cmp`, or `to_bits`. Intentional exact comparisons
 //!   (sparsity fast paths in the kernels) carry an annotation. Test code
 //!   is exempt — asserting exact reproducibility is the point there.
-//! * `no-println` — `println!` / `eprintln!` are confined to binaries
-//!   (`src/bin/`, `main.rs`) and the bench/report crate; library crates
-//!   must surface information through return values, reports, or errors
-//!   — a stray print in the query path garbles experiment output and is
-//!   invisible to callers.
-//! * `no-unpinned-pool-width` — threads are spawned (`.spawn(`) only by
-//!   the workspace pool (`bao_common::pool::run_jobs`, under arm planning
-//!   and the executor's fan-outs) and `bao_nn::train`'s persistent
-//!   helpers. Both take their width from `bao_common::pool::resolve_width`,
-//!   so a spawn anywhere else is a pool whose width nothing controls: it
-//!   would oversubscribe the host beside the two that size themselves to
-//!   it.
-//! * `no-unlogged-persistence` — durable state must flow through the WAL
-//!   (DESIGN.md §14): direct `std::fs` writes (`fs::write`,
-//!   `fs::create_dir`, `File::create`, `OpenOptions`) are denied outside
-//!   `bao-wal` itself and binaries. A library crate persisting state on
-//!   the side would survive a crash invisibly to recovery — exactly the
-//!   split-brain the log exists to prevent.
-//! * `hermetic-manifest` — every manifest dependency must be a local
-//!   `path` crate (see [`crate::manifest`]).
+//!   Clippy's `float_cmp` exempts comparisons with zero and infinity.
 //!
-//! Any finding can be waived in place with `// bao-lint: allow(<rule>)`
-//! on the offending line or the line above, or file-wide with
-//! `// bao-lint: allow-file(<rule>)`.
+//! A finding is waived in place with `// bao-lint: allow(<rule>)` on the
+//! offending line or the line above.
 
 use crate::scan::{mask, MaskedSource};
 use crate::Diagnostic;
@@ -61,125 +33,31 @@ use crate::Diagnostic;
 /// Identifiers of every lint rule, in canonical (report) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    NoWallClock,
-    NoHashIterOrder,
-    NoUnsafe,
-    NoPanicPath,
     NoPerNodeAlloc,
     NoUnseededRng,
     NoFloatEq,
-    NoPrintln,
-    NoUnpinnedPoolWidth,
-    NoUnloggedPersistence,
-    HermeticManifest,
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 11] = [
-        RuleId::NoWallClock,
-        RuleId::NoHashIterOrder,
-        RuleId::NoUnsafe,
-        RuleId::NoPanicPath,
-        RuleId::NoPerNodeAlloc,
-        RuleId::NoUnseededRng,
-        RuleId::NoFloatEq,
-        RuleId::NoPrintln,
-        RuleId::NoUnpinnedPoolWidth,
-        RuleId::NoUnloggedPersistence,
-        RuleId::HermeticManifest,
-    ];
+    pub const ALL: [RuleId; 3] = [RuleId::NoPerNodeAlloc, RuleId::NoUnseededRng, RuleId::NoFloatEq];
 
     pub fn name(self) -> &'static str {
         match self {
-            RuleId::NoWallClock => "no-wall-clock",
-            RuleId::NoHashIterOrder => "no-hash-iter-order",
-            RuleId::NoUnsafe => "no-unsafe",
-            RuleId::NoPanicPath => "no-panic-path",
             RuleId::NoPerNodeAlloc => "no-per-node-alloc",
             RuleId::NoUnseededRng => "no-unseeded-rng",
             RuleId::NoFloatEq => "no-float-eq",
-            RuleId::NoPrintln => "no-println",
-            RuleId::NoUnpinnedPoolWidth => "no-unpinned-pool-width",
-            RuleId::NoUnloggedPersistence => "no-unlogged-persistence",
-            RuleId::HermeticManifest => "hermetic-manifest",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<RuleId> {
-        RuleId::ALL.into_iter().find(|r| r.name() == s)
-    }
-
-    /// One-line description shown by `bao-lint --list-rules`.
-    pub fn describe(self) -> &'static str {
-        match self {
-            RuleId::NoWallClock => {
-                "Instant::now/SystemTime outside bao_bench::timing (determinism)"
-            }
-            RuleId::NoHashIterOrder => {
-                "HashMap/HashSet in plan/optimizer/models/nn (iteration order)"
-            }
-            RuleId::NoUnsafe => "unsafe outside the audited bao_common::json site",
-            RuleId::NoPanicPath => {
-                "unwrap()/expect()/panic! on the non-test query path"
-            }
-            RuleId::NoPerNodeAlloc => {
-                "vec!/Vec::with_capacity inside a for loop in an nn kernel file"
-            }
-            RuleId::NoUnseededRng => {
-                "entropy-seeded randomness (thread_rng/from_entropy/RandomState)"
-            }
-            RuleId::NoFloatEq => {
-                "==/!= on a float expression outside tests (epsilon/total_cmp)"
-            }
-            RuleId::NoPrintln => {
-                "println!/eprintln! outside binaries and the bench crate"
-            }
-            RuleId::NoUnpinnedPoolWidth => {
-                ".spawn( outside bao_common::pool and bao_nn::train (pool width)"
-            }
-            RuleId::NoUnloggedPersistence => {
-                "direct std::fs writes outside bao-wal and binaries (use the WAL)"
-            }
-            RuleId::HermeticManifest => "non-path dependency in a Cargo.toml",
         }
     }
 }
-
-/// Crates whose iteration order can leak into plan shape, arm ordering,
-/// or feature vectors.
-const ORDER_SENSITIVE_CRATES: [&str; 4] =
-    ["crates/plan/", "crates/optimizer/", "crates/models/", "crates/nn/"];
-
-/// Crates forming the query path for `no-panic-path`.
-const QUERY_PATH_CRATES: [&str; 4] =
-    ["crates/core/", "crates/optimizer/", "crates/executor/", "crates/plan/"];
 
 /// The batched compute kernels: hot loops there must not allocate.
 const KERNEL_FILES: [&str; 2] =
     ["crates/nn/src/param.rs", "crates/nn/src/layers.rs"];
 
-/// The one module allowed to read the wall clock: the timing harness.
-const WALL_CLOCK_ALLOWED: &str = "crates/bench/src/timing.rs";
-
-/// The one audited `unsafe` site.
-const UNSAFE_ALLOWED: &str = "crates/common/src/json.rs";
-
-/// The files that may spawn threads: the workspace pool and the
-/// trainer's persistent helpers.
-const SPAWN_ALLOWED_FILES: [&str; 2] = ["crates/common/src/pool.rs", "crates/nn/src/train.rs"];
-
-fn in_any(path: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| path.starts_with(p))
-}
-
 /// Does the source-file rule `rule` apply to `path` (workspace-relative,
 /// `/`-separated) at all?
 pub fn applies_to(rule: RuleId, path: &str) -> bool {
     match rule {
-        RuleId::NoWallClock => path != WALL_CLOCK_ALLOWED,
-        RuleId::NoHashIterOrder => in_any(path, &ORDER_SENSITIVE_CRATES),
-        RuleId::NoUnsafe => path != UNSAFE_ALLOWED,
-        RuleId::NoPanicPath => in_any(path, &QUERY_PATH_CRATES),
         RuleId::NoPerNodeAlloc => KERNEL_FILES.contains(&path),
         // Seeded randomness is a workspace-wide invariant: tests and
         // benches replay too, so nothing is exempt.
@@ -187,39 +65,12 @@ pub fn applies_to(rule: RuleId, path: &str) -> bool {
         // Float comparisons are a workspace-wide hazard; test regions are
         // carved out by `skips_test_code` instead of a path scope.
         RuleId::NoFloatEq => true,
-        // Printing belongs to binaries (`src/bin/`, `main.rs`) and the
-        // bench/report crate; library code must stay silent.
-        RuleId::NoPrintln => {
-            !(path.starts_with("crates/bench/")
-                || path.contains("/bin/")
-                || path.ends_with("/main.rs"))
-        }
-        // Threads come from the two pools that size themselves to the host.
-        RuleId::NoUnpinnedPoolWidth => !SPAWN_ALLOWED_FILES.contains(&path),
-        // Durable writes belong to the WAL. The log implementation and
-        // binaries (shells, report writers) are the legitimate
-        // persistence sites.
-        RuleId::NoUnloggedPersistence => {
-            !(path.starts_with("crates/wal/")
-                || path.contains("/bin/")
-                || path.ends_with("/main.rs"))
-        }
-        RuleId::HermeticManifest => false, // manifest rule, not a source rule
     }
 }
 
 /// Does `rule` skip lines inside `#[cfg(test)]` / `#[test]` regions?
 fn skips_test_code(rule: RuleId) -> bool {
-    matches!(
-        rule,
-        RuleId::NoPanicPath
-            | RuleId::NoHashIterOrder
-            | RuleId::NoPerNodeAlloc
-            | RuleId::NoFloatEq
-            | RuleId::NoPrintln
-            | RuleId::NoUnpinnedPoolWidth
-            | RuleId::NoUnloggedPersistence
-    )
+    matches!(rule, RuleId::NoPerNodeAlloc | RuleId::NoFloatEq)
 }
 
 /// Does `rule` only fire on lines inside a `for` loop body?
@@ -233,48 +84,14 @@ fn is_test_file(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/")
 }
 
-/// The token patterns one rule hunts for.
-fn patterns(rule: RuleId) -> &'static [Pattern] {
+/// The tokens one rule hunts for, matched at identifier boundaries.
+fn needles(rule: RuleId) -> &'static [&'static str] {
     match rule {
-        RuleId::NoWallClock => &[
-            Pattern { needle: "Instant::now", word: true },
-            Pattern { needle: "SystemTime", word: true },
-        ],
-        RuleId::NoHashIterOrder => &[
-            Pattern { needle: "HashMap", word: true },
-            Pattern { needle: "HashSet", word: true },
-        ],
-        RuleId::NoUnsafe => &[Pattern { needle: "unsafe", word: true }],
-        RuleId::NoPanicPath => &[
-            Pattern { needle: ".unwrap()", word: false },
-            Pattern { needle: ".expect(", word: false },
-            Pattern { needle: "panic!", word: true },
-        ],
-        RuleId::NoPerNodeAlloc => &[
-            Pattern { needle: "vec![", word: true },
-            Pattern { needle: "Vec::with_capacity", word: true },
-        ],
-        RuleId::NoUnseededRng => &[
-            Pattern { needle: "thread_rng", word: true },
-            Pattern { needle: "from_entropy", word: true },
-            Pattern { needle: "rand::random", word: true },
-            Pattern { needle: "RandomState", word: true },
-        ],
+        RuleId::NoPerNodeAlloc => &["vec![", "Vec::with_capacity"],
+        RuleId::NoUnseededRng => &["thread_rng", "from_entropy", "rand::random", "RandomState"],
         // no-float-eq needs operand analysis, not a literal needle; see
         // `has_float_eq`.
         RuleId::NoFloatEq => &[],
-        RuleId::NoPrintln => &[
-            Pattern { needle: "println!", word: true },
-            Pattern { needle: "eprintln!", word: true },
-        ],
-        RuleId::NoUnpinnedPoolWidth => &[Pattern { needle: ".spawn(", word: false }],
-        RuleId::NoUnloggedPersistence => &[
-            Pattern { needle: "fs::write", word: true },
-            Pattern { needle: "fs::create_dir", word: false },
-            Pattern { needle: "File::create", word: false },
-            Pattern { needle: "OpenOptions", word: true },
-        ],
-        RuleId::HermeticManifest => &[],
     }
 }
 
@@ -392,46 +209,36 @@ fn has_float_eq(line: &str) -> bool {
     false
 }
 
-/// A literal token to search for in masked code.
-struct Pattern {
-    needle: &'static str,
-    /// Require identifier boundaries around the match.
-    word: bool,
-}
-
 fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// All match positions of `p` in `line`, honouring word boundaries. A
-/// boundary is only demanded on ends of the needle that are themselves
-/// identifier characters (so `vec![` needs a boundary before `vec` but
-/// accepts any character after the `[`).
-fn find_matches(line: &str, p: &Pattern) -> bool {
-    let needs_before = p.needle.chars().next().is_some_and(is_ident);
-    let needs_after = p.needle.chars().next_back().is_some_and(is_ident);
+/// Does `needle` occur in `line` with identifier boundaries? A boundary is
+/// only demanded on ends of the needle that are themselves identifier
+/// characters (so `vec![` needs a boundary before `vec` but accepts any
+/// character after the `[`).
+fn find_match(line: &str, needle: &str) -> bool {
+    let needs_before = needle.chars().next().is_some_and(is_ident);
+    let needs_after = needle.chars().next_back().is_some_and(is_ident);
     let mut from = 0;
-    while let Some(pos) = line[from..].find(p.needle) {
+    while let Some(pos) = line[from..].find(needle) {
         let at = from + pos;
-        if !p.word {
-            return true;
-        }
         let before_ok = !needs_before
             || at == 0
             || !is_ident(line[..at].chars().next_back().unwrap_or(' '));
-        let after = line[at + p.needle.len()..].chars().next();
+        let after = line[at + needle.len()..].chars().next();
         let after_ok = !needs_after || !after.is_some_and(is_ident);
         if before_ok && after_ok {
             return true;
         }
-        from = at + p.needle.len();
+        from = at + needle.len();
     }
     false
 }
 
-/// Lint one already-masked source file against the source rules in
-/// `rules`. `path` must be workspace-relative with `/` separators; rule
-/// scoping (which crates a rule covers) is applied here.
+/// Lint one already-masked source file against the rules in `rules`.
+/// `path` must be workspace-relative with `/` separators; rule scoping
+/// (which files a rule covers) is applied here.
 pub fn check_masked(
     path: &str,
     masked: &MaskedSource,
@@ -468,16 +275,13 @@ pub fn check_masked(
                 }
                 continue;
             }
-            for p in patterns(rule) {
-                if find_matches(line, p) {
-                    if masked.is_allowed(rule.name(), line_no) {
-                        continue;
-                    }
+            for needle in needles(rule) {
+                if find_match(line, needle) && !masked.is_allowed(rule.name(), line_no) {
                     out.push(Diagnostic {
                         rule,
                         path: path.to_string(),
                         line: line_no,
-                        message: format!("`{}` is forbidden here", p.needle.trim_matches('.')),
+                        message: format!("`{needle}` is forbidden here"),
                     });
                 }
             }
@@ -497,44 +301,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rule_names_round_trip() {
-        for r in RuleId::ALL {
-            assert_eq!(RuleId::parse(r.name()), Some(r));
-        }
-        assert_eq!(RuleId::parse("no-such-rule"), None);
-    }
-
-    #[test]
     fn scoping_matches_spec() {
-        assert!(applies_to(RuleId::NoPanicPath, "crates/executor/src/exec.rs"));
-        assert!(!applies_to(RuleId::NoPanicPath, "crates/bench/src/cli.rs"));
-        assert!(applies_to(RuleId::NoHashIterOrder, "crates/nn/src/net.rs"));
-        assert!(!applies_to(RuleId::NoHashIterOrder, "crates/executor/src/exec.rs"));
-        assert!(!applies_to(RuleId::NoWallClock, "crates/bench/src/timing.rs"));
-        assert!(applies_to(RuleId::NoWallClock, "crates/core/src/bao.rs"));
-        assert!(!applies_to(RuleId::NoUnsafe, "crates/common/src/json.rs"));
         assert!(applies_to(RuleId::NoPerNodeAlloc, "crates/nn/src/param.rs"));
         assert!(applies_to(RuleId::NoPerNodeAlloc, "crates/nn/src/layers.rs"));
         assert!(!applies_to(RuleId::NoPerNodeAlloc, "crates/nn/src/net.rs"));
-        // Seeded randomness is workspace-wide: even the wall-clock-exempt
-        // timing harness is in scope.
+        // Seeded randomness and float comparison are workspace-wide: even
+        // the timing harness is in scope.
         assert!(applies_to(RuleId::NoUnseededRng, "crates/bench/src/timing.rs"));
         assert!(applies_to(RuleId::NoUnseededRng, "crates/nn/src/train.rs"));
+        assert!(applies_to(RuleId::NoFloatEq, "crates/bench/src/timing.rs"));
     }
 
     #[test]
     fn word_boundaries_respected() {
-        // `MyHashMap` and `HashMapLike` are not the std type.
+        // `MyRandomState` and `RandomStateLike` are not the std type.
         let d = check_source(
-            "crates/plan/src/x.rs",
-            "type A = MyHashMap; struct HashMapLike;\n",
-            &[RuleId::NoHashIterOrder],
+            "crates/core/src/x.rs",
+            "type A = MyRandomState; struct RandomStateLike;\n",
+            &[RuleId::NoUnseededRng],
         );
         assert!(d.is_empty(), "{d:?}");
         let d = check_source(
-            "crates/plan/src/x.rs",
-            "use std::collections::HashMap;\n",
-            &[RuleId::NoHashIterOrder],
+            "crates/core/src/x.rs",
+            "use std::collections::hash_map::RandomState;\n",
+            &[RuleId::NoUnseededRng],
         );
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 1);
@@ -580,114 +370,6 @@ mod tests {
             "crates/nn/src/param.rs",
             "fn f() { for i in 0..3 { myvec![i]; } }\n",
             &[RuleId::NoPerNodeAlloc],
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unpinned_pool_width_flags_literal_loop_spawns() {
-        // A private pool in the executor, hard-coded to 4 workers: the
-        // exact thing the rule hunts.
-        let pool = "fn pool() {\n\
-                    for _ in 0..4 {\n\
-                        scope.spawn(move || work());\n\
-                    }\n\
-                    }\n";
-        let d = check_source("crates/executor/src/par.rs", pool, &[RuleId::NoUnpinnedPoolWidth]);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].line, 3);
-
-        // So does any other spawn there, loop or not.
-        let single = "fn one() { let h = scope.spawn(f); h.join(); }\n";
-        let d = check_source("crates/core/src/bao.rs", single, &[RuleId::NoUnpinnedPoolWidth]);
-        assert_eq!(d.len(), 1, "{d:?}");
-
-        // The same text where threads are allowed to come from: clean.
-        for allowed in ["crates/common/src/pool.rs", "crates/nn/src/train.rs"] {
-            let d = check_source(allowed, pool, &[RuleId::NoUnpinnedPoolWidth]);
-            assert!(d.is_empty(), "{allowed}: {d:?}");
-        }
-
-        // Test code is exempt.
-        let in_test = "#[cfg(test)]\n\
-                       mod tests {\n\
-                       fn t() { s.spawn(f); }\n\
-                       }\n";
-        let d =
-            check_source("crates/core/src/bao.rs", in_test, &[RuleId::NoUnpinnedPoolWidth]);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unlogged_persistence_flags_library_fs_writes() {
-        let src = "fn save(p: &std::path::Path) {\n\
-                   std::fs::write(p, b\"x\").unwrap();\n\
-                   std::fs::create_dir_all(p).unwrap();\n\
-                   let f = std::fs::File::create(p).unwrap();\n\
-                   let o = std::fs::OpenOptions::new().append(true).open(p);\n\
-                   }\n";
-        let d = check_source(
-            "crates/core/src/bao.rs",
-            src,
-            &[RuleId::NoUnloggedPersistence],
-        );
-        assert_eq!(d.len(), 4, "{d:?}");
-        assert_eq!(d.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
-
-        // The WAL crate and binaries are the sanctioned persistence
-        // sites; the bench *library* writes no file.
-        for exempt in [
-            "crates/wal/src/log.rs",
-            "crates/bench/src/bin/baodb.rs",
-            "crates/bench/src/bin/figures/main.rs",
-            "crates/lint/src/main.rs",
-        ] {
-            assert!(!applies_to(RuleId::NoUnloggedPersistence, exempt), "{exempt}");
-        }
-        for covered in ["crates/harness/src/recover.rs", "crates/bench/src/timing.rs"] {
-            assert!(applies_to(RuleId::NoUnloggedPersistence, covered), "{covered}");
-        }
-    }
-
-    #[test]
-    fn unlogged_persistence_masked_regions_stay_silent() {
-        // Reads are not writes; string/comment occurrences are masked;
-        // test modules are exempt; a pragma waives a deliberate site.
-        let src = "fn load(p: &std::path::Path) -> Vec<u8> {\n\
-                   // telemetry via std::fs::write lives in a binary\n\
-                   let s = \"fs::write\";\n\
-                   let _ = s;\n\
-                   std::fs::read(p).unwrap()\n\
-                   }\n\
-                   fn waived(p: &std::path::Path) {\n\
-                   // bao-lint: allow(no-unlogged-persistence)\n\
-                   std::fs::write(p, b\"report\").unwrap();\n\
-                   }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                   fn t() { std::fs::write(\"/tmp/x\", b\"y\").unwrap(); }\n\
-                   }\n";
-        let d = check_source(
-            "crates/storage/src/buffer.rs",
-            src,
-            &[RuleId::NoUnloggedPersistence],
-        );
-        assert!(d.is_empty(), "{d:?}");
-        // `remove_dir_all` (cleanup, not persistence) is not a needle.
-        let d = check_source(
-            "crates/harness/src/recover.rs",
-            "fn wipe(p: &std::path::Path) { std::fs::remove_dir_all(p).ok(); }\n",
-            &[RuleId::NoUnloggedPersistence],
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unwrap_or_is_not_unwrap() {
-        let d = check_source(
-            "crates/core/src/x.rs",
-            "let v = o.unwrap_or(3); let w = o.unwrap_or_else(f);\n",
-            &[RuleId::NoPanicPath],
         );
         assert!(d.is_empty(), "{d:?}");
     }

@@ -10,8 +10,6 @@
 //! from comment text, and test regions are found by brace matching after a
 //! test attribute.
 
-use std::collections::BTreeSet;
-
 /// A source file reduced to lint-relevant structure.
 #[derive(Debug)]
 pub struct MaskedSource {
@@ -21,8 +19,6 @@ pub struct MaskedSource {
     /// `(line, rule)` pairs from `bao-lint: allow(rule, ...)` pragmas
     /// (1-based line of the pragma comment itself).
     pub allows: Vec<(usize, String)>,
-    /// Rules allowed for the whole file via `bao-lint: allow-file(rule)`.
-    pub file_allows: BTreeSet<String>,
     /// `true` for every (1-based) line inside a test-only region.
     test_lines: Vec<bool>,
     /// `true` for every (1-based) line inside a `for` loop body.
@@ -44,11 +40,7 @@ impl MaskedSource {
     /// pragma? Pragmas apply to their own line and to the line below
     /// (so both trailing and preceding-line annotations work).
     pub fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        self.file_allows.contains(rule)
-            || self
-                .allows
-                .iter()
-                .any(|(l, r)| r == rule && (*l == line || *l + 1 == line))
+        self.allows.iter().any(|(l, r)| r == rule && (*l == line || *l + 1 == line))
     }
 }
 
@@ -69,7 +61,6 @@ pub fn mask(src: &str) -> MaskedSource {
     let mut comment_buf = String::new();
     let mut comment_start_line = 1usize;
     let mut allows: Vec<(usize, String)> = Vec::new();
-    let mut file_allows: BTreeSet<String> = BTreeSet::new();
 
     let mut state = State::Code;
     let mut line = 1usize;
@@ -77,7 +68,7 @@ pub fn mask(src: &str) -> MaskedSource {
 
     macro_rules! finish_comment {
         () => {{
-            harvest_pragmas(&comment_buf, comment_start_line, &mut allows, &mut file_allows);
+            harvest_pragmas(&comment_buf, comment_start_line, &mut allows);
             comment_buf.clear();
         }};
     }
@@ -211,9 +202,7 @@ pub fn mask(src: &str) -> MaskedSource {
                 }
                 Some(h) => {
                     if c == '"' && closes_raw_string(&chars, i, h) {
-                        for _ in 0..=h {
-                            masked.push(' ');
-                        }
+                        masked.extend(std::iter::repeat_n(' ', h as usize + 1));
                         i += 1 + h as usize;
                         state = State::Code;
                         continue;
@@ -240,14 +229,14 @@ pub fn mask(src: &str) -> MaskedSource {
         i += 1;
     }
     if matches!(state, State::LineComment | State::BlockComment(_)) {
-        harvest_pragmas(&comment_buf, comment_start_line, &mut allows, &mut file_allows);
+        harvest_pragmas(&comment_buf, comment_start_line, &mut allows);
     }
 
     let masked_str: String = masked.into_iter().collect();
     let lines: Vec<String> = masked_str.split('\n').map(|l| l.to_string()).collect();
     let test_lines = find_test_lines(&lines);
     let loop_lines = find_for_regions(&lines);
-    MaskedSource { lines, allows, file_allows, test_lines, loop_lines }
+    MaskedSource { lines, allows, test_lines, loop_lines }
 }
 
 fn is_raw_string_start(chars: &[char], i: usize) -> bool {
@@ -278,38 +267,18 @@ fn closes_raw_string(chars: &[char], i: usize, hashes: u32) -> bool {
     (1..=hashes as usize).all(|k| chars.get(i + k) == Some(&'#'))
 }
 
-/// Extract `bao-lint: allow(rule, ...)` / `allow-file(rule, ...)` pragmas
-/// from one comment's text. `start_line` is the comment's first line;
-/// pragmas on later lines of a block comment get their true line.
-fn harvest_pragmas(
-    text: &str,
-    start_line: usize,
-    allows: &mut Vec<(usize, String)>,
-    file_allows: &mut BTreeSet<String>,
-) {
+/// Extract `bao-lint: allow(rule, ...)` pragmas from one comment's text.
+/// `start_line` is the comment's first line; pragmas on later lines of a
+/// block comment get their true line.
+fn harvest_pragmas(text: &str, start_line: usize, allows: &mut Vec<(usize, String)>) {
     for (off, comment_line) in text.split('\n').enumerate() {
-        let line_no = start_line + off;
         let mut rest = comment_line;
         while let Some(pos) = rest.find("bao-lint:") {
             rest = &rest[pos + "bao-lint:".len()..];
-            let trimmed = rest.trim_start();
-            for (kw, to_file) in [("allow-file(", true), ("allow(", false)] {
-                if let Some(arg) = trimmed.strip_prefix(kw) {
-                    if let Some(end) = arg.find(')') {
-                        for rule in arg[..end].split(',') {
-                            let rule = rule.trim().to_string();
-                            if rule.is_empty() {
-                                continue;
-                            }
-                            if to_file {
-                                file_allows.insert(rule);
-                            } else {
-                                allows.push((line_no, rule));
-                            }
-                        }
-                    }
-                    break;
-                }
+            let Some(arg) = rest.trim_start().strip_prefix("allow(") else { continue };
+            if let Some(end) = arg.find(')') {
+                let rules = arg[..end].split(',').map(str::trim).filter(|r| !r.is_empty());
+                allows.extend(rules.map(|r| (start_line + off, r.to_string())));
             }
         }
     }
@@ -345,13 +314,9 @@ fn find_test_lines(masked_lines: &[String]) -> Vec<bool> {
                         region_starts.pop();
                     }
                 }
-                ';' => {
-                    // An attribute followed by a brace-less item
-                    // (e.g. `#[cfg(test)] use ...;`) opens no region.
-                    if pending_attr && region_starts.is_empty() {
-                        pending_attr = false;
-                    }
-                }
+                // An attribute followed by a brace-less item
+                // (e.g. `#[cfg(test)] use ...;`) opens no region.
+                ';' if pending_attr && region_starts.is_empty() => pending_attr = false,
                 _ => {}
             }
         }
@@ -470,16 +435,15 @@ mod tests {
 
     #[test]
     fn pragmas_are_harvested_with_lines() {
-        let src = "let a = 1; // bao-lint: allow(no-panic-path)\n\
-                   // bao-lint: allow(no-unsafe, no-wall-clock)\n\
-                   unsafe {}\n\
-                   // bao-lint: allow-file(no-hash-iter-order)\n";
+        let src = "let a = 1; // bao-lint: allow(no-float-eq)\n\
+                   // bao-lint: allow(no-unseeded-rng, no-per-node-alloc)\n\
+                   let s = RandomState::new();\n";
         let m = mask(src);
-        assert!(m.is_allowed("no-panic-path", 1));
-        assert!(m.is_allowed("no-unsafe", 3)); // pragma on line 2 covers line 3
-        assert!(m.is_allowed("no-wall-clock", 2));
-        assert!(!m.is_allowed("no-unsafe", 1));
-        assert!(m.is_allowed("no-hash-iter-order", 999)); // file-wide
+        assert!(m.is_allowed("no-float-eq", 1));
+        assert!(m.is_allowed("no-unseeded-rng", 3)); // pragma on line 2 covers line 3
+        assert!(m.is_allowed("no-per-node-alloc", 2));
+        assert!(!m.is_allowed("no-unseeded-rng", 1));
+        assert!(!m.is_allowed("no-unseeded-rng", 4));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! Thompson-sampling mechanism of paper §3.1.2) is provided as a shared
 //! utility.
 
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr))]
+
 pub mod bootstrap;
 pub mod forest;
 pub mod linear;

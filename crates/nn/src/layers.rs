@@ -186,7 +186,7 @@ pub fn layer_norm_forward(
 /// `-0.0`, the value `f32: Sum` folds from, so each equals the row's
 /// `iter().sum()` — what the scorer's `ln_relu_row` computes.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // column `j` of all `R` rows in lockstep
+#[expect(clippy::needless_range_loop, reason = "column `j` of all `R` rows in lockstep")]
 fn ln_rows<const R: usize>(
     gamma: &Param,
     beta: &Param,

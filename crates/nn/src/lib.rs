@@ -14,6 +14,8 @@
 //! configurable; the paper's 256/128/64 + 32 is [`TcnnConfig::paper`],
 //! and a reduced-width default keeps full experiment sweeps fast on CPU.
 
+#![cfg_attr(not(test), warn(clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr))]
+
 pub mod adam;
 pub mod infer;
 pub mod layers;

@@ -370,6 +370,7 @@ fn train_observed(
         return train_loop(net, trees, targets, cfg, &[], after_minibatch);
     }
     std::thread::scope(|scope| {
+        #[expect(clippy::disallowed_methods, reason = "the trainer's helpers, sized by resolve_width")]
         let helpers: Vec<Helper> = (1..width)
             .map(|_| {
                 let (jobs, job_rx) = mpsc::channel::<ShardSlot>();
@@ -548,7 +549,7 @@ mod tests {
         let mut cfg_net = TcnnConfig::tiny(3);
         cfg_net.dropout = 0.0;
         let cfg = TrainConfig { max_epochs: 8, seed: 17, ..TrainConfig::default() };
-        let mut a = TreeCnn::new(cfg_net.clone(), 5);
+        let mut a = TreeCnn::new(cfg_net, 5);
         let mut b = a.clone();
         let ra = train(&mut a, &trees, &ys, &cfg);
         let rb = train_reference(&mut b, &trees, &ys, &cfg);

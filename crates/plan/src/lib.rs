@@ -3,6 +3,8 @@
 //! optimizer enumerates over, and the physical plan trees Bao featurizes,
 //! predicts over, and executes.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr))]
+
 pub mod fingerprint;
 pub mod joingraph;
 pub mod logical;

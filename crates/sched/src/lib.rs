@@ -13,6 +13,8 @@
 //! the pre-sched FIFO wave former (pinned by `tests/serving_equivalence.rs`
 //! and `tests/sched_equivalence.rs`). See DESIGN.md §10.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod report;
 pub mod sched;
 pub mod tenant;

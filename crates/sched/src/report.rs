@@ -114,7 +114,7 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     (sum * sum) / (n as f64 * sum_sq)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one slice per per-tenant counter the scheduler keeps")]
 pub(crate) fn build_report(
     cfg: &SchedConfig,
     waves: usize,

@@ -271,7 +271,7 @@ impl Scheduler {
 
     fn tenant_ready(&self, t: TenantId, now: SimDuration) -> bool {
         !self.queues[t].is_empty()
-            && self.buckets[t].as_ref().map_or(true, |b| b.ready(now))
+            && self.buckets[t].as_ref().is_none_or(|b| b.ready(now))
     }
 
     /// Whether at least one query could be dispatched at `now`.

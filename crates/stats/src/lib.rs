@@ -14,6 +14,8 @@
 //!   selectivities from exact key-frequency sketches, yielding far lower
 //!   q-error and therefore a much stronger traditional optimizer baseline.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod column;
 pub mod estimator;
 pub mod histogram;

@@ -6,6 +6,8 @@
 //! LRU buffer pool whose hit/miss accounting drives both the executor's
 //! simulated I/O costs and Bao's optional cache-state features.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod buffer;
 pub mod catalog;
 pub mod column;

@@ -200,6 +200,7 @@ impl Wal {
     /// Create a fresh log in `cfg.dir`. Errors if the directory already
     /// contains segments — an existing log must be recovered (scan +
     /// resume) or removed explicitly, never silently overwritten.
+    #[expect(clippy::disallowed_methods, reason = "the write-ahead log is the one durable writer")]
     pub fn open(cfg: DurabilityConfig) -> Result<Wal> {
         fs::create_dir_all(&cfg.dir).map_err(|e| io_err("creating wal dir", &cfg.dir, e))?;
         let existing = list_segments(&cfg.dir)?;
@@ -213,6 +214,7 @@ impl Wal {
         Wal::create_segment(cfg, 0)
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the write-ahead log is the one durable writer")]
     fn create_segment(cfg: DurabilityConfig, index: u32) -> Result<Wal> {
         let path = segment_path(&cfg.dir, index);
         let mut file = fs::OpenOptions::new()
@@ -371,6 +373,7 @@ impl Wal {
     /// `scan` (whose rollback must already have been applied) and
     /// reopen it for appending. An empty prefix wipes the directory and
     /// starts a fresh log.
+    #[expect(clippy::disallowed_methods, reason = "the write-ahead log is the one durable writer")]
     pub fn resume(cfg: DurabilityConfig, scan: &WalScan) -> Result<Wal> {
         let segs = list_segments(&cfg.dir)?;
         let last = match scan.frames.last() {
@@ -410,6 +413,7 @@ impl Wal {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests tear and corrupt segment files by hand")]
 mod tests {
     use super::*;
     use bao_common::json::{Json, ToJson};

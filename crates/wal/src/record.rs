@@ -213,6 +213,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::excessive_precision, reason = "a literal no f64 holds exactly, on purpose")]
     fn perf_round_trips_exactly() {
         // The f64 lane must preserve awkward values bit-for-bit.
         for perf in [1.0 / 3.0, 1e-300, 123456789.123456789, f64::MIN_POSITIVE] {

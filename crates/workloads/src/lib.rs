@@ -7,6 +7,8 @@
 //! an [`Event`] (data load / schema change) the harness must apply — and
 //! re-ANALYZE for — before executing the step's query.
 
+#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+
 pub mod corp;
 pub mod imdb;
 pub mod stack;

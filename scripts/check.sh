@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # One-shot verification gate, in dependency order:
-#   1. bao-lint        — workspace invariant lints (DESIGN.md §7), JSON
-#                        report to results/lint_report.json
-#   2. check_hermetic  — static manifest scan (via bao-lint)
-#   3. build + test    — tier-1: cargo build --release && cargo test -q,
+#   1. clippy          — cargo clippy --workspace --all-targets --offline
+#                        -- -D warnings: clippy's default lints plus the
+#                        workspace invariants the compiler checks
+#                        (DESIGN.md §7: root clippy.toml, [workspace.lints],
+#                        crate-root attributes, #[expect] at permitted sites)
+#   2. bao-lint        — the three invariants clippy cannot express
+#                        (no-per-node-alloc, no-unseeded-rng, no-float-eq)
+#   3. check_hermetic  — cargo's resolver (cargo metadata --offline):
+#                        every package must come from a local path
+#   4. build + test    — tier-1: cargo build --release && cargo test -q,
 #                        failing when the release build or the test build
 #                        (cargo test --no-run) prints a compiler warning,
 #                        so a deletion cannot leave a dangling import or a
@@ -18,7 +24,7 @@
 #                        package outside the workspace that spells product
 #                        types, fields and functions by name, so a change
 #                        that removes one it uses fails here
-#   4. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
+#   5. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
 #                        the one wall-clock gate the repo benchmark
 #                        (benchmark/) does not cover; exits non-zero when
 #                        auto-width training loses to inline (DESIGN.md §8);
@@ -28,18 +34,18 @@
 #                        same rows and that the pinned input digests hold —
 #                        tier-1 alone would not catch a wrong fetch in a
 #                        learned arm
-#   5. crash smoke     — opt-in via --crash-smoke: the kill-at-boundary
+#   6. crash smoke     — opt-in via --crash-smoke: the kill-at-boundary
 #                        crash matrix (tests/crash_recovery.rs), 1 seed /
 #                        every 4th boundary; the full matrix (3 seeds,
 #                        every boundary) runs when BAO_CRASH_EXHAUSTIVE=1
 #                        is already exported (DESIGN.md §14)
-#   6. figures         — opt-in via --figures (~6 min): regenerate every
+#   7. figures         — opt-in via --figures (~6 min): regenerate every
 #                        results/<name>.txt (`figures --list`) into a temp
 #                        dir and diff it against the tracked file. Every
 #                        number there is simulated, so any byte that
 #                        differs is a behaviour change: commit the new
 #                        text and the diff is the review
-#   7. code lines      — scripts/loc.sh: product code lines per crate, a
+#   8. code lines      — scripts/loc.sh: product code lines per crate, a
 #                        tracked metric (ROADMAP aim 2); printed and
 #                        written to results/loc.txt (tracked, so a PR's
 #                        diff shows what it did to the count), not gated
@@ -62,11 +68,15 @@ for arg in "$@"; do
     esac
 done
 
-echo "== bao-lint =="
-cargo run -q -p bao-lint -- --json
+echo "== clippy (no warnings) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo
-echo "== hermetic manifests =="
+echo "== bao-lint =="
+cargo run -q -p bao-lint
+
+echo
+echo "== hermetic (cargo metadata) =="
 "$repo/scripts/check_hermetic.sh"
 
 # Run a cargo command and fail if it printed a compiler warning. Cargo

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Hermeticity gate: every dependency in every workspace manifest must be
-# a local `path` crate. The static scan lives in the bao-lint binary
-# (`hermetic-manifest` rule, crates/lint/src/manifest.rs); this script is
-# the thin CI entry point for it.
+# Hermeticity gate: every package the workspace resolves to must be a
+# local `path` crate. The static half asks cargo's own resolver:
+# `cargo metadata --offline` reports each package and dependency with its
+# `source`, `null` for a path crate and a registry or git URL otherwise.
+# A remote `version`, `git` or `registry` dependency either appears with a
+# non-null source or fails to resolve offline; both fail here. (`path`
+# together with `version` resolves to the local crate and passes.)
 #
 # With --full it additionally proves the claim dynamically: the workspace
 # must build and test `--offline` with an *empty* CARGO_HOME, so nothing
@@ -14,14 +17,17 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$repo"
 
-# A non-path dependency fails in one of two ways, both caught here: the
-# lint scan reports it (exit 1), or cargo already refuses to resolve the
-# workspace for `cargo run` (exit 101, offline registry).
-if ! cargo run -q -p bao-lint -- --only hermetic-manifest; then
-    echo "ERROR: hermetic manifest scan failed" >&2
+if ! meta="$(cargo metadata --offline --format-version 1)"; then
+    echo "ERROR: the workspace does not resolve offline" >&2
     exit 1
 fi
-echo "manifest scan: all dependencies are path-only"
+remote="$(grep -o '"source":"[^"]*"' <<<"$meta" | sort -u || true)"
+if [ -n "$remote" ]; then
+    echo "ERROR: non-local dependency sources:" >&2
+    echo "$remote" >&2
+    exit 1
+fi
+echo "resolver check: every package and dependency has a local source"
 
 if [ "${1:-}" = "--full" ]; then
     tmp_home="$(mktemp -d)"

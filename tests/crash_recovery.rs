@@ -78,6 +78,22 @@ fn segment0(dir: &Path) -> PathBuf {
     dir.join("wal-000000.seg")
 }
 
+/// Write `bytes` as the segment file at `path`, creating its directory.
+#[expect(clippy::disallowed_methods, reason = "installs a cut log for recovery to read")]
+fn install_segment(path: &Path, bytes: &[u8]) {
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
+    fs::write(path, bytes).unwrap();
+}
+
+/// The uninterrupted run every crash case of one seed must reproduce.
+struct Golden<'a> {
+    seed: u64,
+    db: &'a Database,
+    wl: &'a Workload,
+    result: &'a [u8],
+    wal: &'a [u8],
+}
+
 /// Byte offsets of every frame boundary in a single-segment log
 /// (including the header end, i.e. "before the first frame").
 fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
@@ -101,22 +117,13 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
 /// succeed on its own, without the wipe-and-rerun fallback, whose fresh
 /// run's bytes would hide a wrong recovery. Only damage inside the segment
 /// header or frame 0 may take the `recover_or_fresh` path.
-fn assert_recovers(
-    case_dir: &Path,
-    bytes: &[u8],
-    seed: u64,
-    db: &Database,
-    wl: &Workload,
-    golden_result: &[u8],
-    golden_wal: &[u8],
-    what: &str,
-) {
+fn assert_recovers(case_dir: &Path, bytes: &[u8], golden: &Golden, what: &str) {
+    let Golden { seed, db, wl, .. } = *golden;
     let _ = fs::remove_dir_all(case_dir);
-    fs::create_dir_all(case_dir).unwrap();
-    fs::write(segment0(case_dir), bytes).unwrap();
+    install_segment(&segment0(case_dir), bytes);
     let cfg = run_config(seed, Some(case_dir));
-    let header_end = frame_boundaries(golden_wal)[1];
-    let header_whole = bytes.len() >= header_end && bytes[..header_end] == golden_wal[..header_end];
+    let header_end = frame_boundaries(golden.wal)[1];
+    let header_whole = bytes.len() >= header_end && bytes[..header_end] == golden.wal[..header_end];
     let result = if header_whole {
         recover(cfg, db.clone(), wl).and_then(|rec| rec.resume(wl))
     } else {
@@ -125,11 +132,11 @@ fn assert_recovers(
     .unwrap_or_else(|e| panic!("recovery failed for {what}: {e}"));
     assert_eq!(
         result.canonical_json().into_bytes(),
-        golden_result,
+        golden.result,
         "final RunResult diverged after {what}"
     );
     let final_wal = fs::read(segment0(case_dir)).unwrap();
-    assert_eq!(final_wal, golden_wal, "final wal bytes diverged after {what}");
+    assert_eq!(final_wal, golden.wal, "final wal bytes diverged after {what}");
     let _ = fs::remove_dir_all(case_dir);
 }
 
@@ -152,6 +159,8 @@ fn crash_matrix(seed: u64, stride: usize, root: &Path) {
     // boundary) per retrain.
     let expect_frames = 1 + 2 * N_QUERIES + 2 * (N_QUERIES / RETRAIN);
     assert_eq!(bounds.len(), expect_frames + 1, "unexpected golden frame count");
+    let golden =
+        Golden { seed, db: &db, wl: &wl, result: &golden_result, wal: &golden_wal };
 
     let case_dir = root.join(format!("case-{seed}"));
     for (i, pair) in bounds.windows(2).enumerate() {
@@ -163,11 +172,7 @@ fn crash_matrix(seed: u64, stride: usize, root: &Path) {
         assert_recovers(
             &case_dir,
             &golden_wal[..at],
-            seed,
-            &db,
-            &wl,
-            &golden_result,
-            &golden_wal,
+            &golden,
             &format!("boundary cut at byte {at} (frame {i})"),
         );
         // Torn write: kill mid-frame.
@@ -175,11 +180,7 @@ fn crash_matrix(seed: u64, stride: usize, root: &Path) {
         assert_recovers(
             &case_dir,
             &golden_wal[..mid],
-            seed,
-            &db,
-            &wl,
-            &golden_result,
-            &golden_wal,
+            &golden,
             &format!("torn cut at byte {mid} (inside frame {i})"),
         );
         // Bit rot: full-length log, one bit flipped inside this frame.
@@ -189,29 +190,14 @@ fn crash_matrix(seed: u64, stride: usize, root: &Path) {
             assert_recovers(
                 &case_dir,
                 &rotten,
-                seed,
-                &db,
-                &wl,
-                &golden_result,
-                &golden_wal,
+                &golden,
                 &format!("bit flip at byte {mid} (inside frame {i})"),
             );
         }
     }
     // The zero-byte and header-only prefixes (nothing valid at all).
-    assert_recovers(
-        &case_dir, &[], seed, &db, &wl, &golden_result, &golden_wal, "empty log file",
-    );
-    assert_recovers(
-        &case_dir,
-        &golden_wal[..3],
-        seed,
-        &db,
-        &wl,
-        &golden_result,
-        &golden_wal,
-        "cut inside the segment header",
-    );
+    assert_recovers(&case_dir, &[], &golden, "empty log file");
+    assert_recovers(&case_dir, &golden_wal[..3], &golden, "cut inside the segment header");
     let _ = fs::remove_dir_all(&golden_dir);
 }
 
@@ -249,8 +235,7 @@ fn recovery_report_census_is_exact() {
     // outcome = 4) + q4..q6 (2 each) = 1 + 6 + 4 + 6 = 17.
     let cut = bounds[17];
     let case_dir = root.join("case");
-    fs::create_dir_all(&case_dir).unwrap();
-    fs::write(segment0(&case_dir), &golden_wal[..cut]).unwrap();
+    install_segment(&segment0(&case_dir), &golden_wal[..cut]);
 
     let rec = recover(run_config(seed, Some(&case_dir)), db.clone(), &wl).unwrap();
     assert_eq!(rec.resumed_at_step(), 7);
@@ -283,8 +268,7 @@ fn uncommitted_experience_rolls_back_and_truncates() {
     // bounds[2] = right after q0's experience frame, before its outcome.
     let cut = bounds[2];
     let case_dir = root.join("case");
-    fs::create_dir_all(&case_dir).unwrap();
-    fs::write(segment0(&case_dir), &golden_wal[..cut]).unwrap();
+    install_segment(&segment0(&case_dir), &golden_wal[..cut]);
 
     let rec = recover(run_config(seed, Some(&case_dir)), db.clone(), &wl).unwrap();
     assert_eq!(rec.report.frames_rolled_back, 1);
@@ -322,17 +306,15 @@ fn recovery_crosses_segment_rotation() {
 
     // Kill mid-way through the last segment.
     let case_dir = root.join("case");
-    fs::create_dir_all(&case_dir).unwrap();
     for s in &segs[..segs.len() - 1] {
-        fs::write(case_dir.join(s.file_name().unwrap()), fs::read(s).unwrap()).unwrap();
+        install_segment(&case_dir.join(s.file_name().unwrap()), &fs::read(s).unwrap());
     }
     let last = fs::read(segs.last().unwrap()).unwrap();
     let keep = SEGMENT_HEADER_LEN + (last.len() - SEGMENT_HEADER_LEN) / 2;
-    fs::write(
-        case_dir.join(segs.last().unwrap().file_name().unwrap()),
+    install_segment(
+        &case_dir.join(segs.last().unwrap().file_name().unwrap()),
         &last[..keep.min(last.len())],
-    )
-    .unwrap();
+    );
 
     let mut case_cfg = run_config(seed, Some(&case_dir));
     if let Strategy::Bao(s) = &mut case_cfg.strategy {
@@ -375,8 +357,7 @@ fn serving_run_recovers_to_identical_result() {
     let (db2, _) = (db.clone(), ());
     for &cut in [bounds[bounds.len() / 2], bounds[bounds.len() - 2]].iter() {
         let _ = fs::remove_dir_all(&case_dir);
-        fs::create_dir_all(&case_dir).unwrap();
-        fs::write(segment0(&case_dir), &golden_wal[..cut]).unwrap();
+        install_segment(&segment0(&case_dir), &golden_wal[..cut]);
         let result = recover(run_config(seed, Some(&case_dir)), db2.clone(), &wl)
             .and_then(|rec| rec.resume(&wl))
             .unwrap();
