@@ -1,25 +1,20 @@
-//! Layer forward/backward kernels.
+//! Layer forward/backward kernels of the TCNN's one taped pass.
 //!
 //! All kernels operate on node-major activation buffers (`n_nodes × c`)
 //! and are written as free functions so the network's tape (in `net.rs`)
 //! owns every cached activation explicitly — no hidden state, which makes
-//! the finite-difference gradient check in `net.rs` meaningful.
+//! the finite-difference gradient checks in `net.rs` meaningful.
 //!
-//! Two sets coexist (scoring has its own fused kernels in `infer.rs`):
-//!
-//! * the per-node kernels (`tree_conv_forward`, `linear_forward`, ...) —
-//!   the scalar reference, kept for the finite-difference gradient
-//!   checks and as what the tests compare the other passes against;
-//! * `*_batch` kernels — the training path. They run over a packed
-//!   multi-tree buffer ([`crate::tree::TreeBatch`]) and route every dense
-//!   product through the kernels in `param.rs` (`axpy_nz` over rows
-//!   compacted once per layer, `Param::matmul_add` and friends), which
-//!   read child rows through the child index, so no gathered copy of a
-//!   layer's input is ever made.
-//!
-//! Batched results match the reference within float-reassociation noise
-//! (~1e-6 relative), not bit-for-bit: the GEMM's transposed axpy order
-//! accumulates differently from a per-row dot product.
+//! They run over a packed multi-tree buffer ([`crate::tree::TreeBatch`]):
+//! ReLU and layer norm are per node, and the kernels that touch tree
+//! structure (convolution, pooling) or run a dense product (convolution,
+//! FC) route every product through the kernels in `param.rs` (`axpy_nz`
+//! over rows compacted once per layer, `Param::matmul_add` and friends),
+//! which read child rows through the child index, so no gathered copy of
+//! a layer's input is ever made. Each writes its result into a
+//! caller-owned buffer (resized) and keeps compactions and transposes in
+//! a caller-owned `KernelScratch`, so a reused workspace allocates
+//! nothing. Scoring has its own fused kernels in `infer.rs`.
 
 use crate::param::{axpy_nz, KernelScratch, Param};
 use bao_common::json::{self, FromJson, Json, ToJson};
@@ -74,70 +69,6 @@ impl TreeConvParams {
     pub fn in_c(&self) -> usize {
         self.top.cols
     }
-}
-
-/// Tree convolution: `y[i] = W_top x[i] + W_left x[l(i)] + W_right x[r(i)]
-/// + b`, with missing children contributing zero.
-pub fn tree_conv_forward(
-    p: &TreeConvParams,
-    left: &[i32],
-    right: &[i32],
-    x: &[f32],
-) -> Vec<f32> {
-    let (in_c, out_c) = (p.in_c(), p.out_c());
-    let n = left.len();
-    debug_assert_eq!(x.len(), n * in_c);
-    let mut y = vec![0.0f32; n * out_c];
-    for i in 0..n {
-        let yi = &mut y[i * out_c..(i + 1) * out_c];
-        for (o, b) in yi.iter_mut().zip(p.bias.w.iter()) {
-            *o = *b;
-        }
-        p.top.matvec_add(&x[i * in_c..(i + 1) * in_c], yi);
-        if left[i] >= 0 {
-            let l = left[i] as usize;
-            p.left.matvec_add(&x[l * in_c..(l + 1) * in_c], yi);
-        }
-        if right[i] >= 0 {
-            let r = right[i] as usize;
-            p.right.matvec_add(&x[r * in_c..(r + 1) * in_c], yi);
-        }
-    }
-    y
-}
-
-/// Backward pass of [`tree_conv_forward`]; accumulates parameter
-/// gradients and returns `dx`.
-pub fn tree_conv_backward(
-    p: &mut TreeConvParams,
-    left: &[i32],
-    right: &[i32],
-    x: &[f32],
-    dy: &[f32],
-) -> Vec<f32> {
-    let (in_c, out_c) = (p.in_c(), p.out_c());
-    let n = left.len();
-    let mut dx = vec![0.0f32; n * in_c];
-    for i in 0..n {
-        let dyi = &dy[i * out_c..(i + 1) * out_c];
-        for (bg, &d) in p.bias.g.iter_mut().zip(dyi.iter()) {
-            *bg += d;
-        }
-        let xi = &x[i * in_c..(i + 1) * in_c];
-        p.top.grad_outer_add(dyi, xi);
-        p.top.matvec_t_add(dyi, &mut dx[i * in_c..(i + 1) * in_c]);
-        if left[i] >= 0 {
-            let l = left[i] as usize;
-            p.left.grad_outer_add(dyi, &x[l * in_c..(l + 1) * in_c]);
-            p.left.matvec_t_add(dyi, &mut dx[l * in_c..(l + 1) * in_c]);
-        }
-        if right[i] >= 0 {
-            let r = right[i] as usize;
-            p.right.grad_outer_add(dyi, &x[r * in_c..(r + 1) * in_c]);
-            p.right.matvec_t_add(dyi, &mut dx[r * in_c..(r + 1) * in_c]);
-        }
-    }
-    dx
 }
 
 /// ReLU, in place (the output doubles as the backward mask).
@@ -287,70 +218,13 @@ fn ln_back_rows<const R: usize>(
     }
 }
 
-/// Dynamic max pooling: per-channel max over all nodes. Returns the
-/// pooled vector and the winning node per channel.
-pub fn dyn_pool_forward(x: &[f32], c: usize) -> (Vec<f32>, Vec<usize>) {
-    let n = x.len() / c;
-    debug_assert!(n >= 1);
-    let mut y = vec![f32::NEG_INFINITY; c];
-    let mut arg = vec![0usize; c];
-    for i in 0..n {
-        for j in 0..c {
-            let v = x[i * c + j];
-            if v > y[j] {
-                y[j] = v;
-                arg[j] = i;
-            }
-        }
-    }
-    (y, arg)
-}
-
-/// Scatter pooled gradients back to the winning nodes.
-pub fn dyn_pool_backward(arg: &[usize], dy: &[f32], n: usize, c: usize) -> Vec<f32> {
-    let mut dx = vec![0.0f32; n * c];
-    for j in 0..c {
-        dx[arg[j] * c + j] += dy[j];
-    }
-    dx
-}
-
-/// Fully connected layer on a single vector.
-pub fn linear_forward(w: &Param, b: &Param, x: &[f32]) -> Vec<f32> {
-    let mut y = b.w.clone();
-    w.matvec_add(x, &mut y);
-    y
-}
-
-/// Backward of [`linear_forward`].
-pub fn linear_backward(w: &mut Param, b: &mut Param, x: &[f32], dy: &[f32]) -> Vec<f32> {
-    for (bg, &d) in b.g.iter_mut().zip(dy.iter()) {
-        *bg += d;
-    }
-    w.grad_outer_add(dy, x);
-    let mut dx = vec![0.0f32; w.cols];
-    w.matvec_t_add(dy, &mut dx);
-    dx
-}
-
-// ---------------------------------------------------------------------------
-// Batched kernels (packed multi-tree buffers; see crate::tree::TreeBatch).
-//
-// ReLU and layer norm are per-node, so `relu_forward` and
-// `layer_norm_forward` above already run unchanged on a packed batch; only
-// the kernels that touch tree structure (convolution gathers, pooling) or
-// benefit from GEMM (convolution, FC) need batch variants. Each writes its
-// result into a caller-owned buffer (resized) and keeps compactions and
-// transposes in a caller-owned `KernelScratch`, so a reused workspace
-// allocates nothing.
-// ---------------------------------------------------------------------------
-
-/// Batched [`tree_conv_forward`] into `y`: child indices may span a packed
-/// multi-tree batch (rebased, so trees never alias). The layer input is
-/// compacted once (`RowNz`) and each node row then runs one
-/// [`axpy_nz`] over its three terms (self, left child, right child, read
-/// through the child index, so no gathered copy of `x` is materialized)
-/// against weights transposed once per call. Below
+/// Tree convolution into `y`: `y[i] = W_top x[i] + W_left x[l(i)] +
+/// W_right x[r(i)] + b`, missing children contributing zero. Child
+/// indices may span a packed multi-tree batch (rebased, so trees never
+/// alias). The layer input is compacted once (`RowNz`) and each node row
+/// then runs one [`axpy_nz`] over its three terms (self, left child,
+/// right child, read through the child index, so no gathered copy of `x`
+/// is materialized) against weights transposed once per call. Below
 /// [`Param::MATMUL_MIN_BATCH`] node rows it takes the per-node
 /// `matvec_add` branch of [`Param::matmul_add`] instead.
 pub fn tree_conv_forward_batch(
@@ -453,7 +327,7 @@ pub fn tree_conv_backward_batch_input(
     }
 }
 
-/// Per-tree dynamic max pooling over a packed batch: tree `t` pools its
+/// Dynamic max pooling, per channel and per tree: tree `t` pools its
 /// `offsets[t]..offsets[t+1]` node rows into `n_trees × c` pooled
 /// activations `y`, and `arg` gets the winning *batch-global* node per
 /// (tree, channel).
@@ -500,7 +374,8 @@ pub fn dyn_pool_backward_batch(
 }
 
 /// Fully connected layer over a row batch (`n × in` → `n × out`), into
-/// `y`.
+/// `y`; below [`Param::MATMUL_MIN_BATCH`] rows [`Param::matmul_add`] runs
+/// one `matvec_add` per row.
 pub fn linear_forward_batch(
     w: &Param,
     b: &Param,
@@ -652,12 +527,13 @@ mod tests {
 
     #[test]
     fn pool_and_scatter() {
-        // two nodes, three channels
+        // one tree of two nodes, three channels
         let x = vec![1.0, 9.0, 3.0, 4.0, 2.0, 8.0];
-        let (y, arg) = dyn_pool_forward(&x, 3);
+        let (mut y, mut arg, mut dx) = (Vec::new(), Vec::new(), Vec::new());
+        dyn_pool_forward_batch(&x, 3, &[0, 2], &mut y, &mut arg);
         assert_eq!(y, vec![4.0, 9.0, 8.0]);
         assert_eq!(arg, vec![1, 0, 1]);
-        let dx = dyn_pool_backward(&arg, &[0.1, 0.2, 0.3], 2, 3);
+        dyn_pool_backward_batch(&arg, &[0.1, 0.2, 0.3], 2, 3, &mut dx);
         assert_eq!(dx, vec![0.0, 0.2, 0.0, 0.1, 0.0, 0.3]);
     }
 
@@ -681,19 +557,28 @@ mod tests {
         p.left = Param::from_weights(1, 1, vec![10.0]);
         p.right = Param::from_weights(1, 1, vec![100.0]);
         p.bias = Param::zeros(1, 1);
-        let left = vec![1, -1, -1];
-        let right = vec![2, -1, -1];
-        let x = vec![1.0, 2.0, 3.0];
-        let y = tree_conv_forward(&p, &left, &right, &x);
+        let (mut y, mut ks) = (Vec::new(), KernelScratch::default());
+        // One 3-node tree: the per-node branch, below `MATMUL_MIN_BATCH`.
+        tree_conv_forward_batch(&p, &[1, -1, -1], &[2, -1, -1], &[1.0, 2.0, 3.0], &mut y, &mut ks);
         assert_eq!(y, vec![1.0 + 20.0 + 300.0, 2.0, 3.0]);
+        // Two such trees packed: six node rows, the GEMM branch.
+        let (left, right) = ([1, -1, -1, 4, -1, -1], [2, -1, -1, 5, -1, -1]);
+        let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        tree_conv_forward_batch(&p, &left, &right, &x, &mut y, &mut ks);
+        assert_eq!(y, vec![321.0, 2.0, 3.0, 4.0 + 50.0 + 600.0, 5.0, 6.0]);
     }
 
     #[test]
     fn linear_known_values() {
         let w = Param::from_weights(2, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0]);
         let b = Param::from_weights(2, 1, vec![0.5, -0.5]);
-        let y = linear_forward(&w, &b, &[1.0, 2.0, 3.0]);
+        let (mut y, mut ks) = (Vec::new(), KernelScratch::default());
+        // One row (the per-row branch), then four (the GEMM).
+        linear_forward_batch(&w, &b, &[1.0, 2.0, 3.0], 1, &mut y, &mut ks);
         assert_eq!(y, vec![1.5, 4.5]);
+        let x = [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, -1.0, 4.0, 0.0, 2.0, 0.0, -2.0];
+        linear_forward_batch(&w, &b, &x, 4, &mut y, &mut ks);
+        assert_eq!(y, vec![1.5, 4.5, 0.5, -0.5, -0.5, 3.5, 2.5, -2.5]);
     }
 
     use bao_common::{rng_from_seed, Rng};
@@ -715,37 +600,50 @@ mod tests {
         }
     }
 
+    /// Tree `lo..hi` of a packed batch on its own: child indices rebased
+    /// to its first node.
+    fn rebase(child: &[i32], lo: usize) -> Vec<i32> {
+        child.iter().map(|&c| if c < 0 { -1 } else { c - lo as i32 }).collect()
+    }
+
+    /// The packed pair against each of its trees convolved alone: the
+    /// 5-node tree and the packed 8 rows take the GEMM branch, the 3-node
+    /// tree the per-node one.
     #[test]
     fn batched_conv_matches_reference() {
         let (left, right, x, offsets) = packed_pair(5, 42);
         let p = TreeConvParams::new(5, 7, 9);
-        let mut batched = Vec::new();
-        tree_conv_forward_batch(&p, &left, &right, &x, &mut batched, &mut KernelScratch::default());
-        // Reference: run each tree separately through the per-node kernel.
-        for (t, w) in offsets.windows(2).enumerate() {
+        let (mut batched, mut alone, mut ks) = (Vec::new(), Vec::new(), KernelScratch::default());
+        tree_conv_forward_batch(&p, &left, &right, &x, &mut batched, &mut ks);
+        for w in offsets.windows(2) {
             let (lo, hi) = (w[0], w[1]);
-            let l: Vec<i32> =
-                left[lo..hi].iter().map(|&c| if c < 0 { -1 } else { c - lo as i32 }).collect();
-            let r: Vec<i32> =
-                right[lo..hi].iter().map(|&c| if c < 0 { -1 } else { c - lo as i32 }).collect();
-            let y = tree_conv_forward(&p, &l, &r, &x[lo * 5..hi * 5]);
-            assert_close(&batched[lo * 7..hi * 7], &y, 1e-5);
-            let _ = t;
+            let (l, r) = (rebase(&left[lo..hi], lo), rebase(&right[lo..hi], lo));
+            tree_conv_forward_batch(&p, &l, &r, &x[lo * 5..hi * 5], &mut alone, &mut ks);
+            assert_close(&batched[lo * 7..hi * 7], &alone, 1e-5);
         }
     }
 
+    /// The packed pair's backward against its trees' backward passes run
+    /// alone: each tree's input gradient, and the parameter gradients
+    /// summed over both trees.
     #[test]
     fn batched_conv_backward_matches_reference() {
-        let (left, right, x, _) = packed_pair(4, 7);
+        let (left, right, x, offsets) = packed_pair(4, 7);
         let mut rng = rng_from_seed(8);
         let dy: Vec<f32> = (0..8 * 6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let mut pa = TreeConvParams::new(4, 6, 3);
         let mut pb = pa.clone();
-        let (mut dxa, mut ks) = (Vec::new(), KernelScratch::default());
+        let (mut dxa, mut dxb, mut ks) = (Vec::new(), Vec::new(), KernelScratch::default());
         tree_conv_backward_batch_params(&mut pa, &left, &right, &x, &dy, &mut ks);
         tree_conv_backward_batch_input(&pa, &left, &right, &dy, &mut dxa, &mut ks);
-        let dxb = tree_conv_backward(&mut pb, &left, &right, &x, &dy);
-        assert_close(&dxa, &dxb, 1e-5);
+        for w in offsets.windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            let (l, r) = (rebase(&left[lo..hi], lo), rebase(&right[lo..hi], lo));
+            let (x, dy) = (&x[lo * 4..hi * 4], &dy[lo * 6..hi * 6]);
+            tree_conv_backward_batch_params(&mut pb, &l, &r, x, dy, &mut ks);
+            tree_conv_backward_batch_input(&pb, &l, &r, dy, &mut dxb, &mut ks);
+            assert_close(&dxa[lo * 4..hi * 4], &dxb, 1e-5);
+        }
         assert_close(&pa.top.g, &pb.top.g, 1e-5);
         assert_close(&pa.left.g, &pb.left.g, 1e-5);
         assert_close(&pa.right.g, &pb.right.g, 1e-5);
@@ -764,30 +662,18 @@ mod tests {
         assert_eq!(dx, vec![0.0, 0.2, 0.1, 0.0, 0.3, 0.4]);
     }
 
+    /// The FC layer's backward over four rows against hand-computed
+    /// values: `b.g = Σ dy`, `w.g = Σ dyᵀ x`, `dx = dy W`.
     #[test]
     fn batched_linear_matches_reference() {
-        let mut rng = rng_from_seed(15);
-        let mut w = Param::he(3, 4, 1);
-        let mut b = Param::he(3, 1, 2);
-        let n = 5;
-        let x: Vec<f32> = (0..n * 4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let (mut y, mut ks) = (Vec::new(), KernelScratch::default());
-        linear_forward_batch(&w, &b, &x, n, &mut y, &mut ks);
-        for i in 0..n {
-            let yi = linear_forward(&w, &b, &x[i * 4..(i + 1) * 4]);
-            assert_close(&y[i * 3..(i + 1) * 3], &yi, 1e-5);
-        }
-        let dy: Vec<f32> = (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut w2 = w.clone();
-        let mut b2 = b.clone();
-        let mut dx = Vec::new();
-        linear_backward_batch(&mut w, &mut b, &x, &dy, n, &mut dx, &mut ks);
-        for i in 0..n {
-            let dxi =
-                linear_backward(&mut w2, &mut b2, &x[i * 4..(i + 1) * 4], &dy[i * 3..(i + 1) * 3]);
-            assert_close(&dx[i * 4..(i + 1) * 4], &dxi, 1e-5);
-        }
-        assert_close(&w.g, &w2.g, 1e-5);
-        assert_close(&b.g, &b2.g, 1e-5);
+        let mut w = Param::from_weights(2, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 1.0]);
+        let mut b = Param::from_weights(2, 1, vec![0.5, -0.5]);
+        let x = [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, -1.0, 4.0, 0.0, 2.0, 0.0, -2.0];
+        let dy = [1.0, 0.0, 0.0, 2.0, -1.0, 1.0, 0.5, -1.0];
+        let (mut dx, mut ks) = (Vec::new(), KernelScratch::default());
+        linear_backward_batch(&mut w, &mut b, &x, &dy, 4, &mut dx, &mut ks);
+        assert_eq!(b.g, vec![0.5, 2.0]);
+        assert_eq!(w.g, vec![3.0, -2.0, 2.0, -3.0, 4.0, 2.0]);
+        assert_eq!(dx, vec![1.0, 0.0, 0.0, 0.0, 2.0, 2.0, -1.0, 1.0, 1.0, 0.5, -1.0, -1.0]);
     }
 }
