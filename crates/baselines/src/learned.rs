@@ -1,6 +1,7 @@
 //! The Neo-like / DQ-like learned optimizer loop.
 
 use crate::planspace::random_plan;
+use bao_common::Rng;
 use bao_common::{rng_from_seed, split_seed, Result};
 use bao_core::Featurizer;
 use bao_models::{pooled_features, TcnnModel, ValueModel};
@@ -9,7 +10,6 @@ use bao_opt::{annotate_estimates, HintSet, Optimizer};
 use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::Database;
-use bao_common::Rng;
 use std::collections::VecDeque;
 
 /// Which baseline this instance emulates.
@@ -118,8 +118,7 @@ impl LearnedOptimizer {
         match self.cfg.kind {
             LearnedKind::Neo => tree,
             LearnedKind::Dq => {
-                let flat: Vec<f32> =
-                    pooled_features(&tree).into_iter().map(|v| v as f32).collect();
+                let flat: Vec<f32> = pooled_features(&tree).into_iter().map(|v| v as f32).collect();
                 FeatTree::leaf(flat)
             }
         }
@@ -139,8 +138,7 @@ impl LearnedOptimizer {
         cat: &StatsCatalog,
     ) -> Result<(PlanNode, FeatTree)> {
         self.queries_seen += 1;
-        let mut rng =
-            rng_from_seed(split_seed(self.cfg.seed, 5_000 + self.queries_seen as u64));
+        let mut rng = rng_from_seed(split_seed(self.cfg.seed, 5_000 + self.queries_seen as u64));
         if !self.model.is_fitted() {
             let out = opt.plan(query, db, cat, HintSet::all_enabled())?;
             let tree = self.features(&out.root, query, db);

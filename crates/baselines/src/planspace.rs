@@ -41,10 +41,7 @@ pub fn random_plan(query: &Query, db: &Database, rng: &mut Xoshiro256) -> Result
         let mut joined = random_join(query, db, left, right, &right_tables, &preds[0], rng);
         if preds.len() > 1 {
             // Cyclic graphs: extra connecting edges filter the join.
-            joined = PlanNode::new(
-                Operator::Filter { preds: preds[1..].to_vec() },
-                vec![joined],
-            );
+            joined = PlanNode::new(Operator::Filter { preds: preds[1..].to_vec() }, vec![joined]);
         }
         let mut tables = left_tables;
         tables.extend(right_tables);
@@ -97,17 +94,14 @@ fn random_scan(query: &Query, db: &Database, table: usize, rng: &mut Xoshiro256)
             .indexes
             .iter()
             .filter(|i| {
-                preds
-                    .iter()
-                    .any(|p| p.col.column == i.index.column && p.op != bao_plan::CmpOp::Ne)
+                preds.iter().any(|p| p.col.column == i.index.column && p.op != bao_plan::CmpOp::Ne)
             })
             .map(|i| i.index.column.clone())
             .collect();
         if !usable.is_empty() && rng.gen_bool(0.5) {
             let col = rng.choose(&usable).expect("non-empty").clone();
             let (lo, hi) = bounds_for(&preds, &col);
-            let residual: Vec<_> =
-                preds.iter().filter(|p| p.col.column != col).cloned().collect();
+            let residual: Vec<_> = preds.iter().filter(|p| p.col.column != col).cloned().collect();
             return PlanNode::new(
                 Operator::IndexScan { table, column: col, lo, hi, residual, param: None },
                 vec![],
@@ -170,22 +164,13 @@ fn random_join(
             },
             vec![],
         );
-        return PlanNode::new(
-            Operator::NestedLoopJoin { pred: pred.clone() },
-            vec![left, inner],
-        );
+        return PlanNode::new(Operator::NestedLoopJoin { pred: pred.clone() }, vec![left, inner]);
     }
     match choice % 3 {
         0 => PlanNode::new(Operator::HashJoin { pred: pred.clone() }, vec![left, right]),
         1 => {
-            let sl = PlanNode::new(
-                Operator::Sort { keys: vec![pred.left.clone()] },
-                vec![left],
-            );
-            let sr = PlanNode::new(
-                Operator::Sort { keys: vec![pred.right.clone()] },
-                vec![right],
-            );
+            let sl = PlanNode::new(Operator::Sort { keys: vec![pred.left.clone()] }, vec![left]);
+            let sr = PlanNode::new(Operator::Sort { keys: vec![pred.right.clone()] }, vec![right]);
             PlanNode::new(Operator::MergeJoin { pred: pred.clone() }, vec![sl, sr])
         }
         _ => {
@@ -246,8 +231,8 @@ mod tests {
         for _ in 0..10 {
             let plan = random_plan(&q, &db, &mut rng).unwrap();
             let mut pool = BufferPool::new(512);
-            let m = execute(&plan, &q, &db, &mut pool, &opt.params, &ChargeRates::default())
-                .unwrap();
+            let m =
+                execute(&plan, &q, &db, &mut pool, &opt.params, &ChargeRates::default()).unwrap();
             assert_eq!(m.output, reference, "plan produced wrong answer:\n{plan}");
         }
     }

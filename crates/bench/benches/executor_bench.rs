@@ -8,11 +8,11 @@
 use bao_bench::timing::bench_function;
 use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
-use bao_sql::parse_query;
-use bao_stats::StatsCatalog;
 use bao_plan::{
     AggFunc, CmpOp, ColRef, JoinPred, Operator, PlanNode, Predicate, Query, SelectItem, TableRef,
 };
+use bao_sql::parse_query;
+use bao_stats::StatsCatalog;
 use bao_storage::{
     AccessKind, BufferPool, ColumnDef, DataType, Database, PageKey, Schema, Table, Value,
 };
@@ -26,8 +26,7 @@ fn pool_benches(pool_pages: usize) {
     let pages = pool_pages as u32;
     let mut pool = BufferPool::new(pool_pages);
     pool.prewarm(1, pages);
-    let scattered: Vec<u32> =
-        (0..4096u32).map(|i| i.wrapping_mul(2_654_435_761) % pages).collect();
+    let scattered: Vec<u32> = (0..4096u32).map(|i| i.wrapping_mul(2_654_435_761) % pages).collect();
     let mut i = 0;
     bench_function("pool_touch_resident", 20, || {
         i = (i + 1) % scattered.len();

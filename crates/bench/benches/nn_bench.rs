@@ -48,10 +48,9 @@ fn bench_inference() {
     let dim = 12;
     let tree = plan_like_tree(&mut rng, dim, 21);
     let g = Group::new("tcnn_predict_21_nodes", 10);
-    for (name, cfg) in [
-        ("small", TcnnConfig::small(dim)),
-        ("paper_256_128_64", TcnnConfig::paper(dim)),
-    ] {
+    for (name, cfg) in
+        [("small", TcnnConfig::small(dim)), ("paper_256_128_64", TcnnConfig::paper(dim))]
+    {
         let net = TreeCnn::new(cfg, 1);
         let mut scratch = ScoreScratch::new();
         g.bench(name, || {

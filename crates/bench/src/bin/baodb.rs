@@ -193,8 +193,7 @@ impl Shell {
     /// What `SELECT` and `EXPLAIN ANALYZE` share: choose the arm, execute
     /// its plan, `show` the outcome, then feed it back to Bao.
     fn run(&mut self, q: &Query, show: impl FnOnce(&Selection, &ExecutionMetrics)) {
-        let sel = match self.bao.select_plan(&self.opt, q, &self.db, &self.cat, Some(&self.pool))
-        {
+        let sel = match self.bao.select_plan(&self.opt, q, &self.db, &self.cat, Some(&self.pool)) {
             Ok(s) => s,
             Err(e) => {
                 println!("ERROR: {e}");

@@ -70,8 +70,7 @@ pub fn exploration(args: &Args) {
 
     let (db, wl) = imdb(scale, n, seed);
     let mut t = Table::new(&["Training", "Mean exec (s)", "Worst seed (s)"]);
-    for (label, bootstrap) in
-        [("bootstrap (Thompson)", true), ("full window (greedy MLE)", false)]
+    for (label, bootstrap) in [("bootstrap (Thompson)", true), ("full window (greedy MLE)", false)]
     {
         let totals: Vec<f64> = (0..3u64)
             .map(|s_off| {
@@ -179,8 +178,7 @@ pub fn critical(args: &Args) {
         let mut rounds = 0;
         for step in &wl.steps {
             let sel = bao.select_plan(&opt, &step.query, &db, &cat, Some(&pool)).unwrap();
-            let m =
-                execute(&sel.plan, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
+            let m = execute(&sel.plan, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
             if let Some(r) = bao.observe(sel.tree, m.latency.as_ms()) {
                 rounds += r.critical_rounds;
             }
@@ -190,8 +188,7 @@ pub fn critical(args: &Args) {
         for step in &marked {
             let sel = bao.select_plan(&opt, &step.query, &db, &cat, Some(&pool)).unwrap();
             pool.clear();
-            let m =
-                execute(&sel.plan, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
+            let m = execute(&sel.plan, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
             // regression = worse than 1.5x the best arm observed cold
             let perfs = bao_harness::exhaustive_arm_perfs(
                 &opt,

@@ -77,8 +77,7 @@ pub fn figure1(args: &Args) {
         let [default, hinted] = [HintSet::all_enabled(), no_loop].map(|hints| {
             let plan = opt.plan(&q, &db, &cat, hints).expect("plan");
             let mut pool = BufferPool::new(510);
-            let m = execute(&plan.root, &q, &db, &mut pool, &opt.params, &rates)
-                .expect("execute");
+            let m = execute(&plan.root, &q, &db, &mut pool, &opt.params, &rates).expect("execute");
             m.latency.as_ms()
         });
         table.row(vec![
@@ -105,7 +104,9 @@ pub fn figure12(args: &Args) {
 
     print_header(
         "Figure 12: optimization vs execution time by arm count (IMDb, N1-4, sequential planning)",
-        &format!("(scale {scale}, {n} queries; paper: 5 well-chosen arms already capture most benefit)"),
+        &format!(
+            "(scale {scale}, {n} queries; paper: 5 well-chosen arms already capture most benefit)"
+        ),
     );
 
     let (db, wl) = imdb(scale, n, seed);
@@ -117,11 +118,8 @@ pub fn figure12(args: &Args) {
         arm_counts.push(49);
     }
     for arms in arm_counts {
-        let strategy = if arms == 1 {
-            Strategy::Traditional
-        } else {
-            Strategy::Bao(bao_settings(arms, n))
-        };
+        let strategy =
+            if arms == 1 { Strategy::Traditional } else { Strategy::Bao(bao_settings(arms, n)) };
         let cfg = RunConfig { sequential_arms: true, seed, ..RunConfig::new(N1_4, strategy) };
         let res = run_cfg(&db, &wl, cfg);
         t.row(vec![
@@ -185,9 +183,8 @@ pub fn sec63_hints(args: &Args) {
         pg_total += perfs[0];
         optimal_total += perfs.iter().cloned().fold(f64::INFINITY, f64::min);
     }
-    let best_single = (1..n_arms)
-        .min_by(|&a, &b| arm_totals[a].partial_cmp(&arm_totals[b]).unwrap())
-        .unwrap();
+    let best_single =
+        (1..n_arms).min_by(|&a, &b| arm_totals[a].partial_cmp(&arm_totals[b]).unwrap()).unwrap();
     println!("\n(1) One hint set for every query?");
     let mut t = Table::new(&["Strategy", "Workload exec (s)"]);
     t.row(vec!["PostgreSQL optimizer".into(), format!("{:.2}", pg_total / 1e3)]);

@@ -5,8 +5,8 @@ use super::{checkpoints, imdb, pair, run_cfg};
 use bao_baselines::LearnedOptimizer;
 use bao_bench::{bao_settings, print_header, Args, Table};
 use bao_cloud::{gpu_train_time, N1_16};
-use bao_common::{split_seed, SimDuration};
 use bao_common::stats::{median, percentile, qerror_zero_based};
+use bao_common::{split_seed, SimDuration};
 use bao_core::Featurizer;
 use bao_exec::{execute, ChargeRates, PerfMetric};
 use bao_harness::{exhaustive_arm_perfs, regret_of, BaoSettings, ModelKind, RunConfig, Strategy};
@@ -94,11 +94,7 @@ pub fn figure11(args: &Args) {
         format!("{:+.1}", median(&deltas_bao)),
         format!("{:+.1}", median(&deltas_opt)),
     ]);
-    t.row(vec![
-        "queries improved >1ms".into(),
-        below(&deltas_bao, -1.0),
-        below(&deltas_opt, -1.0),
-    ]);
+    t.row(vec!["queries improved >1ms".into(), below(&deltas_bao, -1.0), below(&deltas_opt, -1.0)]);
     t.row(vec![
         "queries improved >100ms".into(),
         below(&deltas_bao, -100.0),
@@ -132,8 +128,7 @@ fn run_learned(mut lo: LearnedOptimizer, db: &Database, wl: &Workload, seed: u64
     let mut out = Vec::with_capacity(wl.len());
     for step in &wl.steps {
         let (plan, tree) = lo.select_plan(&opt, &step.query, &db, &cat).expect("select");
-        let m = execute(&plan, &step.query, &db, &mut pool, &opt.params, &rates)
-            .expect("execute");
+        let m = execute(&plan, &step.query, &db, &mut pool, &opt.params, &rates).expect("execute");
         lo.observe(tree, m.latency.as_ms());
         clock += m.latency.as_ms();
         out.push(clock);
@@ -156,8 +151,10 @@ pub fn figure14(args: &Args) {
 
     print_header(
         "Figure 14: Bao vs Neo vs DQ vs PostgreSQL (queries finished over time)",
-        &format!("(scale {scale}, {n} queries; paper: unrestricted learners converge far slower, \
-                  and fail to catch Bao under workload drift)"),
+        &format!(
+            "(scale {scale}, {n} queries; paper: unrestricted learners converge far slower, \
+                  and fail to catch Bao under workload drift)"
+        ),
     );
 
     for (panel, dynamic) in [("(a) stable workload", false), ("(b) dynamic workload", true)] {
@@ -285,8 +282,8 @@ fn drive_cold(
     for step in &wl.steps {
         assert!(step.event.is_none(), "the decomposition replays no workload events");
         let sel = bao.select_plan(&opt, &step.query, db, &cat, Some(&pool)).expect("select");
-        let m = execute(&sel.plan, &step.query, db, &mut pool, &opt.params, &rates)
-            .expect("execute");
+        let m =
+            execute(&sel.plan, &step.query, db, &mut pool, &opt.params, &rates).expect("execute");
         pool.clear();
         total += m.latency;
         let (arm, ms) = (sel.arm, m.latency.as_ms());
@@ -602,8 +599,7 @@ pub fn figure16(args: &Args) {
     let opt = Optimizer::postgres();
     let rates = N1_16.charge_rates();
     // Cold cache: no cache signal to featurize.
-    let settings =
-        BaoSettings { retrain: per_iter, cache_features: false, ..bao_settings(6, n) };
+    let settings = BaoSettings { retrain: per_iter, cache_features: false, ..bao_settings(6, n) };
 
     for (metric, unit, panel) in [
         (PerfMetric::CpuTime, "ms CPU", "(a) CPU time regret (Bao trained on CPU time)"),
@@ -640,8 +636,8 @@ pub fn figure16(args: &Args) {
                 bao_regret.push(regret_of(perfs[sel.arm], &perfs));
                 // Cold-cache execution feeds the experience.
                 let mut pool = BufferPool::new(pool_template.capacity());
-                let m = execute(&sel.plan, &step.query, &db, &mut pool, &opt.params, &rates)
-                    .unwrap();
+                let m =
+                    execute(&sel.plan, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
                 bao.observe(sel.tree, m.perf(metric));
             }
             t.row(vec![
@@ -730,8 +726,7 @@ pub fn future_learned_cost(args: &Args) {
                 continue; // hint not satisfiable; planner cost is bookkeeping
             }
             let mut pool = BufferPool::new(N1_16.buffer_pool_pages());
-            let m =
-                execute(&plan.root, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
+            let m = execute(&plan.root, &step.query, &db, &mut pool, &opt.params, &rates).unwrap();
             true_ms.push(m.latency.as_ms());
             planner_cost.push(plan.root.est_cost);
             let tree = featurizer.featurize(&plan.root, &step.query, &db, None);
@@ -753,6 +748,7 @@ pub fn future_learned_cost(args: &Args) {
          the TCNN, trained only on {} logged executions, already ranks\n\
          held-out plans strongly — the premise of the paper's future work.\n\
          ({} held-out plan executions scored.)",
-        n, true_ms.len()
+        n,
+        true_ms.len()
     );
 }

@@ -2,7 +2,9 @@
 //! harness: Figures 7–10 and 13, and §6.2's overhead analysis.
 
 use super::{checkpoints, imdb, pair, run, SYSTEMS};
-use bao_bench::{bao_settings, build_workload, percentile_row, print_header, Args, Table, WorkloadName};
+use bao_bench::{
+    bao_settings, build_workload, percentile_row, print_header, Args, Table, WorkloadName,
+};
 use bao_cloud::{VmType, ALL_VMS, N1_16, N1_4};
 use bao_harness::{RunConfig, RunResult, Runner, Strategy};
 use bao_opt::OptimizerProfile;
@@ -36,7 +38,9 @@ pub fn figure7(args: &Args) {
 
     print_header(
         "Figure 7: cost and workload latency, Bao vs traditional optimizers (N1-16)",
-        &format!("(scale {scale}, {n} queries, {arms} arms; paper: ~50% vs PostgreSQL, ~20% vs ComSys)"),
+        &format!(
+            "(scale {scale}, {n} queries, {arms} arms; paper: ~50% vs PostgreSQL, ~20% vs ComSys)"
+        ),
     );
 
     for (profile, sys) in SYSTEMS {
@@ -64,7 +68,9 @@ pub fn figure8(args: &Args) {
 
     print_header(
         "Figure 8: cost and latency across VM types (IMDb)",
-        &format!("(scale {scale}, {n} queries; paper: Bao's edge over PostgreSQL grows with VM size)"),
+        &format!(
+            "(scale {scale}, {n} queries; paper: Bao's edge over PostgreSQL grows with VM size)"
+        ),
     );
 
     let (db, wl) = imdb(scale, n, seed);
@@ -151,10 +157,9 @@ pub fn figure10(args: &Args) {
 
 /// Completion time of one of `t` concurrent streams.
 fn stream_time_secs(res: &RunResult, t: usize, vcpus: f64) -> f64 {
-    let cpu: f64 = res.records.iter().map(|r| r.cpu_time.as_secs()).sum::<f64>()
-        + res.total_opt.as_secs();
-    let io: f64 =
-        res.records.iter().map(|r| (r.latency - r.cpu_time).as_secs()).sum::<f64>();
+    let cpu: f64 =
+        res.records.iter().map(|r| r.cpu_time.as_secs()).sum::<f64>() + res.total_opt.as_secs();
+    let io: f64 = res.records.iter().map(|r| (r.latency - r.cpu_time).as_secs()).sum::<f64>();
     let wall = cpu + io + res.total_opt.as_secs();
     let util = (cpu / wall.max(1e-9)).min(1.0);
     let contention = (t as f64 * util * 2.0 / vcpus).max(1.0);
@@ -232,9 +237,7 @@ pub fn sec62_overhead(args: &Args) {
     // Find the fastest 20% under PostgreSQL.
     let base = run(&db, &wl, N1_16, OptimizerProfile::PostgresLike, Strategy::Traditional, seed);
     let mut order: Vec<usize> = (0..base.records.len()).collect();
-    order.sort_by(|&a, &b| {
-        base.records[a].latency.partial_cmp(&base.records[b].latency).unwrap()
-    });
+    order.sort_by(|&a, &b| base.records[a].latency.partial_cmp(&base.records[b].latency).unwrap());
     let keep: std::collections::HashSet<usize> = order[..n / 5].iter().copied().collect();
     let restricted = Workload {
         name: "imdb-fastest-20pct".into(),
@@ -247,8 +250,7 @@ pub fn sec62_overhead(args: &Args) {
             .collect(),
     };
 
-    let mut t =
-        Table::new(&["System", "Restricted workload (s)", "Mean opt (ms)", "Max opt (ms)"]);
+    let mut t = Table::new(&["System", "Restricted workload (s)", "Mean opt (ms)", "Max opt (ms)"]);
     for (label, strategy, profile) in [
         ("PostgreSQL", Strategy::Traditional, OptimizerProfile::PostgresLike),
         ("ComSys", Strategy::Traditional, OptimizerProfile::ComSysLike),

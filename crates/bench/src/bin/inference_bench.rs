@@ -107,7 +107,9 @@ fn main() {
     let (t_one, t_auto) = (stats[0], stats[1]);
     let train_auto_vs_inline = t_one.median / t_auto.median;
     println!();
-    println!("training: auto width {train_auto_vs_inline:.2}x 1 thread ({cores} core(s) available)");
+    println!(
+        "training: auto width {train_auto_vs_inline:.2}x 1 thread ({cores} core(s) available)"
+    );
     println!(
         "training throughput: {:.0} tree-epochs/s (1 thread), {:.0} tree-epochs/s (auto)",
         tree_epochs / t_one.median,

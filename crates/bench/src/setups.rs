@@ -39,9 +39,7 @@ pub fn build_workload(
     seed: u64,
 ) -> Result<(Database, Workload)> {
     match name {
-        WorkloadName::Imdb => {
-            build_imdb(&ImdbConfig { scale, n_queries, dynamic: true, seed })
-        }
+        WorkloadName::Imdb => build_imdb(&ImdbConfig { scale, n_queries, dynamic: true, seed }),
         WorkloadName::Stack => build_stack(&StackConfig {
             scale,
             n_queries,

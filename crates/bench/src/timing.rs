@@ -9,7 +9,10 @@
 //! with a unit, a direction and the host's core count live in the repo
 //! benchmark (`benchmark/`, `BENCH_<pr>.json`).
 
-#![expect(clippy::disallowed_methods, reason = "the timing harness is the one module that reads the wall clock")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the timing harness is the one module that reads the wall clock"
+)]
 
 use std::time::{Duration, Instant};
 

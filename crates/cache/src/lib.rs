@@ -27,7 +27,16 @@
 //! is inert and the serving path is byte-identical to the uncached one
 //! (pinned by `tests/serving_equivalence.rs`).
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 use bao_plan::QueryFingerprint;
 use std::collections::BTreeMap;
@@ -160,11 +169,7 @@ impl PlanCache {
     /// cached under an older version is evicted here, lazily — every
     /// retrain flushes the cache without a sweep — and reported as a
     /// miss (counted in `retrain_invalidations`).
-    pub fn lookup(
-        &mut self,
-        fp: QueryFingerprint,
-        model_version: usize,
-    ) -> Option<CachedChoice> {
+    pub fn lookup(&mut self, fp: QueryFingerprint, model_version: usize) -> Option<CachedChoice> {
         if self.cfg.capacity == 0 {
             return None;
         }
@@ -213,11 +218,8 @@ impl PlanCache {
         self.entries.insert(fp, entry);
         self.stats.inserts += 1;
         while self.entries.len() > self.cfg.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
+            if let Some(oldest) =
+                self.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
             {
                 self.entries.remove(&oldest);
                 self.stats.evictions += 1;
@@ -356,8 +358,7 @@ mod tests {
         }
         // Perturbed executor: latencies jump 8x; the rolling mean must
         // cross the threshold within one window of observations.
-        let outcomes: Vec<DriftOutcome> =
-            (0..3).map(|_| c.observe(fp(1), 7, 80.0, 0)).collect();
+        let outcomes: Vec<DriftOutcome> = (0..3).map(|_| c.observe(fp(1), 7, 80.0, 0)).collect();
         let evicted_at = outcomes.iter().position(|&o| o == DriftOutcome::Evicted);
         assert!(evicted_at.is_some(), "no eviction within the window: {outcomes:?}");
         assert_eq!(c.stats().drift_evictions, 1);
@@ -366,10 +367,7 @@ mod tests {
 
     #[test]
     fn drift_under_overload_sheds_to_arm_zero() {
-        let mut c = PlanCache::new(PlanCacheConfig {
-            overload_backlog: 4,
-            ..cfg(4, 2)
-        });
+        let mut c = PlanCache::new(PlanCacheConfig { overload_backlog: 4, ..cfg(4, 2) });
         c.insert(fp(1), 7, 10.0, 0);
         assert_eq!(c.observe(fp(1), 7, 90.0, 10), DriftOutcome::Stable);
         assert_eq!(c.observe(fp(1), 7, 90.0, 10), DriftOutcome::Shed);

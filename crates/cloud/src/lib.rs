@@ -78,11 +78,8 @@ impl VmType {
             // Waves of `vcpus` arms; each wave costs its slowest member.
             let mut per: Vec<f64> = per_arm_work.iter().map(|&w| ms_of(w)).collect();
             per.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-            let total: f64 = per
-                .chunks(self.vcpus.max(1) as usize)
-                .map(|wave| wave[0])
-                .sum::<f64>()
-                + 1.0; // dispatch overhead
+            let total: f64 =
+                per.chunks(self.vcpus.max(1) as usize).map(|wave| wave[0]).sum::<f64>() + 1.0; // dispatch overhead
             SimDuration::from_ms(total)
         }
     }

@@ -44,8 +44,7 @@ impl Json {
 
     /// Field lookup that errors with the missing key's name.
     pub fn field(&self, key: &str) -> Result<&Json> {
-        self.get(key)
-            .ok_or_else(|| BaoError::Parse(format!("missing JSON field `{key}`")))
+        self.get(key).ok_or_else(|| BaoError::Parse(format!("missing JSON field `{key}`")))
     }
 
     pub fn as_bool(&self) -> Option<bool> {
@@ -434,9 +433,7 @@ impl<'a> Parser<'a> {
                 return Ok(Json::U(v));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F)
-            .map_err(|_| self.err("invalid number"))
+        text.parse::<f64>().map(Json::F).map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -665,7 +662,8 @@ mod tests {
 
     #[test]
     fn strings_escape_and_unescape() {
-        let s = "line\n\ttab \"quoted\" back\\slash \u{E9} \u{20AC} \u{1F980} nul\u{0001}".to_string();
+        let s =
+            "line\n\ttab \"quoted\" back\\slash \u{E9} \u{20AC} \u{1F980} nul\u{0001}".to_string();
         let text = s.to_json().to_string();
         assert_eq!(String::from_json(&parse(&text).unwrap()).unwrap(), s);
         // surrogate-pair escapes parse too

@@ -109,7 +109,10 @@ mod tests {
                 run_jobs(width, 6, |i| if i == 4 { panic!("job {i} panicked") } else { Ok(i) })
             });
             let payload = caught.expect_err("the panic must cross run_jobs");
-            assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("job 4 panicked"));
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("job 4 panicked")
+            );
         }
     }
 }

@@ -302,14 +302,8 @@ mod tests {
         // cross-checked against an independent implementation of the
         // reference algorithm.
         let mut r = Xoshiro256 { s: [1, 2, 3, 4] };
-        let expected: [u64; 6] = [
-            11520,
-            0,
-            1509978240,
-            1215971899390074240,
-            1216172134540287360,
-            607988272756665600,
-        ];
+        let expected: [u64; 6] =
+            [11520, 0, 1509978240, 1215971899390074240, 1216172134540287360, 607988272756665600];
         for e in expected {
             assert_eq!(r.next_u64(), e);
         }

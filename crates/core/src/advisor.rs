@@ -34,14 +34,9 @@ impl Advice {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("QUERY PLAN\n");
-        out.push_str(
-            "------------------------------------------------------------------\n",
-        );
+        out.push_str("------------------------------------------------------------------\n");
         out.push_str(&format!(" Bao prediction: {:.3} ms\n", self.predicted_default_ms));
-        out.push_str(&format!(
-            " Bao recommended hint: {}\n",
-            self.recommended.set_statements()
-        ));
+        out.push_str(&format!(" Bao recommended hint: {}\n", self.recommended.set_statements()));
         out.push_str(&format!(
             "     (estimated {:.3} ms improvement)\n",
             self.estimated_improvement_ms()
@@ -69,8 +64,7 @@ impl Bao {
         }
         let (selection, mut family) = self.evaluate_arms(opt, query, db, cat, pool)?;
         let predicted_default_ms = selection.predictions[0].unwrap_or(f64::NAN);
-        let predicted_recommended_ms =
-            selection.predictions[selection.arm].unwrap_or(f64::NAN);
+        let predicted_recommended_ms = selection.predictions[selection.arm].unwrap_or(f64::NAN);
         let (default_plan, _) = family
             .arm_plan
             .first()
@@ -99,10 +93,7 @@ mod tests {
             predicted_recommended_ms: 18598.632,
             default_plan: PlanNode::new(
                 Operator::Sort { keys: vec![ColRef::new(0, "x")] },
-                vec![PlanNode::new(
-                    Operator::SeqScan { table: 0, preds: vec![] },
-                    vec![],
-                )],
+                vec![PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![])],
             ),
         }
     }

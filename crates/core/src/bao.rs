@@ -486,10 +486,7 @@ impl Bao {
         // Bootstrap resample (Thompson) or the raw window (MLE ablation).
         let (mut train_trees, mut train_ys): (Vec<FeatTree>, Vec<f64>) = if self.cfg.bootstrap {
             let idx = bootstrap_sample(trees.len(), split_seed(seed, 99));
-            (
-                idx.iter().map(|&i| trees[i].clone()).collect(),
-                idx.iter().map(|&i| ys[i]).collect(),
-            )
+            (idx.iter().map(|&i| trees[i].clone()).collect(), idx.iter().map(|&i| ys[i]).collect())
         } else {
             (trees, ys)
         };

@@ -185,9 +185,7 @@ mod tests {
         let s1 = PlanNode::new(Operator::SeqScan { table: 1, preds: vec![] }, vec![])
             .with_estimates(200.0, 80.0);
         let hj = PlanNode::new(
-            Operator::HashJoin {
-                pred: JoinPred::new(ColRef::new(0, "id"), ColRef::new(1, "id")),
-            },
+            Operator::HashJoin { pred: JoinPred::new(ColRef::new(0, "id"), ColRef::new(1, "id")) },
             vec![s0, s1],
         )
         .with_estimates(300.0, 200.0);
@@ -256,8 +254,7 @@ mod tests {
         let cache_vals: Vec<f32> =
             (0..tree.n_nodes()).map(|i| tree.feat(i)[N_OP_KINDS + 2]).collect();
         assert_eq!(cache_vals[0], 0.0, "aggregate has no cache fraction");
-        let scans: Vec<f32> =
-            cache_vals.iter().copied().filter(|&v| v > 0.0).collect();
+        let scans: Vec<f32> = cache_vals.iter().copied().filter(|&v| v > 0.0).collect();
         assert_eq!(scans.len(), 2);
         for v in scans {
             assert!((v - 0.5).abs() < 0.2, "{v}");
@@ -274,10 +271,7 @@ mod tests {
         let (db, q) = db_and_query();
         let f = Featurizer::new(false);
         let a = f.featurize(&join_plan(), &q, &db, None);
-        let mut t2 = Table::new(
-            "other",
-            Schema::new(vec![ColumnDef::new("x", DataType::Int)]),
-        );
+        let mut t2 = Table::new("other", Schema::new(vec![ColumnDef::new("x", DataType::Int)]));
         t2.insert(vec![Value::Int(1)]).unwrap();
         let mut db2 = Database::new();
         db2.create_table(t2).unwrap();

@@ -9,7 +9,7 @@ use bao_opt::{HintSet, Optimizer};
 use bao_plan::Query;
 use bao_sql::parse_query;
 use bao_stats::StatsCatalog;
-use bao_storage::{BufferPool, ColumnDef, Database, DataType, Schema, Table, Value};
+use bao_storage::{BufferPool, ColumnDef, DataType, Database, Schema, Table, Value};
 
 /// A schema engineered so the PostgreSQL-style optimizer reliably errs on
 /// one query family: `kind = 2 AND year = 2010` is heavily underestimated
@@ -78,10 +78,7 @@ fn queries() -> Vec<Query> {
             .unwrap(),
         );
         qs.push(
-            parse_query(&format!(
-                "SELECT COUNT(*) FROM title t WHERE t.year >= {year}"
-            ))
-            .unwrap(),
+            parse_query(&format!("SELECT COUNT(*) FROM title t WHERE t.year >= {year}")).unwrap(),
         );
     }
     qs
@@ -172,11 +169,8 @@ fn disabled_bao_observes_but_never_hints() {
 #[test]
 fn advisor_mode_renders_figure_6() {
     let (db, cat) = setup(3_000);
-    let mut bao = small_bao(
-        vec![HintSet::all_enabled(), HintSet::from_masks(0b011, 0b111)],
-        4,
-        100,
-    );
+    let mut bao =
+        small_bao(vec![HintSet::all_enabled(), HintSet::from_masks(0b011, 0b111)], 4, 100);
     let opt = Optimizer::postgres();
     let mut pool = BufferPool::new(512);
     let rates = ChargeRates::default();
@@ -222,12 +216,7 @@ fn triggered_exploration_pins_critical_queries() {
     let perfs: Vec<f64> = family.arm_plan.iter().map(|&p| plan_perfs[p]).collect();
     let entries =
         family.arm_plan.iter().map(|&p| (family.plans[p].1.clone(), plan_perfs[p])).collect();
-    let best_arm = perfs
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .unwrap()
-        .0;
+    let best_arm = perfs.iter().enumerate().min_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
     bao.add_critical("q16b", entries);
     assert_eq!(bao.critical_labels(), vec!["q16b"]);
 
@@ -346,10 +335,8 @@ fn arm_family_scores_each_distinct_plan_once_at_equal_bits() {
             TrainConfig { max_epochs: 5, ..TrainConfig::default() },
         );
         model.fit(&trees, &perfs, 9);
-        let mut reference = TcnnModel::new(
-            TcnnConfig::tiny(featurizer.input_dim()),
-            TrainConfig::default(),
-        );
+        let mut reference =
+            TcnnModel::new(TcnnConfig::tiny(featurizer.input_dim()), TrainConfig::default());
         reference.restore_json(&model.snapshot_json().unwrap()).unwrap();
         let cfg = BaoConfig { arms: arms.clone(), cache_features: false, ..BaoConfig::default() };
         let bao = Bao::with_model(cfg, Box::new(model));

@@ -235,8 +235,7 @@ pub(crate) mod tests {
     #[test]
     fn missing_text_literal_matches_nothing() {
         let t = table();
-        let preds =
-            vec![Predicate::new(ColRef::new(0, "s"), CmpOp::Eq, Value::Str("zzz".into()))];
+        let preds = vec![Predicate::new(ColRef::new(0, "s"), CmpOp::Eq, Value::Str("zzz".into()))];
         assert_eq!(filtered(&t, &preds, &[0, 1]), [0u32; 0]);
     }
 

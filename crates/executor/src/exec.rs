@@ -111,11 +111,8 @@ pub fn execute_with(
     #[cfg(debug_assertions)]
     bao_plan::verify::verify(plan, query, db)?;
 
-    let stored: Vec<&StoredTable> = query
-        .tables
-        .iter()
-        .map(|t| db.by_name(&t.table))
-        .collect::<Result<Vec<_>>>()?;
+    let stored: Vec<&StoredTable> =
+        query.tables.iter().map(|t| db.by_name(&t.table)).collect::<Result<Vec<_>>>()?;
     let tables: Vec<&Table> = stored.iter().map(|s| &s.table).collect();
     let mut ctx = Ctx {
         query,
@@ -182,9 +179,7 @@ impl<'a> Ctx<'a> {
         let my = self.node_rows.len();
         self.node_rows.push(0);
         let out = match &node.op {
-            Operator::SeqScan { table, preds } => {
-                NodeOut::Rows(self.seq_scan(*table, preds)?)
-            }
+            Operator::SeqScan { table, preds } => NodeOut::Rows(self.seq_scan(*table, preds)?),
             Operator::IndexScan { table, column, lo, hi, residual, param } => {
                 if param.is_some() {
                     return Err(BaoError::Planning(
@@ -246,9 +241,10 @@ impl<'a> Ctx<'a> {
                         let positions: Vec<usize> = keys
                             .iter()
                             .filter_map(|k| {
-                                self.query.select.iter().position(|s| {
-                                    matches!(s, SelectItem::Column(c) if c == k)
-                                })
+                                self.query
+                                    .select
+                                    .iter()
+                                    .position(|s| matches!(s, SelectItem::Column(c) if c == k))
                             })
                             .collect();
                         rows.sort_by(|a, b| {
@@ -267,9 +263,8 @@ impl<'a> Ctx<'a> {
             Operator::Aggregate { group_by, aggs } => {
                 let child = self.exec_rows(&node.children[0])?;
                 let rows = self.aggregate(&child, group_by, aggs)?;
-                self.meters.charge_cpu(
-                    self.params.aggregate(child.len() as f64, rows.len() as f64),
-                );
+                self.meters
+                    .charge_cpu(self.params.aggregate(child.len() as f64, rows.len() as f64));
                 NodeOut::Agg(rows)
             }
         };
@@ -346,8 +341,7 @@ impl<'a> Ctx<'a> {
         })?;
         let probe = sidx.index.range(lo.unwrap_or(i64::MIN), hi.unwrap_or(i64::MAX));
         // Interior descent: hot pages, charged as CPU.
-        self.meters
-            .charge_cpu(probe.height as f64 * 0.25 * self.params.random_page_cost);
+        self.meters.charge_cpu(probe.height as f64 * 0.25 * self.params.random_page_cost);
         for leaf in probe.leaf_pages {
             self.meters.touch_page(
                 self.pool,
@@ -356,8 +350,7 @@ impl<'a> Ctx<'a> {
                 PageAccess::Sequential,
             );
         }
-        self.meters
-            .charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
+        self.meters.charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
         if index_only {
             return Ok(RowSet::from_single(from_idx, probe.rows.to_vec()));
         }
@@ -408,7 +401,10 @@ impl<'a> Ctx<'a> {
 
     /// Parameterized nested loop: one index lookup on the inner per outer
     /// row.
-    #[expect(clippy::too_many_arguments, reason = "the fields of one parameterized nested-loop node")]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one parameterized nested-loop node"
+    )]
     fn param_nested_loop(
         &mut self,
         outer: &RowSet,
@@ -442,9 +438,8 @@ impl<'a> Ctx<'a> {
         let row_cpu =
             self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
 
-        let mut out = RowSet::new(
-            outer.tables.iter().copied().chain(std::iter::once(inner_from)).collect(),
-        );
+        let mut out =
+            RowSet::new(outer.tables.iter().copied().chain(std::iter::once(inner_from)).collect());
         // A float key fails here as it failed at the first outer row,
         // before any lookup.
         let keys = key_col.join_keys(outer.slot_ids(outer_slot, 0..outer.len()))?;
@@ -461,8 +456,7 @@ impl<'a> Ctx<'a> {
                     PageAccess::Random,
                 );
             }
-            self.meters
-                .charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
+            self.meters.charge_cpu(probe.rows.len() as f64 * self.params.cpu_index_tuple_cost);
             // `passing` is the subsequence of `probe.rows` that passes the
             // residual, which depends on nothing but the id: the next
             // passing row is this row exactly when their ids are equal.
@@ -781,9 +775,7 @@ impl<'a> Ctx<'a> {
                                 ))
                             })?;
                         let base_row = input.row(rep)[slot];
-                        row.push(
-                            self.tables[c.table].column(&c.column)?.get(base_row as usize),
-                        );
+                        row.push(self.tables[c.table].column(&c.column)?.get(base_row as usize));
                     }
                     SelectItem::Agg(a) => {
                         row.push(agg_value(a, count, accs[next_agg]));
@@ -828,8 +820,7 @@ impl<'a> Ctx<'a> {
                 for row in rs.iter().take(cap) {
                     rows.push(cols.iter().map(|(s, c)| c.get(row[*s] as usize)).collect());
                 }
-                let counted =
-                    self.query.limit.map_or(total, |l| total.min(l)) as u64;
+                let counted = self.query.limit.map_or(total, |l| total.min(l)) as u64;
                 Ok((counted, rows))
             }
         }

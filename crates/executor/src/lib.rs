@@ -20,7 +20,16 @@
 //! [`ExecConfig`] names, and merge the results in range order, so output
 //! and metrics are bit-identical at every width (DESIGN.md §13).
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod charge;
 pub mod eval;

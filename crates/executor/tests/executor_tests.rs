@@ -11,7 +11,7 @@ use bao_opt::{HintSet, Optimizer};
 use bao_plan::Query;
 use bao_sql::parse_query;
 use bao_stats::StatsCatalog;
-use bao_storage::{BufferPool, ColumnDef, Database, DataType, Schema, Table, Value};
+use bao_storage::{BufferPool, ColumnDef, DataType, Database, Schema, Table, Value};
 
 fn setup() -> (Database, StatsCatalog) {
     let mut title = Table::new(
@@ -146,10 +146,7 @@ fn aggregates_compute_real_values() {
 #[test]
 fn group_by_partitions() {
     let (db, cat) = setup();
-    let q = parse_query(
-        "SELECT t.kind, COUNT(*) FROM title t GROUP BY t.kind",
-    )
-    .unwrap();
+    let q = parse_query("SELECT t.kind, COUNT(*) FROM title t GROUP BY t.kind").unwrap();
     let opt = Optimizer::postgres();
     let plan = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     let mut pool = BufferPool::new(512);
@@ -157,11 +154,7 @@ fn group_by_partitions() {
     assert_eq!(m.output.len(), 2);
     let total: i64 = m.output.iter().map(|r| r[1].as_int().unwrap()).sum();
     assert_eq!(total, 2_000);
-    let tv = m
-        .output
-        .iter()
-        .find(|r| r[0] == Value::Str("tv".into()))
-        .unwrap();
+    let tv = m.output.iter().find(|r| r[0] == Value::Str("tv".into())).unwrap();
     assert_eq!(tv[1], Value::Int(500));
 }
 
@@ -188,8 +181,7 @@ fn limit_caps_output() {
 #[test]
 fn order_by_sorts_output() {
     let (db, cat) = setup();
-    let q =
-        parse_query("SELECT t.year FROM title t WHERE t.id < 50 ORDER BY t.year").unwrap();
+    let q = parse_query("SELECT t.year FROM title t WHERE t.id < 50 ORDER BY t.year").unwrap();
     let opt = Optimizer::postgres();
     let plan = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     let mut pool = BufferPool::new(512);
@@ -223,10 +215,8 @@ fn warm_cache_is_faster() {
 #[test]
 fn node_true_rows_align_with_preorder() {
     let (db, cat) = setup();
-    let q = parse_query(
-        "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id",
-    )
-    .unwrap();
+    let q =
+        parse_query("SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id").unwrap();
     let opt = Optimizer::postgres();
     let plan = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     let mut pool = BufferPool::new(512);
@@ -241,10 +231,8 @@ fn node_true_rows_align_with_preorder() {
 #[test]
 fn physical_io_depends_on_pool_size() {
     let (db, cat) = setup();
-    let q = parse_query(
-        "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id",
-    )
-    .unwrap();
+    let q =
+        parse_query("SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id").unwrap();
     let opt = Optimizer::postgres();
     let plan = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     let rates = ChargeRates::default();
@@ -315,10 +303,7 @@ fn group_by_with_order_by_sorts_groups() {
 #[test]
 fn aggregate_before_column_in_select_list() {
     let (db, cat) = setup();
-    let q = parse_query(
-        "SELECT COUNT(*), t.kind FROM title t GROUP BY t.kind",
-    )
-    .unwrap();
+    let q = parse_query("SELECT COUNT(*), t.kind FROM title t GROUP BY t.kind").unwrap();
     // ensure the parser kept select order: [agg, column]
     assert!(matches!(q.select[0], bao_plan::SelectItem::Agg(_)));
     let opt = Optimizer::postgres();
@@ -336,16 +321,11 @@ fn aggregate_before_column_in_select_list() {
 #[test]
 fn selecting_column_not_in_group_by_errors() {
     let (db, cat) = setup();
-    let q = parse_query(
-        "SELECT t.year, COUNT(*) FROM title t GROUP BY t.kind",
-    )
-    .unwrap();
+    let q = parse_query("SELECT t.year, COUNT(*) FROM title t GROUP BY t.kind").unwrap();
     let opt = Optimizer::postgres();
     let plan = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     let mut pool = BufferPool::new(512);
-    assert!(
-        execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default()).is_err()
-    );
+    assert!(execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default()).is_err());
 }
 
 /// A parameterized inner that probes a column other than the join key is
@@ -358,8 +338,8 @@ fn selecting_column_not_in_group_by_errors() {
 fn mismatched_param_lookup_is_refused_before_any_probe() {
     use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode};
     let (db, _) = setup();
-    let q = parse_query("SELECT COUNT(*) FROM cast_info ci, title t WHERE ci.movie_id = t.id")
-        .unwrap();
+    let q =
+        parse_query("SELECT COUNT(*) FROM cast_info ci, title t WHERE ci.movie_id = t.id").unwrap();
     let outer = PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![]);
     // The join key is t.id; the inner probes t.year (also indexed).
     let inner = PlanNode::new(

@@ -65,9 +65,7 @@ mod tests {
         let lt = l.tables_covered()[0];
         let rt = r.tables_covered()[0];
         PlanNode::new(
-            Operator::HashJoin {
-                pred: JoinPred::new(ColRef::new(lt, "a"), ColRef::new(rt, "b")),
-            },
+            Operator::HashJoin { pred: JoinPred::new(ColRef::new(lt, "a"), ColRef::new(rt, "b")) },
             vec![l, r],
         )
     }

@@ -5,7 +5,16 @@
 //!
 //! Each paper figure's binary in `bao-bench` composes these pieces.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod armstats;
 pub mod oracle;
@@ -17,8 +26,8 @@ pub use armstats::{plan_change_stats, PlanChanges};
 pub use oracle::{exhaustive_arm_perfs, regret_of};
 pub use recover::{recover, recover_or_fresh, Recovered};
 pub use runner::{
-    config_fingerprint, run_once, BaoSettings, ModelKind, QueryRecord, RunConfig,
-    RunResult, Runner, Strategy,
+    config_fingerprint, run_once, BaoSettings, ModelKind, QueryRecord, RunConfig, RunResult,
+    Runner, Strategy,
 };
 pub use serving::{
     DispatchRecord, ExecFault, SchedServingReport, ServingConfig, ServingReport, ServingRunner,

@@ -47,9 +47,8 @@ fn bao_run_trains_and_uses_arms() {
 fn optimal_strategy_dominates_traditional() {
     let (db, wl) = imdb_small(25);
     let arms = HintSet::top_arms(5);
-    let trad = Runner::new(RunConfig::new(N1_4, Strategy::Traditional), db.clone())
-        .run(&wl)
-        .unwrap();
+    let trad =
+        Runner::new(RunConfig::new(N1_4, Strategy::Traditional), db.clone()).run(&wl).unwrap();
     let mut cfg = RunConfig::new(N1_4, Strategy::Optimal { arms });
     cfg.cold_cache = true;
     let mut trad_cfg = RunConfig::new(N1_4, Strategy::Traditional);
@@ -92,9 +91,8 @@ fn fixed_hint_strategy_runs() {
 #[test]
 fn bigger_vm_is_faster_and_costlier_per_hour() {
     let (db, wl) = imdb_small(25);
-    let small = Runner::new(RunConfig::new(N1_2, Strategy::Traditional), db.clone())
-        .run(&wl)
-        .unwrap();
+    let small =
+        Runner::new(RunConfig::new(N1_2, Strategy::Traditional), db.clone()).run(&wl).unwrap();
     let big = Runner::new(RunConfig::new(N1_16, Strategy::Traditional), db).run(&wl).unwrap();
     assert!(big.workload_time() < small.workload_time());
     let _ = (small.cost(N1_2), big.cost(N1_16));
@@ -142,8 +140,7 @@ fn metric_selection_changes_perf_values() {
     let mut cfg = RunConfig::new(N1_4, Strategy::Traditional);
     cfg.metric = PerfMetric::PhysicalIo;
     let io_run = Runner::new(cfg, db.clone()).run(&wl).unwrap();
-    let lat_run =
-        Runner::new(RunConfig::new(N1_4, Strategy::Traditional), db).run(&wl).unwrap();
+    let lat_run = Runner::new(RunConfig::new(N1_4, Strategy::Traditional), db).run(&wl).unwrap();
     for (io, lat) in io_run.records.iter().zip(lat_run.records.iter()) {
         assert_eq!(io.perf, io.physical_io as f64);
         assert_eq!(lat.perf, lat.latency.as_ms());

@@ -31,14 +31,7 @@ pub struct Diagnostic {
 
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.path,
-            self.line,
-            self.rule.name(),
-            self.message
-        )
+        write!(f, "{}:{}: [{}] {}", self.path, self.line, self.rule.name(), self.message)
     }
 }
 
@@ -68,8 +61,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// Directories never scanned: build output and the lint fixtures (which
 /// contain violations on purpose).
 fn skip_dir(rel: &str) -> bool {
-    rel.split('/').any(|seg| seg == "target")
-        || rel.starts_with("crates/lint/tests/fixtures")
+    rel.split('/').any(|seg| seg == "target") || rel.starts_with("crates/lint/tests/fixtures")
 }
 
 /// Collect workspace-relative paths of every `.rs` file under `crates/`
@@ -83,11 +75,7 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<String>> {
         for entry in fs::read_dir(&dir)? {
             let entry = entry?;
             let path = entry.path();
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace('\\', "/");
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
             if skip_dir(&rel) {
                 continue;
             }
@@ -111,8 +99,7 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
         let text = fs::read_to_string(root.join(rel))?;
         diagnostics.extend(rules::check_source(rel, &text, &RuleId::ALL));
     }
-    diagnostics.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
-    });
+    diagnostics
+        .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     Ok(Report { files_scanned: sources.len(), diagnostics })
 }

@@ -51,8 +51,7 @@ impl RuleId {
 }
 
 /// The batched compute kernels: hot loops there must not allocate.
-const KERNEL_FILES: [&str; 2] =
-    ["crates/nn/src/param.rs", "crates/nn/src/layers.rs"];
+const KERNEL_FILES: [&str; 2] = ["crates/nn/src/param.rs", "crates/nn/src/layers.rs"];
 
 /// Does the source-file rule `rule` apply to `path` (workspace-relative,
 /// `/`-separated) at all?
@@ -223,9 +222,8 @@ fn find_match(line: &str, needle: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = line[from..].find(needle) {
         let at = from + pos;
-        let before_ok = !needs_before
-            || at == 0
-            || !is_ident(line[..at].chars().next_back().unwrap_or(' '));
+        let before_ok =
+            !needs_before || at == 0 || !is_ident(line[..at].chars().next_back().unwrap_or(' '));
         let after = line[at + needle.len()..].chars().next();
         let after_ok = !needs_after || !after.is_some_and(is_ident);
         if before_ok && after_ok {
@@ -239,11 +237,7 @@ fn find_match(line: &str, needle: &str) -> bool {
 /// Lint one already-masked source file against the rules in `rules`.
 /// `path` must be workspace-relative with `/` separators; rule scoping
 /// (which files a rule covers) is applied here.
-pub fn check_masked(
-    path: &str,
-    masked: &MaskedSource,
-    rules: &[RuleId],
-) -> Vec<Diagnostic> {
+pub fn check_masked(path: &str, masked: &MaskedSource, rules: &[RuleId]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for &rule in rules {
         if !applies_to(rule, path) {

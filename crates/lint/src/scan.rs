@@ -118,9 +118,7 @@ pub fn mask(src: &str) -> MaskedSource {
                     // prefix) take no escapes; plain `b"..."` does.
                     masked.push(' ');
                     i = j + 1;
-                    state = State::Str {
-                        raw_hashes: if saw_r { Some(hashes) } else { None },
-                    };
+                    state = State::Str { raw_hashes: if saw_r { Some(hashes) } else { None } };
                     continue;
                 }
                 '\'' => {

@@ -23,14 +23,8 @@ fn no_per_node_alloc_fires_at_exact_lines() {
     // hoisted alloc (4), string/comment decoys (16-17), the non-std
     // macro (19), the impl-for block (25), the pragma'd site (32), and
     // the test module (41) stay silent.
-    assert_eq!(
-        lines_for(RuleId::NoPerNodeAlloc, "crates/nn/src/param.rs", src),
-        vec![7, 8]
-    );
-    assert_eq!(
-        lines_for(RuleId::NoPerNodeAlloc, "crates/nn/src/layers.rs", src),
-        vec![7, 8]
-    );
+    assert_eq!(lines_for(RuleId::NoPerNodeAlloc, "crates/nn/src/param.rs", src), vec![7, 8]);
+    assert_eq!(lines_for(RuleId::NoPerNodeAlloc, "crates/nn/src/layers.rs", src), vec![7, 8]);
     // Outside the kernel files the rule does not apply at all.
     assert_eq!(lines_for(RuleId::NoPerNodeAlloc, "crates/nn/src/net.rs", src), vec![]);
 }
@@ -117,12 +111,7 @@ fn workspace_is_lint_clean() {
     assert!(
         report.diagnostics.is_empty(),
         "workspace has un-annotated lint findings:\n{}",
-        report
-            .diagnostics
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        report.diagnostics.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
     );
     // Sanity: the walk actually visited the workspace, not an empty dir.
     assert!(report.files_scanned > 100, "only {} files scanned", report.files_scanned);

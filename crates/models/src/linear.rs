@@ -19,20 +19,11 @@ pub struct LinearModel {
 
 impl LinearModel {
     pub fn new(lambda: f64) -> LinearModel {
-        LinearModel {
-            lambda,
-            weights: vec![],
-            feat_mean: vec![],
-            feat_std: vec![],
-            norm: None,
-        }
+        LinearModel { lambda, weights: vec![], feat_mean: vec![], feat_std: vec![], norm: None }
     }
 
     fn standardize(&self, x: &[f64]) -> Vec<f64> {
-        x.iter()
-            .enumerate()
-            .map(|(j, &v)| (v - self.feat_mean[j]) / self.feat_std[j])
-            .collect()
+        x.iter().enumerate().map(|(j, &v)| (v - self.feat_mean[j]) / self.feat_std[j]).collect()
     }
 }
 
@@ -65,7 +56,8 @@ fn solve(mut a: Vec<f64>, mut b: Vec<f64>, n: usize) -> Option<Vec<f64>> {
         let d = a[col * n + col];
         for r in (col + 1)..n {
             let f = a[r * n + col] / d;
-            if f == 0.0 { // bao-lint: allow(no-float-eq) — exact-zero pivot-row skip
+            // bao-lint: allow(no-float-eq) — exact-zero pivot-row skip
+            if f == 0.0 {
                 continue;
             }
             for j in col..n {

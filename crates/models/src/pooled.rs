@@ -73,12 +73,8 @@ mod tests {
     #[test]
     fn bigger_trees_have_bigger_sums() {
         let small = FeatTree::leaf(vec![1.0]);
-        let big = FeatTree::new(
-            1,
-            vec![vec![1.0]; 5],
-            vec![1, 3, -1, -1, -1],
-            vec![2, 4, -1, -1, -1],
-        );
+        let big =
+            FeatTree::new(1, vec![vec![1.0]; 5], vec![1, 3, -1, -1, -1], vec![2, 4, -1, -1, -1]);
         assert!(pooled_features(&big)[0] > pooled_features(&small)[0]);
         assert!(pooled_features(&big)[2] > pooled_features(&small)[2]);
     }

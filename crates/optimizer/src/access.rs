@@ -212,11 +212,8 @@ impl<'a> BaseRel<'a> {
 
             // Selectivity of the index condition alone.
             let idx_sel = if usable {
-                let idx_preds: Vec<ResolvedPred> = on_col
-                    .iter()
-                    .filter(|r| r.op != CmpOp::Ne)
-                    .map(|r| (*r).clone())
-                    .collect();
+                let idx_preds: Vec<ResolvedPred> =
+                    on_col.iter().filter(|r| r.op != CmpOp::Ne).map(|r| (*r).clone()).collect();
                 ctx.est.scan_selectivity(ctx.cat, self.name, &idx_preds)
             } else {
                 1.0
@@ -467,7 +464,7 @@ mod tests {
         let (db, cat) = setup(1_000, false);
         with_rel("SELECT v FROM t WHERE id = 5", &db, &cat, |rel| {
             let (op, cost) = best(rel, HintSet::from_masks(0b111, 0b110)); // seq disabled
-            // only seq exists; it is chosen despite the penalty
+                                                                           // only seq exists; it is chosen despite the penalty
             assert!(matches!(op, Operator::SeqScan { .. }));
             assert!(cost >= CostParams::default().disable_cost);
         });

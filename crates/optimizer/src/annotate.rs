@@ -178,10 +178,7 @@ mod tests {
         for i in 0..10_000 {
             t.insert(vec![Value::Int(i), Value::Int(i % 50)]).unwrap();
         }
-        let mut u = Table::new(
-            "u",
-            Schema::new(vec![ColumnDef::new("fk", DataType::Int)]),
-        );
+        let mut u = Table::new("u", Schema::new(vec![ColumnDef::new("fk", DataType::Int)]));
         for i in 0..30_000i64 {
             u.insert(vec![Value::Int(i % 10_000)]).unwrap();
         }
@@ -209,24 +206,15 @@ mod tests {
             }
         }
         wipe(&mut replanned);
-        annotate_estimates(
-            &mut replanned,
-            &q,
-            &db,
-            &cat,
-            opt.estimator(),
-            &opt.params,
-        )
-        .unwrap();
+        annotate_estimates(&mut replanned, &q, &db, &cat, opt.estimator(), &opt.params).unwrap();
         // Re-annotated estimates are within an order of magnitude of the
         // planner's own numbers (formulas differ slightly for param
         // inners).
         for (a, b) in planned.root.iter().zip(replanned.iter()) {
             assert!(b.est_rows >= 1.0);
             assert!(b.est_cost > 0.0);
-            let ratio = (a.est_rows.max(1.0) / b.est_rows.max(1.0)).max(
-                b.est_rows.max(1.0) / a.est_rows.max(1.0),
-            );
+            let ratio = (a.est_rows.max(1.0) / b.est_rows.max(1.0))
+                .max(b.est_rows.max(1.0) / a.est_rows.max(1.0));
             assert!(ratio < 50.0, "rows {} vs {}", a.est_rows, b.est_rows);
         }
     }

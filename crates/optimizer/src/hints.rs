@@ -163,24 +163,18 @@ impl HintSet {
 
 impl fmt::Display for HintSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let joins: Vec<&str> = [
-            (self.hash_join, "hash"),
-            (self.merge_join, "merge"),
-            (self.nested_loop, "loop"),
-        ]
-        .iter()
-        .filter(|(b, _)| *b)
-        .map(|&(_, n)| n)
-        .collect();
-        let scans: Vec<&str> = [
-            (self.seq_scan, "seq"),
-            (self.index_scan, "idx"),
-            (self.index_only_scan, "idxonly"),
-        ]
-        .iter()
-        .filter(|(b, _)| *b)
-        .map(|&(_, n)| n)
-        .collect();
+        let joins: Vec<&str> =
+            [(self.hash_join, "hash"), (self.merge_join, "merge"), (self.nested_loop, "loop")]
+                .iter()
+                .filter(|(b, _)| *b)
+                .map(|&(_, n)| n)
+                .collect();
+        let scans: Vec<&str> =
+            [(self.seq_scan, "seq"), (self.index_scan, "idx"), (self.index_only_scan, "idxonly")]
+                .iter()
+                .filter(|(b, _)| *b)
+                .map(|&(_, n)| n)
+                .collect();
         write!(f, "joins{{{}}} scans{{{}}}", joins.join(","), scans.join(","))
     }
 }
@@ -228,10 +222,7 @@ mod tests {
     fn set_statements_format() {
         let hs = HintSet::from_masks(0b011, 0b111);
         assert_eq!(hs.set_statements(), "SET enable_nestloop TO off;");
-        assert_eq!(
-            HintSet::all_enabled().set_statements(),
-            "-- no hints (default optimizer)"
-        );
+        assert_eq!(HintSet::all_enabled().set_statements(), "-- no hints (default optimizer)");
         let hs = HintSet::from_masks(0b001, 0b001);
         assert!(hs.set_statements().contains("enable_mergejoin"));
         assert!(hs.set_statements().contains("enable_indexonlyscan"));

@@ -12,7 +12,17 @@
 //! (histogram + independence estimation) and [`Optimizer::comsys`]
 //! (sample/frequency-based estimation with much lower q-error).
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_types,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod access;
 pub mod annotate;

@@ -178,9 +178,9 @@ impl Optimizer {
 mod tests {
     use super::*;
     use bao_common::rng_from_seed;
+    use bao_common::Rng;
     use bao_plan::{JoinAlgo, OpKind};
     use bao_sql::parse_query;
-    use bao_common::Rng;
     use bao_storage::{ColumnDef, DataType, Schema, Table, Value};
 
     /// A small star schema with a skewed fact table and correlated
@@ -212,8 +212,7 @@ mod tests {
         for i in 0..100_000i64 {
             // Zipf-ish: popular titles get most cast entries.
             let m = (rng.gen_f64().powi(3) * 20_000.0) as i64;
-            ci.insert(vec![Value::Int(i), Value::Int(m.min(19_999)), Value::Int(i % 10)])
-                .unwrap();
+            ci.insert(vec![Value::Int(i), Value::Int(m.min(19_999)), Value::Int(i % 10)]).unwrap();
         }
         let mut db = Database::new();
         db.create_table(title).unwrap();
@@ -253,10 +252,8 @@ mod tests {
     #[test]
     fn hints_exclude_operators_when_alternatives_exist() {
         let (db, cat) = setup();
-        let q = parse_query(
-            "SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id",
-        )
-        .unwrap();
+        let q = parse_query("SELECT COUNT(*) FROM title t, cast_info ci WHERE t.id = ci.movie_id")
+            .unwrap();
         let opt = Optimizer::postgres();
         for hints in HintSet::family_49() {
             let out = opt.plan(&q, &db, &cat, hints).unwrap();
@@ -286,14 +283,8 @@ mod tests {
         .unwrap();
         let opt = Optimizer::postgres();
         let default = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
-        let no_loop = opt
-            .plan(&q, &db, &cat, HintSet::from_masks(0b011, 0b111))
-            .unwrap();
-        assert!(
-            default.root.join_algos().contains(&JoinAlgo::NestedLoop),
-            "{}",
-            default.root
-        );
+        let no_loop = opt.plan(&q, &db, &cat, HintSet::from_masks(0b011, 0b111)).unwrap();
+        assert!(default.root.join_algos().contains(&JoinAlgo::NestedLoop), "{}", default.root);
         assert!(!no_loop.root.join_algos().contains(&JoinAlgo::NestedLoop), "{}", no_loop.root);
     }
 
@@ -303,26 +294,17 @@ mod tests {
         // kind = 2 implies year = 2010 in the data: the independence
         // assumption underestimates the conjunction; the sample-based
         // estimator does not.
-        let q = parse_query(
-            "SELECT COUNT(*) FROM title t WHERE t.kind = 2 AND t.year = 2010",
-        )
-        .unwrap();
+        let q =
+            parse_query("SELECT COUNT(*) FROM title t WHERE t.kind = 2 AND t.year = 2010").unwrap();
         let scan_rows = |opt: &Optimizer| {
             let out = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
-            out.root
-                .iter()
-                .find(|n| n.op.scan_kind().is_some())
-                .unwrap()
-                .est_rows
+            out.root.iter().find(|n| n.op.scan_kind().is_some()).unwrap().est_rows
         };
         let pg = scan_rows(&Optimizer::postgres());
         let cs = scan_rows(&Optimizer::comsys());
         let truth = 1_000.0; // 5% of 20k titles have kind 2 (and all have year 2010)
         assert!(pg < truth * 0.5, "independence should underestimate: pg={pg}");
-        assert!(
-            (cs - truth).abs() / truth < 0.3,
-            "sample estimate should be near truth: cs={cs}"
-        );
+        assert!((cs - truth).abs() / truth < 0.3, "sample estimate should be near truth: cs={cs}");
     }
 
     #[test]
@@ -336,10 +318,7 @@ mod tests {
     #[test]
     fn group_by_estimates_groups() {
         let (db, cat) = setup();
-        let q = parse_query(
-            "SELECT t.kind, COUNT(*) FROM title t GROUP BY t.kind",
-        )
-        .unwrap();
+        let q = parse_query("SELECT t.kind, COUNT(*) FROM title t GROUP BY t.kind").unwrap();
         let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
         assert_eq!(out.root.op.kind(), OpKind::Aggregate);
         assert!(out.root.est_rows <= 3.0, "kind has 2 distinct values");
@@ -361,11 +340,7 @@ mod tests {
         let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
         assert_eq!(out.root.tables_covered(), vec![0, 1, 2]);
         // Some split must carry the extra edge as a Filter.
-        assert!(
-            out.root.iter().any(|n| n.op.kind() == OpKind::Filter),
-            "{}",
-            out.root
-        );
+        assert!(out.root.iter().any(|n| n.op.kind() == OpKind::Filter), "{}", out.root);
     }
 
     #[test]
@@ -380,15 +355,9 @@ mod tests {
         let (db, cat) = setup();
         // 10-way self-join chain on title.id exceeds the DP threshold.
         let aliases: Vec<String> = (0..10).map(|i| format!("t{i}")).collect();
-        let from = aliases
-            .iter()
-            .map(|a| format!("title {a}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let conds = (1..10)
-            .map(|i| format!("t{}.id = t{}.id", i - 1, i))
-            .collect::<Vec<_>>()
-            .join(" AND ");
+        let from = aliases.iter().map(|a| format!("title {a}")).collect::<Vec<_>>().join(", ");
+        let conds =
+            (1..10).map(|i| format!("t{}.id = t{}.id", i - 1, i)).collect::<Vec<_>>().join(" AND ");
         let q = parse_query(&format!("SELECT COUNT(*) FROM {from} WHERE {conds}")).unwrap();
         let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
         assert_eq!(out.root.tables_covered().len(), 10);

@@ -189,11 +189,7 @@ mod tests {
         Query {
             tables: vec![TableRef::new("title"), TableRef::new("cast_info")],
             select: vec![SelectItem::Agg(AggFunc::CountStar)],
-            predicates: vec![Predicate::new(
-                ColRef::new(0, "year"),
-                CmpOp::Gt,
-                Value::Int(year),
-            )],
+            predicates: vec![Predicate::new(ColRef::new(0, "year"), CmpOp::Gt, Value::Int(year))],
             joins: vec![JoinPred::new(ColRef::new(0, "id"), ColRef::new(1, "movie_id"))],
             group_by: vec![],
             order_by: vec![],

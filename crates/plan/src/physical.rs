@@ -71,7 +71,6 @@ pub enum Operator {
     Aggregate { group_by: Vec<ColRef>, aggs: Vec<AggFunc> },
 }
 
-
 impl ToJson for Operator {
     fn to_json(&self) -> Json {
         match self {
@@ -112,9 +111,7 @@ impl ToJson for Operator {
             Operator::Filter { preds } => {
                 Json::obj([("Filter", Json::obj([("preds", preds.to_json())]))])
             }
-            Operator::Sort { keys } => {
-                Json::obj([("Sort", Json::obj([("keys", keys.to_json())]))])
-            }
+            Operator::Sort { keys } => Json::obj([("Sort", Json::obj([("keys", keys.to_json())]))]),
             Operator::Aggregate { group_by, aggs } => Json::obj([(
                 "Aggregate",
                 Json::obj([("group_by", group_by.to_json()), ("aggs", aggs.to_json())]),
@@ -259,7 +256,6 @@ pub struct PlanNode {
     /// Optimizer's estimated cumulative cost (this node and its subtree).
     pub est_cost: f64,
 }
-
 
 impl ToJson for PlanNode {
     fn to_json(&self) -> Json {

@@ -31,7 +31,7 @@
 
 use crate::logical::{ColRef, JoinPred, Query};
 use crate::physical::{JoinAlgo, OpKind, Operator, PlanNode, ScanKind};
-use bao_storage::{Database, DataType};
+use bao_storage::{DataType, Database};
 use std::fmt;
 
 /// What a hint set permits, decoupled from the optimizer's own `HintSet`
@@ -147,10 +147,7 @@ impl fmt::Display for VerifyError {
                 write!(f, "FROM position {table} never scanned")
             }
             VerifyError::ForeignScanPredicate { scan_table, pred_table } => {
-                write!(
-                    f,
-                    "scan of FROM position {scan_table} filters on position {pred_table}"
-                )
+                write!(f, "scan of FROM position {scan_table} filters on position {pred_table}")
             }
             VerifyError::UnboundJoinKey { pred } => {
                 write!(
@@ -289,24 +286,16 @@ impl Verifier<'_> {
         let schema = &stored.table.schema;
         match schema.column_index(&col.column) {
             Some(i) => Ok(schema.columns[i].ty),
-            None => Err(VerifyError::UnresolvedColumn {
-                table: col.table,
-                column: col.column.clone(),
-            }),
+            None => {
+                Err(VerifyError::UnresolvedColumn { table: col.table, column: col.column.clone() })
+            }
         }
     }
 
     /// Check that FROM position `table` resolves to a live table.
     fn resolve_table(&self, table: usize) -> Result<(), VerifyError> {
-        let tref = self
-            .query
-            .tables
-            .get(table)
-            .ok_or(VerifyError::UnknownTable { table })?;
-        self.db
-            .by_name(&tref.table)
-            .map(|_| ())
-            .map_err(|_| VerifyError::UnknownTable { table })
+        let tref = self.query.tables.get(table).ok_or(VerifyError::UnknownTable { table })?;
+        self.db.by_name(&tref.table).map(|_| ()).map_err(|_| VerifyError::UnknownTable { table })
     }
 
     /// Does an index exist on `column` of FROM position `table`?
@@ -426,15 +415,9 @@ impl Verifier<'_> {
                 }
                 // Orient the predicate: which side produces `left`?
                 let (lt, rt) = if outer.contains(&pred.left.table) {
-                    (
-                        self.join_key(&pred.left, &outer)?,
-                        self.join_key(&pred.right, &inner)?,
-                    )
+                    (self.join_key(&pred.left, &outer)?, self.join_key(&pred.right, &inner)?)
                 } else {
-                    (
-                        self.join_key(&pred.left, &inner)?,
-                        self.join_key(&pred.right, &outer)?,
-                    )
+                    (self.join_key(&pred.left, &inner)?, self.join_key(&pred.right, &outer)?)
                 };
                 for (ty, col) in [(lt, &pred.left), (rt, &pred.right)] {
                     if ty == DataType::Float {
@@ -549,9 +532,7 @@ impl Verifier<'_> {
         let ok = (pred.right.table == table
             && pred.right.column == column
             && *outer_col == pred.left)
-            || (pred.left.table == table
-                && pred.left.column == column
-                && *outer_col == pred.right);
+            || (pred.left.table == table && pred.left.column == column && *outer_col == pred.right);
         if !ok {
             return Err(VerifyError::ParamScanMisplaced { table });
         }
@@ -635,8 +616,7 @@ mod tests {
     }
 
     fn hash_join(l: PlanNode, r: PlanNode) -> PlanNode {
-        PlanNode::new(Operator::HashJoin { pred: join_pred() }, vec![l, r])
-            .with_estimates(1.0, 3.0)
+        PlanNode::new(Operator::HashJoin { pred: join_pred() }, vec![l, r]).with_estimates(1.0, 3.0)
     }
 
     fn agg(child: PlanNode) -> PlanNode {
@@ -659,16 +639,12 @@ mod tests {
     #[test]
     fn accepts_merge_join_with_sorts() {
         let (q, db) = setup();
-        let sort_l = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(0, "id")] },
-            vec![scan(0)],
-        )
-        .with_estimates(1.0, 2.0);
-        let sort_r = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] },
-            vec![scan(1)],
-        )
-        .with_estimates(1.0, 2.0);
+        let sort_l =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(0, "id")] }, vec![scan(0)])
+                .with_estimates(1.0, 2.0);
+        let sort_r =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] }, vec![scan(1)])
+                .with_estimates(1.0, 2.0);
         let mj = PlanNode::new(Operator::MergeJoin { pred: join_pred() }, vec![sort_l, sort_r])
             .with_estimates(1.0, 5.0);
         assert_eq!(verify(&agg(mj), &q, &db), Ok(()));
@@ -689,8 +665,9 @@ mod tests {
             vec![],
         )
         .with_estimates(1.0, 1.0);
-        let nl = PlanNode::new(Operator::NestedLoopJoin { pred: join_pred() }, vec![scan(0), inner])
-            .with_estimates(1.0, 3.0);
+        let nl =
+            PlanNode::new(Operator::NestedLoopJoin { pred: join_pred() }, vec![scan(0), inner])
+                .with_estimates(1.0, 3.0);
         assert_eq!(verify(&agg(nl), &q, &db), Ok(()));
     }
 
@@ -769,10 +746,7 @@ mod tests {
     #[test]
     fn rejects_unknown_from_position() {
         let (q, db) = setup();
-        assert!(matches!(
-            verify(&scan(7), &q, &db),
-            Err(VerifyError::UnknownTable { table: 7 })
-        ));
+        assert!(matches!(verify(&scan(7), &q, &db), Err(VerifyError::UnknownTable { table: 7 })));
     }
 
     #[test]
@@ -783,10 +757,7 @@ mod tests {
             vec![hash_join(scan(0), scan(1)), scan(1)],
         )
         .with_estimates(1.0, 5.0);
-        assert!(matches!(
-            verify(&agg(dup), &q, &db),
-            Err(VerifyError::DuplicateScan { table: 1 })
-        ));
+        assert!(matches!(verify(&agg(dup), &q, &db), Err(VerifyError::DuplicateScan { table: 1 })));
         assert!(matches!(
             verify(&agg(scan(0)), &q, &db),
             Err(VerifyError::MissingScan { table: 1 })
@@ -811,10 +782,7 @@ mod tests {
         q.joins = vec![pred.clone()];
         let hj = PlanNode::new(Operator::HashJoin { pred }, vec![scan(0), scan(1)])
             .with_estimates(1.0, 3.0);
-        assert!(matches!(
-            verify(&agg(hj), &q, &db),
-            Err(VerifyError::FloatJoinKey { .. })
-        ));
+        assert!(matches!(verify(&agg(hj), &q, &db), Err(VerifyError::FloatJoinKey { .. })));
     }
 
     #[test]
@@ -824,10 +792,7 @@ mod tests {
         q.joins = vec![pred.clone()];
         let hj = PlanNode::new(Operator::HashJoin { pred }, vec![scan(0), scan(1)])
             .with_estimates(1.0, 3.0);
-        assert!(matches!(
-            verify(&agg(hj), &q, &db),
-            Err(VerifyError::JoinKeyTypeMismatch { .. })
-        ));
+        assert!(matches!(verify(&agg(hj), &q, &db), Err(VerifyError::JoinKeyTypeMismatch { .. })));
     }
 
     #[test]
@@ -836,10 +801,7 @@ mod tests {
         let pred = JoinPred::new(ColRef::new(0, "id"), ColRef::new(0, "year"));
         let hj = PlanNode::new(Operator::HashJoin { pred }, vec![scan(0), scan(1)])
             .with_estimates(1.0, 3.0);
-        assert!(matches!(
-            verify(&agg(hj), &q, &db),
-            Err(VerifyError::UnboundJoinKey { .. })
-        ));
+        assert!(matches!(verify(&agg(hj), &q, &db), Err(VerifyError::UnboundJoinKey { .. })));
     }
 
     #[test]
@@ -868,22 +830,18 @@ mod tests {
     #[test]
     fn rejects_aggregate_below_join() {
         let (q, db) = setup();
-        let hj = PlanNode::new(
-            Operator::HashJoin { pred: join_pred() },
-            vec![agg(scan(0)), scan(1)],
-        )
-        .with_estimates(1.0, 5.0);
+        let hj =
+            PlanNode::new(Operator::HashJoin { pred: join_pred() }, vec![agg(scan(0)), scan(1)])
+                .with_estimates(1.0, 5.0);
         assert!(matches!(verify(&hj, &q, &db), Err(VerifyError::AggregateBelowJoin)));
     }
 
     #[test]
     fn rejects_merge_join_with_unsorted_left_input() {
         let (q, db) = setup();
-        let sort_r = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] },
-            vec![scan(1)],
-        )
-        .with_estimates(1.0, 2.0);
+        let sort_r =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] }, vec![scan(1)])
+                .with_estimates(1.0, 2.0);
         // Left input feeds the merge join straight from a heap scan.
         let mj = PlanNode::new(Operator::MergeJoin { pred: join_pred() }, vec![scan(0), sort_r])
             .with_estimates(1.0, 5.0);
@@ -892,16 +850,12 @@ mod tests {
             Err(VerifyError::MergeInputNotOrdered { side: "left", .. })
         ));
         // A sort on the wrong key is just as unordered for the merge.
-        let wrong_key = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(0, "year")] },
-            vec![scan(0)],
-        )
-        .with_estimates(1.0, 2.0);
-        let sort_r = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] },
-            vec![scan(1)],
-        )
-        .with_estimates(1.0, 2.0);
+        let wrong_key =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(0, "year")] }, vec![scan(0)])
+                .with_estimates(1.0, 2.0);
+        let sort_r =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] }, vec![scan(1)])
+                .with_estimates(1.0, 2.0);
         let mj = PlanNode::new(Operator::MergeJoin { pred: join_pred() }, vec![wrong_key, sort_r])
             .with_estimates(1.0, 5.0);
         assert!(matches!(
@@ -913,11 +867,9 @@ mod tests {
     #[test]
     fn rejects_merge_join_with_unsorted_right_input() {
         let (q, db) = setup();
-        let sort_l = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(0, "id")] },
-            vec![scan(0)],
-        )
-        .with_estimates(1.0, 2.0);
+        let sort_l =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(0, "id")] }, vec![scan(0)])
+                .with_estimates(1.0, 2.0);
         let mj = PlanNode::new(Operator::MergeJoin { pred: join_pred() }, vec![sort_l, scan(1)])
             .with_estimates(1.0, 5.0);
         assert!(matches!(
@@ -973,15 +925,12 @@ mod tests {
                 if rows > child_rows
         ));
         // An aggregate inventing groups out of thin air.
-        let bloated = agg(hash_join(scan(0), scan(1)).with_estimates(2.0, 3.0))
-            .with_estimates(50.0, 4.0);
-        assert!(matches!(
-            verify(&bloated, &q, &db),
-            Err(VerifyError::NonMonotoneEstimate { .. })
-        ));
+        let bloated =
+            agg(hash_join(scan(0), scan(1)).with_estimates(2.0, 3.0)).with_estimates(50.0, 4.0);
+        assert!(matches!(verify(&bloated, &q, &db), Err(VerifyError::NonMonotoneEstimate { .. })));
         // Joins are exempt: growth across a join is legitimate.
-        let growing = agg(hash_join(scan(0), scan(1)).with_estimates(500.0, 3.0))
-            .with_estimates(1.0, 4.0);
+        let growing =
+            agg(hash_join(scan(0), scan(1)).with_estimates(500.0, 3.0)).with_estimates(1.0, 4.0);
         assert_eq!(verify(&growing, &q, &db), Ok(()));
     }
 
@@ -1016,10 +965,7 @@ mod tests {
         )
         .with_estimates(1.0, 1.0);
         let plan = agg(hash_join(scan(0), no_index));
-        assert!(matches!(
-            verify(&plan, &q, &db),
-            Err(VerifyError::MissingIndex { table: 1, .. })
-        ));
+        assert!(matches!(verify(&plan, &q, &db), Err(VerifyError::MissingIndex { table: 1, .. })));
         // `year` is indexed but the query needs `id` from title too.
         let ios = PlanNode::new(
             Operator::IndexOnlyScan {
@@ -1055,15 +1001,10 @@ mod tests {
             verify(&plan, &q, &db),
             Err(VerifyError::ForeignScanPredicate { scan_table: 0, pred_table: 1 })
         ));
-        let sort = PlanNode::new(
-            Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] },
-            vec![scan(0)],
-        )
-        .with_estimates(1.0, 2.0);
-        assert!(matches!(
-            verify(&sort, &q, &db),
-            Err(VerifyError::UnboundKey { .. })
-        ));
+        let sort =
+            PlanNode::new(Operator::Sort { keys: vec![ColRef::new(1, "movie_id")] }, vec![scan(0)])
+                .with_estimates(1.0, 2.0);
+        assert!(matches!(verify(&sort, &q, &db), Err(VerifyError::UnboundKey { .. })));
     }
 
     // --- hint-set consistency ---

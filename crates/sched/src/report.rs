@@ -114,7 +114,10 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     (sum * sum) / (n as f64 * sum_sq)
 }
 
-#[expect(clippy::too_many_arguments, reason = "one slice per per-tenant counter the scheduler keeps")]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one slice per per-tenant counter the scheduler keeps"
+)]
 pub(crate) fn build_report(
     cfg: &SchedConfig,
     waves: usize,

@@ -172,8 +172,7 @@ impl Scheduler {
         let n = cfg.tenants.len();
         let mut classes = Vec::new();
         for p in [Priority::Interactive, Priority::Normal, Priority::Background] {
-            let members: Vec<TenantId> =
-                (0..n).filter(|&t| cfg.tenants[t].priority == p).collect();
+            let members: Vec<TenantId> = (0..n).filter(|&t| cfg.tenants[t].priority == p).collect();
             if !members.is_empty() {
                 classes.push(ClassState { members, cursor: 0, credited: false });
             }
@@ -230,10 +229,7 @@ impl Scheduler {
         let mut joined: Vec<(Entry, TenantId)> =
             self.pending.drain(..).zip(self.pending_tenant.drain(..)).collect();
         joined.sort_by(|a, b| {
-            a.0.arrival
-                .as_ms()
-                .total_cmp(&b.0.arrival.as_ms())
-                .then(a.0.seq.cmp(&b.0.seq))
+            a.0.arrival.as_ms().total_cmp(&b.0.arrival.as_ms()).then(a.0.seq.cmp(&b.0.seq))
         });
         for (e, t) in joined {
             self.pending.push_back(e);
@@ -270,8 +266,7 @@ impl Scheduler {
     }
 
     fn tenant_ready(&self, t: TenantId, now: SimDuration) -> bool {
-        !self.queues[t].is_empty()
-            && self.buckets[t].as_ref().is_none_or(|b| b.ready(now))
+        !self.queues[t].is_empty() && self.buckets[t].as_ref().is_none_or(|b| b.ready(now))
     }
 
     /// Whether at least one query could be dispatched at `now`.
@@ -362,11 +357,7 @@ impl Scheduler {
                 let better = match pick {
                     None => true,
                     Some((_, a, s)) => {
-                        head.arrival
-                            .as_ms()
-                            .total_cmp(&a.as_ms())
-                            .then(head.seq.cmp(&s))
-                            .is_lt()
+                        head.arrival.as_ms().total_cmp(&a.as_ms()).then(head.seq.cmp(&s)).is_lt()
                     }
                 };
                 if better {
@@ -388,10 +379,8 @@ impl Scheduler {
     fn form_drr(&mut self, now: SimDuration, cap: usize, out: &mut Vec<Dispatch>) {
         for c in 0..self.classes.len() {
             while out.len() < cap {
-                let any_eligible = self.classes[c]
-                    .members
-                    .iter()
-                    .any(|&t| self.tenant_ready(t, now));
+                let any_eligible =
+                    self.classes[c].members.iter().any(|&t| self.tenant_ready(t, now));
                 if !any_eligible {
                     break;
                 }
@@ -412,10 +401,7 @@ impl Scheduler {
                         u64::from(self.cfg.quantum) * u64::from(self.cfg.tenants[t].weight);
                     self.classes[c].credited = true;
                 }
-                while self.deficits[t] >= 1
-                    && out.len() < cap
-                    && self.tenant_ready(t, now)
-                {
+                while self.deficits[t] >= 1 && out.len() < cap && self.tenant_ready(t, now) {
                     out.push(self.pop_dispatch(t, now));
                     self.deficits[t] -= 1;
                 }
@@ -527,11 +513,9 @@ mod tests {
     #[test]
     fn fifo_and_single_tenant_drr_agree() {
         for policy in [WavePolicy::Fifo, WavePolicy::Drr] {
-            let mut s =
-                Scheduler::new(SchedConfig::single_tenant().with_policy(policy)).unwrap();
+            let mut s = Scheduler::new(SchedConfig::single_tenant().with_policy(policy)).unwrap();
             s.submit(&closed_loop(9, |_| 0)).unwrap();
-            let order: Vec<usize> =
-                drain(&mut s, 4).into_iter().flatten().map(|d| d.idx).collect();
+            let order: Vec<usize> = drain(&mut s, 4).into_iter().flatten().map(|d| d.idx).collect();
             assert_eq!(order, (0..9).collect::<Vec<_>>(), "{policy:?}");
         }
     }
@@ -633,18 +617,15 @@ mod tests {
         let weights = [8u32, 1, 4, 1, 2];
         let quantum = 2u32;
         let n_queries = 120usize;
-        let bound_dispatches: usize = weights
-            .iter()
-            .map(|&w| (quantum as usize) * (w as usize) + 1)
-            .sum::<usize>()
-            + weights.len();
+        let bound_dispatches: usize =
+            weights.iter().map(|&w| (quantum as usize) * (w as usize) + 1).sum::<usize>()
+                + weights.len();
         for seed in [7u64, 19, 4242] {
             let mut rng = Xoshiro256::seed_from_u64(split_seed(seed, 5));
             // Adversarial mix: mostly heavy-tenant floods, with each
             // light tenant appearing at least once, then shuffled.
-            let mut tenants: Vec<TenantId> = (0..n_queries)
-                .map(|i| if i < weights.len() { i } else { 0 })
-                .collect();
+            let mut tenants: Vec<TenantId> =
+                (0..n_queries).map(|i| if i < weights.len() { i } else { 0 }).collect();
             rng.shuffle(&mut tenants);
             let cfg = SchedConfig {
                 tenants: weights

@@ -22,8 +22,8 @@ pub enum Token {
 }
 
 const KEYWORDS: &[&str] = &[
-    "SELECT", "FROM", "WHERE", "AND", "GROUP", "ORDER", "BY", "LIMIT", "AS", "COUNT", "SUM",
-    "MIN", "MAX", "AVG", "ASC", "DESC", "BETWEEN", "EXPLAIN",
+    "SELECT", "FROM", "WHERE", "AND", "GROUP", "ORDER", "BY", "LIMIT", "AS", "COUNT", "SUM", "MIN",
+    "MAX", "AVG", "ASC", "DESC", "BETWEEN", "EXPLAIN",
 ];
 
 /// Tokenize SQL text.
@@ -121,9 +121,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < chars.len()
-                    && (chars[i].is_ascii_alphanumeric() || chars[i] == '_')
-                {
+                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
                     i += 1;
                 }
                 let word: String = chars[start..i].iter().collect();
@@ -211,10 +209,7 @@ mod tests {
     #[test]
     fn qualified_names() {
         let toks = tokenize("t.col").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Ident("t".into()), Token::Dot, Token::Ident("col".into())]
-        );
+        assert_eq!(toks, vec![Token::Ident("t".into()), Token::Dot, Token::Ident("col".into())]);
     }
 
     #[test]

@@ -5,7 +5,16 @@
 //! The examples drive the whole stack from SQL text through this crate;
 //! the workload generators construct [`bao_plan::Query`] values directly.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod lexer;
 pub mod parser;

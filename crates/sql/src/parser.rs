@@ -2,9 +2,7 @@
 
 use crate::lexer::{tokenize, Token};
 use bao_common::{BaoError, Result};
-use bao_plan::{
-    AggFunc, CmpOp, ColRef, JoinPred, Predicate, Query, SelectItem, TableRef,
-};
+use bao_plan::{AggFunc, CmpOp, ColRef, JoinPred, Predicate, Query, SelectItem, TableRef};
 use bao_storage::Value;
 
 /// A parsed SQL statement.
@@ -170,16 +168,13 @@ impl Parser {
                 RawCond::Filter { col, op, value } => {
                     predicates.push(Predicate::new(resolver.resolve(&col)?, op, value))
                 }
-                RawCond::Join { left, right } => joins.push(JoinPred::new(
-                    resolver.resolve(&left)?,
-                    resolver.resolve(&right)?,
-                )),
+                RawCond::Join { left, right } => {
+                    joins.push(JoinPred::new(resolver.resolve(&left)?, resolver.resolve(&right)?))
+                }
             }
         }
-        let group_by =
-            raw_group.iter().map(|c| resolver.resolve(c)).collect::<Result<Vec<_>>>()?;
-        let order_by =
-            raw_order.iter().map(|c| resolver.resolve(c)).collect::<Result<Vec<_>>>()?;
+        let group_by = raw_group.iter().map(|c| resolver.resolve(c)).collect::<Result<Vec<_>>>()?;
+        let order_by = raw_order.iter().map(|c| resolver.resolve(c)).collect::<Result<Vec<_>>>()?;
 
         Ok(Query { tables, select, predicates, joins, group_by, order_by, limit })
     }
@@ -425,10 +420,8 @@ mod tests {
 
     #[test]
     fn self_join_distinct_aliases() {
-        let q = parse_query(
-            "SELECT COUNT(*) FROM person a, person b WHERE a.id = b.mentor_id",
-        )
-        .unwrap();
+        let q = parse_query("SELECT COUNT(*) FROM person a, person b WHERE a.id = b.mentor_id")
+            .unwrap();
         assert_eq!(q.joins[0].left.table, 0);
         assert_eq!(q.joins[0].right.table, 1);
     }
@@ -486,10 +479,9 @@ mod tests {
 
     #[test]
     fn between_desugars_to_range() {
-        let q = parse_query(
-            "SELECT COUNT(*) FROM t WHERE year BETWEEN 1990 AND 2000 AND kind = 'tv'",
-        )
-        .unwrap();
+        let q =
+            parse_query("SELECT COUNT(*) FROM t WHERE year BETWEEN 1990 AND 2000 AND kind = 'tv'")
+                .unwrap();
         assert_eq!(q.predicates.len(), 3);
         assert_eq!(q.predicates[0].op, CmpOp::Ge);
         assert_eq!(q.predicates[0].value, Value::Int(1990));

@@ -46,9 +46,8 @@ impl ColumnStats {
                 }
             }
             _ => {
-                let keys: Vec<i64> = (0..col.len())
-                    .map(|r| col.key_at(r).expect("keyed column"))
-                    .collect();
+                let keys: Vec<i64> =
+                    (0..col.len()).map(|r| col.key_at(r).expect("keyed column")).collect();
                 let mut freq: HashMap<i64, u32> = HashMap::new();
                 for &k in &keys {
                     *freq.entry(k).or_insert(0) += 1;
@@ -58,8 +57,7 @@ impl ColumnStats {
                 // MCVs: the N_MCVS most frequent values, but only those that
                 // occur more than once (PostgreSQL omits MCVs for unique
                 // columns).
-                let mut by_freq: Vec<(i64, u32)> =
-                    freq.iter().map(|(&k, &c)| (k, c)).collect();
+                let mut by_freq: Vec<(i64, u32)> = freq.iter().map(|(&k, &c)| (k, c)).collect();
                 by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 let mcvs: Vec<(i64, f64)> = by_freq
                     .iter()
@@ -69,11 +67,8 @@ impl ColumnStats {
                     .collect();
                 let mcv_set: std::collections::HashSet<i64> =
                     mcvs.iter().map(|&(k, _)| k).collect();
-                let non_mcv: Vec<f64> = keys
-                    .iter()
-                    .filter(|k| !mcv_set.contains(k))
-                    .map(|&k| k as f64)
-                    .collect();
+                let non_mcv: Vec<f64> =
+                    keys.iter().filter(|k| !mcv_set.contains(k)).map(|&k| k as f64).collect();
                 ColumnStats {
                     n,
                     n_distinct,
@@ -103,10 +98,8 @@ impl ColumnStats {
         let n_rest_distinct = (self.n_distinct - self.mcvs.len() as f64).max(1.0);
         match op {
             CmpOp::Eq => {
-                if let Some(&(_, f)) = self
-                    .mcvs
-                    .iter()
-                    .find(|&&(k, _)| (k as f64 - x).abs() < f64::EPSILON)
+                if let Some(&(_, f)) =
+                    self.mcvs.iter().find(|&&(k, _)| (k as f64 - x).abs() < f64::EPSILON)
                 {
                     f
                 } else {
@@ -121,9 +114,7 @@ impl ColumnStats {
                     .mcvs
                     .iter()
                     .filter(|&&(k, _)| {
-                        let ord = (k as f64)
-                            .partial_cmp(&x)
-                            .expect("finite stats values");
+                        let ord = (k as f64).partial_cmp(&x).expect("finite stats values");
                         op.matches(ord)
                     })
                     .map(|&(_, f)| f)

@@ -2,8 +2,8 @@
 
 use crate::tablestats::{analyze_table, TableStats};
 use bao_common::split_seed;
-use bao_plan::{CmpOp, Predicate};
 use bao_common::Rng;
+use bao_plan::{CmpOp, Predicate};
 use bao_storage::{ColumnData, Database, Table};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -178,12 +178,7 @@ impl Estimator for PostgresEstimator {
         let Some(stats) = cat.stats(table) else { return 1.0 };
         preds
             .iter()
-            .map(|p| {
-                stats
-                    .column(&p.column)
-                    .map(|c| c.selectivity(p.op, p.x))
-                    .unwrap_or(1.0 / 3.0)
-            })
+            .map(|p| stats.column(&p.column).map(|c| c.selectivity(p.op, p.x)).unwrap_or(1.0 / 3.0))
             .product::<f64>()
             .clamp(1e-12, 1.0)
     }
@@ -361,10 +356,7 @@ mod tests {
 
     #[test]
     fn resolve_text_predicate() {
-        let mut t = Table::new(
-            "s",
-            Schema::new(vec![ColumnDef::new("kind", DataType::Text)]),
-        );
+        let mut t = Table::new("s", Schema::new(vec![ColumnDef::new("kind", DataType::Text)]));
         t.insert(vec![Value::Str("movie".into())]).unwrap();
         let p = Predicate::new(ColRef::new(0, "kind"), CmpOp::Eq, Value::Str("movie".into()));
         let r = resolve_predicate(&t, &p);
@@ -389,6 +381,9 @@ mod tests {
         let db = correlated_db();
         let a = StatsCatalog::analyze(&db, 50, 9);
         let b = StatsCatalog::analyze(&db, 50, 9);
-        assert_eq!(a.sample("title").unwrap().columns["year"], b.sample("title").unwrap().columns["year"]);
+        assert_eq!(
+            a.sample("title").unwrap().columns["year"],
+            b.sample("title").unwrap().columns["year"]
+        );
     }
 }

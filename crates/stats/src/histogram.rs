@@ -136,15 +136,9 @@ mod tests {
             let eq = h.selectivity(CmpOp::Eq, x, nd);
             let gt = h.selectivity(CmpOp::Gt, x, nd);
             assert!((lt + eq + gt - 1.0).abs() < 1e-9, "x={x}");
-            assert!(
-                (h.selectivity(CmpOp::Le, x, nd) - (lt + eq)).abs() < 1e-9
-            );
-            assert!(
-                (h.selectivity(CmpOp::Ge, x, nd) - (gt + eq)).abs() < 1e-9
-            );
-            assert!(
-                (h.selectivity(CmpOp::Ne, x, nd) - (1.0 - eq)).abs() < 1e-9
-            );
+            assert!((h.selectivity(CmpOp::Le, x, nd) - (lt + eq)).abs() < 1e-9);
+            assert!((h.selectivity(CmpOp::Ge, x, nd) - (gt + eq)).abs() < 1e-9);
+            assert!((h.selectivity(CmpOp::Ne, x, nd) - (1.0 - eq)).abs() < 1e-9);
         }
     }
 

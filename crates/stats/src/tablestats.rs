@@ -19,9 +19,7 @@ impl TableStats {
     /// Distinct count for a column, defaulting to the row count for
     /// unknown columns (the safe assumption for key columns).
     pub fn n_distinct(&self, name: &str) -> f64 {
-        self.column(name)
-            .map(|c| c.n_distinct.max(1.0))
-            .unwrap_or(self.rows.max(1) as f64)
+        self.column(name).map(|c| c.n_distinct.max(1.0)).unwrap_or(self.rows.max(1) as f64)
     }
 }
 

@@ -70,10 +70,7 @@ impl Database {
     }
 
     pub fn table_id(&self, name: &str) -> Result<TableId> {
-        self.by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| BaoError::NotFound(format!("table {name}")))
+        self.by_name.get(name).copied().ok_or_else(|| BaoError::NotFound(format!("table {name}")))
     }
 
     pub fn get(&self, id: TableId) -> Result<&StoredTable> {
@@ -123,29 +120,18 @@ impl Database {
 
     /// Names of all live tables, in creation order.
     pub fn table_names(&self) -> Vec<&str> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|t| t.table.name.as_str()))
-            .collect()
+        self.slots.iter().filter_map(|s| s.as_ref().map(|t| t.table.name.as_str())).collect()
     }
 
     /// Total approximate data size (heaps only), for Table 1 reporting.
     pub fn total_size_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref())
-            .map(|t| t.table.size_bytes())
-            .sum()
+        self.slots.iter().filter_map(|s| s.as_ref()).map(|t| t.table.size_bytes()).sum()
     }
 
     /// Total heap pages across live tables (used to size "in-memory"
     /// buffer pools for the Figure 13 experiment).
     pub fn total_heap_pages(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref())
-            .map(|t| t.table.n_pages() as u64)
-            .sum()
+        self.slots.iter().filter_map(|s| s.as_ref()).map(|t| t.table.n_pages() as u64).sum()
     }
 
     fn alloc_object(&mut self) -> ObjectId {

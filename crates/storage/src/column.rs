@@ -14,11 +14,7 @@ use std::collections::HashMap;
 pub enum ColumnData {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Text {
-        codes: Vec<u32>,
-        dict: Vec<String>,
-        lookup: HashMap<String, u32>,
-    },
+    Text { codes: Vec<u32>, dict: Vec<String>, lookup: HashMap<String, u32> },
 }
 
 impl ColumnData {
@@ -26,11 +22,9 @@ impl ColumnData {
         match ty {
             DataType::Int => ColumnData::Int(Vec::new()),
             DataType::Float => ColumnData::Float(Vec::new()),
-            DataType::Text => ColumnData::Text {
-                codes: Vec::new(),
-                dict: Vec::new(),
-                lookup: HashMap::new(),
-            },
+            DataType::Text => {
+                ColumnData::Text { codes: Vec::new(), dict: Vec::new(), lookup: HashMap::new() }
+            }
         }
     }
 

@@ -92,11 +92,8 @@ impl Index {
         let end = self.keys.partition_point(|&k| k <= hi);
         let first_page = (start / INDEX_ENTRIES_PER_PAGE) as u32;
         // `end` is exclusive; the last touched entry is end-1.
-        let last_page = if end > start {
-            ((end - 1) / INDEX_ENTRIES_PER_PAGE) as u32
-        } else {
-            first_page
-        };
+        let last_page =
+            if end > start { ((end - 1) / INDEX_ENTRIES_PER_PAGE) as u32 } else { first_page };
         IndexProbe {
             rows: &self.rows[start..end],
             leaf_pages: first_page..last_page + 1,

@@ -192,10 +192,7 @@ mod tests {
 
     #[test]
     fn paging_math() {
-        let mut t = Table::new(
-            "n",
-            Schema::new(vec![ColumnDef::new("x", DataType::Int)]),
-        );
+        let mut t = Table::new("n", Schema::new(vec![ColumnDef::new("x", DataType::Int)]));
         let rpp = t.rows_per_page();
         assert_eq!(rpp, PAGE_BYTES / 8);
         assert_eq!(t.n_pages(), 0);

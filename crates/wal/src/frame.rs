@@ -135,16 +135,14 @@ pub fn decode_frame(bytes: &[u8]) -> FrameDecode {
         return FrameDecode::Incomplete;
     }
     let payload = &bytes[4..4 + len];
-    let stored = u32::from_le_bytes([
-        bytes[4 + len],
-        bytes[5 + len],
-        bytes[6 + len],
-        bytes[7 + len],
-    ]);
+    let stored =
+        u32::from_le_bytes([bytes[4 + len], bytes[5 + len], bytes[6 + len], bytes[7 + len]]);
     let actual = crc32(payload);
     if stored != actual {
         return FrameDecode::Corrupt {
-            reason: format!("frame checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"),
+            reason: format!(
+                "frame checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
+            ),
         };
     }
     FrameDecode::Complete { payload: payload.to_vec(), consumed: total }

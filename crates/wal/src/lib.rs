@@ -17,7 +17,16 @@
 //! Semantic replay (turning scanned records back into a live `Bao`) lives
 //! in `bao_harness::recover`, next to the runner state it reconstructs.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod frame;
 pub mod log;

@@ -469,9 +469,7 @@ mod tests {
     #[test]
     fn rotation_splits_segments_and_scan_reads_across() {
         let dir = temp_dir("rotate");
-        let cfg = DurabilityConfig::new(&dir)
-            .with_fsync(FsyncPolicy::Never)
-            .with_segment_bytes(64);
+        let cfg = DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never).with_segment_bytes(64);
         let mut wal = Wal::open(cfg.clone()).unwrap();
         for i in 0..20 {
             wal.append(&outcome(i));

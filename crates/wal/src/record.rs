@@ -94,10 +94,9 @@ impl ToJson for WalRecord {
                 ("version", version.to_json()),
                 ("reason", reason.to_json()),
             ]),
-            WalRecord::QueryOutcome { record } => Json::obj([
-                ("kind", Json::Str(self.kind().into())),
-                ("record", record.clone()),
-            ]),
+            WalRecord::QueryOutcome { record } => {
+                Json::obj([("kind", Json::Str(self.kind().into())), ("record", record.clone())])
+            }
         }
     }
 }
@@ -207,7 +206,8 @@ mod tests {
         assert!(WalRecord::decode(b"{\"no_kind\":1}").is_err());
         // Trailing garbage after a valid JSON document is a parse error
         // (the workspace parser rejects it), not a silent accept.
-        assert!(WalRecord::decode(b"{\"kind\":\"retrain\",\"version\":1,\"experience_size\":2} x").is_err());
+        assert!(WalRecord::decode(b"{\"kind\":\"retrain\",\"version\":1,\"experience_size\":2} x")
+            .is_err());
         // Right kind, missing field.
         assert!(WalRecord::decode(b"{\"kind\":\"checkpoint\",\"version\":1}").is_err());
     }

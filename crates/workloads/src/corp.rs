@@ -5,9 +5,9 @@
 
 use crate::{join, pred, Event, Workload, WorkloadStep};
 use bao_common::{rng_from_seed, split_seed, Result};
-use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
-use bao_storage::{ColumnDef, Database, DataType, Schema, Table, Value};
 use bao_common::{Rng, Xoshiro256};
+use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
+use bao_storage::{ColumnDef, DataType, Database, Schema, Table, Value};
 
 /// Corp workload configuration.
 #[derive(Debug, Clone, Copy)]
@@ -51,9 +51,8 @@ pub fn build_corp_database(scale: f64, seed: u64) -> Result<Database> {
     // always maps to one (region, category) pair, and categories cluster
     // within regions (correlation the independence assumption misses).
     let dim_region: Vec<i64> = (0..dims).map(|k| k % N_REGIONS).collect();
-    let dim_category: Vec<i64> = (0..dims)
-        .map(|k| ((k % N_REGIONS) * 3 + (k / N_REGIONS) % 5) % N_CATEGORIES)
-        .collect();
+    let dim_category: Vec<i64> =
+        (0..dims).map(|k| ((k % N_REGIONS) * 3 + (k / N_REGIONS) % 5) % N_CATEGORIES).collect();
 
     // Facts are id-clustered by quarter (low ids = quarter 0), and
     // `ship_quarter` is redundant with `quarter` — the independence
@@ -271,10 +270,7 @@ fn instantiate_pre(t: usize, rng: &mut Xoshiro256) -> (String, Query) {
         },
         // Ultra-popular probe: the lowest fact ids carry most detail rows.
         _ => Query {
-            tables: vec![
-                TableRef::aliased("fact", "f"),
-                TableRef::aliased("fact_detail", "fd"),
-            ],
+            tables: vec![TableRef::aliased("fact", "f"), TableRef::aliased("fact_detail", "fd")],
             select: vec![SelectItem::Agg(AggFunc::CountStar)],
             predicates: vec![
                 pred(0, "id", CmpOp::Le, rng.gen_range(10..=40)),
@@ -312,10 +308,7 @@ fn instantiate_post(t: usize, rng: &mut Xoshiro256) -> (String, Query) {
                 pred(2, "segment", CmpOp::Eq, rng.gen_range(1..=6)),
                 pred(1, "category", CmpOp::Eq, rng.gen_range(0..N_CATEGORIES)),
             ],
-            joins: vec![
-                join((0, "dim_key"), (1, "dim_key")),
-                join((0, "account_id"), (2, "id")),
-            ],
+            joins: vec![join((0, "dim_key"), (1, "dim_key")), join((0, "account_id"), (2, "id"))],
             ..Default::default()
         },
         // Same trap against the normalized schema.
@@ -349,10 +342,7 @@ fn instantiate_post(t: usize, rng: &mut Xoshiro256) -> (String, Query) {
         },
         // Ultra-popular probe against the normalized schema.
         _ => Query {
-            tables: vec![
-                TableRef::aliased("fact_n", "f"),
-                TableRef::aliased("fact_detail", "fd"),
-            ],
+            tables: vec![TableRef::aliased("fact_n", "f"), TableRef::aliased("fact_detail", "fd")],
             select: vec![SelectItem::Agg(AggFunc::CountStar)],
             predicates: vec![
                 pred(0, "id", CmpOp::Le, rng.gen_range(10..=40)),
@@ -470,15 +460,13 @@ mod tests {
         let cat = StatsCatalog::analyze(&db, 500, 1);
         let plan = opt.plan(&q_wide, &db, &cat, HintSet::all_enabled()).unwrap();
         let mut pool = BufferPool::new(512);
-        let wide =
-            execute(&plan.root, &q_wide, &db, &mut pool, &opt.params, &rates).unwrap();
+        let wide = execute(&plan.root, &q_wide, &db, &mut pool, &opt.params, &rates).unwrap();
 
         apply_event(&mut db, &Event::CorpNormalization, 5).unwrap();
         let cat = StatsCatalog::analyze(&db, 500, 1);
         let plan = opt.plan(&q_norm, &db, &cat, HintSet::all_enabled()).unwrap();
         let mut pool = BufferPool::new(512);
-        let norm =
-            execute(&plan.root, &q_norm, &db, &mut pool, &opt.params, &rates).unwrap();
+        let norm = execute(&plan.root, &q_norm, &db, &mut pool, &opt.params, &rates).unwrap();
         assert_eq!(wide.output, norm.output);
     }
 }

@@ -9,9 +9,9 @@
 
 use crate::{join, pred, zipf, Workload, WorkloadStep};
 use bao_common::{rng_from_seed, split_seed, Result};
-use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
-use bao_storage::{ColumnDef, Database, DataType, Schema, Table, Value};
 use bao_common::{Rng, Xoshiro256};
+use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
+use bao_storage::{ColumnDef, DataType, Database, Schema, Table, Value};
 
 /// IMDb workload configuration.
 #[derive(Debug, Clone, Copy)]
@@ -260,10 +260,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
                 pred(2, "birth_year", CmpOp::Gt, rng.gen_range(1940..=1990)),
                 pred(1, "role_id", CmpOp::Le, rng.gen_range(1..=4)),
             ],
-            joins: vec![
-                join((0, "id"), (1, "movie_id")),
-                join((1, "person_id"), (2, "id")),
-            ],
+            joins: vec![join((0, "id"), (1, "movie_id")), join((1, "person_id"), (2, "id"))],
             ..Default::default()
         },
         4 => {
@@ -271,7 +268,10 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
             // conjunction is underestimated quadratically.
             let y = rng.gen_range(2000..=2016);
             Query {
-                tables: vec![TableRef::aliased("title", "t"), TableRef::aliased("movie_info", "mi")],
+                tables: vec![
+                    TableRef::aliased("title", "t"),
+                    TableRef::aliased("movie_info", "mi"),
+                ],
                 select: count,
                 predicates: vec![
                     pred(1, "info_type_id", CmpOp::Eq, rng.gen_range(1..=110)),
@@ -285,10 +285,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
             }
         }
         5 => Query {
-            tables: vec![
-                TableRef::aliased("title", "t"),
-                TableRef::aliased("movie_keyword", "mk"),
-            ],
+            tables: vec![TableRef::aliased("title", "t"), TableRef::aliased("movie_keyword", "mk")],
             select: count,
             predicates: vec![pred(1, "keyword_id", CmpOp::Eq, zipf(rng, keywords))],
             joins: vec![join((0, "id"), (1, "movie_id"))],
@@ -305,10 +302,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
                 pred(0, "production_year", CmpOp::Ge, year),
                 pred(2, "company_type_id", CmpOp::Eq, rng.gen_range(1..=4)),
             ],
-            joins: vec![
-                join((0, "id"), (1, "movie_id")),
-                join((0, "id"), (2, "movie_id")),
-            ],
+            joins: vec![join((0, "id"), (1, "movie_id")), join((0, "id"), (2, "movie_id"))],
             ..Default::default()
         },
         7 => Query {
@@ -322,10 +316,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
                 pred(1, "info_type_id", CmpOp::Le, rng.gen_range(2..=20)),
                 pred(0, "kind_id", CmpOp::Eq, rng.gen_range(1..=3)),
             ],
-            joins: vec![
-                join((0, "id"), (1, "movie_id")),
-                join((0, "id"), (2, "movie_id")),
-            ],
+            joins: vec![join((0, "id"), (1, "movie_id")), join((0, "id"), (2, "movie_id"))],
             ..Default::default()
         },
         8 => Query {
@@ -371,10 +362,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
                     pred(1, "role_id", CmpOp::Le, rng.gen_range(1..=3)),
                     pred(2, "company_type_id", CmpOp::Le, rng.gen_range(2..=3)),
                 ],
-                joins: vec![
-                    join((0, "id"), (1, "movie_id")),
-                    join((0, "id"), (2, "movie_id")),
-                ],
+                joins: vec![join((0, "id"), (1, "movie_id")), join((0, "id"), (2, "movie_id"))],
                 ..Default::default()
             }
         }
@@ -408,10 +396,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
             ..Default::default()
         },
         12 => Query {
-            tables: vec![
-                TableRef::aliased("cast_info", "ci"),
-                TableRef::aliased("person", "p"),
-            ],
+            tables: vec![TableRef::aliased("cast_info", "ci"), TableRef::aliased("person", "p")],
             select: vec![SelectItem::Agg(AggFunc::Max(ColRef::new(1, "birth_year")))],
             predicates: vec![
                 pred(0, "role_id", CmpOp::Eq, rng.gen_range(1..=11)),
@@ -456,10 +441,7 @@ pub fn instantiate_template(t: usize, scale: f64, rng: &mut Xoshiro256) -> (Stri
                 pred(0, "id", CmpOp::Le, rng.gen_range(8..=22)),
                 pred(1, "role_id", CmpOp::Le, rng.gen_range(2..=4)),
             ],
-            joins: vec![
-                join((0, "id"), (1, "movie_id")),
-                join((0, "id"), (2, "movie_id")),
-            ],
+            joins: vec![join((0, "id"), (1, "movie_id")), join((0, "id"), (2, "movie_id"))],
             ..Default::default()
         },
     };
@@ -535,9 +517,7 @@ mod tests {
         let ci = &db.by_name("cast_info").unwrap().table;
         let col = ci.column("movie_id").unwrap();
         let n = ci.row_count();
-        let popular = (0..n)
-            .filter(|&r| col.key_at(r).unwrap() < 100)
-            .count();
+        let popular = (0..n).filter(|&r| col.key_at(r).unwrap() < 100).count();
         // 10% of the id space should hold far more than 10% of rows.
         assert!(popular as f64 / n as f64 > 0.3, "skew too weak: {popular}/{n}");
     }
@@ -562,13 +542,10 @@ mod tests {
     fn dynamic_workload_introduces_templates_late() {
         let cfg = ImdbConfig { scale: 0.05, n_queries: 200, dynamic: true, seed: 6 };
         let (_, wl) = build_imdb(&cfg).unwrap();
-        let first_half: Vec<&str> =
-            wl.steps[..100].iter().map(|s| s.label.as_str()).collect();
-        let has_late_template =
-            |labels: &[&str]| labels.iter().any(|l| *l >= "imdb/q12");
+        let first_half: Vec<&str> = wl.steps[..100].iter().map(|s| s.label.as_str()).collect();
+        let has_late_template = |labels: &[&str]| labels.iter().any(|l| *l >= "imdb/q12");
         assert!(!has_late_template(&first_half), "templates 12+ must not appear early");
-        let second_half: Vec<&str> =
-            wl.steps[150..].iter().map(|s| s.label.as_str()).collect();
+        let second_half: Vec<&str> = wl.steps[150..].iter().map(|s| s.label.as_str()).collect();
         assert!(has_late_template(&second_half), "late templates should appear");
     }
 
@@ -590,7 +567,9 @@ mod tests {
         assert!(a[0].0.starts_with("JOB-1a"));
         // different seeds give different parameters
         let c = job_queries(0.05, 10);
-        assert_ne!(a.iter().map(|x| &x.1).collect::<Vec<_>>(),
-                   c.iter().map(|x| &x.1).collect::<Vec<_>>());
+        assert_ne!(
+            a.iter().map(|x| &x.1).collect::<Vec<_>>(),
+            c.iter().map(|x| &x.1).collect::<Vec<_>>()
+        );
     }
 }

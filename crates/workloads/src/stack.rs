@@ -4,9 +4,9 @@
 
 use crate::{join, pred, zipf, Event, Workload, WorkloadStep};
 use bao_common::{rng_from_seed, split_seed, BaoError, Result};
-use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
-use bao_storage::{ColumnDef, Database, DataType, Schema, Table, Value};
 use bao_common::{Rng, Xoshiro256};
+use bao_plan::{AggFunc, CmpOp, ColRef, Query, SelectItem, TableRef};
+use bao_storage::{ColumnDef, DataType, Database, Schema, Table, Value};
 
 /// Stack workload configuration.
 #[derive(Debug, Clone, Copy)]
@@ -125,8 +125,8 @@ pub fn build_stack_database(cfg: &StackConfig) -> Result<Database> {
     );
     for i in 0..users_n {
         // Reputation is Zipf-like: low-id (old) users hold most of it.
-        let rep = ((users_n - i) as f64 / users_n as f64 * 100_000.0
-            * rng.gen_f64().powi(2)) as i64;
+        let rep =
+            ((users_n - i) as f64 / users_n as f64 * 100_000.0 * rng.gen_f64().powi(2)) as i64;
         users.insert(vec![
             Value::Int(i),
             Value::Int(rep),
@@ -188,7 +188,12 @@ pub fn build_stack_database(cfg: &StackConfig) -> Result<Database> {
 
 const N_TEMPLATES: usize = 9;
 
-fn instantiate(t: usize, cfg: &StackConfig, loaded_months: u32, rng: &mut Xoshiro256) -> (String, Query) {
+fn instantiate(
+    t: usize,
+    cfg: &StackConfig,
+    loaded_months: u32,
+    rng: &mut Xoshiro256,
+) -> (String, Query) {
     let users = n_users(cfg.scale);
     let label = format!("stack/q{t:02}");
     let count = vec![SelectItem::Agg(AggFunc::CountStar)];
@@ -205,10 +210,7 @@ fn instantiate(t: usize, cfg: &StackConfig, loaded_months: u32, rng: &mut Xoshir
             ..Default::default()
         },
         1 => Query {
-            tables: vec![
-                TableRef::aliased("questions", "q"),
-                TableRef::aliased("answers", "a"),
-            ],
+            tables: vec![TableRef::aliased("questions", "q"), TableRef::aliased("answers", "a")],
             select: count,
             predicates: vec![
                 pred(0, "site_id", CmpOp::Eq, 1),
@@ -218,10 +220,7 @@ fn instantiate(t: usize, cfg: &StackConfig, loaded_months: u32, rng: &mut Xoshir
             ..Default::default()
         },
         2 => Query {
-            tables: vec![
-                TableRef::aliased("questions", "q"),
-                TableRef::aliased("users", "u"),
-            ],
+            tables: vec![TableRef::aliased("questions", "q"), TableRef::aliased("users", "u")],
             select: count,
             predicates: vec![
                 pred(1, "reputation", CmpOp::Gt, rng.gen_range(1_000..=50_000)),
@@ -241,17 +240,11 @@ fn instantiate(t: usize, cfg: &StackConfig, loaded_months: u32, rng: &mut Xoshir
                 pred(0, "month", CmpOp::Eq, rng.gen_range(0..loaded_months.max(1)) as i64),
                 pred(0, "site_id", CmpOp::Eq, 1),
             ],
-            joins: vec![
-                join((0, "id"), (1, "question_id")),
-                join((1, "owner_id"), (2, "id")),
-            ],
+            joins: vec![join((0, "id"), (1, "question_id")), join((1, "owner_id"), (2, "id"))],
             ..Default::default()
         },
         4 => Query {
-            tables: vec![
-                TableRef::aliased("questions", "q"),
-                TableRef::aliased("votes", "v"),
-            ],
+            tables: vec![TableRef::aliased("questions", "q"), TableRef::aliased("votes", "v")],
             select: count,
             predicates: vec![
                 pred(1, "vote_type", CmpOp::Eq, rng.gen_range(1..=15)),
@@ -271,10 +264,7 @@ fn instantiate(t: usize, cfg: &StackConfig, loaded_months: u32, rng: &mut Xoshir
             ..Default::default()
         },
         6 => Query {
-            tables: vec![
-                TableRef::aliased("answers", "a"),
-                TableRef::aliased("users", "u"),
-            ],
+            tables: vec![TableRef::aliased("answers", "a"), TableRef::aliased("users", "u")],
             select: count,
             predicates: vec![
                 pred(0, "month", CmpOp::Ge, recent),

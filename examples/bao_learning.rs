@@ -14,12 +14,8 @@ use bao_workloads::{build_imdb, ImdbConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n_queries = 300;
-    let (db, workload) = build_imdb(&ImdbConfig {
-        scale: 0.1,
-        n_queries,
-        dynamic: true,
-        seed: 42,
-    })?;
+    let (db, workload) =
+        build_imdb(&ImdbConfig { scale: 0.1, n_queries, dynamic: true, seed: 42 })?;
     let cat = StatsCatalog::analyze(&db, 1_000, 42);
     let opt = Optimizer::postgres();
     let rates = N1_16.charge_rates();
@@ -44,8 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // What would PostgreSQL have done? (cache-isolated comparison)
         let pg_plan = opt.plan(&step.query, &db, &cat, HintSet::all_enabled())?;
         let mut snapshot = pool.clone();
-        let pg_m =
-            execute(&pg_plan.root, &step.query, &db, &mut snapshot, &opt.params, &rates)?;
+        let pg_m = execute(&pg_plan.root, &step.query, &db, &mut snapshot, &opt.params, &rates)?;
         pg_window += pg_m.latency.as_secs();
 
         // Bao's choice actually runs.

@@ -11,7 +11,7 @@ use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
 use bao_sql::parse_query;
 use bao_stats::StatsCatalog;
-use bao_storage::{BufferPool, ColumnDef, Database, DataType, Schema, Table, Value};
+use bao_storage::{BufferPool, ColumnDef, DataType, Database, Schema, Table, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Create a database: movies and their cast.

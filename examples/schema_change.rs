@@ -14,8 +14,7 @@ use bao_storage::BufferPool;
 use bao_workloads::{apply_event, build_corp, CorpConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (mut db, workload) =
-        build_corp(&CorpConfig { scale: 0.1, n_queries: 200, seed: 4 })?;
+    let (mut db, workload) = build_corp(&CorpConfig { scale: 0.1, n_queries: 200, seed: 4 })?;
     let mut cat = StatsCatalog::analyze(&db, 1_000, 4);
     let opt = Optimizer::postgres();
     let rates = N1_16.charge_rates();

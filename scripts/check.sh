@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # One-shot verification gate, in dependency order:
+#   0. fmt             — cargo fmt --all --check, with the root
+#                        rustfmt.toml; the fix is `cargo fmt --all`
 #   1. clippy          — cargo clippy --workspace --all-targets --offline
 #                        -- -D warnings: clippy's default lints plus the
 #                        workspace invariants the compiler checks
@@ -68,6 +70,10 @@ for arg in "$@"; do
     esac
 done
 
+echo "== fmt (cargo fmt --all --check) =="
+cargo fmt --all --check
+
+echo
 echo "== clippy (no warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

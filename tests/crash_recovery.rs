@@ -27,10 +27,10 @@ use bao_harness::{
 };
 use bao_opt::HintSet;
 use bao_sched::QueryArrival;
+use bao_storage::Database;
 use bao_wal::frame::{decode_frame, FrameDecode, SEGMENT_HEADER_LEN};
 use bao_wal::{DurabilityConfig, FsyncPolicy, Wal, WalRecord};
 use bao_workloads::{Workload, WorkloadStep};
-use bao_storage::Database;
 
 const SCALE: f64 = 0.01;
 const N_QUERIES: usize = 12;
@@ -53,9 +53,7 @@ fn settings(dir: Option<&Path>) -> BaoSettings {
         // the pool exactly.
         cache_features: true,
         durability: dir.map(|d| {
-            DurabilityConfig::new(d)
-                .with_fsync(FsyncPolicy::Never)
-                .with_segment_bytes(64 << 20)
+            DurabilityConfig::new(d).with_fsync(FsyncPolicy::Never).with_segment_bytes(64 << 20)
         }),
         ..BaoSettings::default()
     }
@@ -143,9 +141,8 @@ fn assert_recovers(case_dir: &Path, bytes: &[u8], golden: &Golden, what: &str) {
 fn crash_matrix(seed: u64, stride: usize, root: &Path) {
     let (db, wl) = workload(seed);
     let golden_dir = root.join(format!("golden-{seed}"));
-    let golden = Runner::new(run_config(seed, Some(&golden_dir)), db.clone())
-        .run(&wl)
-        .expect("golden run");
+    let golden =
+        Runner::new(run_config(seed, Some(&golden_dir)), db.clone()).run(&wl).expect("golden run");
     assert_eq!(golden.records.len(), N_QUERIES);
     let golden_result = golden.canonical_json().into_bytes();
     let golden_wal = fs::read(segment0(&golden_dir)).unwrap();
@@ -159,8 +156,7 @@ fn crash_matrix(seed: u64, stride: usize, root: &Path) {
     // boundary) per retrain.
     let expect_frames = 1 + 2 * N_QUERIES + 2 * (N_QUERIES / RETRAIN);
     assert_eq!(bounds.len(), expect_frames + 1, "unexpected golden frame count");
-    let golden =
-        Golden { seed, db: &db, wl: &wl, result: &golden_result, wal: &golden_wal };
+    let golden = Golden { seed, db: &db, wl: &wl, result: &golden_result, wal: &golden_wal };
 
     let case_dir = root.join(format!("case-{seed}"));
     for (i, pair) in bounds.windows(2).enumerate() {
@@ -297,10 +293,8 @@ fn recovery_crosses_segment_rotation() {
     }
     let golden = Runner::new(cfg.clone(), db.clone()).run(&wl).unwrap();
     let golden_result = golden.canonical_json().into_bytes();
-    let mut segs: Vec<PathBuf> = fs::read_dir(&golden_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
+    let mut segs: Vec<PathBuf> =
+        fs::read_dir(&golden_dir).unwrap().map(|e| e.unwrap().path()).collect();
     segs.sort();
     assert!(segs.len() >= 2, "expected rotation to produce multiple segments");
 

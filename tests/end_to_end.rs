@@ -22,8 +22,7 @@ fn sql_to_result_pipeline() {
     .unwrap();
     let plan = opt.plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     let mut pool = BufferPool::new(512);
-    let m = execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default())
-        .unwrap();
+    let m = execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default()).unwrap();
     assert_eq!(m.output.len(), 1);
     let count = m.output[0][0].as_int().unwrap();
     assert!(count > 0);
@@ -104,8 +103,7 @@ fn optimization_time_scales_with_arm_count() {
     let (db, wl) =
         build_imdb(&ImdbConfig { scale: 0.05, n_queries: 15, dynamic: false, seed: 6 }).unwrap();
     let opt_time = |arms: usize| {
-        let mut cfg =
-            RunConfig::new(N1_4, Strategy::Optimal { arms: HintSet::top_arms(arms) });
+        let mut cfg = RunConfig::new(N1_4, Strategy::Optimal { arms: HintSet::top_arms(arms) });
         cfg.sequential_arms = true;
         Runner::new(cfg, db.clone()).run(&wl).unwrap().total_opt
     };

@@ -27,9 +27,7 @@ use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, ColumnDef, DataType, Database, Schema, Table, Value};
 use bao_wal::fnv64;
 use bao_workloads::imdb::{build_imdb_database, instantiate_template, N_TEMPLATES};
-use bao_workloads::{
-    apply_event, build_corp, build_stack, CorpConfig, StackConfig, Workload,
-};
+use bao_workloads::{apply_event, build_corp, build_stack, CorpConfig, StackConfig, Workload};
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -139,12 +137,9 @@ fn stream_digest(shard_workers: usize, mut db: Database, wl: &Workload, steps: u
 
 fn assert_pin(what: &str, got: [u64; 3], want: u64) {
     assert_eq!(
-        got,
-        [want; 3],
+        got, [want; 3],
         "{what}: digests at widths {WIDTHS:?} [{:#018x}, {:#018x}, {:#018x}], pinned {want:#018x}",
-        got[0],
-        got[1],
-        got[2]
+        got[0], got[1], got[2]
     );
 }
 
@@ -225,15 +220,10 @@ fn shapes_beyond_the_templates_match_pinned_digest() {
 
     // A covering index-only scan, plain and as a parameterized inner.
     let covering = parse_query("SELECT COUNT(id) FROM t WHERE id < 300").unwrap();
-    let covering_inner = parse_query(
-        "SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id AND a.v = 3 AND a.id < 2000",
-    )
-    .unwrap();
-    let index_only = |param: bool| {
-        move |n: &PlanNode| {
-            matches!(&n.op, Operator::IndexOnlyScan { param: p, .. } if p.is_some() == param)
-        }
-    };
+    let covering_inner =
+        parse_query("SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id AND a.v = 3 AND a.id < 2000")
+            .unwrap();
+    let index_only = |param: bool| move |n: &PlanNode| matches!(&n.op, Operator::IndexOnlyScan { param: p, .. } if p.is_some() == param);
     assert!(has(&covering, &index_only(false)) && has(&covering_inner, &index_only(true)));
 
     // A cyclic join graph: the closing predicate becomes a Filter.

@@ -29,10 +29,7 @@ fn figure1_shape_loop_join_tradeoff() {
         let (_, q) = instantiate_template(template, 0.1, &mut rng);
         let plan = opt.plan(&q, &db, &cat, hints).unwrap();
         let mut pool = BufferPool::new(340);
-        execute(&plan.root, &q, &db, &mut pool, &opt.params, &rates)
-            .unwrap()
-            .latency
-            .as_ms()
+        execute(&plan.root, &q, &db, &mut pool, &opt.params, &rates).unwrap().latency.as_ms()
     };
 
     // 16b-like: default (loop cascade) at least 2x slower than hinted.
@@ -70,10 +67,8 @@ fn bao_beats_postgres_after_training() {
     let trad = Runner::new(cfg, db).run(&wl).unwrap();
 
     let suffix = n / 2;
-    let bao_tail: f64 =
-        bao.records[suffix..].iter().map(|r| r.latency.as_ms()).sum();
-    let trad_tail: f64 =
-        trad.records[suffix..].iter().map(|r| r.latency.as_ms()).sum();
+    let bao_tail: f64 = bao.records[suffix..].iter().map(|r| r.latency.as_ms()).sum();
+    let trad_tail: f64 = trad.records[suffix..].iter().map(|r| r.latency.as_ms()).sum();
     assert!(
         bao_tail < trad_tail * 0.9,
         "trained Bao should win the second half: {bao_tail:.0} vs {trad_tail:.0}"
@@ -126,12 +121,12 @@ fn tail_latency_improves_more_than_median() {
     }
     let ratio = |p: f64| percentile(&bao_all, p) / percentile(&trad_all, p);
     let (p99, p90, p50) = (ratio(99.0), ratio(90.0), ratio(50.0));
-    println!("pooled ratios over {} queries: p99 {p99:.3} p90 {p90:.3} p50 {p50:.3}", bao_all.len());
-    assert!(p99 < 0.85, "pooled tail should improve markedly: p99 ratio {p99:.3}");
-    assert!(
-        p50 > 0.5,
-        "pooled median should change far less than the tail: p50 ratio {p50:.3}"
+    println!(
+        "pooled ratios over {} queries: p99 {p99:.3} p90 {p90:.3} p50 {p50:.3}",
+        bao_all.len()
     );
+    assert!(p99 < 0.85, "pooled tail should improve markedly: p99 ratio {p99:.3}");
+    assert!(p50 > 0.5, "pooled median should change far less than the tail: p50 ratio {p50:.3}");
     // The tail win must exceed the median win — the distributional shape
     // Figure 9 is actually about.
     assert!(
@@ -153,10 +148,7 @@ fn tail_latency_seed17_regression() {
     let p90_ratio = percentile(&bao_lat, 90.0) / percentile(&trad_lat, 90.0);
     let p50_ratio = percentile(&bao_lat, 50.0) / percentile(&trad_lat, 50.0);
     assert!(p90_ratio < 0.85, "tail should improve markedly: ratio {p90_ratio:.2}");
-    assert!(
-        p50_ratio > 0.5,
-        "median should change far less than the tail: ratio {p50_ratio:.2}"
-    );
+    assert!(p50_ratio > 0.5, "median should change far less than the tail: ratio {p50_ratio:.2}");
 }
 
 /// §6.3: the optimal per-query hint choice strictly dominates both the
@@ -207,9 +199,7 @@ fn overhead_bounded_on_fast_queries() {
     let base = Runner::new(cfg, db.clone()).run(&wl).unwrap();
     // fastest 20%
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        base.records[a].latency.partial_cmp(&base.records[b].latency).unwrap()
-    });
+    order.sort_by(|&a, &b| base.records[a].latency.partial_cmp(&base.records[b].latency).unwrap());
     let keep: std::collections::HashSet<usize> = order[..n / 5].iter().copied().collect();
     let fast = bao_workloads::Workload {
         name: "fast20".into(),

@@ -84,8 +84,7 @@ fn non_bao_strategies_match_pinned_digests() {
 #[test]
 fn cold_cache_and_sequential_arms_match_pinned_digests() {
     let seed = 42;
-    let cold =
-        RunConfig { cold_cache: true, ..config(seed, Strategy::Bao(settings(true))) };
+    let cold = RunConfig { cold_cache: true, ..config(seed, Strategy::Bao(settings(true))) };
     assert_pin("cold cache", digest_of(cold), 0x11b94b2c9788b9b7);
     let sequential =
         RunConfig { sequential_arms: true, ..config(seed, Strategy::Bao(settings(false))) };

@@ -59,12 +59,7 @@ fn config(seed: u64) -> RunConfig {
 }
 
 fn cache_cfg(overload_backlog: usize) -> PlanCacheConfig {
-    PlanCacheConfig {
-        capacity: 64,
-        drift_window: 4,
-        drift_threshold: 1.0,
-        overload_backlog,
-    }
+    PlanCacheConfig { capacity: 64, drift_window: 4, drift_threshold: 1.0, overload_backlog }
 }
 
 #[test]

@@ -19,9 +19,7 @@ use bao_stats::StatsCatalog;
 use bao_storage::{ColumnDef, DataType, Database, Schema, Table, Value};
 use bao_wal::fnv64;
 use bao_workloads::imdb::{build_imdb_database, instantiate_template, N_TEMPLATES};
-use bao_workloads::{
-    apply_event, build_corp, build_stack, CorpConfig, StackConfig, Workload,
-};
+use bao_workloads::{apply_event, build_corp, build_stack, CorpConfig, StackConfig, Workload};
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -161,8 +159,8 @@ fn ten_relation_chain_matches_pinned_digests() {
     let from = (0..10).map(|i| format!("t t{i}")).collect::<Vec<_>>().join(", ");
     let conds =
         (1..10).map(|i| format!("t{}.id = t{i}.id", i - 1)).collect::<Vec<_>>().join(" AND ");
-    let q = parse_query(&format!("SELECT COUNT(*) FROM {from} WHERE {conds} AND t3.v = 5"))
-        .unwrap();
+    let q =
+        parse_query(&format!("SELECT COUNT(*) FROM {from} WHERE {conds} AND t3.v = 5")).unwrap();
     let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
     assert_eq!(out.root.tables_covered().len(), 10);
     assert_pins("chain", digests([&q], &db, &cat), [0x047b7f41c7f10c67, 0x65200dd9fc5eb95d]);
@@ -178,9 +176,7 @@ fn unindexed_table_under_seq_disabled_arms_matches_pinned_digests() {
          GROUP BY a.v ORDER BY a.v",
     )
     .unwrap();
-    let out = Optimizer::postgres()
-        .plan(&q, &db, &cat, HintSet::from_masks(0b111, 0b110))
-        .unwrap();
+    let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::from_masks(0b111, 0b110)).unwrap();
     assert!(out.root.est_cost >= 2.0e10, "both seq scans penalised: {}", out.root);
     assert_pins("unindexed", digests([&q], &db, &cat), [0x6d2a08b855adf751, 0x60441fe36ae1391d]);
 }
@@ -191,10 +187,9 @@ fn covering_index_only_matches_pinned_digests() {
     let single = parse_query("SELECT COUNT(id) FROM t WHERE id < 300").unwrap();
     // b contributes nothing but its join key: a covering parameterized
     // index-only inner.
-    let joined = parse_query(
-        "SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id AND a.v = 3 AND a.id < 2000",
-    )
-    .unwrap();
+    let joined =
+        parse_query("SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id AND a.v = 3 AND a.id < 2000")
+            .unwrap();
     let index_only = |q: &Query, param: bool| {
         let out = Optimizer::postgres().plan(q, &db, &cat, HintSet::all_enabled()).unwrap();
         out.root.iter().any(

@@ -23,13 +23,8 @@ fn every_arm_plan_verifies_across_an_imdb_workload() {
         for hints in HintSet::family_49() {
             let out = opt.plan(&step.query, &db, &cat, hints).unwrap();
             verify(&out.root, &step.query, &db).unwrap();
-            verify_with_hints(
-                &out.root,
-                &step.query,
-                &db,
-                &hints.check(opt.params.disable_cost),
-            )
-            .unwrap();
+            verify_with_hints(&out.root, &step.query, &db, &hints.check(opt.params.disable_cost))
+                .unwrap();
             plans += 1;
         }
     }

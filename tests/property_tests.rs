@@ -112,8 +112,7 @@ fn featurization_is_well_formed() {
         }
         // exactly one one-hot bit per node
         for i in 0..tree.n_nodes() {
-            let ones =
-                tree.feat(i)[..bao_plan::N_OP_KINDS].iter().filter(|&&v| v == 1.0).count();
+            let ones = tree.feat(i)[..bao_plan::N_OP_KINDS].iter().filter(|&&v| v == 1.0).count();
             assert_eq!(ones, 1);
         }
     });

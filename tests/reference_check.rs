@@ -11,7 +11,7 @@ use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
 use bao_plan::{AggFunc, CmpOp, ColRef, JoinPred, Predicate, Query, SelectItem, TableRef};
 use bao_stats::StatsCatalog;
-use bao_storage::{BufferPool, ColumnDef, Database, DataType, Schema, Table, Value};
+use bao_storage::{BufferPool, ColumnDef, DataType, Database, Schema, Table, Value};
 
 /// Build a random 3-table database (parent + two children) from a seed.
 fn random_db(seed: u64, rows: usize) -> Database {
@@ -35,17 +35,11 @@ fn random_db(seed: u64, rows: usize) -> Database {
     }
     let mut c1 = Table::new(
         "c1",
-        Schema::new(vec![
-            ColumnDef::new("pid", DataType::Int),
-            ColumnDef::new("x", DataType::Int),
-        ]),
+        Schema::new(vec![ColumnDef::new("pid", DataType::Int), ColumnDef::new("x", DataType::Int)]),
     );
     let mut c2 = Table::new(
         "c2",
-        Schema::new(vec![
-            ColumnDef::new("pid", DataType::Int),
-            ColumnDef::new("y", DataType::Int),
-        ]),
+        Schema::new(vec![ColumnDef::new("pid", DataType::Int), ColumnDef::new("y", DataType::Int)]),
     );
     for _ in 0..rows {
         // occasional dangling keys exercise non-matching joins
@@ -76,11 +70,7 @@ fn random_db(seed: u64, rows: usize) -> Database {
 fn random_query(seed: u64) -> Query {
     let mut rng = rng_from_seed(seed);
     let n_tables = rng.gen_range(1..=3usize);
-    let mut q = Query {
-        tables: vec![TableRef::new("p")],
-        select: vec![],
-        ..Default::default()
-    };
+    let mut q = Query { tables: vec![TableRef::new("p")], select: vec![], ..Default::default() };
     if n_tables >= 2 {
         q.tables.push(TableRef::new("c1"));
         q.joins.push(JoinPred::new(ColRef::new(0, "id"), ColRef::new(1, "pid")));
@@ -125,10 +115,7 @@ fn random_query(seed: u64) -> Query {
             SelectItem::Agg(AggFunc::Min(ColRef::new(0, "b"))),
             SelectItem::Agg(AggFunc::Max(ColRef::new(0, "b"))),
         ],
-        _ => vec![
-            SelectItem::Column(ColRef::new(0, "a")),
-            SelectItem::Agg(AggFunc::CountStar),
-        ],
+        _ => vec![SelectItem::Column(ColRef::new(0, "a")), SelectItem::Agg(AggFunc::CountStar)],
     };
     if matches!(q.select[0], SelectItem::Column(_)) {
         q.group_by = vec![ColRef::new(0, "a")];
@@ -138,7 +125,8 @@ fn random_query(seed: u64) -> Query {
 
 /// Brute-force evaluation of the logical query.
 fn reference_eval(db: &Database, q: &Query) -> Vec<Vec<Value>> {
-    let tables: Vec<&Table> = q.tables.iter().map(|t| &db.by_name(&t.table).unwrap().table).collect();
+    let tables: Vec<&Table> =
+        q.tables.iter().map(|t| &db.by_name(&t.table).unwrap().table).collect();
     // enumerate the full cross product (tiny tables), filter by joins+preds
     let mut rows: Vec<Vec<u32>> = vec![vec![]];
     for t in &tables {
@@ -152,7 +140,9 @@ fn reference_eval(db: &Database, q: &Query) -> Vec<Vec<Value>> {
         }
         rows = next;
     }
-    let key = |c: &ColRef, row: &[u32]| tables[c.table].column(&c.column).unwrap().key_at(row[c.table] as usize).unwrap();
+    let key = |c: &ColRef, row: &[u32]| {
+        tables[c.table].column(&c.column).unwrap().key_at(row[c.table] as usize).unwrap()
+    };
     rows.retain(|row| {
         q.joins.iter().all(|j| key(&j.left, row) == key(&j.right, row))
             && q.predicates.iter().all(|p| {
@@ -191,16 +181,14 @@ fn reference_eval(db: &Database, q: &Query) -> Vec<Vec<Value>> {
                         })
                         .collect();
                     r.push(match a {
-                        AggFunc::CountStar | AggFunc::Count(_) => {
-                            Value::Int(vals.len() as i64)
-                        }
+                        AggFunc::CountStar | AggFunc::Count(_) => Value::Int(vals.len() as i64),
                         AggFunc::Sum(_) => Value::Float(vals.iter().sum()),
-                        AggFunc::Min(_) => Value::Float(
-                            vals.iter().cloned().fold(f64::INFINITY, f64::min),
-                        ),
-                        AggFunc::Max(_) => Value::Float(
-                            vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                        ),
+                        AggFunc::Min(_) => {
+                            Value::Float(vals.iter().cloned().fold(f64::INFINITY, f64::min))
+                        }
+                        AggFunc::Max(_) => {
+                            Value::Float(vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
+                        }
                         AggFunc::Avg(_) => {
                             Value::Float(vals.iter().sum::<f64>() / vals.len() as f64)
                         }
@@ -265,8 +253,8 @@ fn engine_matches_reference_interpreter() {
         let hints = HintSet::from_masks(join_mask, scan_mask);
         let plan = opt.plan(&q, &db, &cat, hints).unwrap();
         let mut pool = BufferPool::new(64);
-        let m = execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default())
-            .unwrap();
+        let m =
+            execute(&plan.root, &q, &db, &mut pool, &opt.params, &ChargeRates::default()).unwrap();
         assert_eq!(
             canon(&m.output),
             canon(&expected),

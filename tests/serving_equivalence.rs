@@ -46,7 +46,8 @@ fn workload_for(seed: u64) -> (Database, Workload) {
 fn serving_is_bit_identical_to_serial_across_concurrency_and_windows() {
     for seed in [3, 19, 42] {
         let (db, wl) = workload_for(seed);
-        let serial = Runner::new(config(seed, false), db.clone()).run(&wl).unwrap().canonical_json();
+        let serial =
+            Runner::new(config(seed, false), db.clone()).run(&wl).unwrap().canonical_json();
         for concurrency in [1usize, 4, 8] {
             for window in [1usize, 8] {
                 let report = ServingRunner::new(
@@ -90,10 +91,9 @@ fn cache_feature_mode_clamps_waves_and_stays_identical() {
     let seed = 7;
     let (db, wl) = workload_for(seed);
     let serial = Runner::new(config(seed, true), db.clone()).run(&wl).unwrap().canonical_json();
-    let report =
-        ServingRunner::new(config(seed, true), db.clone(), ServingConfig::new(8, 8))
-            .run(&wl)
-            .unwrap();
+    let report = ServingRunner::new(config(seed, true), db.clone(), ServingConfig::new(8, 8))
+        .run(&wl)
+        .unwrap();
     assert!(report.clamped_by_cache_features);
     assert_eq!(report.max_wave, 1, "cache-feature mode must not coalesce");
     assert_eq!(report.waves, N_QUERIES);
