@@ -2,7 +2,16 @@
 //! RNG construction, simulated-time units, and small numeric utilities used
 //! across every crate in the workspace.
 
-#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod error;
 pub mod hash;

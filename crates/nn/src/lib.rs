@@ -26,7 +26,7 @@
     )
 )]
 
-pub mod adam;
+mod adam;
 pub mod infer;
 pub mod layers;
 pub mod net;

@@ -13,7 +13,16 @@
 //! the pre-sched FIFO wave former (pinned by `tests/serving_equivalence.rs`
 //! and `tests/sched_equivalence.rs`). See DESIGN.md §10.
 
-#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod report;
 pub mod sched;

@@ -124,9 +124,9 @@ struct ClassState {
 #[derive(Debug)]
 pub struct Scheduler {
     cfg: SchedConfig,
-    /// Not-yet-arrived submissions, sorted by (arrival, seq).
-    pending: VecDeque<Entry>,
-    pending_tenant: VecDeque<TenantId>,
+    /// Not-yet-arrived submissions and their tenants, sorted by
+    /// (arrival, seq).
+    pending: VecDeque<(Entry, TenantId)>,
     queues: Vec<VecDeque<Entry>>,
     buckets: Vec<Option<TokenBucket>>,
     deficits: Vec<u64>,
@@ -180,7 +180,6 @@ impl Scheduler {
         let buckets = cfg.tenants.iter().map(|t| t.rate.map(TokenBucket::new)).collect();
         Ok(Scheduler {
             pending: VecDeque::new(),
-            pending_tenant: VecDeque::new(),
             queues: vec![VecDeque::new(); n],
             buckets,
             deficits: vec![0; n],
@@ -222,19 +221,13 @@ impl Scheduler {
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.pending.push_back(Entry { idx: a.idx, arrival: a.arrival, seq, shed: false });
-            self.pending_tenant.push_back(a.tenant);
+            let e = Entry { idx: a.idx, arrival: a.arrival, seq, shed: false };
+            self.pending.push_back((e, a.tenant));
         }
         // One stable sort per submit keeps release a cheap front-pop.
-        let mut joined: Vec<(Entry, TenantId)> =
-            self.pending.drain(..).zip(self.pending_tenant.drain(..)).collect();
-        joined.sort_by(|a, b| {
-            a.0.arrival.as_ms().total_cmp(&b.0.arrival.as_ms()).then(a.0.seq.cmp(&b.0.seq))
+        self.pending.make_contiguous().sort_by(|(a, _), (b, _)| {
+            a.arrival.as_ms().total_cmp(&b.arrival.as_ms()).then(a.seq.cmp(&b.seq))
         });
-        for (e, t) in joined {
-            self.pending.push_back(e);
-            self.pending_tenant.push_back(t);
-        }
         Ok(())
     }
 
@@ -243,12 +236,8 @@ impl Scheduler {
     /// are marked shed (degraded admission — executed on arm 0, never
     /// dropped).
     pub fn release(&mut self, now: SimDuration) {
-        while let Some(front) = self.pending.front() {
-            if front.arrival > now {
-                break;
-            }
-            let mut e = self.pending.pop_front().expect("front exists");
-            let t = self.pending_tenant.pop_front().expect("tenant lane in lockstep");
+        let due = self.pending.iter().take_while(|(e, _)| e.arrival <= now).count();
+        for (mut e, t) in self.pending.drain(..due) {
             self.admitted[t] += 1;
             if let Some(bound) = self.cfg.tenants[t].queue_depth {
                 if self.queues[t].len() >= bound {
@@ -287,7 +276,7 @@ impl Scheduler {
                 None => t,
             });
         };
-        if let Some(front) = self.pending.front() {
+        if let Some((front, _)) = self.pending.front() {
             consider(front.arrival.max(now));
         }
         for t in 0..self.queues.len() {
@@ -328,19 +317,20 @@ impl Scheduler {
     }
 
     /// Pop the queue head of tenant `t` as a dispatch, applying the
-    /// deadline shed check and taking a token if the tenant is limited.
-    fn pop_dispatch(&mut self, t: TenantId, now: SimDuration) -> Dispatch {
+    /// deadline shed check and taking a token if the tenant is limited;
+    /// `None` when the queue is empty (callers check readiness first).
+    fn pop_dispatch(&mut self, t: TenantId, now: SimDuration) -> Option<Dispatch> {
+        let mut e = self.queues[t].pop_front()?;
         if let Some(b) = self.buckets[t].as_mut() {
             let took = b.try_take(now);
             debug_assert!(took, "caller checked readiness");
         }
-        let mut e = self.queues[t].pop_front().expect("caller checked non-empty");
         if let Some(deadline) = self.cfg.shed_deadline {
             if now - e.arrival > deadline {
                 e.shed = true;
             }
         }
-        Dispatch { idx: e.idx, tenant: t, arrival: e.arrival, shed: e.shed }
+        Some(Dispatch { idx: e.idx, tenant: t, arrival: e.arrival, shed: e.shed })
     }
 
     /// Tenant-blind global arrival order: repeatedly dispatch the ready
@@ -353,7 +343,7 @@ impl Scheduler {
                 if !self.tenant_ready(t, now) {
                     continue;
                 }
-                let head = self.queues[t].front().expect("ready implies non-empty");
+                let Some(head) = self.queues[t].front() else { continue };
                 let better = match pick {
                     None => true,
                     Some((_, a, s)) => {
@@ -365,7 +355,7 @@ impl Scheduler {
                 }
             }
             match pick {
-                Some((t, _, _)) => out.push(self.pop_dispatch(t, now)),
+                Some((t, _, _)) => out.extend(self.pop_dispatch(t, now)),
                 None => break,
             }
         }
@@ -402,7 +392,7 @@ impl Scheduler {
                     self.classes[c].credited = true;
                 }
                 while self.deficits[t] >= 1 && out.len() < cap && self.tenant_ready(t, now) {
-                    out.push(self.pop_dispatch(t, now));
+                    out.extend(self.pop_dispatch(t, now));
                     self.deficits[t] -= 1;
                 }
                 if self.queues[t].is_empty() {

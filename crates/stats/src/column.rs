@@ -32,51 +32,48 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Full-scan analyze of one column.
     pub fn analyze(col: &ColumnData) -> ColumnStats {
-        match col {
+        let keys: Vec<i64> = match col {
+            ColumnData::Int(vals) => vals.clone(),
+            ColumnData::Text { codes, .. } => codes.iter().map(|&c| i64::from(c)).collect(),
             ColumnData::Float(vals) => {
                 let mut distinct: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
                 distinct.sort_unstable();
                 distinct.dedup();
-                ColumnStats {
+                return ColumnStats {
                     n: vals.len(),
                     n_distinct: distinct.len() as f64,
                     mcvs: vec![],
                     histogram: EquiDepthHistogram::build(vals, N_BUCKETS),
                     freq: None,
-                }
+                };
             }
-            _ => {
-                let keys: Vec<i64> =
-                    (0..col.len()).map(|r| col.key_at(r).expect("keyed column")).collect();
-                let mut freq: HashMap<i64, u32> = HashMap::new();
-                for &k in &keys {
-                    *freq.entry(k).or_insert(0) += 1;
-                }
-                let n = keys.len();
-                let n_distinct = freq.len() as f64;
-                // MCVs: the N_MCVS most frequent values, but only those that
-                // occur more than once (PostgreSQL omits MCVs for unique
-                // columns).
-                let mut by_freq: Vec<(i64, u32)> = freq.iter().map(|(&k, &c)| (k, c)).collect();
-                by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                let mcvs: Vec<(i64, f64)> = by_freq
-                    .iter()
-                    .take(N_MCVS)
-                    .filter(|&&(_, c)| c > 1)
-                    .map(|&(k, c)| (k, c as f64 / n.max(1) as f64))
-                    .collect();
-                let mcv_set: std::collections::HashSet<i64> =
-                    mcvs.iter().map(|&(k, _)| k).collect();
-                let non_mcv: Vec<f64> =
-                    keys.iter().filter(|k| !mcv_set.contains(k)).map(|&k| k as f64).collect();
-                ColumnStats {
-                    n,
-                    n_distinct,
-                    mcvs,
-                    histogram: EquiDepthHistogram::build(&non_mcv, N_BUCKETS),
-                    freq: Some(freq),
-                }
-            }
+        };
+        let mut freq: HashMap<i64, u32> = HashMap::new();
+        for &k in &keys {
+            *freq.entry(k).or_insert(0) += 1;
+        }
+        let n = keys.len();
+        let n_distinct = freq.len() as f64;
+        // MCVs: the N_MCVS most frequent values, but only those that
+        // occur more than once (PostgreSQL omits MCVs for unique
+        // columns).
+        let mut by_freq: Vec<(i64, u32)> = freq.iter().map(|(&k, &c)| (k, c)).collect();
+        by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mcvs: Vec<(i64, f64)> = by_freq
+            .iter()
+            .take(N_MCVS)
+            .filter(|&&(_, c)| c > 1)
+            .map(|&(k, c)| (k, c as f64 / n.max(1) as f64))
+            .collect();
+        let mcv_set: std::collections::HashSet<i64> = mcvs.iter().map(|&(k, _)| k).collect();
+        let non_mcv: Vec<f64> =
+            keys.iter().filter(|k| !mcv_set.contains(k)).map(|&k| k as f64).collect();
+        ColumnStats {
+            n,
+            n_distinct,
+            mcvs,
+            histogram: EquiDepthHistogram::build(&non_mcv, N_BUCKETS),
+            freq: Some(freq),
         }
     }
 
@@ -113,10 +110,7 @@ impl ColumnStats {
                 let mcv_part: f64 = self
                     .mcvs
                     .iter()
-                    .filter(|&&(k, _)| {
-                        let ord = (k as f64).partial_cmp(&x).expect("finite stats values");
-                        op.matches(ord)
-                    })
+                    .filter(|&&(k, _)| (k as f64).partial_cmp(&x).is_some_and(|o| op.matches(o)))
                     .map(|&(_, f)| f)
                     .sum();
                 let hist_eq = 1.0 / n_rest_distinct;

@@ -14,7 +14,16 @@
 //!   selectivities from exact key-frequency sketches, yielding far lower
 //!   q-error and therefore a much stronger traditional optimizer baseline.
 
-#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod column;
 pub mod estimator;

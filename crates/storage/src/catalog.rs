@@ -84,11 +84,18 @@ impl Database {
         self.get(self.table_id(name)?)
     }
 
+    fn live_mut(&mut self, id: TableId) -> Result<&mut StoredTable> {
+        self.slots
+            .get_mut(id as usize)
+            .and_then(|s| s.as_mut())
+            .ok_or_else(|| BaoError::NotFound(format!("table id {id}")))
+    }
+
     /// Create (or rebuild) an index on `table.column`.
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
         let id = self.table_id(table)?;
         let object = self.alloc_object();
-        let stored = self.slots[id as usize].as_mut().expect("live table");
+        let stored = self.live_mut(id)?;
         let index = Index::build(&stored.table, column)?;
         // Rebuilds replace in place but keep a fresh object id so the pool
         // never serves pages of the old index image.
@@ -107,9 +114,9 @@ impl Database {
         let id = self.table_id(table)?;
         // Rebuilt indexes get fresh object ids (allocated before the mutable
         // borrow of the slot).
-        let n_indexes = self.slots[id as usize].as_ref().expect("live table").indexes.len();
+        let n_indexes = self.get(id)?.indexes.len();
         let new_objects: Vec<ObjectId> = (0..n_indexes).map(|_| self.alloc_object()).collect();
-        let stored = self.slots[id as usize].as_mut().expect("live table");
+        let stored = self.live_mut(id)?;
         let n = stored.table.insert_many(rows)?;
         for (slot, object) in stored.indexes.iter_mut().zip(new_objects) {
             slot.index = Index::build(&stored.table, &slot.index.column)?;
@@ -120,7 +127,12 @@ impl Database {
 
     /// Names of all live tables, in creation order.
     pub fn table_names(&self) -> Vec<&str> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|t| t.table.name.as_str())).collect()
+        self.tables().map(|t| t.table.name.as_str()).collect()
+    }
+
+    /// All live tables, in creation order.
+    pub fn tables(&self) -> impl Iterator<Item = &StoredTable> {
+        self.slots.iter().flatten()
     }
 
     /// Total approximate data size (heaps only), for Table 1 reporting.

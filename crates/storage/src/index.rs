@@ -42,16 +42,18 @@ impl Index {
     /// Build an index over `table.column`. Only integer-keyed columns
     /// (ints and dictionary-coded text) are indexable.
     pub fn build(table: &Table, column: &str) -> Result<Index> {
-        let col = table.column(column)?;
-        if matches!(col, ColumnData::Float(_)) {
-            return Err(BaoError::TypeMismatch(format!(
-                "cannot index float column {}.{column}",
-                table.name
-            )));
-        }
-        let mut entries: Vec<(i64, u32)> = (0..table.row_count())
-            .map(|r| (col.key_at(r).expect("keyed column"), r as u32))
-            .collect();
+        let mut entries: Vec<(i64, u32)> = match table.column(column)? {
+            ColumnData::Int(keys) => keys.iter().zip(0..).map(|(&k, r)| (k, r)).collect(),
+            ColumnData::Text { codes, .. } => {
+                codes.iter().zip(0..).map(|(&c, r)| (i64::from(c), r)).collect()
+            }
+            ColumnData::Float(_) => {
+                return Err(BaoError::TypeMismatch(format!(
+                    "cannot index float column {}.{column}",
+                    table.name
+                )))
+            }
+        };
         entries.sort_unstable();
         let (keys, rows): (Vec<i64>, Vec<u32>) = entries.into_iter().unzip();
         // Analytic B+-tree height: interior levels above the leaves.

@@ -6,7 +6,16 @@
 //! LRU buffer pool whose hit/miss accounting drives both the executor's
 //! simulated I/O costs and Bao's optional cache-state features.
 
-#![cfg_attr(not(test), warn(clippy::print_stdout, clippy::print_stderr))]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod buffer;
 pub mod catalog;

@@ -122,7 +122,7 @@ impl Table {
             }
         }
         for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(v).expect("validated above");
+            col.push(v)?;
         }
         self.rows += 1;
         Ok(())
