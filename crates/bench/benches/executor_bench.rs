@@ -1,7 +1,8 @@
 //! Microbenchmarks of the cost-accurate executor: scans, joins, the
 //! cache-warm/cold difference, the buffer pool's page touch on its own,
 //! the scan filter on each column type, the join's one evaluation
-//! function on three int key distributions and on text keys, the sort on
+//! function on three int key distributions and on text keys, a
+//! `COUNT(*)` over a join (no fill), the sort on
 //! three key orders, the aggregate fold on three groupings and with
 //! `COUNT(*)` alone, and `==` on empty slices.
 
@@ -92,12 +93,15 @@ fn seq_scan_filter_bench(name: &str, ty: DataType) {
 /// 10,000 rows), so the time is key extraction, build, probe and fill, in
 /// ns per probe row. `l_key` / `r_key` give row `i`'s key on each side
 /// (as the word `w<key>` for text); the right side is the build side.
+/// With `count_star` the join sits under a `COUNT(*)`, which reads its
+/// count pass: no fill.
 fn hash_join_bench(
     name: &str,
     ty: DataType,
     rows: (i64, i64),
     l_key: &dyn Fn(i64) -> i64,
     r_key: &dyn Fn(i64) -> i64,
+    count_star: bool,
 ) {
     let mut db = Database::new();
     for (table, n, key) in [("l", rows.0, l_key), ("r", rows.1, r_key)] {
@@ -110,18 +114,27 @@ fn hash_join_bench(
         db.create_table(t).unwrap();
     }
     let pred = JoinPred::new(ColRef::new(0, "k"), ColRef::new(1, "k"));
+    let select = match count_star {
+        true => SelectItem::Agg(AggFunc::CountStar),
+        false => SelectItem::Column(ColRef::new(0, "k")),
+    };
     let q = Query {
         tables: vec![TableRef::new("l"), TableRef::new("r")],
-        select: vec![SelectItem::Column(ColRef::new(0, "k"))],
+        select: vec![select],
         joins: vec![pred.clone()],
         ..Query::default()
     };
     let scan = |table| PlanNode::new(Operator::SeqScan { table, preds: vec![] }, vec![]);
-    let plan = PlanNode::new(Operator::HashJoin { pred }, vec![scan(0), scan(1)]);
+    let mut plan = PlanNode::new(Operator::HashJoin { pred }, vec![scan(0), scan(1)]);
+    if count_star {
+        let count = Operator::Aggregate { group_by: vec![], aggs: vec![AggFunc::CountStar] };
+        plan = PlanNode::new(count, vec![plan]);
+    }
     let opt = Optimizer::postgres();
     let rates = ChargeRates::default();
     let mut pool = BufferPool::new(1_024);
-    let joined = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[0];
+    let m = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap();
+    let joined = m.node_true_rows[usize::from(count_star)];
     let stats =
         bench_function(&format!("{name} ({} x {} -> {joined} rows)", rows.0, rows.1), 20, || {
             black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
@@ -234,16 +247,21 @@ fn main() {
         sort_bench("sort_rows_duplicates", rows, &|i| i * 7_919 % rows % 16);
     }
 
-    // One match per probe; 16 keys with 64 build rows each; one probe in
-    // 64 finds its key.
+    // One match per probe (build keys dense: a direct-indexed table); 16
+    // keys with 64 build rows each; one probe in 64 finds its key (build
+    // keys 64 apart: a hashed table). The fan-out again under `COUNT(*)`,
+    // which skips its fill.
     // Text: one match per probe through the dictionary codes. Both sides
     // meet the 1,000 words in the same order, so equal words share a code.
     let int = DataType::Int;
-    hash_join_bench("hash_join_unique_keys", int, (200_000, 200_000), &|i| i, &|i| i * 7 % 200_000);
-    hash_join_bench("hash_join_fanout", int, (20_000, 1_024), &|i| i % 16, &|i| i % 16);
-    hash_join_bench("hash_join_selective", int, (200_000, 50_000), &|i| i, &|i| i * 64);
+    let unique = (200_000, 200_000);
+    hash_join_bench("hash_join_unique_keys", int, unique, &|i| i, &|i| i * 7 % 200_000, false);
+    hash_join_bench("hash_join_fanout", int, (20_000, 1_024), &|i| i % 16, &|i| i % 16, false);
+    hash_join_bench("hash_join_selective", int, (200_000, 50_000), &|i| i, &|i| i * 64, false);
+    let fanout = (20_000, 1_024);
+    hash_join_bench("count_star_over_hash_join", int, fanout, &|i| i % 16, &|i| i % 16, true);
     let text = DataType::Text;
-    hash_join_bench("hash_join_text_keys", text, (200_000, 1_000), &|i| i % 1_000, &|i| i);
+    hash_join_bench("hash_join_text_keys", text, (200_000, 1_000), &|i| i % 1_000, &|i| i, false);
 
     let db = build_imdb_database(0.1, 42).unwrap();
     let cat = StatsCatalog::analyze(&db, 1_000, 42);

@@ -11,6 +11,11 @@
 //! output, the aggregate fold — happens on the coordinator in pinned row
 //! order, so output bytes and `ExecutionMetrics` are bit-identical at any
 //! width.
+//!
+//! A join's rows are written only for a parent that reads rows. An
+//! aggregate directly above a hash, merge or rescanning nested-loop join
+//! reads the columns it needs off the join's count pass (`Relation`),
+//! in the order the written rows would have had.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{column_of, compile_preds, filter_rows, ColView};
@@ -47,10 +52,16 @@ fn too_large() -> BaoError {
 const NO_ROW: u32 = u32::MAX;
 
 /// What the join's count pass found: enough to write the output without
-/// looking at a key again, and its size before a row of it exists.
+/// looking at a key again, and its size before a row of it exists. Its
+/// rows are left rows in order, each one's right rows in build order.
 struct JoinMatches {
+    /// The left ranges the probe cut, one per worker; they concatenate to
+    /// `0..left.len()`.
+    ranges: Vec<Range<usize>>,
     /// Per left range, each left row's first matching right row.
     heads: Vec<Vec<u32>>,
+    /// Per left range, its output rows.
+    matched: Vec<usize>,
     /// Each right row's successor among the rows of its key, ascending.
     next: Vec<u32>,
     /// Output rows, already held against the cap.
@@ -58,9 +69,7 @@ struct JoinMatches {
 }
 
 impl JoinMatches {
-    /// The joined rows, left rows in order and each one's right rows in
-    /// build order, in one allocation of exactly `total` rows. The ranges
-    /// concatenate to `0..left.len()`, so the heads line up with `left`.
+    /// The joined rows in one allocation of exactly `total` rows.
     fn fill(&self, left: &RowSet, right: &RowSet) -> RowSet {
         let tables = left.tables.iter().chain(&right.tables).copied().collect();
         let mut out = RowSet::with_capacity(tables, self.total);
@@ -75,6 +84,80 @@ impl JoinMatches {
             }
         }
         out
+    }
+
+    /// One column of the joined rows of left range `part`, in fill order,
+    /// without writing the rows: slot `slot` of the output's row-id
+    /// tuples, which are `left`'s slots and then `right`'s.
+    fn slot_ids(&self, part: usize, left: &RowSet, right: &RowSet, slot: usize) -> Vec<u32> {
+        let mut ids = Vec::with_capacity(self.matched[part]);
+        let heads = self.heads[part].iter().copied();
+        if slot < left.width() {
+            for (mut ri, id) in heads.zip(left.slot_ids(slot, self.ranges[part].clone())) {
+                while ri != NO_ROW {
+                    ids.push(id);
+                    ri = self.next[ri as usize];
+                }
+            }
+        } else {
+            let slot = slot - left.width();
+            for mut ri in heads {
+                while ri != NO_ROW {
+                    ids.push(right.row(ri as usize)[slot]);
+                    ri = self.next[ri as usize];
+                }
+            }
+        }
+        ids
+    }
+}
+
+/// The join's table: each build key's (first right row, row count).
+enum JoinTable {
+    /// Keys `min..=max` at `slots[key - min]`: build keys whose span is
+    /// small against the build, which every dense id column is.
+    Dense {
+        min: i64,
+        max: i64,
+        slots: Vec<(u32, u32)>,
+    },
+    Hashed(FastMap<i64, (u32, u32)>),
+}
+
+impl JoinTable {
+    /// An empty table for `keys`: direct-indexed when their span,
+    /// `max - min + 1`, is at most `4 × rows + 64`, hashed otherwise.
+    fn for_keys<'k>(keys: impl Iterator<Item = &'k i64>, rows: usize) -> JoinTable {
+        let (min, max) = keys.fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        // In i128: the span of `i64::MIN..=i64::MAX` overflows `i64`, and
+        // an empty build's is negative.
+        let span = i128::from(max) - i128::from(min) + 1;
+        match usize::try_from(span) {
+            Ok(span) if span > 0 && span <= 4 * rows + 64 => {
+                JoinTable::Dense { min, max, slots: vec![(NO_ROW, 0); span] }
+            }
+            _ => JoinTable::Hashed(FastMap::default()),
+        }
+    }
+
+    /// Build key `key`'s entry, created empty.
+    fn entry(&mut self, key: i64) -> &mut (u32, u32) {
+        match self {
+            // `key` is a build key, so `key - min` is within the span.
+            JoinTable::Dense { min, slots, .. } => &mut slots[key.wrapping_sub(*min) as usize],
+            JoinTable::Hashed(map) => map.entry(key).or_insert((NO_ROW, 0)),
+        }
+    }
+
+    /// Probe key `key`'s entry: no row when no build key equals it.
+    fn get(&self, key: i64) -> (u32, u32) {
+        match self {
+            JoinTable::Dense { min, max, slots } if (*min..=*max).contains(&key) => {
+                slots[key.wrapping_sub(*min) as usize]
+            }
+            JoinTable::Dense { .. } => (NO_ROW, 0),
+            JoinTable::Hashed(map) => map.get(&key).copied().unwrap_or((NO_ROW, 0)),
+        }
     }
 }
 
@@ -142,8 +225,66 @@ pub fn execute_with(
 /// Output of one plan node: composite row ids below aggregation,
 /// materialized value rows at and above it.
 enum NodeOut {
-    Rows(RowSet),
+    Rows(Relation),
     Agg(Vec<Vec<Value>>),
+}
+
+impl From<RowSet> for NodeOut {
+    fn from(rs: RowSet) -> NodeOut {
+        NodeOut::Rows(Relation::Rows(rs))
+    }
+}
+
+/// Composite row ids: written out, or a join's still as its count pass.
+/// Every parent but an aggregate fills a join; the aggregate reads the
+/// columns it needs off the count pass and never writes the rows.
+enum Relation {
+    Rows(RowSet),
+    Join { left: RowSet, right: RowSet, matches: JoinMatches },
+}
+
+impl Relation {
+    fn len(&self) -> usize {
+        match self {
+            Relation::Rows(rs) => rs.len(),
+            Relation::Join { matches, .. } => matches.total,
+        }
+    }
+
+    /// Position of a FROM-list entry within each row tuple.
+    fn slot_of(&self, table: usize) -> Option<usize> {
+        match self {
+            Relation::Rows(rs) => rs.slot_of(table),
+            Relation::Join { left, right, .. } => {
+                left.slot_of(table).or_else(|| Some(left.width() + right.slot_of(table)?))
+            }
+        }
+    }
+
+    fn into_rows(self) -> RowSet {
+        match self {
+            Relation::Rows(rs) => rs,
+            Relation::Join { left, right, matches } => matches.fill(&left, &right),
+        }
+    }
+
+    /// One range per worker, which concatenate to every row in order: of
+    /// a row set's rows, or of a join's left rows (the probe's ranges),
+    /// each with all its matches.
+    fn parts(&self, workers: usize) -> Vec<Range<usize>> {
+        match self {
+            Relation::Rows(rs) => split(rs.len(), workers),
+            Relation::Join { matches, .. } => matches.ranges.clone(),
+        }
+    }
+
+    /// Slot `slot`'s ids over part `part` of [`Relation::parts`], in order.
+    fn slot_ids(&self, parts: &[Range<usize>], part: usize, slot: usize) -> Vec<u32> {
+        match self {
+            Relation::Rows(rs) => rs.slot_ids(slot, parts[part].clone()).collect(),
+            Relation::Join { left, right, matches } => matches.slot_ids(part, left, right, slot),
+        }
+    }
 }
 
 struct Ctx<'a> {
@@ -178,15 +319,15 @@ impl<'a> Ctx<'a> {
     fn exec_node(&mut self, node: &PlanNode) -> Result<NodeOut> {
         let my = self.node_rows.len();
         self.node_rows.push(0);
-        let out = match &node.op {
-            Operator::SeqScan { table, preds } => NodeOut::Rows(self.seq_scan(*table, preds)?),
+        let out: NodeOut = match &node.op {
+            Operator::SeqScan { table, preds } => self.seq_scan(*table, preds)?.into(),
             Operator::IndexScan { table, column, lo, hi, residual, param } => {
                 if param.is_some() {
                     return Err(BaoError::Planning(
                         "parameterized scan outside a nested-loop inner".into(),
                     ));
                 }
-                NodeOut::Rows(self.index_scan(*table, column, *lo, *hi, residual, false)?)
+                self.index_scan(*table, column, *lo, *hi, residual, false)?.into()
             }
             Operator::IndexOnlyScan { table, column, lo, hi, param } => {
                 if param.is_some() {
@@ -194,44 +335,34 @@ impl<'a> Ctx<'a> {
                         "parameterized scan outside a nested-loop inner".into(),
                     ));
                 }
-                NodeOut::Rows(self.index_scan(*table, column, *lo, *hi, &[], true)?)
+                self.index_scan(*table, column, *lo, *hi, &[], true)?.into()
             }
             Operator::NestedLoopJoin { pred } => NodeOut::Rows(self.nested_loop(node, pred)?),
-            Operator::HashJoin { pred } => {
-                let l = self.exec_rows(&node.children[0])?;
-                let r = self.exec_rows(&node.children[1])?;
-                let out = self.hash_join_rows(&l, &r, pred)?;
-                self.meters.charge_cpu(self.params.hash_join(
-                    l.len() as f64,
-                    r.len() as f64,
-                    out.len() as f64,
-                ));
-                NodeOut::Rows(out)
-            }
-            Operator::MergeJoin { pred } => {
-                let l = self.exec_rows(&node.children[0])?;
-                let r = self.exec_rows(&node.children[1])?;
-                let out = self.hash_join_rows(&l, &r, pred)?;
-                self.meters.charge_cpu(self.params.merge_join(
-                    l.len() as f64,
-                    r.len() as f64,
-                    out.len() as f64,
-                ));
-                NodeOut::Rows(out)
+            Operator::HashJoin { pred } | Operator::MergeJoin { pred } => {
+                let left = self.exec_rows(&node.children[0])?;
+                let right = self.exec_rows(&node.children[1])?;
+                let matches = self.join_matches(&left, &right, pred, ROW_CAP)?;
+                let (l, r, out) = (left.len() as f64, right.len() as f64, matches.total as f64);
+                self.meters.charge_cpu(match node.op {
+                    Operator::HashJoin { .. } => self.params.hash_join(l, r, out),
+                    _ => self.params.merge_join(l, r, out),
+                });
+                NodeOut::Rows(Relation::Join { left, right, matches })
             }
             Operator::Filter { preds } => {
                 let child = self.exec_rows(&node.children[0])?;
                 self.meters.charge_cpu(
                     child.len() as f64 * preds.len() as f64 * self.params.cpu_operator_cost,
                 );
-                NodeOut::Rows(self.join_filter(child, preds)?)
+                self.join_filter(child, preds)?.into()
             }
             Operator::Sort { keys } => {
                 let child = self.exec_node(&node.children[0])?;
                 match child {
-                    NodeOut::Rows(rs) => {
+                    NodeOut::Rows(rel) => {
+                        let rs = rel.into_rows();
                         self.meters.charge_cpu(self.params.sort(rs.len() as f64));
-                        NodeOut::Rows(self.sort_rows(rs, keys)?)
+                        self.sort_rows(rs, keys)?.into()
                     }
                     NodeOut::Agg(mut rows) => {
                         self.meters.charge_cpu(self.params.sort(rows.len() as f64));
@@ -261,7 +392,7 @@ impl<'a> Ctx<'a> {
                 }
             }
             Operator::Aggregate { group_by, aggs } => {
-                let child = self.exec_rows(&node.children[0])?;
+                let child = self.exec_relation(&node.children[0])?;
                 let rows = self.aggregate(&child, group_by, aggs)?;
                 self.meters
                     .charge_cpu(self.params.aggregate(child.len() as f64, rows.len() as f64));
@@ -269,19 +400,23 @@ impl<'a> Ctx<'a> {
             }
         };
         self.node_rows[my] = match &out {
-            NodeOut::Rows(rs) => rs.len() as u64,
+            NodeOut::Rows(rel) => rel.len() as u64,
             NodeOut::Agg(rows) => rows.len() as u64,
         };
         Ok(out)
     }
 
-    fn exec_rows(&mut self, node: &PlanNode) -> Result<RowSet> {
+    fn exec_relation(&mut self, node: &PlanNode) -> Result<Relation> {
         match self.exec_node(node)? {
-            NodeOut::Rows(rs) => Ok(rs),
+            NodeOut::Rows(rel) => Ok(rel),
             NodeOut::Agg(_) => {
                 Err(BaoError::Planning("aggregate below a join is not supported".into()))
             }
         }
+    }
+
+    fn exec_rows(&mut self, node: &PlanNode) -> Result<RowSet> {
+        Ok(self.exec_relation(node)?.into_rows())
     }
 
     fn table_of(&self, from_idx: usize) -> Result<&'a StoredTable> {
@@ -371,16 +506,16 @@ impl<'a> Ctx<'a> {
         Ok(RowSet::from_single(from_idx, ids))
     }
 
-    fn nested_loop(&mut self, node: &PlanNode, pred: &JoinPred) -> Result<RowSet> {
+    fn nested_loop(&mut self, node: &PlanNode, pred: &JoinPred) -> Result<Relation> {
         let outer = self.exec_rows(&node.children[0])?;
         let inner_node = &node.children[1];
         match &inner_node.op {
-            Operator::IndexScan { table, column, residual, param: Some(param), .. } => {
-                self.param_nested_loop(&outer, *table, column, residual, param, pred, false)
-            }
-            Operator::IndexOnlyScan { table, column, param: Some(param), .. } => {
-                self.param_nested_loop(&outer, *table, column, &[], param, pred, true)
-            }
+            Operator::IndexScan { table, column, residual, param: Some(param), .. } => self
+                .param_nested_loop(&outer, *table, column, residual, param, pred, false)
+                .map(Relation::Rows),
+            Operator::IndexOnlyScan { table, column, param: Some(param), .. } => self
+                .param_nested_loop(&outer, *table, column, &[], param, pred, true)
+                .map(Relation::Rows),
             _ => {
                 // Naive rescanning inner: evaluate the inner once for its
                 // true rows (and first-pass charges), then charge the
@@ -392,9 +527,9 @@ impl<'a> Ctx<'a> {
                     (o - 1.0).max(0.0) * i * self.params.cpu_tuple_cost
                         + o * i * self.params.cpu_operator_cost,
                 );
-                let out = self.hash_join_rows(&outer, &inner, pred)?;
-                self.meters.charge_cpu(out.len() as f64 * self.params.cpu_tuple_cost);
-                Ok(out)
+                let matches = self.join_matches(&outer, &inner, pred, ROW_CAP)?;
+                self.meters.charge_cpu(matches.total as f64 * self.params.cpu_tuple_cost);
+                Ok(Relation::Join { left: outer, right: inner, matches })
             }
         }
     }
@@ -519,14 +654,10 @@ impl<'a> Ctx<'a> {
         Ok(rs.permuted(&keep))
     }
 
-    /// True equi-join of two row sets (always evaluated as a hash join;
-    /// the *charges* for the requested algorithm are applied by callers).
-    fn hash_join_rows(&self, left: &RowSet, right: &RowSet, pred: &JoinPred) -> Result<RowSet> {
-        Ok(self.join_matches(left, right, pred, ROW_CAP)?.fill(left, right))
-    }
-
-    /// The join up to the size of its output, refused here — before any
-    /// of it is allocated — when that exceeds `cap`.
+    /// True equi-join of two row sets up to the size of its output,
+    /// refused here — before any of it is allocated — when that exceeds
+    /// `cap`. Every join algorithm is evaluated this way; callers charge
+    /// the one the plan requested.
     ///
     /// Two fan-outs, both pure on the workers: build-side key extraction
     /// over one right range per worker, and a probe over one left range
@@ -563,24 +694,24 @@ impl<'a> Ctx<'a> {
             r_col.join_keys(right.slot_ids(r_slot, r_ranges[j].clone()))
         })?;
 
-        let mut table: FastMap<i64, (u32, u32)> = FastMap::default();
+        let mut table = JoinTable::for_keys(key_parts.iter().flatten(), right.len());
         let mut next = vec![NO_ROW; right.len()];
         let mut ri = right.len();
         for &key in key_parts.iter().flatten().rev() {
             ri -= 1;
-            let (first, count) = table.entry(key).or_insert((NO_ROW, 0));
+            let (first, count) = table.entry(key);
             next[ri] = *first;
             *first = ri as u32;
             *count += 1;
         }
 
-        let l_ranges = split(left.len(), self.workers);
-        let probes = run_jobs(self.workers, l_ranges.len(), |j| {
-            let keys = l_col.join_keys(left.slot_ids(l_slot, l_ranges[j].clone()))?;
+        let ranges = split(left.len(), self.workers);
+        let probes = run_jobs(self.workers, ranges.len(), |j| {
+            let keys = l_col.join_keys(left.slot_ids(l_slot, ranges[j].clone()))?;
             let mut heads = Vec::with_capacity(keys.len());
             let mut matched = 0usize;
             for key in keys {
-                let (first, count) = table.get(&key).copied().unwrap_or((NO_ROW, 0));
+                let (first, count) = table.get(key);
                 heads.push(first);
                 matched += count as usize;
             }
@@ -591,7 +722,7 @@ impl<'a> Ctx<'a> {
         if total > cap {
             return Err(too_large());
         }
-        Ok(JoinMatches { heads, next, total })
+        Ok(JoinMatches { ranges, heads, matched, next, total })
     }
 
     fn sort_rows(&mut self, rs: RowSet, keys: &[ColRef]) -> Result<RowSet> {
@@ -618,7 +749,7 @@ impl<'a> Ctx<'a> {
 
     fn aggregate(
         &mut self,
-        input: &RowSet,
+        input: &Relation,
         group_by: &[ColRef],
         aggs: &[AggFunc],
     ) -> Result<Vec<Vec<Value>>> {
@@ -665,58 +796,63 @@ impl<'a> Ctx<'a> {
             }
         }
 
-        // Phase 1 (one range per worker, pure): each group key column and
-        // each value input of the range, a column at a time.
-        let jobs = split(input.len(), self.workers);
-        let parts = run_jobs(self.workers, jobs.len(), |j| {
-            let ids = |slot| input.slot_ids(slot, jobs[j].clone());
+        // Phase 1 (one part per worker, pure): each group key column's ids
+        // and keys and each value input of the part, a column at a time. A
+        // join's rows are read off its count pass, so a `COUNT(*)` without
+        // GROUP BY over a join reads no row at all.
+        let ranges = input.parts(self.workers);
+        let parts = run_jobs(self.workers, ranges.len(), |j| {
+            let ids = |slot| input.slot_ids(&ranges, j, slot);
+            let group_ids: Vec<Vec<u32>> =
+                group_cols.iter().map(|(slot, _, _)| ids(*slot)).collect();
             let keys: Vec<Vec<u64>> = group_cols
                 .iter()
-                .map(|(slot, col, _)| {
-                    col.values(ids(*slot)).into_iter().map(f64::to_bits).collect()
+                .zip(&group_ids)
+                .map(|((_, col, _), ids)| {
+                    col.values(ids.iter().copied()).into_iter().map(f64::to_bits).collect()
                 })
                 .collect();
-            let vals: Vec<Vec<f64>> =
-                value_cols.iter().map(|(_, slot, col)| col.values(ids(*slot))).collect();
-            Ok((keys, vals))
+            let vals: Vec<Vec<f64>> = value_cols
+                .iter()
+                .map(|(_, slot, col)| col.values(ids(*slot).into_iter()))
+                .collect();
+            Ok((group_ids, keys, vals))
         })?;
 
         // Phase 2 (coordinator, pinned order): assign rows to groups, then
         // fold each value input over the rows in global row order — the
         // f64 accumulation sequence is exactly the serial one, so sums are
         // bit-identical at any width. Groups are kept in first-seen order
-        // (representative row, row count), which also makes emission order
-        // deterministic. Without GROUP BY every row is in group 0 and no
-        // key is built: probing the empty key cost more than the fold
-        // itself (DESIGN.md §13).
-        let mut groups: Vec<(usize, u64)> = Vec::new();
+        // (representative row as its part and position there, row count),
+        // which also makes emission order deterministic. Without GROUP BY
+        // every row is in group 0 and no key is built: probing the empty
+        // key cost more than the fold itself (DESIGN.md §13).
+        let mut groups: Vec<(Option<(usize, usize)>, u64)> = Vec::new();
         // Each row's group, with GROUP BY only.
         let mut row_group: Vec<usize> = Vec::new();
         if group_cols.is_empty() {
-            if !input.is_empty() {
-                groups.push((0, input.len() as u64));
+            if input.len() > 0 {
+                groups.push((Some((0, 0)), input.len() as u64));
             }
         } else {
             row_group.reserve_exact(input.len());
             let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-            let mut base = 0usize;
-            for (job, (keys, _)) in jobs.iter().zip(&parts) {
-                for i in 0..job.len() {
+            for (p, (_, keys, _)) in parts.iter().enumerate() {
+                for i in 0..keys.first().map_or(0, Vec::len) {
                     let key: Vec<u64> = keys.iter().map(|col| col[i]).collect();
                     let gi = *index.entry(key).or_insert_with(|| {
-                        groups.push((base + i, 0));
+                        groups.push((Some((p, i)), 0));
                         groups.len() - 1
                     });
                     groups[gi].1 += 1;
                     row_group.push(gi);
                 }
-                base += job.len();
             }
         }
         // Empty input with no GROUP BY still yields one all-empty row
-        // (COUNT(*) = 0), like SQL.
+        // (COUNT(*) = 0), like SQL, with no representative row.
         if groups.is_empty() && group_by.is_empty() {
-            groups.push((usize::MAX, 0));
+            groups.push((None, 0));
         }
         // One accumulator per group and aggregate, each folded only by
         // the operation its aggregate reports (counts' stay unused).
@@ -731,7 +867,7 @@ impl<'a> Ctx<'a> {
         let mut accs = vec![start; groups.len()];
         let row_group = (!group_cols.is_empty()).then_some(row_group.as_slice());
         for (v, &(a, _, _)) in value_cols.iter().enumerate() {
-            let vals = parts.iter().flat_map(|(_, vals)| vals[v].iter().copied());
+            let vals = parts.iter().flat_map(|(_, _, vals)| vals[v].iter().copied());
             match aggs[a] {
                 AggFunc::Min(_) => fold_column(&mut accs, a, vals, row_group, f64::min),
                 AggFunc::Max(_) => fold_column(&mut accs, a, vals, row_group, f64::max),
@@ -756,25 +892,22 @@ impl<'a> Ctx<'a> {
             for item in &self.query.select {
                 match item {
                     SelectItem::Column(c) => {
-                        if rep == usize::MAX {
-                            // The synthetic all-empty row only exists for
-                            // queries without GROUP BY, which cannot project
-                            // plain columns.
+                        // The synthetic all-empty row only exists for
+                        // queries without GROUP BY, which cannot project
+                        // plain columns.
+                        let Some((p, i)) = rep else {
                             return Err(BaoError::Planning(
                                 "bare column in aggregate select".into(),
                             ));
-                        }
-                        let slot = group_cols
-                            .iter()
-                            .find(|(_, _, g)| g == c)
-                            .map(|(slot, _, _)| *slot)
-                            .ok_or_else(|| {
+                        };
+                        let g =
+                            group_cols.iter().position(|(_, _, g)| g == c).ok_or_else(|| {
                                 BaoError::InvalidQuery(format!(
                                     "selected column {}.{} is not in GROUP BY",
                                     c.table, c.column
                                 ))
                             })?;
-                        let base_row = input.row(rep)[slot];
+                        let base_row = parts[p].0[g][i];
                         row.push(self.tables[c.table].column(&c.column)?.get(base_row as usize));
                     }
                     SelectItem::Agg(a) => {
@@ -797,7 +930,8 @@ impl<'a> Ctx<'a> {
                 }
                 Ok((rows.len() as u64, rows))
             }
-            NodeOut::Rows(rs) => {
+            NodeOut::Rows(rel) => {
+                let rs = rel.into_rows();
                 let total = rs.len();
                 let cap = self.query.limit.unwrap_or(OUTPUT_CAP).min(OUTPUT_CAP);
                 let mut cols = Vec::new();
@@ -870,25 +1004,41 @@ mod tests {
 
     /// Tables `a`, `b`, `c` (FROM positions 0, 1, 2) of `n` rows each:
     /// `k` an int in -3..=8 (duplicates, negatives, values the other side
-    /// may lack), `s` a text from five words, `f` a float.
+    /// may lack), `s` a text from five words, `f` a float. The other int
+    /// keys span the join table's two layouts. Direct-indexed: `d` the row
+    /// number shifted by 0, 10 and -5 per table (dense ids, and probe keys
+    /// on either side of the build's `[min, max]`), `neg` in -40..=-30 and
+    /// `one` always 7. Hashed: `x` drawn from `i64::MIN`, -1, 0 and
+    /// `i64::MAX` (a span that overflows `i64`), `w` from four values
+    /// 10^11 apart.
     fn join_db(n: usize, seed: u64) -> (Database, Query) {
         let mut rng = rng_from_seed(seed);
         let mut db = Database::new();
-        for name in ["a", "b", "c"] {
+        for (name, shift) in [("a", 0), ("b", 10), ("c", -5)] {
             let mut t = Table::new(
                 name,
                 Schema::new(vec![
                     ColumnDef::new("k", DataType::Int),
                     ColumnDef::new("s", DataType::Text),
                     ColumnDef::new("f", DataType::Float),
+                    ColumnDef::new("d", DataType::Int),
+                    ColumnDef::new("neg", DataType::Int),
+                    ColumnDef::new("one", DataType::Int),
+                    ColumnDef::new("x", DataType::Int),
+                    ColumnDef::new("w", DataType::Int),
                 ]),
             );
-            for _ in 0..n {
+            for i in 0..n {
                 let word = ["ash", "elm", "fir", "oak", "yew"][rng.gen_index(5)];
                 t.insert(vec![
                     Value::Int(rng.gen_range(-3i64..=8)),
                     Value::Str(word.into()),
                     Value::Float(rng.gen_f64()),
+                    Value::Int(i as i64 + shift),
+                    Value::Int(rng.gen_range(-40i64..=-30)),
+                    Value::Int(7),
+                    Value::Int([i64::MIN, -1, 0, i64::MAX][rng.gen_index(4)]),
+                    Value::Int([-2e11 as i64, 3, 1e11 as i64, 2e11 as i64][rng.gen_index(4)]),
                 ])
                 .unwrap();
             }
@@ -951,6 +1101,16 @@ mod tests {
         rs
     }
 
+    /// The join's rows, filled as every parent but an aggregate fills them.
+    fn hash_join_rows(
+        ctx: &Ctx<'_>,
+        left: &RowSet,
+        right: &RowSet,
+        pred: &JoinPred,
+    ) -> Result<RowSet> {
+        Ok(ctx.join_matches(left, right, pred, ROW_CAP)?.fill(left, right))
+    }
+
     /// The join by definition: every left row against every right row.
     fn nested_loop_oracle(
         ctx: &Ctx<'_>,
@@ -995,7 +1155,7 @@ mod tests {
                 (&[0], 9, 200),
             ];
             for (l_tables, l_n, r_n) in shapes {
-                for column in ["k", "s"] {
+                for column in ["k", "s", "d", "neg", "one", "x", "w"] {
                     let left = random_rows(&mut rng, l_tables, l_n, TABLE_ROWS);
                     let right = random_rows(&mut rng, &[1], r_n, TABLE_ROWS);
                     let (lc, rc) = (ColRef::new(0, column), ColRef::new(1, column));
@@ -1005,7 +1165,7 @@ mod tests {
                         JoinPred::new(lc.clone(), rc.clone()),
                         JoinPred::new(rc.clone(), lc.clone()),
                     ] {
-                        let got = ctx.hash_join_rows(&left, &right, &pred).unwrap();
+                        let got = hash_join_rows(&ctx, &left, &right, &pred).unwrap();
                         let what = format!(
                             "{l_tables:?} x {l_n} join [1] x {r_n} on {column}, \
                              workers {shard_workers}"
@@ -1018,6 +1178,63 @@ mod tests {
             }
         }
         assert!(joined > 10_000, "the cases must not all be empty: {joined} rows");
+    }
+
+    /// The table is direct-indexed exactly while the build keys' span is
+    /// at most `4 × rows + 64`; a probe key outside `[min, max]` matches
+    /// nothing, even where `key - min` would wrap into the span.
+    #[test]
+    fn join_table_indexes_a_narrow_span_directly() {
+        let layout = |keys: &[i64]| {
+            let mut table = JoinTable::for_keys(keys.iter(), keys.len());
+            for (ri, &key) in keys.iter().enumerate().rev() {
+                let (first, count) = table.entry(key);
+                *first = ri as u32;
+                *count += 1;
+            }
+            table
+        };
+        let dense = |t: &JoinTable| matches!(t, JoinTable::Dense { .. });
+        let ids: Vec<i64> = (0..100).collect();
+        // 11 keys from 0: a span of 4 × 11 + 64 = 108 ends at 107.
+        let at_bound: Vec<i64> = (0..10).map(|i| i * 11).chain([107]).collect();
+        let past_bound: Vec<i64> = (0..10).map(|i| i * 11).chain([108]).collect();
+        for (keys, want_dense) in [
+            (&ids[..], true),
+            (&[-7, -9, -8, -7][..], true),
+            (&[42][..], true),
+            (&at_bound[..], true),
+            (&past_bound[..], false),
+            (&[][..], false),
+            (&[i64::MIN, i64::MAX][..], false),
+            (&[i64::MIN, 0][..], false),
+        ] {
+            let table = layout(keys);
+            assert_eq!(dense(&table), want_dense, "{keys:?}");
+            for (ri, &key) in keys.iter().enumerate() {
+                let first = keys.iter().position(|&k| k == key).unwrap();
+                let count = keys.iter().filter(|&&k| k == key).count();
+                assert_eq!(table.get(key), (first as u32, count as u32), "{keys:?} at {ri}");
+            }
+            for probe in [i64::MIN, -10, -1, 100, 101, 200, i64::MAX] {
+                if !keys.contains(&probe) {
+                    assert_eq!(table.get(probe), (NO_ROW, 0), "{probe} in {keys:?}");
+                }
+            }
+        }
+        // Spans at either end of `i64`: a probe from the far end wraps
+        // `key - min` to 11 and 2, inside the span, and must still miss.
+        for keys in [[i64::MAX - 10, i64::MAX], [i64::MIN, i64::MIN + 2]] {
+            let table = layout(&keys);
+            assert!(dense(&table), "{keys:?}");
+            assert_eq!(table.get(keys[0]), (0, 1));
+            assert_eq!(table.get(keys[1]), (1, 1));
+            for probe in [i64::MIN, i64::MIN + 1, 0, i64::MAX - 11, i64::MAX] {
+                if !keys.contains(&probe) {
+                    assert_eq!(table.get(probe), (NO_ROW, 0), "{probe} in {keys:?}");
+                }
+            }
+        }
     }
 
     /// A float key is a type mismatch once a row of its side is read, and
@@ -1034,7 +1251,7 @@ mod tests {
             for (l, r) in [("f", "k"), ("k", "f")] {
                 let pred = JoinPred::new(ColRef::new(0, l), ColRef::new(1, r));
                 let what = format!("{l} = {r}, width {shard_workers}");
-                let err = ctx.hash_join_rows(&rows(0, 3), &rows(1, 3), &pred).unwrap_err();
+                let err = hash_join_rows(&ctx, &rows(0, 3), &rows(1, 3), &pred).unwrap_err();
                 assert!(matches!(err, BaoError::TypeMismatch(_)), "{what}: {err}");
                 // The float side empty, the other side not, then both.
                 let (float_side, other_side) = if l == "f" { (0, 1) } else { (1, 0) };
@@ -1042,7 +1259,7 @@ mod tests {
                     let mut sides = [rows(0, 0), rows(1, 0)];
                     sides[other_side] = rows(other_side, other_n);
                     let [left, right] = &sides;
-                    let out = ctx.hash_join_rows(left, right, &pred).unwrap();
+                    let out = hash_join_rows(&ctx, left, right, &pred).unwrap();
                     assert!(out.is_empty(), "{what}, side {float_side} empty");
                 }
             }
@@ -1404,7 +1621,8 @@ mod tests {
                         let mut ctx =
                             ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
                         let want = agg_bits(aggregate_keyed_oracle(&ctx, &input, group_by, &aggs));
-                        let got = agg_bits(ctx.aggregate(&input, group_by, &aggs));
+                        let rel = Relation::Rows(input.clone());
+                        let got = agg_bits(ctx.aggregate(&rel, group_by, &aggs));
                         let what = format!("{n} rows by {group_by:?}, width {shard_workers}");
                         assert_eq!(got, want, "{what}");
                         folded += n;
@@ -1413,5 +1631,223 @@ mod tests {
             }
         }
         assert!(folded > 1_500_000, "{folded} rows");
+    }
+
+    /// `execute_with` as it ran before an aggregate read a join's count
+    /// pass: for a plan whose root is an aggregate, the join under it is
+    /// filled into a `RowSet` first, and the aggregate reads that.
+    fn execute_filled(
+        plan: &PlanNode,
+        query: &Query,
+        db: &Database,
+        exec: ExecConfig,
+    ) -> Result<ExecutionMetrics> {
+        let Operator::Aggregate { group_by, aggs } = &plan.op else {
+            panic!("an aggregate root");
+        };
+        let (params, rates) = (CostParams::default(), ChargeRates::default());
+        let mut pool = BufferPool::new(16);
+        let mut ctx = ctx_for(db, query, &mut pool, &params, exec);
+        ctx.node_rows.push(0);
+        let child = Relation::Rows(ctx.exec_rows(&plan.children[0])?);
+        let rows = ctx.aggregate(&child, group_by, aggs)?;
+        ctx.meters.charge_cpu(params.aggregate(child.len() as f64, rows.len() as f64));
+        ctx.node_rows[0] = rows.len() as u64;
+        let (rows_out, output) = ctx.materialize_output(NodeOut::Agg(rows))?;
+        let m = ctx.meters;
+        Ok(ExecutionMetrics {
+            latency: m.latency(&rates),
+            cpu_time: m.cpu_time(&rates),
+            io_time: m.io_time(&rates),
+            page_hits: m.page_hits,
+            page_misses: m.page_misses,
+            rows_out,
+            node_true_rows: ctx.node_rows,
+            output,
+        })
+    }
+
+    /// Every field of the metrics by its bits, the output as `agg_bits`
+    /// reads it; an error by its message.
+    fn metrics_bits(m: Result<ExecutionMetrics>) -> std::result::Result<String, String> {
+        let m = m.map_err(|e| e.to_string())?;
+        let ms = |d: bao_common::SimDuration| d.as_ms().to_bits();
+        Ok(format!(
+            "{:x} {:x} {:x} {} {} {} {:?} {:?}",
+            ms(m.latency),
+            ms(m.cpu_time),
+            ms(m.io_time),
+            m.page_hits,
+            m.page_misses,
+            m.rows_out,
+            m.node_true_rows,
+            agg_bits(Ok(m.output))?
+        ))
+    }
+
+    /// Tables `a`, `b`, `c` of `n` rows each, with join keys `k` in -3..=8
+    /// (direct-indexed), `w` from four values 10^11 apart (hashed) and
+    /// `one` always 7 (every row matches every row); group keys `g` in
+    /// 0..4 and `t` a text from three words; and `f` drawn from -0.0, 0.0,
+    /// NaN, ±∞ and small magnitudes. Tables `l` and `r` hold `big` rows of
+    /// `k` = 7 each.
+    fn agg_join_db(n: usize, big: usize, seed: u64) -> Database {
+        let mut rng = rng_from_seed(seed);
+        let mut db = Database::new();
+        for name in ["a", "b", "c"] {
+            let mut t = Table::new(
+                name,
+                Schema::new(vec![
+                    ColumnDef::new("k", DataType::Int),
+                    ColumnDef::new("w", DataType::Int),
+                    ColumnDef::new("one", DataType::Int),
+                    ColumnDef::new("g", DataType::Int),
+                    ColumnDef::new("t", DataType::Text),
+                    ColumnDef::new("f", DataType::Float),
+                ]),
+            );
+            for _ in 0..n {
+                let floats = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.1];
+                let f = match rng.gen_index(2) {
+                    0 => floats[rng.gen_index(floats.len())],
+                    _ => rng.gen_f64() - 0.5,
+                };
+                t.insert(vec![
+                    Value::Int(rng.gen_range(-3i64..=8)),
+                    Value::Int([-2e11 as i64, 3, 1e11 as i64, 2e11 as i64][rng.gen_index(4)]),
+                    Value::Int(7),
+                    Value::Int(rng.gen_range(0i64..4)),
+                    Value::Str(["ash", "elm", "yew"][rng.gen_index(3)].into()),
+                    Value::Float(f),
+                ])
+                .unwrap();
+            }
+            db.create_table(t).unwrap();
+        }
+        for name in ["l", "r"] {
+            let mut t = Table::new(name, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
+            t.insert_many((0..big).map(|_| vec![Value::Int(7)])).unwrap();
+            db.create_table(t).unwrap();
+        }
+        db
+    }
+
+    /// `kind`'s join of `l` and `r` on `lk = rk`: a merge join sorts both
+    /// inputs on their keys, a loop join rescans its inner.
+    fn join_plan(kind: &str, l: PlanNode, r: PlanNode, lk: ColRef, rk: ColRef) -> PlanNode {
+        let pred = JoinPred::new(lk.clone(), rk.clone());
+        let sort = |n, k| PlanNode::new(Operator::Sort { keys: vec![k] }, vec![n]);
+        match kind {
+            "hash" => PlanNode::new(Operator::HashJoin { pred }, vec![l, r]),
+            "merge" => PlanNode::new(Operator::MergeJoin { pred }, vec![sort(l, lk), sort(r, rk)]),
+            _ => PlanNode::new(Operator::NestedLoopJoin { pred }, vec![l, r]),
+        }
+    }
+
+    #[test]
+    fn aggregate_over_a_join_matches_fill_then_aggregate() {
+        use bao_plan::{CmpOp, Predicate};
+        use AggFunc::{Avg, Count, CountStar, Max, Min, Sum};
+        let db = agg_join_db(60, 4_500, 47);
+        let (a, b, c) = (
+            |col: &str| ColRef::new(0, col),
+            |col: &str| ColRef::new(1, col),
+            |col: &str| ColRef::new(2, col),
+        );
+        // A scan of FROM position `t`, every row or none.
+        let scan = |t: usize, empty: bool| {
+            let preds = if empty {
+                vec![Predicate::new(ColRef::new(t, "k"), CmpOp::Gt, Value::Int(100))]
+            } else {
+                vec![]
+            };
+            PlanNode::new(Operator::SeqScan { table: t, preds }, vec![])
+        };
+        // (GROUP BY, aggregates): the SELECT list is the group columns,
+        // then the aggregates. The left side's columns, the right side's,
+        // and with three tables the outer join's right side.
+        type AggCase = (Vec<ColRef>, Vec<AggFunc>);
+        let two_way: Vec<AggCase> = vec![
+            (vec![], vec![CountStar]),
+            (vec![], vec![Count(b("f")), Sum(a("f")), Min(b("f")), Max(a("f")), Avg(b("f"))]),
+            (vec![a("g")], vec![CountStar, Sum(b("f")), Min(a("f"))]),
+            (vec![b("t"), a("g")], vec![Avg(a("f")), Max(b("f")), Count(a("k"))]),
+        ];
+        let mut three_way = two_way.clone();
+        three_way.push((vec![c("t")], vec![Sum(c("f")), Min(a("f")), CountStar]));
+        three_way.push((vec![], vec![Max(c("f")), Sum(b("f"))]));
+
+        let mut shapes: Vec<(String, PlanNode, &[AggCase])> = Vec::new();
+        for kind in ["hash", "merge", "loop"] {
+            for key in ["k", "w", "one"] {
+                for (l_empty, r_empty) in [(false, false), (true, false), (false, true)] {
+                    let plan = join_plan(kind, scan(0, l_empty), scan(1, r_empty), a(key), b(key));
+                    let what = format!("{kind} a x b on {key}, empty {l_empty}/{r_empty}");
+                    shapes.push((what, plan, &two_way));
+                }
+            }
+            for key in ["k", "w"] {
+                let inner = join_plan("hash", scan(0, false), scan(1, false), a("k"), b("k"));
+                let plan = join_plan(kind, inner, scan(2, false), b(key), c(key));
+                shapes.push((format!("{kind} (a x b) x c on {key}"), plan, &three_way));
+            }
+        }
+        let mut aggregated = 0;
+        for (shape, join, cases) in &shapes {
+            let tables = &["a", "b", "c"][..join.tables_covered().len()];
+            for (group_by, aggs) in cases.iter() {
+                let select = group_by
+                    .iter()
+                    .cloned()
+                    .map(SelectItem::Column)
+                    .chain(aggs.iter().cloned().map(SelectItem::Agg))
+                    .collect();
+                let query = Query {
+                    tables: tables.iter().map(|&t| TableRef::new(t)).collect(),
+                    select,
+                    group_by: group_by.clone(),
+                    ..Query::default()
+                };
+                let agg = Operator::Aggregate { group_by: group_by.clone(), aggs: aggs.clone() };
+                let plan = PlanNode::new(agg, vec![join.clone()]);
+                for shard_workers in 1..=3 {
+                    let exec = ExecConfig { shard_workers };
+                    let (params, rates) = (CostParams::default(), ChargeRates::default());
+                    let mut pool = BufferPool::new(16);
+                    let got = execute_with(&plan, &query, &db, &mut pool, &params, &rates, &exec);
+                    aggregated += got.as_ref().map_or(0, |m| m.node_true_rows[1]);
+                    let want = execute_filled(&plan, &query, &db, exec);
+                    let what = format!("{shape} by {group_by:?}: {aggs:?}, width {shard_workers}");
+                    assert_eq!(metrics_bits(got), metrics_bits(want), "{what}");
+                }
+            }
+        }
+        assert!(aggregated > 100_000, "{aggregated} joined rows");
+
+        // 4,500 x 4,500 rows on one key: 20.25 M, over the cap.
+        let query =
+            Query { tables: vec![TableRef::new("l"), TableRef::new("r")], ..Query::default() };
+        for kind in ["hash", "merge", "loop"] {
+            let (lk, rk) = (ColRef::new(0, "k"), ColRef::new(1, "k"));
+            let join = join_plan(kind, scan(0, false), scan(1, false), lk, rk);
+            let agg = Operator::Aggregate { group_by: vec![], aggs: vec![CountStar] };
+            let plan = PlanNode::new(agg, vec![join]);
+            let query = Query { select: vec![SelectItem::Agg(CountStar)], ..query.clone() };
+            let (params, rates) = (CostParams::default(), ChargeRates::default());
+            let mut pool = BufferPool::new(16);
+            let got = execute_with(
+                &plan,
+                &query,
+                &db,
+                &mut pool,
+                &params,
+                &rates,
+                &ExecConfig::default(),
+            );
+            let want = execute_filled(&plan, &query, &db, ExecConfig::default());
+            let refused = Err("planning error: intermediate result too large".to_string());
+            assert_eq!(metrics_bits(got), refused, "{kind}");
+            assert_eq!(metrics_bits(want), refused, "{kind}");
+        }
     }
 }
