@@ -360,8 +360,9 @@ pub struct Runner {
     pub(crate) opt: Optimizer,
     pub(crate) chooser: Chooser,
     /// How the query pipeline runs. A plain `Runner` is the pipeline
-    /// configured down to one query in flight, no plan cache, a single
-    /// tenant; `ServingRunner` is the builder that sets these.
+    /// configured down to one query in flight, no plan cache, an
+    /// unbounded admission queue; `ServingRunner` is the builder that sets
+    /// these.
     pub(crate) serving: ServingConfig,
     pub(crate) sched: SchedConfig,
     /// The durable run's open log, written only by the pipeline. A fresh
@@ -384,7 +385,7 @@ impl Runner {
             Strategy::Optimal { arms } => Chooser::Optimal(arms.clone()),
             Strategy::Bao(s) => Chooser::Bao(Box::new(s.build(split_seed(cfg.seed, 2)))),
         };
-        let (serving, sched) = (ServingConfig::new(1, 1), SchedConfig::single_tenant());
+        let (serving, sched) = (ServingConfig::new(1, 1), SchedConfig::default());
         Runner { cfg, db, cat, pool, opt, chooser, serving, sched, wal: None }
     }
 

@@ -8,12 +8,11 @@
 //! committed queries through it with their logged plans in place of the
 //! choose step (`crate::recover`).
 //!
-//! Admission is owned by `bao-sched` (DESIGN.md §10): per-tenant bounded
-//! queues, token-bucket rate limits, and a deficit-round-robin wave
-//! former with overload shedding to arm 0. The default single-tenant,
-//! unlimited configuration dispatches in exact arrival order, so the
-//! embedded `RunResult` is the same at any concurrency level or
-//! coalescing window (`tests/serving_equivalence.rs`,
+//! Admission is owned by `bao-sched` (DESIGN.md §10): one FIFO queue
+//! whose depth bound and deadline shed overload to arm 0. The default
+//! configuration (no bound, no deadline) dispatches in exact arrival
+//! order, so the embedded `RunResult` is the same at any concurrency
+//! level or coalescing window (`tests/serving_equivalence.rs`,
 //! `tests/sched_equivalence.rs`). Determinism is by construction, not by
 //! luck — see the invariants on [`ServingRunner::run`] and DESIGN.md
 //! §9–10.
@@ -27,7 +26,7 @@ use bao_cloud::gpu_train_time;
 use bao_common::json::ToJson;
 use bao_common::{split_seed, BaoError, Result, SimDuration};
 use bao_exec::execute;
-use bao_sched::{QueryArrival, SchedConfig, SchedReport, Scheduler};
+use bao_sched::{QueryArrival, SchedConfig, Scheduler};
 use bao_stats::StatsCatalog;
 use bao_storage::Database;
 use bao_wal::{Wal, WalRecord};
@@ -89,7 +88,7 @@ impl Default for ServingConfig {
 }
 
 /// [`RunResult`] plus serving-layer telemetry. Everything that depends
-/// on concurrency, window or tenant config lives outside the embedded
+/// on concurrency, window or admission config lives outside the embedded
 /// `result`, so the equivalence tests can compare its raw JSON.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
@@ -127,23 +126,21 @@ impl ServingReport {
     }
 }
 
-/// One dispatch as the scheduler emitted it: which step ran for which
-/// tenant, whether it was shed to arm 0, and how long it queued.
+/// One dispatch as the scheduler emitted it: which step ran, whether it
+/// was shed to arm 0, and how long it queued.
 #[derive(Debug, Clone, Copy)]
 pub struct DispatchRecord {
     pub idx: usize,
-    pub tenant: bao_sched::TenantId,
     pub shed: bool,
     pub wait: SimDuration,
 }
 
-/// Result of a scheduled (multi-tenant / open-loop) serving run: the
-/// usual serving report plus the scheduler's per-tenant telemetry and
-/// the per-dispatch log (execution order, shed flags, queue waits).
+/// Result of a scheduled (open-loop) serving run: the usual serving
+/// report plus the per-dispatch log (execution order, shed flags, queue
+/// waits).
 #[derive(Debug, Clone)]
 pub struct SchedServingReport {
     pub serving: ServingReport,
-    pub sched: SchedReport,
     pub dispatches: Vec<DispatchRecord>,
 }
 
@@ -165,8 +162,8 @@ impl ServingRunner {
         self
     }
 
-    /// Replace the default single-tenant admission config (tenants,
-    /// weights, priorities, rate limits, queue bounds, shed policy).
+    /// Replace the default admission config (no queue bound, no shed
+    /// deadline).
     pub fn with_sched(mut self, sched: SchedConfig) -> ServingRunner {
         self.inner.sched = sched;
         self
@@ -176,8 +173,8 @@ impl ServingRunner {
     /// depend on the concurrency or the coalescing window.
     ///
     /// Queries arrive closed-loop — every step is [`QueryArrival::step`]:
-    /// tenant 0, already arrived at sim-time zero — which makes the wave
-    /// former dispatch in exact step order.
+    /// already arrived at sim-time zero — which makes the wave former
+    /// dispatch in exact step order.
     ///
     /// Waves are sized so that coalescing can never observe state a
     /// one-query-at-a-time run would not have produced yet:
@@ -206,8 +203,8 @@ impl ServingRunner {
     }
 
     /// Execute the workload under an explicit open-loop arrival plan:
-    /// each [`QueryArrival`] names the workload step it runs, its tenant,
-    /// and its sim-time arrival. Requires `Strategy::Bao` (shedding to
+    /// each [`QueryArrival`] names the workload step it runs and its
+    /// sim-time arrival. Requires `Strategy::Bao` (shedding to
     /// arm 0 is defined only for an arm family) and exactly one arrival
     /// per workload step.
     ///
@@ -233,8 +230,7 @@ impl ServingRunner {
 impl Runner {
     /// The one wave loop. Continues `done` — the committed prefix of the run,
     /// empty for a fresh one — from step `done.records.len()`. `arrivals`
-    /// defaults to closed-loop: every step already arrived at sim-time zero,
-    /// tenant 0.
+    /// defaults to closed-loop: every step already arrived at sim-time zero.
     ///
     /// With `replay` (recovery), steps run only up to `replay.len()` and each
     /// re-executes its logged plan in place of the choose step: this rebuilds
@@ -294,7 +290,7 @@ impl Runner {
             )));
         }
 
-        let mut scheduler = Scheduler::new(self.sched.clone())?;
+        let mut scheduler = Scheduler::new(self.sched)?;
         // The template plan cache (DESIGN.md §11). `Some` with capacity 0
         // behaves like `None`: lookups never hit and inserts never store.
         let mut cache: Option<PlanCache> = serving.cache.map(PlanCache::new);
@@ -332,36 +328,18 @@ impl Runner {
             let mut remaining = end - start;
             while remaining > 0 {
                 scheduler.release(now);
-                if !scheduler.has_dispatchable(now) {
-                    // Open-loop idle gap: jump to the next arrival or token
-                    // refill. `None` means a backlogged tenant can never
-                    // dispatch again (dry zero-rate bucket) — a config error,
-                    // not a hang.
-                    let t = scheduler.next_ready(now).ok_or_else(|| {
-                        BaoError::Config(
-                            "scheduler cannot make progress: a backlogged tenant has a \
-                             dry zero-refill token bucket"
-                                .into(),
-                        )
-                    })?;
-                    if t <= now {
-                        return Err(BaoError::Config(
-                            "scheduler reported a past ready-time while nothing is \
-                             dispatchable"
-                                .into(),
-                        ));
-                    }
-                    now = t;
-                    continue;
-                }
-
                 let until_retrain = self.bao().map_or(1, |bao| bao.queries_until_retrain());
                 let cap = wave_cap_base.min(until_retrain).min(remaining); // invariant 2
                 let wave = scheduler.form_wave(now, cap);
                 if wave.is_empty() {
-                    return Err(BaoError::Config(
-                        "scheduler reported dispatchable work but formed an empty wave".into(),
-                    ));
+                    // Open-loop idle gap: the epoch's undispatched steps are
+                    // all still pending, so jump to the next arrival.
+                    now = scheduler.next_arrival().ok_or_else(|| {
+                        BaoError::Config(format!(
+                            "scheduler holds none of the epoch's {remaining} undispatched steps"
+                        ))
+                    })?;
+                    continue;
                 }
                 let chosen = match replay {
                     Some(logged) => wave
@@ -412,17 +390,13 @@ impl Runner {
                     // feeds its rolling window (arm-mismatched observations —
                     // e.g. a shed dispatch of a template cached at another
                     // arm — are ignored by the cache). Under overload the
-                    // drifted entry is re-pinned to arm 0 and the scheduler's
-                    // per-tenant telemetry records the shed.
+                    // drifted entry is re-pinned to arm 0.
                     let bao = match &mut self.chooser {
                         Chooser::Bao(bao) => Some(bao),
                         _ => None,
                     };
                     if let (Some(cache), Some(fp), Some(bao)) = (cache.as_mut(), fp, &bao) {
                         let outcome = cache.observe(fp, rec.arm, rec.perf, scheduler.queued_len());
-                        if outcome == DriftOutcome::Shed {
-                            scheduler.note_drift_shed(d.tenant);
-                        }
                         // Invalidation events are durable telemetry: recovery
                         // rebuilds caches cold, but the log preserves *why*
                         // entries died for post-hoc drift analysis.
@@ -481,13 +455,7 @@ impl Runner {
                     wave_opt_max = wave_opt_max.max(rec.opt_time);
                     wave_exec += rec.latency;
                     let wait = (wave_start - d.arrival).max(SimDuration::ZERO);
-                    scheduler.note_served(d, wait, rec.latency);
-                    dispatches.push(DispatchRecord {
-                        idx: d.idx,
-                        tenant: d.tenant,
-                        shed: d.shed,
-                        wait,
-                    });
+                    dispatches.push(DispatchRecord { idx: d.idx, shed: d.shed, wait });
                     // The outcome frame is deliberately the query's last:
                     // recovery treats it as the commit marker and rolls back
                     // anything after it.
@@ -523,7 +491,6 @@ impl Runner {
                 makespan: now,
                 cache: cache.as_ref().map(PlanCache::stats),
             },
-            sched: scheduler.report(waves),
             dispatches,
         })
     }

@@ -1,17 +1,19 @@
-//! Multi-tenant admission control for the serving layer.
+//! Admission for the serving layer: one bounded FIFO queue that sheds to
+//! arm 0.
 //!
 //! `bao-sched` owns everything between "a query arrived" and "a query is
-//! handed to the wave former": per-tenant bounded queues, deterministic
-//! token-bucket rate limits over [`SimDuration`] sim-time, a
-//! deficit-round-robin (DRR) wave former with strict priority classes,
-//! and an overload policy that sheds queries to arm 0 (the unconstrained
-//! optimizer's plan — Bao's built-in safe arm) instead of dropping them.
+//! handed to the wave former": arrivals release in (arrival, submission)
+//! order into one queue, and waves pop its head. Under overload a query
+//! is shed, never dropped: it executes arm 0, the default optimizer's
+//! plan and Bao's built-in safe arm, with no model scoring. It is shed
+//! when it is released into a queue already `queue_depth` deep, or when
+//! it has waited longer than `shed_deadline` by dispatch.
 //!
 //! Everything is sim-timed and deterministic: no wall clock, no RNG. The
-//! single-tenant, unlimited-bucket default configuration dispatches in
-//! exact arrival order, which keeps the serving layer bit-identical to
-//! the pre-sched FIFO wave former (pinned by `tests/serving_equivalence.rs`
-//! and `tests/sched_equivalence.rs`). See DESIGN.md §10.
+//! default configuration (no bound, no deadline) dispatches in exact
+//! arrival order, which keeps every serving configuration's `RunResult`
+//! bit-identical to the serial run (`tests/serving_equivalence.rs`,
+//! `tests/sched_equivalence.rs`). See DESIGN.md §10.
 
 #![cfg_attr(
     not(test),
@@ -24,10 +26,6 @@
     )
 )]
 
-pub mod report;
 pub mod sched;
-pub mod tenant;
 
-pub use report::{jain_index, DistSummary, SchedReport, TenantReport};
-pub use sched::{Dispatch, QueryArrival, SchedConfig, Scheduler, WavePolicy};
-pub use tenant::{Priority, RateLimit, TenantId, TenantSpec, TokenBucket};
+pub use sched::{Dispatch, QueryArrival, SchedConfig, Scheduler};

@@ -25,7 +25,11 @@
 #                        then an offline release build of benchmark/, a
 #                        package outside the workspace that spells product
 #                        types, fields and functions by name, so a change
-#                        that removes one it uses fails here
+#                        that removes one it uses fails here. Cargo
+#                        rewrites the stale benchmark/Cargo.lock while
+#                        building; the file is saved before and restored
+#                        after (here and in the bench smoke), so a run
+#                        leaves no diff under benchmark/
 #   5. bench smoke     — opt-in via --bench-smoke: inference_bench --quick,
 #                        the one wall-clock gate the repo benchmark
 #                        (benchmark/) does not cover; exits non-zero when
@@ -99,6 +103,18 @@ no_warnings() {
     rm -f "$log"
 }
 
+# Run a command that builds benchmark/, then put back the
+# benchmark/Cargo.lock it found, whether or not the command passed.
+keep_benchmark_lock() {
+    local saved status=0
+    saved="$(mktemp)"
+    cp benchmark/Cargo.lock "$saved"
+    "$@" || status=$?
+    cp "$saved" benchmark/Cargo.lock
+    rm -f "$saved"
+    return "$status"
+}
+
 echo
 echo "== build (release, no warnings) =="
 no_warnings cargo build --release
@@ -114,7 +130,7 @@ cargo test -q --release -p bao-exec
 
 echo
 echo "== build (benchmark/ against this tree) =="
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+keep_benchmark_lock cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 if [ "$bench_smoke" = 1 ]; then
     echo
@@ -122,7 +138,7 @@ if [ "$bench_smoke" = 1 ]; then
     cargo run -q --release -p bao-bench --bin inference_bench -- --quick
     echo
     echo "== bench smoke (benchmark/smoke.sh) =="
-    "$repo/benchmark/smoke.sh"
+    keep_benchmark_lock "$repo/benchmark/smoke.sh"
 fi
 
 if [ "$crash_smoke" = 1 ]; then

@@ -383,11 +383,7 @@ fn scheduled_run_logs_in_dispatch_order_and_recovery_refuses_it() {
         .collect();
     let wl = Workload { name: "imdb-no-events".into(), steps };
     let arrivals: Vec<QueryArrival> = (0..N_QUERIES)
-        .map(|idx| QueryArrival {
-            idx,
-            tenant: 0,
-            arrival: SimDuration::from_ms((N_QUERIES - idx) as f64),
-        })
+        .map(|idx| QueryArrival { idx, arrival: SimDuration::from_ms((N_QUERIES - idx) as f64) })
         .collect();
     let dir = root.join("log");
     let report =

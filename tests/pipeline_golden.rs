@@ -2,7 +2,7 @@
 //!
 //! The equivalence suites (`serving_equivalence`, `sched_equivalence`,
 //! `crash_recovery`) compare two runs to each other. That proves
-//! invariance across concurrency / window / tenant config / crash point,
+//! invariance across concurrency / window / admission config / crash point,
 //! but says nothing once both sides are the same code. These digests pin
 //! the canonical `RunResult` JSON (and one durable run's final WAL
 //! segment) to fixed values, so a refactor of the pipeline that changes
