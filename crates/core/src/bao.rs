@@ -4,11 +4,10 @@
 use crate::experience::Experience;
 use crate::featurize::Featurizer;
 use bao_common::hash::{FastHasher, FastMap};
-use bao_common::pool::{resolve_width, run_jobs};
 use bao_common::{split_seed, BaoError, Result};
 use bao_models::{bootstrap_sample, TcnnModel, ValueModel};
 use bao_nn::FeatTree;
-use bao_opt::{HintSet, Optimizer, PlanOutput};
+use bao_opt::{HintSet, Optimizer};
 use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
@@ -271,13 +270,12 @@ impl Bao {
             .ok_or_else(|| BaoError::Planning("evaluate_arms_multi returned no result".into()))
     }
 
-    /// Plan every query's arm family on the workspace pool and
-    /// score *all* queries' distinct plans in one coalesced
-    /// `predict_batch` pass (cross-query batching, the serving-layer hot
-    /// path). Results are returned in query order and are bit-identical
-    /// to calling [`Bao::evaluate_arms`] once per query: planning is
-    /// read-only over `(query, db, cat)`, the pool returns families in
-    /// query slot order at any width, each in arm order, and a value
+    /// Plan every query's arm family and score *all* queries' distinct
+    /// plans in one coalesced `predict_batch` pass (cross-query batching,
+    /// the serving-layer hot path). Results are returned in query order
+    /// and are bit-identical to calling [`Bao::evaluate_arms`] once per
+    /// query: planning is read-only over `(query, db, cat)`, families are
+    /// planned in query order, each in arm order, and a value
     /// model's prediction for a tree does not depend on its batch
     /// neighbours (for the TCNN, every kernel of the scorer is per-node or
     /// per-tree — `bao_nn::infer`).
@@ -303,7 +301,15 @@ impl Bao {
             return Ok(Vec::new());
         }
         let n_arms = self.cfg.arms.len();
-        let outputs = self.plan_jobs(opt, queries, db, cat)?;
+        // Every query's arm family in arm order, one query at a time on
+        // the caller: a family shares one planning context
+        // (`Optimizer::plan_arms`). The paper (§6.2) plans each arm
+        // concurrently; its planning time here is modelled from
+        // `per_arm_work`, not from host threads (DESIGN.md §9).
+        let outputs = queries
+            .iter()
+            .map(|q| opt.plan_arms(q, db, cat, &self.cfg.arms))
+            .collect::<Result<Vec<_>>>()?;
 
         // Fold each query's arms by plan shape, then annotate, verify and
         // featurize the first plan of each shape, in (query, arm) order.
@@ -387,23 +393,6 @@ impl Bao {
             ));
         }
         Ok(results)
-    }
-
-    /// Plan every query's arm family, one job per query on the workspace
-    /// pool at host width; a family shares one planning context
-    /// (`Optimizer::plan_arms`), so a single query runs inline on the
-    /// caller. The paper (§6.2) plans each arm concurrently; here the
-    /// arms of a query cost too little apart to be worth a thread
-    /// (DESIGN.md §9). Returned per query in arm order.
-    fn plan_jobs(
-        &self,
-        opt: &Optimizer,
-        queries: &[&Query],
-        db: &Database,
-        cat: &StatsCatalog,
-    ) -> Result<Vec<Vec<PlanOutput>>> {
-        let arms = &self.cfg.arms;
-        run_jobs(resolve_width(0), queries.len(), |qi| opt.plan_arms(queries[qi], db, cat, arms))
     }
 
     /// Record an observed (plan, performance) pair and retrain when the

@@ -238,13 +238,12 @@ fn triggered_exploration_pins_critical_queries() {
 }
 
 #[test]
-fn parallel_planning_returns_arms_in_order() {
-    // The pool fans out one job per query and each job plans its whole
-    // arm family over one shared context; results must come back in
-    // (query, arm) order: every returned plan and its planning work equal
-    // what planning that arm directly — alone, on this thread — produces.
-    // The wave mixes one- to four-relation queries, so neighbouring jobs
-    // differ in lattice size and finish out of step.
+fn wave_planning_returns_arms_in_order() {
+    // Each query of the wave plans its whole arm family over one shared
+    // context; results must come back in (query, arm) order: every
+    // returned plan and its planning work equal what planning that arm
+    // directly — alone — produces. The wave mixes one- to four-relation
+    // queries, so neighbouring families differ in lattice size.
     let (db, cat) = setup(3_000);
     let opt = Optimizer::postgres();
     let pool = BufferPool::new(512);

@@ -1,16 +1,11 @@
 //! Plan execution: true-cardinality evaluation with per-algorithm cost
 //! charging.
 //!
-//! The seq-scan filter, the join's build keys and probe, and the
-//! aggregate's extraction each cut their input into one contiguous range
-//! per worker and run them on the workspace pool
-//! (`bao_common::pool::run_jobs`, DESIGN.md §13); results come back in
-//! range order. Pool threads only ever run pure compute (predicate
-//! evaluation, key extraction, probe matching); every order-sensitive
-//! effect — buffer-pool touches, f64 meter charges, the join's table and
-//! output, the aggregate fold — happens on the coordinator in pinned row
-//! order, so output bytes and `ExecutionMetrics` are bit-identical at any
-//! width.
+//! Everything runs on the caller's thread (DESIGN.md §13). Every
+//! order-sensitive effect — buffer-pool touches, f64 meter charges, the
+//! join's table and output, the aggregate fold — happens in pinned row
+//! order, so output bytes and `ExecutionMetrics` are a function of the
+//! plan, the data and the pool's state alone.
 //!
 //! A join's rows are written only for a parent that reads rows. An
 //! aggregate directly above a hash, merge or rescanning nested-loop join
@@ -20,16 +15,13 @@
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{column_of, compile_preds, filter_rows, ColView};
 use crate::metrics::ExecutionMetrics;
-use crate::par::ExecConfig;
 use crate::rowset::RowSet;
 use bao_common::hash::FastMap;
-use bao_common::pool::{resolve_width, run_jobs};
 use bao_common::{BaoError, Result};
 use bao_opt::CostParams;
 use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode, Query, SelectItem};
 use bao_storage::{BufferPool, Database, PageKey, StoredTable, Table, Value};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Executor errors are ordinary [`BaoError`]s; alias kept for clarity at
 /// call sites.
@@ -55,13 +47,8 @@ const NO_ROW: u32 = u32::MAX;
 /// looking at a key again, and its size before a row of it exists. Its
 /// rows are left rows in order, each one's right rows in build order.
 struct JoinMatches {
-    /// The left ranges the probe cut, one per worker; they concatenate to
-    /// `0..left.len()`.
-    ranges: Vec<Range<usize>>,
-    /// Per left range, each left row's first matching right row.
-    heads: Vec<Vec<u32>>,
-    /// Per left range, its output rows.
-    matched: Vec<usize>,
+    /// Each left row's first matching right row.
+    heads: Vec<u32>,
     /// Each right row's successor among the rows of its key, ascending.
     next: Vec<u32>,
     /// Output rows, already held against the cap.
@@ -73,27 +60,24 @@ impl JoinMatches {
     fn fill(&self, left: &RowSet, right: &RowSet) -> RowSet {
         let tables = left.tables.iter().chain(&right.tables).copied().collect();
         let mut out = RowSet::with_capacity(tables, self.total);
-        let mut lrows = left.iter();
-        for heads in &self.heads {
-            for (&head, lrow) in heads.iter().zip(&mut lrows) {
-                let mut ri = head;
-                while ri != NO_ROW {
-                    out.push_joined(lrow, right.row(ri as usize));
-                    ri = self.next[ri as usize];
-                }
+        for (&head, lrow) in self.heads.iter().zip(left.iter()) {
+            let mut ri = head;
+            while ri != NO_ROW {
+                out.push_joined(lrow, right.row(ri as usize));
+                ri = self.next[ri as usize];
             }
         }
         out
     }
 
-    /// One column of the joined rows of left range `part`, in fill order,
-    /// without writing the rows: slot `slot` of the output's row-id
-    /// tuples, which are `left`'s slots and then `right`'s.
-    fn slot_ids(&self, part: usize, left: &RowSet, right: &RowSet, slot: usize) -> Vec<u32> {
-        let mut ids = Vec::with_capacity(self.matched[part]);
-        let heads = self.heads[part].iter().copied();
+    /// One column of the joined rows, in fill order, without writing the
+    /// rows: slot `slot` of the output's row-id tuples, which are
+    /// `left`'s slots and then `right`'s.
+    fn slot_ids(&self, left: &RowSet, right: &RowSet, slot: usize) -> Vec<u32> {
+        let mut ids = Vec::with_capacity(self.total);
+        let heads = self.heads.iter().copied();
         if slot < left.width() {
-            for (mut ri, id) in heads.zip(left.slot_ids(slot, self.ranges[part].clone())) {
+            for (mut ri, id) in heads.zip(left.slot_ids(slot, 0..left.len())) {
                 while ri != NO_ROW {
                     ids.push(id);
                     ri = self.next[ri as usize];
@@ -161,24 +145,23 @@ impl JoinTable {
     }
 }
 
-/// Execute `plan` for `query` against `db`, charging `pool` traffic and
-/// returning full metrics. The buffer pool carries state across calls, so
-/// consecutive executions see realistic cache warmth. Runs at width 1;
-/// [`execute_with`] takes a width.
-pub fn execute(
-    plan: &PlanNode,
-    query: &Query,
-    db: &Database,
-    pool: &mut BufferPool,
-    params: &CostParams,
-    rates: &ChargeRates,
-) -> Result<ExecutionMetrics> {
-    execute_with(plan, query, db, pool, params, rates, &ExecConfig::default())
+/// The execution width the benchmark's `exec.shard_auto_ratio` probe
+/// names. No code reads it: execution runs on the caller's thread. It
+/// goes, with [`execute_with`], in the benchmark's next revision (ROADMAP
+/// direction 4, step 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecConfig {
+    pub shard_workers: usize,
 }
 
-/// [`execute`] on `exec.shard_workers` pool workers. Width 1 is the same
-/// code with one inline job per fan-out, and every width's output is
-/// bit-identical to it by construction.
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig { shard_workers: 1 }
+    }
+}
+
+/// [`execute`]; the width is not read. It goes, with [`ExecConfig`], in
+/// the benchmark's next revision (ROADMAP direction 4, step 2).
 pub fn execute_with(
     plan: &PlanNode,
     query: &Query,
@@ -186,7 +169,21 @@ pub fn execute_with(
     pool: &mut BufferPool,
     params: &CostParams,
     rates: &ChargeRates,
-    exec: &ExecConfig,
+    _exec: &ExecConfig,
+) -> Result<ExecutionMetrics> {
+    execute(plan, query, db, pool, params, rates)
+}
+
+/// Execute `plan` for `query` against `db`, charging `pool` traffic and
+/// returning full metrics. The buffer pool carries state across calls, so
+/// consecutive executions see realistic cache warmth.
+pub fn execute(
+    plan: &PlanNode,
+    query: &Query,
+    db: &Database,
+    pool: &mut BufferPool,
+    params: &CostParams,
+    rates: &ChargeRates,
 ) -> Result<ExecutionMetrics> {
     // Debug builds (and therefore every test run) re-verify the plan at
     // the execution boundary, catching trees corrupted between planning
@@ -205,7 +202,6 @@ pub fn execute_with(
         params,
         meters: Meters::default(),
         node_rows: Vec::with_capacity(plan.node_count()),
-        workers: resolve_width(exec.shard_workers),
     };
     let out = ctx.exec_node(plan)?;
     let (rows_out, output) = ctx.materialize_output(out)?;
@@ -268,21 +264,11 @@ impl Relation {
         }
     }
 
-    /// One range per worker, which concatenate to every row in order: of
-    /// a row set's rows, or of a join's left rows (the probe's ranges),
-    /// each with all its matches.
-    fn parts(&self, workers: usize) -> Vec<Range<usize>> {
+    /// Slot `slot`'s ids of every row, in order.
+    fn slot_ids(&self, slot: usize) -> Vec<u32> {
         match self {
-            Relation::Rows(rs) => split(rs.len(), workers),
-            Relation::Join { matches, .. } => matches.ranges.clone(),
-        }
-    }
-
-    /// Slot `slot`'s ids over part `part` of [`Relation::parts`], in order.
-    fn slot_ids(&self, parts: &[Range<usize>], part: usize, slot: usize) -> Vec<u32> {
-        match self {
-            Relation::Rows(rs) => rs.slot_ids(slot, parts[part].clone()).collect(),
-            Relation::Join { left, right, matches } => matches.slot_ids(part, left, right, slot),
+            Relation::Rows(rs) => rs.slot_ids(slot, 0..rs.len()).collect(),
+            Relation::Join { left, right, matches } => matches.slot_ids(left, right, slot),
         }
     }
 }
@@ -295,24 +281,6 @@ struct Ctx<'a> {
     params: &'a CostParams,
     meters: Meters,
     node_rows: Vec<u64>,
-    /// Pool width: the number of ranges each fan-out splits into.
-    workers: usize,
-}
-
-/// `n` items cut into `workers` balanced contiguous ranges, the first
-/// `n % workers` one item longer (some empty when `workers > n`). They
-/// concatenate to `0..n` in order, the merge invariant every fan-out
-/// relies on.
-fn split(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let (base, rem) = (n / workers, n % workers);
-    let mut end = 0;
-    (0..workers)
-        .map(|w| {
-            let start = end;
-            end += base + usize::from(w < rem);
-            start..end
-        })
-        .collect()
 }
 
 impl<'a> Ctx<'a> {
@@ -433,8 +401,8 @@ impl<'a> Ctx<'a> {
         // Big scans use PostgreSQL-style ring buffering.
         let bulk = n_pages as usize > self.pool.capacity() / 4;
         let access = if bulk { PageAccess::BulkSequential } else { PageAccess::Sequential };
-        // Page touches stay on the coordinator in ascending page order
-        // (pool recency and meter charges are order-sensitive).
+        // Page touches in ascending page order (pool recency and meter
+        // charges are order-sensitive).
         for p in 0..n_pages {
             self.meters.touch_page(self.pool, self.params, PageKey::new(st.heap_object, p), access);
         }
@@ -445,19 +413,8 @@ impl<'a> Ctx<'a> {
                 * (self.params.cpu_tuple_cost
                     + compiled.len() as f64 * self.params.cpu_operator_cost),
         );
-        // Predicate evaluation is pure: fan it out, one range per worker.
-        // The ranges are contiguous and ascending, so stitching their
-        // outputs in slot order reproduces the serial ascending scan.
-        let jobs = split(n, self.workers);
-        let parts = run_jobs(self.workers, jobs.len(), |j| {
-            let mut ids = Vec::new();
-            filter_rows(&compiled, jobs[j].clone().map(|r| r as u32), &mut ids);
-            Ok(ids)
-        })?;
-        let mut ids = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-        for part in &parts {
-            ids.extend_from_slice(part);
-        }
+        let mut ids = Vec::new();
+        filter_rows(&compiled, 0..n as u32, &mut ids);
         Ok(RowSet::from_single(from_idx, ids))
     }
 
@@ -659,14 +616,12 @@ impl<'a> Ctx<'a> {
     /// `cap`. Every join algorithm is evaluated this way; callers charge
     /// the one the plan requested.
     ///
-    /// Two fan-outs, both pure on the workers: build-side key extraction
-    /// over one right range per worker, and a probe over one left range
-    /// per worker that records each left row's chain head and counts the
-    /// matches. Between them the coordinator builds one chained table in
-    /// a single reverse pass over the keys: a key maps to (its first
-    /// right row, how many rows it has) and `next` links those rows in
-    /// ascending order, so [`JoinMatches::fill`] walks the serial
-    /// left-in-order, right-insertion-order output at any width.
+    /// Each side's keys are extracted once. One reverse pass over the
+    /// build keys makes a chained table: a key maps to (its first right
+    /// row, how many rows it has) and `next` links those rows in
+    /// ascending order. The probe records each left row's chain head and
+    /// counts the matches, so [`JoinMatches::fill`] walks the output left
+    /// row in order, each one's right rows in insertion order.
     fn join_matches(
         &self,
         left: &RowSet,
@@ -689,40 +644,28 @@ impl<'a> Ctx<'a> {
         let l_col = ColView::of(column_of(&self.tables, lc)?);
         let r_col = ColView::of(column_of(&self.tables, rc)?);
 
-        let r_ranges = split(right.len(), self.workers);
-        let key_parts = run_jobs(self.workers, r_ranges.len(), |j| {
-            r_col.join_keys(right.slot_ids(r_slot, r_ranges[j].clone()))
-        })?;
-
-        let mut table = JoinTable::for_keys(key_parts.iter().flatten(), right.len());
+        let r_keys = r_col.join_keys(right.slot_ids(r_slot, 0..right.len()))?;
+        let mut table = JoinTable::for_keys(r_keys.iter(), right.len());
         let mut next = vec![NO_ROW; right.len()];
-        let mut ri = right.len();
-        for &key in key_parts.iter().flatten().rev() {
-            ri -= 1;
+        for (ri, &key) in r_keys.iter().enumerate().rev() {
             let (first, count) = table.entry(key);
             next[ri] = *first;
             *first = ri as u32;
             *count += 1;
         }
 
-        let ranges = split(left.len(), self.workers);
-        let probes = run_jobs(self.workers, ranges.len(), |j| {
-            let keys = l_col.join_keys(left.slot_ids(l_slot, ranges[j].clone()))?;
-            let mut heads = Vec::with_capacity(keys.len());
-            let mut matched = 0usize;
-            for key in keys {
-                let (first, count) = table.get(key);
-                heads.push(first);
-                matched += count as usize;
-            }
-            Ok((heads, matched))
-        })?;
-        let (heads, matched): (Vec<Vec<u32>>, Vec<usize>) = probes.into_iter().unzip();
-        let total = matched.iter().sum();
+        let l_keys = l_col.join_keys(left.slot_ids(l_slot, 0..left.len()))?;
+        let mut heads = Vec::with_capacity(l_keys.len());
+        let mut total = 0usize;
+        for key in l_keys {
+            let (first, count) = table.get(key);
+            heads.push(first);
+            total += count as usize;
+        }
         if total > cap {
             return Err(too_large());
         }
-        Ok(JoinMatches { ranges, heads, matched, next, total })
+        Ok(JoinMatches { heads, next, total })
     }
 
     fn sort_rows(&mut self, rs: RowSet, keys: &[ColRef]) -> Result<RowSet> {
@@ -796,57 +739,43 @@ impl<'a> Ctx<'a> {
             }
         }
 
-        // Phase 1 (one part per worker, pure): each group key column's ids
-        // and keys and each value input of the part, a column at a time. A
+        // Each group key column's ids and keys, a column at a time. A
         // join's rows are read off its count pass, so a `COUNT(*)` without
         // GROUP BY over a join reads no row at all.
-        let ranges = input.parts(self.workers);
-        let parts = run_jobs(self.workers, ranges.len(), |j| {
-            let ids = |slot| input.slot_ids(&ranges, j, slot);
-            let group_ids: Vec<Vec<u32>> =
-                group_cols.iter().map(|(slot, _, _)| ids(*slot)).collect();
-            let keys: Vec<Vec<u64>> = group_cols
-                .iter()
-                .zip(&group_ids)
-                .map(|((_, col, _), ids)| {
-                    col.values(ids.iter().copied()).into_iter().map(f64::to_bits).collect()
-                })
-                .collect();
-            let vals: Vec<Vec<f64>> = value_cols
-                .iter()
-                .map(|(_, slot, col)| col.values(ids(*slot).into_iter()))
-                .collect();
-            Ok((group_ids, keys, vals))
-        })?;
+        let group_ids: Vec<Vec<u32>> =
+            group_cols.iter().map(|(slot, _, _)| input.slot_ids(*slot)).collect();
+        let keys: Vec<Vec<u64>> = group_cols
+            .iter()
+            .zip(&group_ids)
+            .map(|((_, col, _), ids)| {
+                col.values(ids.iter().copied()).into_iter().map(f64::to_bits).collect()
+            })
+            .collect();
 
-        // Phase 2 (coordinator, pinned order): assign rows to groups, then
-        // fold each value input over the rows in global row order — the
-        // f64 accumulation sequence is exactly the serial one, so sums are
-        // bit-identical at any width. Groups are kept in first-seen order
-        // (representative row as its part and position there, row count),
-        // which also makes emission order deterministic. Without GROUP BY
-        // every row is in group 0 and no key is built: probing the empty
-        // key cost more than the fold itself (DESIGN.md §13).
-        let mut groups: Vec<(Option<(usize, usize)>, u64)> = Vec::new();
+        // Assign rows to groups, then fold each value input over the rows
+        // in row order. Groups are kept in first-seen order
+        // (representative row position, row count), which also makes
+        // emission order deterministic. Without GROUP BY every row is in
+        // group 0 and no key is built: probing the empty key cost more
+        // than the fold itself (DESIGN.md §13).
+        let mut groups: Vec<(Option<usize>, u64)> = Vec::new();
         // Each row's group, with GROUP BY only.
         let mut row_group: Vec<usize> = Vec::new();
         if group_cols.is_empty() {
             if input.len() > 0 {
-                groups.push((Some((0, 0)), input.len() as u64));
+                groups.push((Some(0), input.len() as u64));
             }
         } else {
             row_group.reserve_exact(input.len());
             let mut index: HashMap<Vec<u64>, usize> = HashMap::new();
-            for (p, (_, keys, _)) in parts.iter().enumerate() {
-                for i in 0..keys.first().map_or(0, Vec::len) {
-                    let key: Vec<u64> = keys.iter().map(|col| col[i]).collect();
-                    let gi = *index.entry(key).or_insert_with(|| {
-                        groups.push((Some((p, i)), 0));
-                        groups.len() - 1
-                    });
-                    groups[gi].1 += 1;
-                    row_group.push(gi);
-                }
+            for i in 0..input.len() {
+                let key: Vec<u64> = keys.iter().map(|col| col[i]).collect();
+                let gi = *index.entry(key).or_insert_with(|| {
+                    groups.push((Some(i), 0));
+                    groups.len() - 1
+                });
+                groups[gi].1 += 1;
+                row_group.push(gi);
             }
         }
         // Empty input with no GROUP BY still yields one all-empty row
@@ -866,8 +795,8 @@ impl<'a> Ctx<'a> {
             .collect();
         let mut accs = vec![start; groups.len()];
         let row_group = (!group_cols.is_empty()).then_some(row_group.as_slice());
-        for (v, &(a, _, _)) in value_cols.iter().enumerate() {
-            let vals = parts.iter().flat_map(|(_, _, vals)| vals[v].iter().copied());
+        for &(a, slot, col) in &value_cols {
+            let vals = col.values(input.slot_ids(slot).into_iter()).into_iter();
             match aggs[a] {
                 AggFunc::Min(_) => fold_column(&mut accs, a, vals, row_group, f64::min),
                 AggFunc::Max(_) => fold_column(&mut accs, a, vals, row_group, f64::max),
@@ -895,7 +824,7 @@ impl<'a> Ctx<'a> {
                         // The synthetic all-empty row only exists for
                         // queries without GROUP BY, which cannot project
                         // plain columns.
-                        let Some((p, i)) = rep else {
+                        let Some(i) = rep else {
                             return Err(BaoError::Planning(
                                 "bare column in aggregate select".into(),
                             ));
@@ -907,7 +836,7 @@ impl<'a> Ctx<'a> {
                                     c.table, c.column
                                 ))
                             })?;
-                        let base_row = parts[p].0[g][i];
+                        let base_row = group_ids[g][i];
                         row.push(self.tables[c.table].column(&c.column)?.get(base_row as usize));
                     }
                     SelectItem::Agg(a) => {
@@ -1048,13 +977,12 @@ mod tests {
         (db, Query { tables, ..Query::default() })
     }
 
-    /// A `Ctx` as `execute_with` builds it, for driving one operator.
+    /// A `Ctx` as `execute` builds it, for driving one operator.
     fn ctx_for<'a>(
         db: &'a Database,
         query: &'a Query,
         pool: &'a mut BufferPool,
         params: &'a CostParams,
-        exec: ExecConfig,
     ) -> Ctx<'a> {
         let stored: Vec<&StoredTable> =
             query.tables.iter().map(|t| db.by_name(&t.table).unwrap()).collect();
@@ -1067,26 +995,6 @@ mod tests {
             params,
             meters: Meters::default(),
             node_rows: Vec::new(),
-            workers: resolve_width(exec.shard_workers),
-        }
-    }
-
-    #[test]
-    fn ranges_concatenate_to_full_span() {
-        for workers in [1, 2, 3, 4, 8, 64] {
-            for n in [0, 1, 5, 7, 64, 1000] {
-                let ranges = split(n, workers);
-                assert_eq!(ranges.len(), workers);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "workers={workers} n={n}");
-                    next = r.end;
-                }
-                assert_eq!(next, n);
-                // Balanced: sizes differ by at most one.
-                let sizes = ranges.iter().map(Range::len);
-                assert!(sizes.clone().max().unwrap() - sizes.min().unwrap() <= 1);
-            }
         }
     }
 
@@ -1138,12 +1046,11 @@ mod tests {
         const TABLE_ROWS: usize = 40;
         let (db, query) = join_db(TABLE_ROWS, 11);
         let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params);
         let mut rng = rng_from_seed(23);
         let mut joined = 0;
-        // Up to 64 workers: empty ranges, and more workers than rows.
-        for shard_workers in [1, 2, 3, 4, 7, 8, 16, 64] {
-            let mut pool = BufferPool::new(16);
-            let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
+        for round in 0..8 {
             // (left tables, left rows, right rows): a one- and a
             // two-table left side, and each side empty.
             let shapes: [(&[usize], usize, usize); 6] = [
@@ -1167,8 +1074,7 @@ mod tests {
                     ] {
                         let got = hash_join_rows(&ctx, &left, &right, &pred).unwrap();
                         let what = format!(
-                            "{l_tables:?} x {l_n} join [1] x {r_n} on {column}, \
-                             workers {shard_workers}"
+                            "{l_tables:?} x {l_n} join [1] x {r_n} on {column}, round {round}"
                         );
                         assert_eq!(got.tables, [l_tables, &[1]].concat(), "{what}");
                         assert_eq!(got.iter().collect::<Vec<_>>(), want, "{what}");
@@ -1244,24 +1150,22 @@ mod tests {
         let (db, query) = join_db(8, 5);
         let params = CostParams::default();
         let rows = |table, n: u32| RowSet::from_single(table, (0..n).collect());
-        for shard_workers in 1..=3 {
-            let mut pool = BufferPool::new(16);
-            let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
-            // On the probe side, then on the build side.
-            for (l, r) in [("f", "k"), ("k", "f")] {
-                let pred = JoinPred::new(ColRef::new(0, l), ColRef::new(1, r));
-                let what = format!("{l} = {r}, width {shard_workers}");
-                let err = hash_join_rows(&ctx, &rows(0, 3), &rows(1, 3), &pred).unwrap_err();
-                assert!(matches!(err, BaoError::TypeMismatch(_)), "{what}: {err}");
-                // The float side empty, the other side not, then both.
-                let (float_side, other_side) = if l == "f" { (0, 1) } else { (1, 0) };
-                for other_n in [3, 0] {
-                    let mut sides = [rows(0, 0), rows(1, 0)];
-                    sides[other_side] = rows(other_side, other_n);
-                    let [left, right] = &sides;
-                    let out = hash_join_rows(&ctx, left, right, &pred).unwrap();
-                    assert!(out.is_empty(), "{what}, side {float_side} empty");
-                }
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params);
+        // On the probe side, then on the build side.
+        for (l, r) in [("f", "k"), ("k", "f")] {
+            let pred = JoinPred::new(ColRef::new(0, l), ColRef::new(1, r));
+            let what = format!("{l} = {r}");
+            let err = hash_join_rows(&ctx, &rows(0, 3), &rows(1, 3), &pred).unwrap_err();
+            assert!(matches!(err, BaoError::TypeMismatch(_)), "{what}: {err}");
+            // The float side empty, the other side not, then both.
+            let (float_side, other_side) = if l == "f" { (0, 1) } else { (1, 0) };
+            for other_n in [3, 0] {
+                let mut sides = [rows(0, 0), rows(1, 0)];
+                sides[other_side] = rows(other_side, other_n);
+                let [left, right] = &sides;
+                let out = hash_join_rows(&ctx, left, right, &pred).unwrap();
+                assert!(out.is_empty(), "{what}, side {float_side} empty");
             }
         }
     }
@@ -1281,7 +1185,7 @@ mod tests {
             Query { tables: vec![TableRef::new("l"), TableRef::new("r")], ..Query::default() };
         let params = CostParams::default();
         let mut pool = BufferPool::new(16);
-        let ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let ctx = ctx_for(&db, &query, &mut pool, &params);
         let left = RowSet::from_single(0, vec![3, 1, 0, 2]);
         let right = RowSet::from_single(1, vec![2, 0, 3, 1]);
         let pred = JoinPred::new(ColRef::new(0, "k"), ColRef::new(1, "k"));
@@ -1376,7 +1280,7 @@ mod tests {
         let (db, query) = sort_db(TABLE_ROWS, 31);
         let params = CostParams::default();
         let mut pool = BufferPool::new(16);
-        let mut ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let mut ctx = ctx_for(&db, &query, &mut pool, &params);
         let mut rng = rng_from_seed(37);
         let mut sorted = 0;
         for n in [0, 1, 2, 17, 4096, 20_000] {
@@ -1421,7 +1325,7 @@ mod tests {
         let query = Query { tables: vec![TableRef::new("t")], ..Query::default() };
         let params = CostParams::default();
         let mut pool = BufferPool::new(16);
-        let mut ctx = ctx_for(&db, &query, &mut pool, &params, ExecConfig::default());
+        let mut ctx = ctx_for(&db, &query, &mut pool, &params);
         let key = [ColRef::new(0, "f")];
         for _ in 0..2 {
             let rs = RowSet::from_single(0, (0..keys.len() as u32).collect());
@@ -1616,38 +1520,29 @@ mod tests {
                         group_by: group_by.clone(),
                         ..Query::default()
                     };
-                    for shard_workers in 1..=3 {
-                        let mut pool = BufferPool::new(16);
-                        let mut ctx =
-                            ctx_for(&db, &query, &mut pool, &params, ExecConfig { shard_workers });
-                        let want = agg_bits(aggregate_keyed_oracle(&ctx, &input, group_by, &aggs));
-                        let rel = Relation::Rows(input.clone());
-                        let got = agg_bits(ctx.aggregate(&rel, group_by, &aggs));
-                        let what = format!("{n} rows by {group_by:?}, width {shard_workers}");
-                        assert_eq!(got, want, "{what}");
-                        folded += n;
-                    }
+                    let mut pool = BufferPool::new(16);
+                    let mut ctx = ctx_for(&db, &query, &mut pool, &params);
+                    let want = agg_bits(aggregate_keyed_oracle(&ctx, &input, group_by, &aggs));
+                    let rel = Relation::Rows(input.clone());
+                    let got = agg_bits(ctx.aggregate(&rel, group_by, &aggs));
+                    assert_eq!(got, want, "{n} rows by {group_by:?}");
+                    folded += n;
                 }
             }
         }
-        assert!(folded > 1_500_000, "{folded} rows");
+        assert!(folded > 500_000, "{folded} rows");
     }
 
-    /// `execute_with` as it ran before an aggregate read a join's count
-    /// pass: for a plan whose root is an aggregate, the join under it is
-    /// filled into a `RowSet` first, and the aggregate reads that.
-    fn execute_filled(
-        plan: &PlanNode,
-        query: &Query,
-        db: &Database,
-        exec: ExecConfig,
-    ) -> Result<ExecutionMetrics> {
+    /// `execute` as it ran before an aggregate read a join's count pass:
+    /// for a plan whose root is an aggregate, the join under it is filled
+    /// into a `RowSet` first, and the aggregate reads that.
+    fn execute_filled(plan: &PlanNode, query: &Query, db: &Database) -> Result<ExecutionMetrics> {
         let Operator::Aggregate { group_by, aggs } = &plan.op else {
             panic!("an aggregate root");
         };
         let (params, rates) = (CostParams::default(), ChargeRates::default());
         let mut pool = BufferPool::new(16);
-        let mut ctx = ctx_for(db, query, &mut pool, &params, exec);
+        let mut ctx = ctx_for(db, query, &mut pool, &params);
         ctx.node_rows.push(0);
         let child = Relation::Rows(ctx.exec_rows(&plan.children[0])?);
         let rows = ctx.aggregate(&child, group_by, aggs)?;
@@ -1810,19 +1705,16 @@ mod tests {
                 };
                 let agg = Operator::Aggregate { group_by: group_by.clone(), aggs: aggs.clone() };
                 let plan = PlanNode::new(agg, vec![join.clone()]);
-                for shard_workers in 1..=3 {
-                    let exec = ExecConfig { shard_workers };
-                    let (params, rates) = (CostParams::default(), ChargeRates::default());
-                    let mut pool = BufferPool::new(16);
-                    let got = execute_with(&plan, &query, &db, &mut pool, &params, &rates, &exec);
-                    aggregated += got.as_ref().map_or(0, |m| m.node_true_rows[1]);
-                    let want = execute_filled(&plan, &query, &db, exec);
-                    let what = format!("{shape} by {group_by:?}: {aggs:?}, width {shard_workers}");
-                    assert_eq!(metrics_bits(got), metrics_bits(want), "{what}");
-                }
+                let (params, rates) = (CostParams::default(), ChargeRates::default());
+                let mut pool = BufferPool::new(16);
+                let got = execute(&plan, &query, &db, &mut pool, &params, &rates);
+                aggregated += got.as_ref().map_or(0, |m| m.node_true_rows[1]);
+                let want = execute_filled(&plan, &query, &db);
+                let what = format!("{shape} by {group_by:?}: {aggs:?}");
+                assert_eq!(metrics_bits(got), metrics_bits(want), "{what}");
             }
         }
-        assert!(aggregated > 100_000, "{aggregated} joined rows");
+        assert!(aggregated > 33_333, "{aggregated} joined rows");
 
         // 4,500 x 4,500 rows on one key: 20.25 M, over the cap.
         let query =
@@ -1835,16 +1727,8 @@ mod tests {
             let query = Query { select: vec![SelectItem::Agg(CountStar)], ..query.clone() };
             let (params, rates) = (CostParams::default(), ChargeRates::default());
             let mut pool = BufferPool::new(16);
-            let got = execute_with(
-                &plan,
-                &query,
-                &db,
-                &mut pool,
-                &params,
-                &rates,
-                &ExecConfig::default(),
-            );
-            let want = execute_filled(&plan, &query, &db, ExecConfig::default());
+            let got = execute(&plan, &query, &db, &mut pool, &params, &rates);
+            let want = execute_filled(&plan, &query, &db);
             let refused = Err("planning error: intermediate result too large".to_string());
             assert_eq!(metrics_bits(got), refused, "{kind}");
             assert_eq!(metrics_bits(want), refused, "{kind}");

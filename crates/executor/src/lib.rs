@@ -15,10 +15,8 @@
 //! I/O counts (buffer-pool misses) are reported separately for the
 //! Figure 16b experiment.
 //!
-//! Scans, hash joins, and aggregations split their input into one range
-//! per worker of the workspace pool (`bao_common::pool`), at the width
-//! [`ExecConfig`] names, and merge the results in range order, so output
-//! and metrics are bit-identical at every width (DESIGN.md §13).
+//! Execution runs on the caller's thread, every operator in one pass in
+//! row order (DESIGN.md §13).
 
 #![cfg_attr(
     not(test),
@@ -35,11 +33,9 @@ pub mod charge;
 pub mod eval;
 pub mod exec;
 pub mod metrics;
-pub mod par;
 pub mod rowset;
 
 pub use charge::{ChargeRates, Meters};
-pub use exec::{execute, execute_with, ExecError};
+pub use exec::{execute, execute_with, ExecConfig, ExecError};
 pub use metrics::{ExecutionMetrics, PerfMetric};
-pub use par::ExecConfig;
 pub use rowset::RowSet;

@@ -11,15 +11,14 @@
 //! its error text, then the pool's final `stats()`, `len()` and the
 //! `cached_fraction` of every heap and index. A change to the order of a
 //! page touch, to LRU eviction order, to the sequence of an `f64` charge or
-//! to a row an operator emits fails here. Every width must produce the
-//! same digest.
+//! to a row an operator emits fails here.
 //!
 //! A digest moves only when behaviour moves. When that is intended,
 //! re-pin from the assertion message and say why in CHANGES.md.
 
 use bao_common::json::ToJson;
 use bao_common::rng_from_seed;
-use bao_exec::{execute_with, ExecConfig};
+use bao_exec::execute;
 use bao_opt::{HintSet, Optimizer};
 use bao_plan::{ColRef, JoinPred, OpKind, Operator, PlanNode, Query};
 use bao_sql::parse_query;
@@ -33,8 +32,6 @@ use std::fmt::Write;
 
 const SCALE: f64 = 0.05;
 const SEED: u64 = 23;
-/// The executor widths every digest is taken at; 3 splits unevenly.
-const WIDTHS: [usize; 3] = [1, 2, 3];
 
 fn n1_4_pages() -> usize {
     bao_cloud::N1_4.buffer_pool_pages()
@@ -44,17 +41,15 @@ fn n1_4_pages() -> usize {
 struct Pinned {
     opt: Optimizer,
     pool: BufferPool,
-    cfg: ExecConfig,
     buf: String,
     plans: usize,
 }
 
 impl Pinned {
-    fn new(pool_pages: usize, shard_workers: usize) -> Pinned {
+    fn new(pool_pages: usize) -> Pinned {
         Pinned {
             opt: Optimizer::postgres(),
             pool: BufferPool::new(pool_pages),
-            cfg: ExecConfig { shard_workers },
             buf: String::new(),
             plans: 0,
         }
@@ -70,7 +65,7 @@ impl Pinned {
                 continue;
             }
             self.plans += 1;
-            match execute_with(&root, q, db, &mut self.pool, &self.opt.params, &rates, &self.cfg) {
+            match execute(&root, q, db, &mut self.pool, &self.opt.params, &rates) {
                 Ok(m) => writeln!(self.buf, "[{hints}] {}", m.to_json().to_string()).unwrap(),
                 Err(e) => writeln!(self.buf, "[{hints}] error: {e}").unwrap(),
             }
@@ -100,31 +95,27 @@ fn shape(root: &PlanNode) -> String {
     root.iter().map(|n| format!("{:?}/{};", n.op, n.children.len())).collect()
 }
 
-/// Digests of `queries` on a pool of `pool_pages` at widths 1, 2 and 3
-/// (an uneven split), and how many plans each executed.
-fn digests(
+/// The digest of `queries` on a pool of `pool_pages`, and how many plans
+/// it executed.
+fn digest(
     pool_pages: usize,
     queries: &[&Query],
     db: &Database,
     cat: &StatsCatalog,
-) -> ([u64; 3], usize) {
-    let mut plans = 0;
-    let got = WIDTHS.map(|shard_workers| {
-        let mut p = Pinned::new(pool_pages, shard_workers);
-        for q in queries {
-            p.run(q, db, cat);
-        }
-        plans = p.plans;
-        p.finish(db)
-    });
-    (got, plans)
+) -> (u64, usize) {
+    let mut p = Pinned::new(pool_pages);
+    for q in queries {
+        p.run(q, db, cat);
+    }
+    let plans = p.plans;
+    (p.finish(db), plans)
 }
 
 /// The first `steps` statements of a stream, events applied (and
 /// statistics refreshed) as the harness would.
-fn stream_digest(shard_workers: usize, mut db: Database, wl: &Workload, steps: usize) -> u64 {
+fn stream_digest(mut db: Database, wl: &Workload, steps: usize) -> u64 {
     let mut cat = StatsCatalog::analyze(&db, 500, SEED);
-    let mut p = Pinned::new(n1_4_pages(), shard_workers);
+    let mut p = Pinned::new(n1_4_pages());
     for step in &wl.steps[..steps] {
         if let Some(event) = &step.event {
             apply_event(&mut db, event, SEED).unwrap();
@@ -135,12 +126,8 @@ fn stream_digest(shard_workers: usize, mut db: Database, wl: &Workload, steps: u
     p.finish(&db)
 }
 
-fn assert_pin(what: &str, got: [u64; 3], want: u64) {
-    assert_eq!(
-        got, [want; 3],
-        "{what}: digests at widths {WIDTHS:?} [{:#018x}, {:#018x}, {:#018x}], pinned {want:#018x}",
-        got[0], got[1], got[2]
-    );
+fn assert_pin(what: &str, got: u64, want: u64) {
+    assert_eq!(got, want, "{what}: digest {got:#018x}, pinned {want:#018x}");
 }
 
 #[test]
@@ -151,11 +138,11 @@ fn imdb_templates_match_pinned_digest() {
     let queries: Vec<Query> =
         (0..N_TEMPLATES).map(|t| instantiate_template(t, SCALE, &mut rng).1).collect();
     let queries: Vec<&Query> = queries.iter().collect();
-    let (got, plans) = digests(n1_4_pages(), &queries, &db, &cat);
+    let (got, plans) = digest(n1_4_pages(), &queries, &db, &cat);
     // Far more plans than templates: the arms really do disagree here.
     assert!(plans > 4 * N_TEMPLATES, "{plans} distinct plans");
     assert_pin("imdb", got, 0x1af1f1034316f335);
-    assert_pin("imdb, 40-page pool", digests(40, &queries, &db, &cat).0, 0xd1861f390906f63f);
+    assert_pin("imdb, 40-page pool", digest(40, &queries, &db, &cat).0, 0xd1861f390906f63f);
 }
 
 #[test]
@@ -166,8 +153,7 @@ fn stack_stream_matches_pinned_digest() {
     // Far enough to load a month (indexes rebuilt under fresh object ids).
     let steps = 26;
     assert_eq!(wl.steps[..steps].iter().filter(|s| s.event.is_some()).count(), 1);
-    let got = WIDTHS.map(|w| stream_digest(w, db.clone(), &wl, steps));
-    assert_pin("stack", got, 0x44fd4639367b4c64);
+    assert_pin("stack", stream_digest(db, &wl, steps), 0x44fd4639367b4c64);
 }
 
 #[test]
@@ -176,8 +162,7 @@ fn corp_stream_matches_pinned_digest() {
     // Across the normalization: wide-schema templates, then the joins.
     let steps = 30;
     assert_eq!(wl.steps[..steps].iter().filter(|s| s.event.is_some()).count(), 1);
-    let got = WIDTHS.map(|w| stream_digest(w, db.clone(), &wl, steps));
-    assert_pin("corp", got, 0xaabc1f057d94751c);
+    assert_pin("corp", stream_digest(db, &wl, steps), 0xaabc1f057d94751c);
 }
 
 /// `n` rows of `(id, v)` with `id` indexed.
@@ -255,5 +240,5 @@ fn shapes_beyond_the_templates_match_pinned_digest() {
         &inverted,
         &no_inner,
     ];
-    assert_pin("shapes", digests(n1_4_pages(), &queries, &db, &cat).0, 0x4da5f236dee27824);
+    assert_pin("shapes", digest(n1_4_pages(), &queries, &db, &cat).0, 0x4da5f236dee27824);
 }
