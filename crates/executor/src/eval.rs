@@ -320,8 +320,8 @@ pub(crate) mod tests {
                             (0..n_preds).map(|_| random_pred(&mut rng)).collect();
                         let compiled = compile_preds(&t, &preds).unwrap();
                         let oracle = oracle_preds(&t, &preds);
-                        // `width` contiguous ranges of the first `n` rows,
-                        // as the scan's fan-out cuts them (some empty).
+                        // `width` contiguous ranges of the first `n` rows
+                        // (some empty), most starting past row 0.
                         let (base, rem) = (n / width, n % width);
                         let mut end = 0;
                         let mut out = Vec::new();

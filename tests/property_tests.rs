@@ -202,8 +202,8 @@ fn percentile_properties() {
 
 /// Order-independence of the cross-query batched arm scorer: permuting
 /// the arrival order of the queries inside a coalescing window never
-/// changes any query's selection. `Bao::evaluate_arms_multi` plans on a
-/// worker pool that re-slots results into (query, arm) order and scores
+/// changes any query's selection. `Bao::evaluate_arms_multi` plans each
+/// query's arm family in (query, arm) order and scores
 /// through an engine whose kernels are all per-node or per-tree
 /// (`bao_nn::infer`), so each query's arm choice, predictions, and planning work
 /// must be bitwise independent of its batch neighbours.
