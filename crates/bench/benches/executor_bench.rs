@@ -2,7 +2,8 @@
 //! cache-warm/cold difference, the buffer pool's page touch on its own,
 //! the scan filter on each column type, the join's one evaluation
 //! function on three int key distributions and on text keys, a
-//! `COUNT(*)` over a join (no fill), the sort on
+//! `COUNT(*)` over a join (no fill), the parameterized nested loop over
+//! runs of equal outer keys and over distinct ones, the sort on
 //! three key orders, the aggregate fold on three groupings and with
 //! `COUNT(*)` alone, and `==` on empty slices.
 
@@ -142,6 +143,53 @@ fn hash_join_bench(
     println!("{name}: {:.1} ns per probe row (median)", stats.median / rows.0 as f64 * 1e9);
 }
 
+/// A parameterized nested loop with nothing above it (the root
+/// materializes at most 10,000 rows): the 16,384 rows of `o` each look
+/// their key up in an index on `i.k`. `i` holds 65,536 rows, row `r` key
+/// `r % 1,024`, so a lookup fetches 64 rows, one from each of `i`'s 64
+/// heap pages; `outer_key` gives row `j` of `o`'s key. Every page fits the
+/// pool, so after the first run every touch hits. Reported in ns per
+/// probe row: per row a lookup fetches, 1,048,576 per run.
+fn param_nested_loop_bench(name: &str, pool_pages: usize, outer_key: &dyn Fn(i64) -> i64) {
+    const OUTER: i64 = 16_384;
+    const INNER: i64 = 65_536;
+    let mut db = Database::new();
+    for (table, n, key) in [("o", OUTER, outer_key), ("i", INNER, &|r| r % 1_024)] {
+        let mut t = Table::new(table, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
+        t.insert_many((0..n).map(|r| vec![Value::Int(key(r))])).unwrap();
+        db.create_table(t).unwrap();
+    }
+    db.create_index("i", "k").unwrap();
+    let (ok, ik) = (ColRef::new(0, "k"), ColRef::new(1, "k"));
+    let pred = JoinPred::new(ok.clone(), ik);
+    let q = Query {
+        tables: vec![TableRef::new("o"), TableRef::new("i")],
+        select: vec![SelectItem::Column(ok.clone())],
+        joins: vec![pred.clone()],
+        ..Query::default()
+    };
+    let inner = Operator::IndexScan {
+        table: 1,
+        column: "k".into(),
+        lo: None,
+        hi: None,
+        residual: vec![],
+        param: Some(ok),
+    };
+    let outer = PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![]);
+    let plan =
+        PlanNode::new(Operator::NestedLoopJoin { pred }, vec![outer, PlanNode::new(inner, vec![])]);
+    let opt = Optimizer::postgres();
+    let rates = ChargeRates::default();
+    let mut pool = BufferPool::new(pool_pages);
+    let fetched =
+        execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[2];
+    let stats = bench_function(&format!("{name} ({OUTER} probes -> {fetched} rows)"), 20, || {
+        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+    });
+    println!("{name}: {:.1} ns per probe row (median)", stats.median / fetched as f64 * 1e9);
+}
+
 /// A sort of a hand-made single-column table on its key, over a
 /// sequential scan, with nothing above it (the root materializes at most
 /// 10,000 rows): `key` gives row `i`'s key.
@@ -262,6 +310,10 @@ fn main() {
     hash_join_bench("count_star_over_hash_join", int, fanout, &|i| i % 16, &|i| i % 16, true);
     let text = DataType::Text;
     hash_join_bench("hash_join_text_keys", text, (200_000, 1_000), &|i| i % 1_000, &|i| i, false);
+
+    // Runs of 64 equal outer keys, and a new key on every outer row.
+    param_nested_loop_bench("param_nested_loop_repeated_keys", pool_pages, &|j| j / 64 % 1_024);
+    param_nested_loop_bench("param_nested_loop_distinct_keys", pool_pages, &|j| j % 1_024);
 
     let db = build_imdb_database(0.1, 42).unwrap();
     let cat = StatsCatalog::analyze(&db, 1_000, 42);

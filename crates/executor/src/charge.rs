@@ -44,6 +44,17 @@ pub enum PageAccess {
     Random,
 }
 
+impl PageAccess {
+    /// The page's price and how the pool reads it.
+    fn priced(self, params: &CostParams) -> (f64, AccessKind) {
+        match self {
+            PageAccess::BulkSequential => (params.seq_page_cost, AccessKind::BulkRead),
+            PageAccess::Sequential => (params.seq_page_cost, AccessKind::Cached),
+            PageAccess::Random => (params.random_page_cost, AccessKind::Cached),
+        }
+    }
+}
+
 impl Meters {
     /// Touch a page through the buffer pool, charging the miss price or a
     /// small CPU charge on a hit.
@@ -54,19 +65,26 @@ impl Meters {
         key: PageKey,
         access: PageAccess,
     ) {
-        let (price, kind) = match access {
-            PageAccess::BulkSequential => (params.seq_page_cost, AccessKind::BulkRead),
-            PageAccess::Sequential => (params.seq_page_cost, AccessKind::Cached),
-            PageAccess::Random => (params.random_page_cost, AccessKind::Cached),
-        };
+        let (price, kind) = access.priced(params);
         if pool.access(key, kind) {
-            self.page_hits += 1;
-            // A buffer hit still costs a little CPU (locking + memcpy).
-            self.cpu_units += price * 0.05;
+            self.hit(price);
         } else {
             self.page_misses += 1;
             self.io_units += price;
         }
+    }
+
+    /// Charge what [`Meters::touch_page`] charges for a hit, without the
+    /// pool lookup: for a touch known to hit, whose hit the pool counts
+    /// itself ([`BufferPool::replay_hits`]).
+    pub fn charge_hit(&mut self, params: &CostParams, access: PageAccess) {
+        self.hit(access.priced(params).0);
+    }
+
+    fn hit(&mut self, price: f64) {
+        self.page_hits += 1;
+        // A buffer hit still costs a little CPU (locking + memcpy).
+        self.cpu_units += price * 0.05;
     }
 
     pub fn charge_cpu(&mut self, units: f64) {
@@ -102,6 +120,26 @@ mod tests {
         m.touch_page(&mut pool, &p, key, PageAccess::Random);
         assert_eq!(m.page_hits, 1);
         assert!(m.cpu_units > 0.0 && m.cpu_units < p.random_page_cost);
+    }
+
+    /// A charged hit is a touch that hits, to the bit, minus the lookup.
+    #[test]
+    fn charge_hit_is_a_touch_that_hits() {
+        let p = CostParams::default();
+        for access in [PageAccess::Random, PageAccess::Sequential, PageAccess::BulkSequential] {
+            let mut pool = BufferPool::new(8);
+            let key = PageKey::new(1, 0);
+            pool.access(key, AccessKind::Cached);
+            let (mut touched, mut charged) = (Meters::default(), Meters::default());
+            for _ in 0..3 {
+                touched.touch_page(&mut pool, &p, key, access);
+                touched.charge_cpu(0.1);
+                charged.charge_hit(&p, access);
+                charged.charge_cpu(0.1);
+            }
+            assert_eq!(touched.cpu_units.to_bits(), charged.cpu_units.to_bits(), "{access:?}");
+            assert_eq!(touched, charged, "{access:?}");
+        }
     }
 
     #[test]
