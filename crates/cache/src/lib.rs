@@ -18,9 +18,9 @@
 //! * **Drift detection** — each entry keeps a rolling window of observed
 //!   execution performance. When the window mean diverges from the
 //!   prediction the entry was cached with by more than a threshold, the
-//!   entry is evicted (the next instance re-scores), or — under
-//!   overload — re-pinned to arm 0, the unconstrained optimizer's plan,
-//!   reusing the scheduler's graceful-degradation arm (DESIGN.md §10).
+//!   entry is evicted and the next instance re-scores. Overload never
+//!   reaches the cache: shedding to arm 0 is the scheduler's alone
+//!   (DESIGN.md §10).
 //!
 //! Everything is deterministic: ordered storage (`BTreeMap`), an
 //! explicit LRU tick, no wall clock, no RNG. With capacity 0 the cache
@@ -52,46 +52,12 @@ pub struct PlanCacheConfig {
     /// Relative divergence that counts as drift: an entry drifts when
     /// `|window mean - predicted| / predicted` exceeds this.
     pub drift_threshold: f64,
-    /// Scheduler backlog (queued queries) above which a drifted entry is
-    /// shed to arm 0 instead of evicted for re-scoring. `usize::MAX`
-    /// never sheds.
-    pub overload_backlog: usize,
 }
 
 impl Default for PlanCacheConfig {
     fn default() -> Self {
-        PlanCacheConfig {
-            capacity: 256,
-            drift_window: 8,
-            drift_threshold: 1.0,
-            overload_backlog: usize::MAX,
-        }
+        PlanCacheConfig { capacity: 256, drift_window: 8, drift_threshold: 1.0 }
     }
-}
-
-/// What a cache hit hands the serving layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedChoice {
-    /// Arm to plan (no scoring pass).
-    pub arm: usize,
-    /// The model's predicted performance when the entry was cached;
-    /// drift is measured against this.
-    pub predicted: f64,
-    /// True when the entry was drift-shed to arm 0 under overload.
-    pub pinned: bool,
-}
-
-/// Verdict of one [`PlanCache::observe`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftOutcome {
-    /// No entry tracks this fingerprint (or it served a different arm).
-    NotTracked,
-    /// Within tolerance, or not enough observations yet.
-    Stable,
-    /// Diverged; entry evicted — the next instance re-scores.
-    Evicted,
-    /// Diverged under overload; entry re-pinned to arm 0.
-    Shed,
 }
 
 /// Monotonic counters, surfaced in the serving report.
@@ -106,8 +72,6 @@ pub struct CacheStats {
     pub retrain_invalidations: usize,
     /// Entries evicted by drift detection.
     pub drift_evictions: usize,
-    /// Entries re-pinned to arm 0 by drift detection under overload.
-    pub drift_sheds: usize,
 }
 
 impl CacheStats {
@@ -127,7 +91,6 @@ struct Entry {
     arm: usize,
     predicted: f64,
     model_version: usize,
-    pinned: bool,
     /// Rolling window of observed performance, oldest first.
     window: Vec<f64>,
     /// LRU tick of the last lookup or insert.
@@ -149,10 +112,6 @@ impl PlanCache {
         PlanCache { cfg, entries: BTreeMap::new(), stats: CacheStats::default(), tick: 0 }
     }
 
-    pub fn config(&self) -> &PlanCacheConfig {
-        &self.cfg
-    }
-
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -165,11 +124,12 @@ impl PlanCache {
         self.stats
     }
 
-    /// Look up a fingerprint under the current model version. An entry
-    /// cached under an older version is evicted here, lazily — every
-    /// retrain flushes the cache without a sweep — and reported as a
-    /// miss (counted in `retrain_invalidations`).
-    pub fn lookup(&mut self, fp: QueryFingerprint, model_version: usize) -> Option<CachedChoice> {
+    /// Look up a fingerprint under the current model version; a hit is the
+    /// cached arm, to plan without a scoring pass. An entry cached under an
+    /// older version is evicted here, lazily — every retrain flushes the
+    /// cache without a sweep — and reported as a miss (counted in
+    /// `retrain_invalidations`).
+    pub fn lookup(&mut self, fp: QueryFingerprint, model_version: usize) -> Option<usize> {
         if self.cfg.capacity == 0 {
             return None;
         }
@@ -178,7 +138,7 @@ impl PlanCache {
             Some(e) if e.model_version == model_version => {
                 e.last_used = self.tick;
                 self.stats.hits += 1;
-                Some(CachedChoice { arm: e.arm, predicted: e.predicted, pinned: e.pinned })
+                Some(e.arm)
             }
             Some(_) => {
                 self.entries.remove(&fp);
@@ -207,14 +167,8 @@ impl PlanCache {
             return;
         }
         self.tick += 1;
-        let entry = Entry {
-            arm,
-            predicted,
-            model_version,
-            pinned: false,
-            window: Vec::new(),
-            last_used: self.tick,
-        };
+        let entry =
+            Entry { arm, predicted, model_version, window: Vec::new(), last_used: self.tick };
         self.entries.insert(fp, entry);
         self.stats.inserts += 1;
         while self.entries.len() > self.cfg.capacity {
@@ -232,54 +186,26 @@ impl PlanCache {
     /// Feed one observed execution performance for a fingerprint that
     /// was served `arm` (hit or fresh insert alike). Once the rolling
     /// window is full, the window mean is compared against the cached
-    /// prediction; past the threshold the entry drifts: evicted for
-    /// re-scoring, or — when `backlog` exceeds the configured overload
-    /// bound — re-pinned to arm 0 so hot overloaded templates keep
-    /// serving the safe plan without a scoring pass.
-    ///
-    /// Pinned entries are not drift-checked again (there is no model
-    /// prediction to compare); they leave via retrain invalidation.
-    pub fn observe(
-        &mut self,
-        fp: QueryFingerprint,
-        arm: usize,
-        perf: f64,
-        backlog: usize,
-    ) -> DriftOutcome {
-        if self.cfg.capacity == 0 {
-            return DriftOutcome::NotTracked;
-        }
-        let Some(e) = self.entries.get_mut(&fp) else {
-            return DriftOutcome::NotTracked;
+    /// prediction; past the threshold the entry drifts and is evicted, so
+    /// the next instance re-scores.
+    pub fn observe(&mut self, fp: QueryFingerprint, arm: usize, perf: f64) {
+        let Some(e) = self.entries.get_mut(&fp).filter(|e| e.arm == arm) else {
+            return;
         };
-        if e.arm != arm || e.pinned {
-            return if e.pinned { DriftOutcome::Stable } else { DriftOutcome::NotTracked };
-        }
         e.window.push(perf);
         if e.window.len() > self.cfg.drift_window {
             e.window.remove(0);
         }
         if e.window.len() < self.cfg.drift_window.max(1) {
-            return DriftOutcome::Stable;
+            return;
         }
         let mean = e.window.iter().sum::<f64>() / e.window.len() as f64;
         let divergence = (mean - e.predicted).abs() / e.predicted.abs().max(1e-9);
         if divergence <= self.cfg.drift_threshold {
-            return DriftOutcome::Stable;
+            return;
         }
-        if backlog > self.cfg.overload_backlog {
-            // Overloaded: degrade to the safe arm instead of paying a
-            // re-scoring pass — the bao-sched shedding contract.
-            e.arm = 0;
-            e.pinned = true;
-            e.window.clear();
-            self.stats.drift_sheds += 1;
-            DriftOutcome::Shed
-        } else {
-            self.entries.remove(&fp);
-            self.stats.drift_evictions += 1;
-            DriftOutcome::Evicted
-        }
+        self.entries.remove(&fp);
+        self.stats.drift_evictions += 1;
     }
 }
 
@@ -292,12 +218,7 @@ mod tests {
     }
 
     fn cfg(capacity: usize, window: usize) -> PlanCacheConfig {
-        PlanCacheConfig {
-            capacity,
-            drift_window: window,
-            drift_threshold: 1.0,
-            overload_backlog: usize::MAX,
-        }
+        PlanCacheConfig { capacity, drift_window: window, drift_threshold: 1.0 }
     }
 
     #[test]
@@ -305,9 +226,7 @@ mod tests {
         let mut c = PlanCache::new(cfg(4, 3));
         assert_eq!(c.lookup(fp(1), 0), None);
         c.insert(fp(1), 7, 12.5, 0);
-        let hit = c.lookup(fp(1), 0).expect("hit");
-        assert_eq!(hit.arm, 7);
-        assert!(!hit.pinned);
+        assert_eq!(c.lookup(fp(1), 0), Some(7));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -318,7 +237,7 @@ mod tests {
         let mut c = PlanCache::new(cfg(0, 3));
         c.insert(fp(1), 7, 12.5, 0);
         assert_eq!(c.lookup(fp(1), 0), None);
-        assert_eq!(c.observe(fp(1), 7, 5.0, 0), DriftOutcome::NotTracked);
+        c.observe(fp(1), 7, 5.0);
         assert_eq!(c.stats(), CacheStats::default());
         assert!(c.is_empty());
     }
@@ -332,7 +251,7 @@ mod tests {
         assert!(c.is_empty(), "stale entry must be evicted, not linger");
         // Re-scored under the new version, it serves again.
         c.insert(fp(1), 5, 9.0, 1);
-        assert_eq!(c.lookup(fp(1), 1).map(|h| h.arm), Some(5));
+        assert_eq!(c.lookup(fp(1), 1), Some(5));
     }
 
     #[test]
@@ -354,32 +273,16 @@ mod tests {
         c.insert(fp(1), 7, 10.0, 0);
         // In tolerance: 2x threshold means anything in (0, 20] holds.
         for _ in 0..5 {
-            assert_eq!(c.observe(fp(1), 7, 14.0, 0), DriftOutcome::Stable);
+            c.observe(fp(1), 7, 14.0);
         }
+        assert_eq!((c.len(), c.stats().drift_evictions), (1, 0), "in tolerance: entry holds");
         // Perturbed executor: latencies jump 8x; the rolling mean must
         // cross the threshold within one window of observations.
-        let outcomes: Vec<DriftOutcome> = (0..3).map(|_| c.observe(fp(1), 7, 80.0, 0)).collect();
-        let evicted_at = outcomes.iter().position(|&o| o == DriftOutcome::Evicted);
-        assert!(evicted_at.is_some(), "no eviction within the window: {outcomes:?}");
-        assert_eq!(c.stats().drift_evictions, 1);
+        for _ in 0..3 {
+            c.observe(fp(1), 7, 80.0);
+        }
+        assert_eq!(c.stats().drift_evictions, 1, "no eviction within the window");
         assert!(c.lookup(fp(1), 0).is_none(), "drifted entry must re-score");
-    }
-
-    #[test]
-    fn drift_under_overload_sheds_to_arm_zero() {
-        let mut c = PlanCache::new(PlanCacheConfig { overload_backlog: 4, ..cfg(4, 2) });
-        c.insert(fp(1), 7, 10.0, 0);
-        assert_eq!(c.observe(fp(1), 7, 90.0, 10), DriftOutcome::Stable);
-        assert_eq!(c.observe(fp(1), 7, 90.0, 10), DriftOutcome::Shed);
-        assert_eq!(c.stats().drift_sheds, 1);
-        let hit = c.lookup(fp(1), 0).expect("pinned entry still serves");
-        assert_eq!(hit.arm, 0);
-        assert!(hit.pinned);
-        // Pinned entries are not drift-checked again...
-        assert_eq!(c.observe(fp(1), 0, 90.0, 10), DriftOutcome::Stable);
-        // ...but a retrain still flushes them.
-        assert_eq!(c.lookup(fp(1), 1), None);
-        assert_eq!(c.stats().retrain_invalidations, 1);
     }
 
     #[test]
@@ -388,7 +291,8 @@ mod tests {
         c.insert(fp(1), 7, 10.0, 0);
         // A shed dispatch executed arm 0 while the cache holds arm 7:
         // that observation says nothing about the cached choice.
-        assert_eq!(c.observe(fp(1), 0, 500.0, 0), DriftOutcome::NotTracked);
-        assert!(c.lookup(fp(1), 0).is_some());
+        c.observe(fp(1), 0, 500.0);
+        assert_eq!(c.stats().drift_evictions, 0);
+        assert_eq!(c.lookup(fp(1), 0), Some(7));
     }
 }

@@ -124,12 +124,6 @@ pub fn recover(cfg: RunConfig, db: Database, workload: &Workload) -> Result<Reco
                 bao.restore_retrain(*version, checkpoint)?;
                 stashed_checkpoint = None;
             }
-            WalRecord::CacheInvalidation { .. } => {
-                // Telemetry only: serving-layer plan caches are rebuilt
-                // cold on restart (their entries key on model version,
-                // which replay restores; re-warming is a correctness
-                // no-op by the cache's own miss path).
-            }
             WalRecord::QueryOutcome { record } => {
                 let rec = QueryRecord::from_json(record)?;
                 // The resumed run continues at step `committed.len()`,

@@ -498,13 +498,12 @@ impl Runner {
                         None => (None, None),
                         Some(cache) => {
                             let fp = fingerprint(query(d));
-                            (Some(fp), cache.lookup(fp, version).map(|hit| hit.arm))
+                            (Some(fp), cache.lookup(fp, version))
                         }
                     })
                     .collect();
                 // Coalesced selection: plan every unpinned (query, arm)
-                // job on the worker pool and score all arm families in
-                // one pass.
+                // job in one loop and score all arm families in one pass.
                 let queries: Vec<&Query> = wave
                     .iter()
                     .zip(&pins)
@@ -570,17 +569,6 @@ impl std::fmt::Display for Strategy {
             Strategy::Bao(s) => write!(f, "bao[{} arms, {}]", s.arms.len(), s.model.name()),
             Strategy::FixedHint(h) => write!(f, "fixed[{h}]"),
             Strategy::Optimal { arms } => write!(f, "optimal[{} arms]", arms.len()),
-        }
-    }
-}
-
-impl RunResult {
-    /// Guard against silently-empty runs in experiment binaries.
-    pub fn ensure_non_empty(&self) -> Result<()> {
-        if self.records.is_empty() {
-            Err(BaoError::Config("run produced no records".into()))
-        } else {
-            Ok(())
         }
     }
 }

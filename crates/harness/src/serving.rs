@@ -21,7 +21,7 @@ use crate::recover::durability_of;
 use crate::runner::{
     config_fingerprint, Chooser, Chosen, QueryRecord, RunConfig, RunResult, Runner,
 };
-use bao_cache::{CacheStats, DriftOutcome, PlanCache, PlanCacheConfig};
+use bao_cache::{CacheStats, PlanCache, PlanCacheConfig};
 use bao_cloud::gpu_train_time;
 use bao_common::json::ToJson;
 use bao_common::{split_seed, BaoError, Result, SimDuration};
@@ -100,10 +100,6 @@ pub struct ServingReport {
     pub max_wave: usize,
     /// Total plan trees scored through coalesced cross-query batches.
     pub coalesced_trees: usize,
-    /// True when cache features forced every wave down to size 1 (the
-    /// featurizer reads execution-order-dependent buffer-pool state, so
-    /// coalescing would change what the model sees — DESIGN.md §9).
-    pub clamped_by_cache_features: bool,
     /// Simulated end-to-end serving time: per wave, in-flight queries
     /// plan concurrently (max of their optimization times) while
     /// execution stays serialized (sum of latencies); open-loop arrival
@@ -193,11 +189,11 @@ impl ServingRunner {
     ///    clamp to 1 (coalescing is a no-op, concurrency still applies
     ///    to planning). Strategies other than Bao have no arm family to
     ///    coalesce and run at wave size 1 too.
-    /// 4. Selections are computed by `Bao::evaluate_arms_multi`, whose
-    ///    planning fan-out re-slots worker results into (query, arm)
-    ///    order and whose forward pass is batch-composition invariant;
-    ///    execution and experience replay strictly in dispatch order
-    ///    against the shared pool and clock.
+    /// 4. Selections are computed by `Bao::evaluate_arms_multi`, which
+    ///    plans a wave's (query, arm) jobs in one loop in that order and
+    ///    whose forward pass is batch-composition invariant; execution
+    ///    and experience replay strictly in dispatch order against the
+    ///    shared pool and clock.
     pub fn run(mut self, workload: &Workload) -> Result<ServingReport> {
         Ok(self.inner.drive(workload, None, RunResult::default(), None)?.serving)
     }
@@ -240,9 +236,9 @@ impl Runner {
     /// re-logged.
     ///
     /// This loop is the only writer of the write-ahead log (DESIGN.md §14).
-    /// Per query it logs, in order: any cache invalidation; the experience
-    /// append, numbered by the queries committed before it; a retrain's
-    /// checkpoint and boundary; and the outcome, which is the commit marker.
+    /// Per query it logs, in order: the experience append, numbered by the
+    /// queries committed before it; a retrain's checkpoint and boundary;
+    /// and the outcome, which is the commit marker.
     /// Each wave ends in one group commit.
     pub(crate) fn drive(
         &mut self,
@@ -389,28 +385,10 @@ impl Runner {
                     // Drift bookkeeping: every execution of a cached template
                     // feeds its rolling window (arm-mismatched observations —
                     // e.g. a shed dispatch of a template cached at another
-                    // arm — are ignored by the cache). Under overload the
-                    // drifted entry is re-pinned to arm 0.
-                    let bao = match &mut self.chooser {
-                        Chooser::Bao(bao) => Some(bao),
-                        _ => None,
-                    };
-                    if let (Some(cache), Some(fp), Some(bao)) = (cache.as_mut(), fp, &bao) {
-                        let outcome = cache.observe(fp, rec.arm, rec.perf, scheduler.queued_len());
-                        // Invalidation events are durable telemetry: recovery
-                        // rebuilds caches cold, but the log preserves *why*
-                        // entries died for post-hoc drift analysis.
-                        let reason = match outcome {
-                            DriftOutcome::Shed => Some("drift_shed"),
-                            DriftOutcome::Evicted => Some("drift_evicted"),
-                            _ => None,
-                        };
-                        if let (Some(reason), Some(wal)) = (reason, &mut self.wal) {
-                            wal.append(&WalRecord::CacheInvalidation {
-                                version: bao.model_version() as u64,
-                                reason: reason.into(),
-                            });
-                        }
+                    // arm — are ignored by the cache). A drifted entry is
+                    // evicted, and the template's next arrival re-scores.
+                    if let (Some(cache), Some(fp)) = (cache.as_mut(), fp) {
+                        cache.observe(fp, rec.arm, rec.perf);
                     }
 
                     // Feed Bao's experience and retrain on schedule. (A
@@ -418,7 +396,7 @@ impl Runner {
                     // already restored, its GPU time already in the record.)
                     // Every committed query was observed exactly once, so the
                     // committed count numbers the experience append.
-                    if let (Some(bao), Some(tree)) = (bao, tree) {
+                    if let (Chooser::Bao(bao), Some(tree)) = (&mut self.chooser, tree) {
                         if let Some(wal) = &mut self.wal {
                             wal.append(&WalRecord::ExperienceAppend {
                                 step: done.records.len() as u64,
@@ -486,8 +464,6 @@ impl Runner {
                 waves,
                 max_wave,
                 coalesced_trees,
-                clamped_by_cache_features: cache_features == Some(true)
-                    && serving.coalesce_window > 1,
                 makespan: now,
                 cache: cache.as_ref().map(PlanCache::stats),
             },

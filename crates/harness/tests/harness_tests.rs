@@ -16,7 +16,6 @@ fn traditional_run_completes() {
     let (db, wl) = imdb_small(30);
     let cfg = RunConfig::new(N1_4, Strategy::Traditional);
     let res = Runner::new(cfg, db).run(&wl).unwrap();
-    res.ensure_non_empty().unwrap();
     assert_eq!(res.records.len(), 30);
     assert!(res.total_exec.as_ms() > 0.0);
     assert!(res.total_opt.as_ms() > 0.0);

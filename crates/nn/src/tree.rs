@@ -148,11 +148,6 @@ impl TreeBatch {
     pub fn total_nodes(&self) -> usize {
         self.left.len()
     }
-
-    /// Node range of tree `t` within the packed buffers.
-    pub fn tree_range(&self, t: usize) -> std::ops::Range<usize> {
-        self.offsets[t]..self.offsets[t + 1]
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +207,6 @@ mod tests {
         assert_eq!(batch.n_trees(), 3);
         assert_eq!(batch.total_nodes(), 7);
         assert_eq!(batch.offsets, vec![0, 3, 4, 7]);
-        assert_eq!(batch.tree_range(1), 3..4);
         // tree 0 keeps its indices, tree 2 is rebased by 4
         assert_eq!(batch.left, vec![1, -1, -1, -1, 5, -1, -1]);
         assert_eq!(batch.right, vec![2, -1, -1, -1, 6, -1, -1]);

@@ -104,11 +104,6 @@ impl Scheduler {
         }
     }
 
-    /// Queries in the queue (released, not yet dispatched).
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The earliest pending arrival, `None` once everything is released.
     pub fn next_arrival(&self) -> Option<SimDuration> {
         self.pending.front().map(|a| a.arrival)
@@ -235,7 +230,7 @@ mod tests {
                     released += 1;
                     queued += 1;
                 }
-                assert_eq!(s.queued_len(), queued, "case {case}");
+                assert_eq!(s.queue.len(), queued, "case {case}");
                 if queued == 0 {
                     match s.next_arrival() {
                         Some(t) => {

@@ -92,15 +92,6 @@ impl ColumnData {
         }
     }
 
-    /// Float view of cell `row` (ints widen); `None` for text.
-    pub fn float_at(&self, row: usize) -> Option<f64> {
-        match self {
-            ColumnData::Int(v) => Some(v[row] as f64),
-            ColumnData::Float(v) => Some(v[row]),
-            ColumnData::Text { .. } => None,
-        }
-    }
-
     /// Dictionary code for a string literal, if this is a text column and
     /// the literal occurs in it.
     pub fn code_for(&self, s: &str) -> Option<u32> {
@@ -131,7 +122,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(1), Value::Int(-3));
         assert_eq!(c.key_at(0), Some(5));
-        assert_eq!(c.float_at(0), Some(5.0));
     }
 
     #[test]

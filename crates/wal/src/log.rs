@@ -166,14 +166,12 @@ impl WalScan {
         r.experience_appends = 0;
         r.retrain_boundaries = 0;
         r.model_checkpoints = 0;
-        r.cache_invalidations = 0;
         r.query_outcomes = 0;
         for f in &self.frames {
             match f.record {
                 WalRecord::ExperienceAppend { .. } => r.experience_appends += 1,
                 WalRecord::RetrainBoundary { .. } => r.retrain_boundaries += 1,
                 WalRecord::ModelCheckpoint { .. } => r.model_checkpoints += 1,
-                WalRecord::CacheInvalidation { .. } => r.cache_invalidations += 1,
                 WalRecord::QueryOutcome { .. } => r.query_outcomes += 1,
                 WalRecord::RunHeader { .. } => {}
             }

@@ -30,9 +30,6 @@ pub enum WalRecord {
     /// Full model weight snapshot (the model's own JSON serialization)
     /// keyed by the model-version counter it produced.
     ModelCheckpoint { version: u64, model: String },
-    /// A plan-cache entry was dropped (eviction or drift shed) while
-    /// model `version` was live.
-    CacheInvalidation { version: u64, reason: String },
     /// The per-query commit record: the harness's full `QueryRecord`
     /// JSON, opaque to this crate.
     QueryOutcome { record: Json },
@@ -46,7 +43,6 @@ impl WalRecord {
             WalRecord::ExperienceAppend { .. } => "experience",
             WalRecord::RetrainBoundary { .. } => "retrain",
             WalRecord::ModelCheckpoint { .. } => "checkpoint",
-            WalRecord::CacheInvalidation { .. } => "invalidation",
             WalRecord::QueryOutcome { .. } => "outcome",
         }
     }
@@ -89,11 +85,6 @@ impl ToJson for WalRecord {
                 ("version", version.to_json()),
                 ("model", model.to_json()),
             ]),
-            WalRecord::CacheInvalidation { version, reason } => Json::obj([
-                ("kind", Json::Str(self.kind().into())),
-                ("version", version.to_json()),
-                ("reason", reason.to_json()),
-            ]),
             WalRecord::QueryOutcome { record } => {
                 Json::obj([("kind", Json::Str(self.kind().into())), ("record", record.clone())])
             }
@@ -121,10 +112,6 @@ impl FromJson for WalRecord {
             "checkpoint" => Ok(WalRecord::ModelCheckpoint {
                 version: json::field(j, "version")?,
                 model: json::field(j, "model")?,
-            }),
-            "invalidation" => Ok(WalRecord::CacheInvalidation {
-                version: json::field(j, "version")?,
-                reason: json::field(j, "reason")?,
             }),
             "outcome" => Ok(WalRecord::QueryOutcome { record: json::field(j, "record")? }),
             other => Err(BaoError::Parse(format!("unknown wal record kind {other:?}"))),
@@ -154,7 +141,6 @@ pub struct RecoveryReport {
     pub experience_appends: u64,
     pub retrain_boundaries: u64,
     pub model_checkpoints: u64,
-    pub cache_invalidations: u64,
     pub query_outcomes: u64,
     /// The workload step the recovered run resumes at (= committed
     /// query outcomes).
@@ -180,7 +166,6 @@ mod tests {
             WalRecord::ExperienceAppend { step: 7, tree: sample_tree(), perf: 12.3456789 },
             WalRecord::RetrainBoundary { version: 2, experience_size: 100 },
             WalRecord::ModelCheckpoint { version: 2, model: "{\"weights\":[1.5]}".into() },
-            WalRecord::CacheInvalidation { version: 2, reason: "drift_shed".into() },
             WalRecord::QueryOutcome {
                 record: Json::obj([("idx", 3u64.to_json()), ("perf", 1.25f64.to_json())]),
             },
@@ -204,6 +189,11 @@ mod tests {
         assert!(WalRecord::decode(b"not json").is_err());
         assert!(WalRecord::decode(b"{\"kind\":\"martian\"}").is_err());
         assert!(WalRecord::decode(b"{\"no_kind\":1}").is_err());
+        // A retired kind: plan-cache invalidations are no longer logged.
+        assert!(WalRecord::decode(
+            b"{\"kind\":\"invalidation\",\"version\":2,\"reason\":\"drift_shed\"}"
+        )
+        .is_err());
         // Trailing garbage after a valid JSON document is a parse error
         // (the workspace parser rejects it), not a silent accept.
         assert!(WalRecord::decode(b"{\"kind\":\"retrain\",\"version\":1,\"experience_size\":2} x")
