@@ -2,7 +2,9 @@
 //! cache-warm/cold difference, the buffer pool's page touch on its own,
 //! the scan filter on each column type, the join's one evaluation
 //! function on three int key distributions and on text keys, a
-//! `COUNT(*)` over a join (no fill), the parameterized nested loop over
+//! `COUNT(*)` over a join (no fill), a three-way star join under
+//! `COUNT(*)` and under `MIN` (the upper join and the aggregate read the
+//! lower join's count pass), the parameterized nested loop over
 //! runs of equal outer keys and over distinct ones, the sort on
 //! three key orders, the aggregate fold on three groupings and with
 //! `COUNT(*)` alone, and `==` on empty slices.
@@ -141,6 +143,45 @@ fn hash_join_bench(
             black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
         });
     println!("{name}: {:.1} ns per probe row (median)", stats.median / rows.0 as f64 * 1e9);
+}
+
+/// A star join of three hand-made tables on one key, the shape of
+/// `imdb/q06`, under `agg`: `t` holds 50,000 rows with key `k` the row
+/// number and a float `v`, `ci` 200,000 rows and `mc` 100,000 rows whose
+/// keys cycle through `t`'s. The plan hashes `t` against `ci`, then that
+/// join against `mc` on `t.k`: the upper join reads its key through the
+/// lower one's count pass, and the aggregate reads `agg`'s column through
+/// both. 400,000 rows come out; reported in ns per output row.
+fn three_way_join_bench(name: &str, agg: AggFunc) {
+    let mut db = Database::new();
+    for (table, n) in [("t", 50_000), ("ci", 200_000), ("mc", 100_000)] {
+        let cols = vec![ColumnDef::new("k", DataType::Int), ColumnDef::new("v", DataType::Float)];
+        let mut t = Table::new(table, Schema::new(cols));
+        let row = |i: i64| vec![Value::Int(i * 7_919 % 50_000), Value::Float(i as f64)];
+        t.insert_many((0..n).map(row)).unwrap();
+        db.create_table(t).unwrap();
+    }
+    let k = |t| ColRef::new(t, "k");
+    let (lower, upper) = (JoinPred::new(k(0), k(1)), JoinPred::new(k(0), k(2)));
+    let q = Query {
+        tables: ["t", "ci", "mc"].map(TableRef::new).to_vec(),
+        select: vec![SelectItem::Agg(agg.clone())],
+        joins: vec![lower.clone(), upper.clone()],
+        ..Query::default()
+    };
+    let scan = |table| PlanNode::new(Operator::SeqScan { table, preds: vec![] }, vec![]);
+    let join = PlanNode::new(Operator::HashJoin { pred: lower }, vec![scan(0), scan(1)]);
+    let join = PlanNode::new(Operator::HashJoin { pred: upper }, vec![join, scan(2)]);
+    let aggregate = Operator::Aggregate { group_by: vec![], aggs: vec![agg] };
+    let plan = PlanNode::new(aggregate, vec![join]);
+    let opt = Optimizer::postgres();
+    let rates = ChargeRates::default();
+    let mut pool = BufferPool::new(1_024);
+    let joined = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[1];
+    let stats = bench_function(&format!("{name} (-> {joined} rows)"), 20, || {
+        black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
+    });
+    println!("{name}: {:.1} ns per output row (median)", stats.median / joined as f64 * 1e9);
 }
 
 /// A parameterized nested loop with nothing above it (the root
@@ -308,6 +349,8 @@ fn main() {
     hash_join_bench("hash_join_selective", int, (200_000, 50_000), &|i| i, &|i| i * 64, false);
     let fanout = (20_000, 1_024);
     hash_join_bench("count_star_over_hash_join", int, fanout, &|i| i % 16, &|i| i % 16, true);
+    three_way_join_bench("count_star_over_three_way_join", AggFunc::CountStar);
+    three_way_join_bench("min_over_three_way_join", AggFunc::Min(ColRef::new(0, "v")));
     let text = DataType::Text;
     hash_join_bench("hash_join_text_keys", text, (200_000, 1_000), &|i| i % 1_000, &|i| i, false);
 

@@ -7,12 +7,14 @@
 //! order, so output bytes and `ExecutionMetrics` are a function of the
 //! plan, the data and the pool's state alone.
 //!
-//! A join's rows are written only for a parent that reads rows. An
-//! aggregate directly above a hash, merge or rescanning nested-loop join
-//! reads the columns it needs off the join's count pass (`Relation`),
-//! in the order the written rows would have had. Under an aggregate that
-//! reads no column, a parameterized nested loop counts its rows instead
-//! of writing them.
+//! A join's rows are written only where a parent reads whole rows: a
+//! sort, a cyclic join's filter, a parameterized nested loop's outer and
+//! the root's output. A hash, merge or rescanning nested-loop join hands
+//! its parent its count pass (`Relation`); a join or an aggregate above
+//! it reads the columns it needs through the count passes, in the order
+//! the written rows would have had. Under an aggregate that reads no
+//! column, a parameterized nested loop counts its rows instead of
+//! writing them.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{column_of, compile_preds, filter_rows, ColView};
@@ -41,64 +43,69 @@ fn too_large() -> BaoError {
     BaoError::Planning("intermediate result too large".into())
 }
 
-/// "No right row": the end of a key's chain in the join table, and the
-/// chain head of a left row without a match. Row ids stay far below it.
-const NO_ROW: u32 = u32::MAX;
-
 /// What the join's count pass found: enough to write the output without
 /// looking at a key again, and its size before a row of it exists. Its
-/// rows are left rows in order, each one's right rows in build order.
+/// rows are left rows in order, each one's right rows ascending.
 struct JoinMatches {
-    /// Each left row's first matching right row.
-    heads: Vec<u32>,
-    /// Each right row's successor among the rows of its key, ascending.
-    next: Vec<u32>,
+    /// Each left row's matches: a `(start, count)` range of `perm`.
+    spans: Vec<(u32, u32)>,
+    /// Right row positions grouped by key, ascending within a key.
+    perm: Vec<u32>,
     /// Output rows, already held against the cap.
     total: usize,
 }
 
 impl JoinMatches {
+    /// Each left row's matching right row positions, in order.
+    fn matched(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        self.spans.iter().map(|&(start, n)| &self.perm[start as usize..(start + n) as usize])
+    }
+
     /// The joined rows in one allocation of exactly `total` rows.
     fn fill(&self, left: &RowSet, right: &RowSet) -> RowSet {
         let tables = left.tables.iter().chain(&right.tables).copied().collect();
         let mut out = RowSet::with_capacity(tables, self.total);
-        for (&head, lrow) in self.heads.iter().zip(left.iter()) {
-            let mut ri = head;
-            while ri != NO_ROW {
+        for (rows, lrow) in self.matched().zip(left.iter()) {
+            for &ri in rows {
                 out.push_joined(lrow, right.row(ri as usize));
-                ri = self.next[ri as usize];
             }
         }
         out
     }
 
-    /// One column of the joined rows, in fill order, without writing the
-    /// rows: slot `slot` of the output's row-id tuples, which are
-    /// `left`'s slots and then `right`'s.
-    fn slot_ids(&self, left: &RowSet, right: &RowSet, slot: usize) -> Vec<u32> {
-        let mut ids = Vec::with_capacity(self.total);
-        let heads = self.heads.iter().copied();
-        if slot < left.width() {
-            for (mut ri, id) in heads.zip(left.slot_ids(slot, 0..left.len())) {
-                while ri != NO_ROW {
-                    ids.push(id);
-                    ri = self.next[ri as usize];
-                }
+    /// One value per output row from one per left row: each left row's
+    /// value once per match. A row with at most four matches stores four
+    /// copies, and the rows after it overwrite the surplus: a store of
+    /// fixed width, where a loop of the row's match count mispredicts its
+    /// exit on most rows (DESIGN.md §13).
+    fn expand<T: Copy + Default>(&self, left: &[T]) -> Vec<T> {
+        let mut out = vec![T::default(); self.total + 4];
+        let mut end = 0;
+        for (&(_, n), &v) in self.spans.iter().zip(left) {
+            let n = n as usize;
+            if n <= 4 {
+                out[end..end + 4].fill(v);
+            } else {
+                out[end..end + n].fill(v);
             }
-        } else {
-            let slot = slot - left.width();
-            for mut ri in heads {
-                while ri != NO_ROW {
-                    ids.push(right.row(ri as usize)[slot]);
-                    ri = self.next[ri as usize];
-                }
-            }
+            end += n;
         }
-        ids
+        out.truncate(self.total);
+        out
+    }
+
+    /// One value per output row from one per right row: each match's.
+    fn gather<T: Copy>(&self, right: &[T]) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.total);
+        for rows in self.matched() {
+            out.extend(rows.iter().map(|&ri| right[ri as usize]));
+        }
+        out
     }
 }
 
-/// The join's table: each build key's (first right row, row count).
+/// The join's table: each build key's `(start, count)` range of the
+/// build's `perm`; a key no build row holds has an empty one.
 enum JoinTable {
     /// Keys `min..=max` at `slots[key - min]`: build keys whose span is
     /// small against the build, which every dense id column is.
@@ -111,19 +118,45 @@ enum JoinTable {
 }
 
 impl JoinTable {
-    /// An empty table for `keys`: direct-indexed when their span,
-    /// `max - min + 1`, is at most `4 × rows + 64`, hashed otherwise.
-    fn for_keys<'k>(keys: impl Iterator<Item = &'k i64>, rows: usize) -> JoinTable {
-        let (min, max) = keys.fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    /// The table of `keys` (one per right row) and its `perm`, the right
+    /// row positions grouped by key, ascending within a key. A count pass
+    /// sizes each key's range, a prefix sum lays the ranges end to end (a
+    /// hashed table's in map order: only the order within a range is
+    /// seen), and a reverse scatter fills each range from its end.
+    ///
+    /// The table is direct-indexed when the keys' span, `max - min + 1`,
+    /// is at most `4 × keys + 64`, hashed otherwise.
+    fn build(keys: &[i64]) -> (JoinTable, Vec<u32>) {
+        let (min, max) =
+            keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
         // In i128: the span of `i64::MIN..=i64::MAX` overflows `i64`, and
         // an empty build's is negative.
         let span = i128::from(max) - i128::from(min) + 1;
-        match usize::try_from(span) {
-            Ok(span) if span > 0 && span <= 4 * rows + 64 => {
-                JoinTable::Dense { min, max, slots: vec![(NO_ROW, 0); span] }
+        let mut table = match usize::try_from(span) {
+            Ok(span) if span > 0 && span <= 4 * keys.len() + 64 => {
+                JoinTable::Dense { min, max, slots: vec![(0, 0); span] }
             }
             _ => JoinTable::Hashed(FastMap::default()),
+        };
+        for &key in keys {
+            table.entry(key).1 += 1;
         }
+        let mut end = 0;
+        let place = |(start, count): &mut (u32, u32)| {
+            end += *count;
+            *start = end;
+        };
+        match &mut table {
+            JoinTable::Dense { slots, .. } => slots.iter_mut().for_each(place),
+            JoinTable::Hashed(map) => map.values_mut().for_each(place),
+        }
+        let mut perm = vec![0; keys.len()];
+        for (ri, &key) in keys.iter().enumerate().rev() {
+            let start = &mut table.entry(key).0;
+            *start -= 1;
+            perm[*start as usize] = ri as u32;
+        }
+        (table, perm)
     }
 
     /// Build key `key`'s entry, created empty.
@@ -131,18 +164,18 @@ impl JoinTable {
         match self {
             // `key` is a build key, so `key - min` is within the span.
             JoinTable::Dense { min, slots, .. } => &mut slots[key.wrapping_sub(*min) as usize],
-            JoinTable::Hashed(map) => map.entry(key).or_insert((NO_ROW, 0)),
+            JoinTable::Hashed(map) => map.entry(key).or_insert((0, 0)),
         }
     }
 
-    /// Probe key `key`'s entry: no row when no build key equals it.
+    /// Probe key `key`'s range: empty when no build key equals it.
     fn get(&self, key: i64) -> (u32, u32) {
         match self {
             JoinTable::Dense { min, max, slots } if (*min..=*max).contains(&key) => {
                 slots[key.wrapping_sub(*min) as usize]
             }
-            JoinTable::Dense { .. } => (NO_ROW, 0),
-            JoinTable::Hashed(map) => map.get(&key).copied().unwrap_or((NO_ROW, 0)),
+            JoinTable::Dense { .. } => (0, 0),
+            JoinTable::Hashed(map) => map.get(&key).copied().unwrap_or((0, 0)),
         }
     }
 }
@@ -150,7 +183,7 @@ impl JoinTable {
 /// The execution width the benchmark's `exec.shard_auto_ratio` probe
 /// names. No code reads it: execution runs on the caller's thread. It
 /// goes, with [`execute_with`], in the benchmark's next revision (ROADMAP
-/// direction 4, step 2).
+/// direction 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     pub shard_workers: usize,
@@ -163,7 +196,7 @@ impl Default for ExecConfig {
 }
 
 /// [`execute`]; the width is not read. It goes, with [`ExecConfig`], in
-/// the benchmark's next revision (ROADMAP direction 4, step 2).
+/// the benchmark's next revision (ROADMAP direction 5).
 pub fn execute_with(
     plan: &PlanNode,
     query: &Query,
@@ -212,23 +245,39 @@ impl From<RowSet> for NodeOut {
     }
 }
 
-/// Composite row ids: written out, a join's still as its count pass, or
-/// only counted. Every parent but an aggregate fills a join; the
-/// aggregate reads the columns it needs off the count pass and never
-/// writes the rows. Only an aggregate that reads no column is handed a
-/// relation that was only counted.
+/// Composite row ids: written out, a join's still as its count pass over
+/// its inputs' relations, or only counted. A join's rows are written only
+/// where a parent reads whole rows: a sort, a filter, a parameterized
+/// nested loop's outer and the root's output. Every other parent reads
+/// the slots it needs through the count passes ([`Relation::read`]). Only
+/// an aggregate that reads no column is handed a relation that was only
+/// counted.
 enum Relation {
     Rows(RowSet),
-    Join { left: RowSet, right: RowSet, matches: JoinMatches },
+    Join { left: Box<Relation>, right: Box<Relation>, matches: JoinMatches },
     Counted { tables: Vec<usize>, rows: usize },
 }
 
 impl Relation {
+    /// `left` joined to `right`, as the join's count pass.
+    fn join(left: Relation, right: Relation, matches: JoinMatches) -> Relation {
+        Relation::Join { left: Box::new(left), right: Box::new(right), matches }
+    }
+
     fn len(&self) -> usize {
         match self {
             Relation::Rows(rs) => rs.len(),
             Relation::Join { matches, .. } => matches.total,
             Relation::Counted { rows, .. } => *rows,
+        }
+    }
+
+    /// Ids per row tuple.
+    fn width(&self) -> usize {
+        match self {
+            Relation::Rows(rs) => rs.width(),
+            Relation::Join { left, right, .. } => left.width() + right.width(),
+            Relation::Counted { tables, .. } => tables.len(),
         }
     }
 
@@ -243,21 +292,49 @@ impl Relation {
         }
     }
 
+    /// The rows, written out: a join's filled from its inputs' rows.
     fn into_rows(self) -> Result<RowSet> {
         match self {
             Relation::Rows(rs) => Ok(rs),
-            Relation::Join { left, right, matches } => Ok(matches.fill(&left, &right)),
+            Relation::Join { left, right, matches } => {
+                Ok(matches.fill(&left.into_rows()?, &right.into_rows()?))
+            }
+            Relation::Counted { .. } => Err(no_rows()),
+        }
+    }
+
+    /// One value per row, in order, for slot `slot`, without writing a
+    /// row: `read` maps a written row set's slot to one value per row of
+    /// it, and a join expands its left input's values or gathers its right
+    /// input's. A join without rows reads neither input.
+    fn read<T: Copy + Default>(
+        &self,
+        slot: usize,
+        read: &impl Fn(&RowSet, usize) -> Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
+        match self {
+            Relation::Rows(rs) => read(rs, slot),
+            Relation::Join { matches, .. } if matches.total == 0 => Ok(Vec::new()),
+            Relation::Join { left, right, matches } => match slot.checked_sub(left.width()) {
+                None => Ok(matches.expand(&left.read(slot, read)?)),
+                Some(slot) => Ok(matches.gather(&right.read(slot, read)?)),
+            },
             Relation::Counted { .. } => Err(no_rows()),
         }
     }
 
     /// Slot `slot`'s ids of every row, in order.
     fn slot_ids(&self, slot: usize) -> Result<Vec<u32>> {
-        match self {
-            Relation::Rows(rs) => Ok(rs.slot_ids(slot, 0..rs.len()).collect()),
-            Relation::Join { left, right, matches } => Ok(matches.slot_ids(left, right, slot)),
-            Relation::Counted { .. } => Err(no_rows()),
-        }
+        self.read(slot, &|rs, slot| Ok(rs.slot_ids(slot).collect()))
+    }
+
+    /// Each row's range in `table`, by its join key in slot `slot` of
+    /// `col`: a key is read and looked up once per row of the row set
+    /// that holds the slot, not once per row of the joins above it.
+    fn probe(&self, slot: usize, col: ColView<'_>, table: &JoinTable) -> Result<Vec<(u32, u32)>> {
+        self.read(slot, &|rs, slot| {
+            Ok(col.join_keys(rs.slot_ids(slot))?.into_iter().map(|key| table.get(key)).collect())
+        })
     }
 }
 
@@ -371,18 +448,18 @@ impl<'a> Ctx<'a> {
                 NodeOut::Rows(self.nested_loop(node, pred, count_only)?)
             }
             Operator::HashJoin { pred } | Operator::MergeJoin { pred } => {
-                let left = self.exec_rows(&node.children[0])?;
-                let right = self.exec_rows(&node.children[1])?;
+                let left = self.exec_relation(&node.children[0], false)?;
+                let right = self.exec_relation(&node.children[1], false)?;
                 let matches = self.join_matches(&left, &right, pred, self.row_cap)?;
                 let (l, r, out) = (left.len() as f64, right.len() as f64, matches.total as f64);
                 self.meters.charge_cpu(match node.op {
                     Operator::HashJoin { .. } => self.params.hash_join(l, r, out),
                     _ => self.params.merge_join(l, r, out),
                 });
-                NodeOut::Rows(Relation::Join { left, right, matches })
+                NodeOut::Rows(Relation::join(left, right, matches))
             }
             Operator::Filter { preds } => {
-                let child = self.exec_rows(&node.children[0])?;
+                let child = self.exec_relation(&node.children[0], false)?.into_rows()?;
                 self.meters.charge_cpu(
                     child.len() as f64 * preds.len() as f64 * self.params.cpu_operator_cost,
                 );
@@ -448,10 +525,6 @@ impl<'a> Ctx<'a> {
                 Err(BaoError::Planning("aggregate below a join is not supported".into()))
             }
         }
-    }
-
-    fn exec_rows(&mut self, node: &PlanNode) -> Result<RowSet> {
-        self.exec_relation(node, false)?.into_rows()
     }
 
     fn table_of(&self, from_idx: usize) -> Result<&'a StoredTable> {
@@ -536,15 +609,15 @@ impl<'a> Ctx<'a> {
         pred: &JoinPred,
         count_only: bool,
     ) -> Result<Relation> {
-        let outer = self.exec_rows(&node.children[0])?;
+        let outer = self.exec_relation(&node.children[0], false)?;
         let inner_node = &node.children[1];
         if let Some(inner) = ParamInner::of(inner_node) {
-            return self.param_nested_loop(&outer, &inner, pred, count_only);
+            return self.param_nested_loop(&outer.into_rows()?, &inner, pred, count_only);
         }
         // Naive rescanning inner: evaluate the inner once for its true rows
         // (and first-pass charges), then charge the quadratic rescan CPU
         // the algorithm would really pay.
-        let inner = self.exec_rows(inner_node)?;
+        let inner = self.exec_relation(inner_node, false)?;
         let o = outer.len() as f64;
         let i = inner.len() as f64;
         self.meters.charge_cpu(
@@ -553,7 +626,7 @@ impl<'a> Ctx<'a> {
         );
         let matches = self.join_matches(&outer, &inner, pred, self.row_cap)?;
         self.meters.charge_cpu(matches.total as f64 * self.params.cpu_tuple_cost);
-        Ok(Relation::Join { left: outer, right: inner, matches })
+        Ok(Relation::join(outer, inner, matches))
     }
 
     /// Parameterized nested loop: one index lookup on the inner per outer
@@ -608,7 +681,7 @@ impl<'a> Ctx<'a> {
         let mut out = RowSet::new(outer.tables.iter().copied().chain([inner.table]).collect());
         // A float key fails here as it failed at the first outer row,
         // before any lookup.
-        let keys = key_col.join_keys(outer.slot_ids(outer_slot, 0..outer.len()))?;
+        let keys = key_col.join_keys(outer.slot_ids(outer_slot))?;
         let mut rows = 0usize;
         // The rows of the last lookup that pass the residual.
         let mut passing = Vec::new();
@@ -726,21 +799,20 @@ impl<'a> Ctx<'a> {
         Ok(rs.permuted(&keep))
     }
 
-    /// True equi-join of two row sets up to the size of its output,
+    /// True equi-join of two relations up to the size of its output,
     /// refused here — before any of it is allocated — when that exceeds
     /// `cap`. Every join algorithm is evaluated this way; callers charge
     /// the one the plan requested.
     ///
-    /// Each side's keys are extracted once. One reverse pass over the
-    /// build keys makes a chained table: a key maps to (its first right
-    /// row, how many rows it has) and `next` links those rows in
-    /// ascending order. The probe records each left row's chain head and
-    /// counts the matches, so [`JoinMatches::fill`] walks the output left
-    /// row in order, each one's right rows in insertion order.
+    /// The build keys are read once per right row ([`Relation::read`])
+    /// and make the table and its `perm` ([`JoinTable::build`]). The probe
+    /// ([`Relation::probe`]) gives each left row its range of `perm`, so
+    /// [`JoinMatches::fill`] writes the output left row in order, each
+    /// one's right rows ascending: the order a nested loop writes.
     fn join_matches(
         &self,
-        left: &RowSet,
-        right: &RowSet,
+        left: &Relation,
+        right: &Relation,
         pred: &JoinPred,
         cap: usize,
     ) -> Result<JoinMatches> {
@@ -759,28 +831,14 @@ impl<'a> Ctx<'a> {
         let l_col = ColView::of(column_of(&self.tables, lc)?);
         let r_col = ColView::of(column_of(&self.tables, rc)?);
 
-        let r_keys = r_col.join_keys(right.slot_ids(r_slot, 0..right.len()))?;
-        let mut table = JoinTable::for_keys(r_keys.iter(), right.len());
-        let mut next = vec![NO_ROW; right.len()];
-        for (ri, &key) in r_keys.iter().enumerate().rev() {
-            let (first, count) = table.entry(key);
-            next[ri] = *first;
-            *first = ri as u32;
-            *count += 1;
-        }
-
-        let l_keys = l_col.join_keys(left.slot_ids(l_slot, 0..left.len()))?;
-        let mut heads = Vec::with_capacity(l_keys.len());
-        let mut total = 0usize;
-        for key in l_keys {
-            let (first, count) = table.get(key);
-            heads.push(first);
-            total += count as usize;
-        }
+        let r_keys = right.read(r_slot, &|rs, slot| r_col.join_keys(rs.slot_ids(slot)))?;
+        let (table, perm) = JoinTable::build(&r_keys);
+        let spans = left.probe(l_slot, l_col, &table)?;
+        let total = spans.iter().map(|&(_, n)| n as usize).sum();
         if total > cap {
             return Err(too_large());
         }
-        Ok(JoinMatches { heads, next, total })
+        Ok(JoinMatches { spans, perm, total })
     }
 
     fn sort_rows(&mut self, rs: RowSet, keys: &[ColRef]) -> Result<RowSet> {
@@ -1046,11 +1104,11 @@ mod tests {
     use bao_storage::{AccessKind, ColumnData, ColumnDef, DataType, Schema};
     use std::cmp::Ordering;
 
-    /// Tables `a`, `b`, `c` (FROM positions 0, 1, 2) of `n` rows each:
+    /// Tables `a`, `b`, `c`, `e` (FROM positions 0–3) of `n` rows each:
     /// `k` an int in -3..=8 (duplicates, negatives, values the other side
     /// may lack), `s` a text from five words, `f` a float. The other int
     /// keys span the join table's two layouts. Direct-indexed: `d` the row
-    /// number shifted by 0, 10 and -5 per table (dense ids, and probe keys
+    /// number shifted by 0, 10, -5 and 3 per table (dense ids, and probe keys
     /// on either side of the build's `[min, max]`), `neg` in -40..=-30 and
     /// `one` always 7. Hashed: `x` drawn from `i64::MIN`, -1, 0 and
     /// `i64::MAX` (a span that overflows `i64`), `w` from four values
@@ -1058,7 +1116,7 @@ mod tests {
     fn join_db(n: usize, seed: u64) -> (Database, Query) {
         let mut rng = rng_from_seed(seed);
         let mut db = Database::new();
-        for (name, shift) in [("a", 0), ("b", 10), ("c", -5)] {
+        for (name, shift) in [("a", 0), ("b", 10), ("c", -5), ("e", 3)] {
             let mut t = Table::new(
                 name,
                 Schema::new(vec![
@@ -1088,7 +1146,7 @@ mod tests {
             }
             db.create_table(t).unwrap();
         }
-        let tables = ["a", "b", "c"].map(TableRef::new).to_vec();
+        let tables = ["a", "b", "c", "e"].map(TableRef::new).to_vec();
         (db, Query { tables, ..Query::default() })
     }
 
@@ -1113,36 +1171,53 @@ mod tests {
         rs
     }
 
-    /// The join's rows, filled as every parent but an aggregate fills them.
+    /// The join's rows, written out as a sort or the root's output writes
+    /// them.
     fn hash_join_rows(
         ctx: &Ctx<'_>,
         left: &RowSet,
         right: &RowSet,
         pred: &JoinPred,
     ) -> Result<RowSet> {
-        Ok(ctx.join_matches(left, right, pred, ROW_CAP)?.fill(left, right))
+        let (left, right) = (Relation::Rows(left.clone()), Relation::Rows(right.clone()));
+        let matches = ctx.join_matches(&left, &right, pred, ROW_CAP)?;
+        Relation::join(left, right, matches).into_rows()
     }
 
-    /// The join by definition: every left row against every right row.
+    /// The join by definition, refused past `cap` rows: every left row
+    /// against every right row. Keys are read a cell at a time, the right
+    /// side's and then the left side's, as the join read them when every
+    /// join wrote its rows.
     fn nested_loop_oracle(
         ctx: &Ctx<'_>,
         left: &RowSet,
         right: &RowSet,
-        lc: &ColRef,
-        rc: &ColRef,
-    ) -> Vec<Vec<u32>> {
-        let key = |rs: &RowSet, row: &[u32], c: &ColRef| {
-            cell_join_key(column_of(&ctx.tables, c).unwrap(), row[rs.slot_of(c.table).unwrap()])
+        pred: &JoinPred,
+        cap: usize,
+    ) -> Result<RowSet> {
+        let (lc, rc) = match left.slot_of(pred.left.table) {
+            Some(_) => (&pred.left, &pred.right),
+            None => (&pred.right, &pred.left),
         };
-        let mut out = Vec::new();
-        for l in left.iter() {
-            for r in right.iter() {
-                if key(left, l, lc).unwrap() == key(right, r, rc).unwrap() {
-                    out.push([l, r].concat());
-                }
-            }
+        let keys = |rs: &RowSet, c: &ColRef| -> Result<Vec<i64>> {
+            let (col, slot) = (column_of(&ctx.tables, c)?, rs.slot_of(c.table).unwrap());
+            rs.iter().map(|row| cell_join_key(col, row[slot])).collect()
+        };
+        let r_keys = keys(right, rc)?;
+        let l_keys = keys(left, lc)?;
+        let pairs = || {
+            l_keys.iter().enumerate().flat_map(|(l, lk)| {
+                r_keys.iter().enumerate().filter(move |&(_, rk)| rk == lk).map(move |(r, _)| (l, r))
+            })
+        };
+        if pairs().count() > cap {
+            return Err(too_large());
         }
-        out
+        let mut out = RowSet::new([&left.tables[..], &right.tables].concat());
+        for (l, r) in pairs() {
+            out.push_joined(left.row(l), right.row(r));
+        }
+        Ok(out)
     }
 
     #[test]
@@ -1170,7 +1245,15 @@ mod tests {
                     let left = random_rows(&mut rng, l_tables, l_n, TABLE_ROWS);
                     let right = random_rows(&mut rng, &[1], r_n, TABLE_ROWS);
                     let (lc, rc) = (ColRef::new(0, column), ColRef::new(1, column));
-                    let want = nested_loop_oracle(&ctx, &left, &right, &lc, &rc);
+                    let want = nested_loop_oracle(
+                        &ctx,
+                        &left,
+                        &right,
+                        &JoinPred::new(lc.clone(), rc.clone()),
+                        ROW_CAP,
+                    )
+                    .unwrap();
+                    let want: Vec<&[u32]> = want.iter().collect();
                     // The predicate names the sides in either order.
                     for pred in [
                         JoinPred::new(lc.clone(), rc.clone()),
@@ -1191,20 +1274,20 @@ mod tests {
     }
 
     /// The table is direct-indexed exactly while the build keys' span is
-    /// at most `4 × rows + 64`; a probe key outside `[min, max]` matches
+    /// at most `4 × rows + 64`; a key's range of `perm` holds the rows of
+    /// that key, ascending; a probe key outside `[min, max]` matches
     /// nothing, even where `key - min` would wrap into the span.
     #[test]
     fn join_table_indexes_a_narrow_span_directly() {
-        let layout = |keys: &[i64]| {
-            let mut table = JoinTable::for_keys(keys.iter(), keys.len());
-            for (ri, &key) in keys.iter().enumerate().rev() {
-                let (first, count) = table.entry(key);
-                *first = ri as u32;
-                *count += 1;
-            }
-            table
+        // A key's (first row, row count) as the build laid it out, and
+        // its range's rows: every row of the key, ascending.
+        let rows = |(table, perm): &(JoinTable, Vec<u32>), key| {
+            let (start, n) = table.get(key);
+            let rows = perm[start as usize..(start + n) as usize].to_vec();
+            ((rows.first().copied().unwrap_or(0), n), rows)
         };
-        let dense = |t: &JoinTable| matches!(t, JoinTable::Dense { .. });
+        let layout = JoinTable::build;
+        let dense = |t: &(JoinTable, Vec<u32>)| matches!(t.0, JoinTable::Dense { .. });
         let ids: Vec<i64> = (0..100).collect();
         // 11 keys from 0: a span of 4 × 11 + 64 = 108 ends at 107.
         let at_bound: Vec<i64> = (0..10).map(|i| i * 11).chain([107]).collect();
@@ -1224,11 +1307,17 @@ mod tests {
             for (ri, &key) in keys.iter().enumerate() {
                 let first = keys.iter().position(|&k| k == key).unwrap();
                 let count = keys.iter().filter(|&&k| k == key).count();
-                assert_eq!(table.get(key), (first as u32, count as u32), "{keys:?} at {ri}");
+                let all: Vec<u32> =
+                    (0..keys.len() as u32).filter(|&r| keys[r as usize] == key).collect();
+                assert_eq!(
+                    rows(&table, key),
+                    ((first as u32, count as u32), all),
+                    "{keys:?} at {ri}"
+                );
             }
             for probe in [i64::MIN, -10, -1, 100, 101, 200, i64::MAX] {
                 if !keys.contains(&probe) {
-                    assert_eq!(table.get(probe), (NO_ROW, 0), "{probe} in {keys:?}");
+                    assert_eq!(rows(&table, probe), ((0, 0), vec![]), "{probe} in {keys:?}");
                 }
             }
         }
@@ -1237,11 +1326,11 @@ mod tests {
         for keys in [[i64::MAX - 10, i64::MAX], [i64::MIN, i64::MIN + 2]] {
             let table = layout(&keys);
             assert!(dense(&table), "{keys:?}");
-            assert_eq!(table.get(keys[0]), (0, 1));
-            assert_eq!(table.get(keys[1]), (1, 1));
+            assert_eq!(rows(&table, keys[0]), ((0, 1), vec![0]));
+            assert_eq!(rows(&table, keys[1]), ((1, 1), vec![1]));
             for probe in [i64::MIN, i64::MIN + 1, 0, i64::MAX - 11, i64::MAX] {
                 if !keys.contains(&probe) {
-                    assert_eq!(table.get(probe), (NO_ROW, 0), "{probe} in {keys:?}");
+                    assert_eq!(rows(&table, probe), ((0, 0), vec![]), "{probe} in {keys:?}");
                 }
             }
         }
@@ -1274,6 +1363,197 @@ mod tests {
         }
     }
 
+    /// A join tree over row sets: rows of one FROM position, or a join of
+    /// two trees.
+    enum JoinTree {
+        Rows(RowSet),
+        Join(Box<JoinTree>, Box<JoinTree>, JoinPred),
+    }
+
+    impl JoinTree {
+        /// `self` joined to `right` on `l = r`.
+        fn join(self, right: JoinTree, l: ColRef, r: ColRef) -> JoinTree {
+            JoinTree::Join(Box::new(self), Box::new(right), JoinPred::new(l, r))
+        }
+
+        /// The tree as `execute` runs it: each join's count pass over its
+        /// inputs' relations, the top one at row cap `cap`.
+        fn relation(&self, ctx: &Ctx<'_>, cap: usize) -> Result<Relation> {
+            match self {
+                JoinTree::Rows(rs) => Ok(Relation::Rows(rs.clone())),
+                JoinTree::Join(l, r, pred) => {
+                    let (left, right) = (l.relation(ctx, ROW_CAP)?, r.relation(ctx, ROW_CAP)?);
+                    let matches = ctx.join_matches(&left, &right, pred, cap)?;
+                    Ok(Relation::join(left, right, matches))
+                }
+            }
+        }
+
+        /// The tree with every join filled as it runs, by
+        /// `nested_loop_oracle`, the top one at row cap `cap`.
+        fn filled(&self, ctx: &Ctx<'_>, cap: usize) -> Result<RowSet> {
+            match self {
+                JoinTree::Rows(rs) => Ok(rs.clone()),
+                JoinTree::Join(l, r, pred) => {
+                    let (left, right) = (l.filled(ctx, ROW_CAP)?, r.filled(ctx, ROW_CAP)?);
+                    nested_loop_oracle(ctx, &left, &right, pred, cap)
+                }
+            }
+        }
+    }
+
+    /// Join trees of three and four tables over random rows of
+    /// `join_db`'s tables (`TREE_ROWS` rows each), three rounds with each
+    /// input empty in turn, for each `(lower, on_join, on_other)` in
+    /// `keys`: the lower joins on `lower`, the upper join on `on_join` in
+    /// the input that is a join and `on_other` in the other. The upper key
+    /// sits in the lower join's left input and in its right input; the
+    /// build side is a join, and both sides are.
+    fn nested_join_trees(seed: u64, keys: &[(&str, &str, &str)]) -> Vec<(String, JoinTree)> {
+        let mut rng = rng_from_seed(seed);
+        let mut trees = Vec::new();
+        for round in 0..3 {
+            for sizes in [
+                [20, 16, 12, 10],
+                [0, 16, 12, 10],
+                [20, 0, 12, 10],
+                [20, 16, 0, 10],
+                [20, 16, 12, 0],
+            ] {
+                for &(lower, on_join, on_other) in keys {
+                    let rows: Vec<RowSet> =
+                        (0..4).map(|t| random_rows(&mut rng, &[t], sizes[t], TREE_ROWS)).collect();
+                    let leaf = |t: usize| JoinTree::Rows(rows[t].clone());
+                    let (lo, on, other) = (
+                        |t| ColRef::new(t, lower),
+                        |t| ColRef::new(t, on_join),
+                        |t| ColRef::new(t, on_other),
+                    );
+                    let ab = || leaf(0).join(leaf(1), lo(0), lo(1));
+                    let abc = || ab().join(leaf(2), lo(1), lo(2));
+                    let ce = || leaf(2).join(leaf(3), lo(2), lo(3));
+                    let cab = || leaf(2).join(ab(), lo(2), lo(0));
+                    for (shape, tree) in [
+                        ("(a b) c on a", ab().join(leaf(2), on(0), other(2))),
+                        ("(a b) c on b", ab().join(leaf(2), other(2), on(1))),
+                        ("c (a b) on a", leaf(2).join(ab(), other(2), on(0))),
+                        ("c (a b) on b", leaf(2).join(ab(), on(1), other(2))),
+                        ("((a b) c) e on c", abc().join(leaf(3), on(2), other(3))),
+                        ("(a b) (c e) on a, e", ab().join(ce(), on(0), on(3))),
+                        ("e (c (a b)) on b", leaf(3).join(cab(), other(3), on(1))),
+                    ] {
+                        let what = format!(
+                            "{shape}: {lower}, then {on_join} = {on_other}; {sizes:?}, round {round}"
+                        );
+                        trees.push((what, tree));
+                    }
+                }
+            }
+        }
+        trees
+    }
+
+    /// Rows of `join_db`'s tables in `nested_join_trees`.
+    const TREE_ROWS: usize = 40;
+
+    /// `nested_join_trees`' keys over both table layouts and text:
+    /// direct-indexed (`k`, `d`, `neg`, `one`), hashed (`x`, `w`).
+    const TREE_KEYS: [(&str, &str, &str); 7] = [
+        ("k", "k", "k"),
+        ("d", "one", "one"),
+        ("one", "d", "d"),
+        ("neg", "k", "neg"),
+        ("x", "w", "w"),
+        ("w", "x", "x"),
+        ("s", "s", "s"),
+    ];
+
+    /// A join tree's rows and their layout, or its error, as text.
+    type Written = std::result::Result<(Vec<usize>, Vec<Vec<u32>>), String>;
+
+    fn written(rows: Result<RowSet>) -> Written {
+        let rows = rows.map_err(|e| e.to_string())?;
+        Ok((rows.tables.clone(), rows.iter().map(<[u32]>::to_vec).collect()))
+    }
+
+    /// Joins of three and four tables against filling every join as it
+    /// runs, over keys of both table layouts and text: rows and order,
+    /// and every slot's ids read through the count passes.
+    #[test]
+    fn nested_joins_match_filling_every_join() {
+        let (db, query) = join_db(TREE_ROWS, 13);
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params);
+        let mut joined = 0;
+        for (what, tree) in nested_join_trees(29, &TREE_KEYS) {
+            let want = tree.filled(&ctx, ROW_CAP).unwrap();
+            let got = tree.relation(&ctx, ROW_CAP).unwrap();
+            assert_eq!(got.len(), want.len(), "{what}");
+            for slot in 0..got.width() {
+                let ids: Vec<u32> = want.slot_ids(slot).collect();
+                assert_eq!(got.slot_ids(slot).unwrap(), ids, "{what}, slot {slot}");
+            }
+            joined += want.len();
+            assert_eq!(written(got.into_rows()), written(Ok(want)), "{what}");
+        }
+        assert!(joined > 30_000, "{joined} rows");
+    }
+
+    /// A float upper key over a lower join is a type mismatch exactly when
+    /// filling every join fails on it: when the lower join has rows. Over
+    /// an empty lower join it reads no cell, even where the lower join's
+    /// inputs have rows.
+    #[test]
+    fn float_key_over_a_nested_join_fails_only_when_it_has_rows() {
+        let (db, query) = join_db(TREE_ROWS, 17);
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params);
+        let (mut empty, mut refused) = (0, 0);
+        for (what, tree) in nested_join_trees(31, &[("k", "f", "k"), ("one", "f", "one")]) {
+            let want = written(tree.filled(&ctx, ROW_CAP));
+            let got = tree.relation(&ctx, ROW_CAP);
+            assert_eq!(written(got.and_then(Relation::into_rows)), want, "{what}");
+            match want {
+                Ok((_, rows)) => {
+                    assert!(rows.is_empty(), "{what}");
+                    empty += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e, "type mismatch: float columns cannot be join keys", "{what}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(empty > 30 && refused > 30, "{empty} empty, {refused} refused");
+    }
+
+    /// A cap one row short of a nested join's output is crossed at the
+    /// upper join, the lower ones running uncapped, and refused there as
+    /// filling every join refuses it; at the output's size it passes.
+    #[test]
+    fn nested_join_cap_is_refused_at_the_upper_join() {
+        let (db, query) = join_db(TREE_ROWS, 19);
+        let params = CostParams::default();
+        let mut pool = BufferPool::new(16);
+        let ctx = ctx_for(&db, &query, &mut pool, &params);
+        let refused: Written = Err(too_large().to_string());
+        let mut capped = 0;
+        for (what, tree) in nested_join_trees(37, &TREE_KEYS) {
+            let n = tree.filled(&ctx, ROW_CAP).unwrap().len();
+            if n == 0 {
+                continue;
+            }
+            assert_eq!(tree.relation(&ctx, n).unwrap().len(), n, "{what}");
+            let got = written(tree.relation(&ctx, n - 1).and_then(Relation::into_rows));
+            assert_eq!(got, refused, "{what}, cap {}", n - 1);
+            assert_eq!(written(tree.filled(&ctx, n - 1)), refused, "{what}");
+            capped += 1;
+        }
+        assert!(capped > 150, "{capped} capped");
+    }
+
     /// 4 x 4 rows on one key: 16 pairs. `join_matches` is the count pass;
     /// what it returns holds no `RowSet`, so an `Err` from it is a refusal
     /// before any output exists.
@@ -1293,14 +1573,18 @@ mod tests {
         let left = RowSet::from_single(0, vec![3, 1, 0, 2]);
         let right = RowSet::from_single(1, vec![2, 0, 3, 1]);
         let pred = JoinPred::new(ColRef::new(0, "k"), ColRef::new(1, "k"));
+        let (left, right) = (Relation::Rows(left), Relation::Rows(right));
 
         let matches = ctx.join_matches(&left, &right, &pred, 16).unwrap();
         assert_eq!(matches.total, 16);
-        let out = matches.fill(&left, &right);
+        let out = Relation::join(left, right, matches);
+        let out = out.into_rows().unwrap();
         let left_major: Vec<[u32; 2]> =
             [3, 1, 0, 2].iter().flat_map(|&l| [2, 0, 3, 1].map(|r| [l, r])).collect();
         assert_eq!(out.iter().collect::<Vec<_>>(), left_major);
 
+        let left = Relation::Rows(RowSet::from_single(0, vec![3, 1, 0, 2]));
+        let right = Relation::Rows(RowSet::from_single(1, vec![2, 0, 3, 1]));
         let refused: Result<JoinMatches> = ctx.join_matches(&left, &right, &pred, 15);
         assert_eq!(
             refused.err().map(|e| e.to_string()).as_deref(),
@@ -1671,7 +1955,7 @@ mod tests {
 
         let mut out =
             RowSet::new(outer.tables.iter().copied().chain(std::iter::once(inner_from)).collect());
-        let keys = key_col.join_keys(outer.slot_ids(outer_slot, 0..outer.len()))?;
+        let keys = key_col.join_keys(outer.slot_ids(outer_slot))?;
         let mut inner_rows_total = 0u64;
         let mut passing = Vec::new();
         for (orow, &key) in outer.iter().zip(&keys) {
@@ -1701,7 +1985,7 @@ mod tests {
                 if next_passing.next_if_eq(&&r).is_some() {
                     inner_rows_total += 1;
                     out.push_joined(orow, &[r]);
-                    if out.exceeds(ctx.row_cap) {
+                    if out.len() > ctx.row_cap {
                         return Err(too_large());
                     }
                 }
@@ -1712,18 +1996,42 @@ mod tests {
         Ok(out)
     }
 
-    /// `node`'s rows, written out: a parameterized nested loop by
-    /// `param_nested_loop_oracle`, anything else as a parent that reads
-    /// rows gets them.
+    /// `node`'s rows as `execute` wrote them when every join wrote its
+    /// rows: each join filled as it runs, by `nested_loop_oracle` or
+    /// `param_nested_loop_oracle`, with the charges and `node_true_rows`
+    /// entries `execute` makes. Scans, and sorts of scans, run as in
+    /// `execute`.
     fn filled_rows(ctx: &mut Ctx<'_>, node: &PlanNode) -> Result<RowSet> {
-        let inner = node.children.get(1).and_then(ParamInner::of);
-        let (Operator::NestedLoopJoin { pred }, Some(inner)) = (&node.op, inner) else {
-            return ctx.exec_rows(node);
+        let (Operator::HashJoin { pred }
+        | Operator::MergeJoin { pred }
+        | Operator::NestedLoopJoin { pred }) = &node.op
+        else {
+            return ctx.exec_relation(node, false)?.into_rows();
         };
         let my = ctx.node_rows.len();
         ctx.node_rows.push(0);
-        let outer = ctx.exec_rows(&node.children[0])?;
-        let rows = param_nested_loop_oracle(ctx, &outer, &inner, pred)?;
+        let left = filled_rows(ctx, &node.children[0])?;
+        let loop_join = matches!(node.op, Operator::NestedLoopJoin { .. });
+        let rows = match ParamInner::of(&node.children[1]).filter(|_| loop_join) {
+            Some(inner) => param_nested_loop_oracle(ctx, &left, &inner, pred)?,
+            None => {
+                let right = filled_rows(ctx, &node.children[1])?;
+                let (l, r, p) = (left.len() as f64, right.len() as f64, ctx.params);
+                if loop_join {
+                    ctx.meters.charge_cpu(
+                        (l - 1.0).max(0.0) * r * p.cpu_tuple_cost + l * r * p.cpu_operator_cost,
+                    );
+                }
+                let rows = nested_loop_oracle(ctx, &left, &right, pred, ctx.row_cap)?;
+                let out = rows.len() as f64;
+                ctx.meters.charge_cpu(match node.op {
+                    Operator::HashJoin { .. } => p.hash_join(l, r, out),
+                    Operator::MergeJoin { .. } => p.merge_join(l, r, out),
+                    _ => out * p.cpu_tuple_cost,
+                });
+                rows
+            }
+        };
         ctx.node_rows[my] = rows.len() as u64;
         Ok(rows)
     }

@@ -5,8 +5,6 @@
 //! the base tables. This keeps joins allocation-light and makes true
 //! cardinalities trivially observable.
 
-use std::ops::Range;
-
 /// A materialized intermediate result.
 #[derive(Debug, Clone, Default)]
 pub struct RowSet {
@@ -50,11 +48,6 @@ impl RowSet {
         self.rows.is_empty()
     }
 
-    /// `len() > cap`, without `len()`'s division: for a test per pushed row.
-    pub fn exceeds(&self, cap: usize) -> bool {
-        self.rows.len() > cap * self.tables.len()
-    }
-
     /// Position of a FROM-list entry within each row tuple.
     pub fn slot_of(&self, table: usize) -> Option<usize> {
         self.tables.iter().position(|&t| t == table)
@@ -66,15 +59,10 @@ impl RowSet {
         &self.rows[i * w..(i + 1) * w]
     }
 
-    /// Slot `slot`'s ids of the rows in `range`, in order: one column of
-    /// the row-id tuples, read straight from the flat id slice.
-    pub fn slot_ids(
-        &self,
-        slot: usize,
-        range: Range<usize>,
-    ) -> impl ExactSizeIterator<Item = u32> + '_ {
-        let w = self.width();
-        self.rows[range.start * w..range.end * w].iter().skip(slot).step_by(w.max(1)).copied()
+    /// Slot `slot`'s ids of every row, in order: one column of the row-id
+    /// tuples, read straight from the flat id slice.
+    pub fn slot_ids(&self, slot: usize) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.rows.iter().skip(slot).step_by(self.width().max(1)).copied()
     }
 
     /// Append one composite row (must match `width()`).
@@ -143,11 +131,12 @@ mod tests {
         for n in 0..5 {
             rs.push(&[n, 10 + n, 20 + n]);
         }
-        assert_eq!(rs.slot_ids(1, 1..4).collect::<Vec<_>>(), [11, 12, 13]);
-        assert_eq!(rs.slot_ids(2, 0..5).len(), 5);
-        assert_eq!(rs.slot_ids(0, 3..3).count(), 0);
+        assert_eq!(rs.slot_ids(0).collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(rs.slot_ids(1).collect::<Vec<_>>(), [10, 11, 12, 13, 14]);
+        assert_eq!(rs.slot_ids(2).len(), 5);
+        assert_eq!(RowSet::new(vec![0, 2]).slot_ids(1).count(), 0);
         let single = RowSet::from_single(0, vec![4, 5]);
-        assert_eq!(single.slot_ids(0, 0..2).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(single.slot_ids(0).collect::<Vec<_>>(), [4, 5]);
     }
 
     #[test]
@@ -157,18 +146,6 @@ mod tests {
         assert_eq!(p.row(0), &[3]);
         assert_eq!(p.row(1), &[1]);
         assert_eq!(p.row(2), &[2]);
-    }
-
-    #[test]
-    fn exceeds_is_len_greater_than() {
-        let mut rs = RowSet::new(vec![0, 2, 1]);
-        for n in 0..5 {
-            for cap in 0..6 {
-                assert_eq!(rs.exceeds(cap), rs.len() > cap, "{n} rows, cap {cap}");
-            }
-            rs.push(&[n, n, n]);
-        }
-        assert!(!RowSet::new(vec![]).exceeds(0));
     }
 
     #[test]
