@@ -5,7 +5,8 @@
 //! `COUNT(*)` over a join (no fill), a three-way star join under
 //! `COUNT(*)` and under `MIN` (the upper join and the aggregate read the
 //! lower join's count pass), the parameterized nested loop over
-//! runs of equal outer keys and over distinct ones, the sort on
+//! runs of equal outer keys and over distinct ones, and under a
+//! `COUNT(*)` over a hash join (neither join writes a row), the sort on
 //! three key orders, the aggregate fold on three groupings and with
 //! `COUNT(*)` alone, and `==` on empty slices.
 
@@ -191,21 +192,36 @@ fn three_way_join_bench(name: &str, agg: AggFunc) {
 /// heap pages; `outer_key` gives row `j` of `o`'s key. Every page fits the
 /// pool, so after the first run every touch hits. Reported in ns per
 /// probe row: per row a lookup fetches, 1,048,576 per run.
-fn param_nested_loop_bench(name: &str, pool_pages: usize, outer_key: &dyn Fn(i64) -> i64) {
+///
+/// With `count_star` the loop sits under a `COUNT(*)` and its outer is a
+/// hash join of `o` with `d`, whose 1,024 rows hold each key once: the
+/// same outer rows in the same order, read through the join's count pass.
+fn param_nested_loop_bench(
+    name: &str,
+    pool_pages: usize,
+    outer_key: &dyn Fn(i64) -> i64,
+    count_star: bool,
+) {
     const OUTER: i64 = 16_384;
     const INNER: i64 = 65_536;
     let mut db = Database::new();
-    for (table, n, key) in [("o", OUTER, outer_key), ("i", INNER, &|r| r % 1_024)] {
+    for (table, n, key) in
+        [("o", OUTER, outer_key), ("i", INNER, &|r| r % 1_024), ("d", 1_024, &|r| r)]
+    {
         let mut t = Table::new(table, Schema::new(vec![ColumnDef::new("k", DataType::Int)]));
         t.insert_many((0..n).map(|r| vec![Value::Int(key(r))])).unwrap();
         db.create_table(t).unwrap();
     }
     db.create_index("i", "k").unwrap();
-    let (ok, ik) = (ColRef::new(0, "k"), ColRef::new(1, "k"));
+    let (ok, ik, dk) = (ColRef::new(0, "k"), ColRef::new(1, "k"), ColRef::new(2, "k"));
     let pred = JoinPred::new(ok.clone(), ik);
-    let q = Query {
+    let select = match count_star {
+        true => SelectItem::Agg(AggFunc::CountStar),
+        false => SelectItem::Column(ok.clone()),
+    };
+    let mut q = Query {
         tables: vec![TableRef::new("o"), TableRef::new("i")],
-        select: vec![SelectItem::Column(ok.clone())],
+        select: vec![select],
         joins: vec![pred.clone()],
         ..Query::default()
     };
@@ -215,16 +231,28 @@ fn param_nested_loop_bench(name: &str, pool_pages: usize, outer_key: &dyn Fn(i64
         lo: None,
         hi: None,
         residual: vec![],
-        param: Some(ok),
+        param: Some(ok.clone()),
     };
-    let outer = PlanNode::new(Operator::SeqScan { table: 0, preds: vec![] }, vec![]);
-    let plan =
+    let scan = |table| PlanNode::new(Operator::SeqScan { table, preds: vec![] }, vec![]);
+    let mut outer = scan(0);
+    if count_star {
+        q.tables.push(TableRef::new("d"));
+        let on_d = JoinPred::new(ok.clone(), dk);
+        q.joins.push(on_d.clone());
+        outer = PlanNode::new(Operator::HashJoin { pred: on_d }, vec![outer, scan(2)]);
+    }
+    let mut plan =
         PlanNode::new(Operator::NestedLoopJoin { pred }, vec![outer, PlanNode::new(inner, vec![])]);
+    if count_star {
+        let count = Operator::Aggregate { group_by: vec![], aggs: vec![AggFunc::CountStar] };
+        plan = PlanNode::new(count, vec![plan]);
+    }
     let opt = Optimizer::postgres();
     let rates = ChargeRates::default();
     let mut pool = BufferPool::new(pool_pages);
-    let fetched =
-        execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[2];
+    // The loop's rows: with no residual, every row a lookup fetches.
+    let fetched = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows
+        [usize::from(count_star)];
     let stats = bench_function(&format!("{name} ({OUTER} probes -> {fetched} rows)"), 20, || {
         black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
     });
@@ -354,9 +382,13 @@ fn main() {
     let text = DataType::Text;
     hash_join_bench("hash_join_text_keys", text, (200_000, 1_000), &|i| i % 1_000, &|i| i, false);
 
-    // Runs of 64 equal outer keys, and a new key on every outer row.
-    param_nested_loop_bench("param_nested_loop_repeated_keys", pool_pages, &|j| j / 64 % 1_024);
-    param_nested_loop_bench("param_nested_loop_distinct_keys", pool_pages, &|j| j % 1_024);
+    // Runs of 64 equal outer keys, and a new key on every outer row; the
+    // runs again under a `COUNT(*)` with a hash join as the outer.
+    let (runs, distinct) = (&|j| j / 64 % 1_024, &|j| j % 1_024);
+    param_nested_loop_bench("param_nested_loop_repeated_keys", pool_pages, runs, false);
+    param_nested_loop_bench("param_nested_loop_distinct_keys", pool_pages, distinct, false);
+    let name = "count_star_over_param_loop_over_hash_join";
+    param_nested_loop_bench(name, pool_pages, runs, true);
 
     let db = build_imdb_database(0.1, 42).unwrap();
     let cat = StatsCatalog::analyze(&db, 1_000, 42);

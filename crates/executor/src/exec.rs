@@ -8,13 +8,10 @@
 //! plan, the data and the pool's state alone.
 //!
 //! A join's rows are written only where a parent reads whole rows: a
-//! sort, a cyclic join's filter, a parameterized nested loop's outer and
-//! the root's output. A hash, merge or rescanning nested-loop join hands
+//! sort, a cyclic join's filter and the root's output. Every join hands
 //! its parent its count pass (`Relation`); a join or an aggregate above
 //! it reads the columns it needs through the count passes, in the order
-//! the written rows would have had. Under an aggregate that reads no
-//! column, a parameterized nested loop counts its rows instead of
-//! writing them.
+//! the written rows would have had.
 
 use crate::charge::{ChargeRates, Meters, PageAccess};
 use crate::eval::{column_of, compile_preds, filter_rows, ColView};
@@ -26,10 +23,6 @@ use bao_opt::CostParams;
 use bao_plan::{AggFunc, ColRef, JoinPred, Operator, PlanNode, Query, SelectItem};
 use bao_storage::{BufferPool, Database, PageKey, StoredTable, Table, Value};
 use std::collections::HashMap;
-
-/// Executor errors are ordinary [`BaoError`]s; alias kept for clarity at
-/// call sites.
-pub type ExecError = BaoError;
 
 /// Safety cap on intermediate result sizes. The synthetic workloads stay
 /// orders of magnitude below this; hitting it indicates a malformed query.
@@ -49,7 +42,8 @@ fn too_large() -> BaoError {
 struct JoinMatches {
     /// Each left row's matches: a `(start, count)` range of `perm`.
     spans: Vec<(u32, u32)>,
-    /// Right row positions grouped by key, ascending within a key.
+    /// Right row positions grouped by key, ascending within a key; a
+    /// parameterized nested loop's inner rows in the order it fetched them.
     perm: Vec<u32>,
     /// Output rows, already held against the cap.
     total: usize,
@@ -228,7 +222,7 @@ pub fn execute(
 
     let mut ctx = Ctx::new(query, db, pool, params, ROW_CAP)?;
     ctx.node_rows.reserve_exact(plan.node_count());
-    let out = ctx.exec_node(plan, false)?;
+    let out = ctx.exec_node(plan)?;
     ctx.finish(out, rates)
 }
 
@@ -245,17 +239,14 @@ impl From<RowSet> for NodeOut {
     }
 }
 
-/// Composite row ids: written out, a join's still as its count pass over
-/// its inputs' relations, or only counted. A join's rows are written only
-/// where a parent reads whole rows: a sort, a filter, a parameterized
-/// nested loop's outer and the root's output. Every other parent reads
-/// the slots it needs through the count passes ([`Relation::read`]). Only
-/// an aggregate that reads no column is handed a relation that was only
-/// counted.
+/// Composite row ids: written out, or a join's still as its count pass
+/// over its inputs' relations. A join's rows are written only where a
+/// parent reads whole rows: a sort, a filter and the root's output. Every
+/// other parent reads the slots it needs through the count passes
+/// ([`Relation::read`]).
 enum Relation {
     Rows(RowSet),
     Join { left: Box<Relation>, right: Box<Relation>, matches: JoinMatches },
-    Counted { tables: Vec<usize>, rows: usize },
 }
 
 impl Relation {
@@ -268,7 +259,6 @@ impl Relation {
         match self {
             Relation::Rows(rs) => rs.len(),
             Relation::Join { matches, .. } => matches.total,
-            Relation::Counted { rows, .. } => *rows,
         }
     }
 
@@ -277,7 +267,6 @@ impl Relation {
         match self {
             Relation::Rows(rs) => rs.width(),
             Relation::Join { left, right, .. } => left.width() + right.width(),
-            Relation::Counted { tables, .. } => tables.len(),
         }
     }
 
@@ -288,18 +277,16 @@ impl Relation {
             Relation::Join { left, right, .. } => {
                 left.slot_of(table).or_else(|| Some(left.width() + right.slot_of(table)?))
             }
-            Relation::Counted { tables, .. } => tables.iter().position(|&t| t == table),
         }
     }
 
     /// The rows, written out: a join's filled from its inputs' rows.
-    fn into_rows(self) -> Result<RowSet> {
+    fn into_rows(self) -> RowSet {
         match self {
-            Relation::Rows(rs) => Ok(rs),
+            Relation::Rows(rs) => rs,
             Relation::Join { left, right, matches } => {
-                Ok(matches.fill(&left.into_rows()?, &right.into_rows()?))
+                matches.fill(&left.into_rows(), &right.into_rows())
             }
-            Relation::Counted { .. } => Err(no_rows()),
         }
     }
 
@@ -319,7 +306,6 @@ impl Relation {
                 None => Ok(matches.expand(&left.read(slot, read)?)),
                 Some(slot) => Ok(matches.gather(&right.read(slot, read)?)),
             },
-            Relation::Counted { .. } => Err(no_rows()),
         }
     }
 
@@ -336,11 +322,6 @@ impl Relation {
             Ok(col.join_keys(rs.slot_ids(slot))?.into_iter().map(|key| table.get(key)).collect())
         })
     }
-}
-
-/// What reading the rows of a relation that was only counted returns.
-fn no_rows() -> BaoError {
-    BaoError::Planning("rows read from a relation that was only counted".into())
 }
 
 /// The inner of a parameterized nested loop: an index scan of FROM
@@ -420,10 +401,7 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    /// Run `node`. With `count_only` its parent reads nothing but the
-    /// row count, so a parameterized nested loop may count its rows
-    /// instead of writing them.
-    fn exec_node(&mut self, node: &PlanNode, count_only: bool) -> Result<NodeOut> {
+    fn exec_node(&mut self, node: &PlanNode) -> Result<NodeOut> {
         let my = self.node_rows.len();
         self.node_rows.push(0);
         let out: NodeOut = match &node.op {
@@ -444,12 +422,10 @@ impl<'a> Ctx<'a> {
                 }
                 self.index_scan(*table, column, *lo, *hi, &[], true)?.into()
             }
-            Operator::NestedLoopJoin { pred } => {
-                NodeOut::Rows(self.nested_loop(node, pred, count_only)?)
-            }
+            Operator::NestedLoopJoin { pred } => NodeOut::Rows(self.nested_loop(node, pred)?),
             Operator::HashJoin { pred } | Operator::MergeJoin { pred } => {
-                let left = self.exec_relation(&node.children[0], false)?;
-                let right = self.exec_relation(&node.children[1], false)?;
+                let left = self.exec_relation(&node.children[0])?;
+                let right = self.exec_relation(&node.children[1])?;
                 let matches = self.join_matches(&left, &right, pred, self.row_cap)?;
                 let (l, r, out) = (left.len() as f64, right.len() as f64, matches.total as f64);
                 self.meters.charge_cpu(match node.op {
@@ -459,17 +435,17 @@ impl<'a> Ctx<'a> {
                 NodeOut::Rows(Relation::join(left, right, matches))
             }
             Operator::Filter { preds } => {
-                let child = self.exec_relation(&node.children[0], false)?.into_rows()?;
+                let child = self.exec_relation(&node.children[0])?.into_rows();
                 self.meters.charge_cpu(
                     child.len() as f64 * preds.len() as f64 * self.params.cpu_operator_cost,
                 );
                 self.join_filter(child, preds)?.into()
             }
             Operator::Sort { keys } => {
-                let child = self.exec_node(&node.children[0], false)?;
+                let child = self.exec_node(&node.children[0])?;
                 match child {
                     NodeOut::Rows(rel) => {
-                        let rs = rel.into_rows()?;
+                        let rs = rel.into_rows();
                         self.meters.charge_cpu(self.params.sort(rs.len() as f64));
                         self.sort_rows(rs, keys)?.into()
                     }
@@ -501,10 +477,7 @@ impl<'a> Ctx<'a> {
                 }
             }
             Operator::Aggregate { group_by, aggs } => {
-                // Counts without GROUP BY read no column of their input.
-                let count_only = group_by.is_empty()
-                    && aggs.iter().all(|a| matches!(a, AggFunc::CountStar | AggFunc::Count(_)));
-                let child = self.exec_relation(&node.children[0], count_only)?;
+                let child = self.exec_relation(&node.children[0])?;
                 let rows = self.aggregate(&child, group_by, aggs)?;
                 self.meters
                     .charge_cpu(self.params.aggregate(child.len() as f64, rows.len() as f64));
@@ -518,8 +491,8 @@ impl<'a> Ctx<'a> {
         Ok(out)
     }
 
-    fn exec_relation(&mut self, node: &PlanNode, count_only: bool) -> Result<Relation> {
-        match self.exec_node(node, count_only)? {
+    fn exec_relation(&mut self, node: &PlanNode) -> Result<Relation> {
+        match self.exec_node(node)? {
             NodeOut::Rows(rel) => Ok(rel),
             NodeOut::Agg(_) => {
                 Err(BaoError::Planning("aggregate below a join is not supported".into()))
@@ -603,21 +576,16 @@ impl<'a> Ctx<'a> {
         Ok(RowSet::from_single(from_idx, ids))
     }
 
-    fn nested_loop(
-        &mut self,
-        node: &PlanNode,
-        pred: &JoinPred,
-        count_only: bool,
-    ) -> Result<Relation> {
-        let outer = self.exec_relation(&node.children[0], false)?;
+    fn nested_loop(&mut self, node: &PlanNode, pred: &JoinPred) -> Result<Relation> {
+        let outer = self.exec_relation(&node.children[0])?;
         let inner_node = &node.children[1];
         if let Some(inner) = ParamInner::of(inner_node) {
-            return self.param_nested_loop(&outer.into_rows()?, &inner, pred, count_only);
+            return self.param_nested_loop(outer, &inner, pred);
         }
         // Naive rescanning inner: evaluate the inner once for its true rows
         // (and first-pass charges), then charge the quadratic rescan CPU
         // the algorithm would really pay.
-        let inner = self.exec_relation(inner_node, false)?;
+        let inner = self.exec_relation(inner_node)?;
         let o = outer.len() as f64;
         let i = inner.len() as f64;
         self.meters.charge_cpu(
@@ -630,8 +598,9 @@ impl<'a> Ctx<'a> {
     }
 
     /// Parameterized nested loop: one index lookup on the inner per outer
-    /// row, in outer row order. With `count_only` the joined rows are
-    /// counted, not written; every touch, charge and cap check stays.
+    /// row, in outer row order. Like every join it returns its count pass:
+    /// each outer row's range of the inner rows the lookups fetched and
+    /// passed, in fetch order. The outer is read for its key slot alone.
     ///
     /// An outer row with the previous row's key replays the previous
     /// lookup instead of redoing it. A lookup touches a fixed page
@@ -640,19 +609,19 @@ impl<'a> Ctx<'a> {
     /// one per change of heap page) fit in the pool, touching them again
     /// right away hits every time and leaves the pool as it was
     /// ([`BufferPool::replay_hits`]). So a replay makes the hit charges
-    /// and CPU charges of the lookup, one by one in the same order, and
-    /// the pool counts the hits. A replay that would cross the row cap
-    /// runs the lookup instead, which fails at the same row.
+    /// and CPU charges of the lookup, one by one in the same order, the
+    /// pool counts the hits, and the row takes the previous row's range
+    /// without writing an id. A replay that would cross the row cap runs
+    /// the lookup instead, which fails at the same row.
     ///
     /// Kept out of line: inlined into `nested_loop`, both of its row loops
     /// measured slower (`executor_bench`, DESIGN.md §13).
     #[inline(never)]
     fn param_nested_loop(
         &mut self,
-        outer: &RowSet,
+        outer: Relation,
         inner: &ParamInner<'_>,
         pred: &JoinPred,
-        count_only: bool,
     ) -> Result<Relation> {
         // The inner leaf occupies the next pre-order slot.
         let inner_slot = self.node_rows.len();
@@ -678,17 +647,19 @@ impl<'a> Ctx<'a> {
             self.params.cpu_tuple_cost + compiled.len() as f64 * self.params.cpu_operator_cost;
         let heap = !inner.index_only;
 
-        let mut out = RowSet::new(outer.tables.iter().copied().chain([inner.table]).collect());
-        // A float key fails here as it failed at the first outer row,
-        // before any lookup.
-        let keys = key_col.join_keys(outer.slot_ids(outer_slot))?;
+        // A float key fails here, before any lookup, when the outer has
+        // rows.
+        let keys = outer.read(outer_slot, &|rs, slot| key_col.join_keys(rs.slot_ids(slot)))?;
+        // Each outer row's range of `inner_ids`.
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(keys.len());
+        let mut inner_ids = Vec::new();
         let mut rows = 0usize;
         // The rows of the last lookup that pass the residual.
         let mut passing = Vec::new();
         // The last lookup's key, fetched rows and leaf pages, while it may
         // be replayed.
         let mut last: Option<(i64, &[u32], std::ops::Range<u32>)> = None;
-        for (orow, &key) in outer.iter().zip(&keys) {
+        for &key in &keys {
             let cap = self.row_cap;
             if let Some((_, fetched, leaves)) =
                 last.as_ref().filter(|(k, ..)| *k == key && rows + passing.len() <= cap)
@@ -707,11 +678,7 @@ impl<'a> Ctx<'a> {
                 let touches = leaves.len() + if heap { fetched.len() } else { 0 };
                 self.pool.replay_hits(touches as u64);
                 rows += passing.len();
-                if !count_only {
-                    for &r in &passing {
-                        out.push_joined(orow, &[r]);
-                    }
-                }
+                spans.push(spans[spans.len() - 1]);
                 continue;
             }
             let probe = sidx.index.lookup(key);
@@ -748,23 +715,21 @@ impl<'a> Ctx<'a> {
                 }
                 if next_passing.next_if_eq(&&r).is_some() {
                     rows += 1;
-                    if !count_only {
-                        out.push_joined(orow, &[r]);
-                    }
                     if rows > cap {
                         return Err(too_large());
                     }
                 }
             }
+            spans.push((inner_ids.len() as u32, passing.len() as u32));
+            inner_ids.extend_from_slice(&passing);
             last =
                 (distinct <= self.pool.capacity()).then_some((key, probe.rows, probe.leaf_pages));
         }
         self.node_rows[inner_slot] = rows as u64;
         self.meters.charge_cpu(rows as f64 * self.params.cpu_tuple_cost);
-        Ok(match count_only {
-            true => Relation::Counted { tables: out.tables, rows },
-            false => Relation::Rows(out),
-        })
+        let perm = (0..inner_ids.len() as u32).collect();
+        let inner_rows = Relation::Rows(RowSet::from_single(inner.table, inner_ids));
+        Ok(Relation::join(outer, inner_rows, JoinMatches { spans, perm, total: rows }))
     }
 
     /// Retain rows satisfying extra equi-join predicates (cyclic join
@@ -1033,7 +998,7 @@ impl<'a> Ctx<'a> {
                 Ok((rows.len() as u64, rows))
             }
             NodeOut::Rows(rel) => {
-                let rs = rel.into_rows()?;
+                let rs = rel.into_rows();
                 let total = rs.len();
                 let cap = self.query.limit.unwrap_or(OUTPUT_CAP).min(OUTPUT_CAP);
                 let mut cols = Vec::new();
@@ -1181,7 +1146,7 @@ mod tests {
     ) -> Result<RowSet> {
         let (left, right) = (Relation::Rows(left.clone()), Relation::Rows(right.clone()));
         let matches = ctx.join_matches(&left, &right, pred, ROW_CAP)?;
-        Relation::join(left, right, matches).into_rows()
+        Ok(Relation::join(left, right, matches).into_rows())
     }
 
     /// The join by definition, refused past `cap` rows: every left row
@@ -1495,7 +1460,7 @@ mod tests {
                 assert_eq!(got.slot_ids(slot).unwrap(), ids, "{what}, slot {slot}");
             }
             joined += want.len();
-            assert_eq!(written(got.into_rows()), written(Ok(want)), "{what}");
+            assert_eq!(written(Ok(got.into_rows())), written(Ok(want)), "{what}");
         }
         assert!(joined > 30_000, "{joined} rows");
     }
@@ -1514,7 +1479,7 @@ mod tests {
         for (what, tree) in nested_join_trees(31, &[("k", "f", "k"), ("one", "f", "one")]) {
             let want = written(tree.filled(&ctx, ROW_CAP));
             let got = tree.relation(&ctx, ROW_CAP);
-            assert_eq!(written(got.and_then(Relation::into_rows)), want, "{what}");
+            assert_eq!(written(got.map(Relation::into_rows)), want, "{what}");
             match want {
                 Ok((_, rows)) => {
                     assert!(rows.is_empty(), "{what}");
@@ -1546,7 +1511,7 @@ mod tests {
                 continue;
             }
             assert_eq!(tree.relation(&ctx, n).unwrap().len(), n, "{what}");
-            let got = written(tree.relation(&ctx, n - 1).and_then(Relation::into_rows));
+            let got = written(tree.relation(&ctx, n - 1).map(Relation::into_rows));
             assert_eq!(got, refused, "{what}, cap {}", n - 1);
             assert_eq!(written(tree.filled(&ctx, n - 1)), refused, "{what}");
             capped += 1;
@@ -1578,7 +1543,7 @@ mod tests {
         let matches = ctx.join_matches(&left, &right, &pred, 16).unwrap();
         assert_eq!(matches.total, 16);
         let out = Relation::join(left, right, matches);
-        let out = out.into_rows().unwrap();
+        let out = out.into_rows();
         let left_major: Vec<[u32; 2]> =
             [3, 1, 0, 2].iter().flat_map(|&l| [2, 0, 3, 1].map(|r| [l, r])).collect();
         assert_eq!(out.iter().collect::<Vec<_>>(), left_major);
@@ -1921,9 +1886,9 @@ mod tests {
         assert!(folded > 500_000, "{folded} rows");
     }
 
-    /// `param_nested_loop` as it was before the replay and the count-only
-    /// output: every outer row runs its own lookup and touches every page,
-    /// and every joined row is written.
+    /// `param_nested_loop` as it was before the replay and the count pass:
+    /// every outer row runs its own lookup and touches every page, and
+    /// every joined row is written.
     fn param_nested_loop_oracle(
         ctx: &mut Ctx<'_>,
         outer: &RowSet,
@@ -2006,7 +1971,7 @@ mod tests {
         | Operator::MergeJoin { pred }
         | Operator::NestedLoopJoin { pred }) = &node.op
         else {
-            return ctx.exec_relation(node, false)?.into_rows();
+            return Ok(ctx.exec_relation(node)?.into_rows());
         };
         let my = ctx.node_rows.len();
         ctx.node_rows.push(0);
@@ -2036,22 +2001,23 @@ mod tests {
         Ok(rows)
     }
 
-    /// `execute` as it ran before an aggregate read a join's count pass,
-    /// at row cap `row_cap`, on a 16-page pool: for a plan whose root is
-    /// an aggregate, the rows under it are written out first
-    /// (`filled_rows`), and `aggregate_keyed_oracle` folds them.
+    /// `execute` as it ran when every join wrote its rows, at row cap
+    /// `row_cap`, on a 16-page pool: the rows under an aggregate root are
+    /// written out first (`filled_rows`), and `aggregate_keyed_oracle`
+    /// folds them; any other root writes its rows by `filled_rows`.
     fn execute_filled(
         plan: &PlanNode,
         query: &Query,
         db: &Database,
         row_cap: usize,
     ) -> Result<ExecutionMetrics> {
-        let Operator::Aggregate { group_by, aggs } = &plan.op else {
-            panic!("an aggregate root");
-        };
         let (params, rates) = (CostParams::default(), ChargeRates::default());
         let mut pool = BufferPool::new(16);
         let mut ctx = Ctx::new(query, db, &mut pool, &params, row_cap)?;
+        let Operator::Aggregate { group_by, aggs } = &plan.op else {
+            let rows = filled_rows(&mut ctx, plan)?;
+            return ctx.finish(rows.into(), &rates);
+        };
         ctx.node_rows.push(0);
         let child = filled_rows(&mut ctx, &plan.children[0])?;
         let rows = aggregate_keyed_oracle(&ctx, &child, group_by, aggs)?;
@@ -2070,7 +2036,7 @@ mod tests {
         let (params, rates) = (CostParams::default(), ChargeRates::default());
         let mut pool = BufferPool::new(16);
         let mut ctx = Ctx::new(query, db, &mut pool, &params, row_cap)?;
-        let out = ctx.exec_node(plan, false)?;
+        let out = ctx.exec_node(plan)?;
         ctx.finish(out, &rates)
     }
 
@@ -2252,6 +2218,38 @@ mod tests {
                 }
             }
         }
+        // Parameterized nested loops inside a join tree: from a hash or
+        // merge join of `a` and `c` (with rows, or empty with rows in
+        // its left input) into an index on `b`, keyed in the join's left
+        // input and in its right input; and a hash join over a loop from
+        // `a` into `b`, on either side of it, keyed on the loop's outer
+        // slot and on its inner slot.
+        let mut trees: Vec<(String, PlanNode)> = Vec::new();
+        for key in ["k", "w"] {
+            for kind in ["hash", "merge"] {
+                for c_empty in [false, true] {
+                    let lower = join_plan(kind, scan(0, false), scan(2, c_empty), a("k"), c("k"));
+                    for (side, param) in [("a", a(key)), ("c", c(key))] {
+                        let plan = param_loop(lower.clone(), param, 1, key, vec![], false);
+                        let what = format!(
+                            "param loop ({kind} a x c, empty {c_empty}) x index b on {side}.{key}"
+                        );
+                        trees.push((what, plan));
+                    }
+                }
+            }
+            let lp = param_loop(scan(0, false), a(key), 1, key, vec![], false);
+            for (slot, upper) in [("outer", a(key)), ("inner", b(key))] {
+                let below = join_plan("hash", lp.clone(), scan(2, false), upper.clone(), c(key));
+                let above = join_plan("hash", scan(2, false), lp.clone(), c(key), upper);
+                let what = format!("hash join on {key} and the param loop's {slot} slot");
+                trees.push((format!("{what}, loop left"), below));
+                trees.push((format!("{what}, loop right"), above));
+            }
+        }
+        for (what, plan) in &trees {
+            shapes.push((what.clone(), plan.clone(), &three_way));
+        }
         let mut aggregated = 0;
         for (shape, join, cases) in &shapes {
             let tables = &["a", "b", "c"][..join.tables_covered().len()];
@@ -2280,6 +2278,45 @@ mod tests {
             }
         }
         assert!(aggregated > 33_333, "{aggregated} joined rows");
+
+        // The same trees at a root that writes their rows.
+        let tables = ["a", "b", "c"].map(TableRef::new).to_vec();
+        let select = [a("k"), b("g"), c("t"), b("f")].map(SelectItem::Column).to_vec();
+        let query = Query { tables, select, ..Query::default() };
+        let mut written = 0;
+        for (shape, plan) in &trees {
+            let (params, rates) = (CostParams::default(), ChargeRates::default());
+            let mut pool = BufferPool::new(16);
+            let got = execute(plan, &query, &db, &mut pool, &params, &rates);
+            written += got.as_ref().map_or(0, |m| m.rows_out);
+            let want = execute_filled(plan, &query, &db, ROW_CAP);
+            assert_eq!(metrics_bits(got), metrics_bits(want), "{shape}, rows written");
+        }
+        assert!(written > 10_000, "{written} rows written");
+
+        // A float parameter key over a nested outer fails exactly when the
+        // outer has rows, under an aggregate and at a root that writes
+        // rows.
+        let mismatch = Err("type mismatch: float columns cannot be join keys".to_string());
+        let count = Operator::Aggregate { group_by: vec![], aggs: vec![CountStar] };
+        let count_query = Query { select: vec![SelectItem::Agg(CountStar)], ..query.clone() };
+        for (a_empty, c_empty) in [(false, false), (true, false), (false, true)] {
+            let lower = join_plan("hash", scan(0, a_empty), scan(2, c_empty), a("k"), c("k"));
+            for param in [a("f"), c("f")] {
+                let join = param_loop(lower.clone(), param.clone(), 1, "k", vec![], false);
+                let counted = PlanNode::new(count.clone(), vec![join.clone()]);
+                for (plan, query) in [(&counted, &count_query), (&join, &query)] {
+                    let got = metrics_bits(execute_capped(plan, query, &db, ROW_CAP));
+                    let want = metrics_bits(execute_filled(plan, query, &db, ROW_CAP));
+                    let what = format!("float {param:?}, empty {a_empty}/{c_empty}");
+                    assert_eq!(got, want, "{what}");
+                    match !a_empty && !c_empty {
+                        true => assert_eq!(got, mismatch, "{what}"),
+                        false => assert!(got.is_ok(), "{what}"),
+                    }
+                }
+            }
+        }
 
         // 4,500 x 4,500 rows on one key: 20.25 M, over the cap.
         let refused = Err("planning error: intermediate result too large".to_string());
@@ -2322,6 +2359,28 @@ mod tests {
                 let want = metrics_bits(execute_filled(&plan, &query, &db, row_cap));
                 assert_eq!(got, want, "{what}, cap {row_cap}");
                 assert_eq!(got, refused, "{what}, cap {row_cap}");
+            }
+        }
+
+        // The same over a nested outer: a hash join of `a` and `c` on `k`,
+        // whose `one` is 7 on every row, so every outer row probes key 7
+        // and the cap is crossed inside a run the index-only loop replays.
+        let tables = ["a", "r", "c"].map(TableRef::new).to_vec();
+        let count_query = Query { tables: tables.clone(), ..count_query };
+        let select = [a("k"), r_k].map(SelectItem::Column).to_vec();
+        let row_query = Query { tables, select, ..Query::default() };
+        let lower = join_plan("hash", scan(0, false), scan(2, false), a("k"), c("k"));
+        for (param, index_only) in [(a("one"), true), (c("one"), true), (a("one"), false)] {
+            let join = param_loop(lower.clone(), param.clone(), 1, "k", vec![], index_only);
+            let counted = PlanNode::new(count.clone(), vec![join.clone()]);
+            let what = format!("over a x c on {param:?}, index-only {index_only}");
+            for (plan, query) in [(&counted, &count_query), (&join, &row_query)] {
+                for row_cap in [4_501, 50_000] {
+                    let got = metrics_bits(execute_capped(plan, query, &db, row_cap));
+                    let want = metrics_bits(execute_filled(plan, query, &db, row_cap));
+                    assert_eq!(got, want, "{what}, cap {row_cap}");
+                    assert_eq!(got, refused, "{what}, cap {row_cap}");
+                }
             }
         }
     }
@@ -2379,15 +2438,11 @@ mod tests {
 
     /// What a loop leaves in its `Ctx`: every meter by its bits (every bit
     /// `ExecutionMetrics` takes from them) and `node_true_rows`, then its
-    /// rows, their count, or its error.
+    /// rows, written out, or its error.
     fn loop_outcome(ctx: &Ctx<'_>, out: Result<Relation>) -> String {
         let m = &ctx.meters;
-        let rows = match out {
-            Ok(Relation::Rows(rs)) => {
-                format!("{:?} {:?}", rs.tables, rs.iter().collect::<Vec<_>>())
-            }
-            Ok(Relation::Counted { tables, rows }) => format!("{tables:?}, {rows} rows counted"),
-            Ok(Relation::Join { .. }) => "a join's count pass".into(),
+        let rows = match out.map(Relation::into_rows) {
+            Ok(rs) => format!("{:?} {:?}", rs.tables, rs.iter().collect::<Vec<_>>()),
             Err(e) => e.to_string(),
         };
         let (cpu, io) = (m.cpu_units.to_bits(), m.io_units.to_bits());
@@ -2430,8 +2485,8 @@ mod tests {
     /// lookup and touches every page: outer runs of 1–50 equal keys, pools
     /// of 0, 1, 8 and 510 pages warmed at random, lookups whose distinct
     /// pages fit the pool and lookups whose pages overflow it (replay
-    /// refused), index and index-only inners, a residual, rows written and
-    /// only counted, and row caps that fail inside a replayed run.
+    /// refused), index and index-only inners, a residual, and row caps that
+    /// fail inside a replayed run. Two rounds of each.
     #[test]
     fn param_loop_replay_matches_touching_every_row() {
         use bao_plan::{CmpOp, Predicate};
@@ -2459,17 +2514,12 @@ mod tests {
             .chain((0..sidx.index.n_pages()).map(|p| PageKey::new(sidx.object, p)))
             .collect();
 
-        let run = |pool: &mut BufferPool, outer: &RowSet, inner, count_only, row_cap, oracle| {
+        let run = |pool: &mut BufferPool, outer: &RowSet, inner, row_cap, oracle| {
             let mut ctx = ctx_for(&db, &query, pool, &params);
             ctx.row_cap = row_cap;
             let out = match oracle {
-                false => ctx.param_nested_loop(outer, inner, &pred, count_only),
-                true => param_nested_loop_oracle(&mut ctx, outer, inner, &pred).map(|rs| {
-                    match count_only {
-                        true => Relation::Counted { tables: rs.tables.clone(), rows: rs.len() },
-                        false => Relation::Rows(rs),
-                    }
-                }),
+                false => ctx.param_nested_loop(Relation::Rows(outer.clone()), inner, &pred),
+                true => param_nested_loop_oracle(&mut ctx, outer, inner, &pred).map(Relation::Rows),
             };
             loop_outcome(&ctx, out)
         };
@@ -2480,7 +2530,7 @@ mod tests {
         let (mut replayable, mut refused, mut capped_in_replay) = (0, 0, 0);
         for capacity in [0, 1, 8, 510] {
             for inner in &inners {
-                for count_only in [false, true] {
+                for round in 0..2 {
                     let outer = outer_runs(&mut rng, 300);
                     let mut warm = BufferPool::new(capacity);
                     for _ in 0..2 * capacity {
@@ -2524,14 +2574,14 @@ mod tests {
 
                     for row_cap in caps {
                         let what = format!(
-                            "pool {capacity}, index-only {}, residual {}, count-only \
-                             {count_only}, cap {row_cap}",
+                            "pool {capacity}, index-only {}, residual {}, round {round}, \
+                             cap {row_cap}",
                             inner.index_only,
                             !inner.residual.is_empty()
                         );
                         let (mut got_pool, mut want_pool) = (warm.clone(), warm.clone());
-                        let got = run(&mut got_pool, &outer, inner, count_only, row_cap, false);
-                        let want = run(&mut want_pool, &outer, inner, count_only, row_cap, true);
+                        let got = run(&mut got_pool, &outer, inner, row_cap, false);
+                        let want = run(&mut want_pool, &outer, inner, row_cap, true);
                         assert_eq!(got, want, "{what}");
                         assert_same_pool(&mut got_pool, &mut want_pool, &pages, &mut rng, &what);
                     }

@@ -29,13 +29,12 @@
     )
 )]
 
-pub mod charge;
-pub mod eval;
-pub mod exec;
-pub mod metrics;
-pub mod rowset;
+mod charge;
+mod eval;
+mod exec;
+mod metrics;
+mod rowset;
 
-pub use charge::{ChargeRates, Meters};
-pub use exec::{execute, execute_with, ExecConfig, ExecError};
+pub use charge::ChargeRates;
+pub use exec::{execute, execute_with, ExecConfig};
 pub use metrics::{ExecutionMetrics, PerfMetric};
-pub use rowset::RowSet;

@@ -16,6 +16,7 @@ pub struct RowSet {
 }
 
 impl RowSet {
+    #[cfg(test)]
     pub fn new(tables: Vec<usize>) -> RowSet {
         RowSet { tables, rows: Vec::new() }
     }
@@ -44,6 +45,7 @@ impl RowSet {
         }
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -65,6 +67,7 @@ impl RowSet {
         self.rows.iter().skip(slot).step_by(self.width().max(1)).copied()
     }
 
+    #[cfg(test)]
     /// Append one composite row (must match `width()`).
     pub fn push(&mut self, row: &[u32]) {
         debug_assert_eq!(row.len(), self.width());
