@@ -1,16 +1,17 @@
 //! Microbenchmarks of the cost-accurate executor: scans, joins, the
 //! cache-warm/cold difference, the buffer pool's page touch on its own,
-//! the scan filter on each column type, the join's one evaluation
-//! function on three int key distributions and on text keys, a
-//! `COUNT(*)` over a join (no fill), a three-way star join under
-//! `COUNT(*)` and under `MIN` (the upper join and the aggregate read the
-//! lower join's count pass), the parameterized nested loop over
-//! runs of equal outer keys and over distinct ones, and under a
-//! `COUNT(*)` over a hash join (neither join writes a row), the sort on
-//! three key orders, the aggregate fold on three groupings and with
-//! `COUNT(*)` alone, and `==` on empty slices.
+//! the scan filter on each column type and at half selectivity in random
+//! order, the join's one evaluation function on three int key
+//! distributions and on text keys, a `COUNT(*)` over a join (no fill), a
+//! three-way star join under `COUNT(*)` and under `MIN` (the upper join
+//! and the aggregate read the lower join's count pass), the parameterized
+//! nested loop over runs of equal outer keys and over distinct ones, and
+//! under a `COUNT(*)` over a hash join (neither join writes a row), the
+//! sort on three key orders, the aggregate fold on three groupings and
+//! with `COUNT(*)` alone, and `==` on empty slices.
 
 use bao_bench::timing::bench_function;
+use bao_common::{rng_from_seed, Rng};
 use bao_exec::{execute, ChargeRates};
 use bao_opt::{HintSet, Optimizer};
 use bao_plan::{
@@ -47,6 +48,9 @@ fn pool_benches(pool_pages: usize) {
     });
 }
 
+/// Rows in each `seq_scan_filter_*` table.
+const SCAN_ROWS: i64 = 200_000;
+
 /// A sequential scan of a hand-made 200,000-row single-column table of
 /// type `ty` under two predicates, `LIMIT 1` so that the root
 /// materializes one row: the time is page touches and the filter, in ns
@@ -54,26 +58,48 @@ fn pool_benches(pool_pages: usize) {
 /// for text, over 200,000 for floats); the first predicate keeps about
 /// three quarters of the rows and the second retains most of those.
 fn seq_scan_filter_bench(name: &str, ty: DataType) {
-    const ROWS: i64 = 200_000;
     let cell = |n: i64| match ty {
         DataType::Int => Value::Int(n),
         DataType::Text => Value::Str(format!("w{:02}", n % 64)),
-        DataType::Float => Value::Float(n as f64 / ROWS as f64),
+        DataType::Float => Value::Float(n as f64 / SCAN_ROWS as f64),
     };
-    let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("c", ty)]));
     // Text codes follow first appearance: insert `w00`..`w63` in order
     // first, so that code order is word order.
-    t.insert_many((0..64).chain((64..ROWS).map(|i| i * 7_919 % ROWS)).map(|n| vec![cell(n)]))
-        .unwrap();
+    let cells = (0..64).chain((64..SCAN_ROWS).map(|i| i * 7_919 % SCAN_ROWS)).map(cell);
+    let (lo, not) = match ty {
+        DataType::Text => (cell(16), cell(40)),
+        _ => (cell(SCAN_ROWS / 4), cell(SCAN_ROWS / 2)),
+    };
+    scan_bench(name, ty, cells, vec![(CmpOp::Ge, lo), (CmpOp::Ne, not)]);
+}
+
+/// The scan of [`seq_scan_filter_bench`] over seeded random ints in
+/// `0..200,000` under one predicate, `c < 100,000`, which keeps about half
+/// the rows in an order no branch predictor learns: the worst case for a
+/// filter that branches per row.
+fn seq_scan_filter_half_bench() {
+    let mut rng = rng_from_seed(7);
+    let cells = (0..SCAN_ROWS).map(|_| Value::Int(rng.gen_range(0..SCAN_ROWS)));
+    let half = vec![(CmpOp::Lt, Value::Int(SCAN_ROWS / 2))];
+    scan_bench("seq_scan_filter_half", DataType::Int, cells, half);
+}
+
+/// Times the scan of a one-column table `c` of type `ty` holding `cells`
+/// under `c <op> <value>` for each of `preds`, `LIMIT 1`.
+fn scan_bench(
+    name: &str,
+    ty: DataType,
+    cells: impl Iterator<Item = Value>,
+    preds: Vec<(CmpOp, Value)>,
+) {
+    let mut t = Table::new("t", Schema::new(vec![ColumnDef::new("c", ty)]));
+    t.insert_many(cells.map(|v| vec![v])).unwrap();
+    let rows = t.row_count();
     let mut db = Database::new();
     db.create_table(t).unwrap();
     let c = ColRef::new(0, "c");
-    let (lo, not) = match ty {
-        DataType::Text => (cell(16), cell(40)),
-        _ => (cell(ROWS / 4), cell(ROWS / 2)),
-    };
-    let preds =
-        vec![Predicate::new(c.clone(), CmpOp::Ge, lo), Predicate::new(c.clone(), CmpOp::Ne, not)];
+    let preds: Vec<Predicate> =
+        preds.into_iter().map(|(op, v)| Predicate::new(c.clone(), op, v)).collect();
     let q = Query {
         tables: vec![TableRef::new("t")],
         select: vec![SelectItem::Column(c)],
@@ -86,10 +112,10 @@ fn seq_scan_filter_bench(name: &str, ty: DataType) {
     let rates = ChargeRates::default();
     let mut pool = BufferPool::new(1_024);
     let kept = execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap().node_true_rows[0];
-    let stats = bench_function(&format!("{name} ({ROWS} rows -> {kept})"), 20, || {
+    let stats = bench_function(&format!("{name} ({rows} rows -> {kept})"), 20, || {
         black_box(execute(&plan, &q, &db, &mut pool, &opt.params, &rates).unwrap());
     });
-    println!("{name}: {:.1} ns per scanned row (median)", stats.median / ROWS as f64 * 1e9);
+    println!("{name}: {:.1} ns per scanned row (median)", stats.median / rows as f64 * 1e9);
 }
 
 /// A hash join of two hand-made single-column tables of type `ty` with
@@ -356,6 +382,7 @@ fn main() {
     seq_scan_filter_bench("seq_scan_filter_int", DataType::Int);
     seq_scan_filter_bench("seq_scan_filter_text", DataType::Text);
     seq_scan_filter_bench("seq_scan_filter_float", DataType::Float);
+    seq_scan_filter_half_bench();
 
     // Distinct keys in a scattered order, in order, and 16 keys scattered.
     for rows in [1_000, 100_000] {

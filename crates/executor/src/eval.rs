@@ -110,22 +110,44 @@ macro_rules! with_row_test {
     }};
 }
 
-/// Clears `out` and fills it with the rows of `rows` that pass every
-/// predicate, in order. Column at a time: the first predicate selects
-/// from `rows`, each later one retains the survivors.
+/// Replaces `out` with the rows of `rows` that pass every predicate, in
+/// order. Column at a time: the first predicate selects from `rows`, each
+/// later one compacts the survivors in place.
+///
+/// Without a branch per row: every id is written at a cursor, and the
+/// cursor advances by the row test's 0 or 1, so a row that fails is
+/// overwritten by the next one and the tail past the cursor is cut off.
+/// Around half of a scan's rows pass in no order a branch predictor can
+/// learn (DESIGN.md §13).
 pub fn filter_rows(
     preds: &[CompiledPred<'_>],
-    rows: impl Iterator<Item = u32>,
+    rows: impl ExactSizeIterator<Item = u32>,
     out: &mut Vec<u32>,
 ) {
-    out.clear();
     let Some((first, rest)) = preds.split_first() else {
+        out.clear();
         out.extend(rows);
         return;
     };
-    with_row_test!(first, |keep| out.extend(rows.filter(|&r| keep(r))));
+    out.resize(rows.len(), 0);
+    let mut kept = 0;
+    with_row_test!(first, |keep| {
+        for r in rows {
+            out[kept] = r;
+            kept += usize::from(keep(r));
+        }
+    });
+    out.truncate(kept);
     for p in rest {
-        with_row_test!(p, |keep| out.retain(|&r| keep(r)));
+        let mut kept = 0;
+        with_row_test!(p, |keep| {
+            for i in 0..out.len() {
+                let r = out[i];
+                out[kept] = r;
+                kept += usize::from(keep(r));
+            }
+        });
+        out.truncate(kept);
     }
 }
 
@@ -305,6 +327,22 @@ pub(crate) mod tests {
         Predicate::new(ColRef::new(0, col), op, value)
     }
 
+    /// `filter_rows` over `rows` against the oracle, into an `out` that
+    /// holds more stale ids on entry than `rows` has, so every stale id
+    /// must be overwritten or cut off. Returns how many rows were kept.
+    fn check_filter(
+        compiled: &[CompiledPred<'_>],
+        oracle: &[OraclePred<'_>],
+        rows: impl ExactSizeIterator<Item = u32> + Clone,
+        what: &str,
+    ) -> usize {
+        let mut out: Vec<u32> = (0..rows.len() as u32 + 5).map(|i| u32::MAX - i).collect();
+        filter_rows(compiled, rows.clone(), &mut out);
+        let want: Vec<u32> = rows.filter(|&r| oracle.iter().all(|p| p.matches_row(r))).collect();
+        assert_eq!(out, want, "{what}");
+        want.len()
+    }
+
     #[test]
     fn filter_kernel_matches_the_per_row_oracle() {
         const TABLE_ROWS: usize = 20_000;
@@ -312,42 +350,59 @@ pub(crate) mod tests {
         let mut rng = rng_from_seed(53);
         let mut checked = 0;
         let mut kept = 0;
+        // Fixed selectivities, as the first predicate and as a later one:
+        // no row, about half the rows in random order, and every row.
+        let int_pred = |op, x| Predicate::new(ColRef::new(0, "i"), op, Value::Int(x));
+        let none = int_pred(CmpOp::Lt, i64::MIN);
+        let half = int_pred(CmpOp::Le, 0);
+        let all = int_pred(CmpOp::Ge, i64::MIN);
+        let mut fixed: Vec<Vec<Predicate>> = Vec::new();
+        for first in [&none, &half, &all] {
+            fixed.push(vec![first.clone()]);
+            for later in [&none, &half, &all] {
+                fixed.push(vec![first.clone(), later.clone()]);
+            }
+        }
+        let passing = |pred: &Predicate| {
+            let preds = std::slice::from_ref(pred);
+            let (compiled, oracle) = (compile_preds(&t, preds).unwrap(), oracle_preds(&t, preds));
+            check_filter(&compiled, &oracle, 0..TABLE_ROWS as u32, "whole table")
+        };
+        let counts = [passing(&none), passing(&half), passing(&all)];
+        assert!(counts[0] == 0 && counts[2] == TABLE_ROWS, "{counts:?}");
+        assert!((8_000..12_000).contains(&counts[1]), "{counts:?}");
         for n in [0, 1, TABLE_ROWS] {
             for width in 1..=3 {
-                for n_preds in 0..=3 {
-                    for _ in 0..8 {
-                        let preds: Vec<Predicate> =
-                            (0..n_preds).map(|_| random_pred(&mut rng)).collect();
-                        let compiled = compile_preds(&t, &preds).unwrap();
-                        let oracle = oracle_preds(&t, &preds);
-                        // `width` contiguous ranges of the first `n` rows
-                        // (some empty), most starting past row 0.
-                        let (base, rem) = (n / width, n % width);
-                        let mut end = 0;
-                        let mut out = Vec::new();
-                        for w in 0..width {
-                            let start = end;
-                            end += base + usize::from(w < rem);
-                            let range = (start as u32)..(end as u32);
-                            filter_rows(&compiled, range.clone(), &mut out);
-                            let want: Vec<u32> = range
-                                .filter(|&r| oracle.iter().all(|p| p.matches_row(r)))
-                                .collect();
-                            assert_eq!(out, want, "{n} rows, range {w} of {width}, {preds:?}");
-                            checked += 1;
-                            kept += want.len();
-                        }
-                        // An unordered id list with repeats, as index
-                        // probes hand the residual check.
-                        let ids: Vec<u32> =
-                            (0..n.min(500)).map(|_| rng.gen_index(TABLE_ROWS) as u32).collect();
-                        filter_rows(&compiled, ids.iter().copied(), &mut out);
-                        let want: Vec<u32> = ids
-                            .iter()
-                            .copied()
-                            .filter(|&r| oracle.iter().all(|p| p.matches_row(r)))
-                            .collect();
-                        assert_eq!(out, want, "{} ids, {preds:?}", ids.len());
+                let random = (0..=3).flat_map(|n_preds| (0..8).map(move |_| n_preds));
+                let random: Vec<Vec<Predicate>> = random
+                    .map(|n_preds| (0..n_preds).map(|_| random_pred(&mut rng)).collect())
+                    .collect();
+                for preds in fixed.iter().chain(&random) {
+                    let compiled = compile_preds(&t, preds).unwrap();
+                    let oracle = oracle_preds(&t, preds);
+                    // `width` contiguous ranges of the first `n` rows
+                    // (some empty), most starting past row 0.
+                    let (base, rem) = (n / width, n % width);
+                    let mut end = 0;
+                    for w in 0..width {
+                        let start = end;
+                        end += base + usize::from(w < rem);
+                        let range = (start as u32)..(end as u32);
+                        let what = format!("{n} rows, range {w} of {width}, {preds:?}");
+                        kept += check_filter(&compiled, &oracle, range, &what);
+                        checked += 1;
+                    }
+                    // An unordered id list with repeats, as index probes
+                    // hand the residual check, and the sorted sparse list
+                    // of distinct ids a parameterized lookup passes.
+                    let ids: Vec<u32> =
+                        (0..n.min(500)).map(|_| rng.gen_index(TABLE_ROWS) as u32).collect();
+                    let mut sparse = ids.clone();
+                    sparse.sort_unstable();
+                    sparse.dedup();
+                    for (ids, shape) in [(ids, "unordered"), (sparse, "sorted sparse")] {
+                        let what = format!("{} {shape} ids, {preds:?}", ids.len());
+                        check_filter(&compiled, &oracle, ids.iter().copied(), &what);
                     }
                 }
             }

@@ -101,11 +101,11 @@ impl JoinMatches {
 /// The join's table: each build key's `(start, count)` range of the
 /// build's `perm`; a key no build row holds has an empty one.
 enum JoinTable {
-    /// Keys `min..=max` at `slots[key - min]`: build keys whose span is
-    /// small against the build, which every dense id column is.
+    /// Keys `min..=max` at `slots[key - min]`, `max - min + 1` slots:
+    /// build keys whose span is small against the build, which every
+    /// dense id column is.
     Dense {
         min: i64,
-        max: i64,
         slots: Vec<(u32, u32)>,
     },
     Hashed(FastMap<i64, (u32, u32)>),
@@ -128,7 +128,7 @@ impl JoinTable {
         let span = i128::from(max) - i128::from(min) + 1;
         let mut table = match usize::try_from(span) {
             Ok(span) if span > 0 && span <= 4 * keys.len() + 64 => {
-                JoinTable::Dense { min, max, slots: vec![(0, 0); span] }
+                JoinTable::Dense { min, slots: vec![(0, 0); span] }
             }
             _ => JoinTable::Hashed(FastMap::default()),
         };
@@ -162,14 +162,22 @@ impl JoinTable {
         }
     }
 
-    /// Probe key `key`'s range: empty when no build key equals it.
-    fn get(&self, key: i64) -> (u32, u32) {
+    /// Each probe key's range, in order: empty where no build key equals
+    /// it. The table's kind is matched once per call, not once per key.
+    fn spans(&self, keys: impl Iterator<Item = i64>) -> Vec<(u32, u32)> {
         match self {
-            JoinTable::Dense { min, max, slots } if (*min..=*max).contains(&key) => {
-                slots[key.wrapping_sub(*min) as usize]
+            // `key - min`, wrapped to `u64`, is below the span exactly for
+            // the keys in `min..=max`: one unsigned compare is the range
+            // check, and no key from far outside wraps into the span.
+            JoinTable::Dense { min, slots } => keys
+                .map(|key| match key.wrapping_sub(*min) as u64 {
+                    at if at < slots.len() as u64 => slots[at as usize],
+                    _ => (0, 0),
+                })
+                .collect(),
+            JoinTable::Hashed(map) => {
+                keys.map(|key| map.get(&key).copied().unwrap_or((0, 0))).collect()
             }
-            JoinTable::Dense { .. } => (0, 0),
-            JoinTable::Hashed(map) => map.get(&key).copied().unwrap_or((0, 0)),
         }
     }
 }
@@ -316,10 +324,18 @@ impl Relation {
 
     /// Each row's range in `table`, by its join key in slot `slot` of
     /// `col`: a key is read and looked up once per row of the row set
-    /// that holds the slot, not once per row of the joins above it.
+    /// that holds the slot, not once per row of the joins above it. A row
+    /// set's slot ids map straight to spans, with the column's type and
+    /// the table's kind matched once per row set; a float key is a type
+    /// mismatch once its row set has a row ([`ColView::join_keys`]).
     fn probe(&self, slot: usize, col: ColView<'_>, table: &JoinTable) -> Result<Vec<(u32, u32)>> {
         self.read(slot, &|rs, slot| {
-            Ok(col.join_keys(rs.slot_ids(slot))?.into_iter().map(|key| table.get(key)).collect())
+            let ids = rs.slot_ids(slot);
+            Ok(match col {
+                ColView::Int(cells) => table.spans(ids.map(|id| cells[id as usize])),
+                ColView::Code(cells) => table.spans(ids.map(|id| i64::from(cells[id as usize]))),
+                ColView::Float(_) => col.join_keys(ids).map(|_| Vec::new())?,
+            })
         })
     }
 }
@@ -1241,15 +1257,37 @@ mod tests {
     /// The table is direct-indexed exactly while the build keys' span is
     /// at most `4 × rows + 64`; a key's range of `perm` holds the rows of
     /// that key, ascending; a probe key outside `[min, max]` matches
-    /// nothing, even where `key - min` would wrap into the span.
+    /// nothing, even where `key - min` would wrap into the span. Probed
+    /// as the join probes: one pass over a row set's slot ids, through an
+    /// int and a text (code) column.
     #[test]
     fn join_table_indexes_a_narrow_span_directly() {
-        // A key's (first row, row count) as the build laid it out, and
-        // its range's rows: every row of the key, ascending.
-        let rows = |(table, perm): &(JoinTable, Vec<u32>), key| {
-            let (start, n) = table.get(key);
-            let rows = perm[start as usize..(start + n) as usize].to_vec();
-            ((rows.first().copied().unwrap_or(0), n), rows)
+        // Each probe key's (first row, row count) as the build laid it
+        // out, and its range's rows, probing the keys in reverse order.
+        let probe = |(table, perm): &(JoinTable, Vec<u32>), col: ColView<'_>, n: usize| {
+            let ids = Relation::Rows(RowSet::from_single(0, (0..n as u32).rev().collect()));
+            let spans = ids.probe(0, col, table).unwrap();
+            let mut got: Vec<_> = spans
+                .into_iter()
+                .map(|(start, n)| {
+                    let rows = perm[start as usize..(start + n) as usize].to_vec();
+                    ((rows.first().copied().unwrap_or(0), n), rows)
+                })
+                .collect();
+            got.reverse();
+            got
+        };
+        // What each probe key must find: every build row of the key,
+        // ascending, the range starting at the key's first row.
+        let want = |keys: &[i64], probes: &[i64]| -> Vec<((u32, u32), Vec<u32>)> {
+            probes
+                .iter()
+                .map(|&key| {
+                    let all: Vec<u32> =
+                        (0..keys.len() as u32).filter(|&r| keys[r as usize] == key).collect();
+                    ((all.first().copied().unwrap_or(0), all.len() as u32), all)
+                })
+                .collect()
         };
         let layout = JoinTable::build;
         let dense = |t: &(JoinTable, Vec<u32>)| matches!(t.0, JoinTable::Dense { .. });
@@ -1257,11 +1295,18 @@ mod tests {
         // 11 keys from 0: a span of 4 × 11 + 64 = 108 ends at 107.
         let at_bound: Vec<i64> = (0..10).map(|i| i * 11).chain([107]).collect();
         let past_bound: Vec<i64> = (0..10).map(|i| i * 11).chain([108]).collect();
+        // Spans at either end of `i64`, where `key - min` wraps for a
+        // probe from the far end: `i64::MIN` against `high` gives 11, one
+        // past its last slot, and must still miss.
+        let high = [i64::MAX - 10, i64::MAX];
+        let low = [i64::MIN, i64::MIN + 2];
         for (keys, want_dense) in [
             (&ids[..], true),
             (&[-7, -9, -8, -7][..], true),
             (&[42][..], true),
             (&at_bound[..], true),
+            (&high[..], true),
+            (&low[..], true),
             (&past_bound[..], false),
             (&[][..], false),
             (&[i64::MIN, i64::MAX][..], false),
@@ -1269,35 +1314,25 @@ mod tests {
         ] {
             let table = layout(keys);
             assert_eq!(dense(&table), want_dense, "{keys:?}");
-            for (ri, &key) in keys.iter().enumerate() {
-                let first = keys.iter().position(|&k| k == key).unwrap();
-                let count = keys.iter().filter(|&&k| k == key).count();
-                let all: Vec<u32> =
-                    (0..keys.len() as u32).filter(|&r| keys[r as usize] == key).collect();
-                assert_eq!(
-                    rows(&table, key),
-                    ((first as u32, count as u32), all),
-                    "{keys:?} at {ri}"
-                );
-            }
-            for probe in [i64::MIN, -10, -1, 100, 101, 200, i64::MAX] {
-                if !keys.contains(&probe) {
-                    assert_eq!(rows(&table, probe), ((0, 0), vec![]), "{probe} in {keys:?}");
-                }
-            }
+            // Every build key, then keys just below `min`, just above
+            // `max`, far off and at either end of `i64`.
+            let (min, max) = (keys.iter().min().copied(), keys.iter().max().copied());
+            let edges = [min.map(|m| m.wrapping_sub(1)), max.map(|m| m.wrapping_add(1))];
+            let far = [i64::MIN, i64::MIN + 1, -10, -1, 100, 101, 200, i64::MAX - 11, i64::MAX];
+            let probes: Vec<i64> =
+                keys.iter().copied().chain(edges.into_iter().flatten()).chain(far).collect();
+            let got = probe(&table, ColView::Int(&probes), probes.len());
+            assert_eq!(got, want(keys, &probes), "{keys:?}");
         }
-        // Spans at either end of `i64`: a probe from the far end wraps
-        // `key - min` to 11 and 2, inside the span, and must still miss.
-        for keys in [[i64::MAX - 10, i64::MAX], [i64::MIN, i64::MIN + 2]] {
-            let table = layout(&keys);
-            assert!(dense(&table), "{keys:?}");
-            assert_eq!(rows(&table, keys[0]), ((0, 1), vec![0]));
-            assert_eq!(rows(&table, keys[1]), ((1, 1), vec![1]));
-            for probe in [i64::MIN, i64::MIN + 1, 0, i64::MAX - 11, i64::MAX] {
-                if !keys.contains(&probe) {
-                    assert_eq!(rows(&table, probe), ((0, 0), vec![]), "{probe} in {keys:?}");
-                }
-            }
+        // A text key column probes by dictionary code.
+        for keys in [&[3, 5, 5, 9, 3][..], &[0, u32::MAX][..]] {
+            let wide: Vec<i64> = keys.iter().map(|&c| i64::from(c)).collect();
+            let table = layout(&wide);
+            assert_eq!(dense(&table), keys.len() > 2, "{keys:?}");
+            let codes = [0, 2, 3, 4, 5, 9, 10, u32::MAX - 1, u32::MAX];
+            let got = probe(&table, ColView::Code(&codes), codes.len());
+            let probes: Vec<i64> = codes.iter().map(|&c| i64::from(c)).collect();
+            assert_eq!(got, want(&wide, &probes), "{keys:?}");
         }
     }
 
