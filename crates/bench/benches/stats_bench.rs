@@ -1,8 +1,10 @@
-//! Microbenchmarks of the statistics substrate: ANALYZE and join
+//! Microbenchmarks of the statistics substrate: ANALYZE, index builds
+//! (both sort keyed columns with `bao_storage::sort_keys`) and join
 //! selectivity (the memoized sample-estimator path vs uniformity).
 
 use bao_bench::timing::bench_function;
 use bao_stats::{Estimator, PostgresEstimator, SampleEstimator, StatsCatalog};
+use bao_storage::Index;
 use bao_workloads::imdb::build_imdb_database;
 
 fn main() {
@@ -10,6 +12,21 @@ fn main() {
     bench_function("analyze_imdb_scale01", 10, || {
         StatsCatalog::analyze(&db, 1_000, 7);
     });
+
+    // Set-up at the scale `exec_heavy` runs: every column's statistics,
+    // and a rebuild of all 14 IMDb indexes.
+    let db1 = build_imdb_database(1.0, 42).unwrap();
+    bench_function("analyze_imdb_scale1", 10, || {
+        StatsCatalog::analyze(&db1, 1_000, 7);
+    });
+    bench_function("index_build_imdb_scale1", 10, || {
+        for st in db1.tables() {
+            for idx in &st.indexes {
+                std::hint::black_box(Index::build(&st.table, &idx.index.column).unwrap());
+            }
+        }
+    });
+    drop(db1);
 
     let cat = StatsCatalog::analyze(&db, 1_000, 7);
     bench_function("join_sel_uniformity", 10, || {

@@ -1,11 +1,10 @@
 //! Per-column statistics: distinct counts, MCVs, histograms, and — for
-//! keyed columns — exact frequency sketches used by the ComSys-grade
-//! estimator's join selectivity.
+//! keyed columns — exact value frequencies, kept as sorted key runs, used
+//! by the ComSys-grade estimator's join selectivity.
 
 use crate::histogram::EquiDepthHistogram;
 use bao_plan::CmpOp;
-use bao_storage::ColumnData;
-use std::collections::HashMap;
+use bao_storage::{sort_keys, ColumnData};
 
 /// Number of most-common values tracked, as in PostgreSQL's
 /// `default_statistics_target`.
@@ -23,18 +22,25 @@ pub struct ColumnStats {
     pub mcvs: Vec<(i64, f64)>,
     /// Histogram over the non-MCV values (floats: over all values).
     pub histogram: EquiDepthHistogram,
-    /// Exact value frequencies for keyed (int / dictionary-text) columns.
-    /// This powers the [`crate::SampleEstimator`]'s join selectivity; the
+    /// Exact value frequencies for keyed (int / dictionary-text) columns:
+    /// one `(key, count)` run per distinct key, ascending by key. This
+    /// powers the [`crate::SampleEstimator`]'s join selectivity; the
     /// PostgreSQL-like estimator deliberately ignores it.
-    pub freq: Option<HashMap<i64, u32>>,
+    pub freq: Option<Vec<(i64, u32)>>,
+}
+
+/// MCV order: most frequent first, ties by ascending key.
+fn by_freq(a: &(i64, u32), b: &(i64, u32)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 impl ColumnStats {
-    /// Full-scan analyze of one column.
+    /// Full-scan analyze of one column. A keyed column is sorted once;
+    /// every statistic comes from its `(key, count)` runs.
     pub fn analyze(col: &ColumnData) -> ColumnStats {
-        let keys: Vec<i64> = match col {
-            ColumnData::Int(vals) => vals.clone(),
-            ColumnData::Text { codes, .. } => codes.iter().map(|&c| i64::from(c)).collect(),
+        let (keys, _) = match col {
+            ColumnData::Int(vals) => sort_keys(vals),
+            ColumnData::Text { codes, .. } => sort_keys(codes),
             ColumnData::Float(vals) => {
                 let mut distinct: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
                 distinct.sort_unstable();
@@ -48,33 +54,33 @@ impl ColumnStats {
                 };
             }
         };
-        let mut freq: HashMap<i64, u32> = HashMap::new();
-        for &k in &keys {
-            *freq.entry(k).or_insert(0) += 1;
-        }
         let n = keys.len();
-        let n_distinct = freq.len() as f64;
+        let runs: Vec<(i64, u32)> =
+            keys.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u32)).collect();
+        drop(keys);
         // MCVs: the N_MCVS most frequent values, but only those that
         // occur more than once (PostgreSQL omits MCVs for unique
         // columns).
-        let mut by_freq: Vec<(i64, u32)> = freq.iter().map(|(&k, &c)| (k, c)).collect();
-        by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mcvs: Vec<(i64, f64)> = by_freq
-            .iter()
-            .take(N_MCVS)
-            .filter(|&&(_, c)| c > 1)
-            .map(|&(k, c)| (k, c as f64 / n.max(1) as f64))
-            .collect();
-        let mcv_set: std::collections::HashSet<i64> = mcvs.iter().map(|&(k, _)| k).collect();
-        let non_mcv: Vec<f64> =
-            keys.iter().filter(|k| !mcv_set.contains(k)).map(|&k| k as f64).collect();
-        ColumnStats {
-            n,
-            n_distinct,
-            mcvs,
-            histogram: EquiDepthHistogram::build(&non_mcv, N_BUCKETS),
-            freq: Some(freq),
+        let mut top: Vec<(i64, u32)> = runs.iter().filter(|&&(_, c)| c > 1).copied().collect();
+        if top.len() > N_MCVS {
+            top.select_nth_unstable_by(N_MCVS - 1, by_freq);
+            top.truncate(N_MCVS);
         }
+        top.sort_unstable_by(by_freq);
+        let mcvs: Vec<(i64, f64)> =
+            top.iter().map(|&(k, c)| (k, c as f64 / n.max(1) as f64)).collect();
+        // The histogram walks the runs that are not MCVs, in key order.
+        let mut mcv_keys: Vec<i64> = top.iter().map(|&(k, _)| k).collect();
+        mcv_keys.sort_unstable();
+        let n_rest = n - top.iter().map(|&(_, c)| c as usize).sum::<usize>();
+        let mut skip = mcv_keys.iter().peekable();
+        let rest = runs.iter().filter(|&&(k, _)| skip.next_if_eq(&&k).is_none());
+        let histogram = EquiDepthHistogram::from_sorted_runs(
+            rest.map(|&(k, c)| (k as f64, c as usize)),
+            n_rest,
+            N_BUCKETS,
+        );
+        ColumnStats { n, n_distinct: runs.len() as f64, mcvs, histogram, freq: Some(runs) }
     }
 
     /// Total frequency fraction captured by the MCV list.
@@ -139,9 +145,7 @@ mod tests {
         let s = ColumnStats::analyze(&int_col(&[1, 1, 2, 3, 3, 3]));
         assert_eq!(s.n, 6);
         assert_eq!(s.n_distinct, 3.0);
-        let f = s.freq.as_ref().unwrap();
-        assert_eq!(f[&3], 3);
-        assert_eq!(f[&2], 1);
+        assert_eq!(s.freq, Some(vec![(1, 2), (2, 1), (3, 3)]));
     }
 
     #[test]
@@ -198,6 +202,117 @@ mod tests {
         assert!(s.freq.is_none());
         assert!(s.mcvs.is_empty());
         assert!((s.selectivity(CmpOp::Lt, 50.0) - 0.5).abs() < 0.05);
+    }
+
+    /// `analyze` as it was before keyed columns were sorted once: a hash
+    /// count, a full sort by frequency, an MCV set and a second sort of
+    /// the non-MCV values inside `EquiDepthHistogram::build`.
+    fn analyze_oracle(col: &ColumnData) -> ColumnStats {
+        use std::collections::{HashMap, HashSet};
+        let keys: Vec<i64> = match col {
+            ColumnData::Int(vals) => vals.clone(),
+            ColumnData::Text { codes, .. } => codes.iter().map(|&c| i64::from(c)).collect(),
+            ColumnData::Float(vals) => {
+                let mut distinct: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                return ColumnStats {
+                    n: vals.len(),
+                    n_distinct: distinct.len() as f64,
+                    mcvs: vec![],
+                    histogram: EquiDepthHistogram::build(vals, N_BUCKETS),
+                    freq: None,
+                };
+            }
+        };
+        let mut freq: HashMap<i64, u32> = HashMap::new();
+        for &k in &keys {
+            *freq.entry(k).or_insert(0) += 1;
+        }
+        let n = keys.len();
+        let n_distinct = freq.len() as f64;
+        let mut by_freq: Vec<(i64, u32)> = freq.iter().map(|(&k, &c)| (k, c)).collect();
+        by_freq.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mcvs: Vec<(i64, f64)> = by_freq
+            .iter()
+            .take(N_MCVS)
+            .filter(|&&(_, c)| c > 1)
+            .map(|&(k, c)| (k, c as f64 / n.max(1) as f64))
+            .collect();
+        let mcv_set: HashSet<i64> = mcvs.iter().map(|&(k, _)| k).collect();
+        let non_mcv: Vec<f64> =
+            keys.iter().filter(|k| !mcv_set.contains(k)).map(|&k| k as f64).collect();
+        let mut freq: Vec<(i64, u32)> = freq.into_iter().collect();
+        freq.sort_unstable();
+        ColumnStats {
+            n,
+            n_distinct,
+            mcvs,
+            histogram: EquiDepthHistogram::build(&non_mcv, N_BUCKETS),
+            freq: Some(freq),
+        }
+    }
+
+    fn assert_same_stats(col: &ColumnData, what: &str) {
+        let (got, want) = (ColumnStats::analyze(col), analyze_oracle(col));
+        assert_eq!(got.n, want.n, "{what}");
+        assert_eq!(got.n_distinct.to_bits(), want.n_distinct.to_bits(), "{what}");
+        let bits = |m: &[(i64, f64)]| m.iter().map(|&(k, f)| (k, f.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&got.mcvs), bits(&want.mcvs), "{what}");
+        assert_eq!(got.histogram, want.histogram, "{what}");
+        assert_eq!(got.freq, want.freq, "{what}");
+    }
+
+    fn text_col(words: &[i64]) -> ColumnData {
+        let mut c = ColumnData::new(DataType::Text);
+        for &w in words {
+            c.push(Value::Str(format!("w{w}"))).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn analyze_matches_the_hash_count_oracle() {
+        use bao_common::{rng_from_seed, Rng};
+        let mut rng = rng_from_seed(51);
+        let mut cases: Vec<(String, Vec<i64>)> = vec![
+            ("empty".into(), vec![]),
+            ("one value".into(), vec![-3]),
+            ("one value repeated".into(), vec![42; 17]),
+            ("all unique".into(), (0..3_000).map(|i| (i * 7_919) % 3_001 - 1_500).collect()),
+            ("ends of i64".into(), vec![i64::MIN, i64::MAX, 0, i64::MIN, i64::MAX, i64::MAX]),
+        ];
+        // A heavy hitter over a random tail.
+        let mut heavy = vec![7; 900];
+        heavy.extend((0..600).map(|_| rng.gen_range(-50..50i64)));
+        cases.push(("heavy hitter".into(), heavy));
+        // Exactly 100 and 101 values repeated three times each, beside
+        // unique ones and a few values seen twice: every MCV count ties,
+        // so the cut at N_MCVS falls on the tie-break by key.
+        for repeated in [99, 100, 101, 250] {
+            let mut vals: Vec<i64> = (0..repeated).flat_map(|k| [1_000 - 3 * k; 3]).collect();
+            vals.extend((0..400).map(|i| 10_000 + i));
+            vals.extend((0..5).flat_map(|i| [-i - 1; 2]));
+            rng.shuffle(&mut vals);
+            cases.push((format!("{repeated} tied values"), vals));
+        }
+        for round in 0..12 {
+            let len = rng.gen_range(0..5_000usize);
+            let span = [2i64, 50, 1_000, 100_000, 1 << 40][round % 5];
+            let vals = (0..len).map(|_| rng.gen_range(0..span) - span / 2).collect();
+            cases.push((format!("random {round}, span {span}"), vals));
+        }
+        for (what, vals) in &cases {
+            assert_same_stats(&int_col(vals), &format!("int {what}"));
+            if vals.iter().all(|&v| v.unsigned_abs() < 1 << 40) {
+                assert_same_stats(&text_col(vals), &format!("text {what}"));
+            }
+        }
+        let mut floats = ColumnData::new(DataType::Float);
+        for _ in 0..1_000 {
+            floats.push(Value::Float((rng.gen_f64() * 40.0).floor() - 3.5)).unwrap();
+        }
+        assert_same_stats(&floats, "float");
     }
 
     #[test]

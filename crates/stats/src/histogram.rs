@@ -17,18 +17,37 @@ impl EquiDepthHistogram {
     /// Build from unsorted values with at most `max_buckets` buckets.
     /// Returns an empty histogram for no input.
     pub fn build(values: &[f64], max_buckets: usize) -> Self {
-        if values.is_empty() || max_buckets == 0 {
-            return EquiDepthHistogram { bounds: vec![], n: 0 };
-        }
         let mut sorted = values.to_vec();
         sorted.sort_by(nan_last);
-        let buckets = max_buckets.min(sorted.len()).max(1);
-        let mut bounds = Vec::with_capacity(buckets + 1);
-        for i in 0..=buckets {
-            let rank = (i * (sorted.len() - 1)) / buckets;
-            bounds.push(sorted[rank]);
+        Self::from_sorted_runs(sorted.iter().map(|&v| (v, 1)), sorted.len(), max_buckets)
+    }
+
+    /// Build from `(value, count)` runs in ascending value order that hold
+    /// `len` values in all: bound `i` is the value at rank
+    /// `i * (len - 1) / buckets` of the sorted values, found by one walk
+    /// over the runs.
+    pub(crate) fn from_sorted_runs(
+        runs: impl IntoIterator<Item = (f64, usize)>,
+        len: usize,
+        max_buckets: usize,
+    ) -> Self {
+        if len == 0 || max_buckets == 0 {
+            return EquiDepthHistogram { bounds: vec![], n: 0 };
         }
-        EquiDepthHistogram { bounds, n: values.len() }
+        let buckets = max_buckets.min(len);
+        let mut bounds = Vec::with_capacity(buckets + 1);
+        // `end` is one past the last rank of the runs walked so far.
+        let mut end = 0;
+        for (v, count) in runs {
+            end += count;
+            while bounds.len() <= buckets && (bounds.len() * (len - 1)) / buckets < end {
+                bounds.push(v);
+            }
+            if bounds.len() > buckets {
+                break;
+            }
+        }
+        EquiDepthHistogram { bounds, n: len }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -161,6 +180,32 @@ mod tests {
         assert!((h.fraction_below(2.5) - 0.5).abs() < 1e-12);
         assert!(h.fraction_below(f64::NAN).is_finite());
         assert!(h.selectivity(CmpOp::Lt, f64::NAN, 4.0).is_finite());
+    }
+
+    /// The walk over runs picks the value at every bound's rank, as
+    /// indexing the expanded values does.
+    #[test]
+    fn from_sorted_runs_matches_indexing_the_values() {
+        use bao_common::{rng_from_seed, Rng};
+        let mut rng = rng_from_seed(51);
+        for round in 0..200 {
+            let runs: Vec<(f64, usize)> = (0..rng.gen_range(1..60usize))
+                .map(|i| (i as f64 - 7.5, [1, 1, 2, 5, 40][rng.gen_index(5)]))
+                .collect();
+            let values: Vec<f64> =
+                runs.iter().flat_map(|&(v, c)| std::iter::repeat_n(v, c)).collect();
+            for max_buckets in [1, 2, 3, 10, 100, 1_000] {
+                let h = EquiDepthHistogram::from_sorted_runs(
+                    runs.iter().copied(),
+                    values.len(),
+                    max_buckets,
+                );
+                let buckets = max_buckets.min(values.len());
+                let want: Vec<f64> =
+                    (0..=buckets).map(|i| values[i * (values.len() - 1) / buckets]).collect();
+                assert_eq!((h.bounds, h.n), (want, values.len()), "round {round}");
+            }
+        }
     }
 
     #[test]

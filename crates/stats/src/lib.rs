@@ -11,8 +11,9 @@
 //!   mode Bao's hint sets correct.
 //! * [`SampleEstimator`] — a "ComSys"-grade estimator: evaluates predicate
 //!   conjunctions on a correlated row sample and computes join
-//!   selectivities from exact key-frequency sketches, yielding far lower
-//!   q-error and therefore a much stronger traditional optimizer baseline.
+//!   selectivities from exact key frequencies (sorted key runs), yielding
+//!   far lower q-error and therefore a much stronger traditional optimizer
+//!   baseline.
 
 #![cfg_attr(
     not(test),

@@ -8,6 +8,7 @@
 //! parameterized nested-loop joins.
 
 use crate::column::ColumnData;
+use crate::sort::sort_keys;
 use crate::table::Table;
 use bao_common::{BaoError, Result};
 use std::ops::Range;
@@ -42,11 +43,11 @@ impl Index {
     /// Build an index over `table.column`. Only integer-keyed columns
     /// (ints and dictionary-coded text) are indexable.
     pub fn build(table: &Table, column: &str) -> Result<Index> {
-        let mut entries: Vec<(i64, u32)> = match table.column(column)? {
-            ColumnData::Int(keys) => keys.iter().zip(0..).map(|(&k, r)| (k, r)).collect(),
-            ColumnData::Text { codes, .. } => {
-                codes.iter().zip(0..).map(|(&c, r)| (i64::from(c), r)).collect()
-            }
+        // Row ids are unique, so a stable sort by key orders entries by
+        // key, then row id.
+        let (keys, rows) = match table.column(column)? {
+            ColumnData::Int(keys) => sort_keys(keys),
+            ColumnData::Text { codes, .. } => sort_keys(codes),
             ColumnData::Float(_) => {
                 return Err(BaoError::TypeMismatch(format!(
                     "cannot index float column {}.{column}",
@@ -54,8 +55,6 @@ impl Index {
                 )))
             }
         };
-        entries.sort_unstable();
-        let (keys, rows): (Vec<i64>, Vec<u32>) = entries.into_iter().unzip();
         // Analytic B+-tree height: interior levels above the leaves.
         let mut pages = keys.len().div_ceil(INDEX_ENTRIES_PER_PAGE);
         let mut height = 0;

@@ -21,6 +21,7 @@ pub mod buffer;
 pub mod catalog;
 pub mod column;
 pub mod index;
+pub mod sort;
 pub mod table;
 pub mod value;
 
@@ -28,5 +29,6 @@ pub use buffer::{AccessKind, BufferPool, PageKey, PoolStats};
 pub use catalog::{Database, ObjectId, StoredIndex, StoredTable, TableId};
 pub use column::ColumnData;
 pub use index::Index;
+pub use sort::sort_keys;
 pub use table::{ColumnDef, Schema, Table, PAGE_BYTES};
 pub use value::{DataType, Value};
